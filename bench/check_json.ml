@@ -1,17 +1,18 @@
 (* Smoke check for the benchmark ledger: BENCH_ndlog.json must parse
-   as a schema-9 document carrying a non-empty E7 sweep (indexed vs.
+   as a schema-11 document carrying a non-empty E7 sweep (indexed vs.
    baseline timings), an E8 sharded sweep with per-domain timings, an
    E11 sweep (batched vs. per-tuple delta joins, with the enumeration
    reduction recorded per row), an E12 sweep (the distributed
    runtime's inbox batching vs. per-message deliveries, with the wire
    delta-group sizes recorded per row), an E13 sweep (incremental view
    refresh vs. from-scratch recomputation, with skipped strata and
-   view-path enumeration recorded per row), an E14 churn section (one
-   id-native and one boxed run of the sustained link/route churn
-   workload, with identical final stores attested by matching insert
-   and tuple counts, and — new in schema 8 — each run's refresh-cost
-   breakdown: wall seconds inside view-refresh walks, the walk count,
-   and the refresh share of the measurement window), an E15 section
+   view-path enumeration recorded per row), an E14 churn section — an
+   absolute trajectory since schema 11 — (the repetitions of the
+   sustained link/route churn workload, with identical final stores
+   attested by matching insert, message and tuple counts, each run's
+   refresh-cost breakdown, and the medians the history tracks:
+   tuples/s, p50/p99 latency, live words and refresh share), an E15
+   section
    (per-probe representation costs,
    every operation with a positive ns/op and a positive id-probe
    speedup), an E16 section — new in schema 9 — (the socket transport:
@@ -55,8 +56,8 @@ let () =
   | Error e -> fail "%s: does not parse: %s" path e
   | Ok v ->
     (match Json.member "schema" v with
-    | Some (Json.Int 10) -> ()
-    | _ -> fail "%s: missing schema=10" path);
+    | Some (Json.Int 11) -> ()
+    | _ -> fail "%s: missing schema=11" path);
     List.iter
       (fun k ->
         match Json.member k v with
@@ -187,79 +188,73 @@ let () =
             fail "%s: e13 row %d lost the view enumeration reduction" path i
         end)
       incr_sweeps;
-    (* E14: sustained churn, one id-native and one boxed run (field-wise
-       medians over interleaved repetitions).  The bench itself aborts
-       if any repetition's final stores diverge; the ledger re-attests
-       that by carrying identical insert and tuple counts per mode, and
-       the throughput / latency fields must be positive (a zero means
-       the measurement window never ran). *)
+    (* E14: sustained churn, repetitions of one deterministic stream.
+       The bench itself aborts if any repetition's final stores
+       diverge; the ledger re-attests that by carrying identical insert,
+       message and tuple counts per run, and the throughput / latency
+       fields must be positive (a zero means the measurement window
+       never ran). *)
     let e14 = Option.get (Json.member "e14" v) in
     let e14_runs =
       match Option.bind (Json.member "runs" e14) Json.as_arr with
       | Some (_ :: _ as r) -> r
       | _ -> fail "%s: empty or missing e14 runs" path
     in
-    let churn_num row k =
+    let churn_num what row k =
       match Json.member k row with
       | Some (Json.Float f) -> f
       | Some (Json.Int n) -> float_of_int n
-      | _ -> fail "%s: e14 run lacks numeric %S" path k
+      | _ -> fail "%s: e14 %s lacks numeric %S" path what k
+    in
+    (* The refresh share is a proper fraction of the measurement window:
+       strictly positive (the churn workload refreshes every node
+       repeatedly) and strictly below the whole wall. *)
+    let check_share what row =
+      let share = churn_num what row "refresh_share" in
+      if not (share > 0.0 && share < 1.0) then
+        fail "%s: e14 %s refresh_share %g not in (0, 1)" path what share
     in
     List.iteri
       (fun i row ->
+        let what = Printf.sprintf "run %d" i in
         require_fields path "e14" i row
           [
-            "mode"; "nodes"; "events"; "measured_events"; "inserts";
-            "wall_s"; "tuples_per_sec"; "events_per_sec"; "p50_us"; "p99_us";
-            "max_us"; "live_words"; "heap_words"; "interned_values";
-            "messages"; "tuples"; "refresh_s"; "refresh_walks";
-            "refresh_share";
+            "nodes"; "events"; "measured_events"; "inserts"; "wall_s";
+            "tuples_per_sec"; "events_per_sec"; "p50_us"; "p99_us"; "max_us";
+            "live_words"; "heap_words"; "interned_values"; "messages";
+            "tuples"; "refresh_s"; "refresh_walks"; "refresh_share";
           ];
         List.iter
           (fun k ->
-            if churn_num row k <= 0.0 then
+            if churn_num what row k <= 0.0 then
               fail "%s: e14 run %d has non-positive %S" path i k)
           [
-            "inserts"; "tuples_per_sec"; "p99_us"; "live_words"; "tuples";
-            "refresh_s"; "refresh_walks";
+            "inserts"; "tuples_per_sec"; "p99_us"; "live_words"; "messages";
+            "tuples"; "refresh_s"; "refresh_walks";
           ];
-        (* The refresh share is a proper fraction of the measurement
-           window: strictly positive (the churn workload refreshes
-           every node repeatedly) and strictly below the whole wall. *)
-        let share = churn_num row "refresh_share" in
-        if not (share > 0.0 && share < 1.0) then
-          fail "%s: e14 run %d refresh_share %g not in (0, 1)" path i share)
+        check_share what row)
       e14_runs;
-    let e14_mode m =
-      match
-        List.find_opt
-          (fun row -> Json.member "mode" row = Some (Json.Str m))
-          e14_runs
-      with
-      | Some row -> row
-      | None -> fail "%s: e14 lacks a %S run" path m
-    in
-    let ids = e14_mode "ids" and boxed = e14_mode "boxed" in
+    let first = List.hd e14_runs in
+    List.iteri
+      (fun i row ->
+        List.iter
+          (fun k ->
+            if churn_num "run" row k <> churn_num "run" first k then
+              fail "%s: e14 run %d disagrees with run 0 on %S" path i k)
+          [ "nodes"; "events"; "measured_events"; "inserts"; "messages"; "tuples" ])
+      e14_runs;
+    (match Json.member "repetitions" e14 with
+    | Some (Json.Int r) when r = List.length e14_runs -> ()
+    | _ -> fail "%s: e14 repetitions does not match its runs" path);
     List.iter
       (fun k ->
-        if churn_num ids k <> churn_num boxed k then
-          fail "%s: e14 id-native and boxed runs disagree on %S" path k)
-      [ "nodes"; "events"; "measured_events"; "inserts"; "tuples" ];
-    (match Json.member "speedup" e14 with
-    | Some (Json.Float s) when s > 0.0 -> ()
-    | _ -> fail "%s: e14 lacks a positive speedup" path);
-    (* Schema 8 summary: the per-mode refresh-cost pair must be present
-       and positive — the metric the journaled in-place refresh is
-       accountable to. *)
-    List.iter
-      (fun k ->
-        match Json.member k e14 with
-        | Some (Json.Float s) when s > 0.0 -> ()
-        | _ -> fail "%s: e14 lacks a positive %S" path k)
+        if churn_num "summary" e14 k <= 0.0 then
+          fail "%s: e14 lacks a positive %S" path k)
       [
-        "refresh_s_ids"; "refresh_s_boxed"; "refresh_share_ids";
-        "refresh_share_boxed";
+        "nodes"; "events"; "tuples_per_sec"; "p50_us"; "p99_us"; "live_words";
+        "refresh_s"; "messages";
       ];
+    check_share "summary" e14;
     (* E15: per-probe representation costs.  Every op must carry a
        positive ns/op, and the headline id-probe speedup must be a
        positive ratio. *)

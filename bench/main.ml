@@ -963,16 +963,16 @@ let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
    directly into the cost relation.  The live tuple set stays bounded
    — the stream endlessly replaces state instead of growing it — which
    is exactly the regime where tuple storage, not fixpoint evaluation,
-   is the bottleneck.  The same deterministic stream runs once on the
-   id-native runtime (flat int-array tuples, integer joins) and once
-   on the boxed-store oracle (FVN_TUPLE_IDS=0 semantics, selected per
-   runtime); the fixpoints must be bit-identical and the measured
-   difference is pure representation cost.  (Earlier regenerations of
-   this experiment compared interned vs. uninterned boxed stores; that
-   comparison lives on in the ledger history.) *)
+   is the bottleneck.  The same deterministic stream runs once per
+   repetition on the distributed runtime; every repetition must reach
+   bit-identical final stores, and the ledger records absolute
+   throughput, latency, live heap and refresh share, so the history
+   shows how each moved from one regeneration to the next.  (Earlier
+   regenerations of this experiment compared the id-native runtime
+   against a boxed twin, and before that interned vs. uninterned boxed
+   stores; those ratios live on in the ledger history.) *)
 
 type churn_row = {
-  ch_mode : string;  (* "ids" | "boxed" *)
   ch_nodes : int;
   ch_events : int;  (* events driven, including warmup *)
   ch_measured : int;  (* events in the measurement window *)
@@ -986,7 +986,7 @@ type churn_row = {
   ch_live_words : int;  (* Gc live words after the run (post full major) *)
   ch_heap_words : int;  (* Gc.quick_stat heap words *)
   ch_interned : int;  (* intern table population at end of run *)
-  ch_msgs : int;  (* simulator messages sent over the whole run *)
+  ch_msgs : int;  (* simulator messages sent, summed over every run report *)
   ch_tuples : int;  (* live global store size at cut-off *)
   ch_refresh_s : float;  (* wall spent in view-refresh walks (window) *)
   ch_refresh_walks : int;  (* refresh walks in the window *)
@@ -996,11 +996,9 @@ type churn_row = {
    path-vector protocol (Section 2.2) with a hop bound so churn stays
    local, and every materialize declaration rewritten to the given
    lifetime.  Path vectors matter here: every refresh re-derives its
-   path lists from scratch, so the boxed representation keeps
-   re-allocating and re-comparing structurally equal lists while the
-   interned one collapses them to shared representatives — the
-   allocation/comparison traffic this benchmark is designed to
-   expose. *)
+   path lists from scratch, and interning collapses the structurally
+   equal lists to shared representatives — the allocation/comparison
+   traffic this benchmark is designed to expose. *)
 let churn_program_src =
   {|
 materialize(link, infinity).
@@ -1035,12 +1033,12 @@ let percentile sorted q =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-(* Drive one mode through the event stream.  Returns the row plus the
-   digest used for the cross-mode equivalence check (global store,
-   per-node stores, cumulative counters) — the runtime itself is
-   dropped so the next mode's heap measurement does not retain this
-   one's simulator. *)
-let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
+(* Drive the runtime through the event stream once.  Returns the row
+   plus the digest used for the cross-repetition equivalence check
+   (global store, per-node stores, cumulative counters) — the runtime
+   itself is dropped so the next repetition's heap measurement does not
+   retain this one's simulator. *)
+let churn_run ~n ~events ~warmup ~lifetime ~dt =
   (* Ring plus (i, i+5) chords: the chord offers in the event stream
      need topology edges to ship their derived paths over. *)
   let chord_fact s d =
@@ -1064,15 +1062,15 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
     | Ok r -> r.Ndlog.Localize.program
     | Error _ -> assert false
   in
-  let rt = Dist.Runtime.create ~tuple_ids:ids (topo_of_link_facts links) loc in
+  let rt = Dist.Runtime.create (topo_of_link_facts links) loc in
   Dist.Runtime.load_facts rt;
   Gc.full_major ();
   let live_start = (Gc.stat ()).Gc.live_words in
   let nd i = Ndlog.Programs.node (i mod n) in
   let samples = Array.make events 0.0 in
   let last = ref None in
-  let sim_events = ref 0 in
-  let warm_inserts = ref 0 and warm_msgs = ref 0 and warm_wall = ref 0.0 in
+  let sim_events = ref 0 and msgs = ref 0 in
+  let warm_inserts = ref 0 and warm_wall = ref 0.0 in
   let warm_refresh_s = ref 0.0 and warm_refresh_walks = ref 0 in
   let t_start = Unix.gettimeofday () in
   for e = 0 to events - 1 do
@@ -1120,11 +1118,13 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
           |]);
     let rep = Dist.Runtime.run rt ~until:t_sim in
     last := Some rep;
+    (* Simulator stats are per [run]: the whole stream's figures are
+       sums over every report. *)
     sim_events := !sim_events + rep.Dist.Runtime.stats.Netsim.Sim.events;
+    msgs := !msgs + rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
     samples.(e) <- Unix.gettimeofday () -. t0;
     if e + 1 = warmup then begin
       warm_inserts := rep.Dist.Runtime.total_inserts;
-      warm_msgs := rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
       warm_wall := Unix.gettimeofday () -. t_start;
       warm_refresh_s := Dist.Runtime.refresh_seconds rt;
       warm_refresh_walks := Dist.Runtime.refresh_walks rt
@@ -1133,7 +1133,7 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   let wall_total = Unix.gettimeofday () -. t_start in
   let rep = Option.get !last in
   (* Live heap *retained by this run* — the growth over the post-setup
-     baseline, so the digest kept alive from a previous mode's run does
+     baseline, so the digest kept alive from a previous repetition does
      not pollute the measurement.  [Gc.quick_stat] is free but zeroes
      [live_words]; the full [Gc.stat] after a major collection gives the
      real figure, and [heap_words] comes from the cheap counters. *)
@@ -1153,7 +1153,6 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   in
   let row =
     {
-      ch_mode = (if ids then "ids" else "boxed");
       ch_nodes = n;
       ch_events = events;
       ch_measured = measured;
@@ -1167,7 +1166,7 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
       ch_live_words = live_words;
       ch_heap_words = heap_words;
       ch_interned = Ndlog.Intern.size ();
-      ch_msgs = rep.Dist.Runtime.stats.Netsim.Sim.messages_sent;
+      ch_msgs = !msgs;
       ch_tuples = Ndlog.Store.total_tuples global;
       ch_refresh_s = Dist.Runtime.refresh_seconds rt -. !warm_refresh_s;
       ch_refresh_walks = Dist.Runtime.refresh_walks rt - !warm_refresh_walks;
@@ -1175,7 +1174,7 @@ let churn_run ~ids ~n ~events ~warmup ~lifetime ~dt =
   in
   (row, (global, node_stores, rep.Dist.Runtime.total_inserts))
 
-(* Field-wise median across repetitions of one mode.  The counters that
+(* Field-wise median across repetitions.  The counters that
    are deterministic (inserts, messages, tuples, events) are asserted
    identical across repetitions by the digest check, so taking them
    from the first row is exact; the timing-dependent fields get the
@@ -1199,49 +1198,41 @@ let churn_median (rows : churn_row list) : churn_row =
     ch_refresh_s = medf (fun r -> r.ch_refresh_s);
   }
 
-let churn_point ~n ~events ~reps : churn_row * churn_row =
+(* Share of the measurement window spent in view-refresh walks. *)
+let churn_refresh_share r = r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s
+
+(* [reps] repetitions of the stream, in order.  Back-to-back runs on a
+   shared machine spread well above the effects the ledger tracks, so
+   the headline is the field-wise median ([churn_median]) and every
+   repetition is kept for the spread. *)
+let churn_point ~n ~events ~reps : churn_row list =
   (* Offers recur every 2n events (dt = 1): a 3n lifetime outlives a
      kept offer cycle but lapses across a withheld one. *)
   let dt = 1.0 in
   let lifetime = 3.0 *. float_of_int n *. dt in
   let warmup = max (2 * n) (events / 10) in
   let warmup = min warmup (events / 2) in
-  (* Interleaved repetitions, alternating which mode runs first within
-     each pair: back-to-back runs on a shared machine show run-to-run
-     spread well above the effect under measurement, and the mode that
-     runs second inherits a grown GC heap — alternation cancels the
-     order bias, the per-mode median (churn_median) tames the noise. *)
-  let rows_b = ref [] and rows_i = ref [] in
   let digest = ref None in
-  for rep = 0 to reps - 1 do
-    List.iter
-      (fun ids ->
-        let row, (g, ns, ins) =
-          churn_run ~ids ~n ~events ~warmup ~lifetime ~dt
-        in
-        (* The equivalence claim is part of the benchmark: every run
-           drives the identical deterministic stream to the identical
-           simulated instant, so any divergence — across modes or
-           across repetitions — fails the run loudly. *)
-        (match !digest with
-        | None -> digest := Some (g, ns, ins)
-        | Some (g0, ns0, ins0) ->
-          if
-            not
-              (Ndlog.Store.equal g g0
-              && ins = ins0
-              && List.for_all2
-                   (fun (nm, s) (nm0, s0) ->
-                     nm = nm0 && Ndlog.Store.equal s s0)
-                   ns ns0)
-          then failwith "E14: runs diverged across modes or repetitions");
-        if ids then rows_i := row :: !rows_i
-        else rows_b := row :: !rows_b)
-      (if rep land 1 = 0 then [ false; true ] else [ true; false ])
-  done;
-  (churn_median !rows_i, churn_median !rows_b)
+  List.init reps (fun _ ->
+      let row, (g, ns, ins) = churn_run ~n ~events ~warmup ~lifetime ~dt in
+      (* The determinism claim is part of the benchmark: every run
+         drives the identical deterministic stream to the identical
+         simulated instant, so any divergence across repetitions — in
+         stores, inserts or messages — fails the run loudly. *)
+      (match !digest with
+      | None -> digest := Some (g, ns, ins, row.ch_msgs)
+      | Some (g0, ns0, ins0, msgs0) ->
+        if
+          not
+            (Ndlog.Store.equal g g0
+            && ins = ins0 && row.ch_msgs = msgs0
+            && List.for_all2
+                 (fun (nm, s) (nm0, s0) -> nm = nm0 && Ndlog.Store.equal s s0)
+                 ns ns0)
+        then failwith "E14: runs diverged across repetitions");
+      row)
 
-(* The machine-readable ledger (BENCH_ndlog.json, schema 10).
+(* The machine-readable ledger (BENCH_ndlog.json, schema 11).
    E7, E8, E11–E17 stash their sweep rows here; the driver emits one
    document at the end of the run.  The previous ledger's run history is
    carried forward and the finished run appended, so the committed file
@@ -1485,7 +1476,6 @@ let emit_bench_json () =
   let e14_row r =
     Json.Obj
       [
-        ("mode", Json.Str r.ch_mode);
         ("nodes", Json.Int r.ch_nodes);
         ("events", Json.Int r.ch_events);
         ("measured_events", Json.Int r.ch_measured);
@@ -1503,24 +1493,13 @@ let emit_bench_json () =
         ("tuples", Json.Int r.ch_tuples);
         ("refresh_s", Json.Float r.ch_refresh_s);
         ("refresh_walks", Json.Int r.ch_refresh_walks);
-        ( "refresh_share",
-          Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s) );
+        ("refresh_share", Json.Float (churn_refresh_share r));
       ]
   in
-  (* Each stat pairs the id-native row with its boxed oracle; e14_rows
-     is [ids; boxed] when e14 ran, [] otherwise. *)
-  let e14_find mode f =
-    match List.find_opt (fun r -> r.ch_mode = mode) !e14_rows with
-    | Some r -> f r
-    | None -> Json.Null
-  in
-  let e14_speedup =
-    match
-      ( List.find_opt (fun r -> r.ch_mode = "ids") !e14_rows,
-        List.find_opt (fun r -> r.ch_mode = "boxed") !e14_rows )
-    with
-    | Some i, Some b -> Json.Float (i.ch_tuples_per_sec /. b.ch_tuples_per_sec)
-    | _ -> Json.Null
+  (* Headline figures: field-wise medians over the repetitions, null
+     when e14 did not run. *)
+  let e14_med f =
+    match !e14_rows with [] -> Json.Null | rows -> f (churn_median rows)
   in
   let e15_row r =
     Json.Obj [ ("op", Json.Str r.xl_op); ("ns_per_op", Json.Float r.xl_ns) ]
@@ -1660,11 +1639,12 @@ let emit_bench_json () =
         ("e13_rows", Json.Int (List.length !e13_rows));
         ("e13_total_strata_skipped", e13_total_skipped);
         ("e14_rows", Json.Int (List.length !e14_rows));
-        ("e14_speedup", e14_speedup);
-        ( "e14_tuples_per_sec_ids",
-          e14_find "ids" (fun r -> Json.Float r.ch_tuples_per_sec) );
-        ( "e14_p99_us_ids",
-          e14_find "ids" (fun r -> Json.Float r.ch_p99_us) );
+        ( "e14_tuples_per_sec",
+          e14_med (fun r -> Json.Float r.ch_tuples_per_sec) );
+        ("e14_p99_us", e14_med (fun r -> Json.Float r.ch_p99_us));
+        ("e14_live_words", e14_med (fun r -> Json.Int r.ch_live_words));
+        ( "e14_refresh_share",
+          e14_med (fun r -> Json.Float (churn_refresh_share r)) );
         ("e15_rows", Json.Int (List.length !e15_rows));
         ("e15_probe_speedup", e15_probe_speedup);
         ("e16_rows", Json.Int (List.length !e16_rows));
@@ -1679,7 +1659,7 @@ let emit_bench_json () =
   Json.to_file bench_json_path
     (Json.Obj
        [
-         ("schema", Json.Int 10);
+         ("schema", Json.Int 11);
          ("quick", Json.Bool !quick);
          ("host_cores", Json.Int host_cores);
          ("unix_time", Json.Int now);
@@ -1719,42 +1699,24 @@ let emit_bench_json () =
                ("max_enum_saved_pct", e13_max_saved);
                ("sweeps", Json.Arr (List.map e13_row !e13_rows));
              ] );
+         (* Sustained churn (schema 11): absolute figures of the one
+            runtime path, medians over the repetitions, with every
+            repetition kept for the spread. *)
          ( "e14",
            Json.Obj
              [
-               ("speedup", e14_speedup);
-               ( "nodes",
-                 e14_find "ids" (fun r -> Json.Int r.ch_nodes) );
-               ( "events",
-                 e14_find "ids" (fun r -> Json.Int r.ch_events) );
-               ( "tuples_per_sec_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_tuples_per_sec) );
-               ( "tuples_per_sec_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_tuples_per_sec) );
-               ( "p99_us_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_p99_us) );
-               ( "p99_us_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_p99_us) );
-               ( "live_words_ids",
-                 e14_find "ids" (fun r -> Json.Int r.ch_live_words) );
-               ( "live_words_boxed",
-                 e14_find "boxed" (fun r -> Json.Int r.ch_live_words) );
-               (* Refresh-cost breakdown (schema 8): wall spent inside
-                  view-refresh walks and its share of the measurement
-                  window, per mode — the copy-tax metric the journaled
-                  in-place refresh is accountable to. *)
-               ( "refresh_s_ids",
-                 e14_find "ids" (fun r -> Json.Float r.ch_refresh_s) );
-               ( "refresh_s_boxed",
-                 e14_find "boxed" (fun r -> Json.Float r.ch_refresh_s) );
-               ( "refresh_share_ids",
-                 e14_find "ids" (fun r ->
-                     Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s))
-               );
-               ( "refresh_share_boxed",
-                 e14_find "boxed" (fun r ->
-                     Json.Float (r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s))
-               );
+               ("nodes", e14_med (fun r -> Json.Int r.ch_nodes));
+               ("events", e14_med (fun r -> Json.Int r.ch_events));
+               ("repetitions", Json.Int (List.length !e14_rows));
+               ( "tuples_per_sec",
+                 e14_med (fun r -> Json.Float r.ch_tuples_per_sec) );
+               ("p50_us", e14_med (fun r -> Json.Float r.ch_p50_us));
+               ("p99_us", e14_med (fun r -> Json.Float r.ch_p99_us));
+               ("live_words", e14_med (fun r -> Json.Int r.ch_live_words));
+               ("refresh_s", e14_med (fun r -> Json.Float r.ch_refresh_s));
+               ( "refresh_share",
+                 e14_med (fun r -> Json.Float (churn_refresh_share r)) );
+               ("messages", e14_med (fun r -> Json.Int r.ch_msgs));
                ("runs", Json.Arr (List.map e14_row !e14_rows));
              ] );
          ( "e15",
@@ -2151,38 +2113,39 @@ let e13 () =
      view-path enumeration reduction are asserted too.@."
 
 (* ------------------------------------------------------------------ *)
-(* E14: sustained churn under interned vs. boxed tuple storage. *)
+(* E14: sustained churn on the distributed runtime. *)
 
 let e14 () =
-  banner "e14" "sustained link/route churn, id-native vs. boxed evaluation"
+  banner "e14" "sustained link/route churn on the id-native runtime"
     "flat int-array tuples and integer joins keep a long-running \
-     soft-state router fast and compact without changing a single tuple";
-  (* Quick mode is sized for the @bench-smoke alias (~15 s of churn);
+     soft-state router fast and compact";
+  (* Quick mode is sized for the @bench-smoke alias (~7 s of churn);
      the full run sustains a million events per repetition on a
      192-node chorded ring. *)
   let n = if !quick then 64 else 192 in
   let events = if !quick then 20_000 else 1_000_000 in
   let reps = 3 in
-  let row_i, row_b = churn_point ~n ~events ~reps in
-  e14_rows := [ row_i; row_b ];
+  let rows = churn_point ~n ~events ~reps in
+  e14_rows := rows;
+  let med = churn_median rows in
   Fmt.pr
     "chorded ring of %d nodes, bounded path-vector with a promise-audit \
      rule, all predicates soft; %d alternating link-offer / route-promise \
-     events with withheld offers and flapping costs, %d interleaved \
-     repetitions per storage mode, medians reported (p50/p99 over the %d \
-     post-warmup events):@."
-    n events reps row_i.ch_measured;
+     events with withheld offers and flapping costs, %d repetitions \
+     (p50/p99 over the %d post-warmup events):@."
+    n events reps med.ch_measured;
   table
     [
-      "storage"; "events"; "inserts"; "wall"; "tuples/s"; "events/s";
-      "p50"; "p99"; "max"; "live heap"; "interned";
+      "run"; "events"; "inserts"; "msgs"; "wall"; "tuples/s"; "events/s";
+      "p50"; "p99"; "max"; "live heap"; "refresh"; "interned";
     ]
-    (List.map
-       (fun r ->
+    (List.map2
+       (fun name r ->
          [
-           r.ch_mode;
+           name;
            string_of_int r.ch_events;
            string_of_int r.ch_inserts;
+           string_of_int r.ch_msgs;
            Fmt.str "%.1f s" r.ch_wall_s;
            Fmt.str "%.0f" r.ch_tuples_per_sec;
            Fmt.str "%.0f" r.ch_events_per_sec;
@@ -2190,13 +2153,14 @@ let e14 () =
            Fmt.str "%.0f us" r.ch_p99_us;
            Fmt.str "%.0f us" r.ch_max_us;
            Fmt.str "%dk words" (r.ch_live_words / 1000);
+           Fmt.str "%.0f%%" (100.0 *. churn_refresh_share r);
            string_of_int r.ch_interned;
          ])
-       [ row_i; row_b ]);
+       (List.mapi (fun i _ -> Fmt.str "rep %d" (i + 1)) rows @ [ "median" ])
+       (rows @ [ med ]));
   Fmt.pr
-    "throughput ratio id-native/boxed: %.2fx; identical global fixpoint, \
-     per-node stores and insert counts are asserted across the two runs.@."
-    (row_i.ch_tuples_per_sec /. row_b.ch_tuples_per_sec)
+    "identical global fixpoint, per-node stores, insert and message counts \
+     are asserted across the repetitions.@."
 
 (* ------------------------------------------------------------------ *)
 (* E15: the per-probe price of each representation choice. *)

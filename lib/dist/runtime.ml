@@ -8,6 +8,15 @@
    node recurse locally, heads located elsewhere become network
    messages.
 
+   There is one data path, and it is id-native: a node's store is a
+   flat database of interned-id tuples ({!Ndlog.Flat}), strands run
+   through the id-native executor ({!Ndlog.Ideval}), and joins compare
+   machine ints.  Values are boxed only at true boundaries — the
+   canonical tuple a message carries for traces and for the
+   cross-process wire, the lease table's keys, printing, and the
+   memoized {!Ndlog.Store.t} views [node_store] / [global_store] hand
+   to observers.
+
    Message deliveries are batched through a per-node inbox: the handler
    buffers the tuple and schedules a zero-delay flush, so every
    delivery landing at the same simulated instant drains together and
@@ -18,9 +27,9 @@
 
    Aggregate strata are maintained as local views: whenever the local
    store changes, aggregate rules (and the local rules downstream of
-   them) are re-derived and their relations replaced, so non-monotonic
-   updates (a better best-path displacing a worse one) are handled by
-   view refresh rather than by distributed deletion.
+   them) are re-derived in place, so non-monotonic updates (a better
+   best-path displacing a worse one) are handled by view refresh rather
+   than by distributed deletion.
 
    View refresh is incremental by default ([~incremental_views:true]):
    each node tracks its *dirty* base predicates — those whose relations
@@ -30,7 +39,7 @@
    skipping every stratum whose transitive support saw no dirty
    predicate (its previous relations are still exact), seeding plain
    strata with their previous relations plus the support deltas
-   (delta-driven re-derivation through {!Ndlog.Plan.refresh_stratum}),
+   (delta-driven re-derivation through {!Ndlog.Ideval.refresh_stratum}),
    and falling back to from-scratch recomputation for strata with
    aggregates or negation, or whose support lost tuples — all
    non-monotone under seeding.  Skips and fallbacks are counted
@@ -38,7 +47,8 @@
    [~incremental_views:false] restores the from-scratch refresh, kept
    as the differential oracle: both modes produce bit-identical node
    stores, fixpoints, message traces, and lease tables (qcheck property
-   in the dist test suite).
+   in the dist test suite), and the distributed fixpoint itself is
+   checked against the naive centralized evaluator.
    View tuples located at other nodes are shipped as inserts — each
    tuple once, against a per-(node, predicate) shipped set — and kept
    at the receiver until their own lease lapses; remote view deletion
@@ -52,7 +62,6 @@
 module Ast = Ndlog.Ast
 module Store = Ndlog.Store
 module Eval = Ndlog.Eval
-module Env = Ndlog.Env
 module Analysis = Ndlog.Analysis
 module Value = Ndlog.Value
 module Softstate = Ndlog.Softstate
@@ -67,17 +76,18 @@ module Sset = Ast.Sset
 type msg = Wire.msg = {
   pred : string;
   tuple : Store.Tuple.t;
-  (* The flat payload when the sender runs id-natively: the receiver
-     inserts by ids without re-probing the intern table.  [tuple] is
-     always the canonical boxed form — traces and debugging read it.
-     In-process only: cross-process frames drop it at encode (id
-     spaces are per-process; see {!Wire}). *)
+  (* The flat payload: the receiver inserts by ids without re-probing
+     the intern table.  [tuple] is always the canonical boxed form —
+     traces and debugging read it.  In-process only: cross-process
+     frames drop it at encode (id spaces are per-process; see
+     {!Wire}). *)
   ids : int array option;
 }
 
 type node_state = {
   name : string;
-  mutable store : Store.t;
+  (* The node's database: the authoritative store. *)
+  db : Flat.t;
   mutable expiry : Softstate.Expiry.t;
   mutable inserts : int;  (* local tuple insertions *)
   (* Pending message deliveries, newest first; drained in arrival order
@@ -87,10 +97,10 @@ type node_state = {
   (* View tuples shipped in from other nodes: preserved across local
      view refreshes (the local recomputation cannot re-derive them) and
      pruned by soft-state expiry. *)
-  mutable received : Store.t;
-  (* Remote-located view tuples already shipped, per predicate: view
+  received : Flat.t;
+  (* Remote-owned view tuples already shipped, per predicate: view
      refreshes send only the diff. *)
-  shipped : (string, Store.Tset.t) Hashtbl.t;
+  shipped : (string, Fset.t) Hashtbl.t;
   (* Soft view predicates with a pending lease-renewal timer (see
      [ensure_renewal]). *)
   renewing : (string, unit) Hashtbl.t;
@@ -102,12 +112,12 @@ type node_state = {
      lost tuples (expiry) — deletions force the from-scratch fallback
      for every stratum they support. *)
   mutable dirty : Sset.t;
-  mutable dirty_delta : Store.t;
+  mutable dirty_delta : Flat.t;
   mutable dirty_deleted : Sset.t;
   (* The previous refresh's view fixpoint (local- and remote-owned
-     derived tuples, pre ship/received splitting): the seed for
-     incremental re-derivation and the baseline for skip decisions. *)
-  mutable last_fresh : Store.t;
+     derived tuples, before the ship/received split): the baseline the
+     in-place refresh seeds from and diffs against. *)
+  last_fresh : Flat.t;
   (* Whether this node's store has changed since its last refresh (new
      tuples, including shipped-in view arrivals, or expiry removals).
      A refresh walks only stale nodes when incremental refresh is on:
@@ -125,26 +135,16 @@ type node_state = {
      than the live timer, and a firing timer whose deadline no longer
      matches is stale: it dies without sweeping or re-arming. *)
   mutable sweep_armed : float;
-  (* Id-native state ([tuple_ids] mode).  The flat database is the
-     authoritative store — [store] is not maintained — and its twins
-     mirror [received] / [dirty_delta] / [last_fresh] / [shipped].
-     [store_cache] memoizes boxed materializations by flat version, so
-     observation points ([node_store], [global_store]) pay the cheap
-     id-to-value translation once per quiescent state. *)
-  fdb : Flat.t;
-  freceived : Flat.t;
-  mutable fdirty_delta : Flat.t;
-  mutable flast_fresh : Flat.t;
-  fshipped : (string, Fset.t) Hashtbl.t;
+  (* Boxed materializations memoized by flat version, so observation
+     points ([node_store], [global_store]) pay the id-to-value
+     translation once per quiescent state. *)
   mutable store_cache : (int * Store.t) option;
-  (* Derived view tuples the expiry sweep removed from [fdb] since the
+  (* Derived view tuples the expiry sweep removed from [db] since the
      last refresh (a locally-derived tuple acquires a lease when a peer
      re-sends it; its lapse sweeps a tuple the fixpoint still derives).
-     The boxed oracle restores such tuples implicitly — its refresh
-     replaces view relations wholesale from the recomputed fixpoint —
-     so the in-place seed must re-add them explicitly to re-establish
-     stored = previous fixpoint before the walk. *)
-  mutable fview_holes : (string * int array) list;
+     The in-place seed re-adds them to re-establish stored = previous
+     fixpoint before the walk. *)
+  mutable view_holes : (string * int array) list;
 }
 
 type t = {
@@ -172,21 +172,15 @@ type t = {
   view_set : Sset.t;
   view_program : Ast.program;  (* the rules that define the views *)
   (* Compiled dataflow strands of the pipelined rules, indexed by their
-     trigger (delta) predicate: the Click execution model. *)
-  strands : (string, Ndlog.Plan.strand list) Hashtbl.t;
-  (* Id-native evaluation ([FVN_TUPLE_IDS], default on): environments
-     bind interned ids, joins compare ints, and node state lives in
-     flat databases.  The compiled istrands below mirror [strands];
-     the boxed path stays intact as the differential oracle. *)
-  tuple_ids : bool;
-  istrands : (string, Ideval.istrand list) Hashtbl.t;
+     trigger (delta) predicate: the Click execution model.  The
+     compilation is cardinality-independent, so one compiled strand
+     serves every batch for the runtime's lifetime. *)
+  strands : (string, Ideval.istrand list) Hashtbl.t;
   (* Incremental view refresh: dirty-predicate tracking plus the view
-     program's refresh strata, each with its delta strands (boxed and
-     id-native twins).  Off: the from-scratch refresh, kept as the
-     differential oracle. *)
+     program's refresh strata, each with its delta strands.  Off: the
+     from-scratch refresh, kept as the differential oracle. *)
   incremental_views : bool;
-  refresh_plan :
-    (Eval.refresh_stratum * Ndlog.Plan.strand list * Ideval.istrand list) list;
+  refresh_plan : (Eval.refresh_stratum * Ideval.istrand list) list;
   (* Join counters, split by path (per-runtime: concurrent runtimes
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
@@ -195,8 +189,7 @@ type t = {
   wire : Eval.counters;
   mutable refresh_pending : bool;
   (* Wall-clock spent inside [refresh_views] and the number of walks:
-     the refresh-cost breakdown the churn benchmark reports (ledger
-     schema 8). *)
+     the refresh-cost breakdown the churn benchmark reports. *)
   mutable refresh_wall : float;
   mutable refresh_walks : int;
 }
@@ -392,14 +385,19 @@ let incremental_views_default () =
   | Some ("0" | "false" | "no" | "off") -> false
   | _ -> true
 
-(* The id twin of {!Ndlog.Shard.tuple_location}: the location column is
-   one array read plus an address check, no tuple materialization. *)
+(* The owner named by an id tuple's location column: one array read
+   plus an address check, no tuple materialization. *)
 let owner_of_ids (loc : int option) (ids : int array) : string option =
   match loc with
   | Some i when i < Array.length ids -> Some (Value.as_addr (Intern.get ids.(i)))
   | _ -> None
 
-let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views ?tuple_ids
+(* Canonical send order for tuples leaving a node: sorted by boxed
+   value, so message enqueue order (and hence the trace) never depends
+   on id allocation or hash-set layout. *)
+let sort_boxed l = List.sort (fun (a, _) (b, _) -> Store.Tuple.compare a b) l
+
+let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
     ?transport ?hosted (topo : Netsim.Topology.t) (program : Ast.program) : t =
   (match Ndlog.Localize.check_localized program with
   | Ok () -> ()
@@ -427,64 +425,45 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views ?tuple_ids
       Hashtbl.replace nodes n
         {
           name = n;
-          store = Store.empty;
+          db = Flat.create ();
           expiry = Softstate.Expiry.create program.Ast.decls;
           inserts = 0;
           inbox = [];
           flush_scheduled = false;
-          received = Store.empty;
+          received = Flat.create ();
           shipped = Hashtbl.create 4;
           renewing = Hashtbl.create 4;
           dirty = Sset.empty;
-          dirty_delta = Store.empty;
+          dirty_delta = Flat.create ();
           dirty_deleted = Sset.empty;
-          last_fresh = Store.empty;
+          last_fresh = Flat.create ();
           stale = false;
           sweep_armed = infinity;
-          fdb = Flat.create ();
-          freceived = Flat.create ();
-          fdirty_delta = Flat.create ();
-          flast_fresh = Flat.create ();
-          fshipped = Hashtbl.create 4;
           store_cache = None;
-          fview_holes = [];
+          view_holes = [];
         })
     hosted;
   let view_preds, view_program, pipeline_program = split_views program in
   check_remote_views program view_program;
+  (* Strands by trigger predicate, in program order within each
+     trigger's list. *)
   let strands = Hashtbl.create 32 in
   List.iter
     (fun (st : Ndlog.Plan.strand) ->
       match st.Ndlog.Plan.delta_pred with
       | Some pred ->
+        let ist = Ideval.of_strand st in
         Hashtbl.replace strands pred
-          (st
-          :: (match Hashtbl.find_opt strands pred with
-             | Some l -> l
-             | None -> []))
+          (match Hashtbl.find_opt strands pred with
+          | Some l -> l @ [ ist ]
+          | None -> [ ist ])
       | None -> ())
     (Ndlog.Plan.compile_program pipeline_program);
-  (* Restore program order within each trigger's strand list. *)
-  let strands' = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun pred l -> Hashtbl.replace strands' pred (List.rev l))
-    strands;
   let incremental_views =
     match incremental_views with
     | Some b -> b
     | None -> incremental_views_default ()
   in
-  let tuple_ids =
-    match tuple_ids with Some b -> b | None -> !Ideval.enabled
-  in
-  (* Compiled id-native twins of the wire strands (id mode only — the
-     compilation is cardinality-independent, so one istrand serves
-     every batch for the runtime's lifetime). *)
-  let istrands = Hashtbl.create 32 in
-  if tuple_ids then
-    Hashtbl.iter
-      (fun pred l -> Hashtbl.replace istrands pred (List.map Ideval.of_strand l))
-      strands';
   (* Refresh strata of the view program, bottom-up, each with the delta
      strands of its rules (empty for aggregate strata — those fall back
      to from-scratch recomputation whenever touched). *)
@@ -494,13 +473,11 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views ?tuple_ids
         let strands =
           if rs.Eval.rs_has_agg then []
           else
-            Ndlog.Plan.compile_program
-              { view_program with Ast.rules = rs.Eval.rs_rules }
+            List.map Ideval.of_strand
+              (Ndlog.Plan.compile_program
+                 { view_program with Ast.rules = rs.Eval.rs_rules })
         in
-        let istrands =
-          if tuple_ids then List.map Ideval.of_strand strands else []
-        in
-        (rs, strands, istrands))
+        (rs, strands))
       (Eval.refresh_strata view_program)
   in
   let t =
@@ -514,9 +491,7 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views ?tuple_ids
       view_preds;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
-      strands = strands';
-      tuple_ids;
-      istrands;
+      strands;
       incremental_views;
       refresh_plan;
       joins = Eval.counters ();
@@ -540,56 +515,25 @@ and node t name =
   | Some n -> n
   | None -> invalid_arg ("Dist.Runtime: unknown node " ^ name)
 
-(* Route a derived head tuple: insert locally or ship. *)
-and emit t (self : string) (loc : int option) pred tuple =
-  match tuple_location loc tuple with
-  | Some owner when owner <> self ->
-    ignore (t.transport.Transport.send ~src:self ~dst:owner { pred; tuple; ids = None })
-  | _ -> insert t self pred tuple
-
-(* Id twin of [emit]: the message carries both forms — the boxed tuple
-   for traces, the ids for the receiver's flat store. *)
-and emit_ids t (self : string) (loc : int option) pred tuple ids =
+(* Route a derived head tuple: insert locally or ship.  The message
+   carries both forms — the boxed tuple for traces, the ids for the
+   receiver's flat store. *)
+and emit t (self : string) (loc : int option) pred tuple ids =
   match tuple_location loc tuple with
   | Some owner when owner <> self ->
     ignore
       (t.transport.Transport.send ~src:self ~dst:owner { pred; tuple; ids = Some ids })
   | _ -> insert_ids t self pred ids tuple
 
-(* Pipelined semi-naive: react to one freshly inserted tuple by running
-   the strands triggered by its predicate (the Click execution model;
-   strand execution is differentially tested against [Eval.body_envs]
-   in the plan test suite).  Local recursion reacts per tuple, so these
+(* Pipelined semi-naive: react to freshly inserted tuples by running the
+   strands triggered by their predicate over the node's flat store (the
+   Click execution model).  Local recursion reacts per tuple, so those
    batches are singletons; message bursts go through [flush], which
-   hands each strand the whole per-predicate delta at once. *)
-and propagate t (self : string) pred (tuple : Store.Tuple.t) =
-  run_strands t self pred [ tuple ]
-
-and run_strands t (self : string) pred (delta : Store.Tuple.t list) =
+   hands each strand the whole per-predicate delta at once.  Heads
+   materialize boxed only at emission, sorted canonically. *)
+and run_strands t (self : string) pred (delta : int array list) =
   let ns = node t self in
   match Hashtbl.find_opt t.strands pred with
-  | None -> ()
-  | Some strands ->
-    List.iter
-      (fun (st : Ndlog.Plan.strand) ->
-        let head = st.Ndlog.Plan.strand_rule.Ast.head in
-        List.iter
-          (fun ht -> emit t self head.Ast.head_loc head.Ast.head_pred ht)
-          (List.sort_uniq Store.Tuple.compare
-             (Ndlog.Plan.execute_batch ~stats:t.wire ns.store
-                ~delta_tuples:delta st)))
-      strands
-
-(* Id twin of [propagate]/[run_strands]: joins run over the node's flat
-   store through the compiled istrands; heads materialize boxed only at
-   emission, where they are sorted canonically — message enqueue order
-   (and hence the trace) is identical to the boxed path's. *)
-and propagate_ids t (self : string) pred (ids : int array) =
-  run_strands_ids t self pred [ ids ]
-
-and run_strands_ids t (self : string) pred (delta : int array list) =
-  let ns = node t self in
-  match Hashtbl.find_opt t.istrands pred with
   | None -> ()
   | Some strands ->
     List.iter
@@ -600,76 +544,54 @@ and run_strands_ids t (self : string) pred (delta : int array list) =
             (fun (a, _) (b, _) -> Store.Tuple.compare a b)
             (List.map
                (fun ids -> (Intern.tuple_of_ids ids, ids))
-               (Ideval.execute_batch ~stats:t.wire ns.fdb ~delta_tuples:delta
+               (Ideval.execute_batch ~stats:t.wire ns.db ~delta_tuples:delta
                   ist))
         in
-        List.iter (fun (tuple, ids) -> emit_ids t self loc hp tuple ids) heads)
+        List.iter (fun (tuple, ids) -> emit t self loc hp tuple ids) heads)
       strands
 
 (* Record a base-relation addition for incremental refresh.  View-pred
    arrivals (shipped-in tuples) are not marked: the refresh derives
-   views from the base store only and re-unions [received] afterwards,
-   so they cannot change any stratum's recomputation. *)
-and mark_dirty t ns pred tuple =
+   views from the base relations only and re-adds [received]
+   afterwards, so they cannot change any stratum's recomputation. *)
+and mark_dirty t ns pred ids =
   if t.incremental_views && not (Sset.mem pred t.view_set) then begin
     ns.dirty <- Sset.add pred ns.dirty;
-    ns.dirty_delta <- Store.add pred tuple ns.dirty_delta
+    ignore (Flat.add ns.dirty_delta pred ids)
   end
 
-and mark_dirty_ids t ns pred ids =
-  if t.incremental_views && not (Sset.mem pred t.view_set) then begin
-    ns.dirty <- Sset.add pred ns.dirty;
-    ignore (Flat.add ns.fdirty_delta pred ids)
-  end
-
-and insert t (self : string) pred (tuple : Store.Tuple.t) =
+(* Local insertion of an id tuple whose canonical boxed form is
+   [tuple].  The lease table stays boxed-keyed (it is observable state,
+   compared across refresh modes); everything on the derivation path —
+   membership, storage, dirty tracking, strand triggering — runs on
+   ids. *)
+and insert_ids t (self : string) pred (ids : int array)
+    (tuple : Store.Tuple.t) =
   let ns = node t self in
   let now = t.transport.Transport.now () in
   (* Refresh the soft-state lease even when the tuple is known. *)
   ns.expiry <- Softstate.Expiry.insert ns.expiry ~now pred tuple;
   if Softstate.Expiry.is_soft ns.expiry pred then schedule_expiry t self;
-  if not (Store.mem pred tuple ns.store) then begin
-    ns.store <- Store.add pred tuple ns.store;
+  if Flat.add ns.db pred ids then begin
     ns.inserts <- ns.inserts + 1;
     ns.stale <- true;
-    if Sset.mem pred t.view_set then
-      ns.received <- Store.add pred tuple ns.received;
-    mark_dirty t ns pred tuple;
-    propagate t self pred tuple;
-    if t.view_preds <> [] then request_refresh t
-  end
-
-(* Id twin of [insert].  The lease table stays boxed-keyed (it is part
-   of the observable state compared across modes); everything on the
-   derivation path — membership, storage, dirty tracking, strand
-   triggering — runs on ids. *)
-and insert_ids t (self : string) pred (ids : int array)
-    (tuple : Store.Tuple.t) =
-  let ns = node t self in
-  let now = t.transport.Transport.now () in
-  ns.expiry <- Softstate.Expiry.insert ns.expiry ~now pred tuple;
-  if Softstate.Expiry.is_soft ns.expiry pred then schedule_expiry t self;
-  if Flat.add ns.fdb pred ids then begin
-    ns.inserts <- ns.inserts + 1;
-    ns.stale <- true;
-    if Sset.mem pred t.view_set then ignore (Flat.add ns.freceived pred ids);
-    mark_dirty_ids t ns pred ids;
-    propagate_ids t self pred ids;
+    if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
+    mark_dirty t ns pred ids;
+    run_strands t self pred [ ids ];
     if t.view_preds <> [] then request_refresh t
   end
 
 (* A message delivery: the inbox buffers it and a zero-delay flush
    drains every delivery landing at this instant together (the event
    queue breaks time ties in insertion order, so the flush runs after
-   all already-enqueued same-time deliveries). *)
+   all already-enqueued same-time deliveries).  Cross-process frames
+   carry no ids; the receiver translates their canonical tuple once. *)
 and receive t (self : string) (m : msg) =
   if not t.batch_inbox then
-    if t.tuple_ids then
-      let ids =
-        match m.ids with Some ids -> ids | None -> Intern.tuple_ids m.tuple
-      in
-      insert_ids t self m.pred ids m.tuple
-    else insert t self m.pred m.tuple
+    let ids =
+      match m.ids with Some ids -> ids | None -> Intern.tuple_ids m.tuple
+    in
+    insert_ids t self m.pred ids m.tuple
   else begin
     let ns = node t self in
     ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
@@ -681,57 +603,9 @@ and receive t (self : string) (m : msg) =
 
 (* Drain the inbox: process buffered deliveries in arrival order (lease
    refreshes and insertion bookkeeping see the same sequence the
-   per-message runtime did), then run each triggered strand once with
+   per-message runtime does), then run each triggered strand once with
    the full per-predicate delta of genuinely-new tuples. *)
 and flush t (self : string) =
-  if t.tuple_ids then flush_ids t self
-  else begin
-    let ns = node t self in
-    ns.flush_scheduled <- false;
-    let arrivals = List.rev ns.inbox in
-    ns.inbox <- [];
-    let now = t.transport.Transport.now () in
-    let any_soft = ref false in
-    let fresh_rev = ref [] in
-    List.iter
-      (fun (pred, tuple, _) ->
-        ns.expiry <- Softstate.Expiry.insert ns.expiry ~now pred tuple;
-        if Softstate.Expiry.is_soft ns.expiry pred then any_soft := true;
-        if not (Store.mem pred tuple ns.store) then begin
-          ns.store <- Store.add pred tuple ns.store;
-          ns.inserts <- ns.inserts + 1;
-          ns.stale <- true;
-          if Sset.mem pred t.view_set then
-            ns.received <- Store.add pred tuple ns.received;
-          mark_dirty t ns pred tuple;
-          fresh_rev := (pred, tuple) :: !fresh_rev
-        end)
-      arrivals;
-    if !any_soft then schedule_expiry t self;
-    (* Group the new tuples by predicate, preserving first-arrival order
-       of the predicates and arrival order within each. *)
-    let order_rev = ref [] in
-    let deltas : (string, Store.Tuple.t list ref) Hashtbl.t =
-      Hashtbl.create 4
-    in
-    List.iter
-      (fun (pred, tuple) ->
-        match Hashtbl.find_opt deltas pred with
-        | Some l -> l := tuple :: !l
-        | None ->
-          Hashtbl.add deltas pred (ref [ tuple ]);
-          order_rev := pred :: !order_rev)
-      (List.rev !fresh_rev);
-    List.iter
-      (fun pred ->
-        run_strands t self pred (List.rev !(Hashtbl.find deltas pred)))
-      (List.rev !order_rev);
-    if !fresh_rev <> [] && t.view_preds <> [] then request_refresh t
-  end
-
-(* Id twin of [flush]: same drain order, same grouping, flat
-   membership and strand batches. *)
-and flush_ids t (self : string) =
   let ns = node t self in
   ns.flush_scheduled <- false;
   let arrivals = List.rev ns.inbox in
@@ -746,16 +620,18 @@ and flush_ids t (self : string) =
       let ids =
         match ids with Some ids -> ids | None -> Intern.tuple_ids tuple
       in
-      if Flat.add ns.fdb pred ids then begin
+      if Flat.add ns.db pred ids then begin
         ns.inserts <- ns.inserts + 1;
         ns.stale <- true;
         if Sset.mem pred t.view_set then
-          ignore (Flat.add ns.freceived pred ids);
-        mark_dirty_ids t ns pred ids;
+          ignore (Flat.add ns.received pred ids);
+        mark_dirty t ns pred ids;
         fresh_rev := (pred, ids) :: !fresh_rev
       end)
     arrivals;
   if !any_soft then schedule_expiry t self;
+  (* Group the new tuples by predicate, preserving first-arrival order
+     of the predicates and arrival order within each. *)
   let order_rev = ref [] in
   let deltas : (string, int array list ref) Hashtbl.t = Hashtbl.create 4 in
   List.iter
@@ -768,7 +644,7 @@ and flush_ids t (self : string) =
     (List.rev !fresh_rev);
   List.iter
     (fun pred ->
-      run_strands_ids t self pred (List.rev !(Hashtbl.find deltas pred)))
+      run_strands t self pred (List.rev !(Hashtbl.find deltas pred)))
     (List.rev !order_rev);
   if !fresh_rev <> [] && t.view_preds <> [] then request_refresh t
 
@@ -790,18 +666,17 @@ and schedule_expiry t self =
           end)
     end
 
-and sweep t self =
-  if t.tuple_ids then sweep_ids t self
-  else begin
-    sweep_boxed t self;
-    schedule_expiry t self
-  end
-
-(* Id twin of [sweep]: the dead-lease list comes straight from the
+(* Expire lapsed leases.  The dead-lease list comes straight from the
    expiry table ({!Softstate.Expiry.expired}) and each dead tuple pays
    one boxed-to-id translation — expiry batches are rare and small, so
-   this boundary crossing stays off the hot path. *)
-and sweep_ids t self =
+   this boundary crossing stays off the hot path.  An expired base
+   tuple dirties its predicate and forces the from-scratch fallback for
+   every stratum it supports: deletions are non-monotone under seeded
+   re-derivation.  The sweep always re-arms for the next pending
+   deadline: it only drops leases lapsed *now*, and without the re-arm
+   later deadlines would only be swept if some insertion happened to
+   re-arm the timer. *)
+and sweep t self =
   let ns = node t self in
   let now = t.transport.Transport.now () in
   let dead, expiry' = Softstate.Expiry.expired ns.expiry ~now in
@@ -809,8 +684,8 @@ and sweep_ids t self =
     List.filter_map
       (fun (pred, tuple) ->
         let ids = Intern.tuple_ids tuple in
-        ignore (Flat.remove ns.freceived pred ids);
-        if Flat.remove ns.fdb pred ids then Some (pred, ids) else None)
+        ignore (Flat.remove ns.received pred ids);
+        if Flat.remove ns.db pred ids then Some (pred, ids) else None)
       dead
   in
   ns.expiry <- expiry';
@@ -820,56 +695,18 @@ and sweep_ids t self =
         if Sset.mem pred t.view_set then
           (* A swept view tuple the previous fixpoint may still derive:
              remember it so the next refresh's in-place seed can restore
-             it (see [fview_holes]). *)
-          ns.fview_holes <- (pred, ids) :: ns.fview_holes
+             it (see [view_holes]). *)
+          ns.view_holes <- (pred, ids) :: ns.view_holes
         else if t.incremental_views then begin
           ns.dirty <- Sset.add pred ns.dirty;
           ns.dirty_deleted <- Sset.add pred ns.dirty_deleted;
-          ignore (Flat.remove ns.fdirty_delta pred ids)
+          ignore (Flat.remove ns.dirty_delta pred ids)
         end)
       removed;
     ns.stale <- true;
     if t.view_preds <> [] then request_refresh t
   end;
   schedule_expiry t self
-
-and sweep_boxed t self =
-  let ns = node t self in
-  let now = t.transport.Transport.now () in
-  let store', removed, expiry' =
-    Softstate.Expiry.sweep_report ns.expiry ~now ns.store
-  in
-  let received', _ = Softstate.Expiry.sweep ns.expiry ~now ns.received in
-  ns.received <- received';
-  if removed <> [] then begin
-    (* An expired base tuple dirties its predicate and forces the
-       from-scratch fallback for every stratum it supports: deletions
-       are non-monotone under seeded re-derivation.  (Expired *view*
-       tuples are shipped-in leases pruned from [received] above; the
-       base-only refresh never re-derives them, so they stay
-       unmarked.) *)
-    if t.incremental_views then
-      List.iter
-        (fun (pred, tuple) ->
-          if not (Sset.mem pred t.view_set) then begin
-            ns.dirty <- Sset.add pred ns.dirty;
-            ns.dirty_deleted <- Sset.add pred ns.dirty_deleted;
-            ns.dirty_delta <- Store.remove pred tuple ns.dirty_delta
-          end)
-        removed;
-    ns.store <- store';
-    ns.expiry <- expiry';
-    ns.stale <- true;
-    if t.view_preds <> [] then request_refresh t
-  end
-  else ns.expiry <- expiry'
-(* Both sweeps re-arm for the next pending deadline (in [sweep]): a
-   sweep only drops leases lapsed *now*, and without this the later
-   deadlines would only be swept if some insertion happened to re-arm
-   the timer (tuples past their lease would otherwise linger forever —
-   caught by the incremental-refresh differential harness, which found
-   renewals for never-expiring support running unbounded in both
-   refresh modes). *)
 
 (* View refresh is batched through a zero-delay event so that a burst of
    insertions triggers one recomputation. *)
@@ -893,8 +730,7 @@ and refresh_views t =
   List.iter
     (fun self ->
       let ns = node t self in
-      if ns.stale || not t.incremental_views then
-        if t.tuple_ids then refresh_node_ids t self else refresh_node t self
+      if ns.stale || not t.incremental_views then refresh_node t self
       else
         List.iter
           (fun _ -> Eval.note_stratum_skipped t.joins)
@@ -903,102 +739,22 @@ and refresh_views t =
   t.refresh_wall <- t.refresh_wall +. (Unix.gettimeofday () -. t0);
   t.refresh_walks <- t.refresh_walks + 1
 
-(* One node's incremental view fixpoint: walk the refresh strata
-   bottom-up over a working database seeded with the current base.
-   [changed] / [delta] / [deleted] start from the node's dirty sets and
-   grow with each recomputed stratum's own movement, so downstream
-   strata see exactly the support change that concerns them.  The
-   result agrees with the from-scratch evaluation of the whole view
-   program (differentially tested): a skipped stratum's support is
-   unchanged since the last refresh, so its previous relations are
+(* One node's incremental view fixpoint, journaled and in place: the
+   working database IS the node's flat store, pre-seeded by
+   [refresh_node] so that every view relation holds the previous
+   fixpoint; the delta accumulates into the node's own dirty-delta
+   database (replaced wholesale after the refresh); and per-stratum
+   movement is read off the undo journal ({!Flat.net_since}).
+
+   The walk visits the refresh strata bottom-up.  [changed] /
+   [deleted] start from the node's dirty sets and grow with each
+   recomputed stratum's own movement, so downstream strata see exactly
+   the support change that concerns them.  A skipped stratum's support
+   is unchanged since the last refresh, so its previous relations are
    still its fixpoint; a seeded stratum is plain and monotone over
    purely additive support change, where semi-naive iteration from the
    previous fixpoint reaches the same fixpoint as from scratch; and
-   everything else is recomputed from scratch. *)
-and incremental_fresh t ns base =
-  let prev = ns.last_fresh in
-  (* Fold a recomputed stratum's per-predicate movement into the change
-     tracking for downstream strata. *)
-  let diff_changes ~track_deletions st preds =
-    List.fold_left
-      (fun ((db, changed, delta, deleted) as acc) pred ->
-        let new_rel = Store.relation pred db in
-        let old_rel = Store.relation pred prev in
-        if Store.Tset.equal new_rel old_rel then acc
-        else
-          let changed = Sset.add pred changed in
-          let delta =
-            Store.Tset.fold
-              (fun tuple d -> Store.add pred tuple d)
-              (Store.Tset.diff new_rel old_rel)
-              delta
-          in
-          let deleted =
-            if
-              track_deletions
-              && not (Store.Tset.is_empty (Store.Tset.diff old_rel new_rel))
-            then Sset.add pred deleted
-            else deleted
-          in
-          (db, changed, delta, deleted))
-      st preds
-  in
-  let db, _, _, _ =
-    List.fold_left
-      (fun (db, changed, delta, deleted)
-           ((rs : Eval.refresh_stratum), strands, _) ->
-        if not (Sset.exists (fun p -> Sset.mem p changed) rs.Eval.rs_support)
-        then begin
-          (* Untouched: the previous relations are still exact — no
-             evaluation work at all. *)
-          Eval.note_stratum_skipped t.joins;
-          ( Store.union db (Store.restrict rs.Eval.rs_preds prev),
-            changed,
-            delta,
-            deleted )
-        end
-        else if
-          rs.Eval.rs_has_agg || rs.Eval.rs_has_neg
-          || Sset.exists (fun p -> Sset.mem p deleted) rs.Eval.rs_support
-        then begin
-          (* Aggregates and negation are non-monotone in their support,
-             and deletions are non-monotone under seeding: recompute the
-             stratum from scratch on the working database. *)
-          Eval.note_refresh_fallback t.joins;
-          let db, _converged =
-            Eval.seminaive_stratum ~stats:t.joins t.view_program
-              rs.Eval.rs_preds db
-          in
-          diff_changes ~track_deletions:true
-            (db, changed, delta, deleted)
-            rs.Eval.rs_preds
-        end
-        else begin
-          (* Plain monotone stratum over additive support change: seed
-             with the previous relations and re-derive from the deltas
-             only. *)
-          let db = Store.union db (Store.restrict rs.Eval.rs_preds prev) in
-          let db =
-            Ndlog.Plan.refresh_stratum ~stats:t.joins db ~strands ~delta
-          in
-          diff_changes ~track_deletions:false
-            (db, changed, delta, deleted)
-            rs.Eval.rs_preds
-        end)
-      (base, ns.dirty, ns.dirty_delta, ns.dirty_deleted)
-      t.refresh_plan
-  in
-  db
-
-(* Id twin of [incremental_fresh], journaled and in place: the working
-   database IS the node's flat store, pre-seeded by [refresh_node_ids]
-   so that every view relation holds the previous fixpoint; the delta
-   accumulates into the node's own dirty-delta database (replaced
-   wholesale after the refresh); and per-stratum movement is read off
-   the undo journal ({!Flat.net_since}) instead of whole-relation set
-   comparison — the copy tax this replaces was [Flat.restrict] of the
-   previous fixpoint per stratum plus [Fset.equal] per predicate.
-   Same skip/seed/fallback decisions, same counters.
+   everything else is recomputed from scratch.
 
    Returns the per-predicate net movement against the previous
    fixpoint, which is exact because each touched stratum's relations
@@ -1006,9 +762,9 @@ and incremental_fresh t ns base =
    for the whole database, strata never write outside their own
    [rs_preds], and stratification keeps upper (still-seeded) relations
    invisible to lower strata's evaluation. *)
-and incremental_fresh_ids t ns (db : Flat.t) :
+and incremental_fresh t ns (db : Flat.t) :
     (string * int array list * int array list) list =
-  let delta = ns.fdirty_delta in
+  let delta = ns.dirty_delta in
   let movement = ref [] in
   let record acc ~track_deletions net =
     List.fold_left
@@ -1025,8 +781,7 @@ and incremental_fresh_ids t ns (db : Flat.t) :
   in
   let _ =
     List.fold_left
-      (fun ((changed, deleted) as acc) ((rs : Eval.refresh_stratum), _, istrands)
-           ->
+      (fun ((changed, deleted) as acc) ((rs : Eval.refresh_stratum), strands) ->
         if not (Sset.exists (fun p -> Sset.mem p changed) rs.Eval.rs_support)
         then begin
           (* Untouched: the seeded relations are still exact. *)
@@ -1037,8 +792,9 @@ and incremental_fresh_ids t ns (db : Flat.t) :
           rs.Eval.rs_has_agg || rs.Eval.rs_has_neg
           || Sset.exists (fun p -> Sset.mem p deleted) rs.Eval.rs_support
         then begin
-          (* Non-monotone under seeding: recompute from scratch.  The
-             stratum's relations start empty, as the oracle's do. *)
+          (* Aggregates and negation are non-monotone in their support,
+             and deletions are non-monotone under seeding: recompute the
+             stratum from scratch, its relations starting empty. *)
           Eval.note_refresh_fallback t.joins;
           let m = Flat.mark db in
           List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
@@ -1055,7 +811,7 @@ and incremental_fresh_ids t ns (db : Flat.t) :
              relations.  Purely additive, so the journal holds only
              genuine adds. *)
           let m = Flat.mark db in
-          Ideval.refresh_stratum ~stats:t.joins db ~strands:istrands ~delta;
+          Ideval.refresh_stratum ~stats:t.joins db ~strands ~delta;
           let net = Flat.net_since db m in
           Flat.commit db m;
           record acc ~track_deletions:false net
@@ -1065,50 +821,48 @@ and incremental_fresh_ids t ns (db : Flat.t) :
   in
   !movement
 
-(* Id twin of [refresh_node], run *in place* on the node's flat store.
-   Instead of materializing a restricted base copy, computing a fresh
-   fixpoint beside it and replacing relations wholesale, the walk
-   below nudges the stored view relations to the previous fixpoint
-   (seed), lets the stratum walk mutate them under journal marks, and
-   replays only the *net movement* against the previous-fixpoint stash
-   and the shipped-set bookkeeping — O(changes + shipped + received)
-   where the old walk was O(store) in copies and comparisons.  Tuples
+(* One node's view refresh, run in place on its flat store.  The walk
+   nudges the stored view relations to the previous fixpoint (seed),
+   lets the fixpoint mutate them under journal marks — the incremental
+   stratum walk, or the from-scratch oracle — and replays only the
+   *net movement* against the previous-fixpoint stash and the
+   shipped-set bookkeeping: O(changes + shipped + received).  Tuples
    materialize boxed only when a message leaves the node, sorted
-   canonically, so the trace is identical to the boxed path's.
+   canonically.
 
-   Store shape invariants, before and after: a view relation of [fdb]
+   Store shape invariants, before and after: a view relation of [db]
    holds the locally-owned part of the last fixpoint plus every live
-   shipped-in arrival ([freceived]); [fshipped.(pred)] is exactly the
-   remote-owned part of the last fixpoint; [flast_fresh] is the whole
+   shipped-in arrival ([received]); [shipped.(pred)] is exactly the
+   remote-owned part of the last fixpoint; [last_fresh] is the whole
    last fixpoint. *)
-and refresh_node_ids t self =
+and refresh_node t self =
   let ns = node t self in
-  let db = ns.fdb in
-  let prev = ns.flast_fresh in
+  let db = ns.db in
+  let prev = ns.last_fresh in
   (* Seed: stored form -> previous fixpoint.  Arrivals the fixpoint
      never derived leave, previously-shipped remote tuples re-enter,
      and lease-flickered derived tuples are restored (see
-     [fview_holes]).  All three classes are small. *)
+     [view_holes]).  All three classes are small. *)
   List.iter
     (fun (pred, ids) ->
       if Flat.mem prev pred ids then ignore (Flat.add db pred ids))
-    ns.fview_holes;
-  ns.fview_holes <- [];
+    ns.view_holes;
+  ns.view_holes <- [];
   List.iter
     (fun pred ->
       let prev_rel = Flat.relation prev pred in
-      Flat.iter_rel ns.freceived pred (fun ids ->
+      Flat.iter_rel ns.received pred (fun ids ->
           if not (Fset.mem prev_rel ids) then ignore (Flat.remove db pred ids));
-      match Hashtbl.find_opt ns.fshipped pred with
+      match Hashtbl.find_opt ns.shipped pred with
       | Some s -> Fset.iter (fun ids -> ignore (Flat.add db pred ids)) s
       | None -> ())
     t.view_preds;
   (* Fixpoint, in place, yielding the net movement against [prev]. *)
   let movement =
     if t.incremental_views then begin
-      let movement = incremental_fresh_ids t ns db in
+      let movement = incremental_fresh t ns db in
       ns.dirty <- Sset.empty;
-      ns.fdirty_delta <- Flat.create ();
+      ns.dirty_delta <- Flat.create ();
       ns.dirty_deleted <- Sset.empty;
       movement
     end
@@ -1137,10 +891,10 @@ and refresh_node_ids t self =
         | Some m -> m
         | None -> ([], [])
       in
-      List.iter (fun ids -> ignore (Flat.add ns.flast_fresh pred ids)) adds;
-      List.iter (fun ids -> ignore (Flat.remove ns.flast_fresh pred ids)) rems;
+      List.iter (fun ids -> ignore (Flat.add ns.last_fresh pred ids)) adds;
+      List.iter (fun ids -> ignore (Flat.remove ns.last_fresh pred ids)) rems;
       let shipped =
-        match Hashtbl.find_opt ns.fshipped pred with
+        match Hashtbl.find_opt ns.shipped pred with
         | Some s -> Some s
         | None ->
           (* Allocate the per-predicate shipped set only when a
@@ -1154,7 +908,7 @@ and refresh_node_ids t self =
               adds
           then begin
             let s = Fset.create () in
-            Hashtbl.replace ns.fshipped pred s;
+            Hashtbl.replace ns.shipped pred s;
             Some s
           end
           else None
@@ -1164,7 +918,7 @@ and refresh_node_ids t self =
         (* Nothing shipped, nothing remote-owned: the stored relation
            is already local ∪ received.  Re-adding received arrivals is
            still needed — a fallback stratum may have cleared them. *)
-        Flat.iter_rel ns.freceived pred (fun ids ->
+        Flat.iter_rel ns.received pred (fun ids ->
             ignore (Flat.add db pred ids))
       | Some shipped ->
         let to_ship = ref [] in
@@ -1188,91 +942,18 @@ and refresh_node_ids t self =
               (t.transport.Transport.send ~src:self
                  ~dst:(owner_exn locopt pred tuple)
                  { pred; tuple; ids = Some ids }))
-          (List.sort (fun (a, _) (b, _) -> Store.Tuple.compare a b) !to_ship);
+          (sort_boxed !to_ship);
         (* Remote-owned tuples live at their owners, not here. *)
         Fset.iter (fun ids -> ignore (Flat.remove db pred ids)) shipped;
-        Flat.iter_rel ns.freceived pred (fun ids ->
+        Flat.iter_rel ns.received pred (fun ids ->
             ignore (Flat.add db pred ids));
+        (* A shipped *soft* view tuple lives at the receiver on a
+           lease; with redeliveries suppressed, the source must renew
+           it for as long as the tuple is still derived. *)
         (match Softstate.Expiry.lifetime_of ns.expiry pred with
         | Ast.Lifetime l when not (Fset.is_empty shipped) ->
           ensure_renewal t self pred l
         | _ -> ()))
-    t.view_preds;
-  ns.stale <- false
-
-and refresh_node t self =
-  let ns = node t self in
-  (* Recompute views from the non-view part of the local store. *)
-  let base =
-    Store.restrict
-      (List.filter
-         (fun p -> not (Sset.mem p t.view_set))
-         (Store.preds ns.store))
-      ns.store
-  in
-  (* Evaluate view rules against the base store: incrementally by
-     default, from scratch as the oracle. *)
-  let fresh =
-    if t.incremental_views then begin
-      let fresh = incremental_fresh t ns base in
-      ns.last_fresh <- Store.restrict t.view_preds fresh;
-      ns.dirty <- Sset.empty;
-      ns.dirty_delta <- Store.empty;
-      ns.dirty_deleted <- Sset.empty;
-      fresh
-    end
-    else (Eval.seminaive ~stats:t.joins t.view_program t.info base).Eval.db
-  in
-  (* Replace local view relations — keeping tuples shipped in from
-     other nodes, which the local base cannot re-derive and whose
-     retirement is their own lease's business — and ship the remote
-     view tuples the destination has not already been sent. *)
-  let locs = loc_index_map t.view_program in
-  List.iter
-    (fun pred ->
-      let new_rel = Store.relation pred fresh in
-      let old_rel = Store.relation pred ns.store in
-      let local_new =
-        Store.Tset.filter
-          (fun tuple ->
-            match tuple_location (Hashtbl.find_opt locs pred) tuple with
-            | Some owner -> owner = self
-            | None -> true)
-          new_rel
-      in
-      let remote_new =
-        Store.Tset.filter
-          (fun tuple ->
-            match tuple_location (Hashtbl.find_opt locs pred) tuple with
-            | Some owner -> owner <> self
-            | None -> false)
-          new_rel
-      in
-      let local_new =
-        Store.Tset.union local_new (Store.relation pred ns.received)
-      in
-      if not (Store.Tset.equal local_new old_rel) then
-        ns.store <- Store.set_relation pred local_new ns.store;
-      let already =
-        match Hashtbl.find_opt ns.shipped pred with
-        | Some s -> s
-        | None -> Store.Tset.empty
-      in
-      Store.Tset.iter
-        (fun tuple ->
-          ignore
-            (t.transport.Transport.send ~src:self
-               ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
-               { pred; tuple; ids = None }))
-        (Store.Tset.diff remote_new already);
-      Hashtbl.replace ns.shipped pred remote_new;
-      (* A shipped *soft* view tuple lives at the receiver on a
-         lease; with redeliveries suppressed, the source must renew
-         it for as long as the tuple is still derived. *)
-      (match Softstate.Expiry.lifetime_of ns.expiry pred with
-      | Ast.Lifetime l when not (Store.Tset.is_empty remote_new) ->
-        ensure_renewal t self pred l
-      | _ -> ()))
     t.view_preds;
   ns.stale <- false
 
@@ -1290,32 +971,11 @@ and ensure_renewal t self pred lifetime =
         renew t self pred lifetime)
   end
 
+(* Renewals materialize boxed and go out in canonical order. *)
 and renew t self pred lifetime =
-  if t.tuple_ids then renew_ids t self pred lifetime
-  else begin
-    let ns = node t self in
-    Hashtbl.remove ns.renewing pred;
-    match Hashtbl.find_opt ns.shipped pred with
-    | None -> ()
-    | Some set when Store.Tset.is_empty set -> ()
-    | Some set ->
-      let locs = loc_index_map t.view_program in
-      Store.Tset.iter
-        (fun tuple ->
-          ignore
-            (t.transport.Transport.send ~src:self
-               ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
-               { pred; tuple; ids = None }))
-        set;
-      ensure_renewal t self pred lifetime
-  end
-
-(* Id twin of [renew]: the shipped set holds ids; renewals materialize
-   boxed and go out in canonical order, like the boxed path. *)
-and renew_ids t self pred lifetime =
   let ns = node t self in
   Hashtbl.remove ns.renewing pred;
-  match Hashtbl.find_opt ns.fshipped pred with
+  match Hashtbl.find_opt ns.shipped pred with
   | None -> ()
   | Some set when Fset.is_empty set -> ()
   | Some set ->
@@ -1326,33 +986,20 @@ and renew_ids t self pred lifetime =
           (t.transport.Transport.send ~src:self
              ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
              { pred; tuple; ids = Some ids }))
-      (List.sort
-         (fun (a, _) (b, _) -> Store.Tuple.compare a b)
-         (Fset.fold
-            (fun ids acc -> (Intern.tuple_of_ids ids, ids) :: acc)
-            set []));
+      (sort_boxed
+         (Fset.fold (fun ids acc -> (Intern.tuple_of_ids ids, ids) :: acc) set []));
     ensure_renewal t self pred lifetime
 
 (* The public injection entry is the system boundary: tuples arriving
    from outside (the driver, a benchmark's event stream, program facts)
-   get canonicalized here, once, so everything downstream — store
-   residency, derived heads built from matched bindings, in-process
-   message payloads — carries canonical elements by construction.  The
-   internal callers ([emit], [receive], [flush]) bypass this wrapper:
-   their tuples are already canonical, and re-probing the intern table
-   on the hot fixpoint path costs more than it saves. *)
+   pay one hash-cons pass translating them to ids, and the boxed form
+   handed onward is the canonical materialization — lease keys and
+   in-process message payloads carry canonical elements by
+   construction.  The internal callers ([emit], [receive], [flush])
+   bypass this wrapper: their tuples already have ids. *)
 let insert t self pred tuple =
-  if t.tuple_ids then begin
-    (* One hash-cons pass translates the incoming tuple to ids; the
-       boxed form handed onward is the canonical materialization, so
-       lease keys and traces are byte-identical to the boxed mode's. *)
-    let ids = Intern.tuple_ids tuple in
-    insert_ids t self pred ids (Intern.tuple_of_ids ids)
-  end
-  else begin
-    let tuple = if !Intern.enabled then Intern.tuple tuple else tuple in
-    insert t self pred tuple
-  end
+  let ids = Intern.tuple_ids tuple in
+  insert_ids t self pred ids (Intern.tuple_of_ids ids)
 
 (* ------------------------------------------------------------------ *)
 (* Driving a run. *)
@@ -1403,6 +1050,9 @@ let diff_stats (a : Eval.stats) (b : Eval.stats) : Eval.stats =
     refresh_fallbacks = a.Eval.refresh_fallbacks - b.Eval.refresh_fallbacks;
   }
 
+let total_inserts t =
+  Hashtbl.fold (fun _ ns acc -> acc + ns.inserts) t.nodes 0
+
 let run ?(until = infinity) ?(max_events = 1_000_000) t =
   (* Strand execution and view refresh accumulate into the runtime's
      own counters; the deltas across the run are this run's join
@@ -1413,48 +1063,37 @@ let run ?(until = infinity) ?(max_events = 1_000_000) t =
   let stats = t.transport.Transport.run ~until ~max_events in
   let wire_stats = diff_stats (Eval.snapshot t.wire) before_wire in
   let view_stats = diff_stats (Eval.snapshot t.joins) before_joins in
-  let total_inserts =
-    Hashtbl.fold (fun _ ns acc -> acc + ns.inserts) t.nodes 0
-  in
   {
     stats;
-    total_inserts;
+    total_inserts = total_inserts t;
     eval_stats = Eval.add_stats view_stats wire_stats;
     wire_stats;
     view_stats;
   }
 
-(* Boxed view of an id-native node store, memoized by flat version:
-   repeated observations of a quiescent node pay one materialization. *)
+(* Boxed view of a node store, memoized by flat version: repeated
+   observations of a quiescent node pay one materialization. *)
 let materialized ns =
-  let v = Flat.version ns.fdb in
+  let v = Flat.version ns.db in
   match ns.store_cache with
   | Some (v', s) when v' = v -> s
   | _ ->
-    let s = Flat.to_store ns.fdb in
+    let s = Flat.to_store ns.db in
     ns.store_cache <- Some (v, s);
     s
 
 (* The union of all node stores: the global database the distributed
    execution computed; comparable against the centralized evaluator. *)
 let global_store t =
-  Hashtbl.fold
-    (fun _ ns acc ->
-      Store.union (if t.tuple_ids then materialized ns else ns.store) acc)
-    t.nodes Store.empty
+  Hashtbl.fold (fun _ ns acc -> Store.union (materialized ns) acc) t.nodes
+    Store.empty
 
-let node_store t name =
-  let ns = node t name in
-  if t.tuple_ids then materialized ns else ns.store
-
-let total_inserts t =
-  Hashtbl.fold (fun _ ns acc -> acc + ns.inserts) t.nodes 0
+let node_store t name = materialized (node t name)
 
 (* Introspection for the incremental-refresh test harness. *)
 let dirty_preds t name = Sset.elements (node t name).dirty
 let node_leases t name = Softstate.Expiry.bindings (node t name).expiry
 let incremental t = t.incremental_views
-let tuple_ids t = t.tuple_ids
 let refresh_seconds t = t.refresh_wall
 let refresh_walks t = t.refresh_walks
 

@@ -31,6 +31,14 @@
     their [materialize] lifetimes, with leases refreshed on
     re-insertion.
 
+    There is one data path, and it is id-native: node stores are flat
+    databases of interned-id tuples ({!Ndlog.Flat}), strands run through
+    the id-native executor ({!Ndlog.Ideval}), and in-process messages
+    carry flat payloads.  Values are boxed only at true boundaries:
+    printing, the lease table, the canonical tuple every message
+    carries (the cross-process wire sends only that), and the memoized
+    {!Ndlog.Store.t} views {!node_store} and {!global_store} return.
+
     View refresh is {e incremental} by default: each node tracks its
     dirty base predicates (those whose relations changed since its last
     refresh — marked by local insertions, inbox flushes, and expiry
@@ -38,21 +46,22 @@
     ({!Ndlog.Eval.refresh_strata}) bottom-up, skipping strata whose
     transitive support saw no dirty predicate, seeding plain strata
     with their previous relations plus the support deltas
-    ({!Ndlog.Plan.refresh_stratum}), and recomputing from scratch
+    ({!Ndlog.Ideval.refresh_stratum}), and recomputing from scratch
     strata with aggregates or negation, or whose support lost tuples.
     Skips and fallbacks are counted ([strata_skipped] /
     [refresh_fallbacks]).  [~incremental_views:false] (or environment
     variable [FVN_INCREMENTAL_VIEWS=0]) restores the from-scratch
     refresh, kept as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
-    tables (qcheck property in the dist test suite). *)
+    tables (qcheck property in the dist test suite).  Independently,
+    the global store of a quiesced run is checked against the naive
+    centralized evaluator ({!Ndlog.Eval.naive}). *)
 
 (** A tuple on the wire (defined in {!Wire}, re-exported here).
     [tuple] is always the canonical boxed form; [ids] carries the flat
-    (interned-id) payload when the sender runs id-natively, so the
-    receiver inserts without re-probing the intern table — in-process
-    only: cross-process frames drop it at encode (id spaces are
-    per-process). *)
+    (interned-id) payload, so the receiver inserts without re-probing
+    the intern table — in-process only: cross-process frames drop it at
+    encode (id spaces are per-process). *)
 type msg = Wire.msg = {
   pred : string;
   tuple : Ndlog.Store.Tuple.t;
@@ -98,7 +107,6 @@ val create :
   ?seed:int ->
   ?batch_inbox:bool ->
   ?incremental_views:bool ->
-  ?tuple_ids:bool ->
   ?transport:Transport.t ->
   ?hosted:string list ->
   Netsim.Topology.t ->
@@ -121,14 +129,6 @@ val create :
     unless environment variable [FVN_INCREMENTAL_VIEWS] is set to [0],
     [false], [no], or [off] — the hook the test suite's oracle pass
     uses).
-    [tuple_ids] selects id-native evaluation (default: [true], unless
-    environment variable [FVN_TUPLE_IDS] is set to [0], [false], [no],
-    or [off]): node stores are flat id-tuple databases
-    ({!Ndlog.Flat}), strands run through the id-native executor
-    ({!Ndlog.Ideval}), and messages carry flat payloads; [false] is
-    the boxed-value oracle.  Both modes produce identical fixpoints,
-    node stores, message traces, lease tables, and join statistics
-    (qcheck property in the dist test suite).
     @raise Not_localized when some rule body spans locations (run
     {!Ndlog.Localize.rewrite_program} first).
     @raise Remote_view_deletion when a hard-state view head is shipped
@@ -172,6 +172,8 @@ val global_store : t -> Ndlog.Store.t
     evaluator). *)
 
 val node_store : t -> string -> Ndlog.Store.t
+(** One node's store, boxed — memoized until the node's flat store
+    next changes. *)
 
 val total_inserts : t -> int
 (** Local tuple insertions across hosted nodes since {!create} (the
@@ -189,9 +191,6 @@ val node_leases : t -> string -> ((string * Ndlog.Store.Tuple.t) * float) list
 
 val incremental : t -> bool
 (** Whether this runtime refreshes views incrementally. *)
-
-val tuple_ids : t -> bool
-(** Whether this runtime evaluates id-natively. *)
 
 val refresh_seconds : t -> float
 (** Cumulative wall-clock seconds spent in view-refresh walks since

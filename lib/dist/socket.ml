@@ -106,10 +106,10 @@ let stop t = t.stop <- true
 (* Dispatch. *)
 
 (* Boundary canonicalization: tuples decoded off the wire are fresh
-   allocations; re-interning restores physical sharing for the boxed
-   store (and the id-native receive path re-derives ids from the
-   canonical tuple). *)
-let canonicalize tuple = if !Intern.enabled then Intern.tuple tuple else tuple
+   allocations; re-interning restores physical sharing for the lease
+   table's keys (and the receive path re-derives ids from the canonical
+   tuple). *)
+let canonicalize = Intern.tuple
 
 let deliver t ~src ~dst ~pred ~tuple =
   match Hashtbl.find_opt t.handlers dst with

@@ -28,7 +28,8 @@
    that died or hung fails the run with a typed error instead of
    hanging the supervisor.  After convergence the supervisor collects
    each worker's final store ([Dump] / [Store_dump]), dismisses the
-   workers ([Bye]), and reaps them. *)
+   workers ([Bye]), and reaps them; the control channels close on every
+   exit path. *)
 
 module Store = Ndlog.Store
 module Intern = Ndlog.Intern
@@ -171,6 +172,14 @@ let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
     done
   done;
   Array.iter (fun (_, w_end) -> Unix.close w_end) ctl;
+  (* The supervisor's control ends close on every exit — convergence,
+     timeout, or a failed worker — so repeated runs leak no
+     descriptors. *)
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun w -> try Unix.close w.w_ctl with Unix.Unix_error _ -> ())
+        workers)
+  @@ fun () ->
   let poll () =
     List.map
       (fun w ->
@@ -226,12 +235,7 @@ let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
                   ( nm,
                     List.fold_left
                       (fun acc (pred, tuples) ->
-                        Store.add_list pred
-                          (List.map
-                             (fun tu ->
-                               if !Intern.enabled then Intern.tuple tu else tu)
-                             tuples)
-                          acc)
+                        Store.add_list pred (List.map Intern.tuple tuples) acc)
                       Store.empty rels ))
                 dump
             | _ -> failwith "Dist.Supervisor: worker answered Dump oddly")

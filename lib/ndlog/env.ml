@@ -60,7 +60,7 @@ let rec eval env (e : Ast.expr) : Value.t =
        resident copy — every later comparison short-circuits on
        pointer equality instead of walking the spine.  Scalars are
        left alone: a hash-cons probe costs more than their compare. *)
-    | Value.List _ as v when !Intern.enabled -> Intern.canon v
+    | Value.List _ as v -> Intern.canon v
     | v -> v)
   | Ast.Binop (op, a, b) -> arith op (eval env a) (eval env b)
 

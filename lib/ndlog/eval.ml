@@ -157,11 +157,6 @@ let use_indexes = ref true
 let use_reordering = ref true
 let use_batching = ref true
 
-(* Value interning / flat index representation lives in {!Store}; the
-   switch is re-exported here so all evaluator knobs sit in one place
-   (FVN_INTERNING=0 selects the boxed oracle, see {!Intern.enabled}). *)
-let use_interning = Intern.enabled
-
 (* ------------------------------------------------------------------ *)
 (* Rule application. *)
 
@@ -974,20 +969,6 @@ let refresh_strata (p : Ast.program) : refresh_stratum list =
          (fun r preds acc -> (r, List.sort String.compare preds) :: acc)
          by_rank []
       |> List.rev)
-
-(* Evaluate one stratum of [p] to fixpoint on [db] (aggregate rules
-   once at entry, plain rules semi-naively): the from-scratch fallback
-   of incremental view refresh, also usable on refresh strata since
-   they refine the analysis strata. *)
-let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
-    (stratum : string list) (db : Store.t) : Store.t * bool =
-  let st = counters () in
-  let rounds = ref 0 and count = ref 0 in
-  let db, converged =
-    eval_stratum_seminaive st db stratum p ~max_rounds ~rounds ~count
-  in
-  Option.iter (fun c -> accumulate c (snapshot st)) stats;
-  (db, converged)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded evaluation.

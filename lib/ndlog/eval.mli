@@ -113,15 +113,6 @@ val use_reordering : bool ref
 (** Reorder rule bodies most-bound-first before evaluation (default
     [true]). *)
 
-val use_interning : bool ref
-(** Hash-cons values and key secondary indexes by interned ids (default
-    [true]; re-export of {!Intern.enabled}, switched off by
-    [FVN_INTERNING=0]).  On: {!Store.add} canonicalizes tuples so
-    resident values are physically shared and index probes compare
-    machine ints.  Off: the boxed-value oracle path.  The fixpoint,
-    derivation counts and statistics are identical either way (checked
-    by property). *)
-
 val use_batching : bool ref
 (** Join delta activations group-at-a-time (default [true]): each
     round's delta relation is grouped by the columns the rest of the
@@ -288,18 +279,6 @@ val refresh_strata : Ast.program -> refresh_stratum list
     extra strict edges close a cycle the ordinary stratification
     tolerates, everything collapses into a single stratum (correct,
     just never incremental). *)
-
-val seminaive_stratum :
-  ?max_rounds:int ->
-  ?stats:counters ->
-  Ast.program ->
-  string list ->
-  Store.t ->
-  Store.t * bool
-(** [seminaive_stratum p preds db]: evaluate the single stratum of [p]
-    whose heads are [preds] to fixpoint on [db] — aggregate rules once
-    at entry, plain rules semi-naively.  The from-scratch fallback of
-    incremental view refresh. *)
 
 val seminaive_sharded :
   ?max_rounds:int ->

@@ -11,25 +11,17 @@
    allocation-ordered, never a value order), and observable output
    materializes boxed tuples.
 
-   This is a *faithful twin*, not a reimplementation: literal orders
-   come from the very same planning functions ({!Eval.order_body},
-   {!Eval.group_vars}, {!Eval.split_shared}, ...), the index-versus-scan
-   decision is the same test on the same positions, and every counter
-   ({!Eval.counters}) is bumped at the same point of the same loop —
-   so a run here is indistinguishable from the boxed evaluator's in
-   fixpoint, derivation counts, and join statistics (checked by
-   property against the boxed oracle, which stays the default under
-   FVN_TUPLE_IDS=0). *)
+   It shares its planning with {!Eval} rather than reimplementing it:
+   literal orders come from the very same planning functions
+   ({!Eval.order_body}, {!Eval.group_vars}, {!Eval.split_shared}, ...),
+   the index-versus-scan decision is the same test on the same
+   positions, and every counter ({!Eval.counters}) is bumped at the
+   same point of the same loop — so a run here matches the boxed
+   evaluator's in fixpoint, derivation counts, and join statistics
+   (checked by property against {!Eval.seminaive}).  It is the only
+   executor {!Dist.Runtime} runs. *)
 
 module Sset = Set.Make (String)
-
-(* The id-native path defaults on; FVN_TUPLE_IDS=0 (or false/no/off)
-   restores the boxed oracle throughout {!Dist.Runtime}. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "FVN_TUPLE_IDS" with
-    | Some ("0" | "false" | "no" | "off") -> false
-    | _ -> true)
 
 module Fset = Flat.Fset
 
@@ -745,8 +737,18 @@ let seminaive ?(max_rounds = 10_000) ?stats (p : Ast.program)
   Option.iter (fun c -> Eval.accumulate c s) stats;
   { rounds = !rounds; derivations = !count; converged; stats = s }
 
-(* Seeded delta-driven re-derivation of one refresh stratum — the twin
-   of {!Plan.refresh_stratum}, mutating the working database. *)
+(* Seeded delta-driven re-derivation of one view refresh stratum.
+
+   [fdb] is seeded with the stratum's previous relations (its old
+   fixpoint) on top of the current support; [delta] holds the support
+   tuples added since that fixpoint.  Each round runs every strand
+   whose trigger predicate has delta tuples through {!execute_batch};
+   head tuples not already in [fdb] join it and become the next round's
+   delta, until nothing new appears.  This is semi-naive iteration
+   started from a previous fixpoint instead of from scratch — sound
+   exactly when the stratum's rules are plain and monotone and the
+   support change is purely additive (the refresh loop falls back to
+   from-scratch recomputation otherwise). *)
 let refresh_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
     ~(strands : istrand list) ~(delta : Flat.t) : unit =
   let rec loop (delta : Flat.t) =

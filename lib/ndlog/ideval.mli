@@ -4,23 +4,18 @@
     Environments bind dense interned ids instead of boxed values,
     pattern matching and join probes compare machine ints, and boxing
     happens only at true system boundaries (builtin calls, ordering
-    comparisons, observable output).  Everything here is a {e faithful
-    twin} of the boxed evaluator: literal orders come from the same
-    planning functions, the index-versus-scan decision is the same test
-    on the same positions, and every {!Eval.counters} field is bumped
-    at the same point of the same loop — fixpoints, derivation counts
-    and join statistics are indistinguishable from {!Eval}'s (checked
-    by property against the boxed oracle).
+    comparisons, observable output).  Planning is shared with the boxed
+    evaluator: literal orders come from the same planning functions,
+    the index-versus-scan decision is the same test on the same
+    positions, and every {!Eval.counters} field is bumped at the same
+    point of the same loop — fixpoints, derivation counts and join
+    statistics match {!Eval}'s (checked by property).  This is the
+    executor {!Dist.Runtime} runs.
 
     Flat databases are mutable and linearly owned; the persistent
     {!Store} remains canonical for model-checker state identity, and
     the id-native path materializes through {!Flat.to_store} at
     observation points. *)
-
-val enabled : bool ref
-(** Whether {!Dist.Runtime} evaluates id-natively.  Defaults to [true];
-    the environment switch [FVN_TUPLE_IDS=0] selects the boxed oracle
-    path.  Consulted at runtime creation, not per operation. *)
 
 (** {1 Strand execution (the wire path)} *)
 
@@ -53,9 +48,15 @@ val execute_batch :
 
 val refresh_stratum :
   ?stats:Eval.counters -> Flat.t -> strands:istrand list -> delta:Flat.t -> unit
-(** Seeded delta-driven re-derivation of one refresh stratum to
-    fixpoint, mutating the working database — the id twin of
-    {!Plan.refresh_stratum}. *)
+(** Seeded delta-driven re-derivation of one view refresh stratum
+    ({!Eval.refresh_strata}) to fixpoint, mutating the working
+    database: [fdb] holds the stratum's previous fixpoint on top of the
+    current support, [delta] the support tuples added since.  Strands
+    whose trigger predicate has delta tuples run through
+    {!execute_batch}; new head tuples join the database and become the
+    next round's delta.  Sound exactly for plain monotone strata under
+    purely additive support change — the incremental refresh loop
+    falls back to from-scratch recomputation otherwise. *)
 
 (** {1 Fixpoint drivers} *)
 
@@ -85,8 +86,10 @@ val seminaive_stratum :
   string list ->
   Flat.t ->
   bool
-(** Evaluate one stratum to fixpoint on [fdb] — the id twin of
-    {!Eval.seminaive_stratum} (the from-scratch refresh fallback). *)
+(** [seminaive_stratum p preds fdb]: evaluate the single stratum of [p]
+    whose heads are [preds] to fixpoint on [fdb] — aggregate rules once
+    at entry, plain rules semi-naively.  The from-scratch fallback of
+    incremental view refresh. *)
 
 val run_program :
   ?max_rounds:int ->

@@ -3,8 +3,8 @@
     Maps every distinct {!Value.t} to one canonical representative and a
     dense integer id, so resident values share structure (physical
     equality makes {!Value.compare} short-circuit, duplicate strings
-    collapse on the heap) and secondary-index keys can compare as
-    machine ints ({!Store}'s flat indexes).
+    collapse on the heap) and flat tuples ({!Flat}) can compare as
+    machine ints.
 
     The interning tables are process-global caches in the same sense as
     {!Store}'s secondary-index caches: they never influence store
@@ -14,13 +14,6 @@
 
     All operations are thread-safe (a mutex guards the tables), so the
     sharded evaluator's worker domains may intern concurrently. *)
-
-val enabled : bool ref
-(** Whether {!Store} canonicalizes incoming tuples and builds flat
-    (id-keyed) indexes.  Defaults to [true]; the environment switch
-    [FVN_INTERNING=0] selects the boxed-value oracle path.  Interning
-    itself ({!id}, {!canon}) always works regardless, so the flag can be
-    flipped mid-run safely. *)
 
 val canon : Value.t -> Value.t
 (** The canonical representative of a value, interning on first sight.
@@ -64,13 +57,6 @@ val int_id : int -> int
 (** [id (Value.Int n)], memoized in a direct-indexed table for small
     non-negative [n] — freshly computed hop counts and path costs skip
     the hash-cons probe. *)
-
-val key_ids : Value.t list -> int list
-(** [List.map id], under one lock acquisition. *)
-
-val values_of_ids : int list -> Value.t list
-(** [List.map of_id], under one lock acquisition.
-    @raise Invalid_argument on an id never returned by {!id}. *)
 
 val size : unit -> int
 (** Number of distinct values interned so far (diagnostics). *)

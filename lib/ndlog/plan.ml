@@ -187,45 +187,6 @@ let execute_batch ?stats (db : Store.t) ~(delta_tuples : Store.Tuple.t list)
         (fun env -> Eval.head_tuple env s.strand_rule.Ast.head)
         (Eval.delta_envs ?stats db ~delta:(delta_atom, delta_db) ~rest)
 
-(* Seeded delta-driven re-derivation of one view refresh stratum.
-
-   [db] is seeded with the stratum's previous relations (its old
-   fixpoint) on top of the current support; [delta] holds the support
-   tuples added since that fixpoint.  Each round runs every strand
-   whose trigger predicate has delta tuples through {!execute_batch};
-   head tuples not already in [db] join it and become the next round's
-   delta, until nothing new appears.  This is semi-naive iteration
-   started from a previous fixpoint instead of from scratch — sound
-   exactly when the stratum's rules are plain and monotone and the
-   support change is purely additive (the refresh loop falls back to
-   from-scratch recomputation otherwise). *)
-let refresh_stratum ?stats (db : Store.t) ~(strands : strand list)
-    ~(delta : Store.t) : Store.t =
-  let rec loop db delta =
-    if Store.is_empty delta then db
-    else begin
-      let derived =
-        List.fold_left
-          (fun acc s ->
-            match s.delta_pred with
-            | None -> acc
-            | Some p -> (
-              match Store.tuples p delta with
-              | [] -> acc
-              | tuples ->
-                List.fold_left
-                  (fun acc t ->
-                    Store.add s.strand_rule.Ast.head.Ast.head_pred t acc)
-                  acc
-                  (execute_batch ?stats db ~delta_tuples:tuples s)))
-          Store.empty strands
-      in
-      let fresh = Store.diff derived db in
-      loop (Store.union db fresh) fresh
-    end
-  in
-  loop db delta
-
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing (the strand diagrams P2 logs). *)
 

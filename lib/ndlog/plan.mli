@@ -69,21 +69,5 @@ val execute_batch :
     as executing the strand per tuple.
     @raise Plan_error on full-scan strands. *)
 
-val refresh_stratum :
-  ?stats:Eval.counters ->
-  Store.t ->
-  strands:strand list ->
-  delta:Store.t ->
-  Store.t
-(** Seeded delta-driven re-derivation of one view refresh stratum
-    ({!Eval.refresh_strata}): [db] is seeded with the stratum's previous
-    fixpoint on top of the current support, [delta] holds the support
-    tuples added since.  Strands whose trigger predicate has delta
-    tuples run through {!execute_batch}; new head tuples join the
-    database and become the next round's delta, to fixpoint.  Sound
-    exactly for plain monotone strata under purely additive support
-    change — the incremental refresh loop falls back to from-scratch
-    recomputation otherwise. *)
-
 val pp_op : op Fmt.t
 val pp : strand Fmt.t

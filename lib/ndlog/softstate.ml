@@ -83,23 +83,6 @@ module Expiry = struct
     ( List.fold_left (fun db (pred, tuple) -> Store.remove pred tuple db) db dead,
       t' )
 
-  (* [sweep], additionally reporting which tuples were actually removed
-     from the database — the expiry half of dirty-predicate tracking
-     (an expired lease for a tuple the database no longer holds changes
-     nothing and must not dirty its predicate). *)
-  let sweep_report t ~now (db : Store.t) :
-      Store.t * (string * Store.Tuple.t) list * t =
-    let dead, t' = expired t ~now in
-    let db, removed_rev =
-      List.fold_left
-        (fun (db, removed) (pred, tuple) ->
-          if Store.mem pred tuple db then
-            (Store.remove pred tuple db, (pred, tuple) :: removed)
-          else (db, removed))
-        (db, []) dead
-    in
-    (db, List.rev removed_rev, t')
-
   (* Current leases in canonical key order: introspection for the
      incremental-refresh differential harness (lease tables must be
      bit-identical across refresh modes). *)

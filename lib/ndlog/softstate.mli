@@ -26,13 +26,6 @@ module Expiry : sig
   val sweep : t -> now:float -> Store.t -> Store.t * t
   (** Drop expired tuples from a database. *)
 
-  val sweep_report :
-    t -> now:float -> Store.t -> Store.t * (string * Store.Tuple.t) list * t
-  (** {!sweep}, additionally reporting the tuples actually removed from
-      the database — the expiry half of dirty-predicate tracking in the
-      incremental view refresh (leases for tuples the database no
-      longer holds are pruned silently). *)
-
   val bindings : t -> ((string * Store.Tuple.t) * float) list
   (** Current leases with their deadlines, in canonical key order —
       introspection for tests (the incremental-refresh differential

@@ -72,40 +72,9 @@ module Cmap = Map.Make (struct
   let compare = Stdlib.compare
 end)
 
-(* Flat index keys: the interned ids of the boxed key, in column order.
-   Ids coincide with value equality (Intern.id is injective up to
-   Value.equal), so a flat index groups tuples exactly like a boxed one
-   — only the key order differs (allocation order, not Value order),
-   which [groups] corrects by re-sorting. *)
-module Imap = Map.Make (struct
-  type t = int list
-
-  let compare = Stdlib.compare
-end)
-
-(* A relation's secondary index under one column set.  [Boxed] keys by
-   the values themselves; [Flat] keys by their interned ids.  Which
-   representation a new index gets is decided by [Intern.enabled] at
-   build time; all operations dispatch on the representation actually
-   present, so indexes built under one setting stay correct if the
-   switch is flipped mid-run.
-
-   A flat index stores groups in id order — allocation order, not Value
-   order — so producing the canonical group enumeration means mapping
-   ids back to boxed keys and re-sorting.  [flat_sorted] memoizes that
-   conversion (index updates allocate a fresh cell, so a stale memo is
-   unreachable); like the index cache itself it is pure memoization and
-   never observable. *)
-type index = Boxed of Tset.t Vmap.t | Flat of flat
-
-and flat = {
-  ids : Tset.t Imap.t;
-  mutable sorted : (Value.t list * Tset.t) list option;  (* cache only *)
-}
-
 type rel = {
   tuples : Tset.t;
-  mutable indexes : index Cmap.t;  (* lazily built; cache only *)
+  mutable indexes : Tset.t Vmap.t Cmap.t;  (* lazily built; cache only *)
 }
 
 type t = rel Smap.t
@@ -135,118 +104,17 @@ let bucket_remove tuple = function
     let s' = Tset.remove tuple s in
     if Tset.is_empty s' then None else Some s'
 
-let index_add cols tuple (idx : index) : index =
+let index_add cols tuple idx =
   match key_at cols tuple with
   | None -> idx
-  | Some key -> (
-    match idx with
-    | Boxed m -> Boxed (Vmap.update key (bucket_add tuple) m)
-    | Flat f ->
-      Flat
-        {
-          ids = Imap.update (Intern.key_ids key) (bucket_add tuple) f.ids;
-          sorted = None;
-        })
+  | Some key -> Vmap.update key (bucket_add tuple) idx
 
-let index_remove cols tuple (idx : index) : index =
+let index_remove cols tuple idx =
   match key_at cols tuple with
   | None -> idx
-  | Some key -> (
-    match idx with
-    | Boxed m -> Boxed (Vmap.update key (bucket_remove tuple) m)
-    | Flat f ->
-      Flat
-        {
-          ids = Imap.update (Intern.key_ids key) (bucket_remove tuple) f.ids;
-          sorted = None;
-        })
+  | Some key -> Vmap.update key (bucket_remove tuple) idx
 
-(* Does the key of this column set contain a deep (list) value?  Judged
-   from one sample tuple: a misjudged heterogeneous column only picks a
-   slower representation, never a wrong one. *)
-let deep_key cols (tuples : Tset.t) : bool =
-  match Tset.min_elt_opt tuples with
-  | None -> false
-  | Some t -> (
-    match key_at cols t with
-    | None -> false
-    | Some key ->
-      List.exists (function Value.List _ -> true | _ -> false) key)
-
-(* Observed access pattern per [(pred, cols)]: point probes versus
-   index (re)builds.  A flat index pays a full-spine hash per entry at
-   every build — hashing cannot early-exit the way a comparison does —
-   and earns it back one machine-int descent at a time on probes, so
-   the representation choice follows the measured probe:build ratio:
-   only an index whose history shows at least [flat_probe_threshold]
-   probes per build goes flat.  Under relation churn (indexes are
-   discarded whenever a relation is replaced wholesale) the ratio stays
-   near one and the boxed tree wins; the stable-store regimes — a
-   centralized fixpoint, model-checker successor generation — probe the
-   same index thousands of times and cross the threshold quickly.
-
-   Like the intern tables this is a process-global cache: it never
-   participates in store equality, comparison, or hashing.  A mutex
-   guards it because the sharded evaluator probes from worker
-   domains. *)
-let stats_lock = Mutex.create ()
-
-let access_stats : (string * int list, int ref * int ref) Hashtbl.t =
-  Hashtbl.create 64
-
-(* Probes-per-build a [(pred, cols)] index must sustain before a fresh
-   build goes flat; FVN_FLAT_THRESHOLD overrides for experiments. *)
-let flat_probe_threshold =
-  ref
-    (match Sys.getenv_opt "FVN_FLAT_THRESHOLD" with
-    | Some s -> ( try int_of_string s with Failure _ -> 8)
-    | None -> 8)
-
-let note_probe pred cols =
-  Mutex.lock stats_lock;
-  (match Hashtbl.find_opt access_stats (pred, cols) with
-  | Some (probes, _) -> incr probes
-  | None -> Hashtbl.add access_stats (pred, cols) (ref 1, ref 0));
-  Mutex.unlock stats_lock
-
-(* Record one build of the [(pred, cols)] index and report whether its
-   probe history justifies the flat representation. *)
-let note_build_probe_heavy pred cols =
-  Mutex.lock stats_lock;
-  let heavy =
-    match Hashtbl.find_opt access_stats (pred, cols) with
-    | Some (probes, builds) ->
-      incr builds;
-      !probes >= !flat_probe_threshold * !builds
-    | None ->
-      Hashtbl.add access_stats (pred, cols) (ref 0, ref 1);
-      false
-  in
-  Mutex.unlock stats_lock;
-  heavy
-
-(* Which representation a fresh index gets depends on who asked and on
-   the key's shape and history.  Ordered group scans ([groups]) always
-   want the value-ordered tree: a flat index can only produce the
-   canonical group order by converting and re-sorting every binding.
-   Point probes ([lookup]) get the flat id-keyed map only when the key
-   contains a deep (list) value — there one hash-cons probe replaces a
-   spine comparison per tree level — and the index's probe:build ratio
-   clears [flat_probe_threshold].  For scalar keys the boxed tree
-   wins outright: hashing a short string costs as much as comparing
-   it, so the id translation is pure overhead (measured: a
-   flat-everywhere build ran the churn benchmark ~20% slower).  An
-   index that serves both access paths keeps whichever representation
-   its first use built; every operation dispatches on the variant
-   present. *)
-let build_index ?(for_groups = false) pred cols (tuples : Tset.t) : index =
-  let heavy = note_build_probe_heavy pred cols in
-  let empty =
-    if !Intern.enabled && (not for_groups) && heavy && deep_key cols tuples
-    then Flat { ids = Imap.empty; sorted = None }
-    else Boxed Vmap.empty
-  in
-  Tset.fold (index_add cols) tuples empty
+let build_index cols (tuples : Tset.t) = Tset.fold (index_add cols) tuples Vmap.empty
 
 (* ------------------------------------------------------------------ *)
 (* The canonical (indexed-cache-free) API. *)
@@ -305,7 +173,7 @@ let add_list pred ts db = List.fold_left (fun db t -> add pred t db) db ts
 (* Replacing a relation wholesale patches its cached indexes by the
    symmetric difference instead of dropping them: view refresh replaces
    the same (mostly unchanged) relations over and over, and rebuilding
-   a warm flat index from scratch on every replacement was measurably
+   a warm index from scratch on every replacement was measurably
    the refresh loop's biggest hidden cost. *)
 let set_relation pred s (db : t) : t =
   if Tset.is_empty s then Smap.remove pred db
@@ -379,9 +247,7 @@ let compare (a : t) (b : t) =
 let of_facts (facts : Ast.fact list) : t =
   List.fold_left
     (fun db (f : Ast.fact) ->
-      let tuple = Array.of_list f.Ast.fact_args in
-      let tuple = if !Intern.enabled then Intern.tuple tuple else tuple in
-      add f.Ast.fact_pred tuple db)
+      add f.Ast.fact_pred (Intern.tuple (Array.of_list f.Ast.fact_args)) db)
     empty facts
 
 let fold_rel pred f (db : t) acc = Tset.fold f (relation pred db) acc
@@ -425,53 +291,29 @@ let hash (db : t) =
    and a racing domain at worst loses the other's cache entry (the
    tuple sets themselves are immutable), so concurrent lookups from the
    sharded evaluator are safe. *)
-let get_index ?for_groups pred (r : rel) (cols : int list) : index =
+let get_index (r : rel) (cols : int list) =
   match Cmap.find_opt cols r.indexes with
   | Some idx -> idx
   | None ->
-    let idx = build_index ?for_groups pred cols r.tuples in
+    let idx = build_index cols r.tuples in
     r.indexes <- Cmap.add cols idx r.indexes;
     idx
 
 let lookup pred ~(cols : int list) ~(key : Value.t list) (db : t) : Tset.t =
-  note_probe pred cols;
   match Smap.find_opt pred db with
   | None -> Tset.empty
   | Some r -> (
-    let found =
-      match get_index pred r cols with
-      | Boxed m -> Vmap.find_opt key m
-      | Flat f -> Imap.find_opt (Intern.key_ids key) f.ids
-    in
-    match found with
+    match Vmap.find_opt key (get_index r cols) with
     | Some s -> s
     | None -> Tset.empty)
 
 (* All groups of a relation under the [(pred, cols)] index, in
    canonical key order: the grouped probe used by index-aware aggregate
-   evaluation ({!Eval.apply_agg_rule}).  A fresh index built for this
-   call is boxed (value-ordered, so the enumeration is free); a flat
-   index built earlier by a point probe stores groups in id order —
-   allocation order, not Value order — so its bindings are mapped back
-   to boxed keys and re-sorted (memoized), keeping the observable group
-   order identical to the boxed path's. *)
+   evaluation ({!Eval.apply_agg_rule}). *)
 let groups pred ~(cols : int list) (db : t) : (Value.t list * Tset.t) list =
   match Smap.find_opt pred db with
   | None -> []
-  | Some r -> (
-    match get_index ~for_groups:true pred r cols with
-    | Boxed m -> Vmap.bindings m
-    | Flat f -> (
-      match f.sorted with
-      | Some l -> l
-      | None ->
-        let l =
-          Imap.bindings f.ids
-          |> List.map (fun (ids, s) -> (Intern.values_of_ids ids, s))
-          |> List.sort (fun (a, _) (b, _) -> Vkey.compare a b)
-        in
-        f.sorted <- Some l;
-        l))
+  | Some r -> Vmap.bindings (get_index r cols)
 
 let index_count (db : t) =
   Smap.fold (fun _ r acc -> acc + Cmap.cardinal r.indexes) db 0

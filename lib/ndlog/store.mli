@@ -10,16 +10,14 @@
     {!hash}, so two stores with the same tuples remain the same
     model-checker state whatever joins have been run against them.
 
-    When interning is on ({!Intern.enabled}, the default), tuples
-    arrive here already canonicalized — interning happens at the system
-    boundaries (fact loading, event injection, expression construction)
-    so resident values are physically shared — and a point-probe index
-    whose key contains a deep (list) value and whose observed
-    probe:build ratio clears {!flat_probe_threshold} is built {e flat},
-    keyed by interned integer ids instead of boxed values.  Both are
-    representation changes only: tuple contents, canonical order,
-    {!equal} / {!compare} / {!hash}, and every observable result are
-    identical to the boxed path ([FVN_INTERNING=0]). *)
+    Tuples arrive here already canonicalized ({!Intern}): interning
+    happens at the system boundaries (fact loading, event injection,
+    expression construction), so resident values are physically shared
+    and comparisons between them short-circuit on pointer equality.
+    {!add} itself does not intern, and nothing observable depends on
+    sharing: a store built from fresh, unshared value boxes is
+    {!equal}, {!compare}-equal and {!hash}-equal to its canonical
+    twin. *)
 
 (** Tuples: value arrays compared lexicographically (length first). *)
 module Tuple : sig
@@ -116,12 +114,3 @@ val index_count : t -> int
 
 val indexed_cols : string -> t -> int list list
 (** The column sets currently indexed for a predicate. *)
-
-val flat_probe_threshold : int ref
-(** Point probes per build a [(pred, cols)] index must sustain before a
-    fresh build uses the flat (interned-id) representation; below it
-    the boxed value-ordered tree is kept.  A flat index pays a
-    full-spine hash per entry at every build and earns it back on
-    probes, so the default (8, overridable with [FVN_FLAT_THRESHOLD])
-    keeps churning indexes boxed and flips probe-heavy stable ones
-    flat.  Representation only — results are identical either way. *)

@@ -538,189 +538,100 @@ let prop_incremental_equivalence =
              && Runtime.node_leases rt_i nm = Runtime.node_leases rt_s nm)
            nodes)
 
-(* Differential property for the interned representation: over the same
-   random programs × topologies × interleavings as the refresh property,
-   a runtime on the interned path and one on the boxed oracle path
-   ([FVN_INTERNING=0]) produce bit-identical per-node stores, global
-   fixpoints, message traces, lease tables, and evaluator statistics —
-   interning is a representation change with no observable behavior. *)
-let prop_interned_equivalence =
-  QCheck.Test.make
-    ~name:"interned = boxed runtime (stores, traces, leases, stats)"
-    ~count:10
-    QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
-    (fun (prog_i, topo_i, n, extra) ->
-      let links =
-        match topo_i with
-        | 0 -> Programs.ring_links n
-        | 1 -> Programs.grid_links (2 + (n mod 2))
-        | _ -> Programs.star_links n
-      in
-      let endpoints =
-        List.filter_map
-          (fun (f : Ast.fact) ->
-            match f.Ast.fact_args with
-            | [ s; d; _ ] -> Some (V.as_addr s, V.as_addr d)
-            | _ -> None)
-          links
-      in
-      let staged =
-        List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
-      in
-      let soft = prog_i = 2 in
-      let p =
-        match prog_i with
-        | 0 ->
-          localized (Programs.with_links (Programs.path_vector ()) links)
-        | 1 ->
-          localized
-            (Programs.with_links
-               (Programs.bounded_distance_vector ~max_hops:(n + 1))
-               links)
-        | _ ->
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
-      in
-      let go interning =
-        let saved = !Eval.use_interning in
-        Eval.use_interning := interning;
-        Fun.protect
-          ~finally:(fun () -> Eval.use_interning := saved)
-          (fun () ->
-            let rt = Runtime.create (topo_of_links links) p in
-            Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-            Runtime.load_facts rt;
-            ignore (Runtime.run rt ~until:1.0);
-            List.iteri
-              (fun i (s, d) ->
-                if soft then
-                  Runtime.insert rt s "obs"
-                    [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-                else
-                  Runtime.insert rt s "link"
-                    [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-                ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-              staged;
-            let rep = Runtime.run rt ~until:80.0 in
-            (rt, rep))
-      in
-      let rt_i, rep_i = go true in
-      let rt_b, rep_b = go false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      rep_i.Runtime.stats.Netsim.Sim.quiesced
-      && rep_b.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_b)
-      && rep_i.Runtime.total_inserts = rep_b.Runtime.total_inserts
-      && rep_i.Runtime.eval_stats = rep_b.Runtime.eval_stats
-      && rep_i.Runtime.wire_stats = rep_b.Runtime.wire_stats
-      && rep_i.Runtime.view_stats = rep_b.Runtime.view_stats
-      && Netsim.Sim.trace (Runtime.simulator rt_i)
-         = Netsim.Sim.trace (Runtime.simulator rt_b)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_i nm)
-               (Runtime.node_store rt_b nm)
-             && Runtime.node_leases rt_i nm = Runtime.node_leases rt_b nm)
-           nodes)
+(* Independent semantic oracle: the naive centralized evaluator — the
+   simplest evaluator in the repository, sharing no code path with the
+   distributed runtime's id-native strands, inbox batching or view
+   refresh.  Over hard-state path-vector, bounded distance-vector and
+   reachability on random ring, grid and star topologies (random link
+   costs), a distributed run must quiesce, and its global store
+   restricted to the source program's predicates (localization adds
+   helper relations) must equal [Eval.naive]'s fixpoint of the
+   unlocalized program. *)
+let dist_equals_naive prog links =
+  let full = Programs.with_links prog links in
+  let preds =
+    List.sort_uniq String.compare
+      (List.map (fun (f : Ast.fact) -> f.Ast.fact_pred) full.Ast.facts
+      @ List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.head_pred) full.Ast.rules)
+  in
+  let naive =
+    Eval.naive full (Ndlog.Analysis.analyze_exn full)
+      (Store.of_facts full.Ast.facts)
+  in
+  let rt = Runtime.create (topo_of_links links) (localized full) in
+  Runtime.load_facts rt;
+  let rep = Runtime.run rt in
+  naive.Eval.converged
+  && rep.Runtime.stats.Netsim.Sim.quiesced
+  && Store.equal naive.Eval.db (Store.restrict preds (Runtime.global_store rt))
 
-(* Differential property for id-native evaluation: over the same random
-   programs × topologies × interleavings, a runtime on the flat id-tuple
-   path ([~tuple_ids:true], the default) and one on the boxed oracle
-   path produce bit-identical per-node stores, global fixpoints, message
-   traces, lease tables, and evaluator statistics — the flat
-   representation is a storage/join change with no observable
-   behavior. *)
-let prop_tuple_ids_equivalence =
+let prop_dist_equals_naive =
   QCheck.Test.make
-    ~name:"id-native = boxed runtime (stores, traces, leases, stats)"
-    ~count:10
+    ~name:"distributed global store = naive centralized fixpoint"
+    ~count:20
     QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
-    (fun (prog_i, topo_i, n, extra) ->
+      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 1000))
+    (fun (prog_i, topo_i, n, seed) ->
+      let cost i = 1 + ((seed + (7 * i)) mod 5) in
       let links =
         match topo_i with
-        | 0 -> Programs.ring_links n
-        | 1 -> Programs.grid_links (2 + (n mod 2))
-        | _ -> Programs.star_links n
+        | 0 -> Programs.ring_links ~cost n
+        | 1 -> Programs.grid_links ~cost (2 + (n mod 2))
+        | _ -> Programs.star_links ~cost n
       in
-      let endpoints =
-        List.filter_map
-          (fun (f : Ast.fact) ->
-            match f.Ast.fact_args with
-            | [ s; d; _ ] -> Some (V.as_addr s, V.as_addr d)
-            | _ -> None)
-          links
-      in
-      let staged =
-        List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
-      in
-      let soft = prog_i = 2 in
-      let p =
+      let prog =
         match prog_i with
-        | 0 ->
-          localized (Programs.with_links (Programs.path_vector ()) links)
-        | 1 ->
-          localized
-            (Programs.with_links
-               (Programs.bounded_distance_vector ~max_hops:(n + 1))
-               links)
-        | _ ->
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
+        | 0 -> Programs.path_vector ()
+        | 1 -> Programs.bounded_distance_vector ~max_hops:(n + 1)
+        | _ -> Programs.reachability ()
       in
-      let go tuple_ids =
-        let rt = Runtime.create ~tuple_ids (topo_of_links links) p in
-        Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-        Runtime.load_facts rt;
-        ignore (Runtime.run rt ~until:1.0);
-        List.iteri
-          (fun i (s, d) ->
-            if soft then
-              Runtime.insert rt s "obs" [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-            else
-              Runtime.insert rt s "link" [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-            ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-          staged;
-        let rep = Runtime.run rt ~until:80.0 in
-        (rt, rep)
-      in
-      let rt_f, rep_f = go true in
-      let rt_b, rep_b = go false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      Runtime.tuple_ids rt_f
-      && (not (Runtime.tuple_ids rt_b))
-      && rep_f.Runtime.stats.Netsim.Sim.quiesced
-      && rep_b.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_f) (Runtime.global_store rt_b)
-      && rep_f.Runtime.total_inserts = rep_b.Runtime.total_inserts
-      && rep_f.Runtime.eval_stats = rep_b.Runtime.eval_stats
-      && rep_f.Runtime.wire_stats = rep_b.Runtime.wire_stats
-      && rep_f.Runtime.view_stats = rep_b.Runtime.view_stats
-      && Netsim.Sim.trace (Runtime.simulator rt_f)
-         = Netsim.Sim.trace (Runtime.simulator rt_b)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_f nm)
-               (Runtime.node_store rt_b nm)
-             && Runtime.node_leases rt_f nm = Runtime.node_leases rt_b nm)
-           nodes)
+      dist_equals_naive prog links)
+
+(* The same oracle as a fixed table, one named case per program and
+   topology, so a regression names the exact configuration that broke.
+   Each entry is (name, node count, links); costs vary per link. *)
+let oracle_topologies =
+  let c3 i = 1 + (i mod 3) in
+  [
+    ("line-3", 3, Programs.line_links 3);
+    ("line-4", 4, Programs.line_links ~cost:c3 4);
+    ("line-5", 5, Programs.line_links 5);
+    ("line-6", 6, Programs.line_links ~cost:c3 6);
+    ("ring-3", 3, Programs.ring_links ~cost:c3 3);
+    ("ring-4", 4, Programs.ring_links 4);
+    ("ring-5", 5, Programs.ring_links ~cost:c3 5);
+    ("ring-6", 6, Programs.ring_links 6);
+    ("star-3", 3, Programs.star_links 3);
+    ("star-4", 4, Programs.star_links ~cost:c3 4);
+    ("star-5", 5, Programs.star_links 5);
+    ("star-6", 6, Programs.star_links ~cost:c3 6);
+    ("grid-2", 4, Programs.grid_links ~cost:c3 2);
+    ("grid-3", 9, Programs.grid_links ~cost:c3 3);
+    ("mesh-3", 3, Programs.mesh_links ~cost:(fun i j -> 1 + ((i * j) mod 4)) 3);
+    ("mesh-4", 4, Programs.mesh_links ~cost:(fun i j -> 1 + ((i + j) mod 3)) 4);
+    ("random-5", 5, Programs.random_links ~seed:1 ~extra:1 5);
+    ("random-6", 6, Programs.random_links ~seed:2 ~extra:2 6);
+    ("random-6b", 6, Programs.random_links ~seed:3 ~max_cost:3 6);
+  ]
+
+let oracle_programs =
+  [
+    ("path-vector", fun _ -> Programs.path_vector ());
+    ( "bounded-dv",
+      fun n -> Programs.bounded_distance_vector ~max_hops:(n + 1) );
+    ("reachability", fun _ -> Programs.reachability ());
+  ]
+
+let oracle_table_cases =
+  List.concat_map
+    (fun (pname, prog) ->
+      List.map
+        (fun (tname, n, links) ->
+          Alcotest.test_case (pname ^ " " ^ tname) `Quick (fun () ->
+              checkb "distributed = naive fixpoint" true
+                (dist_equals_naive (prog n) links)))
+        oracle_topologies)
+    oracle_programs
 
 (* A view program whose support splits cleanly: [best]/[seen] depend on
    [obs] only, so a [noise] insertion must touch no view stratum. *)
@@ -1230,6 +1141,23 @@ let test_supervisor_matches_sim () =
         (Store.equal store (Runtime.node_store rt node)))
     res.Supervisor.stores
 
+(* Supervisor runs leak no descriptors: every control channel closes on
+   every exit, so a long series of runs cannot push descriptors past
+   [select]'s range.  Counted through procfs; skipped where it is
+   absent. *)
+let test_supervisor_no_fd_leak () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let links = Programs.ring_links 3 in
+  let full = Programs.with_links (Programs.path_vector ()) links in
+  let loc = localized full in
+  let topo = topo_of_links links in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    ignore (Supervisor.run topo loc)
+  done;
+  checki "descriptor count unchanged" before (open_fds ())
+
 let test_runtime_rejects_foreign_hosted () =
   let links = Programs.ring_links 3 in
   let full = Programs.with_links (Programs.path_vector ()) links in
@@ -1311,8 +1239,7 @@ let () =
       ( "incremental",
         [
           QCheck_alcotest.to_alcotest prop_incremental_equivalence;
-          QCheck_alcotest.to_alcotest prop_interned_equivalence;
-          QCheck_alcotest.to_alcotest prop_tuple_ids_equivalence;
+          QCheck_alcotest.to_alcotest prop_dist_equals_naive;
           Alcotest.test_case "dirty marks and clears" `Quick
             test_dirty_marks_and_clears;
           Alcotest.test_case "dirty marks expiry" `Quick
@@ -1325,6 +1252,7 @@ let () =
           Alcotest.test_case "remote-view printer and table" `Quick
             test_remote_view_printer_and_table;
         ] );
+      ("naive_oracle", oracle_table_cases);
       ( "distance_vector",
         [
           Alcotest.test_case "converges" `Quick test_dv_converges;
@@ -1350,6 +1278,8 @@ let () =
           Alcotest.test_case "partial writes" `Quick test_wire_partial_writes;
           Alcotest.test_case "supervisor matches simulator" `Quick
             test_supervisor_matches_sim;
+          Alcotest.test_case "supervisor closes its descriptors" `Quick
+            test_supervisor_no_fd_leak;
           Alcotest.test_case "rejects foreign hosted" `Quick
             test_runtime_rejects_foreign_hosted;
           Alcotest.test_case "simulator accessor guard" `Quick

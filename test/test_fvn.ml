@@ -229,24 +229,33 @@ let test_explore_index_independence () =
   checkb "cache-cold twin is the same state" true
     (Mcheck.Explore.Table.mem tbl cold)
 
-(* Interning independence: hash-consed tuples and flat index keys are a
-   representation change, so exploration under the interned path and
-   under the boxed oracle ([FVN_INTERNING=0]) must visit the same state
-   space, and an interned store must be the same visited-table state as
-   its boxed twin. *)
+(* Interning independence: hash-consing is a representation change,
+   so exploring a program whose facts are fresh, unshared value boxes
+   must visit the same state space as exploring it with interned facts,
+   and an interned store must be the same visited-table state as its
+   twin built from fresh boxes ([Store.add] does not intern). *)
 let test_explore_interning_independence () =
+  let rec fresh (v : V.t) : V.t =
+    match v with
+    | V.Addr s -> V.Addr (Bytes.to_string (Bytes.of_string s))
+    | V.Str s -> V.Str (Bytes.to_string (Bytes.of_string s))
+    | V.List vs -> V.List (List.map fresh vs)
+    | V.Int _ | V.Bool _ -> v
+  in
   let program =
     Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
   in
-  let explore () =
-    Mcheck.Explore.explore ~max_states:5_000 (Mcheck.Ndlog_ts.system program)
+  let explore_with g =
+    let module A = Ndlog.Ast in
+    let facts =
+      List.map
+        (fun (f : A.fact) -> { f with A.fact_args = List.map g f.A.fact_args })
+        program.A.facts
+    in
+    Mcheck.Explore.explore ~max_states:5_000
+      (Mcheck.Ndlog_ts.system { program with A.facts })
   in
-  let saved = !Ndlog.Eval.use_interning in
-  let under flag =
-    Ndlog.Eval.use_interning := flag;
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) explore
-  in
-  let on = under true and off = under false in
+  let on = explore_with Ndlog.Intern.canon and off = explore_with fresh in
   checki "states independent of interning" off.Mcheck.Explore.states
     on.Mcheck.Explore.states;
   checki "transitions independent of interning" off.Mcheck.Explore.transitions
@@ -254,15 +263,10 @@ let test_explore_interning_independence () =
   checki "depth independent of interning" off.Mcheck.Explore.max_depth
     on.Mcheck.Explore.max_depth;
   let rows = List.init 20 (fun i -> [| V.Addr ("n" ^ string_of_int i) |]) in
-  let build () = Store.add_list "r" rows Store.empty in
-  Ndlog.Eval.use_interning := true;
   let interned =
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) build
+    Store.add_list "r" (List.map Ndlog.Intern.tuple rows) Store.empty
   in
-  Ndlog.Eval.use_interning := false;
-  let boxed =
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_interning := saved) build
-  in
+  let boxed = Store.add_list "r" (List.map (Array.map fresh) rows) Store.empty in
   ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Addr "n3" ] interned);
   let tbl =
     Mcheck.Explore.Table.create ~equal:Store.equal ~hash:Store.hash ()

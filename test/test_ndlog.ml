@@ -1486,16 +1486,25 @@ let test_agg_fast_path () =
   checki "no scan" 0 st.Eval.scans
 
 (* ------------------------------------------------------------------ *)
-(* Value interning and flat storage: the interned representation must
-   be invisible — same tuples, same canonical order, same equality and
-   hash, same evaluation results — while ids stay stable. *)
+(* Value interning: the interned representation must be invisible —
+   same tuples, same canonical order, same equality and hash, same
+   evaluation results — while ids stay stable. *)
 
 module Intern = Ndlog.Intern
 
-let with_interning flag f =
-  let saved = !Eval.use_interning in
-  Eval.use_interning := flag;
-  Fun.protect ~finally:(fun () -> Eval.use_interning := saved) f
+(* A deep copy of a value built from fresh, unshared boxes: no string
+   or list cell is physically shared with the interned representative.
+   [Store.add] does not intern, so a store built from such copies is the
+   uncanonicalized twin of one built from interned tuples. *)
+let rec fresh_value (v : V.t) : V.t =
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  match v with
+  | V.Addr s -> V.Addr (fresh s)
+  | V.Str s -> V.Str (fresh s)
+  | V.List vs -> V.List (List.map fresh_value vs)
+  | V.Int _ | V.Bool _ -> v
+
+let fresh_tuple t = Array.map fresh_value t
 
 (* Duplicate interning is stable: structurally equal values get the
    same id and the same physically shared representative, however many
@@ -1528,17 +1537,9 @@ let test_intern_roundtrip () =
     (Invalid_argument "Intern.of_id: unknown id -1") (fun () ->
       ignore (Intern.of_id (-1)))
 
-(* Force the flat (interned-id) index representation regardless of the
-   adaptive probe:build gate, so tests cover it deterministically. *)
-let with_flat_forced f =
-  let saved = !Store.flat_probe_threshold in
-  Store.flat_probe_threshold := 0;
-  Fun.protect ~finally:(fun () -> Store.flat_probe_threshold := saved) f
-
 (* [Store.tuples] must enumerate in canonical (Tuple.compare) order,
-   and [lookup] must return identical sets, whatever representation the
-   store's indexes were built under.  The tuples carry a list column so
-   the deep-key gate lets a forced flat index actually build. *)
+   and [lookup] must return identical sets, whether the store holds
+   interned tuples or fresh, unshared boxes of the same values. *)
 let test_intern_store_order () =
   let tuples =
     List.init 40 (fun i ->
@@ -1548,37 +1549,35 @@ let test_intern_store_order () =
           V.Str (string_of_int (i mod 3));
         |])
   in
-  let build () =
-    List.fold_left (fun db t -> Store.add "r" t db) Store.empty tuples
+  let build canon =
+    List.fold_left (fun db t -> Store.add "r" (canon t) db) Store.empty tuples
   in
   let probe db =
     Store.lookup "r" ~cols:[ 1 ]
       ~key:[ V.List [ V.Addr "n02"; V.Int 2 ] ]
       db
   in
-  let flat = with_interning true build in
-  let boxed = with_interning false build in
-  (* Build the index flat on the interned store, boxed on the oracle. *)
-  let hits_flat = with_interning true (fun () -> with_flat_forced (fun () -> probe flat)) in
-  let hits_boxed = with_interning false (fun () -> probe boxed) in
-  checkb "flat and boxed lookups agree" true
-    (Store.Tset.equal hits_flat hits_boxed);
-  checkb "flat lookup finds the probe key" false (Store.Tset.is_empty hits_flat);
-  let elems = Store.tuples "r" flat in
+  let interned = build Intern.tuple in
+  let boxed = build fresh_tuple in
+  let hits_interned = probe interned and hits_boxed = probe boxed in
+  checkb "interned and boxed lookups agree" true
+    (Store.Tset.equal hits_interned hits_boxed);
+  checkb "lookup finds the probe key" false (Store.Tset.is_empty hits_interned);
+  let elems = Store.tuples "r" interned in
   let rec ascending = function
     | a :: (b :: _ as rest) ->
       Store.Tuple.compare a b < 0 && ascending rest
     | _ -> true
   in
-  checkb "flat enumeration is canonically sorted" true (ascending elems);
-  checkb "flat and boxed enumerate identically" true
+  checkb "enumeration is canonically sorted" true (ascending elems);
+  checkb "interned and boxed enumerate identically" true
     (List.length elems = List.length (Store.tuples "r" boxed)
     && List.for_all2 Store.Tuple.equal elems (Store.tuples "r" boxed))
 
 (* Mirror of the model checker's warm-vs-cold-cache regression: an
-   interned store with warmed flat indexes and a boxed store built in
-   another insertion order are the same state under
-   [Store.equal]/[compare]/[hash]. *)
+   interned store with warmed indexes and a store of fresh, unshared
+   boxes built in another insertion order are the same state under
+   [Store.equal]/[compare]/[hash], and group identically. *)
 let test_intern_equal_hash_across_representations () =
   let tuples =
     List.init 25 (fun i ->
@@ -1588,56 +1587,31 @@ let test_intern_equal_hash_across_representations () =
           V.Int (i mod 4);
         |])
   in
-  let build order () =
+  let build order =
     List.fold_left (fun db t -> Store.add "link" t db) Store.empty order
   in
-  let interned = with_interning true (build tuples) in
-  let boxed = with_interning false (build (List.rev tuples)) in
-  (* Warm the interned store's caches with a genuinely flat index
-     (deep key, forced threshold); boxed stays cold. *)
-  with_interning true (fun () ->
-      with_flat_forced (fun () ->
-          ignore
-            (Store.lookup "link" ~cols:[ 1 ]
-               ~key:[ V.List [ V.Addr "n1" ] ]
-               interned)));
+  let interned = build (List.map Intern.tuple tuples) in
+  let boxed = build (List.rev_map fresh_tuple tuples) in
+  checkb "boxed twin shares no address box" true
+    (List.for_all
+       (fun t -> (fresh_tuple t).(0) != (Intern.tuple t).(0))
+       tuples);
+  (* Warm the interned store's caches; boxed stays cold. *)
+  ignore
+    (Store.lookup "link" ~cols:[ 1 ] ~key:[ V.List [ V.Addr "n1" ] ] interned);
   let gi = Store.groups "link" ~cols:[ 1 ] interned in
   checkb "equal across representations" true (Store.equal interned boxed);
   checki "hash across representations" (Store.hash boxed) (Store.hash interned);
   checki "compare across representations" 0 (Store.compare interned boxed);
-  (* Flat group enumeration re-sorts id-ordered keys into the boxed
-     path's canonical key order. *)
-  let gb = with_interning false (fun () -> Store.groups "link" ~cols:[ 1 ] boxed) in
+  let gb = Store.groups "link" ~cols:[ 1 ] boxed in
   checkb "groups in canonical key order" true
-    (List.map fst gi = List.map fst gb)
-
-(* Differential property: the interned and boxed paths produce
-   bit-identical fixpoints, rounds, convergence, and join statistics
-   over random programs and topologies. *)
-let prop_interned_equals_boxed =
-  QCheck.Test.make ~name:"interned = boxed evaluation (db, rounds, stats)"
-    ~count:20
-    QCheck.(triple (int_range 0 2) (int_range 3 7) (int_range 0 3))
-    (fun (prog_i, n, extra) ->
-      let links = Programs.random_links ~seed:((17 * n) + extra) ~extra n in
-      let prog =
-        match prog_i with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.bounded_distance_vector ~max_hops:(n + 1)
-        | _ -> Programs.link_state ~max_hops:(n + 1)
-      in
-      let p = Programs.with_links prog links in
-      let run flag = with_interning flag (fun () -> Eval.run_exn p) in
-      let a = run true and b = run false in
-      Store.equal a.Eval.db b.Eval.db
-      && a.Eval.rounds = b.Eval.rounds
-      && a.Eval.converged = b.Eval.converged
-      && a.Eval.stats = b.Eval.stats)
+    (List.length gi = List.length gb
+    && List.for_all2 (fun (a, _) (b, _) -> V.equal (V.List a) (V.List b)) gi gb)
 
 (* ------------------------------------------------------------------ *)
 (* Flat (id-native) storage and the id-native evaluator.  [Flat] holds
    int-array tuples in open-addressing sets with patched-in-place
-   indexes; [Ideval] is the faithful twin of the boxed rule core. *)
+   indexes; [Ideval] shares the boxed rule core's planning. *)
 
 module Flat = Ndlog.Flat
 module Ideval = Ndlog.Ideval
@@ -1989,6 +1963,70 @@ let prop_ideval_equals_eval =
             && oc.Ideval.converged = boxed.Eval.converged
             && oc.Ideval.stats = boxed.Eval.stats))
 
+(* Evaluator agreement as a fixed table, one named case per canonical
+   program and topology: the naive evaluator (the independent oracle),
+   the indexed semi-naive [Eval] and the id-native [Ideval] reach the
+   same converged fixpoint, and the two semi-naive drivers also agree
+   on rounds, derivations and join statistics.  Each topology is
+   (name, node count, links); costs vary per link. *)
+let agreement_topologies =
+  let c3 i = 1 + (i mod 3) in
+  [
+    ("line-3", 3, Programs.line_links 3);
+    ("line-4", 4, Programs.line_links ~cost:c3 4);
+    ("line-5", 5, Programs.line_links 5);
+    ("line-6", 6, Programs.line_links ~cost:c3 6);
+    ("ring-3", 3, Programs.ring_links ~cost:c3 3);
+    ("ring-4", 4, Programs.ring_links 4);
+    ("ring-5", 5, Programs.ring_links ~cost:c3 5);
+    ("ring-6", 6, Programs.ring_links 6);
+    ("star-3", 3, Programs.star_links 3);
+    ("star-4", 4, Programs.star_links ~cost:c3 4);
+    ("star-5", 5, Programs.star_links 5);
+    ("star-6", 6, Programs.star_links ~cost:c3 6);
+    ("grid-2", 4, Programs.grid_links ~cost:c3 2);
+    ("grid-3", 9, Programs.grid_links ~cost:c3 3);
+    ("mesh-3", 3, Programs.mesh_links ~cost:(fun i j -> 1 + ((i * j) mod 4)) 3);
+    ("mesh-4", 4, Programs.mesh_links ~cost:(fun i j -> 1 + ((i + j) mod 3)) 4);
+    ("random-5", 5, Programs.random_links ~seed:1 ~extra:1 5);
+    ("random-6", 6, Programs.random_links ~seed:2 ~extra:2 6);
+    ("random-6b", 6, Programs.random_links ~seed:3 ~max_cost:3 6);
+  ]
+
+let agreement_programs =
+  [
+    ("path-vector", fun _ -> Programs.path_vector ());
+    ( "bounded-dv",
+      fun n -> Programs.bounded_distance_vector ~max_hops:(n + 1) );
+    ("reachability", fun _ -> Programs.reachability ());
+    ("link-state", fun n -> Programs.link_state ~max_hops:(n + 1));
+  ]
+
+let evaluators_agree prog () =
+  let info = Analysis.analyze_exn prog in
+  let naive = Eval.naive prog info (Store.of_facts prog.Ast.facts) in
+  let semi = Eval.run_exn prog in
+  checkb "naive converged" true naive.Eval.converged;
+  checkb "semi-naive converged" true semi.Eval.converged;
+  checkb "naive = semi-naive fixpoint" true (Store.equal naive.Eval.db semi.Eval.db);
+  match Ideval.run_program prog with
+  | Error e -> Alcotest.failf "id-native analysis failed: %a" Analysis.pp_error e
+  | Ok (db, oc) ->
+    checkb "id-native = semi-naive fixpoint" true (Store.equal db semi.Eval.db);
+    checki "rounds" semi.Eval.rounds oc.Ideval.rounds;
+    checki "derivations" semi.Eval.derivations oc.Ideval.derivations;
+    checkb "join statistics" true (oc.Ideval.stats = semi.Eval.stats)
+
+let agreement_cases =
+  List.concat_map
+    (fun (pname, prog) ->
+      List.map
+        (fun (tname, n, links) ->
+          Alcotest.test_case (pname ^ " " ^ tname) `Quick
+            (evaluators_agree (Programs.with_links (prog n) links)))
+        agreement_topologies)
+    agreement_programs
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -2074,8 +2112,7 @@ let () =
           Alcotest.test_case "canonical order" `Quick test_intern_store_order;
           Alcotest.test_case "equal/hash across representations" `Quick
             test_intern_equal_hash_across_representations;
-        ]
-        @ qsuite [ prop_interned_equals_boxed ] );
+        ] );
       ( "flat",
         [
           Alcotest.test_case "tuple id boundary" `Quick test_intern_tuple_ids;
@@ -2091,6 +2128,7 @@ let () =
             test_ideval_execute_batch;
         ]
         @ qsuite [ prop_fset_model; prop_ideval_equals_eval ] );
+      ("evaluator_agreement", agreement_cases);
       ( "index",
         [
           Alcotest.test_case "lookup" `Quick test_store_lookup;
