@@ -832,6 +832,7 @@ type incr_row = {
   iv_incr_ms : float;
   iv_scratch_ms : float;
   iv_skipped : int;  (* incremental run: untouched strata skipped *)
+  iv_refolded : int;  (* incremental run: aggregate strata re-folded *)
   iv_fallbacks : int;  (* incremental run: from-scratch fallbacks *)
   iv_enum_incr : int;  (* view-path tuples enumerated, incremental *)
   iv_enum_scratch : int;  (* view-path tuples enumerated, from-scratch *)
@@ -945,6 +946,7 @@ let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
     iv_incr_ms = t_i *. 1e3;
     iv_scratch_ms = t_s *. 1e3;
     iv_skipped = view_i.Ndlog.Eval.strata_skipped;
+    iv_refolded = view_i.Ndlog.Eval.strata_refolded;
     iv_fallbacks = view_i.Ndlog.Eval.refresh_fallbacks;
     iv_enum_incr = view_i.Ndlog.Eval.enumerated;
     iv_enum_scratch = view_s.Ndlog.Eval.enumerated;
@@ -1435,6 +1437,7 @@ let emit_bench_json () =
         ("scratch_ms", Json.Float r.iv_scratch_ms);
         ("speedup", Json.Float (iv_speedup r));
         ("strata_skipped", Json.Int r.iv_skipped);
+        ("strata_refolded", Json.Int r.iv_refolded);
         ("refresh_fallbacks", Json.Int r.iv_fallbacks);
         ("enumerated_incremental", Json.Int r.iv_enum_incr);
         ("enumerated_scratch", Json.Int r.iv_enum_scratch);
@@ -2088,7 +2091,8 @@ let e13 () =
   table
     [
       "program"; "topology"; "tuples"; "msgs"; "incr"; "scratch"; "speedup";
-      "skipped"; "fallbacks"; "enum incr/scratch"; "enum saved"; "same fixpoint";
+      "skipped"; "refolded"; "fallbacks"; "enum incr/scratch"; "enum saved";
+      "same fixpoint";
     ]
     (List.map
        (fun r ->
@@ -2101,6 +2105,7 @@ let e13 () =
            Fmt.str "%.1f ms" r.iv_scratch_ms;
            Fmt.str "%.1fx" (iv_speedup r);
            string_of_int r.iv_skipped;
+           string_of_int r.iv_refolded;
            string_of_int r.iv_fallbacks;
            Fmt.str "%d/%d" r.iv_enum_incr r.iv_enum_scratch;
            Fmt.str "%.0f%%" (iv_enum_saved r);

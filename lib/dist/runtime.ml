@@ -34,16 +34,24 @@
    View refresh is incremental by default ([~incremental_views:true]):
    each node tracks its *dirty* base predicates — those whose relations
    changed since its last refresh, marked by local insertions, the
-   inbox flush path, and expiry sweeps — and a refresh walks the view
-   program's refresh strata ({!Ndlog.Eval.refresh_strata}) bottom-up,
-   skipping every stratum whose transitive support saw no dirty
-   predicate (its previous relations are still exact), seeding plain
-   strata with their previous relations plus the support deltas
-   (delta-driven re-derivation through {!Ndlog.Ideval.refresh_stratum}),
-   and falling back to from-scratch recomputation for strata with
-   aggregates or negation, or whose support lost tuples — all
-   non-monotone under seeding.  Skips and fallbacks are counted
-   ([strata_skipped] / [refresh_fallbacks] in {!Ndlog.Eval.stats}).
+   inbox flush path, and expiry sweeps, together with the tuples added
+   and removed — and a refresh walks the view program's refresh strata
+   ({!Ndlog.Eval.refresh_strata}) bottom-up.  Each stratum is brought
+   up to date in one of four ways, the last three by the mode fixed for
+   it at [create]:
+   - skip: no predicate in its transitive support is dirty, so its
+     previous relations are still exact;
+   - re-fold: an aggregate stratum of single-atom rules re-folds only
+     the groups whose body tuples were added or removed
+     ({!Ndlog.Ideval.refold_stratum}), for every aggregate kind;
+   - seed: a plain stratum takes its previous relations plus the
+     support deltas (delta-driven re-derivation through
+     {!Ndlog.Ideval.refresh_stratum});
+   - fallback: from-scratch recomputation for negation, other aggregate
+     shapes, and plain strata whose support lost tuples — all
+     non-monotone under seeding.
+   Skips, re-folds and fallbacks are counted ([strata_skipped] /
+   [strata_refolded] / [refresh_fallbacks] in {!Ndlog.Eval.stats}).
    [~incremental_views:false] restores the from-scratch refresh, kept
    as the differential oracle: both modes produce bit-identical node
    stores, fixpoints, message traces, and lease tables (qcheck property
@@ -108,12 +116,13 @@ type node_state = {
      maintained when [incremental_views] is on).  Invariant at every
      refresh: a base predicate is in [dirty] iff its relation changed
      since this node's last refresh; [dirty_delta] holds the tuples
-     added (and still present), [dirty_deleted] the predicates that
-     lost tuples (expiry) — deletions force the from-scratch fallback
-     for every stratum they support. *)
+     added (and still present), [dirty_removed] the tuples expiry
+     removed.  Removals select the groups a re-folded aggregate stratum
+     revisits, and force the from-scratch fallback for every plain
+     stratum they support. *)
   mutable dirty : Sset.t;
   mutable dirty_delta : Flat.t;
-  mutable dirty_deleted : Sset.t;
+  mutable dirty_removed : (string * int array) list;
   (* The previous refresh's view fixpoint (local- and remote-owned
      derived tuples, before the ship/received split): the baseline the
      in-place refresh seeds from and diffs against. *)
@@ -147,6 +156,16 @@ type node_state = {
   mutable view_holes : (string * int array) list;
 }
 
+(* How a touched refresh stratum is brought up to date, fixed at
+   [create]. *)
+type refresh_mode =
+  | Seed of Ideval.istrand list
+      (* plain: seeded delta re-derivation through its strands, unless
+         its support lost tuples *)
+  | Refold of Ideval.refold list
+      (* single-atom aggregates: re-fold only the touched groups *)
+  | Scratch  (* negation, or other aggregates: always from scratch *)
+
 type t = {
   program : Ast.program;
   info : Analysis.info;
@@ -156,12 +175,13 @@ type t = {
      logic below is backend-agnostic. *)
   transport : Transport.t;
   nodes : (string, node_state) Hashtbl.t;
-  (* Hosted node names in sorted order: every whole-network iteration
-     (view refresh, fact broadcast) walks this list, so message enqueue
-     order never depends on hash-table internals.  Under the default
+  (* Hosted nodes sorted by name: every whole-network iteration (view
+     refresh, fact broadcast) walks this array, so message enqueue
+     order never depends on hash-table internals, and the refresh walk
+     reaches each node without a by-name lookup.  Under the default
      transport this is every topology node; a multi-process run gives
      each runtime its own subset ([?hosted]). *)
-  node_names : string list;
+  hosted : node_state array;
   batch_inbox : bool;
   (* Predicates computed as refreshed views (aggregate strata and their
      local downstream).  The list keeps program order for deterministic
@@ -171,16 +191,19 @@ type t = {
   view_preds : string list;
   view_set : Sset.t;
   view_program : Ast.program;  (* the rules that define the views *)
+  (* Location column of each view predicate, for the ship paths. *)
+  view_locs : (string, int) Hashtbl.t;
   (* Compiled dataflow strands of the pipelined rules, indexed by their
      trigger (delta) predicate: the Click execution model.  The
      compilation is cardinality-independent, so one compiled strand
      serves every batch for the runtime's lifetime. *)
   strands : (string, Ideval.istrand list) Hashtbl.t;
   (* Incremental view refresh: dirty-predicate tracking plus the view
-     program's refresh strata, each with its delta strands.  Off: the
-     from-scratch refresh, kept as the differential oracle. *)
+     program's refresh strata, each with the way it is maintained when
+     touched.  Off: the from-scratch refresh, kept as the differential
+     oracle. *)
   incremental_views : bool;
-  refresh_plan : (Eval.refresh_stratum * Ideval.istrand list) list;
+  refresh_plan : (Eval.refresh_stratum * refresh_mode) list;
   (* Join counters, split by path (per-runtime: concurrent runtimes
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
@@ -435,7 +458,7 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
           renewing = Hashtbl.create 4;
           dirty = Sset.empty;
           dirty_delta = Flat.create ();
-          dirty_deleted = Sset.empty;
+          dirty_removed = [];
           last_fresh = Flat.create ();
           stale = false;
           sweep_armed = infinity;
@@ -464,20 +487,28 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
     | Some b -> b
     | None -> incremental_views_default ()
   in
-  (* Refresh strata of the view program, bottom-up, each with the delta
-     strands of its rules (empty for aggregate strata — those fall back
-     to from-scratch recomputation whenever touched). *)
+  (* Refresh strata of the view program, bottom-up, each with its
+     maintenance mode: seeded strands for plain strata, group-wise
+     re-fold for aggregate strata that admit it
+     ({!Ideval.refold_plan}), from scratch for the rest. *)
   let refresh_plan =
     List.map
       (fun (rs : Eval.refresh_stratum) ->
-        let strands =
-          if rs.Eval.rs_has_agg then []
+        let rules = rs.Eval.rs_rules in
+        let mode =
+          if rs.Eval.rs_has_neg then Scratch
+          else if rs.Eval.rs_has_agg then begin
+            match Ideval.refold_plan rules with
+            | Some refolds -> Refold refolds
+            | None -> Scratch
+          end
           else
-            List.map Ideval.of_strand
-              (Ndlog.Plan.compile_program
-                 { view_program with Ast.rules = rs.Eval.rs_rules })
+            Seed
+              (List.map Ideval.of_strand
+                 (Ndlog.Plan.compile_program
+                    { view_program with Ast.rules = rules }))
         in
-        (rs, strands))
+        (rs, mode))
       (Eval.refresh_strata view_program)
   in
   let t =
@@ -486,11 +517,14 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       info;
       transport;
       nodes;
-      node_names = List.sort String.compare hosted;
+      hosted =
+        Array.of_list
+          (List.map (Hashtbl.find nodes) (List.sort_uniq String.compare hosted));
       batch_inbox;
       view_preds;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
+      view_locs = loc_index_map view_program;
       strands;
       incremental_views;
       refresh_plan;
@@ -670,12 +704,13 @@ and schedule_expiry t self =
    expiry table ({!Softstate.Expiry.expired}) and each dead tuple pays
    one boxed-to-id translation — expiry batches are rare and small, so
    this boundary crossing stays off the hot path.  An expired base
-   tuple dirties its predicate and forces the from-scratch fallback for
-   every stratum it supports: deletions are non-monotone under seeded
-   re-derivation.  The sweep always re-arms for the next pending
-   deadline: it only drops leases lapsed *now*, and without the re-arm
-   later deadlines would only be swept if some insertion happened to
-   re-arm the timer. *)
+   tuple dirties its predicate and joins the node's removed list: the
+   next refresh re-folds its group in every aggregate stratum reading
+   it, and recomputes from scratch every plain stratum it supports
+   (deletions are non-monotone under seeded re-derivation).  The sweep
+   always re-arms for the next pending deadline: it only drops leases
+   lapsed *now*, and without the re-arm later deadlines would only be
+   swept if some insertion happened to re-arm the timer. *)
 and sweep t self =
   let ns = node t self in
   let now = t.transport.Transport.now () in
@@ -699,7 +734,7 @@ and sweep t self =
           ns.view_holes <- (pred, ids) :: ns.view_holes
         else if t.incremental_views then begin
           ns.dirty <- Sset.add pred ns.dirty;
-          ns.dirty_deleted <- Sset.add pred ns.dirty_deleted;
+          ns.dirty_removed <- (pred, ids) :: ns.dirty_removed;
           ignore (Flat.remove ns.dirty_delta pred ids)
         end)
       removed;
@@ -721,40 +756,50 @@ and request_refresh t =
 (* Incremental mode refreshes only stale nodes: a non-stale node's
    store is exactly what its last refresh left, so walking it would
    skip every stratum and change nothing — the avoided strata are still
-   credited to [strata_skipped], keeping the accounting identical to
-   the full walk.  The from-scratch oracle keeps walking every node
-   (recomputation on an unchanged base is its definition of correct,
-   and it has no staleness bookkeeping to trust). *)
+   credited to [strata_skipped] (one addition per walk), keeping the
+   accounting identical to the full walk.  The from-scratch oracle
+   keeps walking every node (recomputation on an unchanged base is its
+   definition of correct, and it has no staleness bookkeeping to
+   trust). *)
 and refresh_views t =
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun self ->
-      let ns = node t self in
-      if ns.stale || not t.incremental_views then refresh_node t self
-      else
-        List.iter
-          (fun _ -> Eval.note_stratum_skipped t.joins)
-          t.refresh_plan)
-    t.node_names;
+  let idle = ref 0 in
+  Array.iter
+    (fun ns ->
+      if ns.stale || not t.incremental_views then refresh_node t ns
+      else incr idle)
+    t.hosted;
+  Eval.note_strata_skipped t.joins (!idle * List.length t.refresh_plan);
   t.refresh_wall <- t.refresh_wall +. (Unix.gettimeofday () -. t0);
   t.refresh_walks <- t.refresh_walks + 1
 
 (* One node's incremental view fixpoint, journaled and in place: the
    working database IS the node's flat store, pre-seeded by
    [refresh_node] so that every view relation holds the previous
-   fixpoint; the delta accumulates into the node's own dirty-delta
-   database (replaced wholesale after the refresh); and per-stratum
-   movement is read off the undo journal ({!Flat.net_since}).
+   fixpoint; added support accumulates into the node's own dirty-delta
+   database (replaced wholesale after the refresh), removed support
+   into a set of the walk's own seeded with the node's expired tuples;
+   and per-stratum movement is read off the undo journal
+   ({!Flat.net_since}).
 
-   The walk visits the refresh strata bottom-up.  [changed] /
-   [deleted] start from the node's dirty sets and grow with each
-   recomputed stratum's own movement, so downstream strata see exactly
-   the support change that concerns them.  A skipped stratum's support
-   is unchanged since the last refresh, so its previous relations are
-   still its fixpoint; a seeded stratum is plain and monotone over
-   purely additive support change, where semi-naive iteration from the
-   previous fixpoint reaches the same fixpoint as from scratch; and
-   everything else is recomputed from scratch.
+   The walk visits the refresh strata bottom-up.  [changed] starts
+   from the node's dirty set, and [delta] / [removed] from its dirty
+   tuples; all three grow with each touched stratum's own movement, so
+   downstream strata see exactly the support change that concerns
+   them.  Each stratum is brought up to date in one of four ways:
+   - skip: its support is unchanged since the last refresh, so its
+     previous relations are still its fixpoint;
+   - re-fold: a single-atom aggregate stratum re-folds only the groups
+     holding an added or removed body tuple
+     ({!Ideval.refold_stratum}) — exact for any aggregate kind, inserts
+     and removals alike;
+   - seed: a plain stratum over purely additive support change runs
+     semi-naive iteration from its previous fixpoint
+     ({!Ideval.refresh_stratum}), which reaches the same fixpoint as
+     from scratch;
+   and everything else — negation, other aggregate shapes, plain
+   strata whose support lost tuples — falls back to recomputation from
+   scratch.
 
    Returns the per-predicate net movement against the previous
    fixpoint, which is exact because each touched stratum's relations
@@ -765,59 +810,70 @@ and refresh_views t =
 and incremental_fresh t ns (db : Flat.t) :
     (string * int array list * int array list) list =
   let delta = ns.dirty_delta in
+  (* The walk's removals: the node's expired tuples, then each touched
+     stratum's own. *)
+  let removed = Flat.create () in
+  List.iter
+    (fun (pred, ids) -> ignore (Flat.add removed pred ids))
+    ns.dirty_removed;
   let movement = ref [] in
-  let record acc ~track_deletions net =
+  let record changed net =
     List.fold_left
-      (fun (changed, deleted) (pred, adds, rems) ->
-        if adds = [] && rems = [] then (changed, deleted)
+      (fun changed (pred, adds, rems) ->
+        if adds = [] && rems = [] then changed
         else begin
           List.iter (fun ids -> ignore (Flat.add delta pred ids)) adds;
+          List.iter (fun ids -> ignore (Flat.add removed pred ids)) rems;
           movement := (pred, adds, rems) :: !movement;
-          ( Sset.add pred changed,
-            if track_deletions && rems <> [] then Sset.add pred deleted
-            else deleted )
+          Sset.add pred changed
         end)
-      acc net
+      changed net
+  in
+  (* Run one stratum's update under a journal mark and record its net
+     movement. *)
+  let journaled changed update =
+    let m = Flat.mark db in
+    update ();
+    let net = Flat.net_since db m in
+    Flat.commit db m;
+    record changed net
   in
   let _ =
     List.fold_left
-      (fun ((changed, deleted) as acc) ((rs : Eval.refresh_stratum), strands) ->
-        if not (Sset.exists (fun p -> Sset.mem p changed) rs.Eval.rs_support)
-        then begin
+      (fun changed ((rs : Eval.refresh_stratum), mode) ->
+        let support = rs.Eval.rs_support in
+        if not (Sset.exists (fun p -> Sset.mem p changed) support) then begin
           (* Untouched: the seeded relations are still exact. *)
-          Eval.note_stratum_skipped t.joins;
-          acc
+          Eval.note_strata_skipped t.joins 1;
+          changed
         end
-        else if
-          rs.Eval.rs_has_agg || rs.Eval.rs_has_neg
-          || Sset.exists (fun p -> Sset.mem p deleted) rs.Eval.rs_support
-        then begin
-          (* Aggregates and negation are non-monotone in their support,
-             and deletions are non-monotone under seeding: recompute the
-             stratum from scratch, its relations starting empty. *)
-          Eval.note_refresh_fallback t.joins;
-          let m = Flat.mark db in
-          List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
-          ignore
-            (Ideval.seminaive_stratum ~stats:t.joins t.view_program
-               rs.Eval.rs_preds db);
-          let net = Flat.net_since db m in
-          Flat.commit db m;
-          record acc ~track_deletions:true net
-        end
-        else begin
-          (* Plain monotone stratum over additive support change:
-             re-derive from the deltas on top of the seeded previous
-             relations.  Purely additive, so the journal holds only
-             genuine adds. *)
-          let m = Flat.mark db in
-          Ideval.refresh_stratum ~stats:t.joins db ~strands ~delta;
-          let net = Flat.net_since db m in
-          Flat.commit db m;
-          record acc ~track_deletions:false net
-        end)
-      (ns.dirty, ns.dirty_deleted)
-      t.refresh_plan
+        else
+          match mode with
+          | Refold refolds ->
+            Eval.note_stratum_refolded t.joins;
+            journaled changed (fun () ->
+                Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
+                  ~removed)
+          | Seed strands
+            when not
+                   (Sset.exists (fun p -> Flat.cardinal removed p > 0) support)
+            ->
+            (* Plain monotone stratum over additive support change:
+               purely additive, so the journal holds only genuine
+               adds. *)
+            journaled changed (fun () ->
+                Ideval.refresh_stratum ~stats:t.joins db ~strands ~delta)
+          | Seed _ | Scratch ->
+            (* Negation is non-monotone in its support, and removals are
+               non-monotone under seeding: recompute the stratum from
+               scratch, its relations starting empty. *)
+            Eval.note_refresh_fallback t.joins;
+            journaled changed (fun () ->
+                List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
+                ignore
+                  (Ideval.seminaive_stratum ~stats:t.joins t.view_program
+                     rs.Eval.rs_preds db)))
+      ns.dirty t.refresh_plan
   in
   !movement
 
@@ -835,9 +891,8 @@ and incremental_fresh t ns (db : Flat.t) :
    shipped-in arrival ([received]); [shipped.(pred)] is exactly the
    remote-owned part of the last fixpoint; [last_fresh] is the whole
    last fixpoint. *)
-and refresh_node t self =
-  let ns = node t self in
-  let db = ns.db in
+and refresh_node t ns =
+  let self = ns.name and db = ns.db in
   let prev = ns.last_fresh in
   (* Seed: stored form -> previous fixpoint.  Arrivals the fixpoint
      never derived leave, previously-shipped remote tuples re-enter,
@@ -863,7 +918,7 @@ and refresh_node t self =
       let movement = incremental_fresh t ns db in
       ns.dirty <- Sset.empty;
       ns.dirty_delta <- Flat.create ();
-      ns.dirty_deleted <- Sset.empty;
+      ns.dirty_removed <- [];
       movement
     end
     else begin
@@ -882,10 +937,9 @@ and refresh_node t self =
   (* Commit: replay the net movement onto the previous-fixpoint stash
      and the shipped sets, ship fresh remote-owned tuples (diff-only),
      and return the stored relations to their between-refresh shape. *)
-  let locs = loc_index_map t.view_program in
   List.iter
     (fun pred ->
-      let locopt = Hashtbl.find_opt locs pred in
+      let locopt = Hashtbl.find_opt t.view_locs pred in
       let adds, rems =
         match Hashtbl.find_opt net_tbl pred with
         | Some m -> m
@@ -979,12 +1033,12 @@ and renew t self pred lifetime =
   | None -> ()
   | Some set when Fset.is_empty set -> ()
   | Some set ->
-    let locs = loc_index_map t.view_program in
+    let locopt = Hashtbl.find_opt t.view_locs pred in
     List.iter
       (fun (tuple, ids) ->
         ignore
           (t.transport.Transport.send ~src:self
-             ~dst:(owner_exn (Hashtbl.find_opt locs pred) pred tuple)
+             ~dst:(owner_exn locopt pred tuple)
              { pred; tuple; ids = Some ids }))
       (sort_boxed
          (Fset.fold (fun ids acc -> (Intern.tuple_of_ids ids, ids) :: acc) set []));
@@ -1022,11 +1076,11 @@ let load_facts t =
         (* Unlocated facts are broadcast to every node, in sorted node
            order so the event queue's tie-breaker sees a deterministic
            sequence. *)
-        List.iter
-          (fun owner ->
+        Array.iter
+          (fun ns ->
             t.transport.Transport.schedule ~delay:0.0 (fun () ->
-                insert t owner f.Ast.fact_pred tuple))
-          t.node_names)
+                insert t ns.name f.Ast.fact_pred tuple))
+          t.hosted)
     t.program.Ast.facts
 
 type run_report = {
@@ -1047,6 +1101,7 @@ let diff_stats (a : Eval.stats) (b : Eval.stats) : Eval.stats =
     group_probes = a.Eval.group_probes - b.Eval.group_probes;
     delta_tuples = a.Eval.delta_tuples - b.Eval.delta_tuples;
     strata_skipped = a.Eval.strata_skipped - b.Eval.strata_skipped;
+    strata_refolded = a.Eval.strata_refolded - b.Eval.strata_refolded;
     refresh_fallbacks = a.Eval.refresh_fallbacks - b.Eval.refresh_fallbacks;
   }
 

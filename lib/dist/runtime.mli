@@ -42,14 +42,19 @@
     View refresh is {e incremental} by default: each node tracks its
     dirty base predicates (those whose relations changed since its last
     refresh — marked by local insertions, inbox flushes, and expiry
-    sweeps), and a refresh walks the view program's refresh strata
-    ({!Ndlog.Eval.refresh_strata}) bottom-up, skipping strata whose
-    transitive support saw no dirty predicate, seeding plain strata
-    with their previous relations plus the support deltas
-    ({!Ndlog.Ideval.refresh_stratum}), and recomputing from scratch
-    strata with aggregates or negation, or whose support lost tuples.
-    Skips and fallbacks are counted ([strata_skipped] /
-    [refresh_fallbacks]).  [~incremental_views:false] (or environment
+    sweeps — with the tuples added and removed), and a refresh walks
+    the view program's refresh strata ({!Ndlog.Eval.refresh_strata})
+    bottom-up: it {e skips} strata whose transitive support saw no
+    dirty predicate, {e re-folds} single-atom aggregate strata group by
+    group — only the groups whose body tuples were added or removed
+    ({!Ndlog.Ideval.refold_stratum}) — {e seeds} plain strata with
+    their previous relations plus the support deltas
+    ({!Ndlog.Ideval.refresh_stratum}), and {e falls back} to
+    recomputing from scratch strata with negation or other aggregate
+    shapes, and plain strata whose support lost tuples.  Skips,
+    re-folds and fallbacks are counted ([strata_skipped] /
+    [strata_refolded] / [refresh_fallbacks]).
+    [~incremental_views:false] (or environment
     variable [FVN_INCREMENTAL_VIEWS=0]) restores the from-scratch
     refresh, kept as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
@@ -128,7 +133,14 @@ val create :
     [incremental_views] selects the view refresh mode (default: [true],
     unless environment variable [FVN_INCREMENTAL_VIEWS] is set to [0],
     [false], [no], or [off] — the hook the test suite's oracle pass
-    uses).
+    uses).  Under incremental refresh, [create] fixes each refresh
+    stratum's mode once: plain strata get their seeded delta strands,
+    aggregate strata whose rules all have a single-atom body
+    ({!Ndlog.Eval.agg_index_shape}) and distinct heads are re-folded
+    group-wise, and any other aggregate or negation stratum is
+    recomputed from scratch when touched.  Hosted node states are
+    kept sorted by name for the refresh walk, and the view predicates'
+    location columns are computed here once for the ship paths.
     @raise Not_localized when some rule body spans locations (run
     {!Ndlog.Localize.rewrite_program} first).
     @raise Remote_view_deletion when a hard-state view head is shipped
@@ -159,9 +171,11 @@ type run_report = {
   view_stats : Ndlog.Eval.stats;
       (** the view-refresh share of [eval_stats]; under incremental
           refresh, [view_stats.strata_skipped] counts untouched strata
-          skipped outright and [view_stats.refresh_fallbacks] counts
-          touched strata recomputed from scratch (aggregates, negation,
-          or deletions in support) *)
+          skipped outright, [view_stats.strata_refolded] touched
+          aggregate strata re-folded group by group, and
+          [view_stats.refresh_fallbacks] touched strata recomputed from
+          scratch (negation, multi-atom aggregate bodies, or plain
+          strata whose support lost tuples) *)
 }
 
 val run : ?until:float -> ?max_events:int -> t -> run_report

@@ -54,6 +54,7 @@ type stats = {
   group_probes : int;  (* grouped delta probes issued *)
   delta_tuples : int;  (* delta tuples fed through delta joins *)
   strata_skipped : int;  (* view strata skipped by dirty tracking *)
+  strata_refolded : int;  (* aggregate strata re-folded group by group *)
   refresh_fallbacks : int;  (* touched strata recomputed from scratch *)
 }
 
@@ -75,6 +76,7 @@ let zero_stats =
     group_probes = 0;
     delta_tuples = 0;
     strata_skipped = 0;
+    strata_refolded = 0;
     refresh_fallbacks = 0;
   }
 
@@ -88,6 +90,7 @@ let add_stats a b =
     group_probes = a.group_probes + b.group_probes;
     delta_tuples = a.delta_tuples + b.delta_tuples;
     strata_skipped = a.strata_skipped + b.strata_skipped;
+    strata_refolded = a.strata_refolded + b.strata_refolded;
     refresh_fallbacks = a.refresh_fallbacks + b.refresh_fallbacks;
   }
 
@@ -103,6 +106,7 @@ type counters = {
   mutable c_group_probes : int;
   mutable c_delta_tuples : int;
   mutable c_strata_skipped : int;
+  mutable c_strata_refolded : int;
   mutable c_refresh_fallbacks : int;
 }
 
@@ -116,6 +120,7 @@ let counters () =
     c_group_probes = 0;
     c_delta_tuples = 0;
     c_strata_skipped = 0;
+    c_strata_refolded = 0;
     c_refresh_fallbacks = 0;
   }
 
@@ -129,6 +134,7 @@ let snapshot c =
     group_probes = c.c_group_probes;
     delta_tuples = c.c_delta_tuples;
     strata_skipped = c.c_strata_skipped;
+    strata_refolded = c.c_strata_refolded;
     refresh_fallbacks = c.c_refresh_fallbacks;
   }
 
@@ -141,17 +147,20 @@ let accumulate c (s : stats) =
   c.c_group_probes <- c.c_group_probes + s.group_probes;
   c.c_delta_tuples <- c.c_delta_tuples + s.delta_tuples;
   c.c_strata_skipped <- c.c_strata_skipped + s.strata_skipped;
+  c.c_strata_refolded <- c.c_strata_refolded + s.strata_refolded;
   c.c_refresh_fallbacks <- c.c_refresh_fallbacks + s.refresh_fallbacks
 
-let note_stratum_skipped c = c.c_strata_skipped <- c.c_strata_skipped + 1
+let note_strata_skipped c n = c.c_strata_skipped <- c.c_strata_skipped + n
+let note_stratum_refolded c = c.c_strata_refolded <- c.c_strata_refolded + 1
 let note_refresh_fallback c = c.c_refresh_fallbacks <- c.c_refresh_fallbacks + 1
 
 let pp_stats ppf s =
   Fmt.pf ppf
     "index_hits=%d scans=%d enumerated=%d matched=%d groups=%d \
-     group_probes=%d delta_tuples=%d strata_skipped=%d refresh_fallbacks=%d"
+     group_probes=%d delta_tuples=%d strata_skipped=%d strata_refolded=%d \
+     refresh_fallbacks=%d"
     s.index_hits s.scans s.enumerated s.matched s.groups s.group_probes
-    s.delta_tuples s.strata_skipped s.refresh_fallbacks
+    s.delta_tuples s.strata_skipped s.strata_refolded s.refresh_fallbacks
 
 let use_indexes = ref true
 let use_reordering = ref true

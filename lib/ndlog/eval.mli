@@ -44,10 +44,15 @@ type stats = {
           refresh in {!Dist.Runtime}): no predicate in the stratum's
           transitive support changed, so its previous relations were
           reused without any evaluation work *)
+  strata_refolded : int;
+      (** touched aggregate strata maintained group by group: only the
+          groups whose body tuples were added or removed since the last
+          refresh are re-folded ({!Ideval.refold_stratum}) *)
   refresh_fallbacks : int;
       (** touched view strata recomputed from scratch instead of
-          incrementally: strata with aggregates or negation, or whose
-          support lost tuples (soft-state expiry) — both non-monotone
+          incrementally: strata with negation or with aggregates outside
+          the re-fold shape, and plain strata whose support lost tuples
+          (soft-state expiry, a replaced aggregate) — all non-monotone
           under seeded re-derivation *)
 }
 
@@ -84,6 +89,7 @@ type counters = {
   mutable c_group_probes : int;
   mutable c_delta_tuples : int;
   mutable c_strata_skipped : int;
+  mutable c_strata_refolded : int;
   mutable c_refresh_fallbacks : int;
 }
 
@@ -96,10 +102,13 @@ val snapshot : counters -> stats
 val accumulate : counters -> stats -> unit
 (** Add a snapshot into an accumulator. *)
 
-val note_stratum_skipped : counters -> unit
-(** Count one view stratum skipped by dirty-predicate tracking.  The
-    skip decision lives in the refresh loop ({!Dist.Runtime}), not in
-    an evaluation run, so it is recorded directly on the accumulator. *)
+val note_strata_skipped : counters -> int -> unit
+(** Count view strata skipped by dirty-predicate tracking.  The skip
+    decision lives in the refresh loop ({!Dist.Runtime}), not in an
+    evaluation run, so it is recorded directly on the accumulator. *)
+
+val note_stratum_refolded : counters -> unit
+(** Count one touched aggregate stratum re-folded group by group. *)
 
 val note_refresh_fallback : counters -> unit
 (** Count one touched view stratum recomputed from scratch. *)

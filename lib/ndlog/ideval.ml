@@ -772,6 +772,120 @@ let refresh_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
   in
   loop delta
 
+(* Group-wise maintenance of one aggregate view stratum.
+
+   A rule of {!Eval.agg_index_shape} — a single positive body atom over
+   distinct bare variables — produces exactly one head tuple per
+   non-empty group of its body relation, and a group's head depends on
+   that group's tuples alone.  So after the body relation moved, only
+   the groups holding an added or removed body tuple can have a
+   different head: re-folding those from the current body relation, and
+   replacing their old heads, reaches the from-scratch result for every
+   aggregate kind without support counts or per-kind deletion logic. *)
+type refold = {
+  rf_head : string;
+  rf_body : string;
+  rf_arity : int;  (* body atom arity: tuples of another arity never match *)
+  rf_cols : int array;  (* the body's group-by columns, ascending *)
+  rf_key_pos : int array;  (* per group column, a head position reading it *)
+  rf_slots : Eval.agg_slot array;  (* one per head argument *)
+}
+
+let refold_of_rule (r : Ast.rule) : refold option =
+  if not (Ast.has_aggregate r.Ast.head) then None
+  else
+    match Eval.agg_index_shape r with
+    | None -> None
+    | Some (a, slots) ->
+      let slots = Array.of_list slots in
+      let cols =
+        List.sort_uniq Stdlib.compare
+          (List.filter_map
+             (function Eval.Group i -> Some i | Eval.Fold _ -> None)
+             (Array.to_list slots))
+      in
+      let head_pos c =
+        let rec go j = if slots.(j) = Eval.Group c then j else go (j + 1) in
+        go 0
+      in
+      Some
+        {
+          rf_head = r.Ast.head.Ast.head_pred;
+          rf_body = a.Ast.pred;
+          rf_arity = List.length a.Ast.args;
+          rf_cols = Array.of_list cols;
+          rf_key_pos = Array.of_list (List.map head_pos cols);
+          rf_slots = slots;
+        }
+
+(* The whole stratum re-folds only when each head relation is exactly
+   one rule's per-group output computed from relations below it: every
+   rule has the shape, no two rules share a head, and no body reads a
+   head of the stratum. *)
+let refold_plan (rules : Ast.rule list) : refold list option =
+  let refolds = List.filter_map refold_of_rule rules in
+  let heads = List.map (fun rf -> rf.rf_head) refolds in
+  if
+    List.length refolds = List.length rules
+    && List.length (List.sort_uniq String.compare heads) = List.length heads
+    && not (List.exists (fun rf -> List.mem rf.rf_body heads) refolds)
+  then Some refolds
+  else None
+
+let refold_one (st : Eval.counters) fdb ~added ~removed (rf : refold) =
+  let body_key (t : int array) = Array.map (fun c -> t.(c)) rf.rf_cols in
+  (* Touched groups, each collecting its current body rows below. *)
+  let touched : int array list ref Ktbl.t = Ktbl.create 16 in
+  let touch t =
+    if Array.length t = rf.rf_arity then begin
+      let k = body_key t in
+      if not (Ktbl.mem touched k) then Ktbl.add touched k (ref [])
+    end
+  in
+  Flat.iter_rel added rf.rf_body touch;
+  Flat.iter_rel removed rf.rf_body touch;
+  if Ktbl.length touched > 0 then begin
+    st.Eval.c_scans <- st.Eval.c_scans + 1;
+    Flat.iter_rel fdb rf.rf_body (fun t ->
+        st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
+        if Array.length t = rf.rf_arity then
+          match Ktbl.find_opt touched (body_key t) with
+          | Some rows ->
+            st.Eval.c_matched <- st.Eval.c_matched + 1;
+            rows := t :: !rows
+          | None -> ());
+    (* The previous head of each touched group: one at most, since the
+       head relation holds exactly this rule's previous output. *)
+    let old : int array Ktbl.t = Ktbl.create 16 in
+    Flat.iter_rel fdb rf.rf_head (fun h ->
+        let k = Array.map (fun j -> h.(j)) rf.rf_key_pos in
+        if Ktbl.mem touched k then Ktbl.replace old k h);
+    Ktbl.iter
+      (fun k rows ->
+        let fresh =
+          match !rows with
+          | [] -> None
+          | first :: _ as rows ->
+            Some
+              (Array.map
+                 (function
+                   | Eval.Group i -> first.(i)
+                   | Eval.Fold (agg, i) ->
+                     agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
+                 rf.rf_slots)
+        in
+        match Ktbl.find_opt old k, fresh with
+        | Some h, Some h' when Fset.tuple_eq h h' -> ()
+        | prev, fresh ->
+          Option.iter (fun h -> ignore (Flat.remove fdb rf.rf_head h)) prev;
+          Option.iter (fun h -> ignore (Flat.add fdb rf.rf_head h)) fresh)
+      touched
+  end
+
+let refold_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
+    ~(refolds : refold list) ~(added : Flat.t) ~(removed : Flat.t) : unit =
+  List.iter (refold_one stats fdb ~added ~removed) refolds
+
 (* Convenience for differential tests: run a whole program id-natively
    from its facts, returning the materialized boxed fixpoint alongside
    the run accounting. *)

@@ -58,6 +58,36 @@ val refresh_stratum :
     purely additive support change — the incremental refresh loop
     falls back to from-scratch recomputation otherwise. *)
 
+type refold
+(** An aggregate rule of the {!Eval.agg_index_shape} (a single positive
+    body atom over distinct bare variables), compiled for group-wise
+    maintenance: its head and body predicates, the body's group-by
+    columns, and where the head carries each of them. *)
+
+val refold_plan : Ast.rule list -> refold list option
+(** [Some] when a stratum's rules can be maintained group-wise: each is
+    an aggregate rule of {!Eval.agg_index_shape}, no two share a head
+    predicate, and no body reads one of their heads — so every head
+    relation is exactly one rule's per-group output over relations
+    below the stratum. *)
+
+val refold_stratum :
+  ?stats:Eval.counters ->
+  Flat.t ->
+  refolds:refold list ->
+  added:Flat.t ->
+  removed:Flat.t ->
+  unit
+(** Group-wise maintenance of one aggregate view stratum, mutating the
+    working database: [fdb] holds the stratum's previous fixpoint on
+    top of the current support, [added] / [removed] the support tuples
+    added and removed since.  For each rule, the groups holding an
+    added or removed body tuple are re-folded from the current body
+    relation (one scan), and each such group's old head tuple (one scan
+    of the head relation) is replaced only if it differs, or removed if
+    the group emptied.  The result equals the from-scratch aggregate for
+    every aggregate kind, given a plan from {!refold_plan}. *)
+
 (** {1 Fixpoint drivers} *)
 
 type outcome = {

@@ -448,6 +448,110 @@ let test_remote_view_check_accepts_canonical () =
    observationally identical to the from-scratch oracle, and must
    actually skip work. *)
 
+(* Schedule each step's [(node, pred, tuple)] insertions at the step's
+   simulated time [until]. *)
+let schedule_steps rt steps =
+  List.iter
+    (fun (until, insertions) ->
+      Netsim.Sim.at (Runtime.simulator rt) ~time:until (fun () ->
+          List.iter
+            (fun (nm, pred, tuple) -> Runtime.insert rt nm pred tuple)
+            insertions))
+    steps
+
+(* Run [p] over [links] under both refresh modes and list every
+   observable difference ([] when they agree).  [steps] drives the run:
+   each [(until, insertions)] inserts at simulated time [until], runs
+   the simulator to [until] and compares every node's store and lease
+   table; a final run to t = 80 is followed by the full comparison —
+   node stores, global fixpoint, message trace, leases and insert
+   counts.  Also returns the incremental run's view-refresh
+   counters. *)
+let refresh_modes_diff links p steps =
+  let nodes = Topo.nodes (topo_of_links links) in
+  let snapshots rt =
+    List.map
+      (fun nm -> (nm, Runtime.node_store rt nm, Runtime.node_leases rt nm))
+      nodes
+  in
+  let go ~incremental_views =
+    let rt = Runtime.create ~incremental_views (topo_of_links links) p in
+    Netsim.Sim.set_tracing (Runtime.simulator rt) true;
+    Runtime.load_facts rt;
+    schedule_steps rt steps;
+    let views = ref Eval.zero_stats in
+    let run until =
+      let rep = Runtime.run rt ~until in
+      views := Eval.add_stats !views rep.Runtime.view_stats;
+      rep
+    in
+    let mid =
+      List.map
+        (fun (until, _) ->
+          ignore (run until);
+          (until, snapshots rt))
+        steps
+    in
+    let rep = run 80.0 in
+    (rt, rep, mid, !views)
+  in
+  let rt_i, rep_i, mid_i, views_i = go ~incremental_views:true in
+  let rt_s, rep_s, mid_s, _ = go ~incremental_views:false in
+  let node_diffs label a b =
+    List.concat
+      (List.map2
+         (fun (nm, store_a, leases_a) (_, store_b, leases_b) ->
+           (if Store.equal store_a store_b then []
+            else [ Printf.sprintf "%s: store of %s" label nm ])
+           @
+           if leases_a = leases_b then []
+           else [ Printf.sprintf "%s: leases of %s" label nm ])
+         a b)
+  in
+  let check what ok = if ok then [] else [ what ] in
+  let diffs =
+    List.concat
+      (List.map2
+         (fun (until, a) (_, b) ->
+           node_diffs (Printf.sprintf "t=%g" until) a b)
+         mid_i mid_s)
+    @ node_diffs "final" (snapshots rt_i) (snapshots rt_s)
+    @ check "incremental run quiesced" rep_i.Runtime.stats.Netsim.Sim.quiesced
+    @ check "from-scratch run quiesced" rep_s.Runtime.stats.Netsim.Sim.quiesced
+    @ check "global store"
+        (Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_s))
+    @ check "insert counts"
+        (rep_i.Runtime.total_inserts = rep_s.Runtime.total_inserts)
+    @ check "message trace"
+        (Netsim.Sim.trace (Runtime.simulator rt_i)
+        = Netsim.Sim.trace (Runtime.simulator rt_s))
+  in
+  (diffs, views_i)
+
+(* Aggregates over a lower view: [best] (min) feeds a plain filter
+   [far], a count over it, a sum and max over [best] itself, and a
+   shipped soft copy [rep].  Replacing a best path removes a [best]
+   tuple, so the removal reaches the upper aggregates through the
+   lower strata's movement, not through expiry directly. *)
+let agg_lower_view_src =
+  {|
+materialize(link, infinity).
+materialize(obs, 3).
+materialize(best, infinity).
+materialize(far, infinity).
+materialize(nfar, infinity).
+materialize(load, infinity).
+materialize(worst, infinity).
+materialize(rep, 10).
+
+v1 best(@S, D, min<C>) :- obs(@S, D, C).
+v2 far(@S, D, C) :- best(@S, D, C), C > 4.
+v3 nfar(@S, count<D>) :- far(@S, D, C).
+v4 load(@S, sum<C>) :- best(@S, D, C).
+v5 worst(@S, max<C>) :- best(@S, D, C).
+v6 rep(@D, S, C) :- best(@S, D, C).
+|}
+
 (* Differential property: over random localized view programs ×
    topologies × refresh/expiry interleavings, the incremental and
    from-scratch runtimes produce bit-identical per-node stores, global
@@ -457,9 +561,9 @@ let prop_incremental_equivalence =
   QCheck.Test.make
     ~name:
       "incremental = from-scratch refresh (stores, traces, leases)"
-    ~count:15
+    ~count:20
     QCheck.(
-      quad (int_range 0 2) (int_range 0 2) (int_range 3 6) (int_range 0 4))
+      quad (int_range 0 3) (int_range 0 2) (int_range 3 6) (int_range 0 4))
     (fun (prog_i, topo_i, n, extra) ->
       let links =
         match topo_i with
@@ -480,7 +584,19 @@ let prop_incremental_equivalence =
       let staged =
         List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
       in
-      let soft = prog_i = 2 in
+      let soft = prog_i >= 2 in
+      let with_obs src =
+        let p = Programs.with_links (Programs.parse_exn src) links in
+        {
+          p with
+          Ast.facts =
+            p.Ast.facts
+            @ List.map
+                (fun (s, d) ->
+                  Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
+                staged;
+        }
+      in
       let p =
         match prog_i with
         | 0 ->
@@ -490,53 +606,135 @@ let prop_incremental_equivalence =
             (Programs.with_links
                (Programs.bounded_distance_vector ~max_hops:(n + 1))
                links)
-        | _ ->
+        | 2 ->
           (* Soft support under a shipped soft view: obs expires, best
              is withdrawn, rep's remote lease lapses. *)
-          let p = Programs.with_links (Programs.parse_exn ship_view_src) links in
-          {
-            p with
-            Ast.facts =
-              p.Ast.facts
-              @ List.map
-                  (fun (s, d) ->
-                    Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                  staged;
-          }
+          with_obs ship_view_src
+        | _ ->
+          (* Count, sum and max re-folded over expiring soft support,
+             one of them over a lower view. *)
+          with_obs agg_lower_view_src
       in
-      let go ~incremental_views =
-        let rt = Runtime.create ~incremental_views (topo_of_links links) p in
-        Netsim.Sim.set_tracing (Runtime.simulator rt) true;
-        Runtime.load_facts rt;
-        ignore (Runtime.run rt ~until:1.0);
-        (* Interleave insertions with partial runs so refreshes land
-           between (and during) lease windows. *)
-        List.iteri
+      (* Interleave insertions with partial runs so refreshes land
+         between (and during) lease windows. *)
+      let steps =
+        List.mapi
           (fun i (s, d) ->
-            if soft then
-              Runtime.insert rt s "obs" [| V.Addr s; V.Addr d; V.Int (9 + i) |]
-            else
-              Runtime.insert rt s "link" [| V.Addr s; V.Addr d; V.Int (2 + i) |];
-            ignore (Runtime.run rt ~until:(1.5 +. (0.5 *. float_of_int i))))
-          staged;
-        let rep = Runtime.run rt ~until:80.0 in
-        (rt, rep)
+            ( 1.0 +. (0.5 *. float_of_int i),
+              [
+                (if soft then
+                   (s, "obs", [| V.Addr s; V.Addr d; V.Int (9 + i) |])
+                 else (s, "link", [| V.Addr s; V.Addr d; V.Int (2 + i) |]));
+              ] ))
+          staged
       in
-      let rt_i, rep_i = go ~incremental_views:true in
-      let rt_s, rep_s = go ~incremental_views:false in
-      let nodes = Topo.nodes (topo_of_links links) in
-      rep_i.Runtime.stats.Netsim.Sim.quiesced
-      && rep_s.Runtime.stats.Netsim.Sim.quiesced
-      && Store.equal (Runtime.global_store rt_i) (Runtime.global_store rt_s)
-      && rep_i.Runtime.total_inserts = rep_s.Runtime.total_inserts
-      && Netsim.Sim.trace (Runtime.simulator rt_i)
-         = Netsim.Sim.trace (Runtime.simulator rt_s)
-      && List.for_all
-           (fun nm ->
-             Store.equal (Runtime.node_store rt_i nm)
-               (Runtime.node_store rt_s nm)
-             && Runtime.node_leases rt_i nm = Runtime.node_leases rt_s nm)
-           nodes)
+      fst (refresh_modes_diff links p steps) = [])
+
+(* ------------------------------------------------------------------ *)
+(* Group-wise aggregate re-fold: every aggregate kind, under soft
+   support whose expiry both shrinks and empties groups, must match the
+   from-scratch oracle step by step. *)
+
+let agg_refold_cases =
+  let over_obs head rule =
+    Printf.sprintf
+      "materialize(link, infinity).\n\
+       materialize(obs, 3).\n\
+       materialize(%s, infinity).\n\
+       v1 %s :- obs(@S, D, C).\n"
+      head rule
+  in
+  [
+    ("max", over_obs "top" "top(@S, D, max<C>)");
+    ("count", over_obs "cnt" "cnt(@S, D, count<C>)");
+    ("sum", over_obs "tot" "tot(@S, D, sum<C>)");
+    ("several aggregates in one head",
+     over_obs "span" "span(@S, D, min<C>, max<C>, count<C>, sum<C>)");
+    ("over a lower view", agg_lower_view_src);
+  ]
+
+(* Soft observations on a 3-node line, lifetime 3.  Group (n0, n1)
+   grows to {3, 5, 8, 9} and then shrinks as the facts lapse at t = 3
+   ({3, 9}), t = 4 ({9}), and empties at t = 5; group (n0, n2) empties
+   at t = 3; group (n1, n2) shrinks to {1} at t = 3; (n1, n0, 2) is
+   renewed at t = 2.5 and lapses at t = 5.5. *)
+let agg_refold_links = Programs.line_links 3
+
+let agg_refold_program src =
+  let obs s d c = Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int c ] in
+  let p = Programs.with_links (Programs.parse_exn src) agg_refold_links in
+  {
+    p with
+    Ast.facts =
+      p.Ast.facts
+      @ [
+          obs "n0" "n1" 5; obs "n0" "n1" 8; obs "n0" "n2" 4; obs "n1" "n2" 6;
+          obs "n1" "n0" 2;
+        ];
+  }
+
+let agg_refold_steps =
+  let obs s d c = (s, "obs", [| V.Addr s; V.Addr d; V.Int c |]) in
+  [
+    (0.5, []);
+    (1.0, [ obs "n0" "n1" 3 ]);
+    (1.5, []);
+    (2.0, [ obs "n0" "n1" 9; obs "n1" "n2" 1 ]);
+    (2.5, [ obs "n1" "n0" 2 ]);
+    (3.5, []);
+    (4.5, []);
+    (5.2, []);
+    (6.0, []);
+  ]
+
+let agg_refold_table =
+  List.map
+    (fun (name, src) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let diffs, views =
+            refresh_modes_diff agg_refold_links (agg_refold_program src)
+              agg_refold_steps
+          in
+          Alcotest.(check (list string))
+            "incremental = from-scratch at every step" [] diffs;
+          checkb "aggregate strata were re-folded" true
+            (views.Eval.strata_refolded > 0)))
+    agg_refold_cases
+
+(* The re-fold tracks each group's value as expiry shrinks and then
+   empties it (the values the table above only compares across
+   modes). *)
+let test_refold_tracks_expiry () =
+  let p =
+    agg_refold_program
+      (List.assoc "several aggregates in one head" agg_refold_cases)
+  in
+  let rt =
+    Runtime.create ~incremental_views:true (topo_of_links agg_refold_links) p
+  in
+  Runtime.load_facts rt;
+  schedule_steps rt agg_refold_steps;
+  let span d =
+    Store.tuples "span" (Runtime.node_store rt "n0")
+    |> List.filter (fun t -> V.equal t.(1) (V.Addr d))
+    |> List.map (fun t ->
+           Array.to_list (Array.map V.as_int (Array.sub t 2 4)))
+  in
+  let at until expected =
+    ignore (Runtime.run rt ~until);
+    List.iter
+      (fun (d, rows) ->
+        Alcotest.(check (list (list int)))
+          (Printf.sprintf "span(n0, %s) at t=%g" d until)
+          rows (span d))
+      expected
+  in
+  at 0.5 [ ("n1", [ [ 5; 8; 2; 13 ] ]); ("n2", [ [ 4; 4; 1; 4 ] ]) ];
+  at 1.5 [ ("n1", [ [ 3; 8; 3; 16 ] ]) ];
+  at 2.5 [ ("n1", [ [ 3; 9; 4; 25 ] ]); ("n2", [ [ 4; 4; 1; 4 ] ]) ];
+  at 3.5 [ ("n1", [ [ 3; 9; 2; 12 ] ]); ("n2", []) ];
+  at 4.5 [ ("n1", [ [ 9; 9; 1; 9 ] ]) ];
+  at 5.2 [ ("n1", []) ]
 
 (* Independent semantic oracle: the naive centralized evaluator — the
    simplest evaluator in the repository, sharing no code path with the
@@ -767,12 +965,15 @@ let test_untouched_stratum_zero_work () =
   checki "no fallbacks" 0 vs.Eval.refresh_fallbacks;
   checki "zero tuples enumerated by refresh" 0 vs.Eval.enumerated;
   checki "zero index probes by refresh" 0 vs.Eval.index_hits;
-  (* A support insertion, by contrast, recomputes the aggregate stratum
-     (fallback) and seeds the plain one. *)
+  (* A support insertion, by contrast, re-folds the aggregate stratum's
+     one touched group; the new minimum replaces the old [best] tuple,
+     so the plain stratum above, whose support lost that tuple, is
+     recomputed from scratch. *)
   Runtime.insert rt "n0" "obs" [| V.Addr "n0"; V.Addr "n1"; V.Int 1 |];
   let rep2 = Runtime.run rt in
   let vs2 = rep2.Runtime.view_stats in
-  checkb "aggregate stratum fell back" true (vs2.Eval.refresh_fallbacks > 0);
+  checki "aggregate stratum re-folded" 1 vs2.Eval.strata_refolded;
+  checki "downstream plain stratum fell back" 1 vs2.Eval.refresh_fallbacks;
   let n0 = Runtime.node_store rt "n0" in
   checkb "new minimum took over" true
     (Store.tuples "best" n0
@@ -1251,7 +1452,10 @@ let () =
             test_missing_tuple_location_unreachable;
           Alcotest.test_case "remote-view printer and table" `Quick
             test_remote_view_printer_and_table;
+          Alcotest.test_case "re-fold tracks expiry" `Quick
+            test_refold_tracks_expiry;
         ] );
+      ("agg_refold", agg_refold_table);
       ("naive_oracle", oracle_table_cases);
       ( "distance_vector",
         [
