@@ -73,7 +73,11 @@ let make_labeled ?(pp = default_pp) ?(equal = ( = )) ?(hash = Hashtbl.hash)
    maps every key to its orbit representative before hashing — the
    symmetry quotient lives here, so exploration still works with real
    states (and real traces) while the table identifies states up to
-   symmetry. *)
+   symmetry.
+
+   Canonicalization is the expensive step, so the search loops compute
+   a state's {!key} (representative plus hash) once and reuse it for
+   the POR newness check, the lookup and the insert. *)
 module Table = struct
   type 'state t = {
     equal : 'state -> 'state -> bool;
@@ -81,30 +85,39 @@ module Table = struct
     canon : 'state -> 'state;
     tbl : (int, ('state * int) list ref) Hashtbl.t;
     (* hash -> (canonical state, visitation id) bucket *)
+    mutable size : int;  (* entries added, duplicates included *)
   }
 
+  type 'state key = { rep : 'state; h : int }
+
   let create ?(equal = ( = )) ?(hash = Hashtbl.hash) ?(canon = Fun.id) () =
-    { equal; hash; canon; tbl = Hashtbl.create 1024 }
+    { equal; hash; canon; tbl = Hashtbl.create 1024; size = 0 }
 
   let of_system ?canon (sys : ('state, 'action) sys) =
     create ~equal:sys.equal ~hash:sys.hash ?canon ()
 
-  let find (t : 'state t) s =
-    let s = t.canon s in
-    match Hashtbl.find_opt t.tbl (t.hash s) with
+  let key (t : 'state t) s =
+    let rep = t.canon s in
+    { rep; h = t.hash rep }
+
+  let find_key (t : 'state t) k =
+    match Hashtbl.find_opt t.tbl k.h with
     | None -> None
     | Some bucket ->
-      List.find_opt (fun (s', _) -> t.equal s' s) !bucket |> Option.map snd
+      List.find_opt (fun (s', _) -> t.equal s' k.rep) !bucket
+      |> Option.map snd
 
-  let add (t : 'state t) s id =
-    let s = t.canon s in
-    let h = t.hash s in
-    match Hashtbl.find_opt t.tbl h with
-    | None -> Hashtbl.replace t.tbl h (ref [ (s, id) ])
-    | Some bucket -> bucket := (s, id) :: !bucket
+  let add_key (t : 'state t) k id =
+    (match Hashtbl.find_opt t.tbl k.h with
+    | None -> Hashtbl.replace t.tbl k.h (ref [ (k.rep, id) ])
+    | Some bucket -> bucket := (k.rep, id) :: !bucket);
+    t.size <- t.size + 1
 
-  let mem t s = find t s <> None
-  let size t = Hashtbl.fold (fun _ b acc -> acc + List.length !b) t.tbl 0
+  let mem_key t k = find_key t k <> None
+  let find t s = find_key t (key t s)
+  let add t s id = add_key t (key t s) id
+  let mem t s = mem_key t (key t s)
+  let size t = t.size
   let buckets t = Hashtbl.length t.tbl
 
   let max_bucket t =
@@ -140,18 +153,31 @@ type 'state stats = {
      invisible (unable to change the invariant's verdict), unless the
      caller declares the invariant stable — once violated, violated in
      every extension — in which case reaching the terminal fixpoint
-     is enough and the condition can be dropped. *)
+     is enough and the condition can be dropped.
+
+   Successors come paired with their table keys, each computed at most
+   once: the ample candidate's key serves the caller's lookup and
+   insert too. *)
 let expansion (sys : ('state, 'action) sys) ~por ~require_invisible visited s :
-    'state list =
+    ('state * 'state Table.key) list =
+  let keyed s' = (s', Table.key visited s') in
   match (sys.actions, sys.independent) with
   | Some actions, Some indep when por -> (
-    let acts = actions s in
-    match acts with
+    match actions s with
     | [] -> []
-    | [ (_, s') ] -> [ s' ]
-    | _ ->
+    | [ (_, s') ] -> [ keyed s' ]
+    | acts ->
       let arr = Array.of_list acts in
       let n = Array.length arr in
+      let keys = Array.make n None in
+      let key_of i =
+        match keys.(i) with
+        | Some k -> k
+        | None ->
+          let k = Table.key visited (snd arr.(i)) in
+          keys.(i) <- Some k;
+          k
+      in
       let invisible a =
         (not require_invisible)
         ||
@@ -167,15 +193,18 @@ let expansion (sys : ('state, 'action) sys) ~por ~require_invisible visited s :
       let rec pick i =
         if i >= n then None
         else
-          let a, s' = arr.(i) in
-          if invisible a && independent_of_all i a && not (Table.mem visited s')
-          then Some s'
+          let a, _ = arr.(i) in
+          if
+            invisible a && independent_of_all i a
+            && not (Table.mem_key visited (key_of i))
+          then Some i
           else pick (i + 1)
       in
+      let succ i = (snd arr.(i), key_of i) in
       (match pick 0 with
-      | Some s' -> [ s' ]
-      | None -> List.map snd acts))
-  | _ -> sys.successors s
+      | Some i -> [ succ i ]
+      | None -> List.init n succ))
+  | _ -> List.map keyed (sys.successors s)
 
 (* Breadth-first exploration. *)
 let explore ?(max_states = 100_000) ?(por = false) ?canon
@@ -189,8 +218,9 @@ let explore ?(max_states = 100_000) ?(por = false) ?canon
   let id = ref 0 in
   List.iter
     (fun s ->
-      if not (Table.mem visited s) then begin
-        Table.add visited s !id;
+      let k = Table.key visited s in
+      if not (Table.mem_key visited k) then begin
+        Table.add_key visited k !id;
         incr id;
         Queue.push (s, 0) queue
       end)
@@ -202,11 +232,11 @@ let explore ?(max_states = 100_000) ?(por = false) ?canon
     transitions := !transitions + List.length succs;
     if succs = [] then terminal := s :: !terminal;
     List.iter
-      (fun s' ->
-        if not (Table.mem visited s') then
+      (fun (s', k) ->
+        if not (Table.mem_key visited k) then
           if Table.size visited >= max_states then truncated := true
           else begin
-            Table.add visited s' !id;
+            Table.add_key visited k !id;
             incr id;
             Queue.push (s', depth + 1) queue
           end)
@@ -265,8 +295,9 @@ let check_invariant ?(max_states = 100_000) ?(por = false) ?canon
   try
     List.iter
       (fun s ->
-        if not (Table.mem visited s) then begin
-          Table.add visited s !id;
+        let k = Table.key visited s in
+        if not (Table.mem_key visited k) then begin
+          Table.add_key visited k !id;
           store !id None;
           if not (inv s) then violated s !id;
           Queue.push (s, !id, 0) queue;
@@ -282,11 +313,11 @@ let check_invariant ?(max_states = 100_000) ?(por = false) ?canon
       transitions := !transitions + List.length succs;
       if succs = [] then terminal := s :: !terminal;
       List.iter
-        (fun s' ->
-          if not (Table.mem visited s') then
+        (fun (s', k) ->
+          if not (Table.mem_key visited k) then
             if Table.size visited >= max_states then truncated := true
             else begin
-              Table.add visited s' !id;
+              Table.add_key visited k !id;
               store !id (Some (sid, s));
               if not (inv s') then violated s' !id;
               Queue.push (s', !id, depth + 1) queue;
@@ -361,12 +392,14 @@ let find_lasso ?(max_states = 100_000) ?(within = fun _ -> true)
       result := Some { stem = []; cycle };
       raise Found
     end
-    else if Table.mem visited s then ()
-    else begin
-      Table.add visited s 0;
-      if Table.size visited > max_states then ()
-      else List.iter (dfs (s :: path_on_stack)) (sys.successors s)
-    end
+    else
+      let k = Table.key visited s in
+      if Table.mem_key visited k then ()
+      else begin
+        Table.add_key visited k 0;
+        if Table.size visited > max_states then ()
+        else List.iter (dfs (s :: path_on_stack)) (sys.successors s)
+      end
   in
   (try List.iter (dfs []) sys.initial with Found -> ());
   !result

@@ -83,36 +83,41 @@ module Amap = Map.Make (struct
   let compare = insertion_compare
 end)
 
-let enabled_actions (p : Ast.program) (db : Store.t) : action list =
+(* Partial application [enabled_actions p] computes the program's
+   location map once, for every database it is then applied to. *)
+let enabled_actions (p : Ast.program) : Store.t -> action list =
   let locs = Shard.loc_index_map p in
-  let acc = ref Amap.empty in
-  List.iter
-    (fun (r : Ast.rule) ->
-      if not (Ast.has_aggregate r.Ast.head) then
-        List.iter
-          (fun env ->
-            let t = Eval.head_tuple env r.Ast.head in
-            let pred = r.Ast.head.Ast.head_pred in
-            if not (Store.mem pred t db) then begin
-              let reads = List.map (atom_read env) (Ast.body_atoms r.Ast.body) in
-              let prev =
-                Option.value (Amap.find_opt (pred, t) !acc) ~default:[]
-              in
-              acc := Amap.add (pred, t) (List.rev_append reads prev) !acc
-            end)
-          (Eval.body_envs db r.Ast.body))
-    p.Ast.rules;
-  Amap.fold
-    (fun (pred, tuple) reads acts ->
-      let writes_at =
-        match Hashtbl.find_opt locs pred with
-        | Some i when i < Array.length tuple -> Some tuple.(i)
-        | _ -> None
-      in
-      { pred; tuple; writes_at; reads = List.sort_uniq read_compare reads }
-      :: acts)
-    !acc []
-  |> List.rev (* ascending insertion_compare order *)
+  fun db ->
+    let acc = ref Amap.empty in
+    List.iter
+      (fun (r : Ast.rule) ->
+        if not (Ast.has_aggregate r.Ast.head) then
+          List.iter
+            (fun env ->
+              let t = Eval.head_tuple env r.Ast.head in
+              let pred = r.Ast.head.Ast.head_pred in
+              if not (Store.mem pred t db) then begin
+                let reads =
+                  List.map (atom_read env) (Ast.body_atoms r.Ast.body)
+                in
+                let prev =
+                  Option.value (Amap.find_opt (pred, t) !acc) ~default:[]
+                in
+                acc := Amap.add (pred, t) (List.rev_append reads prev) !acc
+              end)
+            (Eval.body_envs db r.Ast.body))
+      p.Ast.rules;
+    Amap.fold
+      (fun (pred, tuple) reads acts ->
+        let writes_at =
+          match Hashtbl.find_opt locs pred with
+          | Some i when i < Array.length tuple -> Some tuple.(i)
+          | _ -> None
+        in
+        { pred; tuple; writes_at; reads = List.sort_uniq read_compare reads }
+        :: acts)
+      !acc []
+    |> List.rev (* ascending insertion_compare order *)
 
 (* ------------------------------------------------------------------ *)
 (* Independence.
@@ -190,8 +195,9 @@ let system (p : Ast.program) : Store.t Explore.system =
 let labeled_system ?(independence = `Monotone) ?observed (p : Ast.program) :
     (Store.t, action) Explore.sys =
   let initial = [ Store.of_facts p.Ast.facts ] in
+  let enabled = enabled_actions p in
   let actions db =
-    List.map (fun a -> (a, Store.add a.pred a.tuple db)) (enabled_actions p db)
+    List.map (fun a -> (a, Store.add a.pred a.tuple db)) (enabled db)
   in
   let negation_free = not (has_negation p) in
   let independent _db a b =

@@ -37,7 +37,9 @@ type action = {
 }
 
 val enabled_actions : Ndlog.Ast.program -> Ndlog.Store.t -> action list
-(** {!enabled_insertions} with footprints, in the same order. *)
+(** {!enabled_insertions} with footprints, in the same order.  The
+    partial application [enabled_actions p] does the per-program work
+    (the location map) once, so apply it once per system. *)
 
 (** How independence of two enabled insertions is certified.  Either
     mode claims independence only in negation-free programs (a negated

@@ -149,9 +149,10 @@ type action =
 
 let labeled_system ?(independence = `Monotone) ?observed (cfg : config) :
     (state, action) Explore.sys =
+  let enabled = Ndlog_ts.enabled_actions cfg.program in
   let actions (s : state) =
     let derivations =
-      Ndlog_ts.enabled_actions cfg.program s.db
+      enabled s.db
       |> List.map (fun (a : Ndlog_ts.action) ->
              (Derive a, insert cfg s a.Ndlog_ts.pred a.Ndlog_ts.tuple))
     in
@@ -183,20 +184,21 @@ let labeled_system ?(independence = `Monotone) ?observed (cfg : config) :
    jointly (a lease names its tuple, so it permutes with the tuple's
    node; the clock is fixed). *)
 
-let apply_perm (p : Symmetry.perm) (s : state) : state =
+let apply_gen (g : Symmetry.gen) (s : state) : state =
   {
     clock = s.clock;
-    db = Symmetry.apply_store p s.db;
+    db = Symmetry.map_store g s.db;
     leases =
       canonical_leases
         (List.map
-           (fun ((pred, t), d) -> ((pred, Symmetry.apply_tuple p t), d))
+           (fun ((pred, t), d) -> ((pred, Symmetry.map_tuple g t), d))
            s.leases);
   }
 
+let apply_perm p = apply_gen (Symmetry.compile p)
+
 let canon_state (sym : Symmetry.t) (s : state) : state =
-  Symmetry.canonicalize sym ~apply:apply_perm ~compare:state_compare
-    ~hash:state_hash ~equal:state_equal s
+  Symmetry.canonicalize sym ~apply:apply_gen ~compare:state_compare s
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)

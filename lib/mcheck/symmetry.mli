@@ -25,8 +25,9 @@ type t
 (** A generated symmetry group (generators plus an orbit cap). *)
 
 val of_generators : ?cap:int -> perm list -> t
-(** Identity generators are dropped.  [cap] (default 4096) bounds the
-    orbit members expanded during canonicalization. *)
+(** Identity generators are dropped, and the rest are compiled once
+    ({!compile}).  [cap] (default 4096) bounds the orbit members
+    expanded during canonicalization. *)
 
 val of_topology : ?cap:int -> Netsim.Topology.t -> t
 (** The group spanned by
@@ -37,6 +38,24 @@ val generators : t -> perm list
 val trivial : t -> bool
 (** No non-identity generators: canonicalization is the identity. *)
 
+(** {1 Compiled permutations} *)
+
+type gen
+(** A permutation compiled for bulk application: a name-to-address
+    table whose images are interned {!Ndlog.Value.Addr} values. *)
+
+val compile : perm -> gen
+val map_tuple : gen -> Ndlog.Store.Tuple.t -> Ndlog.Store.Tuple.t
+
+val map_store : gen -> Ndlog.Store.t -> Ndlog.Store.t
+(** Permutes each relation's tuple set in bulk
+    ({!Ndlog.Store.map_tuples}). *)
+
+(** {1 Raw permutations}
+
+    Each call compiles its permutation; orbit searches go through
+    {!canonicalize}, which uses the group's precompiled generators. *)
+
 val apply_name : perm -> string -> string
 val apply_value : perm -> Ndlog.Value.t -> Ndlog.Value.t
 val apply_tuple : perm -> Ndlog.Store.Tuple.t -> Ndlog.Store.Tuple.t
@@ -44,15 +63,15 @@ val apply_store : perm -> Ndlog.Store.t -> Ndlog.Store.t
 
 val canonicalize :
   t ->
-  apply:(perm -> 'a -> 'a) ->
+  apply:(gen -> 'a -> 'a) ->
   compare:('a -> 'a -> int) ->
-  hash:('a -> int) ->
-  equal:('a -> 'a -> bool) ->
   'a ->
   'a
 (** Generic orbit minimization, for state types wrapping a store
     (e.g. {!Soft_ts.state}, whose leases permute jointly with the
-    database). *)
+    database).  [apply] receives the group's compiled generators;
+    [compare] must be a total order whose zero is state equality (it
+    both picks the minimum and recognizes revisited members). *)
 
 val canon_store : t -> Ndlog.Store.t -> Ndlog.Store.t
 (** The orbit representative: minimal over the closed orbit (exact

@@ -196,6 +196,15 @@ let set_relation pred s (db : t) : t =
             })
       db
 
+(* Map every tuple relation by relation, each tuple set rebuilt in one
+   pass rather than re-inserted tuple by tuple through {!add}.  Index
+   caches are dropped: they were keyed by the old tuples. *)
+let map_tuples f (db : t) : t =
+  Smap.map
+    (fun r ->
+      mkrel (Tset.of_list (Tset.fold (fun t acc -> f t :: acc) r.tuples [])))
+    db
+
 let preds (db : t) = List.map fst (Smap.bindings db)
 
 let cardinal pred db = Tset.cardinal (relation pred db)

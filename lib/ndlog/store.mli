@@ -54,6 +54,11 @@ val set_relation : string -> Tset.t -> t -> t
     new relation, so warm indexes survive the repeated mostly-unchanged
     replacements the refresh loop performs. *)
 
+val map_tuples : (Tuple.t -> Tuple.t) -> t -> t
+(** Apply a function to every tuple, relation by relation, rebuilding
+    each relation's tuple set in bulk (tuples mapped to the same image
+    merge).  Cached indexes are dropped. *)
+
 val preds : t -> string list
 (** Predicates with at least one tuple, sorted. *)
 

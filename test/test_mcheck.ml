@@ -255,6 +255,143 @@ a1 alive(@X,Y) :- ping(@X,Y).
     (ST.state_equal (ST.canon_state sym (ST.apply_perm swap s1)) c1)
 
 (* ------------------------------------------------------------------ *)
+(* Symmetry cost: one canonicalization per state, bulk permutation. *)
+
+let test_canon_once_per_state () =
+  (* Bounded DV on ring 8 under POR + symmetry: a state's canonical key
+     serves the POR newness check, the lookup and the insert, so the
+     search canonicalizes at most once per expanded transition plus
+     once per initial state (canonicalizing at each of those three
+     uses costs 121 calls for these 41 states). *)
+  let p =
+    Programs.with_links
+      (Programs.bounded_distance_vector ~max_hops:2)
+      (Programs.ring_links 8)
+  in
+  let sym = Sym.of_topology (Topology.ring 8) in
+  let calls = ref 0 in
+  let canon db =
+    incr calls;
+    Sym.canon_store sym db
+  in
+  let sys = NT.labeled_system p in
+  let bound db =
+    Store.fold_rel "cost"
+      (fun t ok -> ok && (match t.(2) with V.Int c -> c <= 2 | _ -> true))
+      db true
+  in
+  match Explore.check_invariant ~por:true ~stable:true ~canon sys bound with
+  | Error _ -> Alcotest.fail "bounded DV must respect its hop bound"
+  | Ok stats ->
+    checki "states" 41 stats.Explore.states;
+    let budget = stats.Explore.transitions + List.length sys.Explore.initial in
+    if !calls > budget then
+      Alcotest.failf "%d canonicalizations for %d transitions + initial states"
+        !calls budget
+
+(* Random stores over the node names of symmetric topologies: addresses,
+   integers and nested lists (path vectors), in relations of mixed
+   arity.  Every group here is small enough that orbits never reach the
+   canonicalization cap, so canonical forms are exact orbit minima. *)
+let sym_topologies =
+  [| Topology.ring 5; Topology.ring 6; Topology.star 4; Topology.star 5;
+     Topology.grid 2; Topology.grid 3 |]
+
+let gen_value names =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          ( 3,
+            map (fun i -> V.Addr names.(i)) (int_bound (Array.length names - 1))
+          );
+          (1, map (fun n -> V.Int n) (int_bound 9));
+        ]
+    in
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (4, leaf);
+              ( 1,
+                map (fun vs -> V.List vs)
+                  (list_size (int_bound 3) (self (depth - 1))) );
+            ])
+      2)
+
+let arb_sym_case =
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length sym_topologies - 1) >>= fun ti ->
+      let names = Array.of_list (Topology.nodes sym_topologies.(ti)) in
+      let tuple =
+        map Array.of_list (list_size (int_range 1 4) (gen_value names))
+      in
+      let fact = pair (oneofl [ "link"; "path"; "reach" ]) tuple in
+      triple (list_size (int_bound 25) fact) (int_bound 4) (int_bound 3)
+      >|= fun (facts, clock, life) -> (ti, facts, clock, life))
+  in
+  QCheck.make gen ~print:(fun (ti, facts, clock, life) ->
+      Fmt.str "topology %d, clock %d, lifetime %d:@.%a" ti clock life
+        Fmt.(list ~sep:cut (pair ~sep:sp string Store.Tuple.pp))
+        facts)
+
+(* The per-tuple reference: rename through the association list. *)
+let rec ref_value g = function
+  | V.Addr a -> V.Addr (Sym.apply_name g a)
+  | V.List vs -> V.List (List.map (ref_value g) vs)
+  | v -> v
+
+let ref_tuple g t = Array.map (ref_value g) t
+
+let prop_bulk_permutation =
+  QCheck.Test.make
+    ~name:"bulk permutation = per-tuple reference; canon orbit-invariant"
+    ~count:200 arb_sym_case
+    (fun (ti, facts, clock, life) ->
+      let sym = Sym.of_topology sym_topologies.(ti) in
+      let db =
+        List.fold_left (fun db (p, t) -> Store.add p t db) Store.empty facts
+      in
+      (* every other fact leased, expiring [life] after [clock] *)
+      let soft =
+        {
+          ST.clock;
+          db;
+          leases =
+            List.filteri (fun i _ -> i mod 2 = 0) (Store.to_list db)
+            |> List.map (fun k -> (k, clock + life))
+            |> List.sort ST.lease_compare;
+        }
+      in
+      let canon = Sym.canon_store sym db
+      and soft_canon = ST.canon_state sym soft in
+      List.iter
+        (fun g ->
+          let reference =
+            List.fold_left
+              (fun acc (p, t) -> Store.add p (ref_tuple g t) acc)
+              Store.empty (Store.to_list db)
+          in
+          let moved = Sym.apply_store g db in
+          if not (Store.equal moved reference) then
+            QCheck.Test.fail_report "apply_store differs from the reference";
+          List.iter
+            (fun (_, t) ->
+              if not (Store.Tuple.equal (Sym.apply_tuple g t) (ref_tuple g t))
+              then QCheck.Test.fail_report "apply_tuple differs from reference")
+            facts;
+          if not (Store.equal (Sym.canon_store sym moved) canon) then
+            QCheck.Test.fail_report "canon_store is not orbit-invariant";
+          let moved_soft = ST.apply_perm g soft in
+          if not (ST.state_equal (ST.canon_state sym moved_soft) soft_canon)
+          then QCheck.Test.fail_report "canon_state is not orbit-invariant")
+        (Sym.generators sym);
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Value-aware insertion order (the aggregate-Kmap bug class). *)
 
 let test_insertion_order_value_aware () =
@@ -584,6 +721,9 @@ let () =
             test_canon_table_buckets;
           Alcotest.test_case "lease permutation identity" `Quick
             test_soft_lease_permutation_identity;
+          Alcotest.test_case "one canonicalization per state" `Quick
+            test_canon_once_per_state;
+          QCheck_alcotest.to_alcotest prop_bulk_permutation;
         ] );
       ( "ndlog_ts",
         [
