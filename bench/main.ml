@@ -1276,7 +1276,7 @@ type mproc_row = {
   mp_frames : int;  (* cross-process data frames *)
   mp_bytes : int;  (* their wire bytes, length prefixes included *)
   mp_inserts : int;  (* tuple insertions summed over workers *)
-  mp_polls : int;  (* quiescence polls until convergence *)
+  mp_polls : int;  (* confirmation poll waves until convergence *)
   mp_sim_msgs : int;  (* messages the simulator shipped *)
   mp_same : bool;  (* per-node fixpoints equal across backends *)
 }

@@ -66,7 +66,14 @@ let () =
   in
   let topo = topo_of_links links in
   Fmt.pr "fvnd: %d workers over unix sockets, %s topology@." !nodes !topo_kind;
-  let res = Supervisor.run ~read_timeout:!timeout topo program in
+  let res =
+    match Supervisor.run ~timeout:!timeout topo program with
+    | res -> res
+    | exception
+        ((Supervisor.Convergence_timeout _ | Dist.Wire.Frame_error _) as e) ->
+      Fmt.epr "fvnd: %s@." (Printexc.to_string e);
+      exit 1
+  in
   Fmt.pr
     "converged in %.3fs wall: %d data frames, %d bytes on the wire, %d \
      inserts, %d polls@."

@@ -20,8 +20,8 @@
    Cross-process frames carry canonical boxed values only; arriving
    tuples are re-interned here, at the boundary, because interned-id
    spaces are per-process ({!Wire}).  Dead peers surface as EOF —
-   mid-frame EOF raises a typed truncation — and the supervisor's
-   polls put a read-timeout around hung workers ({!Wire.read_frame}). *)
+   mid-frame EOF raises a typed truncation — and the supervisor puts a
+   deadline around every control read ({!Wire.read_frame}). *)
 
 module Intern = Ndlog.Intern
 
@@ -160,13 +160,14 @@ let run_due_timers t =
   in
   go ()
 
-(* One reactor turn: timers due now, then at most one select round.
-   Returns whether anything could still happen (live input or pending
-   timers). *)
-let turn t ~on_control ~max_wait =
+(* One reactor turn: timers due now, then [on_idle] when nothing is
+   left to do, then at most one select round.  Returns whether anything
+   could still happen (live input or pending timers). *)
+let turn t ~on_control ~on_idle ~max_wait =
   run_due_timers t;
   if t.stop then false
   else begin
+    if idle t then on_idle ();
     let live =
       List.filter_map
         (fun c -> if c.eof then None else Some c)
@@ -191,9 +192,21 @@ let turn t ~on_control ~max_wait =
 
 (* Serve until told to stop: the worker's main loop.  Control frames
    (anything that is not [Data]) go to [on_control]; a [Bye] handler
-   there calls {!stop}. *)
-let serve t ~on_control =
-  let rec loop () = if turn t ~on_control ~max_wait:0.05 then loop () in
+   there calls {!stop}.  [on_idle] runs at most once per idle spell:
+   when the reactor is idle and has fired or dispatched something since
+   the last call — the first idle moment always counts, so a node that
+   never hears from anyone still reports once. *)
+let serve t ~on_control ~on_idle =
+  let reported = ref (-1) in
+  let on_idle () =
+    if t.events <> !reported then begin
+      reported := t.events;
+      on_idle ()
+    end
+  in
+  let rec loop () =
+    if turn t ~on_control ~on_idle ~max_wait:0.05 then loop ()
+  in
   loop ()
 
 (* ------------------------------------------------------------------ *)
@@ -255,10 +268,11 @@ let transport t : Transport.t =
           else if idle t then begin
             (* One short grace round: anything already in flight lands
                here; a second consecutive idle observation quiesces. *)
-            ignore (turn t ~on_control:ignore ~max_wait:0.02);
+            ignore (turn t ~on_control:ignore ~on_idle:ignore ~max_wait:0.02);
             if idle t then quiesced := true else loop ()
           end
-          else if turn t ~on_control:ignore ~max_wait:0.05 then loop ()
+          else if turn t ~on_control:ignore ~on_idle:ignore ~max_wait:0.05
+          then loop ()
           else quiesced := true
         in
         loop ();

@@ -38,12 +38,18 @@ val transport : t -> Transport.t
     event budget — self-contained single-process use.  Workers under a
     {!Supervisor} use {!serve} instead. *)
 
-val serve : t -> on_control:(Wire.frame -> unit) -> unit
+val serve :
+  t -> on_control:(Wire.frame -> unit) -> on_idle:(unit -> unit) -> unit
 (** The worker main loop: alternate due timers with [select] rounds
     until {!stop}.  Non-[Data] frames go to [on_control] (a [Bye]
-    handler there should call {!stop}).  A peer closing mid-frame
-    raises {!Wire.Frame_error} [Truncated_stream]; clean EOF retires
-    the connection. *)
+    handler there should call {!stop}).  [on_idle] is the push half of
+    the quiescence protocol: it runs after the due timers and before
+    [select] blocks, when {!idle} holds and the reactor has fired a
+    timer or dispatched a frame since its previous call — so once per
+    idle spell, and at least once (the first idle moment counts even
+    with no events).  A peer closing mid-frame raises
+    {!Wire.Frame_error} [Truncated_stream]; clean EOF retires the
+    connection. *)
 
 val stop : t -> unit
 

@@ -9,27 +9,41 @@
    workers through the fork's heap — nothing is serialized to start a
    run; only tuples cross process boundaries afterwards.
 
-   Quiescence is detected by a poll protocol over per-worker control
-   channels.  Each poll asks every worker for a {!Wire.status}:
-   whether its reactor is idle (no pending timers, no partial input)
-   plus its monotone sent/received data-frame counters.  The run is
-   declared converged when two {e consecutive} polls return identical
-   snapshots in which every worker is idle and the global sum of sent
-   frames equals the global sum of received frames — a frame still in
-   flight (written but not yet dispatched) makes the sums differ, and
-   the double snapshot guards the instant between a dispatch and the
-   work it triggers.  This is sound for programs that terminate:
-   hard-state protocols (the path-vector demo) reach a fixpoint and
-   stop sending.  Soft-state programs with perpetual renewal timers
-   never satisfy it in wall-clock time — run those on the simulator
-   backend, whose virtual clock makes "forever" cheap.
+   Quiescence is pushed, then confirmed.  A worker's reactor calls
+   back each time it goes idle (no pending timers, no partial input)
+   after having fired a timer or dispatched a frame — and once at its
+   first idle moment regardless — and the worker writes an [Idle]
+   report of its {!Wire.status} (the idle flag plus monotone sent and
+   received data-frame counters) to its control channel.  The
+   supervisor blocks in [select] on those channels, keeping each
+   worker's latest report.  When every worker has reported, every
+   report is idle, and the global sum of sent frames equals the global
+   sum of received frames (a frame in flight makes them differ), the
+   reports form a candidate vector, and the supervisor sends one [Poll]
+   wave.  The run has converged iff the [Status] replies equal the
+   candidate.  That is Mattern's four-counter test: two snapshots, the
+   second begun only after the first was wholly read (each channel is
+   FIFO, so every reply is taken after its worker's candidate report
+   was consumed), and identical monotone counters in both mean no
+   frame moved in between.  The wave is what guards against reports
+   taken at different instants — a worker idle when it reported may
+   have been woken since.  Replies that differ become the latest
+   vector and the check reruns at once.  A clean run costs one wave.
 
-   Every control read carries a timeout ({!Wire.read_frame}): a worker
-   that died or hung fails the run with a typed error instead of
-   hanging the supervisor.  After convergence the supervisor collects
-   each worker's final store ([Dump] / [Store_dump]), dismisses the
-   workers ([Bye]), and reaps them; the control channels close on every
-   exit path. *)
+   This is sound for programs that terminate: hard-state protocols
+   (the path-vector demo) reach a fixpoint and stop sending.
+   Soft-state programs with perpetual renewal timers never go idle in
+   wall-clock time, so they end in {!Convergence_timeout} — run those
+   on the simulator backend, whose virtual clock makes "forever"
+   cheap.
+
+   One [timeout] bounds the whole convergence wait and every control
+   read ({!Wire.read_frame}): a worker that hangs fails the run with a
+   typed error, and one that dies closes its channel (a typed
+   truncation).  After convergence the supervisor collects each
+   worker's final store ([Dump] / [Store_dump]), dismisses the workers
+   ([Bye]), and reaps them; on failure it kills and reaps them.  The
+   control channels close on every exit path. *)
 
 module Store = Ndlog.Store
 module Intern = Ndlog.Intern
@@ -46,18 +60,24 @@ type result = {
   data_frames : int;  (* cross-process data frames, summed over workers *)
   data_bytes : int;  (* their wire bytes, length prefixes included *)
   total_inserts : int;  (* tuple insertions, summed over workers *)
-  polls : int;  (* quiescence polls until convergence *)
+  polls : int;  (* confirmation waves until convergence *)
   workers : int;
 }
 
-exception Convergence_timeout of { polls : int; last : Wire.status list }
+exception Convergence_timeout of {
+  polls : int;
+  last : (string * Wire.status) list;
+}
 
 let () =
   Printexc.register_printer (function
-    | Convergence_timeout { polls; _ } ->
+    | Convergence_timeout { polls; last } ->
       Some
         (Fmt.str
-           "Dist.Supervisor: no convergence after %d quiescence polls" polls)
+           "Dist.Supervisor: no convergence in time (%d confirmation waves, \
+            %d workers reported idle)"
+           polls
+           (List.length (List.filter (fun (_, st) -> st.Wire.st_idle) last)))
     | _ -> None)
 
 (* The worker body: never returns.  Exceptions become a nonzero exit
@@ -74,24 +94,26 @@ let worker_main ~topo ~program ~self ~peers ~ctl =
           topo program
       in
       Runtime.load_facts rt;
-      Socket.serve reactor ~on_control:(function
-        | Wire.Poll ->
-          ignore
-            (Wire.write_frame ctl
-               (Wire.Status
-                  {
-                    Wire.st_idle = Socket.idle reactor;
-                    st_sent = Socket.sent reactor;
-                    st_received = Socket.received reactor;
-                    st_bytes = Socket.bytes_out reactor;
-                    st_inserts = Runtime.total_inserts rt;
-                  }))
+      let status () =
+        {
+          Wire.st_idle = Socket.idle reactor;
+          st_sent = Socket.sent reactor;
+          st_received = Socket.received reactor;
+          st_bytes = Socket.bytes_out reactor;
+          st_inserts = Runtime.total_inserts rt;
+        }
+      in
+      let report frame = ignore (Wire.write_frame ctl frame) in
+      Socket.serve reactor
+        ~on_idle:(fun () -> report (Wire.Idle (status ())))
+        ~on_control:(function
+        | Wire.Poll -> report (Wire.Status (status ()))
         | Wire.Dump ->
           let store = Runtime.node_store rt self in
           let rels =
             List.map (fun p -> (p, Store.tuples p store)) (Store.preds store)
           in
-          ignore (Wire.write_frame ctl (Wire.Store_dump [ (self, rels) ]))
+          report (Wire.Store_dump [ (self, rels) ])
         | Wire.Bye -> Socket.stop reactor
         | _ -> ());
       0
@@ -101,6 +123,20 @@ let worker_main ~topo ~program ~self ~peers ~ctl =
   in
   Unix._exit exit_code
 
+let frame_kind = function
+  | Wire.Data _ -> "Data"
+  | Wire.Poll -> "Poll"
+  | Wire.Status _ -> "Status"
+  | Wire.Idle _ -> "Idle"
+  | Wire.Dump -> "Dump"
+  | Wire.Store_dump _ -> "Store_dump"
+  | Wire.Bye -> "Bye"
+
+let unexpected w f =
+  failwith
+    (Fmt.str "Dist.Supervisor: unexpected %s frame from worker %s"
+       (frame_kind f) w.w_node)
+
 let kill_all workers =
   List.iter
     (fun w ->
@@ -108,8 +144,7 @@ let kill_all workers =
       try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
     workers
 
-let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
-    (topo : Netsim.Topology.t) (program : Ndlog.Ast.program) : result =
+let run ?(timeout = 10.0) (topo : Netsim.Topology.t) (program : Ndlog.Ast.program) : result =
   let nodes = List.sort String.compare (Netsim.Topology.nodes topo) in
   let n = List.length nodes in
   if n < 2 then invalid_arg "Dist.Supervisor.run: need at least two nodes";
@@ -180,43 +215,75 @@ let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
         (fun w -> try Unix.close w.w_ctl with Unix.Unix_error _ -> ())
         workers)
   @@ fun () ->
-  let poll () =
-    List.map
-      (fun w ->
-        ignore (Wire.write_frame w.w_ctl Wire.Poll);
-        match Wire.read_frame ~timeout:read_timeout w.w_ctl with
-        | Wire.Status st -> st
-        | f ->
-          failwith
-            (Fmt.str "Dist.Supervisor: worker %s answered Poll with %s"
-               w.w_node
-               (match f with
-               | Wire.Data _ -> "Data"
-               | Wire.Store_dump _ -> "Store_dump"
-               | _ -> "an unexpected frame")))
-      workers
+  let deadline = t0 +. timeout in
+  (* The next frame from [w] that [pick] accepts.  [Idle] reports the
+     worker pushed before it read the request are older news than the
+     reply (the channel is FIFO) and are skipped. *)
+  let rec reply w pick =
+    match Wire.read_frame ~timeout w.w_ctl with
+    | Wire.Idle _ -> reply w pick
+    | f -> ( match pick f with Some v -> v | None -> unexpected w f)
   in
-  let stable prev snap =
-    List.for_all (fun st -> st.Wire.st_idle) snap
-    && List.fold_left (fun a st -> a + st.Wire.st_sent) 0 snap
-       = List.fold_left (fun a st -> a + st.Wire.st_received) 0 snap
-    && prev = Some snap
+  (* Each worker's latest status, pushed ([Idle]) or polled ([Status]),
+     by worker index. *)
+  let latest = Array.make n None in
+  (* The candidate vector: every worker has reported, every report is
+     idle, and every data frame sent has been received. *)
+  let candidate () =
+    if not (Array.for_all Option.is_some latest) then None
+    else
+      let snap = Array.to_list (Array.map Option.get latest) in
+      if
+        List.for_all (fun st -> st.Wire.st_idle) snap
+        && List.fold_left (fun a st -> a + st.Wire.st_sent) 0 snap
+           = List.fold_left (fun a st -> a + st.Wire.st_received) 0 snap
+      then Some snap
+      else None
   in
-  match
-    let rec converge prev polls =
-      if polls >= max_polls then
-        raise
-          (Convergence_timeout
-             { polls; last = (match prev with Some s -> s | None -> []) });
-      let snap = poll () in
-      if stable prev snap then (snap, polls + 1)
+  let timed_out polls =
+    Convergence_timeout
+      {
+        polls;
+        last =
+          List.filter_map
+            (fun i -> Option.map (fun st -> (node.(i), st)) latest.(i))
+            (List.init n Fun.id);
+      }
+  in
+  let ctl_fds = List.map (fun w -> w.w_ctl) workers in
+  let rec converge polls =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0.0 then raise (timed_out polls);
+    match candidate () with
+    | Some snap ->
+      (* Confirm with one wave.  Every reply is taken after the whole
+         candidate vector was read, so replies equal to it mean no
+         worker moved in between. *)
+      List.iter (fun w -> ignore (Wire.write_frame w.w_ctl Wire.Poll)) workers;
+      let replies =
+        List.map
+          (fun w -> reply w (function Wire.Status st -> Some st | _ -> None))
+          workers
+      in
+      if replies = snap then (snap, polls + 1)
       else begin
-        ignore (Unix.select [] [] [] poll_interval);
-        converge (Some snap) (polls + 1)
+        List.iteri (fun i st -> latest.(i) <- Some st) replies;
+        converge (polls + 1)
       end
-    in
-    converge None 0
-  with
+    | None ->
+      (match Unix.select ctl_fds [] [] remaining with
+      | ready, _, _ ->
+        List.iteri
+          (fun i w ->
+            if List.memq w.w_ctl ready then
+              match Wire.read_frame ~timeout w.w_ctl with
+              | Wire.Idle st -> latest.(i) <- Some st
+              | f -> unexpected w f)
+          workers
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      converge polls
+  in
+  match converge 0 with
   | exception e ->
     kill_all workers;
     raise e
@@ -228,17 +295,13 @@ let run ?(read_timeout = 10.0) ?(poll_interval = 0.02) ?(max_polls = 500)
         List.concat_map
           (fun w ->
             ignore (Wire.write_frame w.w_ctl Wire.Dump);
-            match Wire.read_frame ~timeout:read_timeout w.w_ctl with
-            | Wire.Store_dump dump ->
-              List.map
-                (fun (nm, rels) ->
-                  ( nm,
-                    List.fold_left
-                      (fun acc (pred, tuples) ->
-                        Store.add_list pred (List.map Intern.tuple tuples) acc)
-                      Store.empty rels ))
-                dump
-            | _ -> failwith "Dist.Supervisor: worker answered Dump oddly")
+            reply w (function Wire.Store_dump d -> Some d | _ -> None)
+            |> List.map (fun (nm, rels) ->
+                   ( nm,
+                     List.fold_left
+                       (fun acc (pred, tuples) ->
+                         Store.add_list pred (List.map Intern.tuple tuples) acc)
+                       Store.empty rels )))
           workers
       with e ->
         kill_all workers;

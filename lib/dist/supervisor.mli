@@ -9,16 +9,20 @@
     process boundaries afterwards, in canonical boxed form
     ({!Wire}).
 
-    Convergence is detected by a quiescence poll over per-worker
-    control channels: the run is converged when two consecutive polls
-    return identical snapshots in which every worker is idle and
+    Convergence is detected by push-based quiescence over per-worker
+    control channels.  A worker whose reactor goes idle after doing
+    something pushes a {!Wire.Idle} report of its counters
+    ({!Socket.serve}'s [on_idle]); the supervisor blocks in [select]
+    on those reports.  Once every worker's latest report is idle and
     Σ sent = Σ received across workers (an in-flight frame makes the
-    sums differ).  Sound for terminating (hard-state) programs; a
-    soft-state program with perpetual renewal timers never quiesces in
-    wall-clock time — run those on the simulator backend.  Every
-    control read is bounded by [read_timeout], so a dead or hung
-    worker fails the run with {!Wire.Frame_error} [Read_timeout]
-    instead of hanging it. *)
+    sums differ), it sends one {!Wire.Poll} wave.  The run is
+    converged iff the [Status] replies equal that candidate vector —
+    two consecutive identical snapshots, the second taken wholly
+    after the first was read (Mattern's four-counter test).  Replies
+    that differ become the new candidate.  Sound for terminating
+    (hard-state) programs; a soft-state program with perpetual renewal
+    timers never goes idle in wall-clock time — run those on the
+    simulator backend. *)
 
 type result = {
   stores : (string * Ndlog.Store.t) list;
@@ -30,26 +34,30 @@ type result = {
       (** cross-process data frames, summed over workers *)
   data_bytes : int;  (** their wire bytes, length prefixes included *)
   total_inserts : int;  (** tuple insertions, summed over workers *)
-  polls : int;  (** quiescence polls until convergence *)
+  polls : int;
+      (** [Poll] waves sent until convergence: 1 when the first
+          candidate vector is confirmed *)
   workers : int;
 }
 
-exception Convergence_timeout of { polls : int; last : Wire.status list }
-(** [max_polls] snapshots went by without two consecutive stable ones:
-    the program is still making progress (or never terminates). *)
+exception Convergence_timeout of {
+  polls : int;  (** confirmation waves sent before the deadline *)
+  last : (string * Wire.status) list;
+      (** the latest status of each worker that reported one, by node *)
+}
+(** The deadline passed without a confirmed candidate vector: the
+    program is still making progress, or never goes idle (soft state,
+    whose renewal timers keep every worker busy). *)
 
 val run :
-  ?read_timeout:float ->
-  ?poll_interval:float ->
-  ?max_polls:int ->
-  Netsim.Topology.t ->
-  Ndlog.Ast.program ->
-  result
+  ?timeout:float -> Netsim.Topology.t -> Ndlog.Ast.program -> result
 (** Run [program] (localized; see {!Runtime.create}) to quiescence
-    across one process per node of [topo].  [read_timeout] (default
-    10s) bounds every control-channel read; [poll_interval] (default
-    20ms) spaces quiescence polls; [max_polls] (default 500) bounds
-    the convergence wait.
+    across one process per node of [topo].  [timeout] (default 10 s)
+    bounds every control-channel read and, from the fork, the whole
+    convergence wait.  Workers are killed and reaped, and every control
+    channel closed, on every failure path.
     @raise Invalid_argument on fewer than two nodes.
-    @raise Convergence_timeout when the poll budget runs out.
-    @raise Wire.Frame_error when a worker dies or hangs. *)
+    @raise Convergence_timeout when the convergence wait runs out.
+    @raise Wire.Frame_error when a worker's control channel closes
+    ([Truncated_stream]) or a read passes its deadline
+    ([Read_timeout]). *)

@@ -38,6 +38,8 @@ type frame =
       (** a routed tuple between nodes *)
   | Poll  (** supervisor -> worker: report your status *)
   | Status of status  (** worker -> supervisor: the reply *)
+  | Idle of status
+      (** worker -> supervisor, unprompted: the reactor just went idle *)
   | Dump  (** supervisor -> worker: send your node stores *)
   | Store_dump of (string * (string * Store.Tuple.t list) list) list
       (** worker -> supervisor: per hosted node, per predicate, the
@@ -110,6 +112,13 @@ let put_tuple b (t : Store.Tuple.t) =
   put_u32 b (Array.length t);
   Array.iter (put_value b) t
 
+let put_status b { st_idle; st_sent; st_received; st_bytes; st_inserts } =
+  put_u8 b (if st_idle then 1 else 0);
+  put_i64 b st_sent;
+  put_i64 b st_received;
+  put_i64 b st_bytes;
+  put_i64 b st_inserts
+
 let put_body b = function
   | Data { src; dst; pred; tuple } ->
     put_u8 b 0;
@@ -118,13 +127,9 @@ let put_body b = function
     put_string b pred;
     put_tuple b tuple
   | Poll -> put_u8 b 1
-  | Status { st_idle; st_sent; st_received; st_bytes; st_inserts } ->
+  | Status st ->
     put_u8 b 2;
-    put_u8 b (if st_idle then 1 else 0);
-    put_i64 b st_sent;
-    put_i64 b st_received;
-    put_i64 b st_bytes;
-    put_i64 b st_inserts
+    put_status b st
   | Dump -> put_u8 b 3
   | Store_dump nodes ->
     put_u8 b 4;
@@ -141,6 +146,9 @@ let put_body b = function
           rels)
       nodes
   | Bye -> put_u8 b 5
+  | Idle st ->
+    put_u8 b 6;
+    put_status b st
 
 let encode frame =
   let body = Buffer.create 64 in
@@ -209,6 +217,14 @@ let get_list c f =
   if n > c.stop - c.pos then raise (Frame_error Truncated_stream);
   List.init n (fun _ -> f c)
 
+let get_status c =
+  let st_idle = get_u8 c <> 0 in
+  let st_sent = get_i64 c in
+  let st_received = get_i64 c in
+  let st_bytes = get_i64 c in
+  let st_inserts = get_i64 c in
+  { st_idle; st_sent; st_received; st_bytes; st_inserts }
+
 let get_body c =
   match get_u8 c with
   | 0 ->
@@ -218,13 +234,7 @@ let get_body c =
     let tuple = get_tuple c in
     Data { src; dst; pred; tuple }
   | 1 -> Poll
-  | 2 ->
-    let st_idle = get_u8 c <> 0 in
-    let st_sent = get_i64 c in
-    let st_received = get_i64 c in
-    let st_bytes = get_i64 c in
-    let st_inserts = get_i64 c in
-    Status { st_idle; st_sent; st_received; st_bytes; st_inserts }
+  | 2 -> Status (get_status c)
   | 3 -> Dump
   | 4 ->
     Store_dump
@@ -238,6 +248,7 @@ let get_body c =
            in
            (node, rels)))
   | 5 -> Bye
+  | 6 -> Idle (get_status c)
   | t -> raise (Frame_error (Bad_tag t))
 
 let decode_body data ~off ~len =
@@ -245,6 +256,11 @@ let decode_body data ~off ~len =
   let f = get_body c in
   if c.pos <> c.stop then raise (Frame_error Truncated_stream);
   f
+
+(* The body length a frame's 4-byte prefix at [off] declares. *)
+let length_prefix buf off =
+  let g i = Char.code (Bytes.get buf (off + i)) in
+  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoder: feed chunks as the socket delivers them, pop
@@ -268,14 +284,10 @@ module Decoder = struct
       d.len <- d.len + n
     end
 
-  let header d =
-    let g i = Char.code (Bytes.get d.buf i) in
-    (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-
   let next d =
     if d.len < 4 then None
     else begin
-      let n = header d in
+      let n = length_prefix d.buf 0 in
       if n > max_frame then raise (Frame_error (Oversized_frame n));
       if d.len < 4 + n then None
       else begin
@@ -307,26 +319,31 @@ let write_frame fd frame =
 
 (* Read one frame, waiting at most [timeout] seconds (wall-clock across
    the whole frame, not per chunk): a peer that stops talking mid-frame
-   still trips the deadline.  EOF with bytes buffered — or before any
-   frame at all — is a truncation. *)
+   still trips the deadline.  The length prefix is read first, then
+   exactly the body it declares, so nothing past this frame leaves the
+   kernel buffer: a second frame already written stays readable, and
+   [select] on [fd] keeps telling the truth about it.  EOF anywhere —
+   before any byte of the frame or inside it — is a truncation. *)
 let read_frame ?(timeout = 10.0) fd =
-  let d = Decoder.create () in
-  let chunk = Bytes.create 65536 in
   let deadline = Unix.gettimeofday () +. timeout in
-  let rec go () =
-    match Decoder.next d with
-    | Some f -> f
-    | None ->
+  let rec fill buf off n =
+    if n > 0 then begin
       let remaining = deadline -. Unix.gettimeofday () in
       if remaining <= 0.0 then raise (Frame_error Read_timeout);
-      (match Unix.select [ fd ] [] [] remaining with
-      | [], _, _ -> raise (Frame_error Read_timeout)
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> raise (Frame_error Truncated_stream)
-        | n ->
-          Decoder.feed d chunk 0 n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()))
+      match
+        match Unix.select [ fd ] [] [] remaining with
+        | [], _, _ -> raise (Frame_error Read_timeout)
+        | _ -> Unix.read fd buf off n
+      with
+      | 0 -> raise (Frame_error Truncated_stream)
+      | k -> fill buf (off + k) (n - k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill buf off n
+    end
   in
-  go ()
+  let header = Bytes.create 4 in
+  fill header 0 4;
+  let n = length_prefix header 0 in
+  if n > max_frame then raise (Frame_error (Oversized_frame n));
+  let body = Bytes.create n in
+  fill body 0 n;
+  decode_body body ~off:0 ~len:n

@@ -41,6 +41,9 @@ type frame =
     }  (** a routed tuple between nodes *)
   | Poll  (** supervisor -> worker: report your status *)
   | Status of status  (** worker -> supervisor: the reply *)
+  | Idle of status
+      (** worker -> supervisor, unprompted: the reactor has just gone
+          idle with these counters (see {!Supervisor}) *)
   | Dump  (** supervisor -> worker: send your node stores *)
   | Store_dump of (string * (string * Ndlog.Store.Tuple.t list) list) list
       (** worker -> supervisor: per hosted node, per predicate, the
@@ -92,7 +95,11 @@ val write_frame : Unix.file_descr -> frame -> int
 
 val read_frame : ?timeout:float -> Unix.file_descr -> frame
 (** Read exactly one frame, blocking at most [timeout] seconds
-    (default 10) of wall-clock across the whole frame.
+    (default 10) of wall-clock across the whole frame.  Reads the
+    length prefix, then exactly the body it declares: bytes of any
+    later frame stay in the kernel buffer, so back-to-back frames come
+    out one per call and [select] on [fd] still reports them.
+    @raise Frame_error [Oversized_frame] on a corrupt length prefix.
     @raise Frame_error [Read_timeout] when the deadline passes —
     a dead peer fails the run rather than hanging it — and
     [Truncated_stream] when the peer closes mid-frame. *)

@@ -1185,6 +1185,14 @@ let sample_frames =
         st_bytes = 123456;
         st_inserts = 9;
       };
+    Wire.Idle
+      {
+        Wire.st_idle = true;
+        st_sent = 7;
+        st_received = 7;
+        st_bytes = 512;
+        st_inserts = 3;
+      };
     Wire.Dump;
     Wire.Store_dump
       [
@@ -1251,9 +1259,16 @@ let test_wire_oversized_and_bad_tag () =
   let d = Wire.Decoder.create () in
   let bad = Bytes.of_string "\x00\x00\x00\x01\x63" in
   Wire.Decoder.feed d bad 0 (Bytes.length bad);
-  match Wire.Decoder.next d with
+  (match Wire.Decoder.next d with
   | exception Wire.Frame_error (Wire.Bad_tag 0x63) -> ()
-  | _ -> Alcotest.fail "expected Bad_tag"
+  | _ -> Alcotest.fail "expected Bad_tag");
+  (* Tag 6 ([Idle]) is the last frame tag: 7 is unknown. *)
+  let d = Wire.Decoder.create () in
+  let bad = Bytes.of_string "\x00\x00\x00\x01\x07" in
+  Wire.Decoder.feed d bad 0 (Bytes.length bad);
+  match Wire.Decoder.next d with
+  | exception Wire.Frame_error (Wire.Bad_tag 7) -> ()
+  | _ -> Alcotest.fail "expected Bad_tag 7"
 
 let test_wire_truncated_stream () =
   (* Peer dies mid-frame: the reader gets a typed truncation, not a
@@ -1277,6 +1292,26 @@ let test_wire_read_timeout () =
   | exception Wire.Frame_error Wire.Read_timeout -> ()
   | _ -> Alcotest.fail "expected Read_timeout");
   checkb "deadline respected" true (Unix.gettimeofday () -. t0 < 2.0);
+  Unix.close a;
+  Unix.close b
+
+let test_wire_read_frame_back_to_back () =
+  (* Frames written back to back come out one per [read_frame]: the
+     reader takes the length prefix and then exactly the body, leaving
+     the next frame in the socket for the next call. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let frames = [ Wire.Poll; List.nth sample_frames 0; Wire.Bye ] in
+  List.iter (fun f -> ignore (Wire.write_frame a f)) frames;
+  List.iter
+    (fun expect ->
+      checkb "frame read in order" true
+        (Wire.read_frame ~timeout:2.0 b = expect))
+    frames;
+  (* A corrupt length prefix is refused before any allocation. *)
+  ignore (Unix.write_substring a "\x7f\xff\xff\xff" 0 4);
+  (match Wire.read_frame ~timeout:2.0 b with
+  | exception Wire.Frame_error (Wire.Oversized_frame _) -> ()
+  | _ -> Alcotest.fail "expected Oversized_frame");
   Unix.close a;
   Unix.close b
 
@@ -1342,21 +1377,77 @@ let test_supervisor_matches_sim () =
         (Store.equal store (Runtime.node_store rt node)))
     res.Supervisor.stores
 
+(* Open descriptors, counted through procfs; 0 where it is absent. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Array.length (Sys.readdir "/proc/self/fd")
+  else 0
+
 (* Supervisor runs leak no descriptors: every control channel closes on
    every exit, so a long series of runs cannot push descriptors past
-   [select]'s range.  Counted through procfs; skipped where it is
-   absent. *)
+   [select]'s range.  Skipped where procfs is absent. *)
 let test_supervisor_no_fd_leak () =
   if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
   let links = Programs.ring_links 3 in
   let full = Programs.with_links (Programs.path_vector ()) links in
   let loc = localized full in
   let topo = topo_of_links links in
-  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
   let before = open_fds () in
   for _ = 1 to 20 do
     ignore (Supervisor.run topo loc)
   done;
+  checki "descriptor count unchanged" before (open_fds ())
+
+(* Quiescence has no false positives: a run declared converged before
+   the fixpoint would leave some node's store short of the simulator's.
+   Thirty runs on each of three shapes give the idle reports every
+   chance to race the confirming wave. *)
+let test_supervisor_no_premature_convergence () =
+  List.iter
+    (fun (shape, links) ->
+      let full = Programs.with_links (Programs.path_vector ()) links in
+      let loc = localized full in
+      let topo = topo_of_links links in
+      let rt = Runtime.create topo loc in
+      Runtime.load_facts rt;
+      ignore (Runtime.run rt);
+      for run = 1 to 30 do
+        let res = Supervisor.run topo loc in
+        checkb (Printf.sprintf "%s run %d: at least one wave" shape run) true
+          (res.Supervisor.polls >= 1);
+        List.iter
+          (fun (node, store) ->
+            if not (Store.equal store (Runtime.node_store rt node)) then
+              Alcotest.failf "%s run %d: node %s converged early" shape run
+                node)
+          res.Supervisor.stores
+      done)
+    [
+      ("ring 6", Programs.ring_links 6);
+      ("line 5", Programs.line_links 5);
+      ("star 5", Programs.star_links 5);
+    ]
+
+(* A soft-state program never goes idle on a wall clock: the deadline
+   must end the run with [Convergence_timeout], kill and reap every
+   worker, and close every descriptor it opened (counted where procfs
+   exists). *)
+let test_supervisor_timeout () =
+  let links = Programs.ring_links 3 in
+  let full = Programs.with_links (Programs.heartbeat ~lifetime:2) links in
+  let loc = localized full in
+  let topo = topo_of_links links in
+  let before = open_fds () in
+  let t0 = Unix.gettimeofday () in
+  (match Supervisor.run ~timeout:0.5 topo loc with
+  | exception Supervisor.Convergence_timeout _ -> ()
+  | _ -> Alcotest.fail "expected Convergence_timeout");
+  let waited = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "timed out within 2 s (%.2f s)" waited) true
+    (waited < 2.0);
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | _ -> Alcotest.fail "a worker was left unreaped");
   checki "descriptor count unchanged" before (open_fds ())
 
 let test_runtime_rejects_foreign_hosted () =
@@ -1479,11 +1570,17 @@ let () =
           Alcotest.test_case "truncated stream" `Quick
             test_wire_truncated_stream;
           Alcotest.test_case "read timeout" `Quick test_wire_read_timeout;
+          Alcotest.test_case "read_frame keeps back-to-back frames" `Quick
+            test_wire_read_frame_back_to_back;
           Alcotest.test_case "partial writes" `Quick test_wire_partial_writes;
           Alcotest.test_case "supervisor matches simulator" `Quick
             test_supervisor_matches_sim;
           Alcotest.test_case "supervisor closes its descriptors" `Quick
             test_supervisor_no_fd_leak;
+          Alcotest.test_case "no premature convergence" `Quick
+            test_supervisor_no_premature_convergence;
+          Alcotest.test_case "timeout kills and reaps" `Quick
+            test_supervisor_timeout;
           Alcotest.test_case "rejects foreign hosted" `Quick
             test_runtime_rejects_foreign_hosted;
           Alcotest.test_case "simulator accessor guard" `Quick
