@@ -1,7 +1,6 @@
 (* Smoke check for the benchmark ledger: BENCH_ndlog.json must parse
-   as a schema-11 document carrying a non-empty E7 sweep (indexed vs.
-   baseline timings), an E8 sharded sweep with per-domain timings, an
-   E11 sweep (batched vs. per-tuple delta joins, with the enumeration
+   as a schema-12 document carrying a non-empty E7 sweep (indexed vs.
+   baseline timings), an E11 sweep (batched vs. per-tuple delta joins, with the enumeration
    reduction recorded per row), an E12 sweep (the distributed
    runtime's inbox batching vs. per-message deliveries, with the wire
    delta-group sizes recorded per row), an E13 sweep (incremental view
@@ -24,7 +23,10 @@
    invariant verdict, verdict equality across each cell's completed
    modes, and at least one cell where a reduced mode strictly beats a
    completed plain baseline), and a
-   run-history array.  Run by the @bench-smoke alias
+   run-history array.  Schema 12 dropped the E8 sharded sweep together
+   with the sharded evaluator; history entries written before it still
+   carry [e8_*] fields and stay valid, since only the fields every
+   entry has ever had are required.  Run by the @bench-smoke alias
    so a broken emitter (or a regression that stops a sweep from
    completing, a run diverging from its baseline fixpoint, or
    batching/incrementality losing its enumeration win) fails the
@@ -56,15 +58,15 @@ let () =
   | Error e -> fail "%s: does not parse: %s" path e
   | Ok v ->
     (match Json.member "schema" v with
-    | Some (Json.Int 11) -> ()
-    | _ -> fail "%s: missing schema=11" path);
+    | Some (Json.Int 12) -> ()
+    | _ -> fail "%s: missing schema=12" path);
     List.iter
       (fun k ->
         match Json.member k v with
         | Some _ -> ()
         | None -> fail "%s: missing top-level %S" path k)
       [
-        "quick"; "host_cores"; "unix_time"; "e7"; "e8"; "e11"; "e12"; "e13";
+        "quick"; "host_cores"; "unix_time"; "e7"; "e11"; "e12"; "e13";
         "e14"; "e15"; "e16"; "e17"; "history";
       ];
     (* E7: index layer on vs. off. *)
@@ -79,34 +81,6 @@ let () =
           ];
         require_same_fixpoint path "e7" i row)
       sweeps;
-    (* E8: sharded evaluation across domain counts. *)
-    let e8 = Option.get (Json.member "e8" v) in
-    let shard_sweeps = nonempty_sweeps path "e8" e8 in
-    let domain_counts =
-      match Option.bind (Json.member "domain_counts" e8) Json.as_arr with
-      | Some (_ :: _ as l) ->
-        List.map
-          (function Json.Int d -> d | _ -> fail "%s: bad domain count" path)
-          l
-      | _ -> fail "%s: empty or missing e8 domain_counts" path
-    in
-    List.iteri
-      (fun i row ->
-        require_fields path "e8" i row
-          [
-            "program"; "topology"; "n"; "shards"; "tuples"; "central_ms";
-            "domain_ms"; "parallel_speedup"; "same_fixpoint";
-          ];
-        (match Json.member "domain_ms" row with
-        | Some (Json.Obj kvs) ->
-          List.iter
-            (fun d ->
-              if not (List.mem_assoc (string_of_int d) kvs) then
-                fail "%s: e8 row %d lacks a timing for %d domains" path i d)
-            domain_counts
-        | _ -> fail "%s: e8 row %d domain_ms is not an object" path i);
-        require_same_fixpoint path "e8" i row)
-      shard_sweeps;
     (* E11: batched vs. per-tuple delta joins.  Every row must record a
        strict enumeration reduction on top of the identical fixpoint. *)
     let e11 = Option.get (Json.member "e11" v) in
@@ -409,11 +383,9 @@ let () =
           [ "unix_time"; "quick"; "host_cores" ])
       history;
     Fmt.pr
-      "%s: ok (%d e7 rows, %d e8 rows, %d e11 rows, %d e12 rows, %d e13 \
-       rows, %d e14 runs, %d e15 ops, %d e16 runs, %d e17 runs, %d history \
-       entries)@."
-      path (List.length sweeps) (List.length shard_sweeps)
-      (List.length batch_sweeps) (List.length inbox_sweeps)
+      "%s: ok (%d e7 rows, %d e11 rows, %d e12 rows, %d e13 rows, %d e14 \
+       runs, %d e15 ops, %d e16 runs, %d e17 runs, %d history entries)@."
+      path (List.length sweeps) (List.length batch_sweeps) (List.length inbox_sweeps)
       (List.length incr_sweeps) (List.length e14_runs)
       (List.length e15_ops) (List.length e16_runs) (List.length e17_runs)
       (List.length history)

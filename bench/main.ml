@@ -9,7 +9,6 @@
      E5 composition-preservation  lexProduct preservation theorems
      E6 fig2-bgp-pipeline         component model -> NDlog is property-preserving
      E7 ndlog-scaling             declarative execution efficiency
-     E8 sharded-multicore         per-location fixpoints on OCaml domains
      E9 softstate-rewrite         cost of the hard-state rewrite
      E10 model-checking           transition systems + counterexamples
      E11 batched-deltas           group-at-a-time delta joins
@@ -18,11 +17,11 @@
      dune exec bench/main.exe               # run everything
      dune exec bench/main.exe e3 e7         # selected experiments
      dune exec bench/main.exe quick         # skip the slowest sweeps
-     dune exec bench/main.exe e7 e8 json    # also write BENCH_ndlog.json
+     dune exec bench/main.exe e7 e11 json   # also write BENCH_ndlog.json
 
    Timing columns come from Bechamel (monotonic clock, OLS estimate per
-   run); coarse one-shot times use Unix.gettimeofday — true wall clock,
-   so the E8 multi-domain runs are measured honestly. *)
+   run); coarse one-shot times use Unix.gettimeofday (true wall
+   clock). *)
 
 let quick = ref false
 
@@ -492,15 +491,12 @@ type sweep_row = {
 
 let sw_speedup r = r.sw_base_ms /. Float.max 1e-6 r.sw_idx_ms
 
-(* Time one semi-naive fixpoint with the engine switches set.  Each
-   outcome carries its own per-run counters, so no global reset is
-   needed between runs. *)
+(* Time one semi-naive fixpoint with optimized joins (index probes and
+   most-bound-first body ordering) on or off.  Each outcome carries its
+   own per-run counters. *)
 let timed_seminaive ~optimized p info db =
-  Ndlog.Eval.use_indexes := optimized;
-  Ndlog.Eval.use_reordering := optimized;
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive p info db) in
-  Ndlog.Eval.use_indexes := true;
-  Ndlog.Eval.use_reordering := true;
+  let config = { Ndlog.Plan.default with optimized_joins = optimized } in
+  let o, t = wall (fun () -> Ndlog.Eval.seminaive ~config p info db) in
   (o, t, o.Ndlog.Eval.stats)
 
 let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
@@ -529,96 +525,9 @@ let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
   }
 
 (* ------------------------------------------------------------------ *)
-(* E8 sweep machinery: centralized semi-naive vs. the sharded evaluator
-   at several domain counts, over localized programs. *)
-
-type shard_row = {
-  sh_prog : string;
-  sh_topo : string;
-  sh_n : int;
-  sh_nodes : int;
-  sh_shards : int;  (* locations occupied by the initial database *)
-  sh_tuples : int;  (* fixpoint database size *)
-  sh_rounds : int;  (* sharded rounds: the parallel depth *)
-  sh_central_ms : float;
-  sh_domain_ms : (int * float) list;  (* domain count -> wall-clock ms *)
-  sh_stats : Ndlog.Eval.stats;  (* sharded run's join profile *)
-  sh_same : bool;  (* fixpoint = centralized, all domain counts agree *)
-}
-
-let e8_domain_counts = [ 1; 2; 4 ]
-
-let sh_best_ms r =
-  List.fold_left (fun acc (_, ms) -> Float.min acc ms) infinity r.sh_domain_ms
-
-let sh_d1_ms r =
-  match List.assoc_opt 1 r.sh_domain_ms with Some ms -> ms | None -> infinity
-
-(* Speedup of the best multi-domain run over the one-domain sharded run
-   (isolates parallelism from the sharding overhead itself). *)
-let sh_parallel_speedup r = sh_d1_ms r /. Float.max 1e-6 (sh_best_ms r)
-
-let sharded_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
-    shard_row =
-  let loc =
-    match Ndlog.Localize.rewrite_program p with
-    | Ok r -> r.Ndlog.Localize.program
-    | Error e ->
-      failwith (Fmt.str "localization failed: %a" Ndlog.Localize.pp_error e)
-  in
-  let info = Ndlog.Analysis.analyze_exn loc in
-  let db = Ndlog.Store.of_facts loc.Ndlog.Ast.facts in
-  let shards =
-    match Ndlog.Shard.analyze loc with
-    | Ok plan -> Array.length (fst (Ndlog.Shard.partition plan db))
-    | Error e -> failwith ("E8 expects a shardable program: " ^ e)
-  in
-  let central, t_c = wall (fun () -> Ndlog.Eval.seminaive loc info db) in
-  let runs =
-    List.map
-      (fun d ->
-        let o, t =
-          wall (fun () -> Ndlog.Eval.seminaive_sharded ~domains:d loc info db)
-        in
-        (d, o, t))
-      e8_domain_counts
-  in
-  let _, first, _ = List.hd runs in
-  let same =
-    List.for_all
-      (fun (_, (o : Ndlog.Eval.outcome), _) ->
-        Ndlog.Store.equal o.Ndlog.Eval.db central.Ndlog.Eval.db
-        && o.Ndlog.Eval.converged = central.Ndlog.Eval.converged
-        && Ndlog.Store.equal o.Ndlog.Eval.db first.Ndlog.Eval.db
-        && o.Ndlog.Eval.rounds = first.Ndlog.Eval.rounds
-        && o.Ndlog.Eval.derivations = first.Ndlog.Eval.derivations)
-      runs
-  in
-  (* The correctness claim is part of the benchmark: a divergent
-     fixpoint fails the run (and the bench-smoke alias) loudly. *)
-  if not same then
-    failwith
-      (Fmt.str "E8 %s/%s %d: sharded fixpoint diverged from centralized"
-         prog_name topo_name n);
-  {
-    sh_prog = prog_name;
-    sh_topo = topo_name;
-    sh_n = n;
-    sh_nodes = nodes;
-    sh_shards = shards;
-    sh_tuples = Ndlog.Store.total_tuples first.Ndlog.Eval.db;
-    sh_rounds = first.Ndlog.Eval.rounds;
-    sh_central_ms = t_c *. 1e3;
-    sh_domain_ms = List.map (fun (d, _, t) -> (d, t *. 1e3)) runs;
-    sh_stats = first.Ndlog.Eval.stats;
-    sh_same = same;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* E11 sweep machinery: semi-naive with batched delta joins on vs. off
    (the per-tuple delta path), over the E7 topologies.  Both runs keep
-   the index layer and body reordering on, so the column isolates the
-   batching itself. *)
+   optimized joins on, so the column isolates the batching itself. *)
 
 type batch_row = {
   bt_prog : string;
@@ -647,9 +556,8 @@ let bt_enum_saved r =
     /. float_of_int r.bt_enum_per_tuple
 
 let timed_batched ~batched p info db =
-  Ndlog.Eval.use_batching := batched;
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive p info db) in
-  Ndlog.Eval.use_batching := true;
+  let config = { Ndlog.Plan.default with batching = batched } in
+  let o, t = wall (fun () -> Ndlog.Eval.seminaive ~config p info db) in
   (o, t, o.Ndlog.Eval.stats)
 
 let batched_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
@@ -1234,8 +1142,8 @@ let churn_point ~n ~events ~reps : churn_row list =
         then failwith "E14: runs diverged across repetitions");
       row)
 
-(* The machine-readable ledger (BENCH_ndlog.json, schema 11).
-   E7, E8, E11–E17 stash their sweep rows here; the driver emits one
+(* The machine-readable ledger (BENCH_ndlog.json, schema 12).
+   E7, E11–E17 stash their sweep rows here; the driver emits one
    document at the end of the run.  The previous ledger's run history is
    carried forward and the finished run appended, so the committed file
    records how the numbers moved across regenerations. *)
@@ -1243,7 +1151,6 @@ let churn_point ~n ~events ~reps : churn_row list =
 let json_out = ref false
 let bench_json_path = "BENCH_ndlog.json"
 let e7_sweeps : sweep_row list ref = ref []
-let e8_rows : shard_row list ref = ref []
 let e11_rows : batch_row list ref = ref []
 let e12_rows : inbox_row list ref = ref []
 let e13_rows : incr_row list ref = ref []
@@ -1324,30 +1231,6 @@ let emit_bench_json () =
         ("same_fixpoint", Json.Bool r.sw_same);
       ]
   in
-  let e8_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.sh_prog);
-        ("topology", Json.Str r.sh_topo);
-        ("n", Json.Int r.sh_n);
-        ("nodes", Json.Int r.sh_nodes);
-        ("shards", Json.Int r.sh_shards);
-        ("tuples", Json.Int r.sh_tuples);
-        ("rounds", Json.Int r.sh_rounds);
-        ("central_ms", Json.Float r.sh_central_ms);
-        ( "domain_ms",
-          Json.Obj
-            (List.map
-               (fun (d, ms) -> (string_of_int d, Json.Float ms))
-               r.sh_domain_ms) );
-        ("parallel_speedup", Json.Float (sh_parallel_speedup r));
-        ("index_hits", Json.Int r.sh_stats.Ndlog.Eval.index_hits);
-        ("scans", Json.Int r.sh_stats.Ndlog.Eval.scans);
-        ("enumerated", Json.Int r.sh_stats.Ndlog.Eval.enumerated);
-        ("matched", Json.Int r.sh_stats.Ndlog.Eval.matched);
-        ("same_fixpoint", Json.Bool r.sh_same);
-      ]
-  in
   let e11_row r =
     Json.Obj
       [
@@ -1400,15 +1283,6 @@ let emit_bench_json () =
   in
   let largest_speedup =
     match largest with Some r -> Json.Float (sw_speedup r) | None -> Json.Null
-  in
-  let best_e8 =
-    match !e8_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Float
-        (List.fold_left
-           (fun acc r -> Float.max acc (sh_parallel_speedup r))
-           0.0 rows)
   in
   let e11_max_saved =
     match !e11_rows with
@@ -1633,8 +1507,6 @@ let emit_bench_json () =
         ("host_cores", Json.Int host_cores);
         ("e7_rows", Json.Int (List.length !e7_sweeps));
         ("e7_largest_topology_speedup", largest_speedup);
-        ("e8_rows", Json.Int (List.length !e8_rows));
-        ("e8_best_parallel_speedup", best_e8);
         ("e11_rows", Json.Int (List.length !e11_rows));
         ("e11_max_enum_saved_pct", e11_max_saved);
         ("e12_rows", Json.Int (List.length !e12_rows));
@@ -1662,7 +1534,7 @@ let emit_bench_json () =
   Json.to_file bench_json_path
     (Json.Obj
        [
-         ("schema", Json.Int 11);
+         ("schema", Json.Int 12);
          ("quick", Json.Bool !quick);
          ("host_cores", Json.Int host_cores);
          ("unix_time", Json.Int now);
@@ -1671,14 +1543,6 @@ let emit_bench_json () =
              [
                ("largest_topology_speedup", largest_speedup);
                ("sweeps", Json.Arr (List.map e7_row !e7_sweeps));
-             ] );
-         ( "e8",
-           Json.Obj
-             [
-               ( "domain_counts",
-                 Json.Arr (List.map (fun d -> Json.Int d) e8_domain_counts) );
-               ("best_parallel_speedup", best_e8);
-               ("sweeps", Json.Arr (List.map e8_row !e8_rows));
              ] );
          ( "e11",
            Json.Obj
@@ -1877,70 +1741,6 @@ let e7 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E8: sharded multicore fixpoint evaluation. *)
-
-let e8 () =
-  banner "e8" "sharded multicore fixpoint evaluation"
-    "per-location semi-naive fixpoints on OCaml domains reach the same \
-     fixpoint as centralized evaluation";
-  Fmt.pr "host cores (recommended domain count): %d; domain sweep: %s@."
-    (Domain.recommended_domain_count ())
-    (String.concat "/" (List.map string_of_int e8_domain_counts));
-  let ring_sizes = if !quick then [ 8; 12 ] else [ 8; 16; 24; 32 ] in
-  let grid_sides = if !quick then [ 3 ] else [ 3; 4; 5 ] in
-  let rows =
-    List.map
-      (fun n ->
-        sharded_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          (Ndlog.Programs.with_links
-             (Ndlog.Programs.path_vector ())
-             (Ndlog.Programs.ring_links n)))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          sharded_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k)
-            (Ndlog.Programs.with_links
-               (Ndlog.Programs.reachability ())
-               (Ndlog.Programs.grid_links k)))
-        grid_sides
-  in
-  e8_rows := rows;
-  let ms = Fmt.str "%.1f ms" in
-  table
-    [
-      "program"; "topology"; "shards"; "tuples"; "rounds"; "central";
-      "d=1"; "d=2"; "d=4"; "par speedup"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         let dms d =
-           match List.assoc_opt d r.sh_domain_ms with
-           | Some v -> ms v
-           | None -> "n/a"
-         in
-         [
-           r.sh_prog;
-           Fmt.str "%s %d" r.sh_topo r.sh_n;
-           string_of_int r.sh_shards;
-           string_of_int r.sh_tuples;
-           string_of_int r.sh_rounds;
-           ms r.sh_central_ms;
-           dms 1;
-           dms 2;
-           dms 4;
-           Fmt.str "%.2fx" (sh_parallel_speedup r);
-           string_of_bool r.sh_same;
-         ])
-       rows);
-  Fmt.pr
-    "fixpoint equality against the centralized engine is asserted per row; \
-     rounds is the parallel depth (max local rounds per global round).@.";
-  Fmt.pr
-    "note: parallel speedup only materializes on multicore hosts — on a \
-     single-core host the d=2/d=4 runs measure pool overhead honestly.@."
-
-(* ------------------------------------------------------------------ *)
 (* E11: batched delta joins. *)
 
 let e11 () =
@@ -1968,8 +1768,8 @@ let e11 () =
   in
   e11_rows := rows;
   Fmt.pr
-    "semi-naive, batched delta joins on vs. off (indexes and reordering on \
-     in both):@.";
+    "semi-naive, batched delta joins on vs. off (optimized joins on in \
+     both):@.";
   table
     [
       "program"; "topology"; "tuples"; "rounds"; "batched"; "per-tuple";
@@ -2774,16 +2574,11 @@ let a3 () =
     "the rewrite's overhead is one message per directed link — constant per \
      edge, independent of route churn@."
 
-(* E16 is listed (and must be selected) before E8: the supervisor
-   forks worker processes, and OCaml forbids [Unix.fork] once any
-   domain has been spawned — even a joined one.  E8's shard pool
-   spawns domains, so a run that does both must fork first. *)
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e16", e16); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e17", e17);
+    ("e7", e7); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
+    ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17);
     ("a1", a1); ("a2", a2); ("a3", a3);
   ]
 
@@ -2797,7 +2592,7 @@ let () =
           quick := true;
           false
         | "json" ->
-          (* Emit the machine-readable E7/E8/E11–E16 ledger
+          (* Emit the machine-readable E7/E11–E17 ledger
              (BENCH_ndlog.json). *)
           json_out := true;
           false

@@ -110,16 +110,6 @@ let execute ?(max_rounds = 10_000) (program : Ast.program) : (execution, string)
   | Ok outcome -> Ok (Central outcome)
   | Error e -> Error (Fmt.str "%a" Ndlog.Analysis.pp_error e)
 
-(* As [execute], but over the sharded multicore engine: one fixpoint per
-   location on a domain pool, falling back to the centralized engine for
-   programs {!Ndlog.Shard.analyze} rejects. *)
-let execute_sharded ?(max_rounds = 10_000)
-    ?(domains = Domain.recommended_domain_count ()) (program : Ast.program) :
-    (execution, string) result =
-  match Ndlog.Eval.run_sharded ~max_rounds ~domains program with
-  | Ok outcome -> Ok (Central outcome)
-  | Error e -> Error (Fmt.str "%a" Ndlog.Analysis.pp_error e)
-
 (* As [execute], also reporting the run's join profile (each outcome
    carries its own per-run counters). *)
 let execute_instrumented ?max_rounds (program : Ast.program) :

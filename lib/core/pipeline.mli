@@ -59,17 +59,6 @@ type execution =
 val execute : ?max_rounds:int -> Ndlog.Ast.program -> (execution, string) result
 (** Arc 7, centralized. *)
 
-val execute_sharded :
-  ?max_rounds:int ->
-  ?domains:int ->
-  Ndlog.Ast.program ->
-  (execution, string) result
-(** Arc 7, sharded multicore: one semi-naive fixpoint per location on a
-    pool of [domains] OCaml domains ({!Ndlog.Eval.seminaive_sharded}),
-    same fixpoint as {!execute}.  Falls back to the centralized engine
-    for programs {!Ndlog.Shard.analyze} rejects.  [domains] defaults to
-    [Domain.recommended_domain_count ()]. *)
-
 val execute_instrumented :
   ?max_rounds:int ->
   Ndlog.Ast.program ->

@@ -77,6 +77,7 @@ module Intern = Ndlog.Intern
 module Flat = Ndlog.Flat
 module Fset = Flat.Fset
 module Ideval = Ndlog.Ideval
+module Plan = Ndlog.Plan
 module Sset = Ast.Sset
 
 (* The message type lives in {!Wire} (the framing layer needs it);
@@ -208,8 +209,8 @@ type t = {
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
      refreshes. *)
-  joins : Eval.counters;
-  wire : Eval.counters;
+  joins : Plan.counters;
+  wire : Plan.counters;
   mutable refresh_pending : bool;
   (* Wall-clock spent inside [refresh_views] and the number of walks:
      the refresh-cost breakdown the churn benchmark reports. *)
@@ -246,7 +247,7 @@ let pp_remote_view_error ppf e =
        the remote copies could never be deleted"
       e.rv_rule e.rv_pred p
 
-(* Location-column bookkeeping is shared with the sharded evaluator:
+(* Location-column bookkeeping is shared with the model checker:
    {!Ndlog.Shard} owns the tuple-to-owner mapping. *)
 let tuple_location = Ndlog.Shard.tuple_location
 let loc_index_map = Ndlog.Shard.loc_index_map
@@ -412,7 +413,7 @@ let incremental_views_default () =
    plus an address check, no tuple materialization. *)
 let owner_of_ids (loc : int option) (ids : int array) : string option =
   match loc with
-  | Some i when i < Array.length ids -> Some (Value.as_addr (Intern.get ids.(i)))
+  | Some i when i < Array.length ids -> Some (Value.as_addr (Intern.of_id ids.(i)))
   | _ -> None
 
 (* Canonical send order for tuples leaving a node: sorted by boxed
@@ -472,16 +473,14 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
      trigger's list. *)
   let strands = Hashtbl.create 32 in
   List.iter
-    (fun (st : Ndlog.Plan.strand) ->
-      match st.Ndlog.Plan.delta_pred with
-      | Some pred ->
-        let ist = Ideval.of_strand st in
-        Hashtbl.replace strands pred
-          (match Hashtbl.find_opt strands pred with
-          | Some l -> l @ [ ist ]
-          | None -> [ ist ])
-      | None -> ())
-    (Ndlog.Plan.compile_program pipeline_program);
+    (fun (st : Plan.strand) ->
+      let pred = st.Plan.delta.Ast.pred in
+      let ist = Ideval.of_strand st in
+      Hashtbl.replace strands pred
+        (match Hashtbl.find_opt strands pred with
+        | Some l -> l @ [ ist ]
+        | None -> [ ist ]))
+    (Plan.compile_program pipeline_program);
   let incremental_views =
     match incremental_views with
     | Some b -> b
@@ -505,7 +504,7 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
           else
             Seed
               (List.map Ideval.of_strand
-                 (Ndlog.Plan.compile_program
+                 (Plan.compile_program
                     { view_program with Ast.rules = rules }))
         in
         (rs, mode))
@@ -528,8 +527,8 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       strands;
       incremental_views;
       refresh_plan;
-      joins = Eval.counters ();
-      wire = Eval.counters ();
+      joins = Plan.counters ();
+      wire = Plan.counters ();
       refresh_pending = false;
       refresh_wall = 0.0;
       refresh_walks = 0;
@@ -769,7 +768,7 @@ and refresh_views t =
       if ns.stale || not t.incremental_views then refresh_node t ns
       else incr idle)
     t.hosted;
-  Eval.note_strata_skipped t.joins (!idle * List.length t.refresh_plan);
+  Plan.note_strata_skipped t.joins (!idle * List.length t.refresh_plan);
   t.refresh_wall <- t.refresh_wall +. (Unix.gettimeofday () -. t0);
   t.refresh_walks <- t.refresh_walks + 1
 
@@ -844,13 +843,13 @@ and incremental_fresh t ns (db : Flat.t) :
         let support = rs.Eval.rs_support in
         if not (Sset.exists (fun p -> Sset.mem p changed) support) then begin
           (* Untouched: the seeded relations are still exact. *)
-          Eval.note_strata_skipped t.joins 1;
+          Plan.note_strata_skipped t.joins 1;
           changed
         end
         else
           match mode with
           | Refold refolds ->
-            Eval.note_stratum_refolded t.joins;
+            Plan.note_stratum_refolded t.joins;
             journaled changed (fun () ->
                 Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
                   ~removed)
@@ -867,7 +866,7 @@ and incremental_fresh t ns (db : Flat.t) :
             (* Negation is non-monotone in its support, and removals are
                non-monotone under seeding: recompute the stratum from
                scratch, its relations starting empty. *)
-            Eval.note_refresh_fallback t.joins;
+            Plan.note_refresh_fallback t.joins;
             journaled changed (fun () ->
                 List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
                 ignore
@@ -1113,11 +1112,11 @@ let run ?(until = infinity) ?(max_events = 1_000_000) t =
      own counters; the deltas across the run are this run's join
      profile, with the strand (wire) and view-refresh paths reported
      separately. *)
-  let before_joins = Eval.snapshot t.joins in
-  let before_wire = Eval.snapshot t.wire in
+  let before_joins = Plan.snapshot t.joins in
+  let before_wire = Plan.snapshot t.wire in
   let stats = t.transport.Transport.run ~until ~max_events in
-  let wire_stats = diff_stats (Eval.snapshot t.wire) before_wire in
-  let view_stats = diff_stats (Eval.snapshot t.joins) before_joins in
+  let wire_stats = diff_stats (Plan.snapshot t.wire) before_wire in
+  let view_stats = diff_stats (Plan.snapshot t.joins) before_joins in
   {
     stats;
     total_inserts = total_inserts t;

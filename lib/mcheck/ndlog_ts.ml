@@ -138,9 +138,8 @@ let enabled_actions (p : Ast.program) : Store.t -> action list =
      argument; collapses the insertion lattice to one chain);
    - [`Footprint]: additionally require the writes at distinct located
      nodes and each write disjoint from the other's read set — the
-     conservative locality test of the sharding analysis.  Strictly
-     weaker reduction (a write usually appears in some neighbour's
-     reads), kept as the mode whose claims are justified by locality
+     conservative locality test.  Strictly weaker reduction (a write
+     usually appears in some neighbour's reads), kept as the mode whose claims are justified by locality
      alone rather than by the global monotonicity argument. *)
 
 type independence = [ `Footprint | `Monotone ]

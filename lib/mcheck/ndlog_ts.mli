@@ -53,11 +53,10 @@ val enabled_actions : Ndlog.Ast.program -> Ndlog.Store.t -> action list
       alone suffices, collapsing the insertion lattice to one chain;
     - [`Footprint]: additionally require writes at distinct located
       nodes and each write disjoint from the other's reads — the
-      conservative locality test (in the style of the {!Ndlog.Shard}
-      analysis), justified without the global monotonicity argument
-      but much weaker in practice: a route insertion's write usually
-      appears in a neighbour's reads, so densely coupled topologies
-      see little reduction (measured in experiment E17). *)
+      conservative locality test, justified without the global
+      monotonicity argument but much weaker in practice: a route
+      insertion's write usually appears in a neighbour's reads, so
+      densely coupled topologies see little reduction (measured in experiment E17). *)
 type independence = [ `Footprint | `Monotone ]
 
 val has_negation : Ndlog.Ast.program -> bool

@@ -14,22 +14,6 @@ let bind x v (env : t) : t = M.add x v env
 let bindings (env : t) = M.bindings env
 let of_list l : t = List.fold_left (fun e (x, v) -> M.add x v e) M.empty l
 
-(* Consistent union: every binding of [a] added to [b], or [None] when
-   some variable is bound to different values in the two.  Used by the
-   batched delta join to recombine a per-tuple delta binding with an
-   environment computed once for the tuple's whole group. *)
-let merge (a : t) (b : t) : t option =
-  let exception Conflict in
-  try
-    Some
-      (M.fold
-         (fun x v acc ->
-           match M.find_opt x acc with
-           | None -> M.add x v acc
-           | Some v' -> if Value.equal v v' then acc else raise Conflict)
-         a b)
-  with Conflict -> None
-
 let find x env =
   match M.find_opt x env with
   | Some v -> v

@@ -16,13 +16,6 @@ val bind : string -> Value.t -> t -> t
 val bindings : t -> (string * Value.t) list
 val of_list : (string * Value.t) list -> t
 
-val merge : t -> t -> t option
-(** [merge a b]: the consistent union of two environments — every
-    binding of [a] added to [b] — or [None] when a variable is bound to
-    different values in the two.  Used by the batched delta join to
-    recombine per-tuple delta bindings with group-shared
-    environments. *)
-
 val eval : t -> Ast.expr -> Value.t
 (** Evaluate an expression to a ground value.
 

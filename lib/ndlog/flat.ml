@@ -418,7 +418,7 @@ let lookup db pred ~(cols : int list) ~(key : int array) : int array list =
     match Ktbl.find_opt idx key with Some bucket -> bucket | None -> [])
 
 (* Transient grouping of a (typically small) relation by [cols]:
-   the id-native twin of {!Store.groups}, in no particular order —
+   like {!groups}, in no particular order —
    callers needing the canonical order sort boxed keys themselves. *)
 let group_set (set : Fset.t) ~(cols : int list) :
     (int array * int array list) list =

@@ -1,5 +1,5 @@
-(* Id-native evaluation: the rule-application core of {!Eval} ported to
-   flat tuples ({!Flat}) and slot-compiled environments.
+(* The semi-naive executor: NDlog rule application over flat tuples
+   ({!Flat}) and slot-compiled environments.
 
    Environments are [int array]s of interned value ids indexed by a
    per-rule variable slot table (-1 = unbound); argument patterns are
@@ -11,17 +11,12 @@
    allocation-ordered, never a value order), and observable output
    materializes boxed tuples.
 
-   It shares its planning with {!Eval} rather than reimplementing it:
-   literal orders come from the very same planning functions
-   ({!Eval.order_body}, {!Eval.group_vars}, {!Eval.split_shared}, ...),
-   the index-versus-scan decision is the same test on the same
-   positions, and every counter ({!Eval.counters}) is bumped at the
-   same point of the same loop — so a run here matches the boxed
-   evaluator's in fixpoint, derivation counts, and join statistics
-   (checked by property against {!Eval.seminaive}).  It is the only
-   executor {!Dist.Runtime} runs. *)
-
-module Sset = Set.Make (String)
+   This is the only semi-naive executor: {!Eval.seminaive} runs it
+   behind a boxing boundary and every node of {!Dist.Runtime} runs it
+   directly.  Literal orders, delta decompositions and aggregate shapes
+   come from {!Plan}; the optimizations are switched per call by a
+   {!Plan.config}.  Tests check it against the boxed naive evaluator
+   ({!Eval.naive}), which shares no execution code with it. *)
 
 module Fset = Flat.Fset
 
@@ -30,7 +25,7 @@ module Fset = Flat.Fset
 
 (* A variable carries its slot and its source name — the name only
    feeds {!Env.Unbound_variable}, keeping error behaviour identical to
-   the boxed evaluator's. *)
+   boxed evaluation's. *)
 type iexpr =
   | XVar of int * string
   | XConst of int  (* precomputed id of the constant *)
@@ -87,23 +82,23 @@ let compile_head ctx (h : Ast.head) : iexpr array =
        (function
          | Ast.Plain e -> compile_expr ctx e
          | Ast.Agg _ ->
-           raise (Eval.Eval_error "aggregate head in plain context"))
+           raise (Plan.Eval_error "aggregate head in plain context"))
        h.Ast.head_args)
 
 (* Arithmetic unboxes its operands (an array read each) and re-interns
    the result through the small-int memo — the boundary {!Intern}
    crossing the tentpole confines to computed values. *)
 let arith_id op a b =
-  let x = Value.as_int (Intern.get a) and y = Value.as_int (Intern.get b) in
+  let x = Value.as_int (Intern.of_id a) and y = Value.as_int (Intern.of_id b) in
   match op with
   | Ast.Add -> Intern.int_id (x + y)
   | Ast.Sub -> Intern.int_id (x - y)
   | Ast.Mul -> Intern.int_id (x * y)
   | Ast.Div ->
-    if y = 0 then raise (Value.Type_error ("non-zero divisor", Intern.get b))
+    if y = 0 then raise (Value.Type_error ("non-zero divisor", Intern.of_id b))
     else Intern.int_id (x / y)
   | Ast.Mod ->
-    if y = 0 then raise (Value.Type_error ("non-zero divisor", Intern.get b))
+    if y = 0 then raise (Value.Type_error ("non-zero divisor", Intern.of_id b))
     else Intern.int_id (x mod y)
 
 let rec eval_x (env : int array) (e : iexpr) : int =
@@ -116,7 +111,7 @@ let rec eval_x (env : int array) (e : iexpr) : int =
     let n = Array.length args in
     let vs = ref [] in
     for i = n - 1 downto 0 do
-      vs := Intern.get (eval_x env args.(i)) :: !vs
+      vs := Intern.of_id (eval_x env args.(i)) :: !vs
     done;
     Intern.id (Builtins.apply f !vs)
   | XBinop (op, a, b) -> arith_id op (eval_x env a) (eval_x env b)
@@ -129,14 +124,14 @@ let eval_ids env (args : iexpr array) : int array =
   done;
   out
 
-(* Id twin of {!Env.eval_cmp}: equality is id equality; orderings unbox
+(* {!Env.eval_cmp} over ids: equality is id equality; orderings unbox
    (ids are allocation-ordered) and use the engine's {!Value.compare}. *)
 let eval_cmp_ids (c : Ast.cmp) a b =
   match c with
   | Ast.Eq -> a = b
   | Ast.Ne -> a <> b
   | _ ->
-    let k = Value.compare (Intern.get a) (Intern.get b) in
+    let k = Value.compare (Intern.of_id a) (Intern.of_id b) in
     (match c with
     | Ast.Lt -> k < 0
     | Ast.Le -> k <= 0
@@ -174,12 +169,10 @@ let match_pat (env : int array) (pat : iexpr array) (t : int array) : bool =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Candidate selection — the id twin of {!Eval.candidates}. *)
+(* Candidate selection. *)
 
 (* The argument positions ground under [env]: constants and bound bare
-   variables, in ascending position order (identical to
-   [Eval.ground_positions], so the index-versus-scan decision — and the
-   column set probed — coincides with the boxed path's). *)
+   variables, in ascending position order. *)
 let bound_cols (env : int array) (pat : iexpr array) : (int * int) list =
   let acc = ref [] in
   for i = Array.length pat - 1 downto 0 do
@@ -191,16 +184,16 @@ let bound_cols (env : int array) (pat : iexpr array) : (int * int) list =
   !acc
 
 (* An iterator over the candidate tuples for matching [pat] against
-   [pred] under [env], bumping the same counter the boxed
-   [candidates_c] would. *)
-let candidates (st : Eval.counters) fdb (env : int array) pred
-    (pat : iexpr array) : (int array -> unit) -> unit =
-  match if !Eval.use_indexes then bound_cols env pat else [] with
+   [pred] under [env]: an index probe on the ground positions, or a
+   full scan when none is ground (or indexes are switched off). *)
+let candidates (cfg : Plan.config) (st : Plan.counters) fdb (env : int array)
+    pred (pat : iexpr array) : (int array -> unit) -> unit =
+  match if cfg.Plan.optimized_joins then bound_cols env pat else [] with
   | [] ->
-    st.Eval.c_scans <- st.Eval.c_scans + 1;
+    st.Plan.c_scans <- st.Plan.c_scans + 1;
     fun f -> Fset.iter f (Flat.relation fdb pred)
   | bound ->
-    st.Eval.c_index_hits <- st.Eval.c_index_hits + 1;
+    st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
     let cols = List.map fst bound in
     let key = Array.of_list (List.map snd bound) in
     let bucket = Flat.lookup fdb pred ~cols ~key in
@@ -210,14 +203,14 @@ let candidates (st : Eval.counters) fdb (env : int array) pred
 (* Body evaluation. *)
 
 (* Enumerate the satisfying environments of compiled [steps] starting
-   from [env0], prepending frozen copies to [acc] — the twin of
-   [Eval.body_envs_from].  [delta] replaces the relation read by the
-   step at the given index (semi-naive).  The environment flows through
-   per-step scratch buffers: a candidate match blits the incoming
-   bindings and binds in place, so only *satisfying* environments pay an
-   allocation. *)
-let body_envs_from (st : Eval.counters) fdb ~nslots ?delta (env0 : int array)
-    (steps : step array) (acc : int array list) : int array list =
+   from [env0], prepending frozen copies to [acc].  [delta] replaces the
+   relation read by the step at the given index (semi-naive).  The
+   environment flows through per-step scratch buffers: a candidate match
+   blits the incoming bindings and binds in place, so only *satisfying*
+   environments pay an allocation. *)
+let body_envs_from cfg (st : Plan.counters) fdb ~nslots ?delta
+    (env0 : int array) (steps : step array) (acc : int array list) :
+    int array list =
   let nsteps = Array.length steps in
   let scratch = Array.init (max nsteps 1) (fun _ -> Array.make nslots (-1)) in
   let acc = ref acc in
@@ -229,16 +222,16 @@ let body_envs_from (st : Eval.counters) fdb ~nslots ?delta (env0 : int array)
         let iterate =
           match delta with
           | Some (j, d) when j = si ->
-            st.Eval.c_scans <- st.Eval.c_scans + 1;
+            st.Plan.c_scans <- st.Plan.c_scans + 1;
             fun f -> Fset.iter f d
-          | _ -> candidates st fdb env pred pat
+          | _ -> candidates cfg st fdb env pred pat
         in
         let buf = scratch.(si) in
         iterate (fun t ->
-            st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
+            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
             Array.blit env 0 buf 0 nslots;
             if match_pat buf pat t then begin
-              st.Eval.c_matched <- st.Eval.c_matched + 1;
+              st.Plan.c_matched <- st.Plan.c_matched + 1;
               go buf (si + 1)
             end)
       | SNeg { pred; args } ->
@@ -260,9 +253,8 @@ let body_envs_from (st : Eval.counters) fdb ~nslots ?delta (env0 : int array)
   go env0 0;
   !acc
 
-(* Consistent union of two frozen environments — the twin of
-   {!Env.merge} (recombining a per-tuple delta binding with its group's
-   shared environment). *)
+(* Consistent union of two frozen environments (recombining a per-tuple
+   delta binding with its group's shared environment). *)
 let merge_env (a : int array) (b : int array) : int array option =
   let n = Array.length b in
   let out = Array.copy b in
@@ -283,11 +275,15 @@ let merge_env (a : int array) (b : int array) : int array option =
   if go 0 then Some out else None
 
 (* ------------------------------------------------------------------ *)
-(* Batched delta joins — the twin of [Eval.batched_delta_envs]. *)
+(* Delta joins. *)
 
-(* One compiled (rule, delta position) activation: the batched
-   decomposition and the per-tuple fallback, each a self-contained
-   compilation unit (own slot table, own compiled head). *)
+(* One compiled (rule, delta position) activation.  Batched: the round's
+   delta is grouped by [b_cols], the [b_shared] literals run once per
+   group from the key bindings, and each delta tuple pays only its
+   pattern match plus [b_per_tuple] ({!Plan.split_shared}).  Per tuple:
+   the delta literal first, then the ordered rest, replayed per delta
+   tuple.  Each is a self-contained compilation unit (own slot table,
+   own compiled head). *)
 type bunit = {
   b_cols : int list;  (* delta group columns *)
   b_col_slots : int list;  (* their slots, positionally *)
@@ -304,63 +300,59 @@ type punit = {
   p_head : iexpr array;
 }
 
-type activation = { act_batched : bunit; act_pertuple : punit }
+type activation = Batched of bunit | Per_tuple of punit
 
-let compile_activation ~card (rule : Ast.rule) (delta_atom : Ast.atom)
-    (rest : Ast.lit list) : activation =
-  let gvars = Eval.group_vars delta_atom rest in
-  let cols_vars = Eval.group_cols delta_atom gvars in
-  let ordered =
-    Eval.order_body ~card ~bound:(Eval.atom_binds delta_atom) rest
-  in
-  let shared, per_tuple = Eval.split_shared gvars ordered in
-  let bctx = mkctx () in
-  let b_dpat = compile_args bctx delta_atom.Ast.args in
-  let b_col_slots = List.map (fun (_, x) -> slot bctx x) cols_vars in
-  let b_shared = compile_body bctx shared in
-  let b_per_tuple = compile_body bctx per_tuple in
-  let b_head = compile_head bctx rule.Ast.head in
-  let pctx = mkctx () in
-  let p_steps =
-    compile_body pctx (Ast.Pos delta_atom :: ordered)
-  in
-  let p_head = compile_head pctx rule.Ast.head in
-  {
-    act_batched =
+(* [ordered]: the rest of the body, already join-planned. *)
+let compile_activation (cfg : Plan.config) (rule : Ast.rule)
+    (delta_atom : Ast.atom) (ordered : Ast.lit list) : activation =
+  let ctx = mkctx () in
+  if cfg.Plan.batching then begin
+    let gvars = Plan.group_vars delta_atom ordered in
+    let cols_vars = Plan.group_cols delta_atom gvars in
+    let shared, per_tuple = Plan.split_shared gvars ordered in
+    let b_dpat = compile_args ctx delta_atom.Ast.args in
+    let b_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
+    let b_shared = compile_body ctx shared in
+    let b_per_tuple = compile_body ctx per_tuple in
+    let b_head = compile_head ctx rule.Ast.head in
+    Batched
       {
         b_cols = List.map fst cols_vars;
         b_col_slots;
         b_dpat;
         b_shared;
         b_per_tuple;
-        b_nslots = bctx.n;
+        b_nslots = ctx.n;
         b_head;
-      };
-    act_pertuple = { p_steps; p_nslots = pctx.n; p_head };
-  }
+      }
+  end
+  else begin
+    let p_steps = compile_body ctx (Ast.Pos delta_atom :: ordered) in
+    let p_head = compile_head ctx rule.Ast.head in
+    Per_tuple { p_steps; p_nslots = ctx.n; p_head }
+  end
 
 (* All satisfying environments of the batched activation against [fdb]
-   with the delta read from [dset], paired with the compiled head that
-   instantiates them.  Counter bumps mirror [Eval.batched_delta_envs]
-   exactly: one group probe per activation, delta tuples by cardinality,
-   one group per distinct key, enumerated/matched per delta tuple, and
-   the shared/per-tuple phases accounted through [body_envs_from]. *)
-let batched_envs (st : Eval.counters) fdb (b : bunit) (dset : Fset.t) :
+   with the delta read from [dset].  Counters: one group probe per
+   activation, delta tuples by cardinality, one group per distinct key,
+   enumerated/matched per delta tuple, and the shared/per-tuple phases
+   accounted through [body_envs_from]. *)
+let batched_envs cfg (st : Plan.counters) fdb (b : bunit) (dset : Fset.t) :
     int array list =
-  st.Eval.c_group_probes <- st.Eval.c_group_probes + 1;
-  st.Eval.c_delta_tuples <- st.Eval.c_delta_tuples + Fset.cardinal dset;
+  st.Plan.c_group_probes <- st.Plan.c_group_probes + 1;
+  st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
   let nslots = b.b_nslots in
   let scratch = Array.make nslots (-1) in
   List.fold_left
     (fun acc (key, tuples) ->
-      st.Eval.c_groups <- st.Eval.c_groups + 1;
+      st.Plan.c_groups <- st.Plan.c_groups + 1;
       let tuple_envs =
         List.fold_left
           (fun acc t ->
-            st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
+            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
             Array.fill scratch 0 nslots (-1);
             if match_pat scratch b.b_dpat t then begin
-              st.Eval.c_matched <- st.Eval.c_matched + 1;
+              st.Plan.c_matched <- st.Plan.c_matched + 1;
               Array.copy scratch :: acc
             end
             else acc)
@@ -374,7 +366,7 @@ let batched_envs (st : Eval.counters) fdb (b : bunit) (dset : Fset.t) :
           (fun i s -> env_g.(s) <- key.(i))
           b.b_col_slots;
         let shared_envs =
-          body_envs_from st fdb ~nslots env_g b.b_shared []
+          body_envs_from cfg st fdb ~nslots env_g b.b_shared []
         in
         List.fold_left
           (fun acc env_s ->
@@ -383,39 +375,34 @@ let batched_envs (st : Eval.counters) fdb (b : bunit) (dset : Fset.t) :
                 match merge_env env_t env_s with
                 | None -> acc
                 | Some env ->
-                  body_envs_from st fdb ~nslots env b.b_per_tuple acc)
+                  body_envs_from cfg st fdb ~nslots env b.b_per_tuple acc)
               acc tuple_envs)
           acc shared_envs)
     []
     (Flat.group_set dset ~cols:b.b_cols)
 
-(* The twin of {!Eval.delta_envs}: batched or per-tuple according to
-   {!Eval.use_batching}, returning (environments, compiled head). *)
-let delta_envs (st : Eval.counters) fdb (act : activation) (dset : Fset.t) :
-    int array list * iexpr array =
-  if !Eval.use_batching then
-    (batched_envs st fdb act.act_batched dset, act.act_batched.b_head)
-  else begin
-    st.Eval.c_delta_tuples <- st.Eval.c_delta_tuples + Fset.cardinal dset;
-    let p = act.act_pertuple in
+(* All satisfying environments of one activation over the delta set
+   [dset], paired with the compiled head that instantiates them. *)
+let delta_envs cfg (st : Plan.counters) fdb (act : activation)
+    (dset : Fset.t) : int array list * iexpr array =
+  match act with
+  | Batched b -> (batched_envs cfg st fdb b dset, b.b_head)
+  | Per_tuple p ->
+    st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
     let env0 = Array.make p.p_nslots (-1) in
-    ( body_envs_from st fdb ~nslots:p.p_nslots ~delta:(0, dset) env0 p.p_steps
-        [],
+    ( body_envs_from cfg st fdb ~nslots:p.p_nslots ~delta:(0, dset) env0
+        p.p_steps [],
       p.p_head )
-  end
 
 (* ------------------------------------------------------------------ *)
-(* Strand execution — the wire path's twin of {!Plan.execute_batch}. *)
+(* Strand execution (the wire path). *)
 
 type istrand = {
   is_rule : Ast.rule;
   is_delta_pred : string;
-  is_delta_atom : Ast.atom;
-  is_rest : Ast.lit list;
-  (* Compiled under a use_reordering snapshot; recompiled lazily when
-     the switch changes (the boxed path re-plans every call, so the
-     plans — and hence the counters — stay aligned either way). *)
-  mutable is_cache : (bool * activation) option;
+  (* Planned once, without cardinalities, so one compiled strand serves
+     every batch. *)
+  is_act : activation;
 }
 
 let head_pred (s : istrand) = s.is_rule.Ast.head.Ast.head_pred
@@ -423,72 +410,46 @@ let head_loc (s : istrand) = s.is_rule.Ast.head.Ast.head_loc
 let delta_pred (s : istrand) = s.is_delta_pred
 
 let of_strand (s : Plan.strand) : istrand =
-  match s.Plan.delta_index with
-  | None -> invalid_arg "Ideval.of_strand: strand has no delta position"
-  | Some i ->
-    let delta_atom =
-      match List.nth s.Plan.strand_rule.Ast.body i with
-      | Ast.Pos a -> a
-      | _ -> invalid_arg "Ideval.of_strand: delta position is not positive"
-    in
-    let rest =
-      List.filteri (fun j _ -> j <> i) s.Plan.strand_rule.Ast.body
-    in
-    {
-      is_rule = s.Plan.strand_rule;
-      is_delta_pred = delta_atom.Ast.pred;
-      is_delta_atom = delta_atom;
-      is_rest = rest;
-      is_cache = None;
-    }
+  {
+    is_rule = s.Plan.strand_rule;
+    is_delta_pred = s.Plan.delta.Ast.pred;
+    is_act =
+      compile_activation Plan.default s.Plan.strand_rule s.Plan.delta
+        s.Plan.rest;
+  }
 
-let activation_of (s : istrand) : activation =
-  match s.is_cache with
-  | Some (flag, act) when flag = !Eval.use_reordering -> act
-  | _ ->
-    (* The strand executor plans without cardinalities
-       ([Plan.execute_batch] defaults [card] to the zero function), so
-       the compiled plan is call-independent and cacheable. *)
-    let act =
-      compile_activation ~card:(fun _ -> 0) s.is_rule s.is_delta_atom
-        s.is_rest
-    in
-    s.is_cache <- Some (!Eval.use_reordering, act);
-    act
-
-(* Head id tuples of one strand run over a whole delta batch — the
-   twin of {!Plan.execute_batch} (same counters, same multiset of
-   heads; order differs and is canonicalized by the caller). *)
-let execute_batch ?(stats = Eval.counters ()) fdb
+(* Head id tuples of one strand run over a whole delta batch, one per
+   satisfying environment (a multiset, in no particular order). *)
+let execute_batch ?(stats = Plan.counters ()) fdb
     ~(delta_tuples : int array list) (s : istrand) : int array list =
   match delta_tuples with
   | [] -> []
   | _ ->
     let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
     List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
-    let envs, head = delta_envs stats fdb (activation_of s) dset in
+    let envs, head = delta_envs Plan.default stats fdb s.is_act dset in
     List.rev_map (fun env -> eval_ids env head) envs
 
 (* ------------------------------------------------------------------ *)
-(* Aggregates — twins of [Eval.apply_agg_rule]'s two paths. *)
+(* Aggregates. *)
 
 let agg_fold_ids (a : Ast.agg) (ids : int list) : int =
   match a, ids with
-  | _, [] -> raise (Eval.Eval_error "aggregate over empty group")
+  | _, [] -> raise (Plan.Eval_error "aggregate over empty group")
   | Ast.Min, v :: rest ->
     List.fold_left
       (fun m v ->
-        if Value.compare (Intern.get v) (Intern.get m) < 0 then v else m)
+        if Value.compare (Intern.of_id v) (Intern.of_id m) < 0 then v else m)
       v rest
   | Ast.Max, v :: rest ->
     List.fold_left
       (fun m v ->
-        if Value.compare (Intern.get v) (Intern.get m) > 0 then v else m)
+        if Value.compare (Intern.of_id v) (Intern.of_id m) > 0 then v else m)
       v rest
   | Ast.Count, vs -> Intern.int_id (List.length vs)
   | Ast.Sum, vs ->
     Intern.int_id
-      (List.fold_left (fun acc v -> acc + Value.as_int (Intern.get v)) 0 vs)
+      (List.fold_left (fun acc v -> acc + Value.as_int (Intern.of_id v)) 0 vs)
 
 module Ktbl = Hashtbl.Make (struct
   type t = int array
@@ -497,25 +458,30 @@ module Ktbl = Hashtbl.Make (struct
   let hash = Fset.tuple_hash
 end)
 
-let apply_agg_rule_indexed (st : Eval.counters) fdb (a : Ast.atom)
-    (slots : Eval.agg_slot list) : int array list =
+(* Grouped-index aggregate evaluation ({!Plan.agg_index_shape}): one
+   grouped probe over the group-by columns replaces the environment
+   enumeration.  Tuples of the wrong arity are filtered per group (the
+   enumeration path's pattern match would reject them); a group left
+   empty by the filter is skipped. *)
+let apply_agg_rule_indexed (st : Plan.counters) fdb (a : Ast.atom)
+    (slots : Plan.agg_slot list) : int array list =
   let arity = List.length a.Ast.args in
   let cols =
     List.sort_uniq Stdlib.compare
       (List.filter_map
-         (function Eval.Group i -> Some i | Eval.Fold _ -> None)
+         (function Plan.Group i -> Some i | Plan.Fold _ -> None)
          slots)
   in
   let col_slot = List.mapi (fun k c -> (c, k)) cols in
-  st.Eval.c_index_hits <- st.Eval.c_index_hits + 1;
+  st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
   List.fold_left
     (fun acc (key, tuples) ->
       let rows =
         List.fold_left
           (fun acc (t : int array) ->
-            st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
+            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
             if Array.length t = arity then begin
-              st.Eval.c_matched <- st.Eval.c_matched + 1;
+              st.Plan.c_matched <- st.Plan.c_matched + 1;
               t :: acc
             end
             else acc)
@@ -528,8 +494,8 @@ let apply_agg_rule_indexed (st : Eval.counters) fdb (a : Ast.atom)
           Array.of_list
             (List.map
                (function
-                 | Eval.Group i -> key.(List.assoc i col_slot)
-                 | Eval.Fold (agg, i) ->
+                 | Plan.Group i -> key.(List.assoc i col_slot)
+                 | Plan.Fold (agg, i) ->
                    agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
                slots)
         in
@@ -537,14 +503,20 @@ let apply_agg_rule_indexed (st : Eval.counters) fdb (a : Ast.atom)
     []
     (Flat.groups fdb a.Ast.pred ~cols)
 
-let apply_agg_rule (st : Eval.counters) fdb (r : Ast.rule) : int array list =
-  match if !Eval.use_indexes then Eval.agg_index_shape r else None with
+(* Evaluate an aggregate rule: group satisfying environments by the
+   plain head arguments, fold the aggregate, emit one tuple per group.
+   Single-atom rules of the grouped shape take one index probe
+   instead. *)
+let apply_agg_rule cfg (st : Plan.counters) fdb (r : Ast.rule) :
+    int array list =
+  match if cfg.Plan.optimized_joins then Plan.agg_index_shape r else None with
   | Some (a, slots) -> apply_agg_rule_indexed st fdb a slots
   | None ->
     let ctx = mkctx () in
     let steps =
       compile_body ctx
-        (Eval.order_body ~card:(fun p -> Flat.cardinal fdb p) r.Ast.body)
+        (Plan.order_body ~config:cfg ~card:(fun p -> Flat.cardinal fdb p)
+           r.Ast.body)
     in
     (* Head compilation for aggregate rules: plain arguments compile as
        expressions, aggregate positions record their source slot. *)
@@ -557,7 +529,7 @@ let apply_agg_rule (st : Eval.counters) fdb (r : Ast.rule) : int array list =
     in
     let nslots = ctx.n in
     let envs =
-      body_envs_from st fdb ~nslots (Array.make nslots (-1)) steps []
+      body_envs_from cfg st fdb ~nslots (Array.make nslots (-1)) steps []
     in
     let tbl : int list list ref Ktbl.t = Ktbl.create 16 in
     let order = ref [] in
@@ -605,21 +577,25 @@ let apply_agg_rule (st : Eval.counters) fdb (r : Ast.rule) : int array list =
             | col :: cols' ->
               head.(i) <- agg_fold_ids agg col;
               fill (i + 1) hs' cols'
-            | [] -> raise (Eval.Eval_error "aggregate column mismatch"))
+            | [] -> raise (Plan.Eval_error "aggregate column mismatch"))
         in
         fill 0 hslots columns;
         head)
       !order
 
 (* ------------------------------------------------------------------ *)
-(* Fixpoint drivers — twins of [Eval.apply_plain_rules] /
-   [eval_stratum_seminaive] / [seminaive], mutating a linearly-owned
-   flat database. *)
+(* Fixpoint drivers, mutating a linearly-owned flat database.
+
+   All strata are evaluated bottom-up; aggregate rules of a stratum run
+   once at stratum entry (their body predicates are strictly lower,
+   hence complete); the remaining rules run semi-naively to fixpoint. *)
 
 (* Derived head tuples of applying [rules], optionally delta-restricted.
-   Plans per application against live cardinalities, exactly like the
-   boxed core. *)
-let apply_plain_rules (st : Eval.counters) fdb ?deltas ~rec_preds rules
+   Bodies are planned per application against live cardinalities: full
+   applications from an empty binding, delta applications with the
+   delta literal first (it is the small relation) and the rest ordered
+   under the variables it binds. *)
+let apply_plain_rules cfg (st : Plan.counters) fdb ?deltas ~rec_preds rules
     ~count : Flat.t =
   let card p = Flat.cardinal fdb p in
   let derived = Flat.create () in
@@ -635,13 +611,15 @@ let apply_plain_rules (st : Eval.counters) fdb ?deltas ~rec_preds rules
       match deltas with
       | None ->
         let ctx = mkctx () in
-        let steps = compile_body ctx (Eval.order_body ~card r.Ast.body) in
+        let steps =
+          compile_body ctx (Plan.order_body ~config:cfg ~card r.Ast.body)
+        in
         let head = compile_head ctx r.Ast.head in
         let nslots = ctx.n in
         produce head
-          (body_envs_from st fdb ~nslots (Array.make nslots (-1)) steps [])
+          (body_envs_from cfg st fdb ~nslots (Array.make nslots (-1)) steps [])
       | Some delta_fdb ->
-        let positions = Eval.delta_positions rec_preds r.Ast.body in
+        let positions = Plan.delta_positions rec_preds r.Ast.body in
         List.iter
           (fun i ->
             let delta_atom =
@@ -652,9 +630,13 @@ let apply_plain_rules (st : Eval.counters) fdb ?deltas ~rec_preds rules
             let d = Flat.relation delta_fdb delta_atom.Ast.pred in
             if Fset.is_empty d then ()
             else begin
-              let rest = List.filteri (fun j _ -> j <> i) r.Ast.body in
-              let act = compile_activation ~card r delta_atom rest in
-              let envs, head = delta_envs st fdb act d in
+              let rest =
+                List.filteri (fun j _ -> j <> i) r.Ast.body
+                |> Plan.order_body ~config:cfg ~card
+                     ~bound:(Plan.atom_binds delta_atom)
+              in
+              let act = compile_activation cfg r delta_atom rest in
+              let envs, head = delta_envs cfg st fdb act d in
               produce head envs
             end)
           positions)
@@ -668,27 +650,27 @@ let fresh_of fdb derived : Flat.t =
       if not (Flat.mem fdb pred t) then ignore (Flat.add out pred t));
   out
 
-let apply_agg_rules (st : Eval.counters) fdb agg_rules ~count =
+let apply_agg_rules cfg (st : Plan.counters) fdb agg_rules ~count =
   List.iter
     (fun (r : Ast.rule) ->
       List.iter
         (fun t ->
           incr count;
           ignore (Flat.add fdb r.Ast.head.Ast.head_pred t))
-        (apply_agg_rule st fdb r))
+        (apply_agg_rule cfg st fdb r))
     agg_rules
 
-let eval_stratum (st : Eval.counters) fdb stratum (p : Ast.program)
+let eval_stratum cfg (st : Plan.counters) fdb stratum (p : Ast.program)
     ~max_rounds ~rounds ~count : bool =
-  let rules = Eval.rules_of_stratum p stratum in
-  let agg_rules, plain_rules = Eval.split_agg rules in
-  apply_agg_rules st fdb agg_rules ~count;
+  let rules = Plan.rules_of_stratum p stratum in
+  let agg_rules, plain_rules = Plan.split_agg rules in
+  apply_agg_rules cfg st fdb agg_rules ~count;
   let rec_preds =
     List.fold_left
-      (fun s (r : Ast.rule) -> Sset.add r.Ast.head.Ast.head_pred s)
-      Sset.empty plain_rules
+      (fun s (r : Ast.rule) -> Ast.Sset.add r.Ast.head.Ast.head_pred s)
+      Ast.Sset.empty plain_rules
   in
-  let derived = apply_plain_rules st fdb ~rec_preds plain_rules ~count in
+  let derived = apply_plain_rules cfg st fdb ~rec_preds plain_rules ~count in
   let delta = fresh_of fdb derived in
   Flat.union_into fdb delta;
   incr rounds;
@@ -698,7 +680,8 @@ let eval_stratum (st : Eval.counters) fdb stratum (p : Ast.program)
     else begin
       incr rounds;
       let derived =
-        apply_plain_rules st fdb ~deltas:delta ~rec_preds plain_rules ~count
+        apply_plain_rules cfg st fdb ~deltas:delta ~rec_preds plain_rules
+          ~count
       in
       let delta' = fresh_of fdb derived in
       Flat.union_into fdb delta';
@@ -709,32 +692,34 @@ let eval_stratum (st : Eval.counters) fdb stratum (p : Ast.program)
 
 let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
     (stratum : string list) (fdb : Flat.t) : bool =
-  let st = Eval.counters () in
+  let st = Plan.counters () in
   let rounds = ref 0 and count = ref 0 in
-  let converged = eval_stratum st fdb stratum p ~max_rounds ~rounds ~count in
-  Option.iter (fun c -> Eval.accumulate c (Eval.snapshot st)) stats;
+  let converged =
+    eval_stratum Plan.default st fdb stratum p ~max_rounds ~rounds ~count
+  in
+  Option.iter (fun c -> Plan.accumulate c (Plan.snapshot st)) stats;
   converged
 
 type outcome = {
   rounds : int;
   derivations : int;
   converged : bool;
-  stats : Eval.stats;
+  stats : Plan.stats;
 }
 
-let seminaive ?(max_rounds = 10_000) ?stats (p : Ast.program)
-    (info : Analysis.info) (fdb : Flat.t) : outcome =
-  let st = Eval.counters () in
+let seminaive ?(max_rounds = 10_000) ?stats ?(config = Plan.default)
+    (p : Ast.program) (info : Analysis.info) (fdb : Flat.t) : outcome =
+  let st = Plan.counters () in
   let rounds = ref 0 and count = ref 0 in
   let converged =
     List.fold_left
       (fun ok stratum ->
         if not ok then ok
-        else eval_stratum st fdb stratum p ~max_rounds ~rounds ~count)
+        else eval_stratum config st fdb stratum p ~max_rounds ~rounds ~count)
       true info.Analysis.strata
   in
-  let s = Eval.snapshot st in
-  Option.iter (fun c -> Eval.accumulate c s) stats;
+  let s = Plan.snapshot st in
+  Option.iter (fun c -> Plan.accumulate c s) stats;
   { rounds = !rounds; derivations = !count; converged; stats = s }
 
 (* Seeded delta-driven re-derivation of one view refresh stratum.
@@ -749,7 +734,7 @@ let seminaive ?(max_rounds = 10_000) ?stats (p : Ast.program)
    exactly when the stratum's rules are plain and monotone and the
    support change is purely additive (the refresh loop falls back to
    from-scratch recomputation otherwise). *)
-let refresh_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
+let refresh_stratum ?(stats = Plan.counters ()) (fdb : Flat.t)
     ~(strands : istrand list) ~(delta : Flat.t) : unit =
   let rec loop (delta : Flat.t) =
     if Flat.is_empty delta then ()
@@ -774,7 +759,7 @@ let refresh_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
 
 (* Group-wise maintenance of one aggregate view stratum.
 
-   A rule of {!Eval.agg_index_shape} — a single positive body atom over
+   A rule of {!Plan.agg_index_shape} — a single positive body atom over
    distinct bare variables — produces exactly one head tuple per
    non-empty group of its body relation, and a group's head depends on
    that group's tuples alone.  So after the body relation moved, only
@@ -788,24 +773,24 @@ type refold = {
   rf_arity : int;  (* body atom arity: tuples of another arity never match *)
   rf_cols : int array;  (* the body's group-by columns, ascending *)
   rf_key_pos : int array;  (* per group column, a head position reading it *)
-  rf_slots : Eval.agg_slot array;  (* one per head argument *)
+  rf_slots : Plan.agg_slot array;  (* one per head argument *)
 }
 
 let refold_of_rule (r : Ast.rule) : refold option =
   if not (Ast.has_aggregate r.Ast.head) then None
   else
-    match Eval.agg_index_shape r with
+    match Plan.agg_index_shape r with
     | None -> None
     | Some (a, slots) ->
       let slots = Array.of_list slots in
       let cols =
         List.sort_uniq Stdlib.compare
           (List.filter_map
-             (function Eval.Group i -> Some i | Eval.Fold _ -> None)
+             (function Plan.Group i -> Some i | Plan.Fold _ -> None)
              (Array.to_list slots))
       in
       let head_pos c =
-        let rec go j = if slots.(j) = Eval.Group c then j else go (j + 1) in
+        let rec go j = if slots.(j) = Plan.Group c then j else go (j + 1) in
         go 0
       in
       Some
@@ -832,7 +817,7 @@ let refold_plan (rules : Ast.rule list) : refold list option =
   then Some refolds
   else None
 
-let refold_one (st : Eval.counters) fdb ~added ~removed (rf : refold) =
+let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
   let body_key (t : int array) = Array.map (fun c -> t.(c)) rf.rf_cols in
   (* Touched groups, each collecting its current body rows below. *)
   let touched : int array list ref Ktbl.t = Ktbl.create 16 in
@@ -845,13 +830,13 @@ let refold_one (st : Eval.counters) fdb ~added ~removed (rf : refold) =
   Flat.iter_rel added rf.rf_body touch;
   Flat.iter_rel removed rf.rf_body touch;
   if Ktbl.length touched > 0 then begin
-    st.Eval.c_scans <- st.Eval.c_scans + 1;
+    st.Plan.c_scans <- st.Plan.c_scans + 1;
     Flat.iter_rel fdb rf.rf_body (fun t ->
-        st.Eval.c_enumerated <- st.Eval.c_enumerated + 1;
+        st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
         if Array.length t = rf.rf_arity then
           match Ktbl.find_opt touched (body_key t) with
           | Some rows ->
-            st.Eval.c_matched <- st.Eval.c_matched + 1;
+            st.Plan.c_matched <- st.Plan.c_matched + 1;
             rows := t :: !rows
           | None -> ());
     (* The previous head of each touched group: one at most, since the
@@ -869,8 +854,8 @@ let refold_one (st : Eval.counters) fdb ~added ~removed (rf : refold) =
             Some
               (Array.map
                  (function
-                   | Eval.Group i -> first.(i)
-                   | Eval.Fold (agg, i) ->
+                   | Plan.Group i -> first.(i)
+                   | Plan.Fold (agg, i) ->
                      agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
                  rf.rf_slots)
         in
@@ -882,18 +867,6 @@ let refold_one (st : Eval.counters) fdb ~added ~removed (rf : refold) =
       touched
   end
 
-let refold_stratum ?(stats = Eval.counters ()) (fdb : Flat.t)
+let refold_stratum ?(stats = Plan.counters ()) (fdb : Flat.t)
     ~(refolds : refold list) ~(added : Flat.t) ~(removed : Flat.t) : unit =
   List.iter (refold_one stats fdb ~added ~removed) refolds
-
-(* Convenience for differential tests: run a whole program id-natively
-   from its facts, returning the materialized boxed fixpoint alongside
-   the run accounting. *)
-let run_program ?max_rounds (p : Ast.program) :
-    (Store.t * outcome, Analysis.error) result =
-  match Analysis.analyze p with
-  | Error e -> Error e
-  | Ok info ->
-    let fdb = Flat.of_store (Store.of_facts p.Ast.facts) in
-    let o = seminaive ?max_rounds p info fdb in
-    Ok (Flat.to_store fdb, o)

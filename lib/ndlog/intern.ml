@@ -21,10 +21,9 @@
    identity); anything that needs the canonical order converts back to
    boxed values first.
 
-   Thread safety: a single mutex guards the tables, making interning
-   safe from the sharded evaluator's worker domains.  The critical
-   sections are a hash-table probe or insert — uncontended locking is
-   cheap next to the work saved. *)
+   Single-domain contract: the tables are unsynchronized.  Every
+   evaluator and runtime in this library runs on the calling domain;
+   nothing here may be called from two domains at once. *)
 
 (* The hash-cons table must use Value's own equality and hash —
    Value.hash is structural over the List constructor, and a generic
@@ -36,7 +35,6 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-let lock = Mutex.create ()
 let table : (int * Value.t) Vtbl.t = Vtbl.create 4096
 
 (* id -> canonical representative, grown geometrically. *)
@@ -56,64 +54,36 @@ let register rep =
   id
 
 (* Canonicalize [v], interning it (and, for lists, every suffix of its
-   spine via the recursive rebuild) on first sight.  Runs under [lock];
-   does not recurse through the lock. *)
-let rec canon_locked (v : Value.t) : Value.t =
+   spine via the recursive rebuild) on first sight. *)
+let rec intern (v : Value.t) : int * Value.t =
   match Vtbl.find_opt table v with
-  | Some (_, rep) -> rep
+  | Some entry -> entry
   | None ->
     let rep =
       match v with
-      | Value.List vs -> Value.List (List.map canon_locked vs)
+      | Value.List vs -> Value.List (List.map canon vs)
       | _ -> v
     in
-    let id = register rep in
-    Vtbl.add table v (id, rep);
-    rep
+    let entry = (register rep, rep) in
+    Vtbl.add table v entry;
+    entry
 
-let id_locked (v : Value.t) : int =
-  match Vtbl.find_opt table v with
-  | Some (id, _) -> id
-  | None ->
-    let rep =
-      match v with
-      | Value.List vs -> Value.List (List.map canon_locked vs)
-      | _ -> v
-    in
-    let id = register rep in
-    Vtbl.add table v (id, rep);
-    id
+and canon v = snd (intern v)
 
-let canon v =
-  Mutex.lock lock;
-  let rep = canon_locked v in
-  Mutex.unlock lock;
-  rep
-
-let id v =
-  Mutex.lock lock;
-  let i = id_locked v in
-  Mutex.unlock lock;
-  i
+let id v = fst (intern v)
 
 let of_id i =
-  Mutex.lock lock;
-  let n = !count in
-  let v = if i >= 0 && i < n then Some !reverse.(i) else None in
-  Mutex.unlock lock;
-  match v with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Intern.of_id: unknown id %d" i)
+  if i >= 0 && i < !count then !reverse.(i)
+  else invalid_arg (Printf.sprintf "Intern.of_id: unknown id %d" i)
 
 (* Canonicalize a tuple in place of a fresh copy when every element is
    already canonical — re-adding a resident tuple then allocates
    nothing. *)
 let tuple (t : Value.t array) : Value.t array =
-  Mutex.lock lock;
   let n = Array.length t in
   let fresh = ref None in
   for i = 0 to n - 1 do
-    let c = canon_locked t.(i) in
+    let c = canon t.(i) in
     if c != t.(i) then begin
       let out =
         match !fresh with
@@ -126,7 +96,6 @@ let tuple (t : Value.t array) : Value.t array =
       out.(i) <- c
     end
   done;
-  Mutex.unlock lock;
   match !fresh with Some out -> out | None -> t
 
 (* ------------------------------------------------------------------ *)
@@ -136,34 +105,8 @@ let tuple (t : Value.t array) : Value.t array =
    boxed is an array read per element (the cheap direction).  The E15
    microbenchmark in bench/ keeps both costs measured. *)
 
-let tuple_ids (t : Value.t array) : int array =
-  Mutex.lock lock;
-  let out = Array.map id_locked t in
-  Mutex.unlock lock;
-  out
-
-let tuple_of_ids (ids : int array) : Value.t array =
-  Mutex.lock lock;
-  let n = !count in
-  let rev = !reverse in
-  Mutex.unlock lock;
-  Array.map
-    (fun i ->
-      if i >= 0 && i < n then rev.(i)
-      else invalid_arg (Printf.sprintf "Intern.tuple_of_ids: unknown id %d" i))
-    ids
-
-(* Unsynchronized id -> value read for the id-native evaluator's inner
-   loops.  Safe because [reverse] slots are written exactly once, before
-   their id is ever published (the registering thread holds the lock,
-   and the id reaches a reader only through a later synchronized
-   operation), and a stale [reverse] array read during a concurrent grow
-   still holds every already-published entry.  The bounds check against
-   an unsynchronized [count] is exact in the single-domain runtimes that
-   use this path. *)
-let get (i : int) : Value.t =
-  if i >= 0 && i < !count then !reverse.(i)
-  else invalid_arg (Printf.sprintf "Intern.get: unknown id %d" i)
+let tuple_ids (t : Value.t array) : int array = Array.map id t
+let tuple_of_ids (ids : int array) : Value.t array = Array.map of_id ids
 
 (* Small non-negative integers are the bulk of freshly computed values
    (hop counts, path costs): memoize their ids in a direct-indexed
@@ -183,8 +126,4 @@ let int_id (n : int) : int =
   end
   else id (Value.Int n)
 
-let size () =
-  Mutex.lock lock;
-  let n = !count in
-  Mutex.unlock lock;
-  n
+let size () = !count

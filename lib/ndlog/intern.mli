@@ -12,8 +12,10 @@
     unaffected.  Ids are allocation-ordered, {e not} consistent with
     {!Value.compare}; use them only for equality.
 
-    All operations are thread-safe (a mutex guards the tables), so the
-    sharded evaluator's worker domains may intern concurrently. *)
+    Single-domain contract: the tables are unsynchronized, so these
+    operations must never run on two domains at once.  Every evaluator
+    and runtime of this library runs on the calling domain; a parallel
+    evaluator would have to partition or lock the tables first. *)
 
 val canon : Value.t -> Value.t
 (** The canonical representative of a value, interning on first sight.
@@ -33,24 +35,16 @@ val tuple : Value.t array -> Value.t array
     (no allocation) when all elements are already canonical. *)
 
 val tuple_ids : Value.t array -> int array
-(** [Array.map id], under one lock acquisition: translate a boxed tuple
-    into the id-native representation.  This is the {e expensive}
+(** [Array.map id]: translate a boxed tuple into the id-native
+    representation.  This is the {e expensive}
     direction — each element pays a hash-cons probe that walks its
     structure — so callers keep it off per-probe hot paths (E15
     measures the cost). *)
 
 val tuple_of_ids : int array -> Value.t array
-(** [Array.map of_id], under one lock acquisition: rebuild the boxed
-    (canonical-representative) tuple.  The cheap direction — an array
+(** [Array.map of_id]: rebuild the boxed (canonical-representative)
+    tuple.  The cheap direction — an array
     read per element.
-    @raise Invalid_argument on an id never returned by {!id}. *)
-
-val get : int -> Value.t
-(** Unsynchronized {!of_id} for single-domain inner loops (the id-native
-    evaluator).  Reverse-table slots are written once, before their id
-    is published, so a reader that obtained the id through any
-    synchronized operation always sees the entry; only the bounds check
-    is unsynchronized.  Use {!of_id} from worker domains.
     @raise Invalid_argument on an id never returned by {!id}. *)
 
 val int_id : int -> int

@@ -1,18 +1,361 @@
-(* Rule strands: Click-style dataflow plans.
+(* Join planning, run counters, and rule strands.
+
+   Everything here is pure planning: nothing executes a join.  The one
+   semi-naive executor ({!Ideval}) and the boxed naive oracle
+   ({!Eval.naive}) both plan rule bodies with [order_body], and
+   {!Ideval} decomposes delta activations with [group_vars] /
+   [group_cols] / [split_shared]; {!Dist.Runtime} compiles a program's
+   strands here and runs them through {!Ideval.execute_batch}.
 
    The paper (Section 2.2): "Declarative networking programs are
    compiled into distributed execution plans that are based on the Click
-   execution model."  This module performs that compilation: each rule
-   becomes one *strand* per delta position — a linear pipeline of
-   relational operators through which an environment stream flows:
+   execution model."  Strand compilation performs that compilation:
+   each rule becomes one *strand* per delta position — a linear
+   pipeline of relational operators through which an environment
+   stream flows:
 
      delta(path) -> join(link) -> assign(C) -> select(...) -> project(head)
 
-   Executing a strand against a database (plus the triggering delta
-   tuple) yields exactly the head tuples pipelined semi-naive evaluation
-   would produce, which the test suite checks against {!Eval.body_envs}.
    The distributed runtime's reaction to a tuple insertion is the
    execution of all strands whose delta predicate matches. *)
+
+exception Eval_error of string
+
+(* ------------------------------------------------------------------ *)
+(* Run counters. *)
+
+type stats = {
+  index_hits : int;  (* joins answered from a secondary index *)
+  scans : int;  (* joins answered by a full relation scan *)
+  enumerated : int;  (* candidate tuples visited by joins *)
+  matched : int;  (* candidates that unified with the pattern *)
+  groups : int;  (* delta groups formed by the batched join *)
+  group_probes : int;  (* grouped delta probes issued *)
+  delta_tuples : int;  (* delta tuples fed through delta joins *)
+  strata_skipped : int;  (* view strata skipped by dirty tracking *)
+  strata_refolded : int;  (* aggregate strata re-folded group by group *)
+  refresh_fallbacks : int;  (* touched strata recomputed from scratch *)
+}
+
+let zero_stats =
+  {
+    index_hits = 0;
+    scans = 0;
+    enumerated = 0;
+    matched = 0;
+    groups = 0;
+    group_probes = 0;
+    delta_tuples = 0;
+    strata_skipped = 0;
+    strata_refolded = 0;
+    refresh_fallbacks = 0;
+  }
+
+let add_stats a b =
+  {
+    index_hits = a.index_hits + b.index_hits;
+    scans = a.scans + b.scans;
+    enumerated = a.enumerated + b.enumerated;
+    matched = a.matched + b.matched;
+    groups = a.groups + b.groups;
+    group_probes = a.group_probes + b.group_probes;
+    delta_tuples = a.delta_tuples + b.delta_tuples;
+    strata_skipped = a.strata_skipped + b.strata_skipped;
+    strata_refolded = a.strata_refolded + b.strata_refolded;
+    refresh_fallbacks = a.refresh_fallbacks + b.refresh_fallbacks;
+  }
+
+(* A mutable accumulator for one evaluation run.  Each run owns its own
+   record, so counts never bleed between runs. *)
+type counters = {
+  mutable c_index_hits : int;
+  mutable c_scans : int;
+  mutable c_enumerated : int;
+  mutable c_matched : int;
+  mutable c_groups : int;
+  mutable c_group_probes : int;
+  mutable c_delta_tuples : int;
+  mutable c_strata_skipped : int;
+  mutable c_strata_refolded : int;
+  mutable c_refresh_fallbacks : int;
+}
+
+let counters () =
+  {
+    c_index_hits = 0;
+    c_scans = 0;
+    c_enumerated = 0;
+    c_matched = 0;
+    c_groups = 0;
+    c_group_probes = 0;
+    c_delta_tuples = 0;
+    c_strata_skipped = 0;
+    c_strata_refolded = 0;
+    c_refresh_fallbacks = 0;
+  }
+
+let snapshot c =
+  {
+    index_hits = c.c_index_hits;
+    scans = c.c_scans;
+    enumerated = c.c_enumerated;
+    matched = c.c_matched;
+    groups = c.c_groups;
+    group_probes = c.c_group_probes;
+    delta_tuples = c.c_delta_tuples;
+    strata_skipped = c.c_strata_skipped;
+    strata_refolded = c.c_strata_refolded;
+    refresh_fallbacks = c.c_refresh_fallbacks;
+  }
+
+let accumulate c (s : stats) =
+  c.c_index_hits <- c.c_index_hits + s.index_hits;
+  c.c_scans <- c.c_scans + s.scans;
+  c.c_enumerated <- c.c_enumerated + s.enumerated;
+  c.c_matched <- c.c_matched + s.matched;
+  c.c_groups <- c.c_groups + s.groups;
+  c.c_group_probes <- c.c_group_probes + s.group_probes;
+  c.c_delta_tuples <- c.c_delta_tuples + s.delta_tuples;
+  c.c_strata_skipped <- c.c_strata_skipped + s.strata_skipped;
+  c.c_strata_refolded <- c.c_strata_refolded + s.strata_refolded;
+  c.c_refresh_fallbacks <- c.c_refresh_fallbacks + s.refresh_fallbacks
+
+let note_strata_skipped c n = c.c_strata_skipped <- c.c_strata_skipped + n
+let note_stratum_refolded c = c.c_strata_refolded <- c.c_strata_refolded + 1
+let note_refresh_fallback c = c.c_refresh_fallbacks <- c.c_refresh_fallbacks + 1
+
+(* ------------------------------------------------------------------ *)
+(* Executor configuration: an immutable per-call argument, never global
+   state. *)
+
+type config = { optimized_joins : bool; batching : bool }
+
+let default = { optimized_joins = true; batching = true }
+
+(* ------------------------------------------------------------------ *)
+(* Join planning: greedy most-bound-first literal ordering.
+
+   Reordering preserves the satisfying-environment set: positive atoms
+   constrain the same variables whether they bind or filter, and a
+   literal is only scheduled once every variable it *needs* (negated
+   atoms, comparisons, assignment right-hand sides) is bound.  For any
+   safe rule the earliest remaining literal in source order is always
+   eligible — everything before it has already run — so the scheduler
+   is total. *)
+
+let lit_vars (l : Ast.lit) : Ast.Sset.t = Ast.vars_of_lit Ast.Sset.empty l
+
+let needs_of (l : Ast.lit) : Ast.Sset.t =
+  match l with
+  | Ast.Pos _ -> Ast.Sset.empty  (* joins bind their unbound variables *)
+  | Ast.Neg a -> Ast.vars_of_atom Ast.Sset.empty a
+  | Ast.Cond (_, e1, e2) ->
+    Ast.vars_of_expr (Ast.vars_of_expr Ast.Sset.empty e1) e2
+  | Ast.Assign (_, e) -> Ast.vars_of_expr Ast.Sset.empty e
+
+(* How many argument positions of a positive atom are ground once the
+   variables in [bound] are: bare bound variables and constants. *)
+let boundness bound (a : Ast.atom) : int =
+  List.fold_left
+    (fun n (e : Ast.expr) ->
+      match e with
+      | Ast.Const _ -> n + 1
+      | Ast.Var x when Ast.Sset.mem x bound -> n + 1
+      | _ -> n)
+    0 a.Ast.args
+
+(* Reorder [body] for evaluation: cheap filters (assignments,
+   comparisons, negations) run as soon as their inputs are bound;
+   positive atoms are scheduled most-bound-first, breaking ties by
+   smaller relation ([card]) and then source order.  [bound] seeds the
+   variable set (e.g. the variables a delta literal binds). *)
+let order_body ?(config = default) ?(card = fun _ -> 0)
+    ?(bound = Ast.Sset.empty) (body : Ast.lit list) : Ast.lit list =
+  let rank bound (l : Ast.lit) =
+    (* Lower ranks first; eligibility already checked. *)
+    match l with
+    | Ast.Assign _ -> (0, 0, 0)
+    | Ast.Cond _ -> (1, 0, 0)
+    | Ast.Neg _ -> (2, 0, 0)
+    | Ast.Pos a -> (3, List.length a.Ast.args - boundness bound a, card a.Ast.pred)
+  in
+  let rec go bound remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | _ ->
+      let eligible =
+        List.filter
+          (fun (_, l) -> Ast.Sset.subset (needs_of l) bound)
+          remaining
+      in
+      let pick =
+        match eligible with
+        | [] -> List.hd remaining  (* unsafe rule: fall back to source order *)
+        | e :: es ->
+          (* Source order is preserved by [filter], so ties keep the
+             earliest literal. *)
+          List.fold_left
+            (fun ((_, bl) as best) ((_, l) as cand) ->
+              if Stdlib.compare (rank bound l) (rank bound bl) < 0 then cand
+              else best)
+            e es
+      in
+      let i, l = pick in
+      let remaining = List.filter (fun (j, _) -> j <> i) remaining in
+      go (Ast.Sset.union bound (lit_vars l)) remaining (l :: acc)
+  in
+  if not config.optimized_joins then body
+  else go bound (List.mapi (fun i l -> (i, l)) body) []
+
+(* The variables a positive atom binds when it is evaluated first (its
+   bare variable arguments). *)
+let atom_binds (a : Ast.atom) : Ast.Sset.t =
+  List.fold_left
+    (fun s (e : Ast.expr) ->
+      match e with Ast.Var x -> Ast.Sset.add x s | _ -> s)
+    Ast.Sset.empty a.Ast.args
+
+(* ------------------------------------------------------------------ *)
+(* Batched delta decomposition.
+
+   The per-tuple semi-naive path seeds one environment per delta tuple
+   and replays the whole rest of the body — index probes included — per
+   activation.  The batched path instead groups the round's delta by
+   the columns the rest of the body actually reads ([group_vars]), and
+   per group runs the probing part of the body once from the group key
+   alone ([split_shared]); each delta tuple then only pays a pattern
+   match plus the residual filters.  The satisfying-environment set is
+   order-independent for safe rules, so both paths derive exactly the
+   same head tuples the same number of times — checked by property.
+
+   Group-variable choice: a shared positive atom's probe is exactly as
+   ground as on the per-tuple path, because every delta variable a rest
+   positive atom reads is a group variable (bound from the key).
+   Literals that would need other delta variables bind nothing
+   (negations, comparisons) and defer to the per-tuple phase freely; an
+   assignment defers only when that cannot change a later literal's
+   view of its target, otherwise the shared phase stops there. *)
+
+(* Variables of the delta atom that the rest of the body's positive
+   atoms read.  Binding them per group makes every shared-phase index
+   probe exactly as ground as the per-tuple path's. *)
+let group_vars (delta_atom : Ast.atom) (rest : Ast.lit list) : Ast.Sset.t =
+  let pos_vars =
+    List.fold_left
+      (fun s l ->
+        match l with Ast.Pos a -> Ast.vars_of_atom s a | _ -> s)
+      Ast.Sset.empty rest
+  in
+  Ast.Sset.inter (atom_binds delta_atom) pos_vars
+
+(* The delta-atom argument columns carrying the group variables: the
+   first bare occurrence of each, in ascending column order.  [] (group
+   variables exhausted or none) degenerates to a single whole-delta
+   group. *)
+let group_cols (delta_atom : Ast.atom) (gvars : Ast.Sset.t) :
+    (int * string) list =
+  let rec go i seen = function
+    | [] -> []
+    | Ast.Var x :: rest
+      when Ast.Sset.mem x gvars && not (Ast.Sset.mem x seen) ->
+      (i, x) :: go (i + 1) (Ast.Sset.add x seen) rest
+    | _ :: rest -> go (i + 1) seen rest
+  in
+  go 0 Ast.Sset.empty delta_atom.Ast.args
+
+(* Split the ordered rest body into a [shared] phase evaluable once per
+   group (from the group-key bindings alone) and the [per_tuple]
+   remainder.  Positive atoms always run shared (their delta-variable
+   reads are group variables by construction).  Negations and
+   comparisons whose inputs are not yet bound defer freely: they bind
+   nothing, so deferring cannot change any later literal's bindings.
+   An unschedulable assignment defers only when its target is already
+   bound or read by no later literal; otherwise the shared phase stops
+   — everything from there on runs per tuple, where the full delta
+   bindings restore the per-tuple path's exact probes. *)
+let split_shared gvars (ordered : Ast.lit list) : Ast.lit list * Ast.lit list
+    =
+  let rec go bound shared deferred = function
+    | [] -> (List.rev shared, List.rev deferred)
+    | l :: rest ->
+      if Ast.Sset.subset (needs_of l) bound then
+        go (Ast.Sset.union bound (lit_vars l)) (l :: shared) deferred rest
+      else (
+        match l with
+        | Ast.Neg _ | Ast.Cond _ -> go bound shared (l :: deferred) rest
+        | Ast.Assign (x, _)
+          when Ast.Sset.mem x bound
+               || not
+                    (List.exists
+                       (fun l' -> Ast.Sset.mem x (needs_of l'))
+                       rest) ->
+          go bound shared (l :: deferred) rest
+        | _ -> (List.rev shared, List.rev_append deferred (l :: rest)))
+  in
+  go gvars [] [] ordered
+
+(* Positions (body-literal indexes) whose positive atom's predicate is in
+   [rec_preds]; used to pick delta positions. *)
+let delta_positions rec_preds (body : Ast.lit list) : int list =
+  List.mapi (fun i lit -> (i, lit)) body
+  |> List.filter_map (fun (i, lit) ->
+         match lit with
+         | Ast.Pos a when Ast.Sset.mem a.Ast.pred rec_preds -> Some i
+         | _ -> None)
+
+let rules_of_stratum (p : Ast.program) stratum =
+  List.filter (fun (r : Ast.rule) -> List.mem r.head.head_pred stratum) p.rules
+
+let split_agg rules =
+  List.partition (fun (r : Ast.rule) -> Ast.has_aggregate r.head) rules
+
+(* ------------------------------------------------------------------ *)
+(* Grouped aggregate shape. *)
+
+type agg_slot =
+  | Group of int  (* plain head argument: value of this body column *)
+  | Fold of Ast.agg * int  (* aggregate over this body column *)
+
+(* The grouped shape of an aggregate rule: a single positive body atom
+   whose arguments are distinct bare variables, every head argument a
+   bare variable of the atom.  Such a rule groups the relation by the
+   plain-argument columns — one grouped index probe. *)
+let agg_index_shape (r : Ast.rule) : (Ast.atom * agg_slot list) option =
+  match r.body with
+  | [ Ast.Pos a ] ->
+    let distinct_bare =
+      let rec go seen = function
+        | [] -> true
+        | Ast.Var x :: rest ->
+          (not (Ast.Sset.mem x seen)) && go (Ast.Sset.add x seen) rest
+        | _ -> false
+      in
+      go Ast.Sset.empty a.args
+    in
+    if not distinct_bare then None
+    else
+      let pos_of x =
+        let rec go i = function
+          | [] -> None
+          | Ast.Var y :: _ when y = x -> Some i
+          | _ :: rest -> go (i + 1) rest
+        in
+        go 0 a.args
+      in
+      let slot = function
+        | Ast.Plain (Ast.Var x) -> Option.map (fun i -> Group i) (pos_of x)
+        | Ast.Agg (agg, x) -> Option.map (fun i -> Fold (agg, i)) (pos_of x)
+        | Ast.Plain _ -> None
+      in
+      let slots = List.map slot r.head.head_args in
+      (* [Option.get] is guarded: the [exists is_none] check just
+         above guarantees every slot is [Some]. *)
+      if List.exists Option.is_none slots then None
+      else Some (a, List.map Option.get slots)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Strands. *)
 
 type op =
   | Delta of { pred : string; args : Ast.expr list }
@@ -27,15 +370,11 @@ type op =
 
 type strand = {
   strand_rule : Ast.rule;
-  delta_pred : string option;  (* None: a full-scan strand *)
-  delta_index : int option;  (* body position of the delta literal *)
-  ops : op list;
+  delta : Ast.atom;  (* the triggering body atom *)
+  rest : Ast.lit list;  (* the other body literals, join-planned *)
 }
 
 exception Plan_error of string
-
-(* ------------------------------------------------------------------ *)
-(* Compilation. *)
 
 let op_of_lit (l : Ast.lit) : op =
   match l with
@@ -48,8 +387,8 @@ let op_of_lit (l : Ast.lit) : op =
    (which must be a positive atom) as the triggering source.  The delta
    literal moves to the front; remaining literals are join-planned
    most-bound-first under the variables the delta binds
-   ({!Eval.order_body} — semantics-preserving for safe rules since
-   unbound variables bind by matching). *)
+   ([order_body] — semantics-preserving for safe rules since unbound
+   variables bind by matching). *)
 let compile_strand (rule : Ast.rule) ~(delta : int) : strand =
   if Ast.has_aggregate rule.Ast.head then
     raise (Plan_error "aggregate rules are not strand-compiled");
@@ -59,31 +398,18 @@ let compile_strand (rule : Ast.rule) ~(delta : int) : strand =
     | Some _ -> raise (Plan_error "delta position is not a positive atom")
     | None -> raise (Plan_error "delta position out of range")
   in
-  let rest =
-    List.filteri (fun i _ -> i <> delta) rule.Ast.body
-    |> Eval.order_body ~bound:(Eval.atom_binds delta_lit)
-    |> List.map op_of_lit
-  in
   {
     strand_rule = rule;
-    delta_pred = Some delta_lit.Ast.pred;
-    delta_index = Some delta;
-    ops =
-      (Delta { pred = delta_lit.Ast.pred; args = delta_lit.Ast.args } :: rest)
-      @ [ Project rule.Ast.head ];
+    delta = delta_lit;
+    rest =
+      List.filteri (fun i _ -> i <> delta) rule.Ast.body
+      |> order_body ~bound:(atom_binds delta_lit);
   }
 
-(* The full-scan strand: evaluates the rule against the whole database
-   (used for initial rounds / non-incremental execution). *)
-let compile_scan (rule : Ast.rule) : strand =
-  if Ast.has_aggregate rule.Ast.head then
-    raise (Plan_error "aggregate rules are not strand-compiled");
-  {
-    strand_rule = rule;
-    delta_pred = None;
-    delta_index = None;
-    ops = List.map op_of_lit (Eval.order_body rule.Ast.body) @ [ Project rule.Ast.head ];
-  }
+let ops (s : strand) : op list =
+  (Delta { pred = s.delta.Ast.pred; args = s.delta.Ast.args }
+  :: List.map op_of_lit s.rest)
+  @ [ Project s.strand_rule.Ast.head ]
 
 (* All strands of a program: one per (rule, positive body literal whose
    predicate is derived or matches [trigger_preds]). *)
@@ -110,84 +436,6 @@ let compile_program ?(trigger_preds = []) (p : Ast.program) : strand list =
     p.Ast.rules
 
 (* ------------------------------------------------------------------ *)
-(* Execution: an environment stream flows through the operator list. *)
-
-let execute_ops ?stats (db : Store.t) ?(delta_tuple : Store.Tuple.t option)
-    (ops : op list) : Store.Tuple.t list =
-  let step (envs : Env.t list) (o : op) : Env.t list =
-    match o with
-    | Delta { args; _ } -> (
-      match delta_tuple with
-      | None -> raise (Plan_error "strand needs a delta tuple")
-      | Some t ->
-        List.filter_map (fun env -> Env.match_args env args t) envs)
-    | Join { pred; args } ->
-      (* Index-aware: ground argument positions under each streamed
-         environment are answered from a secondary index. *)
-      List.concat_map (fun env -> Eval.join_envs ?stats db env pred args) envs
-    | Anti_join { pred; args } ->
-      List.filter
-        (fun env ->
-          let t = Array.of_list (List.map (Env.eval env) args) in
-          not (Store.mem pred t db))
-        envs
-    | Bind (x, e) ->
-      List.filter_map
-        (fun env ->
-          let v = Env.eval env e in
-          match Env.find_opt x env with
-          | None -> Some (Env.bind x v env)
-          | Some v' -> if Value.equal v v' then Some env else None)
-        envs
-    | Filter (c, a, b) ->
-      List.filter (fun env -> Env.eval_cmp c (Env.eval env a) (Env.eval env b)) envs
-    | Project _ -> envs
-  in
-  (* Run all non-project operators, then project. *)
-  let head =
-    List.find_map (function Project h -> Some h | _ -> None) ops
-  in
-  let envs =
-    List.fold_left
-      (fun envs o -> match o with Project _ -> envs | o -> step envs o)
-      [ Env.empty ] ops
-  in
-  match head with
-  | None -> raise (Plan_error "strand has no projection")
-  | Some h -> List.map (fun env -> Eval.head_tuple env h) envs
-
-let execute ?stats (db : Store.t) ?delta_tuple (s : strand) : Store.Tuple.t list
-    =
-  execute_ops ?stats db ?delta_tuple s.ops
-
-(* Run a delta strand over a whole batch of triggering tuples at once:
-   the batch becomes a delta relation and flows through
-   {!Eval.delta_envs}, so the batched group-at-a-time join applies (one
-   probe pass per delta group instead of one per tuple).  Produces the
-   same multiset of head tuples as executing the strand per tuple. *)
-let execute_batch ?stats (db : Store.t) ~(delta_tuples : Store.Tuple.t list)
-    (s : strand) : Store.Tuple.t list =
-  match s.delta_index with
-  | None -> raise (Plan_error "strand needs a delta position")
-  | Some i ->
-    let delta_atom =
-      match List.nth s.strand_rule.Ast.body i with
-      | Ast.Pos a -> a
-      | _ -> raise (Plan_error "delta position is not a positive atom")
-    in
-    if delta_tuples = [] then []
-    else
-      let delta_db =
-        List.fold_left
-          (fun acc t -> Store.add delta_atom.Ast.pred t acc)
-          Store.empty delta_tuples
-      in
-      let rest = List.filteri (fun j _ -> j <> i) s.strand_rule.Ast.body in
-      List.rev_map
-        (fun env -> Eval.head_tuple env s.strand_rule.Ast.head)
-        (Eval.delta_envs ?stats db ~delta:(delta_atom, delta_db) ~rest)
-
-(* ------------------------------------------------------------------ *)
 (* Pretty-printing (the strand diagrams P2 logs). *)
 
 let pp_op ppf = function
@@ -204,4 +452,4 @@ let pp ppf (s : strand) =
   let name =
     match s.strand_rule.Ast.rule_name with Some n -> n | None -> "rule"
   in
-  Fmt.pf ppf "%s: %a" name Fmt.(list ~sep:(any " -> ") pp_op) s.ops
+  Fmt.pf ppf "%s: %a" name Fmt.(list ~sep:(any " -> ") pp_op) (ops s)

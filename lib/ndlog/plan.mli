@@ -1,16 +1,166 @@
-(** Rule strands: Click-style dataflow plans (the paper, Section 2.2:
-    programs are "compiled into distributed execution plans that are
-    based on the Click execution model").
+(** Join planning, run counters, and rule strands.
 
-    A strand is a linear pipeline of relational operators through which
-    an environment stream flows:
+    Pure planning shared by the one semi-naive executor ({!Ideval}) and
+    the boxed naive oracle ({!Eval.naive}): literal ordering, the
+    batched delta decomposition, the grouped-aggregate shape, the
+    per-run join counters, and the executor configuration.  Nothing
+    here executes a join.
+
+    Rule strands are Click-style dataflow plans (the paper, Section
+    2.2: programs are "compiled into distributed execution plans that
+    are based on the Click execution model").  A strand is a linear
+    pipeline of relational operators through which an environment
+    stream flows:
 
     {v delta(path) -> join(link) -> bind(C) -> filter(...) -> project(path) v}
 
-    Executing a strand against a database (plus the triggering delta
-    tuple) yields exactly the head tuples pipelined semi-naive
-    evaluation produces ({!Eval.body_envs} with a delta); this is
-    differentially tested. *)
+    {!Ideval.execute_batch} runs a delta strand over a batch of
+    triggering tuples; that is how {!Dist.Runtime} reacts to
+    insertions. *)
+
+exception Eval_error of string
+(** A rule that cannot be evaluated (e.g. an aggregate head in a plain
+    context, an aggregate over an empty group). *)
+
+(** {1 Run counters} *)
+
+(** Join counters of one evaluation run. *)
+type stats = {
+  index_hits : int;  (** joins answered from a secondary index *)
+  scans : int;  (** joins answered by a full relation scan *)
+  enumerated : int;  (** candidate tuples visited by joins *)
+  matched : int;  (** candidates that unified with the pattern *)
+  groups : int;  (** delta groups formed by the batched join *)
+  group_probes : int;  (** grouped delta probes issued *)
+  delta_tuples : int;
+      (** delta tuples fed through delta joins; [delta_tuples / groups]
+          is the mean delta-group size a batched run achieved *)
+  strata_skipped : int;
+      (** view strata skipped by dirty-predicate tracking (incremental
+          refresh in {!Dist.Runtime}): no predicate in the stratum's
+          transitive support changed, so its previous relations were
+          reused without any evaluation work *)
+  strata_refolded : int;
+      (** touched aggregate strata maintained group by group: only the
+          groups whose body tuples were added or removed since the last
+          refresh are re-folded ({!Ideval.refold_stratum}) *)
+  refresh_fallbacks : int;
+      (** touched view strata recomputed from scratch instead of
+          incrementally: strata with negation or with aggregates outside
+          the re-fold shape, and plain strata whose support lost tuples
+          (soft-state expiry, a replaced aggregate) — all non-monotone
+          under seeded re-derivation *)
+}
+
+val zero_stats : stats
+val add_stats : stats -> stats -> stats
+
+(** A mutable accumulator threaded through one or more evaluations.
+    Each run owns (or is handed) its own record — there is no global
+    counter state, so runs never bleed into each other. *)
+type counters = {
+  mutable c_index_hits : int;
+  mutable c_scans : int;
+  mutable c_enumerated : int;
+  mutable c_matched : int;
+  mutable c_groups : int;
+  mutable c_group_probes : int;
+  mutable c_delta_tuples : int;
+  mutable c_strata_skipped : int;
+  mutable c_strata_refolded : int;
+  mutable c_refresh_fallbacks : int;
+}
+
+val counters : unit -> counters
+(** A fresh zeroed accumulator. *)
+
+val snapshot : counters -> stats
+(** The current counts, as an immutable record. *)
+
+val accumulate : counters -> stats -> unit
+(** Add a snapshot into an accumulator. *)
+
+val note_strata_skipped : counters -> int -> unit
+(** Count view strata skipped by dirty-predicate tracking.  The skip
+    decision lives in the refresh loop ({!Dist.Runtime}), not in an
+    evaluation run, so it is recorded directly on the accumulator. *)
+
+val note_stratum_refolded : counters -> unit
+(** Count one touched aggregate stratum re-folded group by group. *)
+
+val note_refresh_fallback : counters -> unit
+(** Count one touched view stratum recomputed from scratch. *)
+
+(** {1 Executor configuration} *)
+
+type config = {
+  optimized_joins : bool;
+      (** consult secondary indexes for ground argument positions and
+          grouped aggregate probes, and plan bodies most-bound-first
+          ({!order_body}); off, every join is a full scan in source
+          order *)
+  batching : bool;
+      (** join delta activations group-at-a-time; off, one environment
+          is seeded per delta tuple and the whole body replays *)
+}
+(** The executor's optimizations.  Every setting reaches the same
+    fixpoint (checked by property); only the work differs.  Passed per
+    call — there is no global switch. *)
+
+val default : config
+(** Everything on. *)
+
+(** {1 Join planning} *)
+
+val order_body :
+  ?config:config ->
+  ?card:(string -> int) ->
+  ?bound:Ast.Sset.t ->
+  Ast.lit list ->
+  Ast.lit list
+(** Greedy join planning: filters (assignments, comparisons, negations)
+    run as soon as their variables are bound; positive atoms are
+    scheduled most-bound-first, ties broken by smaller relation
+    ([card]) then source order.  [bound] seeds the bound-variable set
+    (e.g. with the variables a delta literal binds).  Preserves the
+    satisfying-environment set of any safe rule; identity when
+    [config.optimized_joins] is off. *)
+
+val atom_binds : Ast.atom -> Ast.Sset.t
+(** The variables a positive atom binds when evaluated first (its bare
+    variable arguments). *)
+
+val group_vars : Ast.atom -> Ast.lit list -> Ast.Sset.t
+(** Delta-atom variables read by the rest body's positive atoms: the
+    variables the batched join binds per delta group. *)
+
+val group_cols : Ast.atom -> Ast.Sset.t -> (int * string) list
+(** The delta-atom argument columns carrying the group variables (first
+    bare occurrence of each, ascending). *)
+
+val split_shared : Ast.Sset.t -> Ast.lit list -> Ast.lit list * Ast.lit list
+(** Split an ordered rest body into the phase evaluable once per delta
+    group and the per-tuple remainder. *)
+
+val delta_positions : Ast.Sset.t -> Ast.lit list -> int list
+(** Body positions whose positive atom's predicate is in the given
+    recursive-predicate set. *)
+
+val rules_of_stratum : Ast.program -> string list -> Ast.rule list
+val split_agg : Ast.rule list -> Ast.rule list * Ast.rule list
+
+(** Head-argument shape of a grouped aggregate rule: each head argument
+    mapped to the body-atom column it reads. *)
+type agg_slot =
+  | Group of int  (** plain head argument: value of this body column *)
+  | Fold of Ast.agg * int  (** aggregate over this body column *)
+
+val agg_index_shape : Ast.rule -> (Ast.atom * agg_slot list) option
+(** [Some] when the rule's body is a single positive atom over distinct
+    bare variables and every head argument reads one of them — the
+    shape answered by one grouped index probe. *)
+
+(** {1 Strands} *)
 
 (** Pipeline operators. *)
 type op =
@@ -26,9 +176,11 @@ type op =
 
 type strand = {
   strand_rule : Ast.rule;
-  delta_pred : string option;  (** [None] for a full-scan strand *)
-  delta_index : int option;  (** body position of the delta literal *)
-  ops : op list;
+  delta : Ast.atom;  (** the triggering body atom *)
+  rest : Ast.lit list;
+      (** the other body literals, join-planned most-bound-first under
+          the variables [delta] binds; {!Ideval.of_strand} compiles
+          exactly these *)
 }
 
 exception Plan_error of string
@@ -38,36 +190,13 @@ val compile_strand : Ast.rule -> delta:int -> strand
     [delta].
     @raise Plan_error on aggregate rules or bad delta positions. *)
 
-val compile_scan : Ast.rule -> strand
-(** The full-scan strand (no trigger; evaluates against the whole
-    database). *)
-
 val compile_program : ?trigger_preds:string list -> Ast.program -> strand list
 (** All delta strands of a program: one per (rule, positive body
     literal), restricted to [trigger_preds] when given.  Aggregate rules
     contribute no strands (they are view-refreshed). *)
 
-val execute :
-  ?stats:Eval.counters ->
-  Store.t ->
-  ?delta_tuple:Store.Tuple.t ->
-  strand ->
-  Store.Tuple.t list
-(** Run a strand; [delta_tuple] is required for delta strands.
-    [stats] accumulates the join counters of the run.
-    @raise Plan_error when a delta strand runs without a tuple. *)
-
-val execute_batch :
-  ?stats:Eval.counters ->
-  Store.t ->
-  delta_tuples:Store.Tuple.t list ->
-  strand ->
-  Store.Tuple.t list
-(** Run a delta strand over a batch of triggering tuples at once: the
-    batch becomes a delta relation flowing through {!Eval.delta_envs},
-    so the group-at-a-time join applies.  Same multiset of head tuples
-    as executing the strand per tuple.
-    @raise Plan_error on full-scan strands. *)
+val ops : strand -> op list
+(** The strand as a pipeline: [Delta], the planned [rest], [Project]. *)
 
 val pp_op : op Fmt.t
 val pp : strand Fmt.t

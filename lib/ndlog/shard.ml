@@ -1,213 +1,9 @@
-(* Sharding a tuple store by the location-specifier column.
+(* Tuple locations: which node owns a tuple.
 
-   The localization rewrite ({!Localize}) guarantees that every rule
-   body reads tuples at a single node, so the location specifier is a
-   correct shard key by construction: partitioning every located
-   relation by the value in its location column puts all the tuples a
-   rule activation can touch into the same shard, and a derived head
-   located elsewhere is exactly a tuple the distributed runtime would
-   ship as a message ({!Dist.Runtime}).  Relations with no location
-   specifier are replicated into every shard.
-
-   Shard keys are raw {!Value.t}s, not coerced addresses: join
-   variables bind by value equality, so grouping by the uncoerced
-   location value partitions precisely the joinable tuple sets even for
-   programs that locate tuples at non-address values.
-
-   [analyze] is deliberately stricter than {!Localize.check_localized}.
-   Sharded evaluation reads only the shard-local slice of each located
-   relation, so it additionally needs (a) every occurrence of a
-   predicate to agree on the location column, (b) every located body
-   atom of a rule to carry one shared bare location variable (a
-   constant location would silently read a foreign shard), and (c)
-   aggregate rules over located bodies to group by the location
-   variable (otherwise one group would span shards and each shard would
-   emit its own partial aggregate).  Any violation yields an [Error]
-   and the evaluator falls back to the centralized engine. *)
-
-module Smap = Map.Make (String)
-
-type plan = { locs : int Smap.t }
-(* [locs] maps located predicates to their location column; predicates
-   absent from the map are unlocated (replicated). *)
-
-let loc_index (p : plan) pred = Smap.find_opt pred p.locs
-
-(* ------------------------------------------------------------------ *)
-(* Shardability analysis. *)
-
-let err fmt = Format.kasprintf (fun m -> Error m) fmt
-
-(* Per-predicate location columns, requiring every occurrence (facts,
-   rule heads, body atoms) to agree: either always located at the same
-   column or never located. *)
-let consistent_locs (p : Ast.program) : (plan, string) result =
-  let tbl : (string, int option) Hashtbl.t = Hashtbl.create 16 in
-  let merge pred loc =
-    match Hashtbl.find_opt tbl pred with
-    | None ->
-      Hashtbl.replace tbl pred loc;
-      Ok ()
-    | Some prev when prev = loc -> Ok ()
-    | Some prev ->
-      let show = function Some i -> string_of_int i | None -> "none" in
-      err "predicate %s has inconsistent location columns (%s vs %s)" pred
-        (show prev) (show loc)
-  in
-  let ( let* ) = Result.bind in
-  let rec each f = function
-    | [] -> Ok ()
-    | x :: rest ->
-      let* () = f x in
-      each f rest
-  in
-  let* () =
-    each (fun (f : Ast.fact) -> merge f.fact_pred f.fact_loc) p.facts
-  in
-  let* () =
-    each
-      (fun (r : Ast.rule) ->
-        let* () = merge r.head.head_pred r.head.head_loc in
-        each (fun (a : Ast.atom) -> merge a.pred a.loc) (Ast.body_atoms r.body))
-      p.rules
-  in
-  Ok
-    {
-      locs =
-        Hashtbl.fold
-          (fun pred loc acc ->
-            match loc with Some i -> Smap.add pred i acc | None -> acc)
-          tbl Smap.empty;
-    }
-
-(* The single bare location variable shared by all located body atoms of
-   a rule, if the body is shardable: [Ok None] for bodies with no
-   located atom. *)
-let body_loc_var (plan : plan) (r : Ast.rule) : (string option, string) result =
-  let located =
-    List.filter (fun (a : Ast.atom) -> loc_index plan a.pred <> None)
-      (Ast.body_atoms r.body)
-  in
-  let var_of (a : Ast.atom) =
-    (* [Option.get] is guarded: [var_of] is only applied to [located]
-       atoms, filtered just above on [loc_index <> None]. *)
-    let i = Option.get (loc_index plan a.pred) in
-    match List.nth_opt a.args i with
-    | Some (Ast.Var x) -> Ok x
-    | _ ->
-      err "rule %a: located atom %s has a non-variable location argument"
-        Ast.pp_rule r a.pred
-  in
-  match located with
-  | [] -> Ok None
-  | first :: rest -> (
-    match var_of first with
-    | Error _ as e -> e
-    | Ok x ->
-      let rec all = function
-        | [] -> Ok (Some x)
-        | a :: more -> (
-          match var_of a with
-          | Error _ as e -> e
-          | Ok y when y = x -> all more
-          | Ok y ->
-            err "rule %a: body spans locations %s and %s" Ast.pp_rule r x y)
-      in
-      all rest)
-
-let analyze (p : Ast.program) : (plan, string) result =
-  match consistent_locs p with
-  | Error _ as e -> e
-  | Ok plan ->
-    let check_rule (r : Ast.rule) =
-      match body_loc_var plan r with
-      | Error _ as e -> e
-      | Ok None -> Ok ()
-      | Ok (Some x) ->
-        if not (Ast.has_aggregate r.head) then Ok ()
-        else if
-          (* The location variable must be a group-by column, or each
-             shard would emit a partial aggregate for a shared group. *)
-          List.exists
-            (function Ast.Plain (Ast.Var y) -> y = x | _ -> false)
-            r.head.head_args
-        then Ok ()
-        else
-          err
-            "rule %a: aggregate does not group by the location variable %s"
-            Ast.pp_rule r x
-    in
-    let rec go = function
-      | [] -> Ok plan
-      | r :: rest -> (
-        match check_rule r with Ok () -> go rest | Error _ as e -> e)
-    in
-    go p.rules
-
-(* ------------------------------------------------------------------ *)
-(* Partitioning and merging. *)
-
-(* The shard key of a tuple: the value in its location column, [None]
-   for unlocated predicates or tuples too short to carry the column
-   (the latter cannot match any body atom and are kept replicated). *)
-let loc_value (plan : plan) pred (tuple : Store.Tuple.t) : Value.t option =
-  match loc_index plan pred with
-  | Some i when i < Array.length tuple -> Some tuple.(i)
-  | _ -> None
-
-module Vmap = Map.Make (Value)
-
-let partition (plan : plan) (db : Store.t) :
-    (Value.t * Store.t) array * Store.t =
-  let located, replicated =
-    List.fold_left
-      (fun (located, replicated) (pred, tuple) ->
-        match loc_value plan pred tuple with
-        | Some key ->
-          ( Vmap.update key
-              (fun s ->
-                Some
-                  (Store.add pred tuple
-                     (Option.value s ~default:Store.empty)))
-              located,
-            replicated )
-        | None -> (located, Store.add pred tuple replicated))
-      (Vmap.empty, Store.empty) (Store.to_list db)
-  in
-  (Array.of_list (Vmap.bindings located), replicated)
-
-let merge (parts : (Value.t * Store.t) array) (replicated : Store.t) : Store.t =
-  Array.fold_left (fun acc (_, s) -> Store.union acc s) replicated parts
-
-(* Split a store of freshly derived tuples from the shard [self]'s point
-   of view: tuples located at [self] or unlocated stay local; unlocated
-   tuples are additionally broadcast; tuples located elsewhere leave the
-   shard entirely (the exchange step ships them, exactly as the
-   distributed runtime would send messages). *)
-type routed = {
-  local : Store.t;  (* kept by this shard (loc = self, or unlocated) *)
-  foreign : (Value.t * string * Store.Tuple.t) list;  (* (dest, pred, tuple) *)
-  everywhere : Store.t;  (* unlocated: broadcast to all shards *)
-}
-
-let route (plan : plan) ~(self : Value.t) (derived : Store.t) : routed =
-  List.fold_left
-    (fun acc (pred, tuple) ->
-      match loc_value plan pred tuple with
-      | Some key when Value.equal key self ->
-        { acc with local = Store.add pred tuple acc.local }
-      | Some key -> { acc with foreign = (key, pred, tuple) :: acc.foreign }
-      | None ->
-        {
-          acc with
-          local = Store.add pred tuple acc.local;
-          everywhere = Store.add pred tuple acc.everywhere;
-        })
-    { local = Store.empty; foreign = []; everywhere = Store.empty }
-    (Store.to_list derived)
-
-(* ------------------------------------------------------------------ *)
-(* The address-level view used by the distributed runtime. *)
+   The localization rewrite ({!Localize}) gives every located predicate
+   a location-specifier column; the distributed runtime ({!Dist.Runtime})
+   and the model checker's action footprints ({!Mcheck.Ndlog_ts}) read
+   a tuple's owner from it. *)
 
 (* The location index declared for each predicate, from rule heads,
    facts, and body atoms (last occurrence wins — the runtime's program

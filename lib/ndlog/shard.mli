@@ -1,61 +1,9 @@
-(** Sharding a tuple store by the location-specifier column.
+(** Tuple locations: which node owns a tuple.
 
-    The localization rewrite ({!Localize}) makes every rule body read
-    tuples at a single node, so the location column is a correct shard
-    key by construction: {!partition} splits every located relation by
-    its location value, {!route} classifies freshly derived tuples into
-    shard-local, foreign (to be exchanged — exactly the tuples the
-    distributed runtime would send as messages), and replicated, and
-    {!merge} reassembles the global database.  {!Eval.seminaive_sharded}
-    runs per-shard semi-naive fixpoints over this decomposition.
-
-    {!analyze} decides shardability; it is stricter than
-    {!Localize.check_localized} (consistent location columns per
-    predicate, one shared bare location variable per body, aggregates
-    grouped by location) — programs that fail it are evaluated
-    centrally. *)
-
-type plan
-(** Per-predicate location columns of a shardable program. *)
-
-val analyze : Ast.program -> (plan, string) result
-(** Shardability: every occurrence of a predicate agrees on its
-    location column; every located body atom of a rule carries the same
-    bare location variable; aggregate heads over located bodies group
-    by that variable.  The [Error] explains why the program must fall
-    back to centralized evaluation. *)
-
-val loc_index : plan -> string -> int option
-(** The location column of a predicate ([None]: unlocated). *)
-
-val loc_value : plan -> string -> Store.Tuple.t -> Value.t option
-(** The shard key of a tuple: its location-column value, [None] for
-    unlocated predicates (replicated) or tuples lacking the column. *)
-
-val partition : plan -> Store.t -> (Value.t * Store.t) array * Store.t
-(** Split a database into per-location stores (sorted by shard key) and
-    the replicated remainder (unlocated relations).  The parts are
-    disjoint and [merge (partition db) = db]. *)
-
-val merge : (Value.t * Store.t) array -> Store.t -> Store.t
-(** Union the per-shard stores and the replicated store back into one
-    database. *)
-
-(** Freshly derived tuples, classified from one shard's point of view. *)
-type routed = {
-  local : Store.t;  (** kept by this shard (located here, or unlocated) *)
-  foreign : (Value.t * string * Store.Tuple.t) list;
-      (** located at another shard: [(dest, pred, tuple)] exchange
-          messages *)
-  everywhere : Store.t;  (** unlocated: broadcast to every shard *)
-}
-
-val route : plan -> self:Value.t -> Store.t -> routed
-
-(** {1 Address-level view}
-
-    Used by the distributed runtime, which identifies nodes by
-    simulator address rather than by raw location value. *)
+    The localization rewrite ({!Localize}) gives every located predicate
+    a location-specifier column; the distributed runtime and the model
+    checker's action footprints read a tuple's owner from it.  Nodes
+    are identified by simulator address. *)
 
 val loc_index_map : Ast.program -> (string, int) Hashtbl.t
 (** The location column declared for each predicate, collected from

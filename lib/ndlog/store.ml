@@ -296,10 +296,8 @@ let hash (db : t) =
 (* Indexed lookup. *)
 
 (* Find or build the [(pred, cols)] index of [r].  Benign memoization:
-   older copies of a store sharing [r] would build the very same index,
-   and a racing domain at worst loses the other's cache entry (the
-   tuple sets themselves are immutable), so concurrent lookups from the
-   sharded evaluator are safe. *)
+   older copies of a store sharing [r] would build the very same index
+   (the tuple sets themselves are immutable). *)
 let get_index (r : rel) (cols : int list) =
   match Cmap.find_opt cols r.indexes with
   | Some idx -> idx
@@ -315,14 +313,6 @@ let lookup pred ~(cols : int list) ~(key : Value.t list) (db : t) : Tset.t =
     match Vmap.find_opt key (get_index r cols) with
     | Some s -> s
     | None -> Tset.empty)
-
-(* All groups of a relation under the [(pred, cols)] index, in
-   canonical key order: the grouped probe used by index-aware aggregate
-   evaluation ({!Eval.apply_agg_rule}). *)
-let groups pred ~(cols : int list) (db : t) : (Value.t list * Tset.t) list =
-  match Smap.find_opt pred db with
-  | None -> []
-  | Some r -> Vmap.bindings (get_index r cols)
 
 let index_count (db : t) =
   Smap.fold (fun _ r acc -> acc + Cmap.cardinal r.indexes) db 0

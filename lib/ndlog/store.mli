@@ -94,8 +94,8 @@ val to_string : t -> string
 
 (** {1 Secondary indexes}
 
-    Used by the evaluator's index-aware joins ({!Eval.body_envs}) and
-    the dataflow strands ({!Plan.execute}). *)
+    Used by the boxed join core's index-aware joins
+    ({!Eval.body_envs}). *)
 
 val lookup : string -> cols:int list -> key:Value.t list -> t -> Tset.t
 (** [lookup pred ~cols ~key db]: every tuple of [pred] whose values at
@@ -105,13 +105,6 @@ val lookup : string -> cols:int list -> key:Value.t list -> t -> Tset.t
     {!add} / {!remove} / {!union} keep it current.  Tuples too short to
     have all indexed columns are never returned (they cannot match a
     pattern binding those positions). *)
-
-val groups : string -> cols:int list -> t -> (Value.t list * Tset.t) list
-(** All groups of [pred] under the [(pred, cols)] index, in ascending
-    key order: each key paired with the tuples whose values at [cols]
-    equal it.  [cols = \[\]] yields a single group holding the whole
-    relation.  Builds and caches the index like {!lookup}; used by
-    index-aware aggregate evaluation ({!Eval.apply_agg_rule}). *)
 
 val index_count : t -> int
 (** Number of materialized [(pred, column-set)] indexes — cache

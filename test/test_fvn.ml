@@ -196,25 +196,51 @@ let test_model_check_counterexample () =
    states with [Store.equal]/[Store.hash], which ignore the store's
    mutable index cache and the internal tree shape — the structural
    defaults distinguished a cache-warm store from its cache-cold twin,
-   duplicating visited states. *)
+   duplicating visited states.  The same system is explored twice: over
+   cache-cold stores (every state rebuilt from its tuples) and over
+   stores whose [Store.lookup] caches were warmed on purpose. *)
 let test_explore_index_independence () =
   let program =
     Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
   in
-  let explore () =
-    Mcheck.Explore.explore ~max_states:5_000 (Mcheck.Ndlog_ts.system program)
+  let sys = Mcheck.Ndlog_ts.system program in
+  let cold db =
+    List.fold_left
+      (fun acc (pred, t) -> Store.add pred t acc)
+      Store.empty (Store.to_list db)
   in
-  let on = explore () in
-  Ndlog.Eval.use_indexes := false;
-  let off =
-    Fun.protect ~finally:(fun () -> Ndlog.Eval.use_indexes := true) explore
+  (* One index per (predicate, column), probed with its first tuple. *)
+  let warm db =
+    List.iter
+      (fun pred ->
+        match Store.tuples pred db with
+        | t :: _ ->
+          Array.iteri
+            (fun i v -> ignore (Store.lookup pred ~cols:[ i ] ~key:[ v ] db))
+            t
+        | [] -> ())
+      (Store.preds db);
+    db
   in
-  checki "states independent of index cache" off.Mcheck.Explore.states
-    on.Mcheck.Explore.states;
-  checki "transitions independent of index cache" off.Mcheck.Explore.transitions
-    on.Mcheck.Explore.transitions;
-  checki "depth independent of index cache" off.Mcheck.Explore.max_depth
-    on.Mcheck.Explore.max_depth;
+  let through f =
+    {
+      sys with
+      Mcheck.Explore.initial = List.map f sys.Mcheck.Explore.initial;
+      successors = (fun db -> List.map f (sys.Mcheck.Explore.successors db));
+    }
+  in
+  let initial = List.hd sys.Mcheck.Explore.initial in
+  checki "cold states carry no index" 0 (Store.index_count (cold initial));
+  checkb "warmed states carry indexes" true
+    (Store.index_count (warm (cold initial)) > 0);
+  let explore s = Mcheck.Explore.explore ~max_states:5_000 (through s) in
+  let cold_run = explore cold and warm_run = explore warm in
+  checki "states independent of index cache" cold_run.Mcheck.Explore.states
+    warm_run.Mcheck.Explore.states;
+  checki "transitions independent of index cache"
+    cold_run.Mcheck.Explore.transitions warm_run.Mcheck.Explore.transitions;
+  checki "depth independent of index cache" cold_run.Mcheck.Explore.max_depth
+    warm_run.Mcheck.Explore.max_depth;
   (* Directly: a store that materialized an index is the same state as
      its cache-cold twin built in another insertion order. *)
   let tup i = [| V.Int i |] in

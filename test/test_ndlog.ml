@@ -10,6 +10,10 @@ module Store = Ndlog.Store
 module Programs = Ndlog.Programs
 module Localize = Ndlog.Localize
 module Softstate = Ndlog.Softstate
+module Plan = Ndlog.Plan
+module Intern = Ndlog.Intern
+module Flat = Ndlog.Flat
+module Ideval = Ndlog.Ideval
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -633,16 +637,14 @@ let test_index_canonicity () =
   checki "compare zero" 0 (Store.compare a b);
   checki "same hash" (Store.hash a) (Store.hash b)
 
+(* Analyze and evaluate a self-contained program under [config]. *)
+let seminaive_with ?config p =
+  Eval.seminaive ?config p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts)
+
 (* Run with the join optimizations on or off (off = the pre-index
    nested-loop engine: full scans, source-order bodies). *)
 let run_with ~optimized p =
-  Eval.use_indexes := optimized;
-  Eval.use_reordering := optimized;
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_indexes := true;
-      Eval.use_reordering := true)
-    (fun () -> Eval.run_exn p)
+  seminaive_with ~config:{ Plan.default with optimized_joins = optimized } p
 
 let prop_indexed_equals_nested_loop =
   QCheck.Test.make
@@ -675,28 +677,27 @@ let test_order_body_most_bound_first () =
   let p = parse_ok {| h(@X,Z) :- big(@X,Y), small(@Y,Z), Y > 0. |} in
   let body = (List.hd p.Ast.rules).Ast.body in
   let card = function "big" -> 100 | _ -> 2 in
-  (match Eval.order_body ~card body with
+  (match Plan.order_body ~card body with
   | [ Ast.Pos a; Ast.Cond _; Ast.Pos b ] ->
     checks "cheapest relation first" "small" a.Ast.pred;
     checks "expensive one last" "big" b.Ast.pred
   | _ -> Alcotest.fail "unexpected ordering");
   (* the filter never runs before its variable is bound *)
-  (match Eval.order_body body with
+  (match Plan.order_body body with
   | Ast.Cond _ :: _ -> Alcotest.fail "comparison scheduled before Y is bound"
   | _ -> ());
   (* seeding the bound set changes the ranking *)
   (match
-     Eval.order_body ~card
+     Plan.order_body ~card
        ~bound:(Ast.Sset.of_list [ "Y"; "Z" ])
        [ List.nth body 0; List.nth body 2 ]
    with
   | [ Ast.Cond _; Ast.Pos _ ] -> ()
   | _ -> Alcotest.fail "filter should run first once Y is bound");
   (* switched off, the body is untouched *)
-  Eval.use_reordering := false;
-  let id = Eval.order_body ~card body == body in
-  Eval.use_reordering := true;
-  checkb "identity when disabled" true id
+  let config = { Plan.default with optimized_joins = false } in
+  checkb "identity when disabled" true
+    (Plan.order_body ~config ~card body == body)
 
 let test_eval_stats_counted () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
@@ -705,9 +706,8 @@ let test_eval_stats_counted () =
   checkb "scans counted" true (st.Eval.scans > 0);
   checkb "matched within enumerated" true (st.Eval.matched <= st.Eval.enumerated);
   (* with the index layer off, every join is a scan *)
-  Eval.use_indexes := false;
-  let off = (Eval.run_exn p).Eval.stats in
-  Eval.use_indexes := true;
+  let config = { Plan.default with optimized_joins = false } in
+  let off = (seminaive_with ~config p).Eval.stats in
   checki "no hits when disabled" 0 off.Eval.index_hits;
   checkb "strictly more tuples visited" true (off.Eval.enumerated > st.Eval.enumerated)
 
@@ -716,14 +716,76 @@ let test_eval_stats_per_run () =
      (no global state to bleed between them), and a caller-supplied
      accumulator collects their sum. *)
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let acc = Eval.counters () in
+  let acc = Plan.counters () in
   let info = Analysis.analyze_exn p in
   let db = Store.of_facts p.Ast.facts in
   let a = Eval.seminaive ~stats:acc p info db in
   let b = Eval.seminaive ~stats:acc p info db in
   checkb "identical runs, identical stats" true (a.Eval.stats = b.Eval.stats);
   checkb "accumulator sums runs" true
-    (Eval.snapshot acc = Eval.add_stats a.Eval.stats b.Eval.stats)
+    (Plan.snapshot acc = Eval.add_stats a.Eval.stats b.Eval.stats)
+
+(* Every executor configuration reaches the naive oracle's fixpoint,
+   and each switch shows in the run's counters. *)
+let test_executor_config () =
+  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 5) in
+  let info = Analysis.analyze_exn p in
+  let db = Store.of_facts p.Ast.facts in
+  let naive = Eval.naive p info db in
+  List.iter
+    (fun flags ->
+      let config =
+        { Plan.optimized_joins = flags land 1 = 0; batching = flags land 2 = 0 }
+      in
+      let o = Eval.seminaive ~config p info db in
+      let name = Printf.sprintf "config %d" flags in
+      checkb (name ^ ": naive fixpoint") true (Store.equal naive.Eval.db o.Eval.db);
+      checkb
+        (name ^ ": index hits iff optimized joins")
+        config.Plan.optimized_joins
+        (o.Eval.stats.Eval.index_hits > 0);
+      checkb (name ^ ": groups iff batching") config.Plan.batching
+        (o.Eval.stats.Eval.groups > 0))
+    [ 0; 1; 2; 3 ]
+
+(* The configuration is an argument, not a switch: a run under an
+   ablation leaves nothing behind, so the next default run profiles
+   exactly like the one before it. *)
+let test_config_is_per_call () =
+  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
+  let before = (Eval.run_exn p).Eval.stats in
+  let off =
+    (seminaive_with ~config:{ Plan.optimized_joins = false; batching = false } p)
+      .Eval.stats
+  in
+  let after = (Eval.run_exn p).Eval.stats in
+  checkb "the ablation ran differently" true (off <> before);
+  checkb "default run unchanged" true (after = before)
+
+(* Through the boxing boundary a fixpoint maps to itself, and the
+   caller's store is left as it was. *)
+let test_seminaive_from_fixpoint () =
+  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 5) in
+  let info = Analysis.analyze_exn p in
+  let db = Store.of_facts p.Ast.facts in
+  let o = Eval.seminaive p info db in
+  let o' = Eval.seminaive p info o.Eval.db in
+  checkb "same database" true (Store.equal o.Eval.db o'.Eval.db);
+  checkb "converged" true o'.Eval.converged;
+  checkb "input store untouched" true
+    (Store.equal db (Store.of_facts p.Ast.facts))
+
+(* The boxed core and the executor raise one evaluation exception. *)
+let test_eval_errors_typed () =
+  let module E = Ndlog.Env in
+  let r3 = List.nth (Programs.path_vector ()).Ast.rules 2 in
+  let env = E.bind "S" (V.Addr "a") (E.bind "D" (V.Addr "b") E.empty) in
+  (match Eval.head_tuple env r3.Ast.head with
+  | exception Eval.Eval_error _ -> ()
+  | _ -> Alcotest.fail "an aggregate head is not a plain head");
+  match raise (Plan.Eval_error "from the executor") with
+  | exception Eval.Eval_error m -> checks "same exception" "from the executor" m
+  | () -> Alcotest.fail "unreachable"
 
 (* ------------------------------------------------------------------ *)
 (* Localization. *)
@@ -895,61 +957,69 @@ let test_fractional_lifetime_guard () =
 (* ------------------------------------------------------------------ *)
 (* Plans (rule strands). *)
 
-module Plan = Ndlog.Plan
 
 let test_plan_shapes () =
   let p = Programs.path_vector () in
   let r2 = List.nth p.Ast.rules 1 in
   let s = Plan.compile_strand r2 ~delta:1 in
-  checkb "delta pred is path" true (s.Plan.delta_pred = Some "path");
+  checks "delta pred is path" "path" s.Plan.delta.Ast.pred;
   (* delta -> join(link) -> bind(C) -> bind(P) -> filter -> project *)
-  (match s.Plan.ops with
+  (match Plan.ops s with
   | Plan.Delta { pred = "path"; _ }
     :: Plan.Join { pred = "link"; _ }
     :: _ -> ()
   | _ -> Alcotest.fail "unexpected strand shape");
   checkb "ends with project" true
-    (match List.rev s.Plan.ops with
+    (match List.rev (Plan.ops s) with
     | Plan.Project h :: _ -> h.Ast.head_pred = "path"
     | _ -> false)
 
+(* Heads of a delta strand run by the executor over a batch of
+   triggering tuples: boxed and sorted, duplicates kept (a multiset). *)
+let strand_heads ?stats db strand deltas =
+  Ideval.execute_batch ?stats (Flat.of_store db)
+    ~delta_tuples:(List.map Intern.tuple_ids deltas)
+    (Ideval.of_strand strand)
+  |> List.map Intern.tuple_of_ids
+  |> List.sort Store.Tuple.compare
+
+(* The boxed oracle for a rule that reads [pred] once: direct body
+   evaluation with that relation replaced by the batch. *)
+let body_heads db (rule : Ast.rule) pred deltas =
+  Eval.body_envs
+    (Store.set_relation pred (Store.Tset.of_list deltas) db)
+    rule.Ast.body
+  |> List.map (fun env -> Eval.head_tuple env rule.Ast.head)
+  |> List.sort Store.Tuple.compare
+
+let same_heads = List.equal Store.Tuple.equal
+
 let test_plan_scan_equals_eval () =
-  (* A full-scan strand produces the same heads as direct body
-     evaluation. *)
+  (* Run over the whole relation of its trigger, a delta strand derives
+     exactly what direct body evaluation over the database derives. *)
   let p = Programs.with_links (Programs.path_vector ()) (Programs.line_links 3) in
-  let o = Eval.run_exn p in
-  let db = o.Eval.db in
+  let db = (Eval.run_exn p).Eval.db in
   let r2 = List.nth p.Ast.rules 1 in
-  let strand = Plan.compile_scan r2 in
-  let via_plan =
-    Plan.execute db strand |> List.sort_uniq Store.Tuple.compare
-  in
+  let strand = Plan.compile_strand r2 ~delta:1 in
   let via_eval =
     Eval.body_envs db r2.Ast.body
     |> List.map (fun env -> Eval.head_tuple env r2.Ast.head)
-    |> List.sort_uniq Store.Tuple.compare
+    |> List.sort Store.Tuple.compare
   in
-  checkb "same derivations" true (via_plan = via_eval)
+  checkb "derivations found" true (via_eval <> []);
+  checkb "same derivations" true
+    (same_heads (strand_heads db strand (Store.tuples "path" db)) via_eval)
 
 let test_plan_delta_equals_eval () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let o = Eval.run_exn p in
-  let db = o.Eval.db in
+  let db = (Eval.run_exn p).Eval.db in
   let r2 = List.nth p.Ast.rules 1 in
   let strand = Plan.compile_strand r2 ~delta:1 in
-  (* for every path tuple as delta, plan output = eval-with-delta *)
+  (* for every path tuple as delta, strand output = eval-with-delta *)
   List.iter
     (fun t ->
-      let via_plan =
-        Plan.execute db ~delta_tuple:t strand
-        |> List.sort_uniq Store.Tuple.compare
-      in
-      let via_eval =
-        Eval.body_envs db ~delta:(1, Store.Tset.singleton t) r2.Ast.body
-        |> List.map (fun env -> Eval.head_tuple env r2.Ast.head)
-        |> List.sort_uniq Store.Tuple.compare
-      in
-      checkb "delta strand agrees" true (via_plan = via_eval))
+      checkb "delta strand agrees" true
+        (same_heads (strand_heads db strand [ t ]) (body_heads db r2 "path" [ t ])))
     (Store.tuples "path" db)
 
 let test_plan_program_strands () =
@@ -971,17 +1041,17 @@ sink(@X) :- node(@X), !hasout(@X).
 hasout(@X) :- link(@X,Y,C).
 |}
   in
-  let o = Eval.run_exn p in
+  let db = (Eval.run_exn p).Eval.db in
   let sink_rule = List.hd p.Ast.rules in
-  let strand = Plan.compile_scan sink_rule in
-  let out = Plan.execute o.Eval.db strand in
+  let strand = Plan.compile_strand sink_rule ~delta:0 in
+  let out = strand_heads db strand (Store.tuples "node" db) in
   checki "one sink" 1 (List.length out);
   checkb "sink is b" true (V.equal (List.hd out).(0) (V.Addr "b"))
 
 let test_plan_rejects_aggregates () =
   let p = Programs.path_vector () in
   let r3 = List.nth p.Ast.rules 2 in
-  match Plan.compile_scan r3 with
+  match Plan.compile_strand r3 ~delta:0 with
   | exception Plan.Plan_error _ -> ()
   | _ -> Alcotest.fail "aggregate rule must be rejected"
 
@@ -1000,12 +1070,7 @@ let prop_strands_cover_seminaive =
       let derived =
         List.concat_map
           (fun (s : Plan.strand) ->
-            match s.Plan.delta_pred with
-            | Some pred ->
-              List.concat_map
-                (fun t -> Plan.execute db ~delta_tuple:t s)
-                (Store.tuples pred db)
-            | None -> [])
+            strand_heads db s (Store.tuples s.Plan.delta.Ast.pred db))
           strands
         |> List.sort_uniq Store.Tuple.compare
       in
@@ -1121,160 +1186,12 @@ let prop_every_tuple_explainable =
              | Error _ -> false))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded evaluation. *)
-
-module Shard = Ndlog.Shard
-module Pool = Ndlog.Pool
-
-(* A localized program over the given links; sharded evaluation targets
-   exactly the output of the localization rewrite. *)
-let localized_program prog links =
-  let p = Programs.with_links prog links in
-  match Localize.rewrite_program p with
-  | Ok r -> r.Localize.program
-  | Error e -> Alcotest.failf "localization failed: %a" Localize.pp_error e
-
-let test_shard_partition_roundtrip () =
-  let p = localized_program (Programs.path_vector ()) (Programs.ring_links 5) in
-  let plan =
-    match Shard.analyze p with
-    | Ok plan -> plan
-    | Error e -> Alcotest.failf "localized path-vector must shard: %s" e
-  in
-  let db = (Eval.run_exn p).Eval.db in
-  let parts, repl = Shard.partition plan db in
-  checki "one shard per node" 5 (Array.length parts);
-  checkb "links are located, not replicated" true
-    (Store.cardinal "link" repl = 0);
-  checkb "roundtrip" true (Store.equal (Shard.merge parts repl) db);
-  (* Parts are disjoint: located tuples live in exactly one shard. *)
-  let total =
-    Array.fold_left (fun n (_, s) -> n + Store.total_tuples s) 0 parts
-  in
-  checki "no tuple duplicated across shards"
-    (Store.total_tuples db)
-    (total + Store.total_tuples repl)
-
-let test_shard_analyze_rejects () =
-  let reject src reason =
-    match Parser.parse_program src with
-    | Error e -> Alcotest.failf "parse: %s" e
-    | Ok p -> (
-      match Shard.analyze p with
-      | Ok _ -> Alcotest.failf "expected rejection (%s)" reason
-      | Error _ -> ())
-  in
-  (* A constant location in a body would read a foreign shard. *)
-  reject {| p(@X,Y) :- q(@"n0",Y), r(@X,Y). |} "constant body location";
-  (* A body spanning two locations. *)
-  reject {| p(@X,Y) :- q(@X,Y), r(@Y,X). |} "two locations";
-  (* An aggregate not grouped by the location variable would emit
-     per-shard partial aggregates. *)
-  reject {| total(count<Y>) :- q(@X,Y). |} "aggregate ungrouped by location";
-  (* Inconsistent location columns for one predicate. *)
-  reject {| p(@X,Y) :- q(@X,Y). p(X,@Y) :- r(@Y,X). |} "inconsistent columns"
-
-let test_pool_map_array () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      checki "pool size" 4 (Pool.size pool);
-      let xs = Array.init 100 Fun.id in
-      let ys = Pool.map_array pool (fun x -> x * x) xs in
-      checkb "map over the pool" true
-        (Array.for_all2 (fun y x -> y = x * x) ys xs);
-      (* A raising task surfaces in the caller; the pool survives. *)
-      (match Pool.map_array pool (fun x -> if x = 3 then failwith "boom" else x) xs with
-      | exception Failure m -> checks "first error re-raised" "boom" m
-      | _ -> Alcotest.fail "expected the task failure to re-raise");
-      let zs = Pool.map_array pool (fun x -> x + 1) xs in
-      checkb "pool usable after a failed batch" true
-        (Array.for_all2 (fun z x -> z = x + 1) zs xs));
-  (* domains:1 is the sequential degenerate case. *)
-  Pool.with_pool ~domains:1 (fun pool ->
-      checki "sequential pool" 1 (Pool.size pool);
-      checkb "sequential map" true
-        (Pool.map_array pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]))
-
-let test_sharded_ring () =
-  let p = localized_program (Programs.path_vector ()) (Programs.ring_links 6) in
-  (match Shard.analyze p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "localized path-vector must shard: %s" e);
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  let central = Eval.seminaive p info db in
-  let sharded = Eval.seminaive_sharded ~domains:2 p info db in
-  checkb "same fixpoint" true (Store.equal central.Eval.db sharded.Eval.db);
-  checkb "converged" true (central.Eval.converged && sharded.Eval.converged);
-  checkb "sharded did real work" true (sharded.Eval.derivations > 0)
-
-let test_sharded_fallback () =
-  (* A program Shard.analyze rejects falls back to the centralized
-     engine: identical outcome, including the round accounting. *)
-  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  match Shard.analyze p with
-  | Ok _ -> Alcotest.fail "unlocalized path-vector should not shard"
-  | Error _ ->
-    let central = Eval.seminaive p info db in
-    let sharded = Eval.seminaive_sharded ~domains:4 p info db in
-    checkb "fallback outcome identical" true
-      (Store.equal central.Eval.db sharded.Eval.db
-      && central.Eval.rounds = sharded.Eval.rounds
-      && central.Eval.derivations = sharded.Eval.derivations
-      && central.Eval.stats = sharded.Eval.stats)
-
-let prop_sharded_equals_seminaive =
-  QCheck.Test.make
-    ~name:"sharded = centralized (fixpoint, convergence); deterministic in domains"
-    ~count:25
-    QCheck.(triple (int_range 0 2) (int_range 3 7) (int_range 0 3))
-    (fun (which, n, extra) ->
-      let links =
-        match which with
-        | 0 -> Programs.random_links ~seed:((17 * n) + extra + which) ~extra n
-        | 1 -> Programs.ring_links n
-        | _ -> Programs.grid_links (2 + (n mod 2))
-      in
-      let prog =
-        match which with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.reachability ()
-        | _ -> Programs.bounded_distance_vector ~max_hops:n
-      in
-      let p = localized_program prog links in
-      (* The rewrite output must actually shard — otherwise this
-         property would silently test the fallback path. *)
-      (match Shard.analyze p with
-      | Ok _ -> ()
-      | Error e -> QCheck.Test.fail_reportf "localized program must shard: %s" e);
-      let info = Analysis.analyze_exn p in
-      let db = Store.of_facts p.Ast.facts in
-      let central = Eval.seminaive p info db in
-      let s1 = Eval.seminaive_sharded ~domains:1 p info db in
-      let s2 = Eval.seminaive_sharded ~domains:2 p info db in
-      let s4 = Eval.seminaive_sharded ~domains:4 p info db in
-      let same_outcome a b =
-        Store.equal a.Eval.db b.Eval.db
-        && a.Eval.rounds = b.Eval.rounds
-        && a.Eval.derivations = b.Eval.derivations
-        && a.Eval.converged = b.Eval.converged
-        && a.Eval.stats = b.Eval.stats
-      in
-      Store.equal central.Eval.db s2.Eval.db
-      && central.Eval.converged = s2.Eval.converged
-      && same_outcome s1 s2 && same_outcome s2 s4)
-
-(* ------------------------------------------------------------------ *)
 (* Batched delta joins. *)
 
 (* Run with the batched delta join on or off (off = one environment
-   seeded per delta tuple, the PR 1 engine). *)
+   seeded per delta tuple). *)
 let run_batched ~batched p =
-  Eval.use_batching := batched;
-  Fun.protect
-    ~finally:(fun () -> Eval.use_batching := true)
-    (fun () -> Eval.run_exn p)
+  seminaive_with ~config:{ Plan.default with batching = batched } p
 
 let prop_batched_equals_per_tuple =
   QCheck.Test.make
@@ -1314,28 +1231,33 @@ let test_group_formation () =
     match List.hd r.Ast.body with Ast.Pos a -> a | _ -> assert false
   in
   let rest = List.tl r.Ast.body in
+  checks "grouped by the join column" "Y"
+    (String.concat ","
+       (List.map snd (Plan.group_cols delta_atom (Plan.group_vars delta_atom rest))));
   let t a b = tuple [ V.Addr a; V.Addr b ] in
   let db = Store.add_list "f" [ t "y" "z1"; t "y" "z2" ] Store.empty in
+  let strand = Plan.compile_strand r ~delta:0 in
   let probe delta =
-    let st = Eval.counters () in
-    let envs = Eval.delta_envs ~stats:st db ~delta:(delta_atom, delta) ~rest in
-    (List.length envs, Eval.snapshot st)
+    let st = Plan.counters () in
+    let heads = strand_heads ~stats:st db strand delta in
+    (List.length heads, Plan.snapshot st)
   in
-  (* empty delta: the probe happens, but no group forms *)
-  let n, st = probe Store.empty in
+  (* empty batch: nothing to probe, no group forms *)
+  let n, st = probe [] in
   checki "empty delta: no envs" 0 n;
   checki "empty delta: no groups" 0 st.Eval.groups;
-  checki "empty delta: one probe" 1 st.Eval.group_probes;
-  (* singleton delta: exactly one group *)
-  let n, st = probe (Store.add "e" (t "x" "y") Store.empty) in
+  checki "empty delta: no probe" 0 st.Eval.group_probes;
+  (* singleton delta: exactly one group, one probe *)
+  let n, st = probe [ t "x" "y" ] in
   checki "singleton delta: both f rows join" 2 n;
   checki "singleton delta: one group" 1 st.Eval.groups;
+  checki "singleton delta: one probe" 1 st.Eval.group_probes;
   (* two delta tuples sharing the join key fall into one group *)
-  let n, st = probe (Store.add_list "e" [ t "x1" "y"; t "x2" "y" ] Store.empty) in
+  let n, st = probe [ t "x1" "y"; t "x2" "y" ] in
   checki "shared key: four envs" 4 n;
   checki "shared key: still one group" 1 st.Eval.groups;
   (* distinct keys split *)
-  let n, st = probe (Store.add_list "e" [ t "x1" "y"; t "x2" "w" ] Store.empty) in
+  let n, st = probe [ t "x1" "y"; t "x2" "w" ] in
   checki "distinct keys: only y joins" 2 n;
   checki "distinct keys: two groups" 2 st.Eval.groups
 
@@ -1367,83 +1289,81 @@ let test_execute_batch () =
   (* The batched strand executor = per-tuple strand execution over the
      same delta set (as a multiset of heads). *)
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let o = Eval.run_exn p in
-  let db = o.Eval.db in
+  let db = (Eval.run_exn p).Eval.db in
   let r2 = List.nth p.Ast.rules 1 in
   let strand = Plan.compile_strand r2 ~delta:1 in
   let deltas = Store.tuples "path" db in
-  let via_batch =
-    Plan.execute_batch db ~delta_tuples:deltas strand
-    |> List.sort Store.Tuple.compare
-  in
+  let via_batch = strand_heads db strand deltas in
   let via_single =
-    List.concat_map (fun t -> Plan.execute db ~delta_tuple:t strand) deltas
+    List.concat_map (fun t -> strand_heads db strand [ t ]) deltas
     |> List.sort Store.Tuple.compare
   in
-  checkb "batch = per-tuple strand heads" true (via_batch = via_single);
-  checki "empty batch" 0
-    (List.length (Plan.execute_batch db ~delta_tuples:[] strand));
-  (* full-scan strands have no delta position *)
-  (match
-     Plan.execute_batch db ~delta_tuples:deltas (Plan.compile_scan r2)
-   with
+  checkb "batch = per-tuple strand heads" true (same_heads via_batch via_single);
+  checkb "batch = boxed oracle" true
+    (same_heads via_batch (body_heads db r2 "path" deltas));
+  checki "empty batch" 0 (List.length (strand_heads db strand []));
+  (* a strand must be triggered by a positive atom *)
+  match Plan.compile_strand r2 ~delta:4 with
   | exception Plan.Plan_error _ -> ()
-  | _ -> Alcotest.fail "scan strand must reject a batch")
+  | _ -> Alcotest.fail "a comparison is not a delta position"
 
-let test_sharded_batched_domains () =
-  (* The sharded evaluator batches inside each shard: at domains 1/2/4
-     the batched outcome matches per-tuple sharding and stays
-     domain-count deterministic. *)
-  let p = localized_program (Programs.reachability ()) (Programs.grid_links 3) in
-  (match Shard.analyze p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "localized program must shard: %s" e);
-  let info = Analysis.analyze_exn p in
-  let db = Store.of_facts p.Ast.facts in
-  let run ~batched ~domains =
-    Eval.use_batching := batched;
-    Fun.protect
-      ~finally:(fun () -> Eval.use_batching := true)
-      (fun () -> Eval.seminaive_sharded ~domains p info db)
+(* Path-vector's recursive rule with [path] as the delta: the rest of
+   the body joins on Z only, so deltas group by path's first column;
+   the link probe runs once per group, the two assignments and the
+   loop check once per delta tuple. *)
+let test_batched_decomposition () =
+  let r2 = List.nth (Programs.path_vector ()).Ast.rules 1 in
+  let delta_atom =
+    match List.nth r2.Ast.body 1 with Ast.Pos a -> a | _ -> assert false
   in
-  List.iter
-    (fun domains ->
-      let on = run ~batched:true ~domains in
-      let off = run ~batched:false ~domains in
-      checkb
-        (Printf.sprintf "domains=%d same fixpoint" domains)
-        true
-        (Store.equal on.Eval.db off.Eval.db);
-      checki
-        (Printf.sprintf "domains=%d same derivations" domains)
-        off.Eval.derivations on.Eval.derivations;
-      checkb
-        (Printf.sprintf "domains=%d groups counted" domains)
-        true
-        (on.Eval.stats.Eval.groups > 0))
-    [ 1; 2; 4 ];
-  (* batched sharded outcomes are identical across domain counts *)
-  let s1 = run ~batched:true ~domains:1 in
-  let s2 = run ~batched:true ~domains:2 in
-  let s4 = run ~batched:true ~domains:4 in
-  checkb "deterministic in domains" true
-    (Store.equal s1.Eval.db s2.Eval.db
-    && Store.equal s2.Eval.db s4.Eval.db
-    && s1.Eval.stats = s2.Eval.stats
-    && s2.Eval.stats = s4.Eval.stats)
+  let rest = List.filteri (fun i _ -> i <> 1) r2.Ast.body in
+  let gvars = Plan.group_vars delta_atom rest in
+  checks "group variables" "Z" (String.concat "," (Ast.Sset.elements gvars));
+  checkb "grouped by column 0" true
+    (Plan.group_cols delta_atom gvars = [ (0, "Z") ]);
+  let ordered = Plan.order_body ~bound:(Plan.atom_binds delta_atom) rest in
+  let shared, per_tuple = Plan.split_shared gvars ordered in
+  checkb "link probe shared" true
+    (match shared with [ Ast.Pos { Ast.pred = "link"; _ } ] -> true | _ -> false);
+  checki "filters per tuple" 3 (List.length per_tuple)
+
+(* One compiled strand serves every batch: running it again yields the
+   same heads and the same counters. *)
+let test_strand_reusable () =
+  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
+  let db = (Eval.run_exn p).Eval.db in
+  let istrand = Ideval.of_strand (Plan.compile_strand (List.nth p.Ast.rules 1) ~delta:1) in
+  let fdb = Flat.of_store db in
+  let delta_tuples = List.map Intern.tuple_ids (Store.tuples "path" db) in
+  let run () =
+    let st = Plan.counters () in
+    let heads =
+      Ideval.execute_batch ~stats:st fdb ~delta_tuples istrand
+      |> List.map Intern.tuple_of_ids
+      |> List.sort Store.Tuple.compare
+    in
+    (heads, Plan.snapshot st)
+  in
+  let h1, s1 = run () in
+  let h2, s2 = run () in
+  checkb "heads derived" true (h1 <> []);
+  checkb "same heads" true (same_heads h1 h2);
+  checkb "same counters" true (s1 = s2)
 
 (* ------------------------------------------------------------------ *)
 (* Index-aware aggregates. *)
 
-let agg_outputs db r =
-  List.fold_left
-    (fun s t -> Store.Tset.add t s)
-    Store.Tset.empty (Eval.apply_agg_rule db r)
+(* The head relation of a one-rule aggregate program evaluated over
+   [db], with the run's counters. *)
+let agg_outputs ?(config = Plan.default) db (p : Ast.program) =
+  let o = Eval.seminaive ~config p (Analysis.analyze_exn p) db in
+  let r = List.hd p.Ast.rules in
+  (Store.relation r.Ast.head.Ast.head_pred o.Eval.db, o.Eval.stats)
 
 let test_agg_fast_path () =
   let rule_of src =
     match Parser.parse_program src with
-    | Ok p -> List.hd p.Ast.rules
+    | Ok p -> p
     | Error e -> Alcotest.failf "parse: %s" e
   in
   let db =
@@ -1459,11 +1379,17 @@ let test_agg_fast_path () =
       Store.empty
   in
   let both r =
-    let fast = agg_outputs db r in
-    Eval.use_indexes := false;
-    let slow = agg_outputs db r in
-    Eval.use_indexes := true;
+    let fast, _ = agg_outputs db r in
+    let slow, _ =
+      agg_outputs ~config:{ Plan.default with optimized_joins = false } db r
+    in
     checkb "fast path = enumeration" true (Store.Tset.equal fast slow);
+    (* the independent oracle: the boxed naive evaluator *)
+    let naive = Eval.naive r (Analysis.analyze_exn r) db in
+    checkb "fast path = naive" true
+      (Store.Tset.equal fast
+         (Store.relation (List.hd r.Ast.rules).Ast.head.Ast.head_pred
+            naive.Eval.db));
     fast
   in
   let best = both (rule_of {| best(@S,D,min<C>) :- path(@S,D,C). |}) in
@@ -1477,11 +1403,7 @@ let test_agg_fast_path () =
   (* Repeated variables disqualify the fast path but not correctness. *)
   ignore (both (rule_of {| selfmin(@S,min<C>) :- path(@S,S,C). |}));
   (* Counters: the fast path reports one grouped probe, no scan. *)
-  let c = Eval.counters () in
-  ignore
-    (Eval.apply_agg_rule ~stats:c db
-       (rule_of {| best(@S,D,min<C>) :- path(@S,D,C). |}));
-  let st = Eval.snapshot c in
+  let _, st = agg_outputs db (rule_of {| best(@S,D,min<C>) :- path(@S,D,C). |}) in
   checki "one index probe" 1 st.Eval.index_hits;
   checki "no scan" 0 st.Eval.scans
 
@@ -1490,7 +1412,6 @@ let test_agg_fast_path () =
    same tuples, same canonical order, same equality and hash, same
    evaluation results — while ids stay stable. *)
 
-module Intern = Ndlog.Intern
 
 (* A deep copy of a value built from fresh, unshared boxes: no string
    or list cell is physically shared with the interned representative.
@@ -1536,6 +1457,12 @@ let test_intern_roundtrip () =
   Alcotest.check_raises "unknown id rejected"
     (Invalid_argument "Intern.of_id: unknown id -1") (fun () ->
       ignore (Intern.of_id (-1)))
+
+let test_intern_bulk_rejects () =
+  let unknown = Intern.size () + 5 in
+  Alcotest.check_raises "unknown id in a tuple rejected"
+    (Invalid_argument (Printf.sprintf "Intern.of_id: unknown id %d" unknown))
+    (fun () -> ignore (Intern.tuple_of_ids [| Intern.id (V.Int 1); unknown |]))
 
 (* [Store.tuples] must enumerate in canonical (Tuple.compare) order,
    and [lookup] must return identical sets, whether the store holds
@@ -1599,22 +1526,20 @@ let test_intern_equal_hash_across_representations () =
   (* Warm the interned store's caches; boxed stays cold. *)
   ignore
     (Store.lookup "link" ~cols:[ 1 ] ~key:[ V.List [ V.Addr "n1" ] ] interned);
-  let gi = Store.groups "link" ~cols:[ 1 ] interned in
   checkb "equal across representations" true (Store.equal interned boxed);
   checki "hash across representations" (Store.hash boxed) (Store.hash interned);
   checki "compare across representations" 0 (Store.compare interned boxed);
-  let gb = Store.groups "link" ~cols:[ 1 ] boxed in
-  checkb "groups in canonical key order" true
-    (List.length gi = List.length gb
-    && List.for_all2 (fun (a, _) (b, _) -> V.equal (V.List a) (V.List b)) gi gb)
+  let key = [ V.List [ V.Addr "n1" ] ] in
+  checkb "lookups agree across representations" true
+    (Store.Tset.equal
+       (Store.lookup "link" ~cols:[ 1 ] ~key interned)
+       (Store.lookup "link" ~cols:[ 1 ] ~key boxed))
 
 (* ------------------------------------------------------------------ *)
 (* Flat (id-native) storage and the id-native evaluator.  [Flat] holds
    int-array tuples in open-addressing sets with patched-in-place
-   indexes; [Ideval] shares the boxed rule core's planning. *)
+   indexes; [Ideval] is the one semi-naive executor. *)
 
-module Flat = Ndlog.Flat
-module Ideval = Ndlog.Ideval
 module Fset = Flat.Fset
 
 (* Intern's flat boundary: [tuple_ids]/[tuple_of_ids] round-trip
@@ -1631,8 +1556,7 @@ let test_intern_tuple_ids () =
   checkb "round trip equal" true (Store.Tuple.equal t back);
   Array.iteri
     (fun i v ->
-      checkb "canonical representative" true (back.(i) == Intern.canon v);
-      checkb "get matches of_id" true (Intern.get ids.(i) == Intern.of_id ids.(i)))
+      checkb "canonical representative" true (back.(i) == Intern.canon v))
     t;
   for i = -3 to 40 do
     checki "int_id = id" (Intern.id (V.Int i)) (Intern.int_id i)
@@ -1888,47 +1812,32 @@ let prop_fset_model =
       && Fset.cardinal s = Imodel.cardinal !model
       && elems = Imodel.elements !model)
 
-(* The id-native strand executor produces the same head multiset as the
-   boxed one over the same delta batch. *)
+(* The compiled strand keeps its trigger and head, and its id heads
+   over a delta batch are the boxed oracle's. *)
 let test_ideval_execute_batch () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
-  let o = Eval.run_exn p in
-  let db = o.Eval.db in
+  let db = (Eval.run_exn p).Eval.db in
   let r2 = List.nth p.Ast.rules 1 in
   let strand = Plan.compile_strand r2 ~delta:1 in
   let istrand = Ideval.of_strand strand in
-  checki "delta pred" 0 (compare (Ideval.delta_pred istrand) "path");
-  checki "head pred" 0
-    (compare (Ideval.head_pred istrand) r2.Ast.head.Ast.head_pred);
+  checks "delta pred" "path" (Ideval.delta_pred istrand);
+  checks "head pred" r2.Ast.head.Ast.head_pred (Ideval.head_pred istrand);
+  checkb "head location" true (Ideval.head_loc istrand = Some 0);
   let deltas = Store.tuples "path" db in
-  let fdb = Flat.of_store db in
-  let via_boxed =
-    Plan.execute_batch db ~delta_tuples:deltas strand
-    |> List.sort Store.Tuple.compare
-  in
-  let via_ids =
-    Ideval.execute_batch fdb
-      ~delta_tuples:(List.map Intern.tuple_ids deltas)
-      istrand
-    |> List.map Intern.tuple_of_ids
-    |> List.sort Store.Tuple.compare
-  in
   checkb "id heads = boxed heads" true
-    (List.length via_boxed = List.length via_ids
-    && List.for_all2 Store.Tuple.equal via_boxed via_ids);
-  checki "empty batch" 0
-    (List.length (Ideval.execute_batch fdb ~delta_tuples:[] istrand))
+    (same_heads (strand_heads db strand deltas) (body_heads db r2 "path" deltas))
 
-(* Differential property: the id-native evaluator is a faithful twin of
-   the boxed one — identical fixpoints, rounds, derivation counts, and
-   join statistics over random programs, topologies, and optimization
-   flag settings (indexes / reordering / batching). *)
+(* Differential property against the independent oracle: semi-naive
+   evaluation (the id-native executor behind [Eval.seminaive]) reaches
+   the naive evaluator's fixpoint and convergence over random programs,
+   topologies and executor configurations (optimized joins /
+   batching). *)
 let prop_ideval_equals_eval =
   QCheck.Test.make
-    ~name:"id-native = boxed evaluation (db, rounds, derivations, stats)"
+    ~name:"semi-naive executor = naive oracle (db, convergence), any config"
     ~count:20
     QCheck.(
-      quad (int_range 0 2) (int_range 3 7) (int_range 0 3) (int_range 0 7))
+      quad (int_range 0 2) (int_range 3 7) (int_range 0 3) (int_range 0 3))
     (fun (prog_i, n, extra, flags) ->
       let links = Programs.random_links ~seed:((23 * n) + extra) ~extra n in
       let prog =
@@ -1938,37 +1847,21 @@ let prop_ideval_equals_eval =
         | _ -> Programs.link_state ~max_hops:(n + 1)
       in
       let p = Programs.with_links prog links in
-      let saved =
-        (!Eval.use_indexes, !Eval.use_reordering, !Eval.use_batching)
+      let config =
+        { Plan.optimized_joins = flags land 1 = 0; batching = flags land 2 = 0 }
       in
-      Eval.use_indexes := flags land 1 = 0;
-      Eval.use_reordering := flags land 2 = 0;
-      Eval.use_batching := flags land 4 = 0;
-      Fun.protect
-        ~finally:(fun () ->
-          let i, r, b = saved in
-          Eval.use_indexes := i;
-          Eval.use_reordering := r;
-          Eval.use_batching := b)
-        (fun () ->
-          let boxed = Eval.run_exn p in
-          match Ideval.run_program p with
-          | Error e ->
-            QCheck.Test.fail_reportf "id-native analysis failed: %a"
-              Analysis.pp_error e
-          | Ok (db, oc) ->
-            Store.equal db boxed.Eval.db
-            && oc.Ideval.rounds = boxed.Eval.rounds
-            && oc.Ideval.derivations = boxed.Eval.derivations
-            && oc.Ideval.converged = boxed.Eval.converged
-            && oc.Ideval.stats = boxed.Eval.stats))
+      let info = Analysis.analyze_exn p in
+      let db = Store.of_facts p.Ast.facts in
+      let naive = Eval.naive p info db in
+      let semi = Eval.seminaive ~config p info db in
+      Store.equal naive.Eval.db semi.Eval.db
+      && naive.Eval.converged = semi.Eval.converged)
 
 (* Evaluator agreement as a fixed table, one named case per canonical
-   program and topology: the naive evaluator (the independent oracle),
-   the indexed semi-naive [Eval] and the id-native [Ideval] reach the
-   same converged fixpoint, and the two semi-naive drivers also agree
-   on rounds, derivations and join statistics.  Each topology is
-   (name, node count, links); costs vary per link. *)
+   program and topology: the naive evaluator (the independent oracle)
+   and semi-naive evaluation (the id-native executor) reach the same
+   converged fixpoint.  Each topology is (name, node count, links);
+   costs vary per link. *)
 let agreement_topologies =
   let c3 i = 1 + (i mod 3) in
   [
@@ -2008,14 +1901,7 @@ let evaluators_agree prog () =
   let semi = Eval.run_exn prog in
   checkb "naive converged" true naive.Eval.converged;
   checkb "semi-naive converged" true semi.Eval.converged;
-  checkb "naive = semi-naive fixpoint" true (Store.equal naive.Eval.db semi.Eval.db);
-  match Ideval.run_program prog with
-  | Error e -> Alcotest.failf "id-native analysis failed: %a" Analysis.pp_error e
-  | Ok (db, oc) ->
-    checkb "id-native = semi-naive fixpoint" true (Store.equal db semi.Eval.db);
-    checki "rounds" semi.Eval.rounds oc.Ideval.rounds;
-    checki "derivations" semi.Eval.derivations oc.Ideval.derivations;
-    checkb "join statistics" true (oc.Ideval.stats = semi.Eval.stats)
+  checkb "naive = semi-naive fixpoint" true (Store.equal naive.Eval.db semi.Eval.db)
 
 let agreement_cases =
   List.concat_map
@@ -2086,6 +1972,10 @@ let () =
           Alcotest.test_case "aggregates" `Quick test_eval_aggregates;
           Alcotest.test_case "assignment as filter" `Quick
             test_eval_assign_checks;
+          Alcotest.test_case "semi-naive from a fixpoint" `Quick
+            test_seminaive_from_fixpoint;
+          Alcotest.test_case "typed evaluation errors" `Quick
+            test_eval_errors_typed;
         ]
         @ qsuite
             [ prop_best_path_matches_floyd_warshall; prop_naive_equals_seminaive ]
@@ -2109,6 +1999,8 @@ let () =
         [
           Alcotest.test_case "id stability" `Quick test_intern_id_stable;
           Alcotest.test_case "round trip" `Quick test_intern_roundtrip;
+          Alcotest.test_case "bulk rejects unknown ids" `Quick
+            test_intern_bulk_rejects;
           Alcotest.test_case "canonical order" `Quick test_intern_store_order;
           Alcotest.test_case "equal/hash across representations" `Quick
             test_intern_equal_hash_across_representations;
@@ -2141,27 +2033,18 @@ let () =
           Alcotest.test_case "stats" `Quick test_eval_stats_counted;
           Alcotest.test_case "per-run stats" `Quick test_eval_stats_per_run;
           Alcotest.test_case "aggregate fast path" `Quick test_agg_fast_path;
+          Alcotest.test_case "executor config" `Quick test_executor_config;
+          Alcotest.test_case "config is per call" `Quick test_config_is_per_call;
         ]
         @ qsuite [ prop_indexed_equals_nested_loop ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "partition roundtrip" `Quick
-            test_shard_partition_roundtrip;
-          Alcotest.test_case "shardability analysis" `Quick
-            test_shard_analyze_rejects;
-          Alcotest.test_case "domain pool" `Quick test_pool_map_array;
-          Alcotest.test_case "ring fixpoint" `Quick test_sharded_ring;
-          Alcotest.test_case "centralized fallback" `Quick
-            test_sharded_fallback;
-        ]
-        @ qsuite [ prop_sharded_equals_seminaive ] );
       ( "batched",
         [
           Alcotest.test_case "group formation" `Quick test_group_formation;
           Alcotest.test_case "stats" `Quick test_batched_stats_counted;
           Alcotest.test_case "strand batch executor" `Quick test_execute_batch;
-          Alcotest.test_case "sharded domains 1/2/4" `Quick
-            test_sharded_batched_domains;
+          Alcotest.test_case "decomposition" `Quick test_batched_decomposition;
+          Alcotest.test_case "compiled strand reusable" `Quick
+            test_strand_reusable;
         ]
         @ qsuite [ prop_batched_equals_per_tuple ] );
       ( "localize",
