@@ -1,9 +1,6 @@
 (* Smoke check for the benchmark ledger: BENCH_ndlog.json must parse
-   as a schema-12 document carrying a non-empty E7 sweep (indexed vs.
-   baseline timings), an E11 sweep (batched vs. per-tuple delta joins, with the enumeration
-   reduction recorded per row), an E12 sweep (the distributed
-   runtime's inbox batching vs. per-message deliveries, with the wire
-   delta-group sizes recorded per row), an E13 sweep (incremental view
+   as a schema-13 document carrying a non-empty E7 sweep (indexed vs.
+   baseline timings), an E13 sweep (incremental view
    refresh vs. from-scratch recomputation, with skipped strata and
    view-path enumeration recorded per row), an E14 churn section — an
    absolute trajectory since schema 11 — (the repetitions of the
@@ -24,13 +21,15 @@
    modes, and at least one cell where a reduced mode strictly beats a
    completed plain baseline), and a
    run-history array.  Schema 12 dropped the E8 sharded sweep together
-   with the sharded evaluator; history entries written before it still
-   carry [e8_*] fields and stay valid, since only the fields every
-   entry has ever had are required.  Run by the @bench-smoke alias
-   so a broken emitter (or a regression that stops a sweep from
+   with the sharded evaluator, and schema 13 the E11/E12 batching
+   ablations together with the per-tuple and per-message paths they
+   compared; history entries written before them still carry [e8_*],
+   [e11_*] or [e12_*] fields and stay valid, since only the fields
+   every entry has ever had are required.  Run by the @bench-smoke
+   alias so a broken emitter (or a regression that stops a sweep from
    completing, a run diverging from its baseline fixpoint, or
-   batching/incrementality losing its enumeration win) fails the
-   build loudly. *)
+   incrementality losing its enumeration win) fails the build
+   loudly. *)
 
 let fail fmt = Fmt.kstr (fun m -> prerr_endline m; exit 1) fmt
 
@@ -58,15 +57,15 @@ let () =
   | Error e -> fail "%s: does not parse: %s" path e
   | Ok v ->
     (match Json.member "schema" v with
-    | Some (Json.Int 12) -> ()
-    | _ -> fail "%s: missing schema=12" path);
+    | Some (Json.Int 13) -> ()
+    | _ -> fail "%s: missing schema=13" path);
     List.iter
       (fun k ->
         match Json.member k v with
         | Some _ -> ()
         | None -> fail "%s: missing top-level %S" path k)
       [
-        "quick"; "host_cores"; "unix_time"; "e7"; "e11"; "e12"; "e13";
+        "quick"; "host_cores"; "unix_time"; "e7"; "e13";
         "e14"; "e15"; "e16"; "e17"; "history";
       ];
     (* E7: index layer on vs. off. *)
@@ -81,55 +80,6 @@ let () =
           ];
         require_same_fixpoint path "e7" i row)
       sweeps;
-    (* E11: batched vs. per-tuple delta joins.  Every row must record a
-       strict enumeration reduction on top of the identical fixpoint. *)
-    let e11 = Option.get (Json.member "e11" v) in
-    let batch_sweeps = nonempty_sweeps path "e11" e11 in
-    List.iteri
-      (fun i row ->
-        require_fields path "e11" i row
-          [
-            "program"; "topology"; "n"; "tuples"; "batched_ms"; "per_tuple_ms";
-            "speedup"; "groups"; "group_probes"; "enumerated_batched";
-            "enumerated_per_tuple"; "enum_reduced"; "same_fixpoint";
-          ];
-        (match Json.member "enum_reduced" row with
-        | Some (Json.Bool true) -> ()
-        | _ -> fail "%s: e11 row %d lost the enumeration reduction" path i);
-        require_same_fixpoint path "e11" i row)
-      batch_sweeps;
-    (* E12: the distributed runtime's inbox batching vs. per-message
-       deliveries.  Every row must record the identical fixpoint; ring
-       rows at n >= 8 must also record coalesced flushes (mean wire
-       delta-group size > 1) and a strict wire-path enumeration
-       reduction. *)
-    let e12 = Option.get (Json.member "e12" v) in
-    let inbox_sweeps = nonempty_sweeps path "e12" e12 in
-    List.iteri
-      (fun i row ->
-        require_fields path "e12" i row
-          [
-            "program"; "topology"; "n"; "nodes"; "tuples"; "messages";
-            "batched_ms"; "per_message_ms"; "speedup"; "wire_groups";
-            "wire_delta_tuples"; "mean_group_size"; "enumerated_batched";
-            "enumerated_per_message"; "enum_reduced"; "same_fixpoint";
-          ];
-        require_same_fixpoint path "e12" i row;
-        let strict =
-          match (Json.member "topology" row, Json.member "n" row) with
-          | Some (Json.Str "ring"), Some (Json.Int n) -> n >= 8
-          | _ -> false
-        in
-        if strict then begin
-          (match Json.member "mean_group_size" row with
-          | Some (Json.Float g) when g > 1.0 -> ()
-          | _ -> fail "%s: e12 row %d mean wire group size not > 1" path i);
-          match Json.member "enum_reduced" row with
-          | Some (Json.Bool true) -> ()
-          | _ ->
-            fail "%s: e12 row %d lost the wire enumeration reduction" path i
-        end)
-      inbox_sweeps;
     (* E13: incremental view refresh vs. from-scratch recomputation.
        Every row must record the identical fixpoint (which the bench
        itself asserts covers per-node stores and message counts); ring
@@ -383,9 +333,8 @@ let () =
           [ "unix_time"; "quick"; "host_cores" ])
       history;
     Fmt.pr
-      "%s: ok (%d e7 rows, %d e11 rows, %d e12 rows, %d e13 rows, %d e14 \
-       runs, %d e15 ops, %d e16 runs, %d e17 runs, %d history entries)@."
-      path (List.length sweeps) (List.length batch_sweeps) (List.length inbox_sweeps)
-      (List.length incr_sweeps) (List.length e14_runs)
+      "%s: ok (%d e7 rows, %d e13 rows, %d e14 runs, %d e15 ops, %d e16 \
+       runs, %d e17 runs, %d history entries)@."
+      path (List.length sweeps) (List.length incr_sweeps) (List.length e14_runs)
       (List.length e15_ops) (List.length e16_runs) (List.length e17_runs)
       (List.length history)

@@ -11,13 +11,12 @@
      E7 ndlog-scaling             declarative execution efficiency
      E9 softstate-rewrite         cost of the hard-state rewrite
      E10 model-checking           transition systems + counterexamples
-     E11 batched-deltas           group-at-a-time delta joins
 
    Usage:
      dune exec bench/main.exe               # run everything
      dune exec bench/main.exe e3 e7         # selected experiments
      dune exec bench/main.exe quick         # skip the slowest sweeps
-     dune exec bench/main.exe e7 e11 json   # also write BENCH_ndlog.json
+     dune exec bench/main.exe e7 e13 json   # also write BENCH_ndlog.json
 
    Timing columns come from Bechamel (monotonic clock, OLS estimate per
    run); coarse one-shot times use Unix.gettimeofday (true wall
@@ -495,8 +494,10 @@ let sw_speedup r = r.sw_base_ms /. Float.max 1e-6 r.sw_idx_ms
    most-bound-first body ordering) on or off.  Each outcome carries its
    own per-run counters. *)
 let timed_seminaive ~optimized p info db =
-  let config = { Ndlog.Plan.default with optimized_joins = optimized } in
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive ~config p info db) in
+  let o, t =
+    wall (fun () ->
+        Ndlog.Eval.seminaive ~optimized_joins:optimized p info db)
+  in
   (o, t, o.Ndlog.Eval.stats)
 
 let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
@@ -524,121 +525,6 @@ let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
       && base.Ndlog.Eval.converged = idx.Ndlog.Eval.converged;
   }
 
-(* ------------------------------------------------------------------ *)
-(* E11 sweep machinery: semi-naive with batched delta joins on vs. off
-   (the per-tuple delta path), over the E7 topologies.  Both runs keep
-   optimized joins on, so the column isolates the batching itself. *)
-
-type batch_row = {
-  bt_prog : string;
-  bt_topo : string;
-  bt_n : int;
-  bt_nodes : int;
-  bt_tuples : int;  (* fixpoint database size *)
-  bt_rounds : int;
-  bt_batched_ms : float;
-  bt_per_tuple_ms : float;
-  bt_groups : int;  (* batched run: delta groups joined *)
-  bt_group_probes : int;  (* batched run: rule-delta applications *)
-  bt_enum_batched : int;  (* tuples enumerated, batched run *)
-  bt_enum_per_tuple : int;  (* tuples enumerated, per-tuple run *)
-  bt_same : bool;  (* identical fixpoint, rounds, derivations *)
-}
-
-let bt_speedup r = r.bt_per_tuple_ms /. Float.max 1e-6 r.bt_batched_ms
-
-(* Fraction of the per-tuple run's enumerations the batched run avoids. *)
-let bt_enum_saved r =
-  if r.bt_enum_per_tuple = 0 then 0.0
-  else
-    100.
-    *. float_of_int (r.bt_enum_per_tuple - r.bt_enum_batched)
-    /. float_of_int r.bt_enum_per_tuple
-
-let timed_batched ~batched p info db =
-  let config = { Ndlog.Plan.default with batching = batched } in
-  let o, t = wall (fun () -> Ndlog.Eval.seminaive ~config p info db) in
-  (o, t, o.Ndlog.Eval.stats)
-
-let batched_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
-    batch_row =
-  let info = Ndlog.Analysis.analyze_exn p in
-  let db = Ndlog.Store.of_facts p.Ndlog.Ast.facts in
-  let per, t_per, st_per = timed_batched ~batched:false p info db in
-  let bat, t_bat, st_bat = timed_batched ~batched:true p info db in
-  let same =
-    Ndlog.Store.equal per.Ndlog.Eval.db bat.Ndlog.Eval.db
-    && per.Ndlog.Eval.rounds = bat.Ndlog.Eval.rounds
-    && per.Ndlog.Eval.converged = bat.Ndlog.Eval.converged
-    && per.Ndlog.Eval.derivations = bat.Ndlog.Eval.derivations
-  in
-  (* Both claims are part of the benchmark and fail the run (and the
-     bench-smoke alias) loudly: the batched fixpoint must be identical,
-     and batching must strictly reduce enumeration on every point. *)
-  if not same then
-    failwith
-      (Fmt.str "E11 %s/%s %d: batched fixpoint diverged from per-tuple"
-         prog_name topo_name n);
-  if st_bat.Ndlog.Eval.enumerated >= st_per.Ndlog.Eval.enumerated then
-    failwith
-      (Fmt.str
-         "E11 %s/%s %d: batching did not reduce enumeration (%d >= %d)"
-         prog_name topo_name n st_bat.Ndlog.Eval.enumerated
-         st_per.Ndlog.Eval.enumerated);
-  {
-    bt_prog = prog_name;
-    bt_topo = topo_name;
-    bt_n = n;
-    bt_nodes = nodes;
-    bt_tuples = Ndlog.Store.total_tuples bat.Ndlog.Eval.db;
-    bt_rounds = bat.Ndlog.Eval.rounds;
-    bt_batched_ms = t_bat *. 1e3;
-    bt_per_tuple_ms = t_per *. 1e3;
-    bt_groups = st_bat.Ndlog.Eval.groups;
-    bt_group_probes = st_bat.Ndlog.Eval.group_probes;
-    bt_enum_batched = st_bat.Ndlog.Eval.enumerated;
-    bt_enum_per_tuple = st_per.Ndlog.Eval.enumerated;
-    bt_same = same;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* E12 sweep machinery: the distributed runtime's inbox batching on
-   vs. off (the per-message baseline).  Where E11 measures batched
-   delta joins inside one evaluator, E12 measures the same
-   group-at-a-time savings on the wire path: all message deliveries
-   landing at a node at the same simulated instant flush as one
-   per-predicate delta. *)
-
-type inbox_row = {
-  ib_prog : string;
-  ib_topo : string;
-  ib_n : int;
-  ib_nodes : int;
-  ib_tuples : int;  (* global fixpoint database size *)
-  ib_msgs : int;  (* messages sent (identical in both modes) *)
-  ib_batched_ms : float;
-  ib_per_msg_ms : float;
-  ib_groups : int;  (* batched run, wire path: delta groups joined *)
-  ib_delta : int;  (* batched run, wire path: delta tuples fed *)
-  ib_enum_batched : int;  (* wire-path tuples enumerated, batched *)
-  ib_enum_per_msg : int;  (* wire-path tuples enumerated, per-message *)
-  ib_same : bool;  (* identical global fixpoint and insert count *)
-}
-
-let ib_speedup r = r.ib_per_msg_ms /. Float.max 1e-6 r.ib_batched_ms
-
-(* Mean number of delta tuples each wire-path strand activation
-   carried; 1.0 is the per-message baseline by construction. *)
-let ib_mean_group r =
-  float_of_int r.ib_delta /. float_of_int (max 1 r.ib_groups)
-
-let ib_enum_saved r =
-  if r.ib_enum_per_msg = 0 then 0.0
-  else
-    100.
-    *. float_of_int (r.ib_enum_per_msg - r.ib_enum_batched)
-    /. float_of_int r.ib_enum_per_msg
-
 let topo_of_link_facts links =
   let t = Netsim.Topology.create () in
   List.iter
@@ -650,77 +536,6 @@ let topo_of_link_facts links =
       | _ -> ())
     links;
   t
-
-let inbox_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : inbox_row =
-  let loc =
-    match
-      Ndlog.Localize.rewrite_program (Ndlog.Programs.with_links prog links)
-    with
-    | Ok r -> r.Ndlog.Localize.program
-    | Error _ -> assert false
-  in
-  let go ~batch_inbox =
-    let rt = Dist.Runtime.create ~batch_inbox (topo_of_link_facts links) loc in
-    Dist.Runtime.load_facts rt;
-    let report, t = wall (fun () -> Dist.Runtime.run rt) in
-    (rt, report, t)
-  in
-  let rt_b, rep_b, t_b = go ~batch_inbox:true in
-  let rt_p, rep_p, t_p = go ~batch_inbox:false in
-  let same =
-    rep_b.Dist.Runtime.stats.Netsim.Sim.quiesced
-    && rep_p.Dist.Runtime.stats.Netsim.Sim.quiesced
-    && Ndlog.Store.equal
-         (Dist.Runtime.global_store rt_b)
-         (Dist.Runtime.global_store rt_p)
-    && rep_b.Dist.Runtime.total_inserts = rep_p.Dist.Runtime.total_inserts
-    && List.for_all
-         (fun nm ->
-           Ndlog.Store.equal
-             (Dist.Runtime.node_store rt_b nm)
-             (Dist.Runtime.node_store rt_p nm))
-         (Netsim.Topology.nodes (topo_of_link_facts links))
-  in
-  (* The equivalence claim is part of the benchmark: a divergence fails
-     the run (and the bench-smoke alias) loudly. *)
-  if not same then
-    failwith
-      (Fmt.str "E12 %s/%s %d: batched inbox diverged from per-message"
-         prog_name topo_name n);
-  let wb = rep_b.Dist.Runtime.wire_stats in
-  let wp = rep_p.Dist.Runtime.wire_stats in
-  (* On the big rings the batching claim itself is asserted: flushes
-     must actually coalesce deliveries (mean group > 1) and strictly
-     reduce wire-path enumeration. *)
-  if strict then begin
-    if wb.Ndlog.Eval.delta_tuples <= wb.Ndlog.Eval.groups then
-      failwith
-        (Fmt.str "E12 %s/%s %d: mean wire delta-group size not > 1 (%d/%d)"
-           prog_name topo_name n wb.Ndlog.Eval.delta_tuples
-           wb.Ndlog.Eval.groups);
-    if wb.Ndlog.Eval.enumerated >= wp.Ndlog.Eval.enumerated then
-      failwith
-        (Fmt.str
-           "E12 %s/%s %d: inbox batching did not reduce wire enumeration (%d \
-            >= %d)"
-           prog_name topo_name n wb.Ndlog.Eval.enumerated
-           wp.Ndlog.Eval.enumerated)
-  end;
-  {
-    ib_prog = prog_name;
-    ib_topo = topo_name;
-    ib_n = n;
-    ib_nodes = nodes;
-    ib_tuples = Ndlog.Store.total_tuples (Dist.Runtime.global_store rt_b);
-    ib_msgs = rep_b.Dist.Runtime.stats.Netsim.Sim.messages_sent;
-    ib_batched_ms = t_b *. 1e3;
-    ib_per_msg_ms = t_p *. 1e3;
-    ib_groups = wb.Ndlog.Eval.groups;
-    ib_delta = wb.Ndlog.Eval.delta_tuples;
-    ib_enum_batched = wb.Ndlog.Eval.enumerated;
-    ib_enum_per_msg = wp.Ndlog.Eval.enumerated;
-    ib_same = same;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* E13 machinery: incremental view refresh vs. from-scratch in the
@@ -1142,8 +957,8 @@ let churn_point ~n ~events ~reps : churn_row list =
         then failwith "E14: runs diverged across repetitions");
       row)
 
-(* The machine-readable ledger (BENCH_ndlog.json, schema 12).
-   E7, E11–E17 stash their sweep rows here; the driver emits one
+(* The machine-readable ledger (BENCH_ndlog.json, schema 13).
+   E7, E13–E17 stash their sweep rows here; the harness emits one
    document at the end of the run.  The previous ledger's run history is
    carried forward and the finished run appended, so the committed file
    records how the numbers moved across regenerations. *)
@@ -1151,8 +966,6 @@ let churn_point ~n ~events ~reps : churn_row list =
 let json_out = ref false
 let bench_json_path = "BENCH_ndlog.json"
 let e7_sweeps : sweep_row list ref = ref []
-let e11_rows : batch_row list ref = ref []
-let e12_rows : inbox_row list ref = ref []
 let e13_rows : incr_row list ref = ref []
 let e14_rows : churn_row list ref = ref []
 
@@ -1231,49 +1044,6 @@ let emit_bench_json () =
         ("same_fixpoint", Json.Bool r.sw_same);
       ]
   in
-  let e11_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.bt_prog);
-        ("topology", Json.Str r.bt_topo);
-        ("n", Json.Int r.bt_n);
-        ("nodes", Json.Int r.bt_nodes);
-        ("tuples", Json.Int r.bt_tuples);
-        ("rounds", Json.Int r.bt_rounds);
-        ("batched_ms", Json.Float r.bt_batched_ms);
-        ("per_tuple_ms", Json.Float r.bt_per_tuple_ms);
-        ("speedup", Json.Float (bt_speedup r));
-        ("groups", Json.Int r.bt_groups);
-        ("group_probes", Json.Int r.bt_group_probes);
-        ("enumerated_batched", Json.Int r.bt_enum_batched);
-        ("enumerated_per_tuple", Json.Int r.bt_enum_per_tuple);
-        ("enum_saved_pct", Json.Float (bt_enum_saved r));
-        ("enum_reduced", Json.Bool (r.bt_enum_batched < r.bt_enum_per_tuple));
-        ("same_fixpoint", Json.Bool r.bt_same);
-      ]
-  in
-  let e12_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.ib_prog);
-        ("topology", Json.Str r.ib_topo);
-        ("n", Json.Int r.ib_n);
-        ("nodes", Json.Int r.ib_nodes);
-        ("tuples", Json.Int r.ib_tuples);
-        ("messages", Json.Int r.ib_msgs);
-        ("batched_ms", Json.Float r.ib_batched_ms);
-        ("per_message_ms", Json.Float r.ib_per_msg_ms);
-        ("speedup", Json.Float (ib_speedup r));
-        ("wire_groups", Json.Int r.ib_groups);
-        ("wire_delta_tuples", Json.Int r.ib_delta);
-        ("mean_group_size", Json.Float (ib_mean_group r));
-        ("enumerated_batched", Json.Int r.ib_enum_batched);
-        ("enumerated_per_message", Json.Int r.ib_enum_per_msg);
-        ("enum_saved_pct", Json.Float (ib_enum_saved r));
-        ("enum_reduced", Json.Bool (r.ib_enum_batched < r.ib_enum_per_msg));
-        ("same_fixpoint", Json.Bool r.ib_same);
-      ]
-  in
   let largest =
     List.fold_left
       (fun acc r -> match acc with
@@ -1283,20 +1053,6 @@ let emit_bench_json () =
   in
   let largest_speedup =
     match largest with Some r -> Json.Float (sw_speedup r) | None -> Json.Null
-  in
-  let e11_max_saved =
-    match !e11_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Float
-        (List.fold_left (fun acc r -> Float.max acc (bt_enum_saved r)) 0.0 rows)
-  in
-  let e11_all_reduced =
-    match !e11_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Bool
-        (List.for_all (fun r -> r.bt_enum_batched < r.bt_enum_per_tuple) rows)
   in
   let e13_row r =
     Json.Obj
@@ -1319,18 +1075,6 @@ let emit_bench_json () =
         ("enum_reduced", Json.Bool (r.iv_enum_incr < r.iv_enum_scratch));
         ("same_fixpoint", Json.Bool r.iv_same);
       ]
-  in
-  let e12_max_mean_group =
-    match !e12_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Float
-        (List.fold_left (fun acc r -> Float.max acc (ib_mean_group r)) 0.0 rows)
-  in
-  let e12_all_same =
-    match !e12_rows with
-    | [] -> Json.Null
-    | rows -> Json.Bool (List.for_all (fun r -> r.ib_same) rows)
   in
   let e13_total_skipped =
     match !e13_rows with
@@ -1507,10 +1251,6 @@ let emit_bench_json () =
         ("host_cores", Json.Int host_cores);
         ("e7_rows", Json.Int (List.length !e7_sweeps));
         ("e7_largest_topology_speedup", largest_speedup);
-        ("e11_rows", Json.Int (List.length !e11_rows));
-        ("e11_max_enum_saved_pct", e11_max_saved);
-        ("e12_rows", Json.Int (List.length !e12_rows));
-        ("e12_max_mean_group_size", e12_max_mean_group);
         ("e13_rows", Json.Int (List.length !e13_rows));
         ("e13_total_strata_skipped", e13_total_skipped);
         ("e14_rows", Json.Int (List.length !e14_rows));
@@ -1534,7 +1274,7 @@ let emit_bench_json () =
   Json.to_file bench_json_path
     (Json.Obj
        [
-         ("schema", Json.Int 12);
+         ("schema", Json.Int 13);
          ("quick", Json.Bool !quick);
          ("host_cores", Json.Int host_cores);
          ("unix_time", Json.Int now);
@@ -1543,20 +1283,6 @@ let emit_bench_json () =
              [
                ("largest_topology_speedup", largest_speedup);
                ("sweeps", Json.Arr (List.map e7_row !e7_sweeps));
-             ] );
-         ( "e11",
-           Json.Obj
-             [
-               ("all_enum_reduced", e11_all_reduced);
-               ("max_enum_saved_pct", e11_max_saved);
-               ("sweeps", Json.Arr (List.map e11_row !e11_rows));
-             ] );
-         ( "e12",
-           Json.Obj
-             [
-               ("all_same_fixpoint", e12_all_same);
-               ("max_mean_group_size", e12_max_mean_group);
-               ("sweeps", Json.Arr (List.map e12_row !e12_rows));
              ] );
          ( "e13",
            Json.Obj
@@ -1739,117 +1465,6 @@ let e7 () =
   table
     [ "ring n"; "lsa tuples"; "central time"; "dist msgs"; "dist = central" ]
     rows
-
-(* ------------------------------------------------------------------ *)
-(* E11: batched delta joins. *)
-
-let e11 () =
-  banner "e11" "batched delta joins in semi-naive evaluation"
-    "grouping each round's delta by its join key amortizes index probes \
-     and body setup across tuples";
-  let ring_sizes = if !quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24; 32 ] in
-  let grid_sides = if !quick then [ 3; 4 ] else [ 3; 4; 5 ] in
-  let rows =
-    List.map
-      (fun n ->
-        batched_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          (Ndlog.Programs.with_links
-             (Ndlog.Programs.path_vector ())
-             (Ndlog.Programs.ring_links n)))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          batched_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k)
-            (Ndlog.Programs.with_links
-               (Ndlog.Programs.reachability ())
-               (Ndlog.Programs.grid_links k)))
-        grid_sides
-  in
-  e11_rows := rows;
-  Fmt.pr
-    "semi-naive, batched delta joins on vs. off (optimized joins on in \
-     both):@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "rounds"; "batched"; "per-tuple";
-      "speedup"; "groups/probes"; "enum bat/per"; "enum saved"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.bt_prog;
-           Fmt.str "%s %d" r.bt_topo r.bt_n;
-           string_of_int r.bt_tuples;
-           string_of_int r.bt_rounds;
-           Fmt.str "%.1f ms" r.bt_batched_ms;
-           Fmt.str "%.1f ms" r.bt_per_tuple_ms;
-           Fmt.str "%.1fx" (bt_speedup r);
-           Fmt.str "%d/%d" r.bt_groups r.bt_group_probes;
-           Fmt.str "%d/%d" r.bt_enum_batched r.bt_enum_per_tuple;
-           Fmt.str "%.0f%%" (bt_enum_saved r);
-           string_of_bool r.bt_same;
-         ])
-       rows);
-  Fmt.pr
-    "fixpoint equality and a strict enumeration reduction are asserted per \
-     row; groups/probes count grouped joins and rule-delta applications.@."
-
-(* ------------------------------------------------------------------ *)
-(* E12: inbox batching in the distributed runtime. *)
-
-let e12 () =
-  banner "e12" "inbox batching in the distributed runtime"
-    "flushing same-instant message deliveries as one per-predicate delta \
-     carries the batched join's savings onto the wire path";
-  let ring_sizes = if !quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24 ] in
-  let grid_sides = if !quick then [ 3 ] else [ 3; 4 ] in
-  let rows =
-    List.map
-      (fun n ->
-        inbox_point ~prog_name:"path-vector" ~topo_name:"ring" ~n ~nodes:n
-          ~strict:(n >= 8)
-          (Ndlog.Programs.path_vector ())
-          (Ndlog.Programs.ring_links n))
-      ring_sizes
-    @ List.map
-        (fun k ->
-          inbox_point ~prog_name:"reachability" ~topo_name:"grid" ~n:k
-            ~nodes:(k * k) ~strict:false
-            (Ndlog.Programs.reachability ())
-            (Ndlog.Programs.grid_links k))
-        grid_sides
-  in
-  e12_rows := rows;
-  Fmt.pr
-    "distributed pipelined semi-naive, inbox batching on vs. off (per-message \
-     deliveries):@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "msgs"; "batched"; "per-msg"; "speedup";
-      "delta/groups"; "mean group"; "enum bat/per"; "enum saved"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.ib_prog;
-           Fmt.str "%s %d" r.ib_topo r.ib_n;
-           string_of_int r.ib_tuples;
-           string_of_int r.ib_msgs;
-           Fmt.str "%.1f ms" r.ib_batched_ms;
-           Fmt.str "%.1f ms" r.ib_per_msg_ms;
-           Fmt.str "%.1fx" (ib_speedup r);
-           Fmt.str "%d/%d" r.ib_delta r.ib_groups;
-           Fmt.str "%.2f" (ib_mean_group r);
-           Fmt.str "%d/%d" r.ib_enum_batched r.ib_enum_per_msg;
-           Fmt.str "%.0f%%" (ib_enum_saved r);
-           string_of_bool r.ib_same;
-         ])
-       rows);
-  Fmt.pr
-    "global fixpoint, per-node stores and insert counts are asserted \
-     identical per row; on rings >= 8 a mean wire delta-group size > 1 and a \
-     strict wire-path enumeration reduction are asserted too.@."
 
 (* ------------------------------------------------------------------ *)
 (* E13: incremental view refresh with dirty-predicate tracking. *)
@@ -2577,8 +2192,8 @@ let a3 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
-    ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17);
+    ("e7", e7); ("e9", e9); ("e10", e10); ("e13", e13); ("e14", e14);
+    ("e15", e15); ("e16", e16); ("e17", e17);
     ("a1", a1); ("a2", a2); ("a3", a3);
   ]
 
@@ -2592,7 +2207,7 @@ let () =
           quick := true;
           false
         | "json" ->
-          (* Emit the machine-readable E7/E11–E17 ledger
+          (* Emit the machine-readable E7/E13–E17 ledger
              (BENCH_ndlog.json). *)
           json_out := true;
           false
@@ -2603,14 +2218,16 @@ let () =
     match args with
     | [] -> experiments
     | ids ->
-      List.filter_map
+      List.map
         (fun id ->
           match List.assoc_opt (String.lowercase_ascii id) experiments with
-          | Some f -> Some (id, f)
+          | Some f -> (id, f)
           | None ->
+            (* Fail before running anything, so a stale id list (a
+               retired experiment in a script) cannot pass silently. *)
             Fmt.epr "unknown experiment %S (known: %s)@." id
               (String.concat ", " (List.map fst experiments));
-            None)
+            exit 2)
         ids
   in
   Fmt.pr "FVN benchmark harness — reproducing the paper's evaluation claims@.";

@@ -29,6 +29,16 @@ let or_die = function
     Fmt.epr "fvnc: %s@." e;
     exit 1
 
+(* Sort errors (a zero divisor, arithmetic on a string) are only found
+   when a rule fires, so they surface from evaluation rather than from
+   analysis: report them as errors naming the expected sort and the
+   offending value. *)
+let or_sort_error f =
+  try f ()
+  with Ndlog.Value.Type_error (sort, v) ->
+    Fmt.epr "fvnc: sort error: expected %s, got %a@." sort Ndlog.Value.pp v;
+    exit 1
+
 let file_arg =
   Arg.(
     required
@@ -96,7 +106,7 @@ let print_relations db preds =
 let run_cmd =
   let run path relations max_rounds =
     let p = or_die (load path) in
-    match Ndlog.Eval.run ~max_rounds p with
+    match or_sort_error (fun () -> Ndlog.Eval.run ~max_rounds p) with
     | Error e ->
       Fmt.epr "fvnc: %a@." Ndlog.Analysis.pp_error e;
       exit 1
@@ -122,7 +132,7 @@ let run_cmd =
 let dist_cmd =
   let run path relations =
     let p = or_die (load path) in
-    match Fvn.Pipeline.execute_distributed p with
+    match or_sort_error (fun () -> Fvn.Pipeline.execute_distributed p) with
     | Error e ->
       Fmt.epr "fvnc: %s@." e;
       exit 1
@@ -347,7 +357,7 @@ let explain_cmd =
     in
     let tuple = Array.of_list fact.Ndlog.Ast.fact_args in
     let o =
-      match Ndlog.Eval.run p with
+      match or_sort_error (fun () -> Ndlog.Eval.run p) with
       | Ok o -> o
       | Error e ->
         Fmt.epr "fvnc: %a@." Ndlog.Analysis.pp_error e;

@@ -17,13 +17,11 @@
    memoized {!Ndlog.Store.t} views [node_store] / [global_store] hand
    to observers.
 
-   Message deliveries are batched through a per-node inbox: the handler
+   Every message delivery goes through a per-node inbox: the handler
    buffers the tuple and schedules a zero-delay flush, so every
    delivery landing at the same simulated instant drains together and
    each triggered strand runs once with the full per-predicate delta
-   (realizing the batched join's group-at-a-time savings on the wire
-   path).  The per-message runtime survives behind [~batch_inbox:false]
-   as the equivalence baseline.
+   (the batched join's group-at-a-time schedule on the wire path).
 
    Aggregate strata are maintained as local views: whenever the local
    store changes, aggregate rules (and the local rules downstream of
@@ -183,7 +181,6 @@ type t = {
      transport this is every topology node; a multi-process run gives
      each runtime its own subset ([?hosted]). *)
   hosted : node_state array;
-  batch_inbox : bool;
   (* Predicates computed as refreshed views (aggregate strata and their
      local downstream).  The list keeps program order for deterministic
      iteration; [view_set] is the same collection as a set — membership
@@ -421,8 +418,8 @@ let owner_of_ids (loc : int option) (ids : int array) : string option =
    on id allocation or hash-set layout. *)
 let sort_boxed l = List.sort (fun (a, _) (b, _) -> Store.Tuple.compare a b) l
 
-let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
-    ?transport ?hosted (topo : Netsim.Topology.t) (program : Ast.program) : t =
+let rec create ?(seed = 42) ?incremental_views ?transport ?hosted
+    (topo : Netsim.Topology.t) (program : Ast.program) : t =
   (match Ndlog.Localize.check_localized program with
   | Ok () -> ()
   | Error e -> raise (Not_localized (Fmt.str "%a" Ndlog.Localize.pp_error e)));
@@ -519,7 +516,6 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       hosted =
         Array.of_list
           (List.map (Hashtbl.find nodes) (List.sort_uniq String.compare hosted));
-      batch_inbox;
       view_preds;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
@@ -534,8 +530,8 @@ let rec create ?(seed = 42) ?(batch_inbox = true) ?incremental_views
       refresh_walks = 0;
     }
   in
-  (* Wire the message handler: a received tuple is inserted locally —
-     directly in per-message mode, through the inbox otherwise. *)
+  (* Wire the message handler: a received tuple goes through the
+     inbox. *)
   List.iter
     (fun n ->
       t.transport.Transport.set_handler n (fun ~self ~src:_ m ->
@@ -620,24 +616,17 @@ and insert_ids t (self : string) pred (ids : int array)
    all already-enqueued same-time deliveries).  Cross-process frames
    carry no ids; the receiver translates their canonical tuple once. *)
 and receive t (self : string) (m : msg) =
-  if not t.batch_inbox then
-    let ids =
-      match m.ids with Some ids -> ids | None -> Intern.tuple_ids m.tuple
-    in
-    insert_ids t self m.pred ids m.tuple
-  else begin
-    let ns = node t self in
-    ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
-    if not ns.flush_scheduled then begin
-      ns.flush_scheduled <- true;
-      t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t self)
-    end
+  let ns = node t self in
+  ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
+  if not ns.flush_scheduled then begin
+    ns.flush_scheduled <- true;
+    t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t self)
   end
 
 (* Drain the inbox: process buffered deliveries in arrival order (lease
-   refreshes and insertion bookkeeping see the same sequence the
-   per-message runtime does), then run each triggered strand once with
-   the full per-predicate delta of genuinely-new tuples. *)
+   refreshes and insertion bookkeeping see them one by one, as sent),
+   then run each triggered strand once with the full per-predicate
+   delta of genuinely-new tuples. *)
 and flush t (self : string) =
   let ns = node t self in
   ns.flush_scheduled <- false;
@@ -1097,7 +1086,6 @@ let diff_stats (a : Eval.stats) (b : Eval.stats) : Eval.stats =
     enumerated = a.Eval.enumerated - b.Eval.enumerated;
     matched = a.Eval.matched - b.Eval.matched;
     groups = a.Eval.groups - b.Eval.groups;
-    group_probes = a.Eval.group_probes - b.Eval.group_probes;
     delta_tuples = a.Eval.delta_tuples - b.Eval.delta_tuples;
     strata_skipped = a.Eval.strata_skipped - b.Eval.strata_skipped;
     strata_refolded = a.Eval.strata_refolded - b.Eval.strata_refolded;

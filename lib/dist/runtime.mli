@@ -11,10 +11,10 @@
     Message deliveries drain through a per-node inbox: every delivery
     landing at the same simulated instant is buffered and flushed
     together, so each triggered strand runs once with the full
-    per-predicate delta (the batched join's group-at-a-time savings on
-    the wire path).  [~batch_inbox:false] restores the per-message
-    runtime; both modes compute identical fixpoints, per-node stores,
-    and insertion counts (qcheck property in the dist test suite).
+    per-predicate delta (the batched join's group-at-a-time schedule
+    on the wire path).  The distributed fixpoint equals the naive
+    centralized evaluator's (checked over many topologies and programs
+    in the dist test suite).
 
     Aggregate strata are maintained as locally refreshed views, so
     non-monotonic updates (a better best-path displacing a worse one)
@@ -110,17 +110,13 @@ exception
 
 val create :
   ?seed:int ->
-  ?batch_inbox:bool ->
   ?incremental_views:bool ->
   ?transport:Transport.t ->
   ?hosted:string list ->
   Netsim.Topology.t ->
   Ndlog.Ast.program ->
   t
-(** [batch_inbox] (default [true]) drains each node's same-instant
-    message deliveries as one batch per triggered strand; [false] is
-    the per-message baseline.
-    [transport] is where messages, timers, and the clock live: by
+(** [transport] is where messages, timers, and the clock live: by
     default a fresh virtual-clock simulator over [topo]
     ({!Transport.of_sim} — bit-identical to the pre-transport runtime),
     or a socket reactor ({!Socket.transport}) when this runtime is one
@@ -136,7 +132,7 @@ val create :
     uses).  Under incremental refresh, [create] fixes each refresh
     stratum's mode once: plain strata get their seeded delta strands,
     aggregate strata whose rules all have a single-atom body
-    ({!Ndlog.Eval.agg_index_shape}) and distinct heads are re-folded
+    ({!Ndlog.Plan.agg_index_shape}) and distinct heads are re-folded
     group-wise, and any other aggregate or negation stratum is
     recomputed from scratch when touched.  Hosted node states are
     kept sorted by name for the refresh walk, and the view predicates'
@@ -154,8 +150,7 @@ val load_facts : t -> unit
 
 val insert : t -> string -> string -> Ndlog.Store.Tuple.t -> unit
 (** [insert t node pred tuple]: immediate local insertion.  (Message
-    deliveries go through the inbox instead when [batch_inbox] is
-    on.) *)
+    deliveries go through the inbox instead.) *)
 
 type run_report = {
   stats : Netsim.Sim.stats;

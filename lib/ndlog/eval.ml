@@ -23,8 +23,8 @@
    bound (e.g. distance-vector count-to-infinity) is reported as not
    converged rather than looping forever.
 
-   There is no global mutable state: the executor's optimizations are
-   an immutable per-call {!Plan.config}, and each run owns its
+   There is no global mutable state: the executor's one switch,
+   [optimized_joins], is a per-call argument, and each run owns its
    {!Plan.counters} (or adds into one the caller passes). *)
 
 module Sset = Set.Make (String)
@@ -37,7 +37,6 @@ type stats = Plan.stats = {
   enumerated : int;
   matched : int;
   groups : int;
-  group_probes : int;
   delta_tuples : int;
   strata_skipped : int;
   strata_refolded : int;
@@ -288,10 +287,10 @@ let naive ?(max_rounds = 10_000) ?stats (p : Ast.program)
 (* Semi-naive evaluation: the id-native executor behind a boxing
    boundary. *)
 
-let seminaive ?max_rounds ?stats ?config (p : Ast.program)
+let seminaive ?max_rounds ?stats ?optimized_joins (p : Ast.program)
     (info : Analysis.info) (db : Store.t) : outcome =
   let fdb = Flat.of_store db in
-  let o = Ideval.seminaive ?max_rounds ?stats ?config p info fdb in
+  let o = Ideval.seminaive ?max_rounds ?stats ?optimized_joins p info fdb in
   {
     db = Flat.to_store fdb;
     rounds = o.Ideval.rounds;

@@ -10,13 +10,12 @@
     aggregate rules of a stratum run once at stratum entry (their
     inputs are complete), remaining rules run to fixpoint.
 
-    The executor's optimizations (index probes, most-bound-first
-    planning, batched delta joins) are chosen per call by a
-    {!Plan.config}; every setting reaches the same fixpoint.  Each run
-    reports its own join counters in [outcome.stats], and callers may
-    pass a {!counters} accumulator ({!Plan.counters}) to aggregate
-    across runs.  There is
-    no global mutable state.
+    Delta joins always run group-at-a-time (batched); index probes and
+    most-bound-first planning are switched per call by
+    [optimized_joins], and either setting reaches the same fixpoint.
+    Each run reports its own join counters in [outcome.stats], and
+    callers may pass a {!counters} accumulator ({!Plan.counters}) to
+    aggregate across runs.  There is no global mutable state.
 
     Evaluation is bounded by [max_rounds]: a program with no finite
     fixpoint (e.g. distance-vector count-to-infinity on a cycle) is
@@ -29,7 +28,6 @@ type stats = Plan.stats = {
   enumerated : int;  (** candidate tuples visited by joins *)
   matched : int;  (** candidates that unified with the pattern *)
   groups : int;  (** delta groups formed by the batched join *)
-  group_probes : int;  (** grouped delta probes issued *)
   delta_tuples : int;  (** delta tuples fed through delta joins *)
   strata_skipped : int;  (** view strata skipped by dirty tracking *)
   strata_refolded : int;  (** aggregate strata re-folded group by group *)
@@ -71,13 +69,15 @@ val head_tuple : Env.t -> Ast.head -> Store.Tuple.t
 val seminaive :
   ?max_rounds:int ->
   ?stats:counters ->
-  ?config:Plan.config ->
+  ?optimized_joins:bool ->
   Ast.program ->
   Analysis.info ->
   Store.t ->
   outcome
 (** Semi-naive (delta) evaluation from an initial database, through
-    {!Ideval.seminaive}.  [config] defaults to {!Plan.default}. *)
+    {!Ideval.seminaive}.  [optimized_joins] (default [true]) switches
+    index probes and most-bound-first planning together; off, every
+    join is a full scan in source order. *)
 
 val naive :
   ?max_rounds:int ->

@@ -14,9 +14,9 @@
    This is the only semi-naive executor: {!Eval.seminaive} runs it
    behind a boxing boundary and every node of {!Dist.Runtime} runs it
    directly.  Literal orders, delta decompositions and aggregate shapes
-   come from {!Plan}; the optimizations are switched per call by a
-   {!Plan.config}.  Tests check it against the boxed naive evaluator
-   ({!Eval.naive}), which shares no execution code with it. *)
+   come from {!Plan}; index probes and join ordering are switched per
+   call by [optimized_joins].  Tests check it against the boxed naive
+   evaluator ({!Eval.naive}), which shares no execution code with it. *)
 
 module Fset = Flat.Fset
 
@@ -186,9 +186,9 @@ let bound_cols (env : int array) (pat : iexpr array) : (int * int) list =
 (* An iterator over the candidate tuples for matching [pat] against
    [pred] under [env]: an index probe on the ground positions, or a
    full scan when none is ground (or indexes are switched off). *)
-let candidates (cfg : Plan.config) (st : Plan.counters) fdb (env : int array)
+let candidates ~optimized_joins (st : Plan.counters) fdb (env : int array)
     pred (pat : iexpr array) : (int array -> unit) -> unit =
-  match if cfg.Plan.optimized_joins then bound_cols env pat else [] with
+  match if optimized_joins then bound_cols env pat else [] with
   | [] ->
     st.Plan.c_scans <- st.Plan.c_scans + 1;
     fun f -> Fset.iter f (Flat.relation fdb pred)
@@ -203,12 +203,11 @@ let candidates (cfg : Plan.config) (st : Plan.counters) fdb (env : int array)
 (* Body evaluation. *)
 
 (* Enumerate the satisfying environments of compiled [steps] starting
-   from [env0], prepending frozen copies to [acc].  [delta] replaces the
-   relation read by the step at the given index (semi-naive).  The
-   environment flows through per-step scratch buffers: a candidate match
-   blits the incoming bindings and binds in place, so only *satisfying*
+   from [env0], prepending frozen copies to [acc].  The environment
+   flows through per-step scratch buffers: a candidate match blits the
+   incoming bindings and binds in place, so only *satisfying*
    environments pay an allocation. *)
-let body_envs_from cfg (st : Plan.counters) fdb ~nslots ?delta
+let body_envs_from ~optimized_joins (st : Plan.counters) fdb ~nslots
     (env0 : int array) (steps : step array) (acc : int array list) :
     int array list =
   let nsteps = Array.length steps in
@@ -219,13 +218,7 @@ let body_envs_from cfg (st : Plan.counters) fdb ~nslots ?delta
     else
       match steps.(si) with
       | SPos { pred; pat } ->
-        let iterate =
-          match delta with
-          | Some (j, d) when j = si ->
-            st.Plan.c_scans <- st.Plan.c_scans + 1;
-            fun f -> Fset.iter f d
-          | _ -> candidates cfg st fdb env pred pat
-        in
+        let iterate = candidates ~optimized_joins st fdb env pred pat in
         let buf = scratch.(si) in
         iterate (fun t ->
             st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
@@ -277,14 +270,12 @@ let merge_env (a : int array) (b : int array) : int array option =
 (* ------------------------------------------------------------------ *)
 (* Delta joins. *)
 
-(* One compiled (rule, delta position) activation.  Batched: the round's
-   delta is grouped by [b_cols], the [b_shared] literals run once per
-   group from the key bindings, and each delta tuple pays only its
-   pattern match plus [b_per_tuple] ({!Plan.split_shared}).  Per tuple:
-   the delta literal first, then the ordered rest, replayed per delta
-   tuple.  Each is a self-contained compilation unit (own slot table,
-   own compiled head). *)
-type bunit = {
+(* One compiled (rule, delta position) activation: the round's delta is
+   grouped by [b_cols], the [b_shared] literals run once per group from
+   the key bindings, and each delta tuple pays only its pattern match
+   plus [b_per_tuple] ({!Plan.split_shared}).  A self-contained
+   compilation unit (own slot table, own compiled head). *)
+type activation = {
   b_cols : int list;  (* delta group columns *)
   b_col_slots : int list;  (* their slots, positionally *)
   b_dpat : iexpr array;  (* delta-atom pattern *)
@@ -294,52 +285,34 @@ type bunit = {
   b_head : iexpr array;
 }
 
-type punit = {
-  p_steps : step array;  (* delta literal first, then the ordered rest *)
-  p_nslots : int;
-  p_head : iexpr array;
-}
-
-type activation = Batched of bunit | Per_tuple of punit
-
 (* [ordered]: the rest of the body, already join-planned. *)
-let compile_activation (cfg : Plan.config) (rule : Ast.rule)
-    (delta_atom : Ast.atom) (ordered : Ast.lit list) : activation =
+let compile_activation (rule : Ast.rule) (delta_atom : Ast.atom)
+    (ordered : Ast.lit list) : activation =
   let ctx = mkctx () in
-  if cfg.Plan.batching then begin
-    let gvars = Plan.group_vars delta_atom ordered in
-    let cols_vars = Plan.group_cols delta_atom gvars in
-    let shared, per_tuple = Plan.split_shared gvars ordered in
-    let b_dpat = compile_args ctx delta_atom.Ast.args in
-    let b_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
-    let b_shared = compile_body ctx shared in
-    let b_per_tuple = compile_body ctx per_tuple in
-    let b_head = compile_head ctx rule.Ast.head in
-    Batched
-      {
-        b_cols = List.map fst cols_vars;
-        b_col_slots;
-        b_dpat;
-        b_shared;
-        b_per_tuple;
-        b_nslots = ctx.n;
-        b_head;
-      }
-  end
-  else begin
-    let p_steps = compile_body ctx (Ast.Pos delta_atom :: ordered) in
-    let p_head = compile_head ctx rule.Ast.head in
-    Per_tuple { p_steps; p_nslots = ctx.n; p_head }
-  end
+  let gvars = Plan.group_vars delta_atom ordered in
+  let cols_vars = Plan.group_cols delta_atom gvars in
+  let shared, per_tuple = Plan.split_shared gvars ordered in
+  let b_dpat = compile_args ctx delta_atom.Ast.args in
+  let b_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
+  let b_shared = compile_body ctx shared in
+  let b_per_tuple = compile_body ctx per_tuple in
+  let b_head = compile_head ctx rule.Ast.head in
+  {
+    b_cols = List.map fst cols_vars;
+    b_col_slots;
+    b_dpat;
+    b_shared;
+    b_per_tuple;
+    b_nslots = ctx.n;
+    b_head;
+  }
 
-(* All satisfying environments of the batched activation against [fdb]
-   with the delta read from [dset].  Counters: one group probe per
-   activation, delta tuples by cardinality, one group per distinct key,
-   enumerated/matched per delta tuple, and the shared/per-tuple phases
-   accounted through [body_envs_from]. *)
-let batched_envs cfg (st : Plan.counters) fdb (b : bunit) (dset : Fset.t) :
-    int array list =
-  st.Plan.c_group_probes <- st.Plan.c_group_probes + 1;
+(* All satisfying environments of [b] against [fdb] with the delta read
+   from [dset].  Counters: delta tuples by cardinality, one group per
+   distinct key, enumerated/matched per delta tuple, and the
+   shared/per-tuple phases accounted through [body_envs_from]. *)
+let delta_envs ~optimized_joins (st : Plan.counters) fdb (b : activation)
+    (dset : Fset.t) : int array list =
   st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
   let nslots = b.b_nslots in
   let scratch = Array.make nslots (-1) in
@@ -366,7 +339,7 @@ let batched_envs cfg (st : Plan.counters) fdb (b : bunit) (dset : Fset.t) :
           (fun i s -> env_g.(s) <- key.(i))
           b.b_col_slots;
         let shared_envs =
-          body_envs_from cfg st fdb ~nslots env_g b.b_shared []
+          body_envs_from ~optimized_joins st fdb ~nslots env_g b.b_shared []
         in
         List.fold_left
           (fun acc env_s ->
@@ -375,24 +348,12 @@ let batched_envs cfg (st : Plan.counters) fdb (b : bunit) (dset : Fset.t) :
                 match merge_env env_t env_s with
                 | None -> acc
                 | Some env ->
-                  body_envs_from cfg st fdb ~nslots env b.b_per_tuple acc)
+                  body_envs_from ~optimized_joins st fdb ~nslots env
+                    b.b_per_tuple acc)
               acc tuple_envs)
           acc shared_envs)
     []
     (Flat.group_set dset ~cols:b.b_cols)
-
-(* All satisfying environments of one activation over the delta set
-   [dset], paired with the compiled head that instantiates them. *)
-let delta_envs cfg (st : Plan.counters) fdb (act : activation)
-    (dset : Fset.t) : int array list * iexpr array =
-  match act with
-  | Batched b -> (batched_envs cfg st fdb b dset, b.b_head)
-  | Per_tuple p ->
-    st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
-    let env0 = Array.make p.p_nslots (-1) in
-    ( body_envs_from cfg st fdb ~nslots:p.p_nslots ~delta:(0, dset) env0
-        p.p_steps [],
-      p.p_head )
 
 (* ------------------------------------------------------------------ *)
 (* Strand execution (the wire path). *)
@@ -414,8 +375,7 @@ let of_strand (s : Plan.strand) : istrand =
     is_rule = s.Plan.strand_rule;
     is_delta_pred = s.Plan.delta.Ast.pred;
     is_act =
-      compile_activation Plan.default s.Plan.strand_rule s.Plan.delta
-        s.Plan.rest;
+      compile_activation s.Plan.strand_rule s.Plan.delta s.Plan.rest;
   }
 
 (* Head id tuples of one strand run over a whole delta batch, one per
@@ -427,8 +387,8 @@ let execute_batch ?(stats = Plan.counters ()) fdb
   | _ ->
     let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
     List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
-    let envs, head = delta_envs Plan.default stats fdb s.is_act dset in
-    List.rev_map (fun env -> eval_ids env head) envs
+    let envs = delta_envs ~optimized_joins:true stats fdb s.is_act dset in
+    List.rev_map (fun env -> eval_ids env s.is_act.b_head) envs
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates. *)
@@ -507,15 +467,16 @@ let apply_agg_rule_indexed (st : Plan.counters) fdb (a : Ast.atom)
    plain head arguments, fold the aggregate, emit one tuple per group.
    Single-atom rules of the grouped shape take one index probe
    instead. *)
-let apply_agg_rule cfg (st : Plan.counters) fdb (r : Ast.rule) :
+let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
     int array list =
-  match if cfg.Plan.optimized_joins then Plan.agg_index_shape r else None with
+  match if optimized_joins then Plan.agg_index_shape r else None with
   | Some (a, slots) -> apply_agg_rule_indexed st fdb a slots
   | None ->
     let ctx = mkctx () in
     let steps =
       compile_body ctx
-        (Plan.order_body ~config:cfg ~card:(fun p -> Flat.cardinal fdb p)
+        (Plan.order_body ~optimized_joins
+           ~card:(fun p -> Flat.cardinal fdb p)
            r.Ast.body)
     in
     (* Head compilation for aggregate rules: plain arguments compile as
@@ -529,7 +490,8 @@ let apply_agg_rule cfg (st : Plan.counters) fdb (r : Ast.rule) :
     in
     let nslots = ctx.n in
     let envs =
-      body_envs_from cfg st fdb ~nslots (Array.make nslots (-1)) steps []
+      body_envs_from ~optimized_joins st fdb ~nslots (Array.make nslots (-1))
+        steps []
     in
     let tbl : int list list ref Ktbl.t = Ktbl.create 16 in
     let order = ref [] in
@@ -595,8 +557,8 @@ let apply_agg_rule cfg (st : Plan.counters) fdb (r : Ast.rule) :
    applications from an empty binding, delta applications with the
    delta literal first (it is the small relation) and the rest ordered
    under the variables it binds. *)
-let apply_plain_rules cfg (st : Plan.counters) fdb ?deltas ~rec_preds rules
-    ~count : Flat.t =
+let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb ?deltas
+    ~rec_preds rules ~count : Flat.t =
   let card p = Flat.cardinal fdb p in
   let derived = Flat.create () in
   List.iter
@@ -612,12 +574,13 @@ let apply_plain_rules cfg (st : Plan.counters) fdb ?deltas ~rec_preds rules
       | None ->
         let ctx = mkctx () in
         let steps =
-          compile_body ctx (Plan.order_body ~config:cfg ~card r.Ast.body)
+          compile_body ctx (Plan.order_body ~optimized_joins ~card r.Ast.body)
         in
         let head = compile_head ctx r.Ast.head in
         let nslots = ctx.n in
         produce head
-          (body_envs_from cfg st fdb ~nslots (Array.make nslots (-1)) steps [])
+          (body_envs_from ~optimized_joins st fdb ~nslots
+             (Array.make nslots (-1)) steps [])
       | Some delta_fdb ->
         let positions = Plan.delta_positions rec_preds r.Ast.body in
         List.iter
@@ -632,12 +595,11 @@ let apply_plain_rules cfg (st : Plan.counters) fdb ?deltas ~rec_preds rules
             else begin
               let rest =
                 List.filteri (fun j _ -> j <> i) r.Ast.body
-                |> Plan.order_body ~config:cfg ~card
+                |> Plan.order_body ~optimized_joins ~card
                      ~bound:(Plan.atom_binds delta_atom)
               in
-              let act = compile_activation cfg r delta_atom rest in
-              let envs, head = delta_envs cfg st fdb act d in
-              produce head envs
+              let act = compile_activation r delta_atom rest in
+              produce act.b_head (delta_envs ~optimized_joins st fdb act d)
             end)
           positions)
     rules;
@@ -650,27 +612,29 @@ let fresh_of fdb derived : Flat.t =
       if not (Flat.mem fdb pred t) then ignore (Flat.add out pred t));
   out
 
-let apply_agg_rules cfg (st : Plan.counters) fdb agg_rules ~count =
+let apply_agg_rules ~optimized_joins (st : Plan.counters) fdb agg_rules ~count =
   List.iter
     (fun (r : Ast.rule) ->
       List.iter
         (fun t ->
           incr count;
           ignore (Flat.add fdb r.Ast.head.Ast.head_pred t))
-        (apply_agg_rule cfg st fdb r))
+        (apply_agg_rule ~optimized_joins st fdb r))
     agg_rules
 
-let eval_stratum cfg (st : Plan.counters) fdb stratum (p : Ast.program)
-    ~max_rounds ~rounds ~count : bool =
+let eval_stratum ~optimized_joins (st : Plan.counters) fdb stratum
+    (p : Ast.program) ~max_rounds ~rounds ~count : bool =
   let rules = Plan.rules_of_stratum p stratum in
   let agg_rules, plain_rules = Plan.split_agg rules in
-  apply_agg_rules cfg st fdb agg_rules ~count;
+  apply_agg_rules ~optimized_joins st fdb agg_rules ~count;
   let rec_preds =
     List.fold_left
       (fun s (r : Ast.rule) -> Ast.Sset.add r.Ast.head.Ast.head_pred s)
       Ast.Sset.empty plain_rules
   in
-  let derived = apply_plain_rules cfg st fdb ~rec_preds plain_rules ~count in
+  let derived =
+    apply_plain_rules ~optimized_joins st fdb ~rec_preds plain_rules ~count
+  in
   let delta = fresh_of fdb derived in
   Flat.union_into fdb delta;
   incr rounds;
@@ -680,8 +644,8 @@ let eval_stratum cfg (st : Plan.counters) fdb stratum (p : Ast.program)
     else begin
       incr rounds;
       let derived =
-        apply_plain_rules cfg st fdb ~deltas:delta ~rec_preds plain_rules
-          ~count
+        apply_plain_rules ~optimized_joins st fdb ~deltas:delta ~rec_preds
+          plain_rules ~count
       in
       let delta' = fresh_of fdb derived in
       Flat.union_into fdb delta';
@@ -695,7 +659,8 @@ let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
   let st = Plan.counters () in
   let rounds = ref 0 and count = ref 0 in
   let converged =
-    eval_stratum Plan.default st fdb stratum p ~max_rounds ~rounds ~count
+    eval_stratum ~optimized_joins:true st fdb stratum p ~max_rounds ~rounds
+      ~count
   in
   Option.iter (fun c -> Plan.accumulate c (Plan.snapshot st)) stats;
   converged
@@ -707,7 +672,7 @@ type outcome = {
   stats : Plan.stats;
 }
 
-let seminaive ?(max_rounds = 10_000) ?stats ?(config = Plan.default)
+let seminaive ?(max_rounds = 10_000) ?stats ?(optimized_joins = true)
     (p : Ast.program) (info : Analysis.info) (fdb : Flat.t) : outcome =
   let st = Plan.counters () in
   let rounds = ref 0 and count = ref 0 in
@@ -715,7 +680,9 @@ let seminaive ?(max_rounds = 10_000) ?stats ?(config = Plan.default)
     List.fold_left
       (fun ok stratum ->
         if not ok then ok
-        else eval_stratum config st fdb stratum p ~max_rounds ~rounds ~count)
+        else
+          eval_stratum ~optimized_joins st fdb stratum p ~max_rounds ~rounds
+            ~count)
       true info.Analysis.strata
   in
   let s = Plan.snapshot st in

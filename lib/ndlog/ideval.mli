@@ -4,9 +4,13 @@
     Environments bind dense interned ids instead of boxed values,
     pattern matching and join probes compare machine ints, and boxing
     happens only at true system boundaries (builtin calls, ordering
-    comparisons, observable output).  Planning comes from {!Plan}; the
-    optimizations (optimized joins, batching) are chosen per call by a
-    {!Plan.config}, and every setting reaches the same fixpoint.
+    comparisons, observable output).  Planning comes from {!Plan}.
+    Delta activations always join group-at-a-time: the round's delta is
+    grouped by the columns the rest of the body reads, the shared
+    literals run once per group, and each delta tuple pays only its
+    pattern match and the per-tuple remainder.  Index probes and
+    most-bound-first ordering are switched per call by
+    [optimized_joins]; either setting reaches the same fixpoint.
     This is the only semi-naive executor: {!Eval.seminaive} runs it
     behind a boxing boundary, and {!Dist.Runtime} runs it per node.
 
@@ -100,14 +104,17 @@ type outcome = {
 val seminaive :
   ?max_rounds:int ->
   ?stats:Plan.counters ->
-  ?config:Plan.config ->
+  ?optimized_joins:bool ->
   Ast.program ->
   Analysis.info ->
   Flat.t ->
   outcome
 (** Semi-naive evaluation to fixpoint, mutating [fdb]: strata bottom-up,
-    aggregate rules once at stratum entry, plain rules by delta
-    iteration.  [config] defaults to {!Plan.default}.  A program that
+    aggregate rules once at stratum entry, plain rules by batched delta
+    iteration.  [optimized_joins] (default [true]) consults secondary
+    indexes for ground argument positions and grouped aggregate probes
+    and plans bodies most-bound-first ({!Plan.order_body}); off, every
+    join is a full scan in source order.  A program that
     hits [max_rounds] (default 10 000) is reported as not converged. *)
 
 val seminaive_stratum :

@@ -30,7 +30,6 @@ type stats = {
   enumerated : int;  (* candidate tuples visited by joins *)
   matched : int;  (* candidates that unified with the pattern *)
   groups : int;  (* delta groups formed by the batched join *)
-  group_probes : int;  (* grouped delta probes issued *)
   delta_tuples : int;  (* delta tuples fed through delta joins *)
   strata_skipped : int;  (* view strata skipped by dirty tracking *)
   strata_refolded : int;  (* aggregate strata re-folded group by group *)
@@ -44,7 +43,6 @@ let zero_stats =
     enumerated = 0;
     matched = 0;
     groups = 0;
-    group_probes = 0;
     delta_tuples = 0;
     strata_skipped = 0;
     strata_refolded = 0;
@@ -58,7 +56,6 @@ let add_stats a b =
     enumerated = a.enumerated + b.enumerated;
     matched = a.matched + b.matched;
     groups = a.groups + b.groups;
-    group_probes = a.group_probes + b.group_probes;
     delta_tuples = a.delta_tuples + b.delta_tuples;
     strata_skipped = a.strata_skipped + b.strata_skipped;
     strata_refolded = a.strata_refolded + b.strata_refolded;
@@ -73,7 +70,6 @@ type counters = {
   mutable c_enumerated : int;
   mutable c_matched : int;
   mutable c_groups : int;
-  mutable c_group_probes : int;
   mutable c_delta_tuples : int;
   mutable c_strata_skipped : int;
   mutable c_strata_refolded : int;
@@ -87,7 +83,6 @@ let counters () =
     c_enumerated = 0;
     c_matched = 0;
     c_groups = 0;
-    c_group_probes = 0;
     c_delta_tuples = 0;
     c_strata_skipped = 0;
     c_strata_refolded = 0;
@@ -101,7 +96,6 @@ let snapshot c =
     enumerated = c.c_enumerated;
     matched = c.c_matched;
     groups = c.c_groups;
-    group_probes = c.c_group_probes;
     delta_tuples = c.c_delta_tuples;
     strata_skipped = c.c_strata_skipped;
     strata_refolded = c.c_strata_refolded;
@@ -114,7 +108,6 @@ let accumulate c (s : stats) =
   c.c_enumerated <- c.c_enumerated + s.enumerated;
   c.c_matched <- c.c_matched + s.matched;
   c.c_groups <- c.c_groups + s.groups;
-  c.c_group_probes <- c.c_group_probes + s.group_probes;
   c.c_delta_tuples <- c.c_delta_tuples + s.delta_tuples;
   c.c_strata_skipped <- c.c_strata_skipped + s.strata_skipped;
   c.c_strata_refolded <- c.c_strata_refolded + s.strata_refolded;
@@ -123,14 +116,6 @@ let accumulate c (s : stats) =
 let note_strata_skipped c n = c.c_strata_skipped <- c.c_strata_skipped + n
 let note_stratum_refolded c = c.c_strata_refolded <- c.c_strata_refolded + 1
 let note_refresh_fallback c = c.c_refresh_fallbacks <- c.c_refresh_fallbacks + 1
-
-(* ------------------------------------------------------------------ *)
-(* Executor configuration: an immutable per-call argument, never global
-   state. *)
-
-type config = { optimized_joins : bool; batching : bool }
-
-let default = { optimized_joins = true; batching = true }
 
 (* ------------------------------------------------------------------ *)
 (* Join planning: greedy most-bound-first literal ordering.
@@ -168,8 +153,9 @@ let boundness bound (a : Ast.atom) : int =
    comparisons, negations) run as soon as their inputs are bound;
    positive atoms are scheduled most-bound-first, breaking ties by
    smaller relation ([card]) and then source order.  [bound] seeds the
-   variable set (e.g. the variables a delta literal binds). *)
-let order_body ?(config = default) ?(card = fun _ -> 0)
+   variable set (e.g. the variables a delta literal binds).  With
+   [optimized_joins] off the body keeps its source order. *)
+let order_body ?(optimized_joins = true) ?(card = fun _ -> 0)
     ?(bound = Ast.Sset.empty) (body : Ast.lit list) : Ast.lit list =
   let rank bound (l : Ast.lit) =
     (* Lower ranks first; eligibility already checked. *)
@@ -204,7 +190,7 @@ let order_body ?(config = default) ?(card = fun _ -> 0)
       let remaining = List.filter (fun (j, _) -> j <> i) remaining in
       go (Ast.Sset.union bound (lit_vars l)) remaining (l :: acc)
   in
-  if not config.optimized_joins then body
+  if not optimized_joins then body
   else go bound (List.mapi (fun i l -> (i, l)) body) []
 
 (* The variables a positive atom binds when it is evaluated first (its
@@ -218,18 +204,19 @@ let atom_binds (a : Ast.atom) : Ast.Sset.t =
 (* ------------------------------------------------------------------ *)
 (* Batched delta decomposition.
 
-   The per-tuple semi-naive path seeds one environment per delta tuple
-   and replays the whole rest of the body — index probes included — per
-   activation.  The batched path instead groups the round's delta by
-   the columns the rest of the body actually reads ([group_vars]), and
-   per group runs the probing part of the body once from the group key
-   alone ([split_shared]); each delta tuple then only pays a pattern
-   match plus the residual filters.  The satisfying-environment set is
-   order-independent for safe rules, so both paths derive exactly the
-   same head tuples the same number of times — checked by property.
+   A per-tuple semi-naive schedule would seed one environment per
+   delta tuple and replay the whole rest of the body — index probes
+   included — per tuple.  The executor's one schedule instead groups
+   the round's delta by the columns the rest of the body actually reads
+   ([group_vars]), and per group runs the probing part of the body once
+   from the group key alone ([split_shared]); each delta tuple then
+   only pays a pattern match plus the residual filters.  The
+   satisfying-environment set is order-independent for safe rules, so
+   this derives exactly the head tuples a per-tuple replay would, the
+   same number of times.
 
    Group-variable choice: a shared positive atom's probe is exactly as
-   ground as on the per-tuple path, because every delta variable a rest
+   ground as in a per-tuple replay, because every delta variable a rest
    positive atom reads is a group variable (bound from the key).
    Literals that would need other delta variables bind nothing
    (negations, comparisons) and defer to the per-tuple phase freely; an
@@ -238,7 +225,7 @@ let atom_binds (a : Ast.atom) : Ast.Sset.t =
 
 (* Variables of the delta atom that the rest of the body's positive
    atoms read.  Binding them per group makes every shared-phase index
-   probe exactly as ground as the per-tuple path's. *)
+   probe exactly as ground as a per-tuple replay's. *)
 let group_vars (delta_atom : Ast.atom) (rest : Ast.lit list) : Ast.Sset.t =
   let pos_vars =
     List.fold_left
@@ -272,7 +259,7 @@ let group_cols (delta_atom : Ast.atom) (gvars : Ast.Sset.t) :
    An unschedulable assignment defers only when its target is already
    bound or read by no later literal; otherwise the shared phase stops
    — everything from there on runs per tuple, where the full delta
-   bindings restore the per-tuple path's exact probes. *)
+   bindings restore a per-tuple replay's exact probes. *)
 let split_shared gvars (ordered : Ast.lit list) : Ast.lit list * Ast.lit list
     =
   let rec go bound shared deferred = function

@@ -2,9 +2,8 @@
 
     Pure planning shared by the one semi-naive executor ({!Ideval}) and
     the boxed naive oracle ({!Eval.naive}): literal ordering, the
-    batched delta decomposition, the grouped-aggregate shape, the
-    per-run join counters, and the executor configuration.  Nothing
-    here executes a join.
+    batched delta decomposition, the grouped-aggregate shape and the
+    per-run join counters.  Nothing here executes a join.
 
     Rule strands are Click-style dataflow plans (the paper, Section
     2.2: programs are "compiled into distributed execution plans that
@@ -31,10 +30,9 @@ type stats = {
   enumerated : int;  (** candidate tuples visited by joins *)
   matched : int;  (** candidates that unified with the pattern *)
   groups : int;  (** delta groups formed by the batched join *)
-  group_probes : int;  (** grouped delta probes issued *)
   delta_tuples : int;
       (** delta tuples fed through delta joins; [delta_tuples / groups]
-          is the mean delta-group size a batched run achieved *)
+          is the mean delta-group size a run achieved *)
   strata_skipped : int;
       (** view strata skipped by dirty-predicate tracking (incremental
           refresh in {!Dist.Runtime}): no predicate in the stratum's
@@ -64,7 +62,6 @@ type counters = {
   mutable c_enumerated : int;
   mutable c_matched : int;
   mutable c_groups : int;
-  mutable c_group_probes : int;
   mutable c_delta_tuples : int;
   mutable c_strata_skipped : int;
   mutable c_strata_refolded : int;
@@ -91,29 +88,10 @@ val note_stratum_refolded : counters -> unit
 val note_refresh_fallback : counters -> unit
 (** Count one touched view stratum recomputed from scratch. *)
 
-(** {1 Executor configuration} *)
-
-type config = {
-  optimized_joins : bool;
-      (** consult secondary indexes for ground argument positions and
-          grouped aggregate probes, and plan bodies most-bound-first
-          ({!order_body}); off, every join is a full scan in source
-          order *)
-  batching : bool;
-      (** join delta activations group-at-a-time; off, one environment
-          is seeded per delta tuple and the whole body replays *)
-}
-(** The executor's optimizations.  Every setting reaches the same
-    fixpoint (checked by property); only the work differs.  Passed per
-    call — there is no global switch. *)
-
-val default : config
-(** Everything on. *)
-
 (** {1 Join planning} *)
 
 val order_body :
-  ?config:config ->
+  ?optimized_joins:bool ->
   ?card:(string -> int) ->
   ?bound:Ast.Sset.t ->
   Ast.lit list ->
@@ -124,7 +102,7 @@ val order_body :
     ([card]) then source order.  [bound] seeds the bound-variable set
     (e.g. with the variables a delta literal binds).  Preserves the
     satisfying-environment set of any safe rule; identity when
-    [config.optimized_joins] is off. *)
+    [optimized_joins] (default [true]) is off. *)
 
 val atom_binds : Ast.atom -> Ast.Sset.t
 (** The variables a positive atom binds when evaluated first (its bare

@@ -637,14 +637,12 @@ let test_index_canonicity () =
   checki "compare zero" 0 (Store.compare a b);
   checki "same hash" (Store.hash a) (Store.hash b)
 
-(* Analyze and evaluate a self-contained program under [config]. *)
-let seminaive_with ?config p =
-  Eval.seminaive ?config p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts)
-
-(* Run with the join optimizations on or off (off = the pre-index
-   nested-loop engine: full scans, source-order bodies). *)
-let run_with ~optimized p =
-  seminaive_with ~config:{ Plan.default with optimized_joins = optimized } p
+(* Analyze and evaluate a self-contained program with the join
+   optimizations on or off (off = the pre-index nested-loop engine:
+   full scans, source-order bodies). *)
+let seminaive_with ?optimized_joins p =
+  Eval.seminaive ?optimized_joins p (Analysis.analyze_exn p)
+    (Store.of_facts p.Ast.facts)
 
 let prop_indexed_equals_nested_loop =
   QCheck.Test.make
@@ -666,8 +664,8 @@ let prop_indexed_equals_nested_loop =
         | _ -> Programs.link_state ~max_hops:4
       in
       let p = Programs.with_links prog links in
-      let a = run_with ~optimized:true p in
-      let b = run_with ~optimized:false p in
+      let a = seminaive_with ~optimized_joins:true p in
+      let b = seminaive_with ~optimized_joins:false p in
       Store.equal a.Eval.db b.Eval.db
       && a.Eval.rounds = b.Eval.rounds
       && a.Eval.converged = b.Eval.converged
@@ -695,9 +693,8 @@ let test_order_body_most_bound_first () =
   | [ Ast.Cond _; Ast.Pos _ ] -> ()
   | _ -> Alcotest.fail "filter should run first once Y is bound");
   (* switched off, the body is untouched *)
-  let config = { Plan.default with optimized_joins = false } in
   checkb "identity when disabled" true
-    (Plan.order_body ~config ~card body == body)
+    (Plan.order_body ~optimized_joins:false ~card body == body)
 
 let test_eval_stats_counted () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
@@ -706,8 +703,7 @@ let test_eval_stats_counted () =
   checkb "scans counted" true (st.Eval.scans > 0);
   checkb "matched within enumerated" true (st.Eval.matched <= st.Eval.enumerated);
   (* with the index layer off, every join is a scan *)
-  let config = { Plan.default with optimized_joins = false } in
-  let off = (seminaive_with ~config p).Eval.stats in
+  let off = (seminaive_with ~optimized_joins:false p).Eval.stats in
   checki "no hits when disabled" 0 off.Eval.index_hits;
   checkb "strictly more tuples visited" true (off.Eval.enumerated > st.Eval.enumerated)
 
@@ -725,39 +721,34 @@ let test_eval_stats_per_run () =
   checkb "accumulator sums runs" true
     (Plan.snapshot acc = Eval.add_stats a.Eval.stats b.Eval.stats)
 
-(* Every executor configuration reaches the naive oracle's fixpoint,
-   and each switch shows in the run's counters. *)
+(* Both settings of [optimized_joins] reach the naive oracle's
+   fixpoint, the switch shows in the run's counters, and delta joins
+   form groups either way. *)
 let test_executor_config () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 5) in
   let info = Analysis.analyze_exn p in
   let db = Store.of_facts p.Ast.facts in
   let naive = Eval.naive p info db in
   List.iter
-    (fun flags ->
-      let config =
-        { Plan.optimized_joins = flags land 1 = 0; batching = flags land 2 = 0 }
-      in
-      let o = Eval.seminaive ~config p info db in
-      let name = Printf.sprintf "config %d" flags in
-      checkb (name ^ ": naive fixpoint") true (Store.equal naive.Eval.db o.Eval.db);
+    (fun optimized_joins ->
+      let o = Eval.seminaive ~optimized_joins p info db in
+      let name = Printf.sprintf "optimized_joins=%b" optimized_joins in
+      checkb (name ^ ": naive fixpoint") true
+        (Store.equal naive.Eval.db o.Eval.db);
       checkb
         (name ^ ": index hits iff optimized joins")
-        config.Plan.optimized_joins
+        optimized_joins
         (o.Eval.stats.Eval.index_hits > 0);
-      checkb (name ^ ": groups iff batching") config.Plan.batching
-        (o.Eval.stats.Eval.groups > 0))
-    [ 0; 1; 2; 3 ]
+      checkb (name ^ ": groups counted") true (o.Eval.stats.Eval.groups > 0))
+    [ true; false ]
 
-(* The configuration is an argument, not a switch: a run under an
+(* The switch is an argument, not global state: a run under the
    ablation leaves nothing behind, so the next default run profiles
    exactly like the one before it. *)
 let test_config_is_per_call () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
   let before = (Eval.run_exn p).Eval.stats in
-  let off =
-    (seminaive_with ~config:{ Plan.optimized_joins = false; batching = false } p)
-      .Eval.stats
-  in
+  let off = (seminaive_with ~optimized_joins:false p).Eval.stats in
   let after = (Eval.run_exn p).Eval.stats in
   checkb "the ablation ran differently" true (off <> before);
   checkb "default run unchanged" true (after = before)
@@ -1188,40 +1179,6 @@ let prop_every_tuple_explainable =
 (* ------------------------------------------------------------------ *)
 (* Batched delta joins. *)
 
-(* Run with the batched delta join on or off (off = one environment
-   seeded per delta tuple). *)
-let run_batched ~batched p =
-  seminaive_with ~config:{ Plan.default with batching = batched } p
-
-let prop_batched_equals_per_tuple =
-  QCheck.Test.make
-    ~name:
-      "batched delta join = per-tuple semi-naive (fixpoint, rounds, \
-       derivations)"
-    ~count:40
-    QCheck.(triple (int_range 0 3) (int_range 2 7) (int_range 0 4))
-    (fun (which, n, extra) ->
-      let links =
-        match which with
-        | 0 | 1 -> Programs.random_links ~seed:((13 * n) + extra + which) ~extra n
-        | 2 -> Programs.ring_links n
-        | _ -> Programs.grid_links (2 + (n mod 2))
-      in
-      let prog =
-        match which with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.reachability ()
-        | 2 -> Programs.bounded_distance_vector ~max_hops:n
-        | _ -> Programs.link_state ~max_hops:4
-      in
-      let p = Programs.with_links prog links in
-      let a = run_batched ~batched:true p in
-      let b = run_batched ~batched:false p in
-      Store.equal a.Eval.db b.Eval.db
-      && a.Eval.rounds = b.Eval.rounds
-      && a.Eval.converged = b.Eval.converged
-      && a.Eval.derivations = b.Eval.derivations)
-
 let test_group_formation () =
   (* r(@X,Z) :- e(@X,Y), f(@Y,Z) with e as the delta: the rest reads Y,
      so the delta groups by its Y column. *)
@@ -1246,12 +1203,11 @@ let test_group_formation () =
   let n, st = probe [] in
   checki "empty delta: no envs" 0 n;
   checki "empty delta: no groups" 0 st.Eval.groups;
-  checki "empty delta: no probe" 0 st.Eval.group_probes;
-  (* singleton delta: exactly one group, one probe *)
+  checki "empty delta: no delta tuples" 0 st.Eval.delta_tuples;
+  (* singleton delta: exactly one group *)
   let n, st = probe [ t "x" "y" ] in
   checki "singleton delta: both f rows join" 2 n;
   checki "singleton delta: one group" 1 st.Eval.groups;
-  checki "singleton delta: one probe" 1 st.Eval.group_probes;
   (* two delta tuples sharing the join key fall into one group *)
   let n, st = probe [ t "x1" "y"; t "x2" "y" ] in
   checki "shared key: four envs" 4 n;
@@ -1261,29 +1217,69 @@ let test_group_formation () =
   checki "distinct keys: only y joins" 2 n;
   checki "distinct keys: two groups" 2 st.Eval.groups
 
+(* Delta joins report their grouping, and the fixpoint is the naive
+   oracle's. *)
 let test_batched_stats_counted () =
-  let p =
-    Programs.with_links (Programs.reachability ()) (Programs.grid_links 4)
+  let check name p =
+    let o = seminaive_with p in
+    let naive =
+      Eval.naive p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts)
+    in
+    let st = o.Eval.stats in
+    checkb (name ^ ": naive fixpoint") true (Store.equal naive.Eval.db o.Eval.db);
+    checkb (name ^ ": groups counted") true (st.Eval.groups > 0);
+    checkb (name ^ ": groups within delta tuples") true
+      (st.Eval.groups <= st.Eval.delta_tuples);
+    checkb (name ^ ": matched within enumerated") true
+      (st.Eval.matched <= st.Eval.enumerated)
   in
-  let on = run_batched ~batched:true p in
-  let off = run_batched ~batched:false p in
-  checkb "same fixpoint" true (Store.equal on.Eval.db off.Eval.db);
-  checki "same derivations" off.Eval.derivations on.Eval.derivations;
-  checkb "groups counted" true (on.Eval.stats.Eval.groups > 0);
-  checkb "group probes counted" true (on.Eval.stats.Eval.group_probes > 0);
-  checki "no groups when off" 0 off.Eval.stats.Eval.groups;
-  checki "no group probes when off" 0 off.Eval.stats.Eval.group_probes;
-  checkb "batching enumerates fewer tuples" true
-    (on.Eval.stats.Eval.enumerated < off.Eval.stats.Eval.enumerated);
+  check "reachability"
+    (Programs.with_links (Programs.reachability ()) (Programs.grid_links 4));
   (* the path-vector body (assignments, a negation, a builtin) exercises
-     the shared/per-tuple split the same way *)
-  let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 6) in
-  let on = run_batched ~batched:true p in
-  let off = run_batched ~batched:false p in
-  checkb "path-vector fixpoint" true (Store.equal on.Eval.db off.Eval.db);
-  checki "path-vector derivations" off.Eval.derivations on.Eval.derivations;
-  checkb "path-vector enumerates fewer" true
-    (on.Eval.stats.Eval.enumerated < off.Eval.stats.Eval.enumerated)
+     the shared/per-tuple split *)
+  check "path-vector"
+    (Programs.with_links (Programs.path_vector ()) (Programs.ring_links 6))
+
+(* Over random and regular topologies and four programs, the batched
+   delta join reaches the naive oracle's fixpoint, never forms more
+   groups than it is fed delta tuples, and a second run reproduces the
+   first exactly: rounds, derivations and every counter. *)
+let prop_batched_delta_join =
+  QCheck.Test.make
+    ~name:
+      "batched delta join = naive oracle (fixpoint, groups <= delta \
+       tuples, reproducible)"
+    ~count:40
+    QCheck.(triple (int_range 0 3) (int_range 2 7) (int_range 0 4))
+    (fun (which, n, extra) ->
+      let links =
+        match which with
+        | 0 | 1 -> Programs.random_links ~seed:((13 * n) + extra + which) ~extra n
+        | 2 -> Programs.ring_links n
+        | _ -> Programs.grid_links (2 + (n mod 2))
+      in
+      let prog =
+        match which with
+        | 0 -> Programs.path_vector ()
+        | 1 -> Programs.reachability ()
+        | 2 -> Programs.bounded_distance_vector ~max_hops:n
+        | _ -> Programs.link_state ~max_hops:4
+      in
+      let p = Programs.with_links prog links in
+      let naive =
+        Eval.naive p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts)
+      in
+      let a = seminaive_with p in
+      let b = seminaive_with p in
+      let st = a.Eval.stats in
+      Store.equal naive.Eval.db a.Eval.db
+      && a.Eval.converged
+      && st.Eval.groups <= st.Eval.delta_tuples
+      && (a.Eval.derivations = 0 || st.Eval.groups > 0)
+      && Store.equal a.Eval.db b.Eval.db
+      && a.Eval.rounds = b.Eval.rounds
+      && a.Eval.derivations = b.Eval.derivations
+      && st = b.Eval.stats)
 
 let test_execute_batch () =
   (* The batched strand executor = per-tuple strand execution over the
@@ -1355,8 +1351,8 @@ let test_strand_reusable () =
 
 (* The head relation of a one-rule aggregate program evaluated over
    [db], with the run's counters. *)
-let agg_outputs ?(config = Plan.default) db (p : Ast.program) =
-  let o = Eval.seminaive ~config p (Analysis.analyze_exn p) db in
+let agg_outputs ?optimized_joins db (p : Ast.program) =
+  let o = Eval.seminaive ?optimized_joins p (Analysis.analyze_exn p) db in
   let r = List.hd p.Ast.rules in
   (Store.relation r.Ast.head.Ast.head_pred o.Eval.db, o.Eval.stats)
 
@@ -1381,7 +1377,7 @@ let test_agg_fast_path () =
   let both r =
     let fast, _ = agg_outputs db r in
     let slow, _ =
-      agg_outputs ~config:{ Plan.default with optimized_joins = false } db r
+      agg_outputs ~optimized_joins:false db r
     in
     checkb "fast path = enumeration" true (Store.Tset.equal fast slow);
     (* the independent oracle: the boxed naive evaluator *)
@@ -1829,31 +1825,35 @@ let test_ideval_execute_batch () =
 
 (* Differential property against the independent oracle: semi-naive
    evaluation (the id-native executor behind [Eval.seminaive]) reaches
-   the naive evaluator's fixpoint and convergence over random programs,
-   topologies and executor configurations (optimized joins /
-   batching). *)
+   the naive evaluator's fixpoint and convergence over random programs
+   and topologies — path-vector, bounded distance-vector, link-state and
+   reachability on random links, reachability and link-state on grids,
+   bounded distance-vector on rings — with the join optimizations on
+   or off. *)
 let prop_ideval_equals_eval =
   QCheck.Test.make
     ~name:"semi-naive executor = naive oracle (db, convergence), any config"
-    ~count:20
-    QCheck.(
-      quad (int_range 0 2) (int_range 3 7) (int_range 0 3) (int_range 0 3))
-    (fun (prog_i, n, extra, flags) ->
-      let links = Programs.random_links ~seed:((23 * n) + extra) ~extra n in
-      let prog =
-        match prog_i with
-        | 0 -> Programs.path_vector ()
-        | 1 -> Programs.bounded_distance_vector ~max_hops:(n + 1)
-        | _ -> Programs.link_state ~max_hops:(n + 1)
+    ~count:40
+    QCheck.(quad (int_range 0 6) (int_range 3 7) (int_range 0 3) bool)
+    (fun (case, n, extra, optimized_joins) ->
+      let random () = Programs.random_links ~seed:((23 * n) + extra) ~extra n in
+      let grid () = Programs.grid_links (2 + (n mod 2)) in
+      let prog, links =
+        match case with
+        | 0 -> (Programs.path_vector (), random ())
+        | 1 -> (Programs.bounded_distance_vector ~max_hops:(n + 1), random ())
+        | 2 -> (Programs.link_state ~max_hops:(n + 1), random ())
+        | 3 -> (Programs.reachability (), random ())
+        | 4 -> (Programs.reachability (), grid ())
+        | 5 ->
+          (Programs.bounded_distance_vector ~max_hops:n, Programs.ring_links n)
+        | _ -> (Programs.link_state ~max_hops:4, grid ())
       in
       let p = Programs.with_links prog links in
-      let config =
-        { Plan.optimized_joins = flags land 1 = 0; batching = flags land 2 = 0 }
-      in
       let info = Analysis.analyze_exn p in
       let db = Store.of_facts p.Ast.facts in
       let naive = Eval.naive p info db in
-      let semi = Eval.seminaive ~config p info db in
+      let semi = Eval.seminaive ~optimized_joins p info db in
       Store.equal naive.Eval.db semi.Eval.db
       && naive.Eval.converged = semi.Eval.converged)
 
@@ -2046,7 +2046,7 @@ let () =
           Alcotest.test_case "compiled strand reusable" `Quick
             test_strand_reusable;
         ]
-        @ qsuite [ prop_batched_equals_per_tuple ] );
+        @ qsuite [ prop_batched_delta_join ] );
       ( "localize",
         [
           Alcotest.test_case "path-vector rewrite" `Quick
