@@ -1947,6 +1947,38 @@ a1 alive(@X,Y) :- ping(@X,Y).
       soft_cell ~prog_name:"heartbeat" ~topo_name:(Fmt.str "star%d" k) (hb k)
         (Netsim.Topology.star k) ~observed:[ "alive" ] alive_gone)
     soft_sizes;
+  (* Exact orbit counts, (sym, both) per cell: a canonicalizer that
+     splits or merges orbits moves them even where every verdict
+     survives.  Ring 8 runs no sym-only mode. *)
+  let pinned =
+    [
+      ("reachability/ring3", (Some 70, 10));
+      ("reachability/star4", (Some 1989, 17));
+      ("bdv-h2/ring3", (Some 867, 16));
+      ("reachability/grid2", (Some 3718, 17));
+      ("reachability/ring8", (None, 65));
+      ("bdv-h2/ring8", (None, 41));
+      ("heartbeat/star4", (Some 29, 29));
+      ("heartbeat/star5", (Some 41, 41));
+      ("heartbeat/star6", (Some 55, 55));
+    ]
+  in
+  List.iter
+    (fun r ->
+      let cell = r.rd_prog ^ "/" ^ r.rd_topo in
+      let expect =
+        match (List.assoc_opt cell pinned, r.rd_mode) with
+        | Some (sym, _), "sym" -> sym
+        | Some (_, both), "both" -> Some both
+        | _ -> None
+      in
+      match expect with
+      | Some n when (not r.rd_truncated) && r.rd_states <> n ->
+        failwith
+          (Fmt.str "E17 %s/%s: %d states, pinned at %d" cell r.rd_mode
+             r.rd_states n)
+      | _ -> ())
+    !rows;
   e17_rows := !rows;
   table
     [ "system"; "program"; "topology"; "mode"; "states"; "verdict"; "wall" ]

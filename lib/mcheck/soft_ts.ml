@@ -197,8 +197,15 @@ let apply_gen (g : Symmetry.gen) (s : state) : state =
 
 let apply_perm p = apply_gen (Symmetry.compile p)
 
+(* A lease is a fact too: its tag carries the expiry, and its tuple's
+   nodes are coloured like the database's. *)
+let state_facts (s : state) sink =
+  Symmetry.store_facts s.db sink;
+  List.iter (fun ((pred, t), d) -> sink (Hashtbl.hash (pred, d)) t) s.leases
+
 let canon_state (sym : Symmetry.t) (s : state) : state =
-  Symmetry.canonicalize sym ~apply:apply_gen ~compare:state_compare s
+  Symmetry.canonicalize sym ~facts:state_facts ~apply:apply_gen
+    ~compare:state_compare s
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)

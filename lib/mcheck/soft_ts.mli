@@ -81,6 +81,14 @@ val apply_perm : Symmetry.perm -> state -> state
 (** A node permutation acting on the database and leases jointly (the
     clock is fixed). *)
 
+val apply_gen : Symmetry.gen -> state -> state
+(** {!apply_perm} for a compiled permutation. *)
+
+val state_facts : state -> (int -> Ndlog.Store.Tuple.t -> unit) -> unit
+(** The facts {!canon_state} colours nodes by: the database's
+    ({!Symmetry.store_facts}) and one per lease, tagged with its
+    predicate and expiry. *)
+
 val canon_state : Symmetry.t -> state -> state
 (** Orbit representative of a state under {!apply_perm}. *)
 

@@ -263,6 +263,8 @@ let fold_rel pred f (db : t) acc = Tset.fold f (relation pred db) acc
 
 let iter_rel pred f (db : t) = Tset.iter f (relation pred db)
 
+let iter f (db : t) = Smap.iter (fun pred r -> Tset.iter (f pred) r.tuples) db
+
 let pp ppf (db : t) =
   Smap.iter
     (fun pred r ->

@@ -89,6 +89,11 @@ val to_list : t -> (string * Tuple.t) list
 
 val fold_rel : string -> (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_rel : string -> (Tuple.t -> unit) -> t -> unit
+
+val iter : (string -> Tuple.t -> unit) -> t -> unit
+(** Every [(pred, tuple)], in {!to_list}'s order, without building the
+    list. *)
+
 val pp : t Fmt.t
 val to_string : t -> string
 

@@ -139,7 +139,11 @@ let random ?(seed = 42) ?(extra = 0) ?(delay = 1.0) ?(max_cost = 10) k =
    model checker's symmetry reduction quotients its visited table by
    the group these generators span. *)
 
-let is_automorphism t (p : (string * string) list) =
+(* A bijection on nodes mapping every link onto a link with the same
+   attributes is injective on links; with finitely many links that
+   also makes it surjective, so non-links map to non-links.  [ls] is
+   [links t], computed once by callers that test many maps. *)
+let preserves_links t ls (p : (string * string) list) =
   let image n = match List.assoc_opt n p with Some m -> m | None -> n in
   let ns = nodes t in
   let imgs = List.map image ns in
@@ -153,16 +157,16 @@ let is_automorphism t (p : (string * string) list) =
            l'.cost = l.cost && l'.delay = l.delay && l'.loss = l.loss
            && l'.up = l.up
          | None -> false)
-       (links t)
-(* A bijection on nodes mapping every link onto a link with the same
-   attributes is injective on links; with finitely many links that
-   also makes it surjective, so non-links map to non-links. *)
+       ls
+
+let is_automorphism t p = preserves_links t (links t) p
 
 let automorphism_generators t =
   let ns = nodes t in
   let k = List.length ns in
   if k = 0 then []
   else begin
+    let ls = links t in
     let candidates = ref [] in
     let add_fn f = candidates := List.map (fun n -> (n, f n)) ns :: !candidates in
     (* Structural candidates for index-named topologies (the generators
@@ -204,14 +208,11 @@ let automorphism_generators t =
        members of each link-signature class (enough to generate the
        symmetric group on the class); validation filters the rest. *)
     let tag l = (l.cost, l.delay, l.loss, l.up) in
-    let signature n =
-      ( List.sort compare
-          (List.filter_map (fun l -> if l.src = n then Some (tag l) else None)
-             (links t)),
-        List.sort compare
-          (List.filter_map (fun l -> if l.dst = n then Some (tag l) else None)
-             (links t)) )
+    let ends f n =
+      List.sort compare
+        (List.filter_map (fun l -> if f l = n then Some (tag l) else None) ls)
     in
+    let signature n = (ends (fun l -> l.src) n, ends (fun l -> l.dst) n) in
     let classes = Hashtbl.create 16 in
     List.iter
       (fun n ->
@@ -235,7 +236,7 @@ let automorphism_generators t =
       classes;
     !candidates
     |> List.filter (fun p -> not (List.for_all (fun (a, b) -> String.equal a b) p))
-    |> List.filter (is_automorphism t)
+    |> List.filter (preserves_links t ls)
     |> List.sort_uniq compare
   end
 

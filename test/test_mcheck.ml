@@ -178,6 +178,21 @@ let test_canon_distinguishes_orbits () =
   let b = Store.add "reachable" [| V.Addr "n0"; V.Addr "n2" |] base in
   checkb "different orbits stay apart" false (Sym.store_equal sym a b)
 
+let test_non_bijection_rejected () =
+  (* Unlisted names are fixed, so this map sends both n0 and n1 to n0:
+     accepted, it would equate {r(n0), r(n1)} with {r(n0)}. *)
+  let bad = [ ("n1", "n0") ] in
+  (match Sym.of_generators [ bad ] with
+  | _ -> Alcotest.fail "a non-bijective generator was accepted"
+  | exception Sym.Not_a_bijection p -> checkb "names the map" true (p = bad));
+  (* a swap is a bijection, and [cap] bounds the group order *)
+  let swap = [ ("n1", "n0"); ("n0", "n1") ] in
+  checki "swap accepted" 2 (Sym.order (Sym.of_generators [ swap ]));
+  checki "star4 order" 6 (Sym.order (Sym.of_topology (Topology.star 4)));
+  match Sym.of_topology ~cap:5 (Topology.star 4) with
+  | _ -> Alcotest.fail "a group larger than its cap was accepted"
+  | exception Sym.Group_too_large cap -> checki "names the cap" 5 cap
+
 let test_canon_table_buckets () =
   (* All rotations of a state share one table entry under ~canon, and
      the canonical hash must keep spreading distinct orbits across
@@ -289,10 +304,83 @@ let test_canon_once_per_state () =
       Alcotest.failf "%d canonicalizations for %d transitions + initial states"
         !calls budget
 
+let test_permutation_budget () =
+  (* Colour refinement leaves few group elements to try: count the
+     permutations canonicalization applies.  Closing each state's orbit
+     under the generators took 544 of them on bdv-h2/ring8 and 3,970 on
+     heartbeat/star6; the bounds are this implementation's exact counts
+     (42 for 41 canonicalizations, 502 for 140). *)
+  let applies = ref 0 and canons = ref 0 in
+  let counted apply g x =
+    incr applies;
+    apply g x
+  in
+  let bdv =
+    Programs.with_links
+      (Programs.bounded_distance_vector ~max_hops:2)
+      (Programs.ring_links 8)
+  in
+  let ring8 = Sym.of_topology (Topology.ring 8) in
+  let canon db =
+    incr canons;
+    Sym.canonicalize ring8 ~facts:Sym.store_facts
+      ~apply:(counted Sym.map_store) ~compare:Store.compare db
+  in
+  let bound db =
+    Store.fold_rel "cost"
+      (fun t ok -> ok && (match t.(2) with V.Int c -> c <= 2 | _ -> true))
+      db true
+  in
+  (match
+     Explore.check_invariant ~por:true ~stable:true ~canon
+       (NT.labeled_system bdv) bound
+   with
+  | Error _ -> Alcotest.fail "bounded DV must respect its hop bound"
+  | Ok stats -> checki "bdv-h2/ring8 states" 41 stats.Explore.states);
+  if !applies > 42 then
+    Alcotest.failf "bdv-h2/ring8: %d permutations for %d canonicalizations"
+      !applies !canons;
+  applies := 0;
+  canons := 0;
+  let cfg =
+    let pings =
+      List.init 5 (fun i ->
+          ( "ping",
+            [| V.Addr (Programs.node 0); V.Addr (Programs.node (i + 1)) |] ))
+    in
+    ST.make_config ~horizon:4
+      ~inject:(fun t -> if t <= 1 then pings else [])
+      (Programs.parse_exn
+         {|
+materialize(ping, 2).
+materialize(alive, 2).
+a1 alive(@X,Y) :- ping(@X,Y).
+|})
+  in
+  let star6 = Sym.of_topology (Topology.star 6) in
+  let canon s =
+    incr canons;
+    Sym.canonicalize star6 ~facts:ST.state_facts
+      ~apply:(counted ST.apply_gen) ~compare:ST.state_compare s
+  in
+  let alive_gone (s : ST.state) =
+    s.ST.clock < 4 || Store.is_empty (Store.restrict [ "alive" ] s.ST.db)
+  in
+  (match
+     Explore.check_invariant ~canon
+       (ST.labeled_system ~observed:[ "alive" ] cfg)
+       alive_gone
+   with
+  | Error _ -> Alcotest.fail "alive tuples must expire"
+  | Ok stats -> checki "heartbeat/star6 states" 55 stats.Explore.states);
+  if !applies > 502 then
+    Alcotest.failf "heartbeat/star6: %d permutations for %d canonicalizations"
+      !applies !canons
+
 (* Random stores over the node names of symmetric topologies: addresses,
    integers and nested lists (path vectors), in relations of mixed
-   arity.  Every group here is small enough that orbits never reach the
-   canonicalization cap, so canonical forms are exact orbit minima. *)
+   arity.  Every group here is small enough (at most 24 elements) for
+   the tests to enumerate each orbit exhaustively. *)
 let sym_topologies =
   [| Topology.ring 5; Topology.ring 6; Topology.star 4; Topology.star 5;
      Topology.grid 2; Topology.grid 3 |]
@@ -338,6 +426,41 @@ let arb_sym_case =
         Fmt.(list ~sep:cut (pair ~sep:sp string Store.Tuple.pp))
         facts)
 
+(* Every element of the group, closed from its generators here and not
+   by {!Sym}: each is a total map over [names]. *)
+let group_elements sym names =
+  let total f = List.map (fun n -> (n, f n)) names in
+  let id = total Fun.id in
+  let seen = Hashtbl.create 64 and q = Queue.create () in
+  Hashtbl.replace seen id ();
+  Queue.push id q;
+  while not (Queue.is_empty q) do
+    let e = Queue.pop q in
+    List.iter
+      (fun g ->
+        let e' = total (fun n -> Sym.apply_name g (Sym.apply_name e n)) in
+        if not (Hashtbl.mem seen e') then begin
+          Hashtbl.replace seen e' ();
+          Queue.push e' q
+        end)
+      (Sym.generators sym)
+  done;
+  List.of_seq (Hashtbl.to_seq_keys seen)
+
+let store_of facts =
+  List.fold_left (fun db (p, t) -> Store.add p t db) Store.empty facts
+
+(* every other fact leased, expiring [life] after [clock] *)
+let soft_of db clock life =
+  {
+    ST.clock;
+    db;
+    leases =
+      List.filteri (fun i _ -> i mod 2 = 0) (Store.to_list db)
+      |> List.map (fun k -> (k, clock + life))
+      |> List.sort ST.lease_compare;
+  }
+
 (* The per-tuple reference: rename through the association list. *)
 let rec ref_value g = function
   | V.Addr a -> V.Addr (Sym.apply_name g a)
@@ -351,21 +474,10 @@ let prop_bulk_permutation =
     ~name:"bulk permutation = per-tuple reference; canon orbit-invariant"
     ~count:200 arb_sym_case
     (fun (ti, facts, clock, life) ->
-      let sym = Sym.of_topology sym_topologies.(ti) in
-      let db =
-        List.fold_left (fun db (p, t) -> Store.add p t db) Store.empty facts
-      in
-      (* every other fact leased, expiring [life] after [clock] *)
-      let soft =
-        {
-          ST.clock;
-          db;
-          leases =
-            List.filteri (fun i _ -> i mod 2 = 0) (Store.to_list db)
-            |> List.map (fun k -> (k, clock + life))
-            |> List.sort ST.lease_compare;
-        }
-      in
+      let topo = sym_topologies.(ti) in
+      let sym = Sym.of_topology topo in
+      let db = store_of facts in
+      let soft = soft_of db clock life in
       let canon = Sym.canon_store sym db
       and soft_canon = ST.canon_state sym soft in
       List.iter
@@ -388,7 +500,99 @@ let prop_bulk_permutation =
           let moved_soft = ST.apply_perm g soft in
           if not (ST.state_equal (ST.canon_state sym moved_soft) soft_canon)
           then QCheck.Test.fail_report "canon_state is not orbit-invariant")
-        (Sym.generators sym);
+        (group_elements sym (Topology.nodes topo));
+      true)
+
+(* The exhaustive orbit oracle: [canon x] lies in the orbit of [x], is
+   shared by every member of it, and differs for every state outside
+   it.  The states outside are a random one and a near miss — an orbit
+   member with the addresses of one fact renamed.  Half the cases are
+   permutation graphs, whose nodes colour refinement cannot tell apart:
+   there the representative rests on the tie-breaking orbit search. *)
+let arb_orbit_case =
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length sym_topologies - 1) >>= fun ti ->
+      let names = Array.of_list (Topology.nodes sym_topologies.(ti)) in
+      let fact =
+        pair
+          (oneofl [ "link"; "path"; "reach" ])
+          (map Array.of_list (list_size (int_range 1 4) (gen_value names)))
+      in
+      (* a permutation's graph: every node has one successor and one
+         predecessor, so refinement leaves all of them one colour *)
+      let regular =
+        shuffle_l (Array.to_list names) >|= fun images ->
+        List.map2
+          (fun a b -> ("succ", [| V.Addr a; V.Addr b |]))
+          (Array.to_list names) images
+      in
+      bool >>= fun reg ->
+      let facts = if reg then regular else list_size (int_bound 12) fact in
+      quad facts facts (pair (int_bound 4) (int_bound 3)) int
+      >|= fun (x, other, (clock, life), seed) ->
+      (ti, x, other, clock, life, seed))
+  in
+  QCheck.make gen ~print:(fun (ti, x, other, clock, life, seed) ->
+      let pp = Fmt.(list ~sep:cut (pair ~sep:sp string Store.Tuple.pp)) in
+      Fmt.str "topology %d, clock %d, lifetime %d, seed %d:@.%a@.other:@.%a"
+        ti clock life seed pp x pp other)
+
+let check_exact ~canon ~apply ~equal elements x others =
+  let orbit = List.map (fun g -> apply g x) elements in
+  let in_orbit y = List.exists (equal y) orbit in
+  let c = canon x in
+  if not (in_orbit c) then
+    QCheck.Test.fail_report "canon x lies outside the orbit of x";
+  List.iter
+    (fun y ->
+      if not (equal (canon y) c) then
+        QCheck.Test.fail_report "canon differs within one orbit")
+    orbit;
+  List.iter
+    (fun z ->
+      if in_orbit z <> equal (canon z) c then
+        QCheck.Test.fail_report
+          "canon z = canon x disagrees with orbit membership")
+    others
+
+let prop_canon_exact =
+  QCheck.Test.make ~name:"canon = exhaustive orbit oracle" ~count:200
+    arb_orbit_case (fun (ti, x, other, clock, life, seed) ->
+      let topo = sym_topologies.(ti) in
+      let names = Array.of_list (Topology.nodes topo) in
+      let sym = Sym.of_topology topo in
+      let elements = group_elements sym (Array.to_list names) in
+      if List.length elements <> Sym.order sym then
+        QCheck.Test.fail_reportf "group order %d, closure %d" (Sym.order sym)
+          (List.length elements);
+      let st = Random.State.make [| seed |] in
+      let near =
+        let i = Random.State.int st (max 1 (List.length x)) in
+        List.mapi
+          (fun j (p, t) ->
+            if j <> i then (p, t)
+            else
+              ( p,
+                Array.map
+                  (function
+                    | V.Addr _ ->
+                      V.Addr names.(Random.State.int st (Array.length names))
+                    | v -> v)
+                  t ))
+          x
+        |> store_of
+        |> Sym.apply_store
+             (List.nth elements
+                (Random.State.int st (List.length elements)))
+      in
+      let db = store_of x and other = store_of other in
+      check_exact ~canon:(Sym.canon_store sym) ~apply:Sym.apply_store
+        ~equal:Store.equal elements db [ near; other ];
+      let soft db = soft_of db clock life in
+      check_exact ~canon:(ST.canon_state sym) ~apply:ST.apply_perm
+        ~equal:ST.state_equal elements (soft db)
+        [ soft near; soft other ];
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -721,9 +925,14 @@ let () =
             test_canon_table_buckets;
           Alcotest.test_case "lease permutation identity" `Quick
             test_soft_lease_permutation_identity;
+          Alcotest.test_case "non-bijections and oversized groups rejected"
+            `Quick test_non_bijection_rejected;
           Alcotest.test_case "one canonicalization per state" `Quick
             test_canon_once_per_state;
+          Alcotest.test_case "permutation budget" `Quick
+            test_permutation_budget;
           QCheck_alcotest.to_alcotest prop_bulk_permutation;
+          QCheck_alcotest.to_alcotest prop_canon_exact;
         ] );
       ( "ndlog_ts",
         [
