@@ -9,8 +9,8 @@
    refresh-cost breakdown, and the medians the history tracks:
    tuples/s, p50/p99 latency, live words and refresh share), an E15
    section
-   (per-probe representation costs,
-   every operation with a positive ns/op and a positive id-probe
+   (per-probe representation costs, every operation with a positive
+   ns/op, both cons-onto-a-path rows present, and a positive id-probe
    speedup), an E16 section — new in schema 9 — (the socket transport:
    one run per ring size, each across one real OS process per node,
    with positive wall clock and wire traffic and the per-node
@@ -197,6 +197,20 @@ let () =
         | Some (Json.Float f) when f > 0.0 -> ()
         | _ -> fail "%s: e15 op %d has non-positive ns_per_op" path i)
       e15_ops;
+    (* The path builtins' cost on ids: consing onto an interned path of
+       length 4 and of length 32 (flat in length) must both be priced. *)
+    List.iter
+      (fun name ->
+        if
+          not
+            (List.exists
+               (fun row -> Json.member "op" row = Some (Json.Str name))
+               e15_ops)
+        then fail "%s: e15 lacks the %S row" path name)
+      [
+        "cons onto interned path (length 4)";
+        "cons onto interned path (length 32)";
+      ];
     (match Json.member "probe_speedup" e15 with
     | Some (Json.Float s) when s > 0.0 -> ()
     | _ -> fail "%s: e15 lacks a positive probe_speedup" path);

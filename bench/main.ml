@@ -985,6 +985,10 @@ type xlate_row = { xl_op : string; xl_ns : float }
 
 let e15_rows : xlate_row list ref = ref []
 
+(* The path-builtin rows, by name: [check_json] requires both. *)
+let e15_cons_4 = "cons onto interned path (length 4)"
+let e15_cons_32 = "cons onto interned path (length 32)"
+
 (* E16: the socket transport against the simulator backend.  One row
    per ring size: the supervisor forks a real OS process per node and
    the same program runs on the virtual-clock simulator; both fixpoints
@@ -1618,11 +1622,31 @@ let e15 () =
   in
   let fset = Fset.create () in
   Array.iter (fun t -> ignore (Fset.add fset t)) ia;
+  let sink = ref 0 in
+  (* Consing a node onto an interned path, as [f_concatPath] does on
+     ids: one pair probe, so the price must not grow with the path. *)
+  let heads =
+    Array.init k (fun i -> Intern.id (Ndlog.Value.Addr (Ndlog.Programs.node i)))
+  in
+  let path n =
+    Intern.id
+      (Ndlog.Value.List
+         (List.init n (fun j -> Ndlog.Value.Addr (Ndlog.Programs.node (k + j)))))
+  in
+  let cons_onto n =
+    let p = path n in
+    let run () =
+      for i = 0 to k - 1 do
+        sink := !sink + Intern.cons heads.(i) p
+      done
+    in
+    run () (* register the cells: the rows price hits *);
+    run
+  in
   let per_op name f =
     let ns = ns_per_run ~name (fun () -> f ()) /. float_of_int k in
     { xl_op = name; xl_ns = ns }
   in
-  let sink = ref 0 in
   let rows =
     [
       per_op "id tuple equal" (fun () ->
@@ -1649,6 +1673,8 @@ let e15 () =
           for i = 0 to k - 1 do
             sink := !sink + Array.length (Intern.tuple_of_ids ia.(i))
           done);
+      per_op e15_cons_4 (cons_onto 4);
+      per_op e15_cons_32 (cons_onto 32);
     ]
   in
   ignore (Sys.opaque_identity !sink);
@@ -1662,6 +1688,10 @@ let e15 () =
      membership)@."
     (ns "boxed tuple equal" /. ns "id tuple equal")
     (ns "boxed set probe (Tset.mem)" /. ns "id set probe (Fset.mem)");
+  Fmt.pr
+    "cons onto an interned path: %.1f ns at length 4, %.1f ns at length \
+     32@."
+    (ns e15_cons_4) (ns e15_cons_32);
   Fmt.pr
     "hash-cons translation costs %.1fx a boxed structural compare — paying \
      it per probe would erase the join win, which is why the id-native \

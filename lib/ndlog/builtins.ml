@@ -100,10 +100,18 @@ let table : (string * (string -> Value.t list -> Value.t)) list =
     ("f_not", f_not);
   ]
 
-let is_builtin name = List.mem_assoc name table
+(* Resolved by name once, from a hash table: callers that apply the
+   same builtin repeatedly look it up once ({!Ideval} at compile time). *)
+let index : (string, string -> Value.t list -> Value.t) Hashtbl.t =
+  let h = Hashtbl.create 32 in
+  List.iter (fun (name, f) -> Hashtbl.replace h name f) table;
+  h
+
+let find name = Option.map (fun f -> f name) (Hashtbl.find_opt index name)
+let is_builtin name = Hashtbl.mem index name
 
 let apply name args =
-  match List.assoc_opt name table with
+  match Hashtbl.find_opt index name with
   | Some f -> f name args
   | None -> raise (Unknown_function name)
 

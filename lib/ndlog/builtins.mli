@@ -16,6 +16,11 @@ exception Arity_error of string * int
 val is_builtin : string -> bool
 (** Is this name a registered builtin? *)
 
+val find : string -> (Value.t list -> Value.t) option
+(** The builtin registered under a name, resolved once from a hash
+    table; applying it behaves exactly like {!apply} with that name.
+    [None] for unregistered names. *)
+
 val apply : string -> Value.t list -> Value.t
 (** Apply a builtin by name.
 

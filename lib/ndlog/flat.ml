@@ -400,8 +400,9 @@ let iter db f =
   List.iter (fun pred -> iter_rel db pred (fun t -> f pred t)) (preds db)
 
 (* Find or build the [(pred, cols)] index and answer a point probe.
-   Fresh indexes are built by one pass over the relation; thereafter
-   [add]/[remove] keep them exact. *)
+   Fresh indexes are built by one pass over the relation, sized to it
+   (a node holds many small indexes); thereafter [add]/[remove] keep
+   them exact. *)
 let lookup db pred ~(cols : int list) ~(key : int array) : int array list =
   match find_rel db pred with
   | None -> []
@@ -410,7 +411,7 @@ let lookup db pred ~(cols : int list) ~(key : int array) : int array list =
       match List.assoc_opt cols r.indexes with
       | Some idx -> idx
       | None ->
-        let idx = Ktbl.create 64 in
+        let idx = Ktbl.create (Fset.cardinal r.set) in
         Fset.iter (fun t -> idx_add (cols, idx) t) r.set;
         r.indexes <- (cols, idx) :: r.indexes;
         idx
@@ -606,16 +607,20 @@ let equal a b =
 (* Conversion at system boundaries. *)
 
 (* Materialize the canonical boxed store: id -> value is the cheap
-   translation direction (an array read per element).  The result's
+   translation direction (an array read per element), and each
+   relation is built in bulk, one sorted set per predicate.  The result's
    tuples carry canonical representatives, so [Store.equal/compare/
    hash] of materializations coincide with those of any structurally
    equal boxed store. *)
 let to_store db : Store.t =
   Hashtbl.fold
     (fun pred r acc ->
-      Fset.fold
-        (fun t acc -> Store.add pred (Intern.tuple_of_ids t) acc)
-        r.set acc)
+      if Fset.is_empty r.set then acc
+      else
+        Store.set_relation pred
+          (Store.Tset.of_list
+             (Fset.fold (fun t l -> Intern.tuple_of_ids t :: l) r.set []))
+          acc)
     db.rels Store.empty
 
 (* The expensive direction — one hash-cons probe per element — used

@@ -5,11 +5,12 @@
    per-rule variable slot table (-1 = unbound); argument patterns are
    compiled expressions whose constants carry precomputed ids; matching
    and join probes compare machine ints; relations are the
-   open-addressing hash sets of {!Flat}.  Boxing happens only at true
-   system boundaries: builtin calls and arithmetic unbox operands and
-   re-intern results, ordering comparisons unbox (ids are
-   allocation-ordered, never a value order), and observable output
-   materializes boxed tuples.
+   open-addressing hash sets of {!Flat}.  The path-vector builtins run
+   on ids ({!Intern.cons}, membership over the canonical list).  Boxing
+   happens only at true system boundaries: the other builtin calls and
+   arithmetic unbox operands and re-intern results, ordering
+   comparisons unbox (ids are allocation-ordered, never a value order),
+   and observable output materializes boxed tuples.
 
    This is the only semi-naive executor: {!Eval.seminaive} runs it
    behind a boxing boundary and every node of {!Dist.Runtime} runs it
@@ -29,7 +30,8 @@ module Fset = Flat.Fset
 type iexpr =
   | XVar of int * string
   | XConst of int  (* precomputed id of the constant *)
-  | XCall of string * iexpr array
+  | XPath of (int -> int -> int) * iexpr * iexpr  (* a path builtin on ids *)
+  | XCall of (Value.t list -> Value.t) * iexpr list  (* a boxed builtin *)
   | XBinop of Ast.binop * iexpr * iexpr
 
 type step =
@@ -52,12 +54,50 @@ let slot ctx x =
     Hashtbl.add ctx.tbl x s;
     s
 
+(* The path-vector builtins (PAPER §2.2) on ids, for a call site whose
+   boxed builtin is [boxed]: a cons is one pair probe, and membership
+   is [List.memq] over the canonical list — each of its elements is its
+   own representative, so physical equality is value equality.  A
+   non-list argument takes the boxed round trip, which raises the
+   boxed error. *)
+let path_builtin f (boxed : Value.t list -> Value.t) :
+    (int -> int -> int) option =
+  let unboxed a b = Intern.id (boxed [ Intern.of_id a; Intern.of_id b ]) in
+  match f with
+  | "f_init" | "f_initPath" ->
+    Some (fun s d -> Intern.cons s (Intern.cons d Intern.nil))
+  | "f_concatPath" | "f_cons" ->
+    Some
+      (fun v p ->
+        match Intern.of_id p with
+        | Value.List _ -> Intern.cons v p
+        | _ -> unboxed v p)
+  | "f_inPath" ->
+    let yes = Intern.id (Value.Bool true)
+    and no = Intern.id (Value.Bool false) in
+    Some
+      (fun p v ->
+        match Intern.of_id p with
+        | Value.List vs -> if List.memq (Intern.of_id v) vs then yes else no
+        | _ -> unboxed p v)
+  | _ -> None
+
+(* Each call is resolved once.  An unknown name still raises at call
+   time, after its arguments, exactly as {!Env.eval} does. *)
 let rec compile_expr ctx (e : Ast.expr) : iexpr =
   match e with
   | Ast.Var x -> XVar (slot ctx x, x)
   | Ast.Const v -> XConst (Intern.id v)
-  | Ast.Call (f, args) ->
-    XCall (f, Array.of_list (List.map (compile_expr ctx) args))
+  | Ast.Call (f, args) -> (
+    let boxed =
+      match Builtins.find f with
+      | Some fn -> fn
+      | None -> fun _ -> raise (Builtins.Unknown_function f)
+    in
+    let args = List.map (compile_expr ctx) args in
+    match path_builtin f boxed, args with
+    | Some fn, [ a; b ] -> XPath (fn, a, b)
+    | _ -> XCall (boxed, args))
   | Ast.Binop (op, a, b) ->
     XBinop (op, compile_expr ctx a, compile_expr ctx b)
 
@@ -107,13 +147,13 @@ let rec eval_x (env : int array) (e : iexpr) : int =
     let v = Array.unsafe_get env s in
     if v < 0 then raise (Env.Unbound_variable name) else v
   | XConst id -> id
-  | XCall (f, args) ->
-    let n = Array.length args in
-    let vs = ref [] in
-    for i = n - 1 downto 0 do
-      vs := Intern.of_id (eval_x env args.(i)) :: !vs
-    done;
-    Intern.id (Builtins.apply f !vs)
+  (* Arguments left to right, like {!Env.eval}, so both raise the same
+     error when several arguments are ill-sorted. *)
+  | XPath (fn, a, b) ->
+    let a = eval_x env a in
+    fn a (eval_x env b)
+  | XCall (fn, args) ->
+    Intern.id (fn (List.map (fun a -> Intern.of_id (eval_x env a)) args))
   | XBinop (op, a, b) -> arith_id op (eval_x env a) (eval_x env b)
 
 let eval_ids env (args : iexpr array) : int array =
@@ -784,55 +824,58 @@ let refold_plan (rules : Ast.rule list) : refold list option =
   then Some refolds
   else None
 
+(* One index probe per touched group, on the body relation's group
+   columns and on the head relation's key positions: the cost follows
+   the touched groups, not the relations' sizes. *)
 let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
-  let body_key (t : int array) = Array.map (fun c -> t.(c)) rf.rf_cols in
-  (* Touched groups, each collecting its current body rows below. *)
-  let touched : int array list ref Ktbl.t = Ktbl.create 16 in
+  let cols = Array.to_list rf.rf_cols
+  and key_pos = Array.to_list rf.rf_key_pos in
+  let touched : unit Ktbl.t = Ktbl.create 16 in
   let touch t =
-    if Array.length t = rf.rf_arity then begin
-      let k = body_key t in
-      if not (Ktbl.mem touched k) then Ktbl.add touched k (ref [])
-    end
+    if Array.length t = rf.rf_arity then
+      Ktbl.replace touched (Array.map (fun c -> t.(c)) rf.rf_cols) ()
   in
   Flat.iter_rel added rf.rf_body touch;
   Flat.iter_rel removed rf.rf_body touch;
-  if Ktbl.length touched > 0 then begin
-    st.Plan.c_scans <- st.Plan.c_scans + 1;
-    Flat.iter_rel fdb rf.rf_body (fun t ->
-        st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-        if Array.length t = rf.rf_arity then
-          match Ktbl.find_opt touched (body_key t) with
-          | Some rows ->
-            st.Plan.c_matched <- st.Plan.c_matched + 1;
-            rows := t :: !rows
-          | None -> ());
-    (* The previous head of each touched group: one at most, since the
-       head relation holds exactly this rule's previous output. *)
-    let old : int array Ktbl.t = Ktbl.create 16 in
-    Flat.iter_rel fdb rf.rf_head (fun h ->
-        let k = Array.map (fun j -> h.(j)) rf.rf_key_pos in
-        if Ktbl.mem touched k then Ktbl.replace old k h);
-    Ktbl.iter
-      (fun k rows ->
-        let fresh =
-          match !rows with
-          | [] -> None
-          | first :: _ as rows ->
-            Some
-              (Array.map
-                 (function
-                   | Plan.Group i -> first.(i)
-                   | Plan.Fold (agg, i) ->
-                     agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
-                 rf.rf_slots)
-        in
-        match Ktbl.find_opt old k, fresh with
-        | Some h, Some h' when Fset.tuple_eq h h' -> ()
-        | prev, fresh ->
-          Option.iter (fun h -> ignore (Flat.remove fdb rf.rf_head h)) prev;
-          Option.iter (fun h -> ignore (Flat.add fdb rf.rf_head h)) fresh)
-      touched
-  end
+  Ktbl.iter
+    (fun key () ->
+      st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
+      let rows =
+        List.filter
+          (fun t ->
+            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+            Array.length t = rf.rf_arity
+            && begin
+              st.Plan.c_matched <- st.Plan.c_matched + 1;
+              true
+            end)
+          (Flat.lookup fdb rf.rf_body ~cols ~key)
+      in
+      let fresh =
+        match rows with
+        | [] -> None
+        | first :: _ ->
+          Some
+            (Array.map
+               (function
+                 | Plan.Group i -> first.(i)
+                 | Plan.Fold (agg, i) ->
+                   agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
+               rf.rf_slots)
+      in
+      (* The previous head of the group: one at most, since the head
+         relation holds exactly this rule's previous output. *)
+      let prev =
+        match Flat.lookup fdb rf.rf_head ~cols:key_pos ~key with
+        | h :: _ -> Some h
+        | [] -> None
+      in
+      match prev, fresh with
+      | Some h, Some h' when Fset.tuple_eq h h' -> ()
+      | prev, fresh ->
+        Option.iter (fun h -> ignore (Flat.remove fdb rf.rf_head h)) prev;
+        Option.iter (fun h -> ignore (Flat.add fdb rf.rf_head h)) fresh)
+    touched
 
 let refold_stratum ?(stats = Plan.counters ()) (fdb : Flat.t)
     ~(refolds : refold list) ~(added : Flat.t) ~(removed : Flat.t) : unit =

@@ -12,6 +12,16 @@
      distributed runtime store tuples as id arrays ({!Flat}), so joins
      and membership tests compare machine ints.
 
+   Atoms (ints, strings, bools, addresses) are hash-consed through
+   {!Value.hash}/{!Value.equal}.  Lists are hash-consed one cons cell at
+   a time: the empty list has a fixed id, and the id of [h :: t] is
+   keyed by the pair [(id h, id t)] — no structural hash ever walks a
+   list.  So interning a list registers every suffix of its spine, and
+   the representative of [h :: t] is [List (rep h :: spine (rep t))],
+   sharing its tail's spine: a path vector of length L costs one cell
+   over its tail instead of L, and every element of a canonical list is
+   its own representative (so membership in it is [List.memq]).
+
    The tables here are process-global caches, exactly like the
    secondary-index caches in {!Store}: they never participate in store
    equality, comparison, or hashing, so model-checker state identity is
@@ -25,9 +35,9 @@
    evaluator and runtime in this library runs on the calling domain;
    nothing here may be called from two domains at once. *)
 
-(* The hash-cons table must use Value's own equality and hash —
-   Value.hash is structural over the List constructor, and a generic
-   Hashtbl.hash would be a second, divergent notion of value identity. *)
+(* The atom table must use Value's own equality and hash — a generic
+   Hashtbl.hash would be a second, divergent notion of value identity.
+   It never sees a list. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
@@ -35,14 +45,31 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-let table : (int * Value.t) Vtbl.t = Vtbl.create 4096
+(* Cons cells, keyed by their (head id, tail id) pair packed into one
+   int: ids stay below [2^31] (see [register]), so the packing is
+   collision-free.  The hash mixes the packed key — conses onto one
+   tail differ only in the high half. *)
+module Ptbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
+let atoms : int Vtbl.t = Vtbl.create 4096
+let conses : int Ptbl.t = Ptbl.create 16
 
 (* id -> canonical representative, grown geometrically. *)
 let reverse : Value.t array ref = ref (Array.make 4096 (Value.Int 0))
 let count = ref 0
+let id_bits = 31
 
 let register rep =
   let id = !count in
+  if id >= 1 lsl id_bits then invalid_arg "Intern: id space exhausted";
   let cap = Array.length !reverse in
   if id >= cap then begin
     let bigger = Array.make (2 * cap) (Value.Int 0) in
@@ -53,28 +80,47 @@ let register rep =
   incr count;
   id
 
-(* Canonicalize [v], interning it (and, for lists, every suffix of its
-   spine via the recursive rebuild) on first sight. *)
-let rec intern (v : Value.t) : int * Value.t =
-  match Vtbl.find_opt table v with
-  | Some entry -> entry
-  | None ->
-    let rep =
-      match v with
-      | Value.List vs -> Value.List (List.map canon vs)
-      | _ -> v
-    in
-    let entry = (register rep, rep) in
-    Vtbl.add table v entry;
-    entry
-
-and canon v = snd (intern v)
-
-let id v = fst (intern v)
-
 let of_id i =
   if i >= 0 && i < !count then !reverse.(i)
   else invalid_arg (Printf.sprintf "Intern.of_id: unknown id %d" i)
+
+let nil = register (Value.List [])
+
+(* Both ids are validated by [of_id] before the probe, so the packed
+   key is only ever formed from registered ids. *)
+let cons h t =
+  let hd = of_id h in
+  match of_id t with
+  | Value.List spine -> (
+    let key = (h lsl id_bits) lor t in
+    match Ptbl.find_opt conses key with
+    | Some i -> i
+    | None ->
+      let i = register (Value.List (hd :: spine)) in
+      Ptbl.add conses key i;
+      i)
+  | v ->
+    invalid_arg
+      (Printf.sprintf "Intern.cons: tail %s is not a list" (Value.to_string v))
+
+let atom_id v =
+  match Vtbl.find_opt atoms v with
+  | Some i -> i
+  | None ->
+    let i = register v in
+    Vtbl.add atoms v i;
+    i
+
+let rec id (v : Value.t) : int =
+  match v with Value.List vs -> list_id vs | _ -> atom_id v
+
+and list_id = function
+  | [] -> nil
+  | h :: t ->
+    let h = id h in
+    cons h (list_id t)
+
+let canon v = of_id (id v)
 
 (* Canonicalize a tuple in place of a fresh copy when every element is
    already canonical — re-adding a resident tuple then allocates
@@ -100,10 +146,10 @@ let tuple (t : Value.t array) : Value.t array =
 
 (* ------------------------------------------------------------------ *)
 (* Whole-tuple translation: the id-native evaluator's system-boundary
-   conversions.  boxed -> id pays one hash-cons probe per element (the
-   expensive direction: hashing walks the value's structure); id ->
-   boxed is an array read per element (the cheap direction).  The E15
-   microbenchmark in bench/ keeps both costs measured. *)
+   conversions.  boxed -> id pays one probe per atom and one pair probe
+   per list cell (the expensive direction); id -> boxed is an array
+   read per element (the cheap direction).  The E15 microbenchmark in
+   bench/ keeps both costs measured. *)
 
 let tuple_ids (t : Value.t array) : int array = Array.map id t
 let tuple_of_ids (ids : int array) : Value.t array = Array.map of_id ids

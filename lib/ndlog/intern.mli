@@ -6,6 +6,12 @@
     collapse on the heap) and flat tuples ({!Flat}) can compare as
     machine ints.
 
+    Atoms are hash-consed through {!Value.hash}; lists are hash-consed
+    one cons cell at a time, keyed by the [(head id, tail id)] pair, so
+    no structural hash ever walks a list and the representative of
+    [h :: t] shares the spine of [t]'s representative.  Every element
+    of a canonical list is its own canonical representative.
+
     The interning tables are process-global caches in the same sense as
     {!Store}'s secondary-index caches: they never influence store
     [equal]/[compare]/[hash], so model-checker state identity is
@@ -24,11 +30,23 @@ val canon : Value.t -> Value.t
 
 val id : Value.t -> int
 (** The dense id of a value, interning on first sight.
-    [id a = id b] iff [Value.equal a b]. *)
+    [id a = id b] iff [Value.equal a b].  Cost: one {!Value.hash} probe
+    per atom and one pair probe per list cell, nested lists included;
+    a list is never hashed as a whole. *)
 
 val of_id : int -> Value.t
 (** The canonical representative registered under an id.
     @raise Invalid_argument on an id never returned by {!id}. *)
+
+val nil : int
+(** [id (Value.List [])]. *)
+
+val cons : int -> int -> int
+(** [cons (id h) (id (List t)) = id (List (h :: t))] in one pair probe,
+    whatever the length of [t]; the new representative shares the
+    spine of the tail's.
+    @raise Invalid_argument on an unknown id or a tail that is not a
+    list. *)
 
 val tuple : Value.t array -> Value.t array
 (** Canonicalize every element of a tuple.  Returns the argument itself
@@ -36,10 +54,9 @@ val tuple : Value.t array -> Value.t array
 
 val tuple_ids : Value.t array -> int array
 (** [Array.map id]: translate a boxed tuple into the id-native
-    representation.  This is the {e expensive}
-    direction — each element pays a hash-cons probe that walks its
-    structure — so callers keep it off per-probe hot paths (E15
-    measures the cost). *)
+    representation.  The {e expensive} direction — each atom pays a
+    hash probe and each list cell a pair probe — so callers keep it
+    off per-probe hot paths (E15 measures the cost). *)
 
 val tuple_of_ids : int array -> Value.t array
 (** [Array.map of_id]: rebuild the boxed (canonical-representative)

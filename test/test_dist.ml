@@ -653,24 +653,6 @@ let prop_incremental_equivalence =
    support whose expiry both shrinks and empties groups, must match the
    from-scratch oracle step by step. *)
 
-let agg_refold_cases =
-  let over_obs head rule =
-    Printf.sprintf
-      "materialize(link, infinity).\n\
-       materialize(obs, 3).\n\
-       materialize(%s, infinity).\n\
-       v1 %s :- obs(@S, D, C).\n"
-      head rule
-  in
-  [
-    ("max", over_obs "top" "top(@S, D, max<C>)");
-    ("count", over_obs "cnt" "cnt(@S, D, count<C>)");
-    ("sum", over_obs "tot" "tot(@S, D, sum<C>)");
-    ("several aggregates in one head",
-     over_obs "span" "span(@S, D, min<C>, max<C>, count<C>, sum<C>)");
-    ("over a lower view", agg_lower_view_src);
-  ]
-
 (* Soft observations on a 3-node line, lifetime 3.  Group (n0, n1)
    grows to {3, 5, 8, 9} and then shrinks as the facts lapse at t = 3
    ({3, 9}), t = 4 ({9}), and empties at t = 5; group (n0, n2) empties
@@ -705,13 +687,61 @@ let agg_refold_steps =
     (6.0, []);
   ]
 
+(* The same steps, with [obs] tuples of arity 4 and 2 landing in group
+   (n0, n1) at t = 1 (the lower cost would win the min if it leaked
+   in, and count would see it) and lapsing with the others. *)
+let mixed_arity_steps =
+  let n0 = V.Addr "n0" and n1 = V.Addr "n1" in
+  List.map
+    (fun (until, ins) ->
+      if until = 1.0 then
+        ( until,
+          ins
+          @ [
+              ("n0", "obs", [| n0; n1; V.Int 1; V.Int 0 |]);
+              ("n0", "obs", [| n0; n1 |]);
+            ] )
+      else (until, ins))
+    agg_refold_steps
+
+let agg_refold_cases =
+  let over_obs head rule =
+    Printf.sprintf
+      "materialize(link, infinity).\n\
+       materialize(obs, 3).\n\
+       materialize(%s, infinity).\n\
+       v1 %s :- obs(@S, D, C).\n"
+      head rule
+  in
+  [
+    ("max", over_obs "top" "top(@S, D, max<C>)", agg_refold_steps);
+    ("count", over_obs "cnt" "cnt(@S, D, count<C>)", agg_refold_steps);
+    ("sum", over_obs "tot" "tot(@S, D, sum<C>)", agg_refold_steps);
+    ( "several aggregates in one head",
+      over_obs "span" "span(@S, D, min<C>, max<C>, count<C>, sum<C>)",
+      agg_refold_steps );
+    ("over a lower view", agg_lower_view_src, agg_refold_steps);
+    (* Head key positions [0; 2; 1]: the head lists the group variables
+       in another order than the body. *)
+    ( "group keys out of body order",
+      "materialize(link, infinity).\n\
+       materialize(obs, 3).\n\
+       materialize(obs3, infinity).\n\
+       materialize(mid, infinity).\n\
+       v0 obs3(@S, N, D, C) :- obs(@S, D, C), link(@S, N, K).\n\
+       v1 mid(@S, D, N, min<C>) :- obs3(@S, N, D, C).\n",
+      agg_refold_steps );
+    ( "body tuples of another arity",
+      over_obs "lo" "lo(@S, D, min<C>, count<C>)",
+      mixed_arity_steps );
+  ]
+
 let agg_refold_table =
   List.map
-    (fun (name, src) ->
+    (fun (name, src, steps) ->
       Alcotest.test_case name `Quick (fun () ->
           let diffs, views =
-            refresh_modes_diff agg_refold_links (agg_refold_program src)
-              agg_refold_steps
+            refresh_modes_diff agg_refold_links (agg_refold_program src) steps
           in
           Alcotest.(check (list string))
             "incremental = from-scratch at every step" [] diffs;
@@ -725,7 +755,11 @@ let agg_refold_table =
 let test_refold_tracks_expiry () =
   let p =
     agg_refold_program
-      (List.assoc "several aggregates in one head" agg_refold_cases)
+      (List.find_map
+         (fun (name, src, _) ->
+           if name = "several aggregates in one head" then Some src else None)
+         agg_refold_cases
+      |> Option.get)
   in
   let rt =
     Runtime.create ~incremental_views:true (topo_of_links agg_refold_links) p

@@ -778,6 +778,199 @@ let test_eval_errors_typed () =
   | exception Eval.Eval_error m -> checks "same exception" "from the executor" m
   | () -> Alcotest.fail "unreachable"
 
+(* Call arguments evaluate left to right in both evaluators, so a rule
+   with two ill-sorted arguments raises the first one's error in each:
+   here [f_first([])], not [f_first(5)]. *)
+let test_call_args_left_to_right () =
+  let p =
+    Programs.parse_exn
+      "b(@S, P) :- a(@S, X, Y), P = f_concatPath(f_first(X), f_first(Y)).\n\
+       a(@n0, [], 5).\n"
+  in
+  let info = Analysis.analyze_exn p in
+  let db = Store.of_facts p.Ast.facts in
+  let first_arg = V.Type_error ("non-empty list", V.List []) in
+  Alcotest.check_raises "naive" first_arg (fun () ->
+      ignore (Eval.naive p info db));
+  Alcotest.check_raises "semi-naive" first_arg (fun () ->
+      ignore (Eval.seminaive p info db))
+
+(* Builtins resolve by name once; an unknown name still compiles and
+   raises only when a tuple reaches the call. *)
+let test_unknown_builtin_at_call_time () =
+  let module B = Ndlog.Builtins in
+  (match B.find "f_concatPath" with
+  | Some f ->
+    checkb "find = apply" true
+      (V.equal
+         (f [ V.Addr "a"; V.List [ V.Addr "b" ] ])
+         (B.apply "f_concatPath" [ V.Addr "a"; V.List [ V.Addr "b" ] ]))
+  | None -> Alcotest.fail "f_concatPath is registered");
+  checkb "unregistered" true (B.find "f_nope" = None);
+  let rec rename (e : Ast.expr) : Ast.expr =
+    match e with
+    | Ast.Call (f, args) ->
+      Ast.Call ((if f = "f_size" then "f_nope" else f), List.map rename args)
+    | Ast.Binop (op, a, b) -> Ast.Binop (op, rename a, rename b)
+    | e -> e
+  in
+  let p = Programs.parse_exn "b(@S, N) :- a(@S, X), N = f_size(X).\n" in
+  let p =
+    {
+      p with
+      Ast.rules =
+        List.map
+          (fun (r : Ast.rule) ->
+            {
+              r with
+              Ast.body =
+                List.map
+                  (function Ast.Assign (x, e) -> Ast.Assign (x, rename e) | l -> l)
+                  r.Ast.body;
+            })
+          p.Ast.rules;
+    }
+  in
+  let info = Analysis.analyze_exn p in
+  let run facts = Eval.seminaive p info (Store.of_facts facts) in
+  checkb "no tuple reaches the call" true (run []).Eval.converged;
+  Alcotest.check_raises "raised at call time" (B.Unknown_function "f_nope")
+    (fun () ->
+      ignore (run [ Ast.fact ~loc:0 "a" [ V.Addr "n0"; V.List [] ] ]))
+
+(* Random nested values over a small pool of atoms, so structurally
+   equal pairs (and lists holding lists equal to other values) turn up
+   often.  Every box is fresh: strings are copied, never shared. *)
+let value_gen : V.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let atom =
+    oneof
+      [
+        map (fun i -> V.Int i) (int_range 0 3);
+        map (fun s -> V.Addr (s ^ "")) (oneofl [ "n0"; "n1"; "n2" ]);
+        map (fun s -> V.Str (s ^ "")) (oneofl [ "n0"; "x" ]);
+        map (fun b -> V.Bool b) bool;
+      ]
+  in
+  sized_size (int_bound 3)
+    (fix (fun self n ->
+         if n = 0 then atom
+         else
+           frequency
+             [
+               (2, atom);
+               (3, map (fun vs -> V.List vs) (list_size (int_bound 3) (self (n - 1))));
+             ]))
+
+let arb_value = QCheck.make ~print:V.to_string value_gen
+
+(* A structurally equal value in entirely fresh boxes. *)
+let rec fresh_copy (v : V.t) : V.t =
+  match v with
+  | V.Int n -> V.Int n
+  | V.Str s -> V.Str (s ^ "")
+  | V.Bool b -> V.Bool b
+  | V.Addr a -> V.Addr (a ^ "")
+  | V.List vs -> V.List (List.map fresh_copy vs)
+
+let rec elements_canonical (v : V.t) =
+  match v with
+  | V.List vs -> List.for_all (fun e -> Intern.canon e == e && elements_canonical e) vs
+  | _ -> true
+
+(* Hash-consing cell by cell: ids decide value equality, representatives
+   are unique per class and hold only representatives, and consing onto
+   a list's id is the id of the longer list, whose representative shares
+   the tail's spine. *)
+let prop_intern_hash_consing =
+  QCheck.Test.make ~name:"hash-consed ids, representatives and shared spines"
+    ~count:500 (QCheck.pair arb_value arb_value) (fun (a, b) ->
+      let ia = Intern.id a and ca = Intern.canon a in
+      let t = match b with V.List vs -> vs | v -> [ v ] in
+      let tail = Intern.id (V.List t) and cell = Intern.id (V.List (a :: t)) in
+      (ia = Intern.id b) = V.equal a b
+      && V.equal (Intern.of_id ia) a
+      && ca == Intern.of_id ia
+      && ca == Intern.canon (fresh_copy a)
+      && ((not (V.equal a b)) || ca == Intern.canon b)
+      && elements_canonical ca
+      && Intern.cons ia tail = cell
+      &&
+      match Intern.of_id cell, Intern.of_id tail with
+      | V.List (h :: spine), V.List spine' -> h == ca && spine == spine'
+      | _ -> false)
+
+(* Differential property for the path builtins on ids: one- and
+   two-rule programs over one random [a] fact (list-valued or not) and
+   a few [e] atoms reach the naive evaluator's fixpoint, or raise the
+   same exception.  One [a] tuple makes every error deterministic: the
+   first rule derives at most one [b] tuple, and the second rules
+   only fail on a non-list [b]. *)
+let path_first_rules =
+  [|
+    "P = f_concatPath(X, Y)";
+    "P = f_cons(X, Y)";
+    "P = f_init(X, Y)";
+    "P = f_initPath(Y, X)";
+    "P = f_inPath(X, Y)";
+    "P = f_inPath(Y, X)";
+    "P = f_inPath(f_concatPath(X, Y), X)";
+    "P = f_concatPath(f_first(X), f_first(Y))";
+    "P = f_concatPath(X, f_init(Y, X))";
+    "f_inPath(Y, X) = false, P = f_concatPath(X, Y)";
+    "P = f_size(f_cons(X, Y))";
+    "P = f_append(X, Y)";
+  |]
+
+let path_second_rules =
+  [|
+    "";
+    "b(@S, P) :- b(@S, Q), e(@S, Z), f_inPath(Q, Z) = false, \
+     P = f_concatPath(Z, Q).\n";
+    "c(@S, N) :- b(@S, Q), N = f_size(Q).\n";
+    "c(@S, Q) :- b(@S, Q), f_inPath(Q, S) = true.\n";
+  |]
+
+let prop_path_builtins_differential =
+  QCheck.Test.make ~name:"path builtins: semi-naive = naive (fixpoint or error)"
+    ~count:300
+    QCheck.(
+      quad
+        (int_range 0 (Array.length path_first_rules - 1))
+        (int_range 0 (Array.length path_second_rules - 1))
+        (pair arb_value arb_value)
+        (list_of_size (Gen.int_range 1 3) arb_value))
+    (fun (r1, r2, (x, y), zs) ->
+      let src =
+        Printf.sprintf "b(@S, P) :- a(@S, X, Y), %s.\n%s" path_first_rules.(r1)
+          path_second_rules.(r2)
+      in
+      let p = Programs.parse_exn src in
+      let n0 = V.Addr "n0" in
+      let p =
+        {
+          p with
+          Ast.facts =
+            Ast.fact ~loc:0 "a" [ n0; x; y ]
+            :: List.map (fun z -> Ast.fact ~loc:0 "e" [ n0; z ]) zs;
+        }
+      in
+      let info = Analysis.analyze_exn p in
+      let db = Store.of_facts p.Ast.facts in
+      let outcome eval =
+        match eval p info db with
+        | (o : Eval.outcome) -> Ok (o.Eval.db, o.Eval.converged)
+        | exception e -> Error e
+      in
+      (* Bounded rounds: every program here converges in a handful, so
+         a runaway recursion shows up as [converged = false]. *)
+      match
+        (outcome (Eval.naive ~max_rounds:50), outcome (Eval.seminaive ~max_rounds:50))
+      with
+      | Ok (d1, c1), Ok (d2, c2) -> Store.equal d1 d2 && c1 = c2
+      | Error e1, Error e2 -> e1 = e2
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Localization. *)
 
@@ -1976,9 +2169,17 @@ let () =
             test_seminaive_from_fixpoint;
           Alcotest.test_case "typed evaluation errors" `Quick
             test_eval_errors_typed;
+          Alcotest.test_case "call arguments left to right" `Quick
+            test_call_args_left_to_right;
+          Alcotest.test_case "unknown builtin raises at call time" `Quick
+            test_unknown_builtin_at_call_time;
         ]
         @ qsuite
-            [ prop_best_path_matches_floyd_warshall; prop_naive_equals_seminaive ]
+            [
+              prop_best_path_matches_floyd_warshall;
+              prop_naive_equals_seminaive;
+              prop_path_builtins_differential;
+            ]
       );
       ( "link_state",
         [
@@ -2004,7 +2205,8 @@ let () =
           Alcotest.test_case "canonical order" `Quick test_intern_store_order;
           Alcotest.test_case "equal/hash across representations" `Quick
             test_intern_equal_hash_across_representations;
-        ] );
+        ]
+        @ qsuite [ prop_intern_hash_consing ] );
       ( "flat",
         [
           Alcotest.test_case "tuple id boundary" `Quick test_intern_tuple_ids;
