@@ -283,7 +283,7 @@ let () =
             "truncated"; "wall_s"; "verdict"; "trace_len";
           ];
         (match rd_str row "mode" with
-        | "plain" | "por" | "por-footprint" | "sym" | "both" -> ()
+        | "plain" | "por" | "sym" | "both" -> ()
         | m -> fail "%s: e17 run %d has unknown mode %S" path i m);
         match rd_str row "verdict" with
         | "ok" | "truncated" -> ()

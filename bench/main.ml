@@ -1008,8 +1008,7 @@ type mproc_row = {
 let e16_rows : mproc_row list ref = ref []
 
 (* E17: the model checker's reduction layer.  One row per (system,
-   program, topology, mode) — mode is plain, por, por-footprint, sym
-   or both — with the visited-state count, the invariant verdict, and
+   program, topology, mode) — mode is plain, por, sym or both — with the visited-state count, the invariant verdict, and
    the counterexample length when the verdict is a violation.  Verdict
    equality across the modes of a cell is asserted by the experiment
    itself; the rows carry the reduction factors the docs quote. *)
@@ -1825,10 +1824,7 @@ let e17 () =
       List.map
         (fun mode ->
           let cap = if mode = "plain" then plain_cap else cap in
-          let por = mode = "por" || mode = "por-footprint" || mode = "both" in
-          let independence =
-            if mode = "por-footprint" then `Footprint else `Monotone
-          in
+          let por = mode = "por" || mode = "both" in
           let symmetry =
             if mode = "sym" || mode = "both" then Some sym else None
           in
@@ -1839,12 +1835,12 @@ let e17 () =
                 0. )
             else
               wall (fun () ->
-                  NT.explore ~max_states:cap ~por ?symmetry ~independence prog)
+                  NT.explore ~max_states:cap ~por ?symmetry prog)
           in
           let res, check_s =
             wall (fun () ->
                 NT.check_fine_invariant ~max_states:cap ~por ?symmetry
-                  ~independence ~stable:true prog inv)
+                  ~stable:true prog inv)
           in
           let verdict, trace_len = validated name lsys res in
           let truncated =
@@ -1907,19 +1903,14 @@ let e17 () =
       db true
   in
   (* Small cells: the plain baseline completes, so the reduction
-     factors and verdict equality are exact.  The footprint-POR column
-     rides along where plain is cheap — its honesty number (measured
-     ~1x on rings, where every insertion's write is a neighbour's
-     read) is part of the record. *)
+     factors and verdict equality are exact. *)
   ndlog_cell ~prog_name:"reachability" ~topo_name:"ring3"
-    ~modes:[ "plain"; "por"; "por-footprint"; "sym"; "both" ]
     (reach (P.ring_links 3))
     (Netsim.Topology.ring 3) no_self_reach;
   ndlog_cell ~prog_name:"reachability" ~topo_name:"star4"
     (reach (P.star_links 4))
     (Netsim.Topology.star 4) no_self_reach;
   ndlog_cell ~prog_name:"bdv-h2" ~topo_name:"ring3"
-    ~modes:[ "plain"; "por"; "por-footprint"; "sym"; "both" ]
     (bdv 2 (P.ring_links 3))
     (Netsim.Topology.ring 3) (cost_bound 2);
   if not !quick then
@@ -2028,8 +2019,7 @@ a1 alive(@X,Y) :- ping(@X,Y).
   Fmt.pr
     "verdicts agree across every completed mode; monotone POR collapses \
      insertion interleavings to one chain, symmetry quotients node orbits — \
-     and the footprint and soft-POR columns record where reduction honestly \
-     vanishes@."
+     and the soft-POR column records where reduction honestly vanishes@."
 
 (* ------------------------------------------------------------------ *)
 (* E9: soft-state rewrite overhead. *)
@@ -2188,7 +2178,8 @@ let a2 () =
             (Ndlog.Programs.line_links n)
         in
         let fine =
-          Mcheck.Explore.explore ~max_states:20_000 (Mcheck.Ndlog_ts.system p)
+          Mcheck.Explore.explore ~max_states:20_000
+            (Mcheck.Ndlog_ts.labeled_system p)
         in
         let batched =
           Mcheck.Explore.explore ~max_states:20_000

@@ -244,10 +244,33 @@ let pp_remote_view_error ppf e =
        the remote copies could never be deleted"
       e.rv_rule e.rv_pred p
 
-(* Location-column bookkeeping is shared with the model checker:
-   {!Ndlog.Shard} owns the tuple-to-owner mapping. *)
-let tuple_location = Ndlog.Shard.tuple_location
-let loc_index_map = Ndlog.Shard.loc_index_map
+(* Tuple locations: the localization rewrite ({!Ndlog.Localize}) gives
+   every located predicate a location-specifier column, and a tuple's
+   owner is the address in it.  The column of each predicate is
+   collected from rule heads, facts, and body atoms (last occurrence
+   wins — the runtime's program has already passed localization). *)
+let loc_index_map (p : Ast.program) : (string, int) Hashtbl.t =
+  let m = Hashtbl.create 16 in
+  let note pred = function Some i -> Hashtbl.replace m pred i | None -> () in
+  List.iter
+    (fun (r : Ast.rule) -> note r.Ast.head.Ast.head_pred r.Ast.head.Ast.head_loc)
+    p.Ast.rules;
+  List.iter (fun (f : Ast.fact) -> note f.Ast.fact_pred f.Ast.fact_loc) p.Ast.facts;
+  List.iter
+    (fun (r : Ast.rule) ->
+      List.iter
+        (fun (a : Ast.atom) -> note a.Ast.pred a.Ast.loc)
+        (Ast.body_atoms r.Ast.body))
+    p.Ast.rules;
+  m
+
+(* Owner address of a tuple for a located predicate ([None] when the
+   predicate is unlocated or the tuple too short).
+   @raise Value.Type_error if the location value is not an address. *)
+let tuple_location (loc : int option) (tuple : Store.Tuple.t) : string option =
+  match loc with
+  | Some i when i < Array.length tuple -> Some (Value.as_addr tuple.(i))
+  | _ -> None
 
 exception
   Missing_tuple_location of {
@@ -397,15 +420,6 @@ let check_remote_views (p : Ast.program) (view_program : Ast.program) =
       end)
     view_program.Ast.rules
 
-(* The default refresh mode: incremental, unless the environment says
-   otherwise (the test suite's second `dune runtest` pass sets
-   FVN_INCREMENTAL_VIEWS=0 to re-run everything against the
-   from-scratch oracle). *)
-let incremental_views_default () =
-  match Sys.getenv_opt "FVN_INCREMENTAL_VIEWS" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
-
 (* The owner named by an id tuple's location column: one array read
    plus an address check, no tuple materialization. *)
 let owner_of_ids (loc : int option) (ids : int array) : string option =
@@ -418,7 +432,7 @@ let owner_of_ids (loc : int option) (ids : int array) : string option =
    on id allocation or hash-set layout. *)
 let sort_boxed l = List.sort (fun (a, _) (b, _) -> Store.Tuple.compare a b) l
 
-let rec create ?(seed = 42) ?incremental_views ?transport ?hosted
+let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
     (topo : Netsim.Topology.t) (program : Ast.program) : t =
   (match Ndlog.Localize.check_localized program with
   | Ok () -> ()
@@ -478,11 +492,6 @@ let rec create ?(seed = 42) ?incremental_views ?transport ?hosted
         | Some l -> l @ [ ist ]
         | None -> [ ist ]))
     (Plan.compile_program pipeline_program);
-  let incremental_views =
-    match incremental_views with
-    | Some b -> b
-    | None -> incremental_views_default ()
-  in
   (* Refresh strata of the view program, bottom-up, each with its
      maintenance mode: seeded strands for plain strata, group-wise
      re-fold for aggregate strata that admit it

@@ -54,9 +54,8 @@
     shapes, and plain strata whose support lost tuples.  Skips,
     re-folds and fallbacks are counted ([strata_skipped] /
     [strata_refolded] / [refresh_fallbacks]).
-    [~incremental_views:false] (or environment
-    variable [FVN_INCREMENTAL_VIEWS=0]) restores the from-scratch
-    refresh, kept as the differential oracle: both modes produce
+    [~incremental_views:false] restores the from-scratch refresh, kept
+    as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
     tables (qcheck property in the dist test suite).  Independently,
     the global store of a quiesced run is checked against the naive
@@ -126,10 +125,8 @@ val create :
     nodes (default: all of them).  Only hosted nodes get stores,
     handlers, fact loads, and view-refresh walks; messages to
     non-hosted nodes go out through the transport.
-    [incremental_views] selects the view refresh mode (default: [true],
-    unless environment variable [FVN_INCREMENTAL_VIEWS] is set to [0],
-    [false], [no], or [off] — the hook the test suite's oracle pass
-    uses).  Under incremental refresh, [create] fixes each refresh
+    [incremental_views] selects the view refresh mode (default
+    [true]; [false] is the from-scratch oracle).  Under incremental refresh, [create] fixes each refresh
     stratum's mode once: plain strata get their seeded delta strands,
     aggregate strata whose rules all have a single-atom body
     ({!Ndlog.Plan.agg_index_shape}) and distinct heads are re-folded

@@ -59,7 +59,8 @@ let make_config ?(horizon = 10) ?(inject = fun _ -> []) (program : Ast.program)
     List.filter_map
       (fun (d : Ast.decl) ->
         match d.Ast.decl_lifetime with
-        | Ast.Lifetime l -> Some (d.Ast.decl_pred, int_of_float l)
+        | Ast.Lifetime l ->
+          Some (d.Ast.decl_pred, Ndlog.Softstate.guard_lifetime l)
         | Ast.Lifetime_forever -> None)
       program.Ast.decls
   in
@@ -119,18 +120,6 @@ let initial_of cfg =
   [ List.fold_left (fun s (p, t) -> insert cfg s p t) initial_state
       (cfg.inject 0) ]
 
-let system (cfg : config) : state Explore.system =
-  let successors (s : state) : state list =
-    let derivations =
-      Ndlog_ts.enabled_insertions cfg.program s.db
-      |> List.map (fun (pred, tuple) -> insert cfg s pred tuple)
-    in
-    let ticks = if s.clock >= cfg.horizon then [] else [ tick cfg s ] in
-    derivations @ ticks
-  in
-  Explore.make ~pp:pp_state ~equal:state_equal ~hash:state_hash
-    ~initial:(initial_of cfg) ~successors ()
-
 (* ------------------------------------------------------------------ *)
 (* Labeled actions.
 
@@ -138,8 +127,8 @@ let system (cfg : config) : state Explore.system =
    insertion would take (clock + lifetime differs across the tick) and
    can disable derivations outright by expiring their premises.  So
    derivations are independent only of each other — by the same
-   monotone/footprint argument as {!Ndlog_ts}, valid within one clock
-   instant — and POR reduces the derivation interleavings between
+   monotonicity argument as {!Ndlog_ts.independent}, valid within one
+   clock instant — and POR reduces the derivation interleavings between
    ticks, most visibly at the horizon (where no tick competes).
    Symmetry is the effective reduction for soft systems. *)
 
@@ -147,26 +136,21 @@ type action =
   | Derive of Ndlog_ts.action
   | Tick
 
-let labeled_system ?(independence = `Monotone) ?observed (cfg : config) :
-    (state, action) Explore.sys =
-  let enabled = Ndlog_ts.enabled_actions cfg.program in
+let labeled_system ?observed (cfg : config) : (state, action) Explore.sys =
   let actions (s : state) =
     let derivations =
-      enabled s.db
-      |> List.map (fun (a : Ndlog_ts.action) ->
-             (Derive a, insert cfg s a.Ndlog_ts.pred a.Ndlog_ts.tuple))
+      Ndlog_ts.enabled_insertions cfg.program s.db
+      |> List.map (fun ((pred, tuple) as a) ->
+             (Derive a, insert cfg s pred tuple))
     in
     let ticks =
       if s.clock >= cfg.horizon then [] else [ (Tick, tick cfg s) ]
     in
     derivations @ ticks
   in
-  let negation_free = not (Ndlog_ts.has_negation cfg.program) in
+  let indep = Ndlog_ts.independent cfg.program in
   let independent _s a b =
-    match (a, b) with
-    | Derive x, Derive y ->
-      Ndlog_ts.action_independent ~mode:independence ~negation_free x y
-    | _ -> false
+    match (a, b) with Derive x, Derive y -> indep x y | _ -> false
   in
   let visible =
     match observed with
@@ -174,7 +158,7 @@ let labeled_system ?(independence = `Monotone) ?observed (cfg : config) :
     | Some preds -> (
       fun _ -> function
         | Tick -> true (* the clock is always observable *)
-        | Derive (x : Ndlog_ts.action) -> List.mem x.Ndlog_ts.pred preds)
+        | Derive (pred, _) -> List.mem pred preds)
   in
   Explore.make_labeled ~pp:pp_state ~equal:state_equal ~hash:state_hash
     ~independent ~visible ~initial:(initial_of cfg) ~actions ()
@@ -210,15 +194,14 @@ let canon_state (sym : Symmetry.t) (s : state) : state =
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-let explore ?max_states ?(por = false) ?symmetry ?independence (cfg : config)
-    : state Explore.stats =
-  let sys = labeled_system ?independence cfg in
+let explore ?max_states ?(por = false) ?symmetry (cfg : config) :
+    state Explore.stats =
   let canon = Option.map canon_state symmetry in
-  Explore.explore ?max_states ~por ?canon sys
+  Explore.explore ?max_states ~por ?canon (labeled_system cfg)
 
 (* Check a clock-indexed safety property over all reachable states. *)
-let check ?(max_states = 100_000) ?(por = false) ?symmetry ?independence
-    ?observed ?stable (cfg : config) (inv : state -> bool) =
-  let sys = labeled_system ?independence ?observed cfg in
+let check ?(max_states = 100_000) ?(por = false) ?symmetry ?observed ?stable
+    (cfg : config) (inv : state -> bool) =
   let canon = Option.map canon_state symmetry in
-  Explore.check_invariant ~max_states ~por ?canon ?stable sys inv
+  Explore.check_invariant ~max_states ~por ?canon ?stable
+    (labeled_system ?observed cfg) inv

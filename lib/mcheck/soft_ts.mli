@@ -11,11 +11,11 @@
 
     Both checker reductions are wired in: symmetry permutes lease
     states jointly with their nodes ({!canon_state}), and the labeled
-    system carries derivation footprints for partial-order reduction —
-    though a tick commutes with nothing (it shifts the lease a
-    subsequent insertion would take, and can expire premises), so POR
-    only reduces the derivation interleavings between ticks; symmetry
-    is the effective reduction here. *)
+    system ({!labeled_system}) lets partial-order reduction commute
+    derivations — though a tick commutes with nothing (it shifts the
+    lease a subsequent insertion would take, and can expire premises),
+    so POR only reduces the derivation interleavings between ticks;
+    symmetry is the effective reduction here. *)
 
 type lease = (string * Ndlog.Store.Tuple.t) * int
 (** A leased tuple and its expiry instant. *)
@@ -43,6 +43,7 @@ type config = {
       (** external insertions occurring at each instant (refreshes,
           pings, failures-as-silence) *)
   lifetimes : (string * int) list;
+      (** soft predicates and their leases in clock ticks *)
 }
 
 val make_config :
@@ -50,7 +51,10 @@ val make_config :
   ?inject:(int -> (string * Ndlog.Store.Tuple.t) list) ->
   Ndlog.Ast.program ->
   config
-(** Lifetimes come from the program's [materialize] declarations. *)
+(** Lifetimes come from the program's [materialize] declarations,
+    rounded up to whole ticks ({!Ndlog.Softstate.guard_lifetime}): a
+    tuple leased at clock [c] with lifetime [l] is live at every
+    integer instant before [c + l], as under {!Ndlog.Softstate.Expiry}. *)
 
 val insert : config -> state -> string -> Ndlog.Store.Tuple.t -> state
 (** Insert with lease bookkeeping (re-insertion refreshes). *)
@@ -58,21 +62,17 @@ val insert : config -> state -> string -> Ndlog.Store.Tuple.t -> state
 val tick : config -> state -> state
 (** Advance the clock, expire leases, apply injections. *)
 
-val system : config -> state Explore.system
-
-(** A labeled transition: one derivation (with its {!Ndlog_ts}
-    footprint) or the clock tick. *)
+(** A labeled transition: one derivation (the {!Ndlog_ts} insertion)
+    or the clock tick. *)
 type action =
   | Derive of Ndlog_ts.action
   | Tick
 
 val labeled_system :
-  ?independence:Ndlog_ts.independence ->
-  ?observed:string list ->
-  config ->
-  (state, action) Explore.sys
-(** Derivations are independent of each other per
-    {!Ndlog_ts.action_independent}; ticks of nothing.  [observed] is
+  ?observed:string list -> config -> (state, action) Explore.sys
+(** Derivations, in {!Ndlog_ts.enabled_insertions} order, then the tick
+    (below the horizon).  Derivations are independent of each other per
+    {!Ndlog_ts.independent}; ticks of nothing.  [observed] is
     the POR visibility hook: the caller asserts its invariant reads
     only the clock, the observed predicates, and their leases (ticks
     are always visible). *)
@@ -96,7 +96,6 @@ val explore :
   ?max_states:int ->
   ?por:bool ->
   ?symmetry:Symmetry.t ->
-  ?independence:Ndlog_ts.independence ->
   config ->
   state Explore.stats
 (** Exploration with both reductions switchable (default off). *)
@@ -105,7 +104,6 @@ val check :
   ?max_states:int ->
   ?por:bool ->
   ?symmetry:Symmetry.t ->
-  ?independence:Ndlog_ts.independence ->
   ?observed:string list ->
   ?stable:bool ->
   config ->

@@ -398,16 +398,8 @@ let ops (s : strand) : op list =
   :: List.map op_of_lit s.rest)
   @ [ Project s.strand_rule.Ast.head ]
 
-(* All strands of a program: one per (rule, positive body literal whose
-   predicate is derived or matches [trigger_preds]). *)
-let compile_program ?(trigger_preds = []) (p : Ast.program) : strand list =
-  let triggers =
-    if trigger_preds <> [] then trigger_preds
-    else
-      (* by default, every predicate can trigger *)
-      List.sort_uniq String.compare
-        (List.concat_map (fun (r : Ast.rule) -> Ast.body_preds r.Ast.body) p.Ast.rules)
-  in
+(* All strands of a program: one per (rule, positive body literal). *)
+let compile_program (p : Ast.program) : strand list =
   List.concat_map
     (fun (r : Ast.rule) ->
       if Ast.has_aggregate r.Ast.head then []
@@ -416,8 +408,7 @@ let compile_program ?(trigger_preds = []) (p : Ast.program) : strand list =
           (List.mapi
              (fun i lit ->
                match lit with
-               | Ast.Pos a when List.mem a.Ast.pred triggers ->
-                 [ compile_strand r ~delta:i ]
+               | Ast.Pos _ -> [ compile_strand r ~delta:i ]
                | _ -> [])
              r.Ast.body))
     p.Ast.rules

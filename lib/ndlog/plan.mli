@@ -168,10 +168,10 @@ val compile_strand : Ast.rule -> delta:int -> strand
     [delta].
     @raise Plan_error on aggregate rules or bad delta positions. *)
 
-val compile_program : ?trigger_preds:string list -> Ast.program -> strand list
+val compile_program : Ast.program -> strand list
 (** All delta strands of a program: one per (rule, positive body
-    literal), restricted to [trigger_preds] when given.  Aggregate rules
-    contribute no strands (they are view-refreshed). *)
+    literal).  Aggregate rules contribute no strands (they are
+    view-refreshed). *)
 
 val ops : strand -> op list
 (** The strand as a pipeline: [Delta], the planned [rest], [Project]. *)

@@ -47,6 +47,12 @@ type rewrite_report = {
 val soft_preds_of : Ast.program -> (string * float) list
 (** Soft predicates with their lifetimes. *)
 
+val guard_lifetime : float -> int
+(** A lifetime on the integer clock: [ceil l].  For integers [Ts] and
+    [T], [Ts + l > T] iff [Ts + ceil l > T], so a tuple stamped at [Ts]
+    is live at exactly the integer instants {!Expiry} keeps it;
+    truncating would kill fractional lifetimes one tick early. *)
+
 val to_hard_state : Ast.program -> rewrite_report
 (** The Section-4.2 translation: every soft predicate gains a trailing
     timestamp column; rules deriving soft predicates read [clock(T)];

@@ -10,8 +10,23 @@ module Programs = Ndlog.Programs
 module Localize = Ndlog.Localize
 module V = Ndlog.Value
 module Topo = Netsim.Topology
-module Runtime = Dist.Runtime
 module Dv = Dist.Dv
+
+(* The view refresh mode of every runtime a case builds without pinning
+   one.  The suite registers those cases once per mode ([modes] at the
+   end of the file), so the from-scratch refresh
+   ([~incremental_views:false], the differential oracle) re-runs
+   everything the incremental refresh runs.  Cases that pin a mode pass
+   it explicitly and run once. *)
+let views_incremental = ref true
+
+module Runtime = struct
+  include Dist.Runtime
+
+  let create ?seed ?(incremental_views = !views_incremental) ?transport
+      ?hosted topo program =
+    create ?seed ~incremental_views ?transport ?hosted topo program
+end
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -1543,100 +1558,136 @@ let test_simulator_accessor_guard () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument from simulator accessor"
 
+(* Registration.  [modes group cases] registers [cases] under [group]
+   with incremental views and again under [group ^ " from scratch"]
+   with the from-scratch refresh: every case that does not pin a mode
+   runs in both.  Supervisor workers build their runtimes in other
+   processes, always with incremental views; the in-process reference
+   runtimes the transport cases compare them with take the mode. *)
+let in_mode incremental cases =
+  List.map
+    (fun (name, speed, f) ->
+      ( name,
+        speed,
+        fun x ->
+          views_incremental := incremental;
+          f x ))
+    cases
+
+let modes group cases =
+  [ (group, in_mode true cases); (group ^ " from scratch", in_mode false cases) ]
+
 let () =
+  let dist_equals_naive = QCheck_alcotest.to_alcotest prop_dist_equals_naive
+  and missing_location =
+    Alcotest.test_case "missing location unreachable" `Quick
+      test_missing_tuple_location_unreachable
+  and remote_view_printer =
+    Alcotest.test_case "remote-view printer and table" `Quick
+      test_remote_view_printer_and_table
+  in
   Alcotest.run "dist"
-    [
-      ( "runtime",
-        [
-          Alcotest.test_case "line = centralized" `Quick test_dist_line;
-          Alcotest.test_case "ring = centralized" `Quick test_dist_ring;
-          Alcotest.test_case "asymmetric costs" `Quick test_dist_asymmetric;
-          Alcotest.test_case "random reachability" `Quick test_dist_random;
-          Alcotest.test_case "reachability scale" `Quick
-            test_dist_reachability_scale;
-          Alcotest.test_case "best path placement" `Quick
-            test_dist_best_path_values;
-          Alcotest.test_case "message accounting" `Quick
-            test_dist_message_accounting;
-          Alcotest.test_case "rejects unlocalized" `Quick
-            test_dist_rejects_unlocalized;
-          Alcotest.test_case "soft state expiry" `Quick
-            test_dist_soft_state_expiry;
-        ] );
-      ( "batching",
-        [
-          QCheck_alcotest.to_alcotest prop_batch_inbox_placement;
-          Alcotest.test_case "same-instant burst groups" `Quick
-            test_same_instant_burst_groups;
-          Alcotest.test_case "trace determinism" `Quick test_trace_determinism;
-          Alcotest.test_case "node-order determinism" `Quick
-            test_node_order_determinism;
-        ] );
-      ( "views",
-        [
-          Alcotest.test_case "shipping diff + soft expiry" `Quick
-            test_view_shipping_diff_and_expiry;
-          Alcotest.test_case "remote deletion rejected" `Quick
-            test_remote_view_check_rejects;
-          Alcotest.test_case "canonical programs accepted" `Quick
-            test_remote_view_check_accepts_canonical;
-        ] );
-      ( "incremental",
-        [
-          QCheck_alcotest.to_alcotest prop_incremental_equivalence;
-          QCheck_alcotest.to_alcotest prop_dist_equals_naive;
-          Alcotest.test_case "dirty marks and clears" `Quick
-            test_dirty_marks_and_clears;
-          Alcotest.test_case "dirty marks expiry" `Quick
-            test_dirty_marks_expiry;
-          Alcotest.test_case "dirty marks flush" `Quick test_dirty_marks_flush;
-          Alcotest.test_case "untouched stratum zero work" `Quick
-            test_untouched_stratum_zero_work;
-          Alcotest.test_case "missing location unreachable" `Quick
-            test_missing_tuple_location_unreachable;
-          Alcotest.test_case "remote-view printer and table" `Quick
-            test_remote_view_printer_and_table;
-          Alcotest.test_case "re-fold tracks expiry" `Quick
-            test_refold_tracks_expiry;
-        ] );
-      ("agg_refold", agg_refold_table);
-      ("naive_oracle", oracle_table_cases);
-      ( "distance_vector",
-        [
-          Alcotest.test_case "converges" `Quick test_dv_converges;
-          Alcotest.test_case "ring shortest" `Quick test_dv_ring_shortest;
-          Alcotest.test_case "count to infinity" `Quick
-            test_dv_count_to_infinity;
-          Alcotest.test_case "stable without failure" `Quick
-            test_dv_no_divergence_without_failure;
-          Alcotest.test_case "alternate path reroute" `Quick
-            test_dv_failure_with_alternate_path;
-          Alcotest.test_case "converges under loss" `Quick
-            test_dv_converges_under_loss;
-        ] );
-      ( "transport",
-        [
-          Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "partial reads" `Quick test_wire_partial_reads;
-          Alcotest.test_case "oversized and bad tag" `Quick
-            test_wire_oversized_and_bad_tag;
-          Alcotest.test_case "truncated stream" `Quick
-            test_wire_truncated_stream;
-          Alcotest.test_case "read timeout" `Quick test_wire_read_timeout;
-          Alcotest.test_case "read_frame keeps back-to-back frames" `Quick
-            test_wire_read_frame_back_to_back;
-          Alcotest.test_case "partial writes" `Quick test_wire_partial_writes;
-          Alcotest.test_case "supervisor matches simulator" `Quick
-            test_supervisor_matches_sim;
-          Alcotest.test_case "supervisor closes its descriptors" `Quick
-            test_supervisor_no_fd_leak;
-          Alcotest.test_case "no premature convergence" `Quick
-            test_supervisor_no_premature_convergence;
-          Alcotest.test_case "timeout kills and reaps" `Quick
-            test_supervisor_timeout;
-          Alcotest.test_case "rejects foreign hosted" `Quick
-            test_runtime_rejects_foreign_hosted;
-          Alcotest.test_case "simulator accessor guard" `Quick
-            test_simulator_accessor_guard;
-        ] );
-    ]
+    (List.concat
+       [
+         modes "runtime"
+           [
+             Alcotest.test_case "line = centralized" `Quick test_dist_line;
+             Alcotest.test_case "ring = centralized" `Quick test_dist_ring;
+             Alcotest.test_case "asymmetric costs" `Quick test_dist_asymmetric;
+             Alcotest.test_case "random reachability" `Quick test_dist_random;
+             Alcotest.test_case "reachability scale" `Quick
+               test_dist_reachability_scale;
+             Alcotest.test_case "best path placement" `Quick
+               test_dist_best_path_values;
+             Alcotest.test_case "message accounting" `Quick
+               test_dist_message_accounting;
+             Alcotest.test_case "rejects unlocalized" `Quick
+               test_dist_rejects_unlocalized;
+             Alcotest.test_case "soft state expiry" `Quick
+               test_dist_soft_state_expiry;
+           ];
+         modes "batching"
+           [
+             QCheck_alcotest.to_alcotest prop_batch_inbox_placement;
+             Alcotest.test_case "same-instant burst groups" `Quick
+               test_same_instant_burst_groups;
+             Alcotest.test_case "trace determinism" `Quick
+               test_trace_determinism;
+             Alcotest.test_case "node-order determinism" `Quick
+               test_node_order_determinism;
+           ];
+         modes "views"
+           [
+             Alcotest.test_case "shipping diff + soft expiry" `Quick
+               test_view_shipping_diff_and_expiry;
+             Alcotest.test_case "remote deletion rejected" `Quick
+               test_remote_view_check_rejects;
+             Alcotest.test_case "canonical programs accepted" `Quick
+               test_remote_view_check_accepts_canonical;
+           ];
+         (* The mode-pinned cases run once, under the group's own name. *)
+         [
+           ( "incremental",
+             in_mode true
+               [
+                 QCheck_alcotest.to_alcotest prop_incremental_equivalence;
+                 dist_equals_naive;
+                 Alcotest.test_case "dirty marks and clears" `Quick
+                   test_dirty_marks_and_clears;
+                 Alcotest.test_case "dirty marks expiry" `Quick
+                   test_dirty_marks_expiry;
+                 Alcotest.test_case "dirty marks flush" `Quick
+                   test_dirty_marks_flush;
+                 Alcotest.test_case "untouched stratum zero work" `Quick
+                   test_untouched_stratum_zero_work;
+                 missing_location;
+                 remote_view_printer;
+                 Alcotest.test_case "re-fold tracks expiry" `Quick
+                   test_refold_tracks_expiry;
+               ] );
+           ( "incremental from scratch",
+             in_mode false
+               [ dist_equals_naive; missing_location; remote_view_printer ] );
+           ("agg_refold", agg_refold_table);
+         ];
+         modes "naive_oracle" oracle_table_cases;
+         modes "distance_vector"
+           [
+             Alcotest.test_case "converges" `Quick test_dv_converges;
+             Alcotest.test_case "ring shortest" `Quick test_dv_ring_shortest;
+             Alcotest.test_case "count to infinity" `Quick
+               test_dv_count_to_infinity;
+             Alcotest.test_case "stable without failure" `Quick
+               test_dv_no_divergence_without_failure;
+             Alcotest.test_case "alternate path reroute" `Quick
+               test_dv_failure_with_alternate_path;
+             Alcotest.test_case "converges under loss" `Quick
+               test_dv_converges_under_loss;
+           ];
+         modes "transport"
+           [
+             Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+             Alcotest.test_case "partial reads" `Quick test_wire_partial_reads;
+             Alcotest.test_case "oversized and bad tag" `Quick
+               test_wire_oversized_and_bad_tag;
+             Alcotest.test_case "truncated stream" `Quick
+               test_wire_truncated_stream;
+             Alcotest.test_case "read timeout" `Quick test_wire_read_timeout;
+             Alcotest.test_case "read_frame keeps back-to-back frames" `Quick
+               test_wire_read_frame_back_to_back;
+             Alcotest.test_case "partial writes" `Quick
+               test_wire_partial_writes;
+             Alcotest.test_case "supervisor matches simulator" `Quick
+               test_supervisor_matches_sim;
+             Alcotest.test_case "supervisor closes its descriptors" `Quick
+               test_supervisor_no_fd_leak;
+             Alcotest.test_case "no premature convergence" `Quick
+               test_supervisor_no_premature_convergence;
+             Alcotest.test_case "timeout kills and reaps" `Quick
+               test_supervisor_timeout;
+             Alcotest.test_case "rejects foreign hosted" `Quick
+               test_runtime_rejects_foreign_hosted;
+             Alcotest.test_case "simulator accessor guard" `Quick
+               test_simulator_accessor_guard;
+           ];
+       ])

@@ -203,7 +203,7 @@ let test_explore_index_independence () =
   let program =
     Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
   in
-  let sys = Mcheck.Ndlog_ts.system program in
+  let sys = Mcheck.Ndlog_ts.labeled_system program in
   let cold db =
     List.fold_left
       (fun acc (pred, t) -> Store.add pred t acc)
@@ -279,7 +279,7 @@ let test_explore_interning_independence () =
         program.A.facts
     in
     Mcheck.Explore.explore ~max_states:5_000
-      (Mcheck.Ndlog_ts.system { program with A.facts })
+      (Mcheck.Ndlog_ts.labeled_system { program with A.facts })
   in
   let on = explore_with Ndlog.Intern.canon and off = explore_with fresh in
   checki "states independent of interning" off.Mcheck.Explore.states

@@ -638,12 +638,48 @@ p1 pair(@S,C) :- link(@S,D,C).
 
 let test_a2_pin_175 () =
   let p = Programs.with_links (Programs.reachability ()) (Programs.line_links 3) in
-  let plain = Explore.explore ~max_states:20_000 (NT.system p) in
+  let sys = NT.labeled_system p in
+  let plain = Explore.explore ~max_states:20_000 sys in
   checki "A2 fine-grained baseline" 175 plain.Explore.states;
-  (* the labeled system with both reductions off explores the same space *)
-  let labeled = NT.explore ~max_states:20_000 p in
-  checki "labeled = unlabeled" 175 labeled.Explore.states;
-  checki "same transitions" plain.Explore.transitions labeled.Explore.transitions
+  (* both reductions off: the entry point explores the same space *)
+  let entry = NT.explore ~max_states:20_000 p in
+  checki "explore = labeled system" 175 entry.Explore.states;
+  checki "same transitions" plain.Explore.transitions entry.Explore.transitions;
+  (* an action is its insertion: the initial state's labels are exactly
+     the enabled insertions, in their order *)
+  let init = List.hd sys.Explore.initial in
+  let labels = List.map fst (Option.get sys.Explore.actions init) in
+  checkb "labels = enabled insertions" true
+    (List.equal
+       (fun a b -> NT.insertion_compare a b = 0)
+       labels (NT.enabled_insertions p init))
+
+(* ------------------------------------------------------------------ *)
+(* Soft-state leases on the integer clock. *)
+
+(* A fractional lifetime lives as long as under Softstate.Expiry
+   (dead once [deadline <= now]): materialize(ping, 1.5) injected at
+   clock 0 is live at clock 1 (deadline 1.5) and gone at clock 2, in
+   every reachable state.  Truncating the lifetime to one tick would
+   expire it at clock 1. *)
+let test_soft_fractional_lifetime () =
+  let ping = [| V.Addr "n0"; V.Addr "n1" |] in
+  let cfg =
+    ST.make_config ~horizon:3
+      ~inject:(fun t -> if t = 0 then [ ("ping", ping) ] else [])
+      { Ast.empty_program with
+        Ast.decls = [ Ast.decl ~lifetime:(Ast.Lifetime 1.5) "ping" ] }
+  in
+  let live (s : ST.state) = Store.mem "ping" ping s.ST.db in
+  match
+    ST.check cfg (fun s ->
+        match s.ST.clock with 0 | 1 -> live s | _ -> not (live s))
+  with
+  | Ok stats -> checki "one state per instant" 4 stats.Explore.states
+  | Error v ->
+    Alcotest.failf "ping %s at clock %d"
+      (if live v.Explore.violating then "still live" else "expired")
+      v.Explore.violating.ST.clock
 
 (* ------------------------------------------------------------------ *)
 (* E2 (count-to-infinity) and E3 (Disagree) counterexample replay. *)
@@ -762,7 +798,7 @@ let prop_reduction_sound =
       | Some (p, observed, inv) ->
         let max_states = 30_000 in
         let sym = Sym.of_topology topo in
-        let plain = Explore.explore ~max_states (NT.system p) in
+        let plain = NT.explore ~max_states p in
         if plain.Explore.truncated then true
         else begin
         let por = NT.explore ~max_states ~por:true p in
@@ -851,7 +887,7 @@ a1 alive(@X,Y) :- ping(@X,Y).
           prog
       in
       let sym = Sym.of_topology (Topology.star k) in
-      let plain = Explore.explore (ST.system cfg) in
+      let plain = ST.explore cfg in
       let por = ST.explore ~por:true cfg in
       let symr = ST.explore ~symmetry:sym cfg in
       let both = ST.explore ~por:true ~symmetry:sym cfg in
@@ -939,6 +975,8 @@ let () =
           Alcotest.test_case "value-aware insertion order" `Quick
             test_insertion_order_value_aware;
           Alcotest.test_case "A2 pinned at 175" `Quick test_a2_pin_175;
+          Alcotest.test_case "fractional lifetime rounds up" `Quick
+            test_soft_fractional_lifetime;
           Alcotest.test_case "E2 counterexamples replay" `Quick
             test_e2_count_to_infinity_trace;
           Alcotest.test_case "E3 Disagree replay" `Quick test_e3_disagree_trace;

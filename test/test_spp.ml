@@ -265,8 +265,7 @@ let test_soft_refresh_keeps_alive () =
   (* With refreshes, there is a run where alive persists at the
      horizon: witnessed by a reachable state at max clock containing
      alive. *)
-  let sys = Soft.system cfg in
-  let stats = Mcheck.Explore.explore sys in
+  let stats = Soft.explore cfg in
   checkb "alive reachable at horizon" true
     (List.exists
        (fun (s : Soft.state) ->
