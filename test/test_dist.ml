@@ -13,11 +13,10 @@ module Topo = Netsim.Topology
 module Dv = Dist.Dv
 
 (* The view refresh mode of every runtime a case builds without pinning
-   one.  The suite registers those cases once per mode ([modes] at the
+   one.  The suite registers every case once per mode ([modes] at the
    end of the file), so the from-scratch refresh
    ([~incremental_views:false], the differential oracle) re-runs
-   everything the incremental refresh runs.  Cases that pin a mode pass
-   it explicitly and run once. *)
+   everything the incremental refresh runs. *)
 let views_incremental = ref true
 
 module Runtime = struct
@@ -1558,12 +1557,13 @@ let test_simulator_accessor_guard () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument from simulator accessor"
 
-(* Registration.  [modes group cases] registers [cases] under [group]
-   with incremental views and again under [group ^ " from scratch"]
-   with the from-scratch refresh: every case that does not pin a mode
-   runs in both.  Supervisor workers build their runtimes in other
-   processes, always with incremental views; the in-process reference
-   runtimes the transport cases compare them with take the mode. *)
+(* Registration.  Every group runs twice: under its own name with
+   incremental views, and under [group ^ " from scratch"] with the
+   from-scratch refresh as the default of every runtime a case builds.
+   Cases that pin a mode run the same way in both.  Supervisor workers
+   build their runtimes in other processes, always with incremental
+   views; the in-process reference runtimes the transport cases compare
+   them with take the mode. *)
 let in_mode incremental cases =
   List.map
     (fun (name, speed, f) ->
@@ -1574,22 +1574,14 @@ let in_mode incremental cases =
           f x ))
     cases
 
-let modes group cases =
+let modes (group, cases) =
   [ (group, in_mode true cases); (group ^ " from scratch", in_mode false cases) ]
 
 let () =
-  let dist_equals_naive = QCheck_alcotest.to_alcotest prop_dist_equals_naive
-  and missing_location =
-    Alcotest.test_case "missing location unreachable" `Quick
-      test_missing_tuple_location_unreachable
-  and remote_view_printer =
-    Alcotest.test_case "remote-view printer and table" `Quick
-      test_remote_view_printer_and_table
-  in
   Alcotest.run "dist"
-    (List.concat
+    (List.concat_map modes
        [
-         modes "runtime"
+         ( "runtime",
            [
              Alcotest.test_case "line = centralized" `Quick test_dist_line;
              Alcotest.test_case "ring = centralized" `Quick test_dist_ring;
@@ -1605,8 +1597,8 @@ let () =
                test_dist_rejects_unlocalized;
              Alcotest.test_case "soft state expiry" `Quick
                test_dist_soft_state_expiry;
-           ];
-         modes "batching"
+           ] );
+         ( "batching",
            [
              QCheck_alcotest.to_alcotest prop_batch_inbox_placement;
              Alcotest.test_case "same-instant burst groups" `Quick
@@ -1615,8 +1607,8 @@ let () =
                test_trace_determinism;
              Alcotest.test_case "node-order determinism" `Quick
                test_node_order_determinism;
-           ];
-         modes "views"
+           ] );
+         ( "views",
            [
              Alcotest.test_case "shipping diff + soft expiry" `Quick
                test_view_shipping_diff_and_expiry;
@@ -1624,34 +1616,29 @@ let () =
                test_remote_view_check_rejects;
              Alcotest.test_case "canonical programs accepted" `Quick
                test_remote_view_check_accepts_canonical;
-           ];
-         (* The mode-pinned cases run once, under the group's own name. *)
-         [
-           ( "incremental",
-             in_mode true
-               [
-                 QCheck_alcotest.to_alcotest prop_incremental_equivalence;
-                 dist_equals_naive;
-                 Alcotest.test_case "dirty marks and clears" `Quick
-                   test_dirty_marks_and_clears;
-                 Alcotest.test_case "dirty marks expiry" `Quick
-                   test_dirty_marks_expiry;
-                 Alcotest.test_case "dirty marks flush" `Quick
-                   test_dirty_marks_flush;
-                 Alcotest.test_case "untouched stratum zero work" `Quick
-                   test_untouched_stratum_zero_work;
-                 missing_location;
-                 remote_view_printer;
-                 Alcotest.test_case "re-fold tracks expiry" `Quick
-                   test_refold_tracks_expiry;
-               ] );
-           ( "incremental from scratch",
-             in_mode false
-               [ dist_equals_naive; missing_location; remote_view_printer ] );
-           ("agg_refold", agg_refold_table);
-         ];
-         modes "naive_oracle" oracle_table_cases;
-         modes "distance_vector"
+           ] );
+         ( "incremental",
+           [
+             QCheck_alcotest.to_alcotest prop_incremental_equivalence;
+             QCheck_alcotest.to_alcotest prop_dist_equals_naive;
+             Alcotest.test_case "dirty marks and clears" `Quick
+               test_dirty_marks_and_clears;
+             Alcotest.test_case "dirty marks expiry" `Quick
+               test_dirty_marks_expiry;
+             Alcotest.test_case "dirty marks flush" `Quick
+               test_dirty_marks_flush;
+             Alcotest.test_case "untouched stratum zero work" `Quick
+               test_untouched_stratum_zero_work;
+             Alcotest.test_case "missing location unreachable" `Quick
+               test_missing_tuple_location_unreachable;
+             Alcotest.test_case "remote-view printer and table" `Quick
+               test_remote_view_printer_and_table;
+             Alcotest.test_case "re-fold tracks expiry" `Quick
+               test_refold_tracks_expiry;
+           ] );
+         ("agg_refold", agg_refold_table);
+         ("naive_oracle", oracle_table_cases);
+         ( "distance_vector",
            [
              Alcotest.test_case "converges" `Quick test_dv_converges;
              Alcotest.test_case "ring shortest" `Quick test_dv_ring_shortest;
@@ -1663,8 +1650,8 @@ let () =
                test_dv_failure_with_alternate_path;
              Alcotest.test_case "converges under loss" `Quick
                test_dv_converges_under_loss;
-           ];
-         modes "transport"
+           ] );
+         ( "transport",
            [
              Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
              Alcotest.test_case "partial reads" `Quick test_wire_partial_reads;
@@ -1689,5 +1676,5 @@ let () =
                test_runtime_rejects_foreign_hosted;
              Alcotest.test_case "simulator accessor guard" `Quick
                test_simulator_accessor_guard;
-           ];
+           ] );
        ])
