@@ -470,26 +470,6 @@ let e6 () =
 (* ------------------------------------------------------------------ *)
 (* E7: NDlog execution scaling. *)
 
-(* One E7 sweep point: semi-naive with the index layer on vs. off (the
-   pre-index nested-loop engine: full scans, source-order bodies). *)
-type sweep_row = {
-  sw_prog : string;
-  sw_topo : string;
-  sw_n : int;  (* parameter: ring size or grid side *)
-  sw_nodes : int;
-  sw_tuples : int;  (* fixpoint database size *)
-  sw_rounds : int;
-  sw_idx_ms : float;
-  sw_base_ms : float;
-  sw_hits : int;  (* indexed run: joins answered from an index *)
-  sw_scans : int;  (* indexed run: joins that still scanned *)
-  sw_enum_idx : int;  (* tuples enumerated, indexed run *)
-  sw_enum_base : int;  (* tuples enumerated, baseline run *)
-  sw_same : bool;  (* identical fixpoint, rounds, convergence *)
-}
-
-let sw_speedup r = r.sw_base_ms /. Float.max 1e-6 r.sw_idx_ms
-
 (* Time one semi-naive fixpoint with optimized joins (index probes and
    most-bound-first body ordering) on or off.  Each outcome carries its
    own per-run counters. *)
@@ -500,14 +480,15 @@ let timed_seminaive ~optimized p info db =
   in
   (o, t, o.Ndlog.Eval.stats)
 
+(* One E7 sweep point: semi-naive with the index layer on vs. off. *)
 let sweep_point ~prog_name ~topo_name ~n ~nodes (p : Ndlog.Ast.program) :
-    sweep_row =
+    Ledger.sweep_row =
   let info = Ndlog.Analysis.analyze_exn p in
   let db = Ndlog.Store.of_facts p.Ndlog.Ast.facts in
   let base, t_base, st_base = timed_seminaive ~optimized:false p info db in
   let idx, t_idx, st_idx = timed_seminaive ~optimized:true p info db in
   {
-    sw_prog = prog_name;
+    Ledger.sw_prog = prog_name;
     sw_topo = topo_name;
     sw_n = n;
     sw_nodes = nodes;
@@ -545,33 +526,8 @@ let topo_of_link_facts links =
    message count while skipping untouched strata and enumerating
    strictly fewer tuples on the view path. *)
 
-type incr_row = {
-  iv_prog : string;
-  iv_topo : string;
-  iv_n : int;
-  iv_nodes : int;
-  iv_tuples : int;  (* global fixpoint database size *)
-  iv_msgs : int;  (* messages sent (identical in both modes) *)
-  iv_incr_ms : float;
-  iv_scratch_ms : float;
-  iv_skipped : int;  (* incremental run: untouched strata skipped *)
-  iv_refolded : int;  (* incremental run: aggregate strata re-folded *)
-  iv_fallbacks : int;  (* incremental run: from-scratch fallbacks *)
-  iv_enum_incr : int;  (* view-path tuples enumerated, incremental *)
-  iv_enum_scratch : int;  (* view-path tuples enumerated, from-scratch *)
-  iv_same : bool;  (* identical global fixpoint, stores, messages *)
-}
-
-let iv_speedup r = r.iv_scratch_ms /. Float.max 1e-6 r.iv_incr_ms
-
-let iv_enum_saved r =
-  if r.iv_enum_scratch = 0 then 0.0
-  else
-    100.
-    *. float_of_int (r.iv_enum_scratch - r.iv_enum_incr)
-    /. float_of_int r.iv_enum_scratch
-
-let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
+let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links :
+    Ledger.incr_row =
   let loc =
     match
       Ndlog.Localize.rewrite_program (Ndlog.Programs.with_links prog links)
@@ -660,7 +616,7 @@ let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
            view_s.Ndlog.Eval.enumerated)
   end;
   {
-    iv_prog = prog_name;
+    Ledger.iv_prog = prog_name;
     iv_topo = topo_name;
     iv_n = n;
     iv_nodes = nodes;
@@ -696,26 +652,6 @@ let incr_point ~prog_name ~topo_name ~n ~nodes ~strict prog links : incr_row =
    regenerations of this experiment compared the id-native runtime
    against a boxed twin, and before that interned vs. uninterned boxed
    stores; those ratios live on in the ledger history.) *)
-
-type churn_row = {
-  ch_nodes : int;
-  ch_events : int;  (* events driven, including warmup *)
-  ch_measured : int;  (* events in the measurement window *)
-  ch_inserts : int;  (* store insertions during the window *)
-  ch_wall_s : float;  (* wall clock of the window *)
-  ch_tuples_per_sec : float;  (* window insertions / window wall *)
-  ch_events_per_sec : float;
-  ch_p50_us : float;  (* per-event latency percentiles over the window *)
-  ch_p99_us : float;
-  ch_max_us : float;
-  ch_live_words : int;  (* Gc live words after the run (post full major) *)
-  ch_heap_words : int;  (* Gc.quick_stat heap words *)
-  ch_interned : int;  (* intern table population at end of run *)
-  ch_msgs : int;  (* simulator messages sent, summed over every run report *)
-  ch_tuples : int;  (* live global store size at cut-off *)
-  ch_refresh_s : float;  (* wall spent in view-refresh walks (window) *)
-  ch_refresh_walks : int;  (* refresh walks in the window *)
-}
 
 (* The routing program with every relation on a lease: the paper's
    path-vector protocol (Section 2.2) with a hop bound so churn stays
@@ -878,7 +814,7 @@ let churn_run ~n ~events ~warmup ~lifetime ~dt =
   in
   let row =
     {
-      ch_nodes = n;
+      Ledger.ch_nodes = n;
       ch_events = events;
       ch_measured = measured;
       ch_inserts = inserts;
@@ -899,38 +835,11 @@ let churn_run ~n ~events ~warmup ~lifetime ~dt =
   in
   (row, (global, node_stores, rep.Dist.Runtime.total_inserts))
 
-(* Field-wise median across repetitions.  The counters that
-   are deterministic (inserts, messages, tuples, events) are asserted
-   identical across repetitions by the digest check, so taking them
-   from the first row is exact; the timing-dependent fields get the
-   median, which a single outlier repetition cannot move. *)
-let churn_median (rows : churn_row list) : churn_row =
-  let medf proj =
-    let a = Array.of_list (List.map proj rows) in
-    Array.sort Stdlib.compare a;
-    a.(Array.length a / 2)
-  in
-  {
-    (List.hd rows) with
-    ch_wall_s = medf (fun r -> r.ch_wall_s);
-    ch_tuples_per_sec = medf (fun r -> r.ch_tuples_per_sec);
-    ch_events_per_sec = medf (fun r -> r.ch_events_per_sec);
-    ch_p50_us = medf (fun r -> r.ch_p50_us);
-    ch_p99_us = medf (fun r -> r.ch_p99_us);
-    ch_max_us = medf (fun r -> r.ch_max_us);
-    ch_live_words = int_of_float (medf (fun r -> float_of_int r.ch_live_words));
-    ch_heap_words = int_of_float (medf (fun r -> float_of_int r.ch_heap_words));
-    ch_refresh_s = medf (fun r -> r.ch_refresh_s);
-  }
-
-(* Share of the measurement window spent in view-refresh walks. *)
-let churn_refresh_share r = r.ch_refresh_s /. Float.max 1e-9 r.ch_wall_s
-
 (* [reps] repetitions of the stream, in order.  Back-to-back runs on a
    shared machine spread well above the effects the ledger tracks, so
-   the headline is the field-wise median ([churn_median]) and every
+   the headline is the column-wise median ([Ledger.churn_median]) and every
    repetition is kept for the spread. *)
-let churn_point ~n ~events ~reps : churn_row list =
+let churn_point ~n ~events ~reps : Ledger.churn_row list =
   (* Offers recur every 2n events (dt = 1): a 3n lifetime outlives a
      kept offer cycle but lapses across a withheld one. *)
   let dt = 1.0 in
@@ -945,12 +854,12 @@ let churn_point ~n ~events ~reps : churn_row list =
          simulated instant, so any divergence across repetitions — in
          stores, inserts or messages — fails the run loudly. *)
       (match !digest with
-      | None -> digest := Some (g, ns, ins, row.ch_msgs)
+      | None -> digest := Some (g, ns, ins, row.Ledger.ch_msgs)
       | Some (g0, ns0, ins0, msgs0) ->
         if
           not
             (Ndlog.Store.equal g g0
-            && ins = ins0 && row.ch_msgs = msgs0
+            && ins = ins0 && row.Ledger.ch_msgs = msgs0
             && List.for_all2
                  (fun (nm, s) (nm0, s0) -> nm = nm0 && Ndlog.Store.equal s s0)
                  ns ns0)
@@ -958,397 +867,36 @@ let churn_point ~n ~events ~reps : churn_row list =
       row)
 
 (* The machine-readable ledger (BENCH_ndlog.json, schema 13).
-   E7, E13–E17 stash their sweep rows here; the harness emits one
-   document at the end of the run.  The previous ledger's run history is
-   carried forward and the finished run appended, so the committed file
-   records how the numbers moved across regenerations. *)
+   E7, E13–E17 fill their [Ledger] sections' rows; the harness emits
+   one document at the end of the run.  The previous ledger's run
+   history is carried forward and the finished run appended, so the
+   committed file records how the numbers moved across
+   regenerations. *)
 
 let json_out = ref false
 let bench_json_path = "BENCH_ndlog.json"
-let e7_sweeps : sweep_row list ref = ref []
-let e13_rows : incr_row list ref = ref []
-let e14_rows : churn_row list ref = ref []
-
-(* E15 machinery: where the id/boxed boundary may sit, in nanoseconds.
-
-   The id-native executor keeps tuples as int arrays end to end and
-   translates to boxed values only at true system boundaries (builtins,
-   provenance, printers, the wire's canonical sort).  This experiment
-   prices the alternatives per operation: an id equality probe vs. the
-   boxed structural compare it replaces, and the hash-cons translation
-   ([Intern.tuple_ids]) a design that boxed per probe — or translated
-   per probe — would pay inside the join loop.  The rows feed the
-   ledger; the headline ratios are the id probe's speedup over the
-   boxed probe and the translation's cost relative to the boxed probe
-   it would hypothetically replace. *)
-type xlate_row = { xl_op : string; xl_ns : float }
-
-let e15_rows : xlate_row list ref = ref []
-
-(* The path-builtin rows, by name: [check_json] requires both. *)
-let e15_cons_4 = "cons onto interned path (length 4)"
-let e15_cons_32 = "cons onto interned path (length 32)"
-
-(* E16: the socket transport against the simulator backend.  One row
-   per ring size: the supervisor forks a real OS process per node and
-   the same program runs on the virtual-clock simulator; both fixpoints
-   must agree node by node. *)
-type mproc_row = {
-  mp_nodes : int;  (* ring size = worker process count *)
-  mp_wall_s : float;  (* fork to detected quiescence, wall clock *)
-  mp_sim_wall_s : float;  (* the simulator backend on the same input *)
-  mp_frames : int;  (* cross-process data frames *)
-  mp_bytes : int;  (* their wire bytes, length prefixes included *)
-  mp_inserts : int;  (* tuple insertions summed over workers *)
-  mp_polls : int;  (* confirmation poll waves until convergence *)
-  mp_sim_msgs : int;  (* messages the simulator shipped *)
-  mp_same : bool;  (* per-node fixpoints equal across backends *)
-}
-
-let e16_rows : mproc_row list ref = ref []
-
-(* E17: the model checker's reduction layer.  One row per (system,
-   program, topology, mode) — mode is plain, por, sym or both — with the visited-state count, the invariant verdict, and
-   the counterexample length when the verdict is a violation.  Verdict
-   equality across the modes of a cell is asserted by the experiment
-   itself; the rows carry the reduction factors the docs quote. *)
-type red_row = {
-  rd_system : string;  (* "ndlog" or "soft" *)
-  rd_prog : string;
-  rd_topo : string;
-  rd_mode : string;
-  rd_states : int;  (* 0 for verdict-only rows (diverging plain space) *)
-  rd_transitions : int;
-  rd_truncated : bool;
-  rd_wall_s : float;
-  rd_verdict : string;  (* "ok" | "violation" | "truncated" *)
-  rd_trace_len : int;  (* counterexample length, 0 when none *)
-}
-
-let e17_rows : red_row list ref = ref []
 
 let emit_bench_json () =
-  let e7_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.sw_prog);
-        ("topology", Json.Str r.sw_topo);
-        ("n", Json.Int r.sw_n);
-        ("nodes", Json.Int r.sw_nodes);
-        ("tuples", Json.Int r.sw_tuples);
-        ("rounds", Json.Int r.sw_rounds);
-        ("indexed_ms", Json.Float r.sw_idx_ms);
-        ("baseline_ms", Json.Float r.sw_base_ms);
-        ("speedup", Json.Float (sw_speedup r));
-        ("index_hits", Json.Int r.sw_hits);
-        ("scans", Json.Int r.sw_scans);
-        ("enumerated_indexed", Json.Int r.sw_enum_idx);
-        ("enumerated_baseline", Json.Int r.sw_enum_base);
-        ("same_fixpoint", Json.Bool r.sw_same);
-      ]
-  in
-  let largest =
-    List.fold_left
-      (fun acc r -> match acc with
-        | Some best when best.sw_nodes >= r.sw_nodes -> acc
-        | _ -> Some r)
-      None !e7_sweeps
-  in
-  let largest_speedup =
-    match largest with Some r -> Json.Float (sw_speedup r) | None -> Json.Null
-  in
-  let e13_row r =
-    Json.Obj
-      [
-        ("program", Json.Str r.iv_prog);
-        ("topology", Json.Str r.iv_topo);
-        ("n", Json.Int r.iv_n);
-        ("nodes", Json.Int r.iv_nodes);
-        ("tuples", Json.Int r.iv_tuples);
-        ("messages", Json.Int r.iv_msgs);
-        ("incremental_ms", Json.Float r.iv_incr_ms);
-        ("scratch_ms", Json.Float r.iv_scratch_ms);
-        ("speedup", Json.Float (iv_speedup r));
-        ("strata_skipped", Json.Int r.iv_skipped);
-        ("strata_refolded", Json.Int r.iv_refolded);
-        ("refresh_fallbacks", Json.Int r.iv_fallbacks);
-        ("enumerated_incremental", Json.Int r.iv_enum_incr);
-        ("enumerated_scratch", Json.Int r.iv_enum_scratch);
-        ("enum_saved_pct", Json.Float (iv_enum_saved r));
-        ("enum_reduced", Json.Bool (r.iv_enum_incr < r.iv_enum_scratch));
-        ("same_fixpoint", Json.Bool r.iv_same);
-      ]
-  in
-  let e13_total_skipped =
-    match !e13_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Int (List.fold_left (fun acc r -> acc + r.iv_skipped) 0 rows)
-  in
-  let e13_max_saved =
-    match !e13_rows with
-    | [] -> Json.Null
-    | rows ->
-      Json.Float
-        (List.fold_left (fun acc r -> Float.max acc (iv_enum_saved r)) 0.0 rows)
-  in
-  let e13_all_same =
-    match !e13_rows with
-    | [] -> Json.Null
-    | rows -> Json.Bool (List.for_all (fun r -> r.iv_same) rows)
-  in
-  let e14_row r =
-    Json.Obj
-      [
-        ("nodes", Json.Int r.ch_nodes);
-        ("events", Json.Int r.ch_events);
-        ("measured_events", Json.Int r.ch_measured);
-        ("inserts", Json.Int r.ch_inserts);
-        ("wall_s", Json.Float r.ch_wall_s);
-        ("tuples_per_sec", Json.Float r.ch_tuples_per_sec);
-        ("events_per_sec", Json.Float r.ch_events_per_sec);
-        ("p50_us", Json.Float r.ch_p50_us);
-        ("p99_us", Json.Float r.ch_p99_us);
-        ("max_us", Json.Float r.ch_max_us);
-        ("live_words", Json.Int r.ch_live_words);
-        ("heap_words", Json.Int r.ch_heap_words);
-        ("interned_values", Json.Int r.ch_interned);
-        ("messages", Json.Int r.ch_msgs);
-        ("tuples", Json.Int r.ch_tuples);
-        ("refresh_s", Json.Float r.ch_refresh_s);
-        ("refresh_walks", Json.Int r.ch_refresh_walks);
-        ("refresh_share", Json.Float (churn_refresh_share r));
-      ]
-  in
-  (* Headline figures: field-wise medians over the repetitions, null
-     when e14 did not run. *)
-  let e14_med f =
-    match !e14_rows with [] -> Json.Null | rows -> f (churn_median rows)
-  in
-  let e15_row r =
-    Json.Obj [ ("op", Json.Str r.xl_op); ("ns_per_op", Json.Float r.xl_ns) ]
-  in
-  let e15_ns op =
-    match List.find_opt (fun r -> r.xl_op = op) !e15_rows with
-    | Some r -> Some r.xl_ns
-    | None -> None
-  in
-  let e15_ratio num den =
-    match (e15_ns num, e15_ns den) with
-    | Some a, Some b when b > 0.0 -> Json.Float (a /. b)
-    | _ -> Json.Null
-  in
-  let e15_probe_speedup = e15_ratio "boxed tuple equal" "id tuple equal" in
-  let e15_translation_overhead =
-    e15_ratio "translate boxed->ids (tuple_ids)" "boxed tuple equal"
-  in
-  let e16_row r =
-    Json.Obj
-      [
-        ("nodes", Json.Int r.mp_nodes);
-        ("processes", Json.Int r.mp_nodes);
-        ("wall_s", Json.Float r.mp_wall_s);
-        ("sim_wall_s", Json.Float r.mp_sim_wall_s);
-        ("data_frames", Json.Int r.mp_frames);
-        ("data_bytes", Json.Int r.mp_bytes);
-        ("inserts", Json.Int r.mp_inserts);
-        ("polls", Json.Int r.mp_polls);
-        ("sim_messages", Json.Int r.mp_sim_msgs);
-        ("same_fixpoint", Json.Bool r.mp_same);
-      ]
-  in
-  let e16_largest =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | Some best when best.mp_nodes >= r.mp_nodes -> acc
-        | _ -> Some r)
-      None !e16_rows
-  in
-  let e16_all_same =
-    match !e16_rows with
-    | [] -> Json.Null
-    | rows -> Json.Bool (List.for_all (fun r -> r.mp_same) rows)
-  in
-  let e16_find f =
-    match e16_largest with Some r -> f r | None -> Json.Null
-  in
-  let e17_row r =
-    Json.Obj
-      [
-        ("system", Json.Str r.rd_system);
-        ("program", Json.Str r.rd_prog);
-        ("topology", Json.Str r.rd_topo);
-        ("mode", Json.Str r.rd_mode);
-        ("states", Json.Int r.rd_states);
-        ("transitions", Json.Int r.rd_transitions);
-        ("truncated", Json.Bool r.rd_truncated);
-        ("wall_s", Json.Float r.rd_wall_s);
-        ("verdict", Json.Str r.rd_verdict);
-        ("trace_len", Json.Int r.rd_trace_len);
-      ]
-  in
-  let e17_key r = (r.rd_system, r.rd_prog, r.rd_topo) in
-  (* Headline reduction: the best plain/both visited-state ratio over
-     cells whose plain exploration completed. *)
-  let e17_best_reduction =
-    match
-      List.fold_left
-        (fun acc r ->
-          if r.rd_mode <> "both" || r.rd_states = 0 then acc
-          else
-            match
-              List.find_opt
-                (fun p ->
-                  p.rd_mode = "plain" && (not p.rd_truncated)
-                  && p.rd_states > 0
-                  && e17_key p = e17_key r)
-                !e17_rows
-            with
-            | Some p ->
-              Float.max acc
-                (float_of_int p.rd_states /. float_of_int r.rd_states)
-            | None -> acc)
-        0. !e17_rows
-    with
-    | 0. -> Json.Null
-    | x -> Json.Float x
-  in
-  let e17_all_agree =
-    match !e17_rows with
-    | [] -> Json.Null
-    | rows ->
-      let keys = List.sort_uniq compare (List.map e17_key rows) in
-      Json.Bool
-        (List.for_all
-           (fun k ->
-             let vs =
-               List.filter_map
-                 (fun r ->
-                   if e17_key r = k && r.rd_verdict <> "truncated" then
-                     Some r.rd_verdict
-                   else None)
-                 rows
-             in
-             match vs with [] -> true | v :: rest -> List.for_all (( = ) v) rest)
-           keys)
-  in
-  let now = int_of_float (Unix.time ()) in
-  let host_cores = Domain.recommended_domain_count () in
-  (* Carry the previous ledger's history forward; a missing, unreadable
-     or pre-schema file contributes none. *)
-  let prior_history =
+  (* A missing, unreadable or pre-schema file contributes no history. *)
+  let prior =
     match (try Json.of_file bench_json_path with Sys_error _ -> Error "absent")
     with
-    | Ok v -> (
-      match Option.bind (Json.member "history" v) Json.as_arr with
-      | Some l -> l
-      | None -> [])
+    | Ok v -> Ledger.prior_history v
     | Error _ -> []
   in
-  let entry =
-    Json.Obj
-      [
-        ("unix_time", Json.Int now);
-        ("quick", Json.Bool !quick);
-        ("host_cores", Json.Int host_cores);
-        ("e7_rows", Json.Int (List.length !e7_sweeps));
-        ("e7_largest_topology_speedup", largest_speedup);
-        ("e13_rows", Json.Int (List.length !e13_rows));
-        ("e13_total_strata_skipped", e13_total_skipped);
-        ("e14_rows", Json.Int (List.length !e14_rows));
-        ( "e14_tuples_per_sec",
-          e14_med (fun r -> Json.Float r.ch_tuples_per_sec) );
-        ("e14_p99_us", e14_med (fun r -> Json.Float r.ch_p99_us));
-        ("e14_live_words", e14_med (fun r -> Json.Int r.ch_live_words));
-        ( "e14_refresh_share",
-          e14_med (fun r -> Json.Float (churn_refresh_share r)) );
-        ("e15_rows", Json.Int (List.length !e15_rows));
-        ("e15_probe_speedup", e15_probe_speedup);
-        ("e16_rows", Json.Int (List.length !e16_rows));
-        ("e16_largest_processes", e16_find (fun r -> Json.Int r.mp_nodes));
-        ("e16_largest_wall_s", e16_find (fun r -> Json.Float r.mp_wall_s));
-        ("e16_all_same_fixpoint", e16_all_same);
-        ("e17_rows", Json.Int (List.length !e17_rows));
-        ("e17_best_reduction_x", e17_best_reduction);
-        ("e17_all_verdicts_agree", e17_all_agree);
-      ]
+  let meta =
+    {
+      Ledger.quick = !quick;
+      host_cores = Domain.recommended_domain_count ();
+      unix_time = int_of_float (Unix.time ());
+    }
   in
-  Json.to_file bench_json_path
-    (Json.Obj
-       [
-         ("schema", Json.Int 13);
-         ("quick", Json.Bool !quick);
-         ("host_cores", Json.Int host_cores);
-         ("unix_time", Json.Int now);
-         ( "e7",
-           Json.Obj
-             [
-               ("largest_topology_speedup", largest_speedup);
-               ("sweeps", Json.Arr (List.map e7_row !e7_sweeps));
-             ] );
-         ( "e13",
-           Json.Obj
-             [
-               ("all_same_fixpoint", e13_all_same);
-               ("total_strata_skipped", e13_total_skipped);
-               ("max_enum_saved_pct", e13_max_saved);
-               ("sweeps", Json.Arr (List.map e13_row !e13_rows));
-             ] );
-         (* Sustained churn (schema 11): absolute figures of the one
-            runtime path, medians over the repetitions, with every
-            repetition kept for the spread. *)
-         ( "e14",
-           Json.Obj
-             [
-               ("nodes", e14_med (fun r -> Json.Int r.ch_nodes));
-               ("events", e14_med (fun r -> Json.Int r.ch_events));
-               ("repetitions", Json.Int (List.length !e14_rows));
-               ( "tuples_per_sec",
-                 e14_med (fun r -> Json.Float r.ch_tuples_per_sec) );
-               ("p50_us", e14_med (fun r -> Json.Float r.ch_p50_us));
-               ("p99_us", e14_med (fun r -> Json.Float r.ch_p99_us));
-               ("live_words", e14_med (fun r -> Json.Int r.ch_live_words));
-               ("refresh_s", e14_med (fun r -> Json.Float r.ch_refresh_s));
-               ( "refresh_share",
-                 e14_med (fun r -> Json.Float (churn_refresh_share r)) );
-               ("messages", e14_med (fun r -> Json.Int r.ch_msgs));
-               ("runs", Json.Arr (List.map e14_row !e14_rows));
-             ] );
-         ( "e15",
-           Json.Obj
-             [
-               ("probe_speedup", e15_probe_speedup);
-               ( "translation_overhead_vs_boxed_probe",
-                 e15_translation_overhead );
-               ("ops", Json.Arr (List.map e15_row !e15_rows));
-             ] );
-         (* Multi-process runs (schema 9): the socket transport's wall
-            clock and wire traffic, with the fixpoint-equality claim
-            against the simulator backend carried as data. *)
-         ( "e16",
-           Json.Obj
-             [
-               ("all_same_fixpoint", e16_all_same);
-               ("largest_processes", e16_find (fun r -> Json.Int r.mp_nodes));
-               ("largest_wall_s", e16_find (fun r -> Json.Float r.mp_wall_s));
-               ( "largest_data_bytes",
-                 e16_find (fun r -> Json.Int r.mp_bytes) );
-               ("runs", Json.Arr (List.map e16_row !e16_rows));
-             ] );
-         (* Reduced model checking (schema 10): visited-state counts
-            per reduction mode with the verdict-equality claim carried
-            as data (and asserted by the E17 run itself). *)
-         ( "e17",
-           Json.Obj
-             [
-               ("all_verdicts_agree", e17_all_agree);
-               ("best_reduction_x", e17_best_reduction);
-               ("runs", Json.Arr (List.map e17_row !e17_rows));
-             ] );
-         ("history", Json.Arr (prior_history @ [ entry ]));
-       ]);
+  Json.to_file bench_json_path (Ledger.document meta ~prior);
   Fmt.pr "@.benchmark ledger written to %s@." bench_json_path
+
+let ledger_table s rows =
+  let headers, cells = Ledger.cells s rows in
+  table headers cells
 
 let e7 () =
   banner "e7" "declarative execution performance"
@@ -1373,29 +921,10 @@ let e7 () =
                (Ndlog.Programs.grid_links k)))
         grid_sides
   in
-  e7_sweeps := sweeps;
+  Ledger.e7.rows := sweeps;
   Fmt.pr "semi-naive, index layer on vs. off (pre-index nested-loop \
           baseline):@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "rounds"; "indexed"; "baseline";
-      "speedup"; "idx/scan joins"; "enum idx/base"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.sw_prog;
-           Fmt.str "%s %d" r.sw_topo r.sw_n;
-           string_of_int r.sw_tuples;
-           string_of_int r.sw_rounds;
-           Fmt.str "%.1f ms" r.sw_idx_ms;
-           Fmt.str "%.1f ms" r.sw_base_ms;
-           Fmt.str "%.1fx" (sw_speedup r);
-           Fmt.str "%d/%d" r.sw_hits r.sw_scans;
-           Fmt.str "%d/%d" r.sw_enum_idx r.sw_enum_base;
-           string_of_bool r.sw_same;
-         ])
-       sweeps);
+  ledger_table Ledger.e7 sweeps;
   (* Distributed execution over the same substrate (strand joins are
      index-aware too: the report carries the run's join profile). *)
   Fmt.pr "@.distributed pipelined semi-naive (path-vector):@.";
@@ -1502,34 +1031,11 @@ let e13 () =
             (Ndlog.Programs.star_links n))
         star_sizes
   in
-  e13_rows := rows;
+  Ledger.e13.rows := rows;
   Fmt.pr
     "distributed runtime, incremental view refresh on vs. off (from-scratch \
      recomputation), identical insertion schedules with mid-run link churn:@.";
-  table
-    [
-      "program"; "topology"; "tuples"; "msgs"; "incr"; "scratch"; "speedup";
-      "skipped"; "refolded"; "fallbacks"; "enum incr/scratch"; "enum saved";
-      "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           r.iv_prog;
-           Fmt.str "%s %d" r.iv_topo r.iv_n;
-           string_of_int r.iv_tuples;
-           string_of_int r.iv_msgs;
-           Fmt.str "%.1f ms" r.iv_incr_ms;
-           Fmt.str "%.1f ms" r.iv_scratch_ms;
-           Fmt.str "%.1fx" (iv_speedup r);
-           string_of_int r.iv_skipped;
-           string_of_int r.iv_refolded;
-           string_of_int r.iv_fallbacks;
-           Fmt.str "%d/%d" r.iv_enum_incr r.iv_enum_scratch;
-           Fmt.str "%.0f%%" (iv_enum_saved r);
-           string_of_bool r.iv_same;
-         ])
-       rows);
+  ledger_table Ledger.e13 rows;
   Fmt.pr
     "global fixpoint, per-node stores and message counts are asserted \
      identical per row; on rings >= 8 skipped strata > 0 and a strict \
@@ -1549,44 +1055,34 @@ let e14 () =
   let events = if !quick then 20_000 else 1_000_000 in
   let reps = 3 in
   let rows = churn_point ~n ~events ~reps in
-  e14_rows := rows;
-  let med = churn_median rows in
+  Ledger.e14.rows := rows;
+  let med = Ledger.churn_median rows in
   Fmt.pr
     "chorded ring of %d nodes, bounded path-vector with a promise-audit \
      rule, all predicates soft; %d alternating link-offer / route-promise \
      events with withheld offers and flapping costs, %d repetitions \
      (p50/p99 over the %d post-warmup events):@."
-    n events reps med.ch_measured;
-  table
-    [
-      "run"; "events"; "inserts"; "msgs"; "wall"; "tuples/s"; "events/s";
-      "p50"; "p99"; "max"; "live heap"; "refresh"; "interned";
-    ]
-    (List.map2
-       (fun name r ->
-         [
-           name;
-           string_of_int r.ch_events;
-           string_of_int r.ch_inserts;
-           string_of_int r.ch_msgs;
-           Fmt.str "%.1f s" r.ch_wall_s;
-           Fmt.str "%.0f" r.ch_tuples_per_sec;
-           Fmt.str "%.0f" r.ch_events_per_sec;
-           Fmt.str "%.0f us" r.ch_p50_us;
-           Fmt.str "%.0f us" r.ch_p99_us;
-           Fmt.str "%.0f us" r.ch_max_us;
-           Fmt.str "%dk words" (r.ch_live_words / 1000);
-           Fmt.str "%.0f%%" (100.0 *. churn_refresh_share r);
-           string_of_int r.ch_interned;
-         ])
-       (List.mapi (fun i _ -> Fmt.str "rep %d" (i + 1)) rows @ [ "median" ])
-       (rows @ [ med ]));
+    n events reps med.Ledger.ch_measured;
+  let headers, cells = Ledger.cells Ledger.e14 (rows @ [ med ]) in
+  let labels = List.mapi (fun i _ -> Fmt.str "rep %d" (i + 1)) rows in
+  table ("run" :: headers) (List.map2 List.cons (labels @ [ "median" ]) cells);
   Fmt.pr
     "identical global fixpoint, per-node stores, insert and message counts \
      are asserted across the repetitions.@."
 
 (* ------------------------------------------------------------------ *)
 (* E15: the per-probe price of each representation choice. *)
+
+(* Where the id/boxed boundary may sit, in nanoseconds.  The id-native
+   executor keeps tuples as int arrays end to end and translates to boxed
+   values only at true system boundaries (builtins, provenance, printers,
+   the wire's canonical sort).  This experiment prices the alternatives
+   per operation: an id equality probe vs. the boxed structural compare
+   it replaces, and the hash-cons translation ([Intern.tuple_ids]) a
+   design that boxed per probe — or translated per probe — would pay
+   inside the join loop.  The rows feed the ledger; the headline ratios
+   are the id probe's speedup over the boxed probe and the translation's
+   cost relative to the boxed probe it would hypothetically replace. *)
 
 let e15 () =
   banner "e15" "per-probe cost of id joins vs. boxed joins vs. translation"
@@ -1644,15 +1140,15 @@ let e15 () =
   in
   let per_op name f =
     let ns = ns_per_run ~name (fun () -> f ()) /. float_of_int k in
-    { xl_op = name; xl_ns = ns }
+    { Ledger.xl_op = name; xl_ns = ns }
   in
   let rows =
     [
-      per_op "id tuple equal" (fun () ->
+      per_op Ledger.op_id_equal (fun () ->
           for i = 0 to k - 1 do
             if Fset.tuple_eq ia.(i) ib.(i) then incr sink
           done);
-      per_op "boxed tuple equal" (fun () ->
+      per_op Ledger.op_boxed_equal (fun () ->
           for i = 0 to k - 1 do
             if Ndlog.Store.Tuple.equal a.(i) b.(i) then incr sink
           done);
@@ -1664,7 +1160,7 @@ let e15 () =
           for i = 0 to k - 1 do
             if Ndlog.Store.Tset.mem b.(i) tset then incr sink
           done);
-      per_op "translate boxed->ids (tuple_ids)" (fun () ->
+      per_op Ledger.op_to_ids (fun () ->
           for i = 0 to k - 1 do
             sink := !sink + Array.length (Intern.tuple_ids b.(i))
           done);
@@ -1672,30 +1168,28 @@ let e15 () =
           for i = 0 to k - 1 do
             sink := !sink + Array.length (Intern.tuple_of_ids ia.(i))
           done);
-      per_op e15_cons_4 (cons_onto 4);
-      per_op e15_cons_32 (cons_onto 32);
+      per_op Ledger.op_cons_4 (cons_onto 4);
+      per_op Ledger.op_cons_32 (cons_onto 32);
     ]
   in
   ignore (Sys.opaque_identity !sink);
-  e15_rows := rows;
-  table
-    [ "operation"; "ns/op" ]
-    (List.map (fun r -> [ r.xl_op; Fmt.str "%.1f" r.xl_ns ]) rows);
-  let ns op = (List.find (fun r -> r.xl_op = op) rows).xl_ns in
+  Ledger.e15.rows := rows;
+  ledger_table Ledger.e15 rows;
+  let ns op = (List.find (fun r -> r.Ledger.xl_op = op) rows).xl_ns in
   Fmt.pr
     "id probe speedup over boxed probe: %.1fx (equal), %.1fx (set \
      membership)@."
-    (ns "boxed tuple equal" /. ns "id tuple equal")
+    (ns Ledger.op_boxed_equal /. ns Ledger.op_id_equal)
     (ns "boxed set probe (Tset.mem)" /. ns "id set probe (Fset.mem)");
   Fmt.pr
     "cons onto an interned path: %.1f ns at length 4, %.1f ns at length \
      32@."
-    (ns e15_cons_4) (ns e15_cons_32);
+    (ns Ledger.op_cons_4) (ns Ledger.op_cons_32);
   Fmt.pr
     "hash-cons translation costs %.1fx a boxed structural compare — paying \
      it per probe would erase the join win, which is why the id-native \
      path translates only at system boundaries.@."
-    (ns "translate boxed->ids (tuple_ids)" /. ns "boxed tuple equal")
+    (ns Ledger.op_to_ids /. ns Ledger.op_boxed_equal)
 
 (* ------------------------------------------------------------------ *)
 (* E16: real processes over real sockets. *)
@@ -1736,7 +1230,7 @@ let e16 () =
     if not same then
       failwith (Fmt.str "E16 ring %d: socket fixpoints diverge from sim" n);
     {
-      mp_nodes = n;
+      Ledger.mp_nodes = n;
       mp_wall_s = wall_s;
       mp_sim_wall_s = sim_wall_s;
       mp_frames = res.Dist.Supervisor.data_frames;
@@ -1748,26 +1242,8 @@ let e16 () =
     }
   in
   let rows = List.map point sizes in
-  e16_rows := rows;
-  table
-    [
-      "ring n"; "procs"; "wall"; "sim wall"; "frames"; "wire bytes";
-      "inserts"; "polls"; "same fixpoint";
-    ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.mp_nodes;
-           string_of_int r.mp_nodes;
-           Fmt.str "%.3f s" r.mp_wall_s;
-           Fmt.str "%.3f s" r.mp_sim_wall_s;
-           string_of_int r.mp_frames;
-           string_of_int r.mp_bytes;
-           string_of_int r.mp_inserts;
-           string_of_int r.mp_polls;
-           string_of_bool r.mp_same;
-         ])
-       rows);
+  Ledger.e16.rows := rows;
+  ledger_table Ledger.e16 rows;
   Fmt.pr
     "every ring converged across real processes to the simulator's exact \
      per-node fixpoints — the transport changes the clock and the wire, \
@@ -1848,7 +1324,8 @@ let e17 () =
           in
           push
             {
-              rd_system = "ndlog"; rd_prog = prog_name; rd_topo = topo_name;
+              Ledger.rd_system = "ndlog"; rd_prog = prog_name;
+              rd_topo = topo_name;
               rd_mode = mode; rd_states = st.E.states;
               rd_transitions = st.E.transitions; rd_truncated = truncated;
               rd_wall_s = explore_s +. check_s; rd_verdict = verdict;
@@ -1878,7 +1355,8 @@ let e17 () =
           let verdict, trace_len = validated name lsys res in
           push
             {
-              rd_system = "soft"; rd_prog = prog_name; rd_topo = topo_name;
+              Ledger.rd_system = "soft"; rd_prog = prog_name;
+              rd_topo = topo_name;
               rd_mode = mode; rd_states = st.E.states;
               rd_transitions = st.E.transitions; rd_truncated = st.E.truncated;
               rd_wall_s = explore_s +. check_s; rd_verdict = verdict;
@@ -1986,7 +1464,7 @@ a1 alive(@X,Y) :- ping(@X,Y).
   in
   List.iter
     (fun r ->
-      let cell = r.rd_prog ^ "/" ^ r.rd_topo in
+      let cell = r.Ledger.rd_prog ^ "/" ^ r.rd_topo in
       let expect =
         match (List.assoc_opt cell pinned, r.rd_mode) with
         | Some (sym, _), "sym" -> sym
@@ -2000,22 +1478,8 @@ a1 alive(@X,Y) :- ping(@X,Y).
              r.rd_states n)
       | _ -> ())
     !rows;
-  e17_rows := !rows;
-  table
-    [ "system"; "program"; "topology"; "mode"; "states"; "verdict"; "wall" ]
-    (List.map
-       (fun r ->
-         [
-           r.rd_system; r.rd_prog; r.rd_topo; r.rd_mode;
-           (if r.rd_states = 0 then "-"
-            else if r.rd_truncated then Fmt.str ">=%d" r.rd_states
-            else string_of_int r.rd_states);
-           (if r.rd_verdict = "violation" then
-              Fmt.str "violation (%d steps)" r.rd_trace_len
-            else r.rd_verdict);
-           Fmt.str "%.3f s" r.rd_wall_s;
-         ])
-       !rows);
+  Ledger.e17.rows := !rows;
+  ledger_table Ledger.e17 !rows;
   Fmt.pr
     "verdicts agree across every completed mode; monotone POR collapses \
      insertion interleavings to one chain, symmetry quotients node orbits — \

@@ -116,9 +116,14 @@ let state_hash s =
 
 let pp_state ppf s = Fmt.pf ppf "clock=%d@.%a" s.clock Store.pp s.db
 
+(* The program's facts load at clock 0 (soft ones take a lease), then
+   the environment's injections for instant 0. *)
 let initial_of cfg =
-  [ List.fold_left (fun s (p, t) -> insert cfg s p t) initial_state
-      (cfg.inject 0) ]
+  let load s (f : Ast.fact) =
+    insert cfg s f.Ast.fact_pred (Array.of_list f.Ast.fact_args)
+  in
+  let s = List.fold_left load initial_state cfg.program.Ast.facts in
+  [ List.fold_left (fun s (p, t) -> insert cfg s p t) s (cfg.inject 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Labeled actions.

@@ -77,12 +77,6 @@ module Expiry = struct
         match acc with Some m -> Some (min m d) | None -> Some d)
       t.deadlines None
 
-  (* Drop expired tuples from a database. *)
-  let sweep t ~now (db : Store.t) : Store.t * t =
-    let dead, t' = expired t ~now in
-    ( List.fold_left (fun db (pred, tuple) -> Store.remove pred tuple db) db dead,
-      t' )
-
   (* Current leases in canonical key order: introspection for the
      incremental-refresh differential harness (lease tables must be
      bit-identical across refresh modes). *)

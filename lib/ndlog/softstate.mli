@@ -23,9 +23,6 @@ module Expiry : sig
   val next_deadline : t -> float option
   (** The earliest pending lease expiry, if any. *)
 
-  val sweep : t -> now:float -> Store.t -> Store.t * t
-  (** Drop expired tuples from a database. *)
-
   val bindings : t -> ((string * Store.Tuple.t) * float) list
   (** Current leases with their deadlines, in canonical key order —
       introspection for tests (the incremental-refresh differential

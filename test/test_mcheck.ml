@@ -681,6 +681,36 @@ let test_soft_fractional_lifetime () =
       (if live v.Explore.violating then "still live" else "expired")
       v.Explore.violating.ST.clock
 
+(* A program's facts load at clock 0, as [Store.of_facts],
+   [Runtime.load_facts] and the hard-state rewrite load them: the
+   initial state holds every fact, and a soft fact is leased from
+   clock 0. *)
+let test_soft_initial_facts () =
+  let p =
+    Programs.with_links
+      (Programs.heartbeat ~lifetime:3)
+      (Programs.line_links 2)
+  in
+  let ping = [| V.Addr "n1"; V.Addr "n0" |] in
+  let p =
+    { p with Ast.facts = Ast.fact "ping" (Array.to_list ping) :: p.Ast.facts }
+  in
+  match (ST.labeled_system (ST.make_config ~horizon:2 p)).Explore.initial with
+  | [ s ] ->
+    let facts = Store.of_facts p.Ast.facts in
+    List.iter
+      (fun pred ->
+        Store.iter_rel pred
+          (fun t -> checkb ("initial " ^ pred) true (Store.mem pred t s.ST.db))
+          facts)
+      (Store.preds facts);
+    checkb "ping leased from clock 0" true
+      (List.exists
+         (fun ((pred, t), d) ->
+           pred = "ping" && Store.Tuple.equal t ping && d = 3)
+         s.ST.leases)
+  | l -> Alcotest.failf "%d initial states" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* E2 (count-to-infinity) and E3 (Disagree) counterexample replay. *)
 
@@ -977,6 +1007,8 @@ let () =
           Alcotest.test_case "A2 pinned at 175" `Quick test_a2_pin_175;
           Alcotest.test_case "fractional lifetime rounds up" `Quick
             test_soft_fractional_lifetime;
+          Alcotest.test_case "program facts load at clock 0" `Quick
+            test_soft_initial_facts;
           Alcotest.test_case "E2 counterexamples replay" `Quick
             test_e2_count_to_infinity_trace;
           Alcotest.test_case "E3 Disagree replay" `Quick test_e3_disagree_trace;
