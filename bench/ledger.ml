@@ -619,6 +619,7 @@ let e17 =
       "verdict" (fun r -> r.rd_verdict)
   in
   let trace_len = int "trace_len" (fun r -> r.rd_trace_len) in
+  let wall = wall_s ~fmt:"%.3f s" (fun r -> r.rd_wall_s) in
   let cols =
     [
       system;
@@ -628,7 +629,7 @@ let e17 =
       states;
       int "transitions" (fun r -> r.rd_transitions);
       truncated;
-      wall_s ~fmt:"%.3f s" (fun r -> r.rd_wall_s);
+      wall;
       verdict;
       trace_len;
     ]
@@ -668,6 +669,31 @@ let e17 =
           |> List.map (fun p -> (r, p)))
       rows
   in
+  (* The checker's unreduced speed: total states over total wall time
+     across the completed plain rows. *)
+  let plain_states_per_s rows =
+    let states, wall =
+      List.fold_left
+        (fun (n, w) row ->
+          if
+            plain row
+            && Json.member truncated.key row = Some (Json.Bool false)
+            && int_of states row > 0
+          then
+            ( n + int_of states row,
+              w
+              +. num
+                   (Option.value ~default:Json.Null (Json.member wall.key row))
+            )
+          else (n, w))
+        (0, 0.) rows
+    in
+    if states = 0 || wall <= 0. then 0. else float_of_int states /. wall
+  in
+  let states_per_s =
+    figure ~req:Positive ~history:true Float "plain_states_per_s" (fun rows ->
+        Json.Float (plain_states_per_s (List.map (row_json cols) rows)))
+  in
   (* Headline reduction: the best plain/both visited-state ratio. *)
   let best_reduction rows =
     List.fold_left
@@ -689,13 +715,15 @@ let e17 =
       [
         figure ~history:true Float "best_reduction_x" (fun rows ->
             match best_reduction rows with 0. -> Json.Null | x -> Json.Float x);
+        states_per_s;
       ]
     (* Every run names a known mode and verdict, a violation carries its
        counterexample, the completed modes of each cell agree, and at
        least one cell shows a reduced mode strictly below a completed
        plain baseline: losing every reduction would make the layer
-       decorative. *)
-    ~check:(fun _ rows ->
+       decorative.  The plain states-per-second figure must be the one
+       its rows give. *)
+    ~check:(fun section rows ->
         List.iteri
           (fun i row ->
             (match str_of mode row with
@@ -717,7 +745,15 @@ let e17 =
                (fun (r, p) -> int_of states p > int_of states r)
                (baselines rows))
         then
-          reject "e17 records no strict reduction over a completed plain run")
+          reject "e17 records no strict reduction over a completed plain run";
+        let recorded =
+          num
+            (Option.value ~default:Json.Null
+               (Json.member states_per_s.key section))
+        and rate = plain_states_per_s rows in
+        if Float.abs (recorded -. rate) > 1e-6 *. rate then
+          reject "e17 %s %g disagrees with its rows (%g)" states_per_s.key
+            recorded rate)
 
 (* ------------------------------------------------------------------ *)
 (* The document. *)

@@ -1659,7 +1659,7 @@ let a2 () =
                ( fine.Mcheck.Explore.terminal,
                  batched.Mcheck.Explore.terminal )
              with
-            | f :: _, b :: _ -> Ndlog.Store.equal f b
+            | f :: _, b :: _ -> Mcheck.Ndlog_ts.state_equal f b
             | _ -> false);
         ])
       [ 2; 3 ]

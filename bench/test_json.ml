@@ -199,6 +199,8 @@ let rejections =
       set (e17 dv_por "verdict") (Json.Str "ok") );
     ( "e17 strict reduction", "no strict reduction",
       set (e17 plain "truncated") (Json.Bool true) );
+    ( "e17 plain states per second", "disagrees with its rows",
+      set [ K "e17"; K "plain_states_per_s" ] (Json.Float 1.0) );
     ( "e17 all verdicts", "verdicts diverge",
       set [ K "e17"; K "all_verdicts_agree" ] (Json.Bool false) );
     ("history", "history", set [ K "history" ] (Json.Arr []));

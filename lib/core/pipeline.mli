@@ -81,8 +81,8 @@ val model_check :
   ?max_states:int ->
   Ndlog.Ast.program ->
   (Ndlog.Store.t -> bool) ->
-  ( Ndlog.Store.t Mcheck.Explore.stats,
-    Ndlog.Store.t Mcheck.Explore.violation )
+  ( Mcheck.Ndlog_ts.state Mcheck.Explore.stats,
+    Mcheck.Ndlog_ts.state Mcheck.Explore.violation )
   result
 (** Arcs 6/8: safety over the program's table transition system, with
     counterexample traces. *)

@@ -3,13 +3,25 @@
    specification as a set of transition rules that determine the updates
    of the underlying routing tables".
 
-   A state is a database ({!Ndlog.Store.t}); a transition fires one rule
-   on one satisfying environment and inserts the (single) new head
+   A state is a database ({!Ndlog.Store.t}) carrying its enabled
+   insertions and an order-independent hash; a transition fires one
+   rule on one satisfying environment and inserts the (single) new head
    tuple.  The resulting system feeds the {!Explore} checker: safety
    invariants over table contents, divergence (for count-to-infinity,
    the state space is infinite and exploration truncates at the bound —
    truncation at ever-growing cost values is itself the symptom), and
    terminal states (fixpoints).
+
+   The successor step is the engine's own delta step.  A successor
+   differs from its parent by the tuple it inserted, so in a
+   negation-free program its enabled set is the parent's minus that
+   insertion, plus the heads derived through the new tuple (each rule
+   entered at each body atom over its predicate, the rest of the body
+   joined over the new store) that are not already stored.  Programs
+   with negation — where an insertion can disable another — enumerate
+   every state's set in full.  Either way the set is forced only when
+   the state is expanded, so partial-order reduction never builds the
+   sets of the siblings it prunes.
 
    An action is the insertion itself, (predicate, tuple); partial-order
    reduction needs nothing more, because independence follows from
@@ -18,6 +30,7 @@
 module Ast = Ndlog.Ast
 module Store = Ndlog.Store
 module Eval = Ndlog.Eval
+module Plan = Ndlog.Plan
 
 (* The engine-canonical order on (pred, tuple) pairs: predicate name,
    then Value-aware tuple comparison — never polymorphic [compare],
@@ -71,59 +84,226 @@ let independent (p : Ast.program) : action -> action -> bool =
   else fun a b -> insertion_compare a b <> 0
 
 (* ------------------------------------------------------------------ *)
+(* States.
+
+   Identity is [Store.equal] on the database: it ignores the store's
+   mutable index cache, which the checker's structural defaults would
+   see — a cache-warm database would then neither compare nor hash
+   equal to the same database cache-cold.  [Store.hash] is a sum of
+   per-fact hashes, so the carried hash updates in O(1) per
+   insertion. *)
+
+type state = { db : Store.t; enabled : action list Lazy.t; hash : int }
+
+let state_equal a b = Store.equal a.db b.db
+let state_hash s = s.hash
+let pp_state ppf s = Store.pp ppf s.db
+
+let state_of_store (p : Ast.program) db =
+  { db; enabled = lazy (enabled_insertions p db); hash = Store.hash db }
+
+(* ------------------------------------------------------------------ *)
+(* The delta step.
+
+   A rule is entered once per positive body atom: the inserted tuple
+   binds that atom, and the rest of the body, planned with the atom's
+   variables bound, is joined over the new store.  A new satisfying
+   environment must use the new tuple at some positive position (every
+   other environment already held in the parent), so the activations of
+   the tuple's predicate derive exactly the new heads; a self-join is
+   entered at each of its occurrences.
+
+   Complex atom arguments become fresh variables plus an equality
+   condition before planning: a safe rule binds their variables by
+   earlier literals in source order, which the seeded order need not
+   preserve, and the condition waits until they are bound.  The fresh
+   names ([%0], [%1], ...) cannot clash with parsed variables. *)
+
+type activation = {
+  seed : Ast.atom;
+  rest : Ast.lit list;  (* planned with the seed's variables bound *)
+  head : Ast.head;
+}
+
+type delta =
+  | Full of Ast.program  (* negation: enumerate every set in full *)
+  | Delta of (string * activation) list  (* keyed by seed predicate *)
+
+(* Complex positive-atom arguments as fresh variables plus equality
+   conditions; atoms without one are kept as they are. *)
+let name_complex_args (body : Ast.lit list) : Ast.lit list =
+  let complex = function Ast.Var _ | Ast.Const _ -> false | _ -> true in
+  let fresh = ref 0 in
+  List.concat_map
+    (function
+      | Ast.Pos a when List.exists complex a.Ast.args ->
+        let conds = ref [] in
+        let args =
+          List.map
+            (fun e ->
+              if not (complex e) then e
+              else begin
+                let x = Printf.sprintf "%%%d" !fresh in
+                incr fresh;
+                conds := Ast.Cond (Ast.Eq, Ast.Var x, e) :: !conds;
+                Ast.Var x
+              end)
+            a.Ast.args
+        in
+        Ast.Pos { a with Ast.args } :: List.rev !conds
+      | l -> [ l ])
+    body
+
+(* Only the heads of non-aggregate rules are ever inserted by a step,
+   so a seed over any other predicate would never fire. *)
+let compile (p : Ast.program) : delta =
+  if has_negation p then Full p
+  else
+    let rules =
+      List.filter (fun (r : Ast.rule) -> not (Ast.has_aggregate r.Ast.head))
+        p.Ast.rules
+    in
+    let derived =
+      List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.head_pred) rules
+    in
+    let activations (r : Ast.rule) =
+      let body = name_complex_args r.Ast.body in
+      List.concat
+        (List.mapi
+           (fun i -> function
+             | Ast.Pos seed when List.mem seed.Ast.pred derived ->
+               let rest =
+                 Plan.order_body ~bound:(Plan.atom_binds seed)
+                   (List.filteri (fun j _ -> j <> i) body)
+               in
+               [ (seed.Ast.pred, { seed; rest; head = r.Ast.head }) ]
+             | _ -> [])
+           body)
+    in
+    Delta (List.concat_map activations rules)
+
+(* The heads derived through the inserted [(pred, t)] over [db] that
+   [db] does not hold yet, prepended to [acc]. *)
+let derived_through activations db acc ((pred, t) : action) =
+  List.fold_left
+    (fun acc (q, act) ->
+      if not (String.equal q pred) then acc
+      else
+        let hp = act.head.Ast.head_pred in
+        List.fold_left
+          (fun acc env ->
+            let h = Eval.head_tuple env act.head in
+            if Store.mem hp h db then acc else (hp, h) :: acc)
+          acc
+          (Eval.seeded_envs db act.seed t act.rest))
+    acc activations
+
+(* Sorted-list difference and union under [insertion_compare]. *)
+let rec minus xs ys =
+  match (xs, ys) with
+  | [], _ -> []
+  | _, [] -> xs
+  | x :: xs', y :: ys' ->
+    let c = insertion_compare x y in
+    if c < 0 then x :: minus xs' ys
+    else if c > 0 then minus xs ys'
+    else minus xs' ys'
+
+let rec merge xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+    let c = insertion_compare x y in
+    if c < 0 then x :: merge xs' ys
+    else if c > 0 then y :: merge xs ys'
+    else x :: merge xs' ys'
+
+let step_enabled d ~parent ~inserted db =
+  match d with
+  | Full p -> lazy (enabled_insertions p db)
+  | Delta activations ->
+    lazy
+      (merge
+         (minus parent inserted)
+         (List.fold_left (derived_through activations db) [] inserted
+         |> List.sort_uniq insertion_compare))
+
+(* Insert a batch of enabled insertions (sorted, none stored yet). *)
+let step d s inserted =
+  let db =
+    List.fold_left (fun db (pred, t) -> Store.add pred t db) s.db inserted
+  in
+  {
+    db;
+    enabled = step_enabled d ~parent:(Lazy.force s.enabled) ~inserted db;
+    hash =
+      List.fold_left
+        (fun h (pred, t) -> h + Store.fact_hash pred t)
+        s.hash inserted;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Systems. *)
 
-(* State identity must be [Store.equal]/[Store.hash]: both ignore the
-   store's mutable index cache, which the checker's structural defaults
-   would see — a cache-warm database would then neither compare nor
-   hash equal to the same database cache-cold, and every logical state
-   would be visited once per cache configuration. *)
-let labeled_system ?observed (p : Ast.program) : (Store.t, action) Explore.sys =
-  let initial = [ Store.of_facts p.Ast.facts ] in
-  let actions db =
-    List.map
-      (fun ((pred, t) as a) -> (a, Store.add pred t db))
-      (enabled_insertions p db)
+(* One labeled successor per enabled insertion, in
+   [enabled_insertions] order.  The activations are compiled on the
+   first expansion: a system that is only replayed against, or never
+   explored, does not pay for them. *)
+let labeled_system ?observed (p : Ast.program) : (state, action) Explore.sys =
+  let d = lazy (compile p) in
+  let initial = [ state_of_store p (Store.of_facts p.Ast.facts) ] in
+  let actions s =
+    let d = Lazy.force d in
+    List.map (fun a -> (a, step d s [ a ])) (Lazy.force s.enabled)
   in
   let indep = independent p in
-  let independent _db a b = indep a b in
+  let independent _s a b = indep a b in
   let visible =
     match observed with
     | None -> fun _ _ -> true (* unknown invariant support: all visible *)
     | Some preds -> fun _ ((pred, _) : action) -> List.mem pred preds
   in
-  Explore.make_labeled ~pp:Store.pp ~equal:Store.equal ~hash:Store.hash
+  Explore.make_labeled ~pp:pp_state ~equal:state_equal ~hash:state_hash
     ~independent ~visible ~initial ~actions ()
 
 (* A coarser system that fires all enabled insertions at once (one
-   successor per state): much smaller state space, same fixpoint. *)
-let batched_system (p : Ast.program) : Store.t Explore.system =
-  let initial = [ Store.of_facts p.Ast.facts ] in
-  let successors db =
-    match enabled_insertions p db with
+   successor per state): much smaller state space, same fixpoint.  The
+   batch is the delta of the successor step. *)
+let batched_system (p : Ast.program) : state Explore.system =
+  let d = lazy (compile p) in
+  let initial = [ state_of_store p (Store.of_facts p.Ast.facts) ] in
+  let successors s =
+    match Lazy.force s.enabled with
     | [] -> []
-    | ins -> [ List.fold_left (fun db (pred, t) -> Store.add pred t db) db ins ]
+    | ins -> [ step (Lazy.force d) s ins ]
   in
-  Explore.make ~pp:Store.pp ~equal:Store.equal ~hash:Store.hash ~initial
+  Explore.make ~pp:pp_state ~equal:state_equal ~hash:state_hash ~initial
     ~successors ()
 
 (* ------------------------------------------------------------------ *)
 (* Reduced entry points: both reductions independently switchable,
-   default off. *)
+   default off.  Symmetry canonicalizes the database and rehashes the
+   representative from its tuples; a representative is only a table
+   key, so its enabled set is never forced. *)
+
+let canon p sym s =
+  let db = Symmetry.canon_store sym s.db in
+  if db == s.db then s else state_of_store p db
 
 let explore ?max_states ?(por = false) ?symmetry (p : Ast.program) :
-    Store.t Explore.stats =
-  let canon = Option.map Symmetry.canon_store symmetry in
+    state Explore.stats =
+  let canon = Option.map (canon p) symmetry in
   Explore.explore ?max_states ~por ?canon (labeled_system p)
 
 let check_fine_invariant ?max_states ?(por = false) ?symmetry ?observed ?stable
     (p : Ast.program) (inv : Store.t -> bool) :
-    (Store.t Explore.stats, Store.t Explore.violation) result =
-  let canon = Option.map Symmetry.canon_store symmetry in
+    (state Explore.stats, state Explore.violation) result =
+  let canon = Option.map (canon p) symmetry in
   Explore.check_invariant ?max_states ~por ?canon ?stable
-    (labeled_system ?observed p) inv
+    (labeled_system ?observed p)
+    (fun s -> inv s.db)
 
 (* Check a safety invariant over every reachable database. *)
 let check_table_invariant ?max_states (p : Ast.program)
     (inv : Store.t -> bool) =
-  Explore.check_invariant ?max_states (batched_system p) inv
+  Explore.check_invariant ?max_states (batched_system p) (fun s -> inv s.db)

@@ -3,9 +3,15 @@
     specification as a set of transition rules that determine the
     updates of the underlying routing tables").
 
-    States are databases; transitions insert rule consequences.
-    Count-to-infinity programs yield infinite state spaces, which
-    bounded exploration reports as truncation.
+    States are databases carrying their enabled insertions; transitions
+    insert rule consequences.  Count-to-infinity programs yield infinite
+    state spaces, which bounded exploration reports as truncation.
+
+    The successor step is the engine's delta step: a successor's enabled
+    set is its parent's minus the insertion, merged with the heads
+    derived through the one inserted tuple ({!Ndlog.Eval.seeded_envs}).
+    Initial states and programs with negation enumerate the set in full
+    ({!enabled_insertions}).
 
     The fine-grained system ({!labeled_system}) labels each transition
     with its insertion; {!explore} and {!check_fine_invariant} expose
@@ -24,6 +30,48 @@ val enabled_insertions : Ndlog.Ast.program -> Ndlog.Store.t -> action list
 (** All single-tuple insertions enabled in a database (non-aggregate
     rules), deduplicated and sorted by {!insertion_compare}. *)
 
+(** {1 States} *)
+
+type state = private {
+  db : Ndlog.Store.t;
+  enabled : action list Lazy.t;
+      (** {!enabled_insertions} of [db], forced when the state is
+          expanded *)
+  hash : int;  (** {!Ndlog.Store.hash} of [db] *)
+}
+(** Identity is {!Ndlog.Store.equal} on [db] ({!state_equal}); the
+    other two fields are derived from it. *)
+
+val state_of_store : Ndlog.Ast.program -> Ndlog.Store.t -> state
+(** A state whose enabled set is enumerated in full, when forced. *)
+
+val state_equal : state -> state -> bool
+
+(** {1 The delta step} *)
+
+type delta
+(** A program compiled for successor steps: each non-aggregate rule
+    entered at each positive body atom over a predicate some
+    non-aggregate rule derives (no other tuple is ever inserted by a
+    step), the rest of its body planned with that atom's variables
+    bound ({!Ndlog.Plan.order_body}).  A program with negation compiles
+    to full enumeration. *)
+
+val compile : Ndlog.Ast.program -> delta
+
+val step_enabled :
+  delta ->
+  parent:action list ->
+  inserted:action list ->
+  Ndlog.Store.t ->
+  action list Lazy.t
+(** The enabled set of the store reached by inserting [inserted]
+    (sorted, none stored before) into a store whose enabled set was
+    [parent]: in a negation-free program, [parent] minus [inserted]
+    merged with the heads derived through the inserted tuples that the
+    new store lacks — equal, order included, to {!enabled_insertions}
+    on the new store. *)
+
 val independent : Ndlog.Ast.program -> action -> action -> bool
 (** Strong independence of two enabled insertions: in a negation-free
     program insertions only ever add satisfying environments, so
@@ -33,30 +81,33 @@ val independent : Ndlog.Ast.program -> action -> action -> bool
     under negation no two insertions are independent.  The partial
     application [independent p] scans the program once. *)
 
-val labeled_system :
-  ?observed:string list ->
-  Ndlog.Ast.program ->
-  (Ndlog.Store.t, action) Explore.sys
-(** Fine-grained: one labeled successor per enabled insertion, in
-    {!enabled_insertions} order.  [observed] is the visibility hook for
-    invariant checking under POR: insertions into the listed predicates
-    are visible, all others invisible — the caller asserts its
-    invariant reads only observed predicates.  Omitted, every insertion
-    is visible (sound for any invariant; POR then reduces nothing during
-    invariant checking). *)
+(** {1 Systems} *)
 
-val batched_system : Ndlog.Ast.program -> Ndlog.Store.t Explore.system
-(** One successor per state (all enabled insertions at once): a much
-    smaller space with the same terminal fixpoint. *)
+val labeled_system :
+  ?observed:string list -> Ndlog.Ast.program -> (state, action) Explore.sys
+(** Fine-grained: one labeled successor per enabled insertion, in
+    {!enabled_insertions} order, each stepped by {!step_enabled}.
+    [observed] is the visibility hook for invariant checking under POR:
+    insertions into the listed predicates are visible, all others
+    invisible — the caller asserts its invariant reads only observed
+    predicates.  Omitted, every insertion is visible (sound for any
+    invariant; POR then reduces nothing during invariant checking). *)
+
+val batched_system : Ndlog.Ast.program -> state Explore.system
+(** One successor per state (all enabled insertions at once, the batch
+    being the step's delta): a much smaller space with the same
+    terminal fixpoint. *)
 
 val explore :
   ?max_states:int ->
   ?por:bool ->
   ?symmetry:Symmetry.t ->
   Ndlog.Ast.program ->
-  Ndlog.Store.t Explore.stats
+  state Explore.stats
 (** Fine-grained exploration with both reductions switchable (default
-    off: identical to [Explore.explore (labeled_system p)]). *)
+    off: identical to [Explore.explore (labeled_system p)]).  Symmetry
+    canonicalizes the database ({!Symmetry.canon_store}) and rehashes
+    the representative from its tuples. *)
 
 val check_fine_invariant :
   ?max_states:int ->
@@ -66,7 +117,7 @@ val check_fine_invariant :
   ?stable:bool ->
   Ndlog.Ast.program ->
   (Ndlog.Store.t -> bool) ->
-  (Ndlog.Store.t Explore.stats, Ndlog.Store.t Explore.violation) result
+  (state Explore.stats, state Explore.violation) result
 (** Safety over every reachable database of the fine-grained system.
     Under [?symmetry] the invariant must be symmetric; under [?por] it
     must be covered by [?observed] or declared [?stable] (violations
@@ -77,5 +128,5 @@ val check_table_invariant :
   ?max_states:int ->
   Ndlog.Ast.program ->
   (Ndlog.Store.t -> bool) ->
-  (Ndlog.Store.t Explore.stats, Ndlog.Store.t Explore.violation) result
+  (state Explore.stats, state Explore.violation) result
 (** Safety over every reachable database of the batched system. *)

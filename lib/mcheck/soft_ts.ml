@@ -15,10 +15,16 @@
    The clock is bounded by [horizon], so the state space is finite
    whenever the value domain is.  Leases make expiry part of the state:
    safety properties can now speak about time ("after refreshes stop,
-   liveness tuples eventually vanish in every execution"). *)
+   liveness tuples eventually vanish in every execution").
+
+   Each state also carries its enabled derivations, forced when it is
+   expanded, and its hash.  A derivation's successor takes its set from
+   the delta step ({!Ndlog_ts.step_enabled}); a tick, which can expire
+   premises, enumerates the set in full. *)
 
 module Ast = Ndlog.Ast
 module Store = Ndlog.Store
+module NT = Ndlog_ts
 
 type lease = (string * Store.Tuple.t) * int  (* tuple, expiry instant *)
 
@@ -26,24 +32,43 @@ type state = {
   clock : int;
   db : Store.t;
   leases : lease list;  (* sorted, canonical *)
+  enabled : NT.action list Lazy.t;
+  hash : int;
 }
 
 (* Leases are ordered by the engine's value comparison — polymorphic
    [compare] would be an independent structural notion of tuple order
    (the Kmap/enabled_insertions bug class). *)
 let lease_compare (((p, t), d) : lease) (((p', t'), d') : lease) =
-  let c = String.compare p p' in
-  if c <> 0 then c
-  else
-    let c = Store.Tuple.compare t t' in
-    if c <> 0 then c else Int.compare d d'
+  let c = NT.insertion_compare (p, t) (p', t') in
+  if c <> 0 then c else Int.compare d d'
 
 let lease_equal (((p, t), d) : lease) (((p', t'), d') : lease) =
   d = d' && String.equal p p' && Store.Tuple.equal t t'
 
-let canonical_leases (l : lease list) : lease list = List.sort lease_compare l
+(* The state hash is a sum — over the clock, the database's facts and
+   the leases — kept current by every transition, so equal states agree
+   on it whatever the order their tuples and leases arrived in. *)
+let clock_hash c = Store.fact_hash "clock" [| Ndlog.Value.Int c |]
 
-let initial_state = { clock = 0; db = Store.empty; leases = [] }
+(* An odd factor is a bijection on [int]: leases of one tuple with
+   different expiries never hash alike. *)
+let lease_hash (((p, t), d) : lease) = Store.fact_hash p t * ((2 * d) + 1)
+
+let hash_of clock db leases =
+  List.fold_left
+    (fun h l -> h + lease_hash l)
+    (clock_hash clock + Store.hash db)
+    leases
+
+let initial_state =
+  {
+    clock = 0;
+    db = Store.empty;
+    leases = [];
+    enabled = lazy [];
+    hash = hash_of 0 Store.empty [];
+  }
 
 type config = {
   program : Ast.program;
@@ -68,33 +93,70 @@ let make_config ?(horizon = 10) ?(inject = fun _ -> []) (program : Ast.program)
 
 let lifetime_of cfg pred = List.assoc_opt pred cfg.lifetimes
 
-(* Insert with lease bookkeeping; re-insertion refreshes. *)
-let insert cfg (s : state) pred tuple : state =
+(* [l] into the sorted [leases] in one ordered pass, replacing the
+   lease of the same tuple; also returns the lease it replaced.  A
+   tuple has one lease, so the tuple order alone places it. *)
+let rec renew (((k, _) as l) : lease) (leases : lease list) =
+  match leases with
+  | [] -> ([ l ], None)
+  | ((k', _) as l') :: rest ->
+    let c = NT.insertion_compare k k' in
+    if c < 0 then (l :: leases, None)
+    else if c = 0 then (l :: rest, Some l')
+    else
+      let rest, old = renew l rest in
+      (l' :: rest, old)
+
+(* Insert with lease bookkeeping (re-insertion refreshes); the enabled
+   set is left to the caller. *)
+let put cfg (s : state) pred tuple : state =
+  let hash =
+    if Store.mem pred tuple s.db then s.hash
+    else s.hash + Store.fact_hash pred tuple
+  in
   let db = Store.add pred tuple s.db in
   match lifetime_of cfg pred with
-  | None -> { s with db }
+  | None -> { s with db; hash }
   | Some life ->
-    let key_equal (p, t) = String.equal p pred && Store.Tuple.equal t tuple in
-    let leases =
-      ((pred, tuple), s.clock + life)
-      :: List.filter (fun (k, _) -> not (key_equal k)) s.leases
+    let l = ((pred, tuple), s.clock + life) in
+    let leases, old = renew l s.leases in
+    let hash =
+      hash + lease_hash l - Option.fold ~none:0 ~some:lease_hash old
     in
-    { s with db; leases = canonical_leases leases }
+    { s with db; leases; hash }
 
-(* The tick transition. *)
+(* A state whose enabled set is enumerated in full, when forced. *)
+let enumerate cfg (s : state) =
+  { s with enabled = lazy (NT.enabled_insertions cfg.program s.db) }
+
+let insert cfg s pred tuple = enumerate cfg (put cfg s pred tuple)
+
+let make_state cfg ~clock db leases =
+  let leases = List.sort lease_compare leases in
+  enumerate cfg
+    { clock; db; leases; enabled = lazy []; hash = hash_of clock db leases }
+
+(* The tick transition.  [List.partition] keeps the survivors in
+   lease order. *)
 let tick cfg (s : state) : state =
   let clock = s.clock + 1 in
-  let dead, alive = List.partition (fun (_, d) -> d <= clock) s.leases in
-  let db =
-    List.fold_left (fun db ((p, t), _) -> Store.remove p t db) s.db dead
+  let dead, leases = List.partition (fun (_, d) -> d <= clock) s.leases in
+  let expire (db, hash) (((p, t), _) as l) =
+    (Store.remove p t db, hash - Store.fact_hash p t - lease_hash l)
   in
-  let s' = { clock; db; leases = canonical_leases alive } in
-  List.fold_left (fun s (p, t) -> insert cfg s p t) s' (cfg.inject clock)
+  let db, hash =
+    List.fold_left expire
+      (s.db, s.hash - clock_hash s.clock + clock_hash clock)
+      dead
+  in
+  let s' = { s with clock; db; leases; hash } in
+  enumerate cfg
+    (List.fold_left (fun s (p, t) -> put cfg s p t) s' (cfg.inject clock))
 
-(* State identity goes through [Store.equal]/[Store.hash] for the
-   database component (the index cache is not part of the state) and
-   the canonical lease list; structural defaults would distinguish
-   cache-warm from cache-cold databases. *)
+(* State identity goes through [Store.equal] for the database component
+   (the index cache is not part of the state) and the canonical lease
+   list; structural defaults would distinguish cache-warm from
+   cache-cold databases.  The enabled set is derived from the rest. *)
 let state_equal a b =
   a.clock = b.clock
   && Store.equal a.db b.db
@@ -107,12 +169,7 @@ let state_compare a b =
     let c = Store.compare a.db b.db in
     if c <> 0 then c else List.compare lease_compare a.leases b.leases
 
-let state_hash s =
-  List.fold_left
-    (fun acc ((p, t), d) ->
-      (((acc * 31) + Hashtbl.hash (p, d)) * 31) + Store.Tuple.hash t)
-    ((s.clock * 31) + Store.hash s.db)
-    s.leases
+let state_hash s = s.hash
 
 let pp_state ppf s = Fmt.pf ppf "clock=%d@.%a" s.clock Store.pp s.db
 
@@ -120,10 +177,11 @@ let pp_state ppf s = Fmt.pf ppf "clock=%d@.%a" s.clock Store.pp s.db
    the environment's injections for instant 0. *)
 let initial_of cfg =
   let load s (f : Ast.fact) =
-    insert cfg s f.Ast.fact_pred (Array.of_list f.Ast.fact_args)
+    put cfg s f.Ast.fact_pred (Array.of_list f.Ast.fact_args)
   in
   let s = List.fold_left load initial_state cfg.program.Ast.facts in
-  [ List.fold_left (fun s (p, t) -> insert cfg s p t) s (cfg.inject 0) ]
+  let s = List.fold_left (fun s (p, t) -> put cfg s p t) s (cfg.inject 0) in
+  [ enumerate cfg s ]
 
 (* ------------------------------------------------------------------ *)
 (* Labeled actions.
@@ -141,12 +199,23 @@ type action =
   | Derive of Ndlog_ts.action
   | Tick
 
+(* A derivation inserts one enabled tuple: the delta step gives the
+   successor's enabled set.  A tick expires tuples and applies
+   injections, and its successor enumerates the set in full. *)
 let labeled_system ?observed (cfg : config) : (state, action) Explore.sys =
+  let d = lazy (NT.compile cfg.program) in
+  let derive d (s : state) parent (((pred, tuple) as a) : NT.action) =
+    let s' = put cfg s pred tuple in
+    {
+      s' with
+      enabled = NT.step_enabled d ~parent ~inserted:[ a ] s'.db;
+    }
+  in
   let actions (s : state) =
+    let derive = derive (Lazy.force d) in
+    let parent = Lazy.force s.enabled in
     let derivations =
-      Ndlog_ts.enabled_insertions cfg.program s.db
-      |> List.map (fun ((pred, tuple) as a) ->
-             (Derive a, insert cfg s pred tuple))
+      List.map (fun a -> (Derive a, derive s parent a)) parent
     in
     let ticks =
       if s.clock >= cfg.horizon then [] else [ (Tick, tick cfg s) ]
@@ -169,20 +238,28 @@ let labeled_system ?observed (cfg : config) : (state, action) Explore.sys =
     ~independent ~visible ~initial:(initial_of cfg) ~actions ()
 
 (* ------------------------------------------------------------------ *)
-(* Symmetry: node permutations act on the database and the leases
-   jointly (a lease names its tuple, so it permutes with the tuple's
-   node; the clock is fixed). *)
+(* Symmetry: node permutations act on the database, the leases and the
+   enabled set jointly (a lease names its tuple, so it permutes with the
+   tuple's node; the clock is fixed).  The permuted enabled set is the
+   permuted state's own when the permutation is an automorphism of the
+   program — the premise of symmetry reduction; orbit representatives
+   are table keys, never expanded. *)
 
-let apply_gen (g : Symmetry.gen) (s : state) : state =
-  {
-    clock = s.clock;
-    db = Symmetry.map_store g s.db;
-    leases =
-      canonical_leases
-        (List.map
-           (fun ((pred, t), d) -> ((pred, Symmetry.map_tuple g t), d))
-           s.leases);
-  }
+(* The permuted state, its hash left to {!rehash}: canonicalization
+   compares many images and keeps one. *)
+let permute (g : Symmetry.gen) (s : state) : state =
+  let map_key (pred, t) = (pred, Symmetry.map_tuple g t) in
+  let leases =
+    List.sort lease_compare (List.map (fun (k, d) -> (map_key k, d)) s.leases)
+  in
+  let enabled =
+    let e = s.enabled in
+    lazy (List.sort NT.insertion_compare (List.map map_key (Lazy.force e)))
+  in
+  { s with db = Symmetry.map_store g s.db; leases; enabled; hash = 0 }
+
+let rehash s = { s with hash = hash_of s.clock s.db s.leases }
+let apply_gen g s = rehash (permute g s)
 
 let apply_perm p = apply_gen (Symmetry.compile p)
 
@@ -193,8 +270,11 @@ let state_facts (s : state) sink =
   List.iter (fun ((pred, t), d) -> sink (Hashtbl.hash (pred, d)) t) s.leases
 
 let canon_state (sym : Symmetry.t) (s : state) : state =
-  Symmetry.canonicalize sym ~facts:state_facts ~apply:apply_gen
-    ~compare:state_compare s
+  let r =
+    Symmetry.canonicalize sym ~facts:state_facts ~apply:permute
+      ~compare:state_compare s
+  in
+  if r == s then s else rehash r
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)

@@ -20,13 +20,21 @@
 type lease = (string * Ndlog.Store.Tuple.t) * int
 (** A leased tuple and its expiry instant. *)
 
-type state = {
+type state = private {
   clock : int;
   db : Ndlog.Store.t;
-  leases : lease list;  (** sorted (canonical) *)
+  leases : lease list;  (** sorted by {!lease_compare} *)
+  enabled : Ndlog_ts.action list Lazy.t;
+      (** {!Ndlog_ts.enabled_insertions} of [db], forced when the state
+          is expanded *)
+  hash : int;  (** {!state_hash}, kept current by every transition *)
 }
+(** Identity is the clock, the database ({!Ndlog.Store.equal}) and the
+    leases ({!state_equal}); the other two fields are derived. *)
 
 val initial_state : state
+(** Clock 0, nothing stored or leased, nothing enabled: the state a
+    config's facts and injections load into. *)
 
 val lease_compare : lease -> lease -> int
 (** Engine-canonical: predicate, {!Ndlog.Store.Tuple.compare}, expiry
@@ -34,7 +42,11 @@ val lease_compare : lease -> lease -> int
 
 val state_equal : state -> state -> bool
 val state_compare : state -> state -> int
+
 val state_hash : state -> int
+(** The carried sum of per-item hashes over the clock, the database's
+    facts and the leases: independent of arrival order, agreeing with
+    {!state_equal}. *)
 
 type config = {
   program : Ndlog.Ast.program;
@@ -57,10 +69,18 @@ val make_config :
     integer instant before [c + l], as under {!Ndlog.Softstate.Expiry}. *)
 
 val insert : config -> state -> string -> Ndlog.Store.Tuple.t -> state
-(** Insert with lease bookkeeping (re-insertion refreshes). *)
+(** Insert with lease bookkeeping (re-insertion refreshes, in one
+    ordered pass over the leases); the enabled set is enumerated in
+    full. *)
+
+val make_state :
+  config -> clock:int -> Ndlog.Store.t -> lease list -> state
+(** A state from its parts (leases in any order, each naming a stored
+    tuple); its enabled set is enumerated in full. *)
 
 val tick : config -> state -> state
-(** Advance the clock, expire leases, apply injections. *)
+(** Advance the clock, expire leases, apply injections; the enabled set
+    is enumerated in full. *)
 
 (** A labeled transition: one derivation (the {!Ndlog_ts} insertion)
     or the clock tick. *)
@@ -71,15 +91,19 @@ type action =
 val labeled_system :
   ?observed:string list -> config -> (state, action) Explore.sys
 (** Derivations, in {!Ndlog_ts.enabled_insertions} order, then the tick
-    (below the horizon).  Derivations are independent of each other per
+    (below the horizon).  A derivation's successor gets its enabled set
+    from the delta step ({!Ndlog_ts.step_enabled}); a tick's enumerates
+    it in full.  Derivations are independent of each other per
     {!Ndlog_ts.independent}; ticks of nothing.  [observed] is
     the POR visibility hook: the caller asserts its invariant reads
     only the clock, the observed predicates, and their leases (ticks
     are always visible). *)
 
 val apply_perm : Symmetry.perm -> state -> state
-(** A node permutation acting on the database and leases jointly (the
-    clock is fixed). *)
+(** A node permutation acting on the database, leases and enabled set
+    jointly (the clock is fixed).  The permuted enabled set is the
+    image's own when the permutation is an automorphism of the
+    program. *)
 
 val apply_gen : Symmetry.gen -> state -> state
 (** {!apply_perm} for a compiled permutation. *)

@@ -11,9 +11,9 @@
      ({!Plan.order_body}) but no execution code with {!Ideval}, which
      makes it the independent oracle of the differential tests.
 
-   The boxed core's one-step pieces, [body_envs] and [head_tuple], also
-   serve provenance and the model checker's transition systems, whose
-   states are canonical boxed stores.
+   The boxed core's one-step pieces, [body_envs], [seeded_envs] and
+   [head_tuple], also serve provenance and the model checker's
+   transition systems, whose states are canonical boxed stores.
 
    Both evaluators respect the stratification computed by {!Analysis}:
    strata are evaluated bottom-up; aggregate rules of a stratum run once
@@ -89,9 +89,9 @@ let candidates (st : counters) (db : Store.t) env pred (args : Ast.expr list)
     st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
     Store.lookup pred ~cols:(List.map fst bound) ~key:(List.map snd bound) db
 
-(* Enumerate all satisfying environments for [body] against [db],
-   prepending to [acc]. *)
-let body_envs_c (st : counters) (db : Store.t) (body : Ast.lit list) acc :
+(* Enumerate all satisfying environments for [body] against [db] that
+   extend [env], prepending to [acc]. *)
+let body_envs_c (st : counters) (db : Store.t) env (body : Ast.lit list) acc :
     Env.t list =
   let rec go env lits acc =
     match lits with
@@ -122,9 +122,16 @@ let body_envs_c (st : counters) (db : Store.t) (body : Ast.lit list) acc :
           go env rest acc
         else acc)
   in
-  go Env.empty body acc
+  go env body acc
 
-let body_envs db body = body_envs_c (Plan.counters ()) db body []
+let body_envs db body = body_envs_c (Plan.counters ()) db Env.empty body []
+
+(* The one-tuple delta join: bind [atom] to [tuple] first, then join
+   [rest] through the same loop. *)
+let seeded_envs db (atom : Ast.atom) tuple rest =
+  match Env.match_args Env.empty atom.args tuple with
+  | None -> []
+  | Some env -> body_envs_c (Plan.counters ()) db env rest []
 
 (* Instantiate a plain (aggregate-free) head under [env]. *)
 let head_tuple env (h : Ast.head) : Store.Tuple.t =
@@ -174,7 +181,7 @@ let agg_fold (a : Ast.agg) (vs : Value.t list) : Value.t =
    plain head arguments, fold the aggregate, emit one tuple per group. *)
 let apply_agg_rule st db (r : Ast.rule) : Store.Tuple.t list =
   let envs =
-    body_envs_c st db
+    body_envs_c st db Env.empty
       (Plan.order_body ~card:(fun p -> Store.cardinal p db) r.body)
       []
   in
@@ -257,7 +264,9 @@ let eval_stratum_naive st db stratum (p : Ast.program) ~max_rounds ~rounds
             add_heads r.head.head_pred
               (List.map
                  (fun env -> head_tuple env r.head)
-                 (body_envs_c st db (Plan.order_body ~card r.body) []))
+                 (body_envs_c st db Env.empty
+                    (Plan.order_body ~card r.body)
+                    []))
               acc)
           Store.empty plain_rules
       in

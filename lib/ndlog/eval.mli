@@ -60,6 +60,15 @@ val body_envs : Store.t -> Ast.lit list -> Env.t list
     systems, which fire rules one step at a time over canonical boxed
     stores. *)
 
+val seeded_envs :
+  Store.t -> Ast.atom -> Store.Tuple.t -> Ast.lit list -> Env.t list
+(** [seeded_envs db atom tuple rest]: the satisfying environments of
+    [rest] against [db] that extend the match of [atom] against
+    [tuple] — the one-tuple delta join of semi-naive evaluation, run
+    through {!body_envs}'s loop ([rest] in the given order).  Empty when
+    [tuple] does not match [atom].  The model checker's successor step
+    joins the one inserted tuple through it. *)
+
 val head_tuple : Env.t -> Ast.head -> Store.Tuple.t
 (** Instantiate an aggregate-free head under an environment.
     @raise Eval_error on an aggregate head. *)

@@ -285,14 +285,27 @@ let to_list (db : t) : (string * Tuple.t) list =
     db []
   |> List.rev
 
+(* The hash is a sum of per-fact hashes: equal stores agree on it
+   whatever order their tuples arrived in, and a model checker can keep
+   a state's hash current in O(1) per insertion.  Each fact's hash is
+   finalized (an avalanche mix) before summing, or the raw polynomial
+   tuple hashes of structured fact sets would cancel into few sums. *)
+let mix h =
+  let h = h lxor (h lsr 31) in
+  let h = h * 0x3f58476d1ce4e5b9 in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x14fafb5d329728e5 in
+  h lxor (h lsr 33)
+
+let pred_hash pred = Hashtbl.hash pred * 65599
+let fact_hash pred t = mix (pred_hash pred + Tuple.hash t)
+
 let hash (db : t) =
   Smap.fold
     (fun pred r acc ->
-      Tset.fold
-        (fun t acc -> (acc * 31) + Tuple.hash t)
-        r.tuples
-        ((acc * 31) + Hashtbl.hash pred))
-    db 11
+      let hp = pred_hash pred in
+      Tset.fold (fun t acc -> acc + mix (hp + Tuple.hash t)) r.tuples acc)
+    db 0
 
 (* ------------------------------------------------------------------ *)
 (* Indexed lookup. *)

@@ -77,7 +77,14 @@ val equal : t -> t -> bool
 (** Content equality (empty relations are irrelevant). *)
 
 val compare : t -> t -> int
+
 val hash : t -> int
+(** The sum of the facts' {!fact_hash}es: independent of insertion
+    order and of index caches, agreeing with {!equal}. *)
+
+val fact_hash : string -> Tuple.t -> int
+(** One fact's share of {!hash}, so an insertion updates a kept hash in
+    O(1). *)
 
 val of_facts : Ast.fact list -> t
 

@@ -203,14 +203,19 @@ let test_explore_index_independence () =
   let program =
     Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
   in
-  let sys = Mcheck.Ndlog_ts.labeled_system program in
-  let cold db =
-    List.fold_left
-      (fun acc (pred, t) -> Store.add pred t acc)
-      Store.empty (Store.to_list db)
+  let module NT = Mcheck.Ndlog_ts in
+  let sys = NT.labeled_system program in
+  (* A state's store rebuilt from its tuples (its enabled set then
+     enumerated in full). *)
+  let cold (s : NT.state) =
+    NT.state_of_store program
+      (List.fold_left
+         (fun acc (pred, t) -> Store.add pred t acc)
+         Store.empty (Store.to_list s.NT.db))
   in
   (* One index per (predicate, column), probed with its first tuple. *)
-  let warm db =
+  let warm (s : NT.state) =
+    let db = s.NT.db in
     List.iter
       (fun pred ->
         match Store.tuples pred db with
@@ -220,19 +225,20 @@ let test_explore_index_independence () =
             t
         | [] -> ())
       (Store.preds db);
-    db
+    s
   in
   let through f =
     {
       sys with
       Mcheck.Explore.initial = List.map f sys.Mcheck.Explore.initial;
-      successors = (fun db -> List.map f (sys.Mcheck.Explore.successors db));
+      successors = (fun s -> List.map f (sys.Mcheck.Explore.successors s));
     }
   in
   let initial = List.hd sys.Mcheck.Explore.initial in
-  checki "cold states carry no index" 0 (Store.index_count (cold initial));
+  checki "cold states carry no index" 0
+    (Store.index_count (cold initial).NT.db);
   checkb "warmed states carry indexes" true
-    (Store.index_count (warm (cold initial)) > 0);
+    (Store.index_count (warm (cold initial)).NT.db > 0);
   let explore s = Mcheck.Explore.explore ~max_states:5_000 (through s) in
   let cold_run = explore cold and warm_run = explore warm in
   checki "states independent of index cache" cold_run.Mcheck.Explore.states

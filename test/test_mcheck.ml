@@ -285,15 +285,15 @@ let test_canon_once_per_state () =
   in
   let sym = Sym.of_topology (Topology.ring 8) in
   let calls = ref 0 in
-  let canon db =
+  let canon (s : NT.state) =
     incr calls;
-    Sym.canon_store sym db
+    NT.state_of_store p (Sym.canon_store sym s.NT.db)
   in
   let sys = NT.labeled_system p in
-  let bound db =
+  let bound (s : NT.state) =
     Store.fold_rel "cost"
       (fun t ok -> ok && (match t.(2) with V.Int c -> c <= 2 | _ -> true))
-      db true
+      s.NT.db true
   in
   match Explore.check_invariant ~por:true ~stable:true ~canon sys bound with
   | Error _ -> Alcotest.fail "bounded DV must respect its hop bound"
@@ -321,15 +321,16 @@ let test_permutation_budget () =
       (Programs.ring_links 8)
   in
   let ring8 = Sym.of_topology (Topology.ring 8) in
-  let canon db =
+  let canon (s : NT.state) =
     incr canons;
-    Sym.canonicalize ring8 ~facts:Sym.store_facts
-      ~apply:(counted Sym.map_store) ~compare:Store.compare db
+    NT.state_of_store bdv
+      (Sym.canonicalize ring8 ~facts:Sym.store_facts
+         ~apply:(counted Sym.map_store) ~compare:Store.compare s.NT.db)
   in
-  let bound db =
+  let bound (s : NT.state) =
     Store.fold_rel "cost"
       (fun t ok -> ok && (match t.(2) with V.Int c -> c <= 2 | _ -> true))
-      db true
+      s.NT.db true
   in
   (match
      Explore.check_invariant ~por:true ~stable:true ~canon
@@ -452,14 +453,11 @@ let store_of facts =
 
 (* every other fact leased, expiring [life] after [clock] *)
 let soft_of db clock life =
-  {
-    ST.clock;
-    db;
-    leases =
-      List.filteri (fun i _ -> i mod 2 = 0) (Store.to_list db)
-      |> List.map (fun k -> (k, clock + life))
-      |> List.sort ST.lease_compare;
-  }
+  ST.make_state
+    (ST.make_config Ast.empty_program)
+    ~clock db
+    (List.filteri (fun i _ -> i mod 2 = 0) (Store.to_list db)
+    |> List.map (fun k -> (k, clock + life)))
 
 (* The per-tuple reference: rename through the association list. *)
 let rec ref_value g = function
@@ -652,7 +650,235 @@ let test_a2_pin_175 () =
   checkb "labels = enabled insertions" true
     (List.equal
        (fun a b -> NT.insertion_compare a b = 0)
-       labels (NT.enabled_insertions p init))
+       labels (NT.enabled_insertions p init.NT.db))
+
+(* ------------------------------------------------------------------ *)
+(* The delta step against full enumeration.
+
+   A successor's carried enabled set comes from a join on the one tuple
+   it inserted; {!NT.enabled_insertions} re-joins every rule over the
+   whole store.  Along random insertion walks the two must agree at
+   every state, order included, as must the carried hash and the hash
+   recomputed from the state's parts. *)
+
+(* Random safe, negation-free programs over integer relations [e/2]
+   (the facts), [a/2], [b/2], [c/1], and the path relation [pv/2]:
+   every rule shape below is one of self-joins, constants, assignments,
+   comparisons, path builtins and complex body-atom arguments. *)
+let gen_delta_rule =
+  let v = Ast.var and k = Ast.cint in
+  let pos p args = Ast.Pos (Ast.atom p args) in
+  let rule p args body =
+    Ast.rule (Ast.head p (List.map (fun e -> Ast.Plain e) args)) body
+  in
+  QCheck.Gen.(
+    let rel = oneofl [ "e"; "a"; "b" ] and head = oneofl [ "a"; "b" ] in
+    let konst = int_bound 3 in
+    oneof
+      [
+        (* a join; a self-join when the relations coincide *)
+        map3
+          (fun h r1 r2 ->
+            rule h [ v "X"; v "Z" ]
+              [ pos r1 [ v "X"; v "Y" ]; pos r2 [ v "Y"; v "Z" ] ])
+          head rel rel;
+        (* a transitive self-join over a derived relation *)
+        map2
+          (fun h r ->
+            rule h [ v "X"; v "Z" ]
+              [ pos r [ v "X"; v "Y" ]; pos r [ v "Y"; v "Z" ] ])
+          head head;
+        (* the symmetric self-join *)
+        map2
+          (fun h r ->
+            rule h [ v "X"; v "Y" ]
+              [ pos r [ v "X"; v "Y" ]; pos r [ v "Y"; v "X" ] ])
+          head rel;
+        (* constants in the body and the head *)
+        map4
+          (fun h r c1 c2 -> rule h [ v "X"; k c2 ] [ pos r [ k c1; v "X" ] ])
+          head rel konst konst;
+        (* an assignment bounded by a comparison *)
+        map2
+          (fun h r ->
+            rule h [ v "X"; v "Z" ]
+              [
+                pos r [ v "X"; v "Y" ];
+                Ast.Assign ("Z", Ast.(v "Y" +: cint 1));
+                Ast.Cond (Ast.Le, v "Z", k 3);
+              ])
+          head rel;
+        (* a comparison between bound variables *)
+        map3
+          (fun h r c ->
+            rule h [ v "Y"; v "X" ]
+              [ pos r [ v "X"; v "Y" ]; Ast.Cond (c, v "X", v "Y") ])
+          head rel
+          (oneofl [ Ast.Ne; Ast.Lt; Ast.Ge ]);
+        (* a complex argument bound by an earlier atom *)
+        map3
+          (fun h r1 r2 ->
+            rule h [ v "X"; v "Z" ]
+              [
+                pos r1 [ v "X"; v "Y" ]; pos r2 [ Ast.(v "Y" +: cint 1); v "Z" ];
+              ])
+          head rel rel;
+        (* a repeated variable, and a unary relation joined back *)
+        map (fun r -> rule "c" [ v "X" ] [ pos r [ v "X"; v "X" ] ]) rel;
+        map2
+          (fun h r ->
+            rule h [ v "X"; v "Y" ]
+              [ pos "c" [ v "X" ]; pos r [ v "X"; v "Y" ] ])
+          head rel;
+        (* path builtins: simple paths, their sizes and endpoints *)
+        map
+          (fun r ->
+            rule "pv" [ v "X"; v "P" ]
+              [
+                pos r [ v "X"; v "Y" ];
+                Ast.Assign ("P", Ast.call "f_init" [ v "X"; v "Y" ]);
+              ])
+          rel;
+        map
+          (fun r ->
+            rule "pv" [ v "X"; v "P" ]
+              [
+                pos r [ v "X"; v "Y" ];
+                pos "pv" [ v "Y"; v "P2" ];
+                Ast.Cond
+                  ( Ast.Eq,
+                    Ast.call "f_inPath" [ v "P2"; v "X" ],
+                    Ast.cbool false );
+                Ast.Assign ("P", Ast.call "f_concatPath" [ v "X"; v "P2" ]);
+              ])
+          rel;
+        return
+          (rule "c" [ v "X" ]
+             [
+               pos "pv" [ v "X"; v "P" ];
+               Ast.Cond (Ast.Gt, Ast.call "f_size" [ v "P" ], k 2);
+             ]);
+        map2
+          (fun h r ->
+            rule h [ v "X"; v "Z" ]
+              [
+                pos "pv" [ v "X"; v "P" ];
+                pos r [ Ast.call "f_last" [ v "P" ]; v "Z" ];
+              ])
+          head rel;
+      ])
+
+let edge (x, y) = Ast.fact "e" [ V.Int x; V.Int y ]
+
+let arb_delta_case =
+  let gen =
+    QCheck.Gen.(
+      let pair4 = pair (int_bound 3) (int_bound 3) in
+      quad
+        (list_size (int_range 1 5) gen_delta_rule)
+        (list_size (int_range 1 6) pair4)
+        (list_size (int_bound 3) pair4)
+        int)
+  in
+  QCheck.make gen ~print:(fun (rules, facts, injected, seed) ->
+      Fmt.str "seed %d, injected %a@.%a" seed
+        Fmt.(list ~sep:sp (pair ~sep:comma int int))
+        injected Ast.pp_program
+        { Ast.empty_program with Ast.rules; facts = List.map edge facts })
+
+let enabled_equal = List.equal (fun a b -> NT.insertion_compare a b = 0)
+
+(* Follow [steps] random successors of [sys] from its first initial
+   state, checking [ok] at each state visited. *)
+let random_walk rs ~steps (sys : ('s, _) Explore.sys) ok =
+  let rec go n s =
+    ok s;
+    if n > 0 then
+      match sys.Explore.successors s with
+      | [] -> ()
+      | succs ->
+        go (n - 1)
+          (List.nth succs (Random.State.int rs (List.length succs)))
+  in
+  List.iter (go steps) sys.Explore.initial
+
+let ndlog_state_agrees p (s : NT.state) =
+  if
+    not
+      (enabled_equal (Lazy.force s.NT.enabled)
+         (NT.enabled_insertions p s.NT.db))
+  then
+    QCheck.Test.fail_reportf "carried enabled set differs at@.%a" Store.pp
+      s.NT.db;
+  if s.NT.hash <> Store.hash s.NT.db then
+    QCheck.Test.fail_reportf "carried hash differs at@.%a" Store.pp s.NT.db
+
+let soft_state_agrees cfg (s : ST.state) =
+  if
+    not
+      (enabled_equal (Lazy.force s.ST.enabled)
+         (NT.enabled_insertions cfg.ST.program s.ST.db))
+  then
+    QCheck.Test.fail_reportf "carried soft enabled set differs at clock %d@.%a"
+      s.ST.clock Store.pp s.ST.db;
+  let rebuilt = ST.make_state cfg ~clock:s.ST.clock s.ST.db s.ST.leases in
+  if ST.state_hash s <> ST.state_hash rebuilt then
+    QCheck.Test.fail_reportf "carried soft hash differs at clock %d"
+      s.ST.clock
+
+let prop_delta_step =
+  QCheck.Test.make ~name:"delta step = full enumeration along random walks"
+    ~count:300 arb_delta_case (fun (rules, facts, injected, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let p =
+        { Ast.empty_program with Ast.rules; facts = List.map edge facts }
+      in
+      random_walk rs ~steps:20 (NT.labeled_system p) (ndlog_state_agrees p);
+      random_walk rs ~steps:6 (NT.batched_system p) (ndlog_state_agrees p);
+      (* soft: [e] and [a] leased, [e] injected at instants 0 and 1 *)
+      let soft =
+        {
+          p with
+          Ast.decls =
+            [
+              Ast.decl ~lifetime:(Ast.Lifetime 2.) "e";
+              Ast.decl ~lifetime:(Ast.Lifetime 3.) "a";
+            ];
+        }
+      in
+      let cfg =
+        ST.make_config ~horizon:4
+          ~inject:(fun t ->
+            if t <= 1 then
+              List.map (fun (x, y) -> ("e", [| V.Int x; V.Int y |])) injected
+            else [])
+          soft
+      in
+      random_walk rs ~steps:20 (ST.labeled_system cfg) (soft_state_agrees cfg);
+      true)
+
+(* Negation: an insertion can disable another, so every state's set is
+   enumerated in full; the walks still see exactly that set. *)
+let test_negation_enumerates () =
+  let p =
+    Programs.parse_exn
+      {|
+a(X,Y) :- e(X,Y), !b(Y,X).
+b(X,Y) :- a(X,Y), X < Y.
+c(X) :- a(X,Y), !b(X,Y).
+e(0,1). e(1,0). e(1,2). e(2,1). e(2,0).
+|}
+  in
+  checkb "negation disables independence" false
+    (NT.independent p ("a", [| V.Int 0; V.Int 1 |]) ("c", [| V.Int 2 |]));
+  let sys = NT.labeled_system p in
+  for seed = 0 to 19 do
+    random_walk (Random.State.make [| seed |]) ~steps:12 sys
+      (ndlog_state_agrees p)
+  done;
+  let plain = NT.explore p in
+  checkb "space explored to its end" false plain.Explore.truncated;
+  List.iter (ndlog_state_agrees p) plain.Explore.terminal
 
 (* ------------------------------------------------------------------ *)
 (* Soft-state leases on the integer clock. *)
@@ -731,9 +957,10 @@ let test_e2_count_to_infinity_trace () =
   let run name res =
     match res with
     | Ok _ -> Alcotest.failf "%s: expected count-to-infinity violation" name
-    | Error (v : Store.t Explore.violation) ->
+    | Error (v : NT.state Explore.violation) ->
       ok_or_fail (name ^ " trace replays") (Explore.validate_trace sys v.Explore.trace);
-      checkb (name ^ " endpoint violates") true (not (bound v.Explore.violating))
+      checkb (name ^ " endpoint violates") true
+        (not (bound v.Explore.violating.NT.db))
   in
   run "plain" (NT.check_fine_invariant ~max_states:50_000 p bound);
   run "por"
@@ -763,8 +990,9 @@ let test_e3_disagree_trace () =
 (* The set (not multiset) of canonical terminal states: plain
    exploration may reach several terminals in one orbit where the
    reduced search keeps a single representative. *)
-let terminal_fingerprint sym (stats : Store.t Explore.stats) =
-  List.map (Sym.canon_store sym) stats.Explore.terminal
+let terminal_fingerprint sym (stats : NT.state Explore.stats) =
+  List.map (fun (s : NT.state) -> Sym.canon_store sym s.NT.db)
+    stats.Explore.terminal
   |> List.sort_uniq Store.compare
 
 let prop_reduction_sound =
@@ -859,12 +1087,12 @@ let prop_reduction_sound =
         let verdict name res =
           match res with
           | Ok _ -> true
-          | Error (v : Store.t Explore.violation) ->
+          | Error (v : NT.state Explore.violation) ->
             (match Explore.validate_trace sys v.Explore.trace with
             | Ok () -> ()
             | Error e ->
               QCheck.Test.fail_reportf "%s produced an invalid trace: %s" name e);
-            if inv v.Explore.violating then
+            if inv v.Explore.violating.NT.db then
               QCheck.Test.fail_reportf "%s endpoint satisfies the invariant" name;
             false
         in
@@ -1005,6 +1233,9 @@ let () =
           Alcotest.test_case "value-aware insertion order" `Quick
             test_insertion_order_value_aware;
           Alcotest.test_case "A2 pinned at 175" `Quick test_a2_pin_175;
+          QCheck_alcotest.to_alcotest prop_delta_step;
+          Alcotest.test_case "negation enumerates in full" `Quick
+            test_negation_enumerates;
           Alcotest.test_case "fractional lifetime rounds up" `Quick
             test_soft_fractional_lifetime;
           Alcotest.test_case "program facts load at clock 0" `Quick

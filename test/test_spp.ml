@@ -198,7 +198,7 @@ let test_mc_ndlog_fixpoint () =
   let central = Ndlog.Eval.run_exn p in
   checkb "fixpoint matches evaluator" true
     (Ndlog.Store.Tset.equal
-       (Ndlog.Store.relation "reachable" fixpoint)
+       (Ndlog.Store.relation "reachable" fixpoint.Mcheck.Ndlog_ts.db)
        (Ndlog.Store.relation "reachable" central.Ndlog.Eval.db))
 
 let test_mc_ndlog_invariant () =
