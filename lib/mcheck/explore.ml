@@ -17,10 +17,10 @@
 
    State identity is the system's [equal]/[hash] pair.  The default
    (structural [(=)] / [Hashtbl.hash]) is only correct for pure-data
-   states: a state type carrying derived mutable fields (e.g.
-   {!Ndlog.Store.t}'s index cache, which {!Ndlog.Store.equal} and
-   {!Ndlog.Store.hash} deliberately ignore) must supply its own pair,
-   or the same logical state visits once per cache configuration.
+   states: a state built on balanced trees (e.g. {!Ndlog.Store.t},
+   whose shape depends on insertion order) or carrying lazily derived
+   fields must supply its own pair, or the same logical state visits
+   once per representation.
    [Hashtbl.hash] also truncates at its default depth/size limits, so
    large states would collapse into a handful of buckets and the table
    would degrade to a linear scan — a full-depth [hash] keeps lookups

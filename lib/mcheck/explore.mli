@@ -5,12 +5,12 @@
     Works over any transition system given as initial states plus a
     successor function.  State identity is the system's [equal]/[hash]
     pair; the structural default ([(=)] / [Hashtbl.hash]) is only
-    correct for small pure-data states — a state type with derived
-    mutable fields (e.g. {!Ndlog.Store.t}'s index cache, ignored by
-    {!Ndlog.Store.equal}/{!Ndlog.Store.hash}) must supply its own pair
-    or the same logical state is visited once per cache configuration,
-    and [Hashtbl.hash]'s depth/size truncation collapses large states
-    into a few buckets.
+    correct for small pure-data states — a state built on balanced
+    trees (e.g. {!Ndlog.Store.t}, whose shape depends on insertion
+    order) or carrying lazily derived fields must supply its own pair or
+    the same logical state is visited once per representation, and
+    [Hashtbl.hash]'s depth/size truncation collapses large states into a
+    few buckets.
 
     Two reductions, both off by default so plain callers are untouched:
 

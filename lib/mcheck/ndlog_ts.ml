@@ -86,11 +86,10 @@ let independent (p : Ast.program) : action -> action -> bool =
 (* ------------------------------------------------------------------ *)
 (* States.
 
-   Identity is [Store.equal] on the database: it ignores the store's
-   mutable index cache, which the checker's structural defaults would
-   see — a cache-warm database would then neither compare nor hash
-   equal to the same database cache-cold.  [Store.hash] is a sum of
-   per-fact hashes, so the carried hash updates in O(1) per
+   Identity is [Store.equal] on the database: the checker's structural
+   defaults would see the store's tree shape, which depends on
+   insertion order, and the lazily carried enabled set.  [Store.hash] is
+   a sum of per-fact hashes, so the carried hash updates in O(1) per
    insertion. *)
 
 type state = { db : Store.t; enabled : action list Lazy.t; hash : int }

@@ -154,9 +154,9 @@ let tick cfg (s : state) : state =
     (List.fold_left (fun s (p, t) -> put cfg s p t) s' (cfg.inject clock))
 
 (* State identity goes through [Store.equal] for the database component
-   (the index cache is not part of the state) and the canonical lease
-   list; structural defaults would distinguish cache-warm from
-   cache-cold databases.  The enabled set is derived from the rest. *)
+   and the canonical lease list; structural defaults would distinguish
+   databases by their tree shape.  The enabled set is derived from the
+   rest. *)
 let state_equal a b =
   a.clock = b.clock
   && Store.equal a.db b.db

@@ -7,9 +7,10 @@
      ({!Flat.to_store}).  Every node of {!Dist.Runtime} runs the same
      executor, so the code that is tested is the code that runs.
    - [naive]: re-derives everything from the full database each round
-     with the small boxed join core below.  It shares planning
-     ({!Plan.order_body}) but no execution code with {!Ideval}, which
-     makes it the independent oracle of the differential tests.
+     with the small boxed join core below, a nested loop over rule
+     bodies in source order.  It shares neither planning nor execution
+     code with {!Ideval}, which makes it the independent oracle of the
+     differential tests.
 
    The boxed core's one-step pieces, [body_envs], [seeded_envs] and
    [head_tuple], also serve provenance and the model checker's
@@ -57,81 +58,44 @@ let zero_stats = Plan.zero_stats
 let add_stats = Plan.add_stats
 
 (* ------------------------------------------------------------------ *)
-(* The boxed join core. *)
-
-(* The argument positions of [args] that are ground under [env], with
-   their values.  Only bare variables and constants are considered —
-   complex expressions are left to [Env.match_args], which may only
-   evaluate them against a concrete candidate tuple (evaluating eagerly
-   here could raise where a scan over an empty relation would not). *)
-let ground_positions env (args : Ast.expr list) : (int * Value.t) list =
-  let rec go i = function
-    | [] -> []
-    | Ast.Const v :: rest -> (i, v) :: go (i + 1) rest
-    | Ast.Var x :: rest -> (
-      match Env.find_opt x env with
-      | Some v -> (i, v) :: go (i + 1) rest
-      | None -> go (i + 1) rest)
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 args
-
-(* The candidate tuples for matching [args] against [pred] under [env]:
-   an indexed lookup when some argument position is ground, the full
-   relation otherwise. *)
-let candidates (st : counters) (db : Store.t) env pred (args : Ast.expr list)
-    : Store.Tset.t =
-  match ground_positions env args with
-  | [] ->
-    st.Plan.c_scans <- st.Plan.c_scans + 1;
-    Store.relation pred db
-  | bound ->
-    st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-    Store.lookup pred ~cols:(List.map fst bound) ~key:(List.map snd bound) db
+(* The boxed join core: a nested loop over whole relations, literals in
+   the order given.  Analysis guarantees that source order binds every
+   variable before a negation, comparison, assignment or complex
+   argument reads it, so no planning is needed. *)
 
 (* Enumerate all satisfying environments for [body] against [db] that
    extend [env], prepending to [acc]. *)
-let body_envs_c (st : counters) (db : Store.t) env (body : Ast.lit list) acc :
-    Env.t list =
-  let rec go env lits acc =
-    match lits with
-    | [] -> env :: acc
-    | lit :: rest -> (
-      match lit with
-      | Ast.Pos a ->
-        Store.Tset.fold
-          (fun tuple acc ->
-            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-            match Env.match_args env a.args tuple with
-            | Some env' ->
-              st.Plan.c_matched <- st.Plan.c_matched + 1;
-              go env' rest acc
-            | None -> acc)
-          (candidates st db env a.pred a.args)
-          acc
-      | Ast.Neg a ->
-        let tuple = Array.of_list (List.map (Env.eval env) a.args) in
-        if Store.mem a.pred tuple db then acc else go env rest acc
-      | Ast.Assign (x, e) -> (
-        let v = Env.eval env e in
-        match Env.find_opt x env with
-        | None -> go (Env.bind x v env) rest acc
-        | Some v' -> if Value.equal v v' then go env rest acc else acc)
-      | Ast.Cond (c, a, b) ->
-        if Env.eval_cmp c (Env.eval env a) (Env.eval env b) then
-          go env rest acc
-        else acc)
-  in
-  go env body acc
+let rec join (db : Store.t) env (body : Ast.lit list) acc : Env.t list =
+  match body with
+  | [] -> env :: acc
+  | Ast.Pos a :: rest ->
+    Store.Tset.fold
+      (fun tuple acc ->
+        match Env.match_args env a.args tuple with
+        | Some env' -> join db env' rest acc
+        | None -> acc)
+      (Store.relation a.pred db) acc
+  | Ast.Neg a :: rest ->
+    let tuple = Array.of_list (List.map (Env.eval env) a.args) in
+    if Store.mem a.pred tuple db then acc else join db env rest acc
+  | Ast.Assign (x, e) :: rest -> (
+    let v = Env.eval env e in
+    match Env.find_opt x env with
+    | None -> join db (Env.bind x v env) rest acc
+    | Some v' -> if Value.equal v v' then join db env rest acc else acc)
+  | Ast.Cond (c, a, b) :: rest ->
+    if Env.eval_cmp c (Env.eval env a) (Env.eval env b) then
+      join db env rest acc
+    else acc
 
-let body_envs db body = body_envs_c (Plan.counters ()) db Env.empty body []
+let body_envs db body = join db Env.empty body []
 
 (* The one-tuple delta join: bind [atom] to [tuple] first, then join
    [rest] through the same loop. *)
 let seeded_envs db (atom : Ast.atom) tuple rest =
   match Env.match_args Env.empty atom.args tuple with
   | None -> []
-  | Some env -> body_envs_c (Plan.counters ()) db env rest []
+  | Some env -> join db env rest []
 
 (* Instantiate a plain (aggregate-free) head under [env]. *)
 let head_tuple env (h : Ast.head) : Store.Tuple.t =
@@ -179,12 +143,8 @@ let agg_fold (a : Ast.agg) (vs : Value.t list) : Value.t =
 
 (* Evaluate an aggregate rule: group satisfying environments by the
    plain head arguments, fold the aggregate, emit one tuple per group. *)
-let apply_agg_rule st db (r : Ast.rule) : Store.Tuple.t list =
-  let envs =
-    body_envs_c st db Env.empty
-      (Plan.order_body ~card:(fun p -> Store.cardinal p db) r.body)
-      []
-  in
+let apply_agg_rule db (r : Ast.rule) : Store.Tuple.t list =
+  let envs = body_envs db r.body in
   let groups =
     List.fold_left
       (fun groups env ->
@@ -232,9 +192,9 @@ let apply_agg_rule st db (r : Ast.rule) : Store.Tuple.t list =
 
 (* ------------------------------------------------------------------ *)
 (* Naive evaluation: every round re-applies every plain rule of the
-   stratum to the whole database. *)
+   stratum, in source order, to the whole database. *)
 
-let eval_stratum_naive st db stratum (p : Ast.program) ~max_rounds ~rounds
+let eval_stratum_naive db stratum (p : Ast.program) ~max_rounds ~rounds
     ~count =
   let agg_rules, plain_rules =
     Plan.split_agg (Plan.rules_of_stratum p stratum)
@@ -250,23 +210,18 @@ let eval_stratum_naive st db stratum (p : Ast.program) ~max_rounds ~rounds
   let db =
     List.fold_left
       (fun db (r : Ast.rule) ->
-        add_heads r.head.head_pred (apply_agg_rule st db r) db)
+        add_heads r.head.head_pred (apply_agg_rule db r) db)
       db agg_rules
   in
   let rec loop db =
     if !rounds >= max_rounds then (db, false)
     else begin
       incr rounds;
-      let card p = Store.cardinal p db in
       let derived =
         List.fold_left
           (fun acc (r : Ast.rule) ->
             add_heads r.head.head_pred
-              (List.map
-                 (fun env -> head_tuple env r.head)
-                 (body_envs_c st db Env.empty
-                    (Plan.order_body ~card r.body)
-                    []))
+              (List.map (fun env -> head_tuple env r.head) (body_envs db r.body))
               acc)
           Store.empty plain_rules
       in
@@ -277,20 +232,17 @@ let eval_stratum_naive st db stratum (p : Ast.program) ~max_rounds ~rounds
   in
   loop db
 
-let naive ?(max_rounds = 10_000) ?stats (p : Ast.program)
-    (info : Analysis.info) (db : Store.t) : outcome =
-  let st = Plan.counters () in
+let naive ?(max_rounds = 10_000) (p : Ast.program) (info : Analysis.info)
+    (db : Store.t) : outcome =
   let rounds = ref 0 and count = ref 0 in
   let db, converged =
     List.fold_left
       (fun (db, ok) stratum ->
         if not ok then (db, ok)
-        else eval_stratum_naive st db stratum p ~max_rounds ~rounds ~count)
+        else eval_stratum_naive db stratum p ~max_rounds ~rounds ~count)
       (db, true) info.Analysis.strata
   in
-  let s = Plan.snapshot st in
-  Option.iter (fun c -> Plan.accumulate c s) stats;
-  { db; rounds = !rounds; derivations = !count; converged; stats = s }
+  { db; rounds = !rounds; derivations = !count; converged; stats = zero_stats }
 
 (* ------------------------------------------------------------------ *)
 (* Semi-naive evaluation: the id-native executor behind a boxing

@@ -4,8 +4,9 @@
     {!Ideval}, behind a boxing boundary: the store is translated to
     flat id tuples, evaluated, and materialized back.  {!naive}
     re-derives everything from the full database each round with a
-    small boxed join core that shares no execution code with
-    {!Ideval}: it is the independent oracle of the differential tests.
+    small boxed nested loop that joins rule bodies in source order and
+    shares neither planning nor execution code with {!Ideval}: it is
+    the independent oracle of the differential tests.
     Both respect stratification: strata are evaluated bottom-up,
     aggregate rules of a stratum run once at stratum entry (their
     inputs are complete), remaining rules run to fixpoint.
@@ -54,11 +55,10 @@ val add_stats : stats -> stats -> stats
 (** {1 The boxed one-step core} *)
 
 val body_envs : Store.t -> Ast.lit list -> Env.t list
-(** All satisfying environments for a rule body against a database (in
-    source order; ground positions are answered from {!Store.lookup}
-    indexes).  Used by provenance and the model checker's transition
-    systems, which fire rules one step at a time over canonical boxed
-    stores. *)
+(** All satisfying environments for a rule body against a database: a
+    nested loop over whole relations, literals in the given order.  Used
+    by provenance and the model checker's transition systems, which fire
+    rules one step at a time over canonical boxed stores. *)
 
 val seeded_envs :
   Store.t -> Ast.atom -> Store.Tuple.t -> Ast.lit list -> Env.t list
@@ -88,15 +88,11 @@ val seminaive :
     index probes and most-bound-first planning together; off, every
     join is a full scan in source order. *)
 
-val naive :
-  ?max_rounds:int ->
-  ?stats:counters ->
-  Ast.program ->
-  Analysis.info ->
-  Store.t ->
-  outcome
-(** Naive evaluation over the boxed core; same fixpoint as {!seminaive}
-    (differentially tested), used as the independent oracle. *)
+val naive : ?max_rounds:int -> Ast.program -> Analysis.info -> Store.t -> outcome
+(** Naive evaluation over the boxed core, rule bodies in source order;
+    same fixpoint as {!seminaive} (differentially tested), used as the
+    independent oracle.  It counts no joins: [outcome.stats] is
+    {!zero_stats}. *)
 
 (** {1 Refresh strata}
 

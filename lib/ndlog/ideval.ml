@@ -17,7 +17,8 @@
    directly.  Literal orders, delta decompositions and aggregate shapes
    come from {!Plan}; index probes and join ordering are switched per
    call by [optimized_joins].  Tests check it against the boxed naive
-   evaluator ({!Eval.naive}), which shares no execution code with it. *)
+   evaluator ({!Eval.naive}), which shares no planning or execution
+   code with it. *)
 
 module Fset = Flat.Fset
 

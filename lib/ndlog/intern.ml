@@ -22,10 +22,9 @@
    over its tail instead of L, and every element of a canonical list is
    its own representative (so membership in it is [List.memq]).
 
-   The tables here are process-global caches, exactly like the
-   secondary-index caches in {!Store}: they never participate in store
-   equality, comparison, or hashing, so model-checker state identity is
-   untouched.  Ids are *not* ordered consistently with
+   The tables here are process-global caches: they never participate in
+   store equality, comparison, or hashing, so model-checker state
+   identity is untouched.  Ids are *not* ordered consistently with
    {!Value.compare} — they are allocation-ordered — so they are only
    ever used where equality is the question (hash-cons hits, index-key
    identity); anything that needs the canonical order converts back to

@@ -12,10 +12,9 @@
     [h :: t] shares the spine of [t]'s representative.  Every element
     of a canonical list is its own canonical representative.
 
-    The interning tables are process-global caches in the same sense as
-    {!Store}'s secondary-index caches: they never influence store
-    [equal]/[compare]/[hash], so model-checker state identity is
-    unaffected.  Ids are allocation-ordered, {e not} consistent with
+    The interning tables are process-global caches: they never
+    influence store [equal]/[compare]/[hash], so model-checker state
+    identity is unaffected.  Ids are allocation-ordered, {e not} consistent with
     {!Value.compare}; use them only for equality.
 
     Single-domain contract: the tables are unsynchronized, so these

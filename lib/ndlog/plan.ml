@@ -1,8 +1,9 @@
 (* Join planning, run counters, and rule strands.
 
    Everything here is pure planning: nothing executes a join.  The one
-   semi-naive executor ({!Ideval}) and the boxed naive oracle
-   ({!Eval.naive}) both plan rule bodies with [order_body], and
+   semi-naive executor ({!Ideval}) and the model checker's delta
+   activations plan rule bodies with [order_body] (the boxed naive
+   oracle, {!Eval.naive}, joins in source order and plans nothing), and
    {!Ideval} decomposes delta activations with [group_vars] /
    [group_cols] / [split_shared]; {!Dist.Runtime} compiles a program's
    strands here and runs them through {!Ideval.execute_batch}.
@@ -123,16 +124,29 @@ let note_refresh_fallback c = c.c_refresh_fallbacks <- c.c_refresh_fallbacks + 1
    Reordering preserves the satisfying-environment set: positive atoms
    constrain the same variables whether they bind or filter, and a
    literal is only scheduled once every variable it *needs* (negated
-   atoms, comparisons, assignment right-hand sides) is bound.  For any
-   safe rule the earliest remaining literal in source order is always
-   eligible — everything before it has already run — so the scheduler
-   is total. *)
+   atoms, comparisons, assignment right-hand sides, complex atom
+   arguments) is bound.  For any safe rule the earliest remaining
+   literal in source order is always eligible — everything before it
+   has already run — so the scheduler is total. *)
 
 let lit_vars (l : Ast.lit) : Ast.Sset.t = Ast.vars_of_lit Ast.Sset.empty l
 
+(* A positive atom binds its bare variables; a complex argument only
+   matches once its variables are bound, by earlier literals or by bare
+   variables to its left (as {!Env.match_args} runs). *)
 let needs_of (l : Ast.lit) : Ast.Sset.t =
   match l with
-  | Ast.Pos _ -> Ast.Sset.empty  (* joins bind their unbound variables *)
+  | Ast.Pos a ->
+    snd
+      (List.fold_left
+         (fun (binds, needs) (e : Ast.expr) ->
+           match e with
+           | Ast.Var x -> (Ast.Sset.add x binds, needs)
+           | Ast.Const _ -> (binds, needs)
+           | e ->
+             let vs = Ast.vars_of_expr Ast.Sset.empty e in
+             (binds, Ast.Sset.union needs (Ast.Sset.diff vs binds)))
+         (Ast.Sset.empty, Ast.Sset.empty) a.Ast.args)
   | Ast.Neg a -> Ast.vars_of_atom Ast.Sset.empty a
   | Ast.Cond (_, e1, e2) ->
     Ast.vars_of_expr (Ast.vars_of_expr Ast.Sset.empty e1) e2

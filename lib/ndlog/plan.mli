@@ -1,9 +1,10 @@
 (** Join planning, run counters, and rule strands.
 
-    Pure planning shared by the one semi-naive executor ({!Ideval}) and
-    the boxed naive oracle ({!Eval.naive}): literal ordering, the
-    batched delta decomposition, the grouped-aggregate shape and the
-    per-run join counters.  Nothing here executes a join.
+    Pure planning for the one semi-naive executor ({!Ideval}) and the
+    model checker's delta activations: literal ordering, the batched
+    delta decomposition, the grouped-aggregate shape and the per-run
+    join counters.  Nothing here executes a join, and the boxed naive
+    oracle ({!Eval.naive}) plans nothing: it joins in source order.
 
     Rule strands are Click-style dataflow plans (the paper, Section
     2.2: programs are "compiled into distributed execution plans that
@@ -99,7 +100,8 @@ val order_body :
 (** Greedy join planning: filters (assignments, comparisons, negations)
     run as soon as their variables are bound; positive atoms are
     scheduled most-bound-first, ties broken by smaller relation
-    ([card]) then source order.  [bound] seeds the bound-variable set
+    ([card]) then source order, and an atom with a complex argument
+    waits until that argument's variables are bound.  [bound] seeds the bound-variable set
     (e.g. with the variables a delta literal binds).  Preserves the
     satisfying-environment set of any safe rule; identity when
     [optimized_joins] (default [true]) is off. *)

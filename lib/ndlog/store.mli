@@ -1,14 +1,11 @@
 (** Ground-tuple storage: a persistent database mapping predicate names
-    to sets of tuples.  Stores are canonical values — two databases with
-    the same contents are structurally equal — which lets the model
-    checker use them directly as states.
-
-    Relations carry lazily built secondary indexes over column sets
-    ({!lookup}), maintained incrementally across {!add} / {!remove} /
-    {!union} / {!set_relation}.  Indexes are pure
-    memoization: they never participate in {!equal}, {!compare} or
-    {!hash}, so two stores with the same tuples remain the same
-    model-checker state whatever joins have been run against them.
+    to sets of tuples.  A store is a plain value with no empty relation
+    and no cache, so two databases with the same contents are {!equal},
+    {!compare}-equal and {!hash}-equal whatever order their tuples
+    arrived in — which lets the model checker use them directly as
+    states (through these functions: the balanced trees' shapes, which
+    [(=)] sees, depend on insertion order).  Indexed joins run over
+    {!Flat}, not here.
 
     Tuples arrive here already canonicalized ({!Intern}): interning
     happens at the system boundaries (fact loading, event injection,
@@ -49,15 +46,13 @@ val remove : string -> Tuple.t -> t -> t
 val add_list : string -> Tuple.t list -> t -> t
 
 val set_relation : string -> Tset.t -> t -> t
-(** Replace a predicate's relation wholesale (used by view refresh).
-    Cached indexes are patched by the symmetric difference of old and
-    new relation, so warm indexes survive the repeated mostly-unchanged
-    replacements the refresh loop performs. *)
+(** Replace a predicate's relation wholesale (the empty set removes
+    it). *)
 
 val map_tuples : (Tuple.t -> Tuple.t) -> t -> t
 (** Apply a function to every tuple, relation by relation, rebuilding
     each relation's tuple set in bulk (tuples mapped to the same image
-    merge).  Cached indexes are dropped. *)
+    merge). *)
 
 val preds : t -> string list
 (** Predicates with at least one tuple, sorted. *)
@@ -74,13 +69,13 @@ val diff : t -> t -> t
 val is_empty : t -> bool
 
 val equal : t -> t -> bool
-(** Content equality (empty relations are irrelevant). *)
+(** Content equality. *)
 
 val compare : t -> t -> int
 
 val hash : t -> int
 (** The sum of the facts' {!fact_hash}es: independent of insertion
-    order and of index caches, agreeing with {!equal}. *)
+    order, agreeing with {!equal}. *)
 
 val fact_hash : string -> Tuple.t -> int
 (** One fact's share of {!hash}, so an insertion updates a kept hash in
@@ -103,24 +98,3 @@ val iter : (string -> Tuple.t -> unit) -> t -> unit
 
 val pp : t Fmt.t
 val to_string : t -> string
-
-(** {1 Secondary indexes}
-
-    Used by the boxed join core's index-aware joins
-    ({!Eval.body_envs}). *)
-
-val lookup : string -> cols:int list -> key:Value.t list -> t -> Tset.t
-(** [lookup pred ~cols ~key db]: every tuple of [pred] whose values at
-    positions [cols] (a strictly increasing list) equal [key]
-    (positionally matching [cols]).  Builds and caches the
-    [(pred, cols)] index on first use; subsequent updates through
-    {!add} / {!remove} / {!union} keep it current.  Tuples too short to
-    have all indexed columns are never returned (they cannot match a
-    pattern binding those positions). *)
-
-val index_count : t -> int
-(** Number of materialized [(pred, column-set)] indexes — cache
-    introspection for tests and stats. *)
-
-val indexed_cols : string -> t -> int list list
-(** The column sets currently indexed for a predicate. *)

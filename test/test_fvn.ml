@@ -192,74 +192,21 @@ let test_model_check_counterexample () =
     checkb "trace leads to violation" true
       (List.length v.Mcheck.Explore.trace >= 1)
 
-(* State identity regressions: the checker's visited table must key
-   states with [Store.equal]/[Store.hash], which ignore the store's
-   mutable index cache and the internal tree shape — the structural
-   defaults distinguished a cache-warm store from its cache-cold twin,
-   duplicating visited states.  The same system is explored twice: over
-   cache-cold stores (every state rebuilt from its tuples) and over
-   stores whose [Store.lookup] caches were warmed on purpose. *)
-let test_explore_index_independence () =
-  let program =
-    Programs.with_links (Programs.path_vector ()) (Programs.line_links 3)
-  in
-  let module NT = Mcheck.Ndlog_ts in
-  let sys = NT.labeled_system program in
-  (* A state's store rebuilt from its tuples (its enabled set then
-     enumerated in full). *)
-  let cold (s : NT.state) =
-    NT.state_of_store program
-      (List.fold_left
-         (fun acc (pred, t) -> Store.add pred t acc)
-         Store.empty (Store.to_list s.NT.db))
-  in
-  (* One index per (predicate, column), probed with its first tuple. *)
-  let warm (s : NT.state) =
-    let db = s.NT.db in
-    List.iter
-      (fun pred ->
-        match Store.tuples pred db with
-        | t :: _ ->
-          Array.iteri
-            (fun i v -> ignore (Store.lookup pred ~cols:[ i ] ~key:[ v ] db))
-            t
-        | [] -> ())
-      (Store.preds db);
-    s
-  in
-  let through f =
-    {
-      sys with
-      Mcheck.Explore.initial = List.map f sys.Mcheck.Explore.initial;
-      successors = (fun s -> List.map f (sys.Mcheck.Explore.successors s));
-    }
-  in
-  let initial = List.hd sys.Mcheck.Explore.initial in
-  checki "cold states carry no index" 0
-    (Store.index_count (cold initial).NT.db);
-  checkb "warmed states carry indexes" true
-    (Store.index_count (warm (cold initial)).NT.db > 0);
-  let explore s = Mcheck.Explore.explore ~max_states:5_000 (through s) in
-  let cold_run = explore cold and warm_run = explore warm in
-  checki "states independent of index cache" cold_run.Mcheck.Explore.states
-    warm_run.Mcheck.Explore.states;
-  checki "transitions independent of index cache"
-    cold_run.Mcheck.Explore.transitions warm_run.Mcheck.Explore.transitions;
-  checki "depth independent of index cache" cold_run.Mcheck.Explore.max_depth
-    warm_run.Mcheck.Explore.max_depth;
-  (* Directly: a store that materialized an index is the same state as
-     its cache-cold twin built in another insertion order. *)
+(* State identity regression: the checker's visited table must key
+   states with [Store.equal]/[Store.hash], which ignore the internal
+   tree shape — a store and its twin built in another insertion order
+   are the same state. *)
+let test_explore_insertion_order_independence () =
   let tup i = [| V.Int i |] in
   let rows = List.init 20 tup in
-  let warm = Store.add_list "r" rows Store.empty in
-  let cold = Store.add_list "r" (List.rev rows) Store.empty in
-  ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Int 3 ] warm);
+  let forward = Store.add_list "r" rows Store.empty in
+  let backward = Store.add_list "r" (List.rev rows) Store.empty in
   let tbl =
     Mcheck.Explore.Table.create ~equal:Store.equal ~hash:Store.hash ()
   in
-  Mcheck.Explore.Table.add tbl warm 0;
-  checkb "cache-cold twin is the same state" true
-    (Mcheck.Explore.Table.mem tbl cold)
+  Mcheck.Explore.Table.add tbl forward 0;
+  checkb "insertion-order twin is the same state" true
+    (Mcheck.Explore.Table.mem tbl backward)
 
 (* Interning independence: hash-consing is a representation change,
    so exploring a program whose facts are fresh, unshared value boxes
@@ -299,7 +246,6 @@ let test_explore_interning_independence () =
     Store.add_list "r" (List.map Ndlog.Intern.tuple rows) Store.empty
   in
   let boxed = Store.add_list "r" (List.map (Array.map fresh) rows) Store.empty in
-  ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Addr "n3" ] interned);
   let tbl =
     Mcheck.Explore.Table.create ~equal:Store.equal ~hash:Store.hash ()
   in
@@ -310,8 +256,8 @@ let test_explore_interning_independence () =
 (* Flat-representation independence: a store round-tripped through the
    id-native flat database ([Flat.of_store] / [Flat.to_store] — the
    path every id-mode runtime store takes) must be the same
-   model-checker state as the store it came from, with warm flat
-   indexes on either side. *)
+   model-checker state as the store it came from, with a warm flat
+   index. *)
 let test_explore_flat_independence () =
   let module Flat = Ndlog.Flat in
   let rows =
@@ -323,7 +269,6 @@ let test_explore_flat_independence () =
   (* Warm the flat side's secondary index, then materialize. *)
   ignore (Flat.lookup fdb "r" ~cols:[ 0 ] ~key:[| Ndlog.Intern.id (V.Addr "n3") |]);
   let warmed = Flat.to_store fdb in
-  ignore (Store.lookup "r" ~cols:[ 0 ] ~key:[ V.Addr "n3" ] warmed);
   checkb "flat round-trip is Store.equal" true (Store.equal plain warmed);
   checki "flat round-trip hash" (Store.hash plain) (Store.hash warmed);
   checki "flat round-trip compare" 0 (Store.compare plain warmed);
@@ -470,8 +415,8 @@ let () =
             test_explore_interning_independence;
           Alcotest.test_case "state identity vs flat round-trip" `Quick
             test_explore_flat_independence;
-          Alcotest.test_case "state identity vs index cache" `Quick
-            test_explore_index_independence;
+          Alcotest.test_case "state identity vs insertion order" `Quick
+            test_explore_insertion_order_independence;
           Alcotest.test_case "bucket distribution" `Quick
             test_explore_bucket_distribution;
         ] );

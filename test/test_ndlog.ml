@@ -571,71 +571,122 @@ let test_store_determinism () =
   checkb "insertion order irrelevant" true (Store.equal a b);
   checki "same hash" (Store.hash a) (Store.hash b)
 
-(* ------------------------------------------------------------------ *)
-(* Secondary indexes and index-aware evaluation. *)
+(* The plain store against a set model.  Random sequences of every
+   updating operation keep the store's invariants: no predicate holds
+   an empty relation, identity ([equal], [compare], [hash]) follows
+   content exactly, and every earlier persistent value reads as it
+   did. *)
+module Fmodel = Set.Make (struct
+  type t = string * int list
 
-let test_store_lookup () =
-  let t a b = tuple [ V.Addr a; V.Addr b ] in
-  let db = Store.add_list "e" [ t "a" "b"; t "a" "c"; t "b" "c" ] Store.empty in
-  checki "two from a" 2
-    (Store.Tset.cardinal (Store.lookup "e" ~cols:[ 0 ] ~key:[ V.Addr "a" ] db));
-  checki "exact match" 1
-    (Store.Tset.cardinal
-       (Store.lookup "e" ~cols:[ 0; 1 ] ~key:[ V.Addr "b"; V.Addr "c" ] db));
-  checki "absent key" 0
-    (Store.Tset.cardinal (Store.lookup "e" ~cols:[ 0 ] ~key:[ V.Addr "z" ] db));
-  checki "absent predicate" 0
-    (Store.Tset.cardinal (Store.lookup "x" ~cols:[ 0 ] ~key:[ V.Addr "a" ] db));
-  (* both column sets are now materialized, and only those *)
-  checki "two indexes cached" 2 (Store.index_count db);
-  checkb "cols tracked" true (Store.indexed_cols "e" db = [ [ 0 ]; [ 0; 1 ] ]);
-  (* a tuple too short for the indexed columns is simply never returned *)
-  let db = Store.add "e" (tuple [ V.Addr "a" ]) db in
-  checki "short tuple skipped" 2
-    (Store.Tset.cardinal (Store.lookup "e" ~cols:[ 1 ] ~key:[ V.Addr "c" ] db))
+  let compare = compare
+end)
 
-let test_index_maintenance () =
-  let t i j = tuple [ V.Int i; V.Int j ] in
-  let lk db = Store.Tset.cardinal (Store.lookup "p" ~cols:[ 0 ] ~key:[ V.Int 1 ] db) in
-  let db = Store.add_list "p" [ t 1 1; t 1 2; t 2 3 ] Store.empty in
-  checki "materialize" 2 (lk db);
-  (* add maintains the cached index... *)
-  let db2 = Store.add "p" (t 1 9) db in
-  checki "after add" 3 (lk db2);
-  (* ...without disturbing the original persistent value *)
-  checki "original intact" 2 (lk db);
-  (* remove maintains *)
-  let db3 = Store.remove "p" (t 1 2) db2 in
-  checki "after remove" 2 (lk db3);
-  checki "db2 intact" 3 (lk db2);
-  (* union folds the right side through the left side's caches *)
-  let right = Store.add "p" (t 1 7) Store.empty in
-  let u = Store.union db2 right in
-  checki "after union" 4 (lk u);
-  (* set_relation patches the caches by the symmetric difference: the
-     replaced relation keeps its warm index, and lookups stay exact *)
-  let db4 = Store.set_relation "p" (Store.Tset.of_list [ t 1 5; t 2 6 ]) db3 in
-  checki "caches kept" 1 (Store.index_count db4);
-  checki "patched lookup" 1 (lk db4);
-  (* a replacement that only adds is visible through the patched index *)
-  let db5 =
-    Store.set_relation "p" (Store.Tset.of_list [ t 1 5; t 1 8; t 2 6 ]) db4
-  in
-  checki "patched after grow" 2 (lk db5);
-  (* replacing with the empty set still removes the relation *)
-  let db6 = Store.set_relation "p" Store.Tset.empty db5 in
-  checki "emptied" 0 (lk db6)
+type store_op =
+  | Add of string * int list
+  | Remove of string * int list
+  | Set_rel of string * int list list
+  | Union of (string * int list) list
+  | Diff of (string * int list) list
+  | Restrict of string list
+  | Map_mod2
 
-let test_index_canonicity () =
-  (* Materialized indexes are invisible to equal/compare/hash: stores
-     stay canonical model-checker states. *)
-  let t i = tuple [ V.Int i ] in
-  let a = Store.add_list "p" [ t 1; t 2 ] Store.empty in
-  let b = Store.add_list "p" [ t 2; t 1 ] Store.empty in
-  ignore (Store.lookup "p" ~cols:[ 0 ] ~key:[ V.Int 1 ] a);
-  checkb "equal despite index" true (Store.equal a b);
-  checki "compare zero" 0 (Store.compare a b);
-  checki "same hash" (Store.hash a) (Store.hash b)
+let store_op_gen =
+  QCheck.Gen.(
+    let pred = oneofl [ "p"; "q"; "r" ] and tup = list_repeat 2 (int_bound 3) in
+    let facts n = list_size (int_bound n) (pair pred tup) in
+    frequency
+      [
+        (4, map2 (fun p t -> Add (p, t)) pred tup);
+        (3, map2 (fun p t -> Remove (p, t)) pred tup);
+        (1, map2 (fun p ts -> Set_rel (p, ts)) pred (list_size (int_bound 3) tup));
+        (1, map (fun fs -> Union fs) (facts 4));
+        (1, map (fun fs -> Diff fs) (facts 8));
+        (1, map (fun ps -> Restrict ps) (list_size (int_bound 3) pred));
+        (1, return Map_mod2);
+      ])
+
+let store_tuple t = Array.of_list (List.map (fun i -> V.Int i) t)
+
+let store_of_model_facts fs =
+  List.fold_left (fun db (p, t) -> Store.add p (store_tuple t) db) Store.empty fs
+
+let apply_store_op db = function
+  | Add (p, t) -> Store.add p (store_tuple t) db
+  | Remove (p, t) -> Store.remove p (store_tuple t) db
+  | Set_rel (p, ts) ->
+    Store.set_relation p (Store.Tset.of_list (List.map store_tuple ts)) db
+  | Union fs -> Store.union db (store_of_model_facts fs)
+  | Diff fs -> Store.diff db (store_of_model_facts fs)
+  | Restrict ps -> Store.restrict ps db
+  | Map_mod2 ->
+    Store.map_tuples (Array.map (fun v -> V.Int (V.as_int v mod 2))) db
+
+let apply_model_op m = function
+  | Add (p, t) -> Fmodel.add (p, t) m
+  | Remove (p, t) -> Fmodel.remove (p, t) m
+  | Set_rel (p, ts) ->
+    List.fold_left
+      (fun m t -> Fmodel.add (p, t) m)
+      (Fmodel.filter (fun (q, _) -> q <> p) m)
+      ts
+  | Union fs -> Fmodel.union m (Fmodel.of_list fs)
+  | Diff fs -> Fmodel.diff m (Fmodel.of_list fs)
+  | Restrict ps -> Fmodel.filter (fun (q, _) -> List.mem q ps) m
+  | Map_mod2 -> Fmodel.map (fun (p, t) -> (p, List.map (fun i -> i mod 2) t)) m
+
+let store_contents db =
+  List.map
+    (fun (p, t) -> (p, List.map V.as_int (Array.to_list t)))
+    (Store.to_list db)
+
+let prop_store_invariants =
+  QCheck.Test.make
+    ~name:"no empty relation, identity = content, persistence"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d operations" (List.length ops))
+       QCheck.Gen.(list_size (int_bound 30) store_op_gen))
+    (fun ops ->
+      let history =
+        List.fold_left
+          (fun hist op ->
+            match hist with
+            | [] -> assert false
+            | (db, m) :: _ -> (apply_store_op db op, apply_model_op m op) :: hist)
+          [ (Store.empty, Fmodel.empty) ]
+          ops
+        |> List.map (fun (db, m) -> (db, Fmodel.elements m))
+      in
+      (* Checked once the whole sequence has run, so earlier values are
+         seen after every later operation. *)
+      List.iter
+        (fun (db, contents) ->
+          if store_contents db <> contents then
+            QCheck.Test.fail_report "store content differs from the model";
+          if
+            Store.preds db
+            <> List.sort_uniq String.compare (List.map fst contents)
+            || List.exists (fun p -> Store.cardinal p db = 0) (Store.preds db)
+          then QCheck.Test.fail_report "a predicate with an empty relation")
+        history;
+      List.iter
+        (fun (a, ca) ->
+          List.iter
+            (fun (b, cb) ->
+              let same = ca = cb in
+              if Store.equal a b <> same then
+                QCheck.Test.fail_report "equal disagrees with content";
+              if (Store.compare a b = 0) <> same then
+                QCheck.Test.fail_report "compare disagrees with content";
+              let sign x = Int.compare x 0 in
+              if sign (Store.compare a b) <> - sign (Store.compare b a) then
+                QCheck.Test.fail_report "compare is not antisymmetric";
+              if same && Store.hash a <> Store.hash b then
+                QCheck.Test.fail_report "equal stores hash apart")
+            history)
+        history;
+      true)
 
 (* Analyze and evaluate a self-contained program with the join
    optimizations on or off (off = the pre-index nested-loop engine:
@@ -794,6 +845,33 @@ let test_call_args_left_to_right () =
       ignore (Eval.naive p info db));
   Alcotest.check_raises "semi-naive" first_arg (fun () ->
       ignore (Eval.seminaive p info db))
+
+(* A complex atom argument matches only once its variables are bound:
+   the planner must not schedule [c(@N, X+Z)] before [b], which binds
+   [Z], although [c] has fewer unbound positions. *)
+let test_complex_arg_waits_for_inputs () =
+  let p =
+    Programs.parse_exn
+      "a(@n, 1). a(@n, 2). b(@n, 1, 5). b(@n, 2, 6).\n\
+       c(@n, 2). c(@n, 3). c(@n, 4).\n\
+       h(@N, X) :- a(@N, X), b(@N, Z, W), c(@N, X+Z).\n"
+  in
+  let body = (List.hd p.Ast.rules).Ast.body in
+  checkb "c planned after b" true
+    (List.map
+       (function Ast.Pos a -> a.Ast.pred | _ -> "")
+       (Plan.order_body body)
+    = [ "a"; "b"; "c" ]);
+  let expected =
+    Store.add_list "h"
+      [ [| V.Addr "n"; V.Int 1 |]; [| V.Addr "n"; V.Int 2 |] ]
+      Store.empty
+  in
+  let h (o : Eval.outcome) = Store.restrict [ "h" ] o.Eval.db in
+  checkb "run derives h(1), h(2)" true (Store.equal expected (h (Eval.run_exn p)));
+  checkb "naive derives h(1), h(2)" true
+    (Store.equal expected
+       (h (Eval.naive p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts))))
 
 (* Builtins resolve by name once; an unknown name still compiles and
    raises only when a tuple reaches the call. *)
@@ -1652,8 +1730,9 @@ let test_intern_bulk_rejects () =
     (fun () -> ignore (Intern.tuple_of_ids [| Intern.id (V.Int 1); unknown |]))
 
 (* [Store.tuples] must enumerate in canonical (Tuple.compare) order,
-   and [lookup] must return identical sets, whether the store holds
-   interned tuples or fresh, unshared boxes of the same values. *)
+   and a selection on one column must return identical sets, whether
+   the store holds interned tuples or fresh, unshared boxes of the same
+   values. *)
 let test_intern_store_order () =
   let tuples =
     List.init 40 (fun i ->
@@ -1667,16 +1746,16 @@ let test_intern_store_order () =
     List.fold_left (fun db t -> Store.add "r" (canon t) db) Store.empty tuples
   in
   let probe db =
-    Store.lookup "r" ~cols:[ 1 ]
-      ~key:[ V.List [ V.Addr "n02"; V.Int 2 ] ]
-      db
+    let key = V.List [ V.Addr "n02"; V.Int 2 ] in
+    Store.Tset.filter (fun t -> V.equal t.(1) key) (Store.relation "r" db)
   in
   let interned = build Intern.tuple in
   let boxed = build fresh_tuple in
   let hits_interned = probe interned and hits_boxed = probe boxed in
-  checkb "interned and boxed lookups agree" true
+  checkb "interned and boxed selections agree" true
     (Store.Tset.equal hits_interned hits_boxed);
-  checkb "lookup finds the probe key" false (Store.Tset.is_empty hits_interned);
+  checkb "selection finds the probe key" false
+    (Store.Tset.is_empty hits_interned);
   let elems = Store.tuples "r" interned in
   let rec ascending = function
     | a :: (b :: _ as rest) ->
@@ -1688,10 +1767,9 @@ let test_intern_store_order () =
     (List.length elems = List.length (Store.tuples "r" boxed)
     && List.for_all2 Store.Tuple.equal elems (Store.tuples "r" boxed))
 
-(* Mirror of the model checker's warm-vs-cold-cache regression: an
-   interned store with warmed indexes and a store of fresh, unshared
-   boxes built in another insertion order are the same state under
-   [Store.equal]/[compare]/[hash], and group identically. *)
+(* An interned store and a store of fresh, unshared boxes built in
+   another insertion order are the same state under
+   [Store.equal]/[compare]/[hash], and select identically. *)
 let test_intern_equal_hash_across_representations () =
   let tuples =
     List.init 25 (fun i ->
@@ -1710,17 +1788,16 @@ let test_intern_equal_hash_across_representations () =
     (List.for_all
        (fun t -> (fresh_tuple t).(0) != (Intern.tuple t).(0))
        tuples);
-  (* Warm the interned store's caches; boxed stays cold. *)
-  ignore
-    (Store.lookup "link" ~cols:[ 1 ] ~key:[ V.List [ V.Addr "n1" ] ] interned);
   checkb "equal across representations" true (Store.equal interned boxed);
   checki "hash across representations" (Store.hash boxed) (Store.hash interned);
   checki "compare across representations" 0 (Store.compare interned boxed);
-  let key = [ V.List [ V.Addr "n1" ] ] in
-  checkb "lookups agree across representations" true
-    (Store.Tset.equal
-       (Store.lookup "link" ~cols:[ 1 ] ~key interned)
-       (Store.lookup "link" ~cols:[ 1 ] ~key boxed))
+  let select db =
+    let key = V.List [ V.Addr "n1" ] in
+    Store.Tset.filter (fun t -> V.equal t.(1) key) (Store.relation "link" db)
+  in
+  checkb "selections agree across representations" true
+    (Store.Tset.equal (select interned) (select boxed));
+  checkb "selection is not empty" false (Store.Tset.is_empty (select interned))
 
 (* ------------------------------------------------------------------ *)
 (* Flat (id-native) storage and the id-native evaluator.  [Flat] holds
@@ -2014,19 +2091,91 @@ let test_ideval_execute_batch () =
   checkb "id heads = boxed heads" true
     (same_heads (strand_heads db strand deltas) (body_heads db r2 "path" deltas))
 
+(* Random rules with complex atom arguments, all located on one node:
+   atoms over the facts [e/3] and the derived [d/3] bind variables, and
+   after some of them comes an atom over [u/2] or [e/3] whose argument
+   computes on variables bound so far, followed by further binding
+   atoms.  Source order is safe; a planner that moved a complex atom
+   ahead of its inputs would lose derivations.  Heads copy bare
+   variables, so the fixpoint stays within the facts' values. *)
+let gen_complex_rule : Ast.rule QCheck.Gen.t =
+ fun rs ->
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let fresh = ref 0 and bound = ref [] in
+  let var () =
+    if !bound <> [] && Random.State.int rs 4 = 0 then Ast.var (pick !bound)
+    else begin
+      let x = Printf.sprintf "V%d" !fresh in
+      incr fresh;
+      bound := x :: !bound;
+      Ast.var x
+    end
+  in
+  let complex () =
+    let x = Ast.var (pick !bound) and y = Ast.var (pick !bound) in
+    pick [ Ast.(x +: y); Ast.Binop (Ast.Sub, x, y); Ast.(x +: cint 1) ]
+  in
+  let located p args = Ast.Pos (Ast.atom ~loc:0 p (Ast.var "N" :: args)) in
+  let binder i =
+    let x = var () in
+    let y = var () in
+    located (if i = 0 then "e" else pick [ "e"; "e"; "d" ]) [ x; y ]
+  in
+  let checker () =
+    if Random.State.bool rs then located "u" [ complex () ]
+    else
+      let c = complex () in
+      located "e" [ c; var () ]
+  in
+  (* binders, each followed by a checker or not; at least one checker *)
+  let n = 2 + Random.State.int rs 2 in
+  let last_check = Random.State.int rs n in
+  let body =
+    List.concat
+      (List.init n (fun i ->
+           let b = binder i in
+           if i = last_check then [ b; checker () ]
+           else if i < last_check && Random.State.bool rs then [ b; checker () ]
+           else [ b ]))
+  in
+  let x = pick !bound and y = pick !bound in
+  Ast.rule
+    (Ast.head ~loc:0 "d"
+       (List.map (fun e -> Ast.Plain e) [ Ast.var "N"; Ast.var x; Ast.var y ]))
+    body
+
+let arb_complex_rules =
+  let gen =
+    QCheck.Gen.(
+      let fact p args =
+        Ast.fact ~loc:0 p (V.Addr "n0" :: List.map (fun i -> V.Int i) args)
+      in
+      triple
+        (list_size (int_range 1 3) gen_complex_rule)
+        (list_size (int_range 4 12) (list_repeat 2 (int_bound 2)))
+        (list_size (int_range 3 7) (int_range (-2) 4))
+      >|= fun (rules, es, us) ->
+      (rules, List.map (fact "e") es @ List.map (fun u -> fact "u" [ u ]) us))
+  in
+  QCheck.make gen ~print:(fun (rules, facts) ->
+      Fmt.str "%a" Ast.pp_program { Ast.empty_program with Ast.rules; facts })
+
 (* Differential property against the independent oracle: semi-naive
    evaluation (the id-native executor behind [Eval.seminaive]) reaches
    the naive evaluator's fixpoint and convergence over random programs
    and topologies — path-vector, bounded distance-vector, link-state and
    reachability on random links, reachability and link-state on grids,
-   bounded distance-vector on rings — with the join optimizations on
-   or off. *)
+   bounded distance-vector on rings, each joined by random rules with
+   complex atom arguments — with the join optimizations on or off. *)
 let prop_ideval_equals_eval =
   QCheck.Test.make
     ~name:"semi-naive executor = naive oracle (db, convergence), any config"
     ~count:40
-    QCheck.(quad (int_range 0 6) (int_range 3 7) (int_range 0 3) bool)
-    (fun (case, n, extra, optimized_joins) ->
+    QCheck.(
+      pair
+        (quad (int_range 0 6) (int_range 3 7) (int_range 0 3) bool)
+        arb_complex_rules)
+    (fun ((case, n, extra, optimized_joins), (rules, facts)) ->
       let random () = Programs.random_links ~seed:((23 * n) + extra) ~extra n in
       let grid () = Programs.grid_links (2 + (n mod 2)) in
       let prog, links =
@@ -2041,6 +2190,7 @@ let prop_ideval_equals_eval =
         | _ -> (Programs.link_state ~max_hops:4, grid ())
       in
       let p = Programs.with_links prog links in
+      let p = { p with Ast.rules = p.Ast.rules @ rules; facts = p.Ast.facts @ facts } in
       let info = Analysis.analyze_exn p in
       let db = Store.of_facts p.Ast.facts in
       let naive = Eval.naive p info db in
@@ -2169,6 +2319,8 @@ let () =
             test_eval_errors_typed;
           Alcotest.test_case "call arguments left to right" `Quick
             test_call_args_left_to_right;
+          Alcotest.test_case "complex argument waits for its inputs" `Quick
+            test_complex_arg_waits_for_inputs;
           Alcotest.test_case "unknown builtin raises at call time" `Quick
             test_unknown_builtin_at_call_time;
         ]
@@ -2193,7 +2345,8 @@ let () =
           Alcotest.test_case "basic ops" `Quick test_store_ops;
           Alcotest.test_case "union/diff" `Quick test_store_union_diff;
           Alcotest.test_case "determinism" `Quick test_store_determinism;
-        ] );
+        ]
+        @ qsuite [ prop_store_invariants ] );
       ( "intern",
         [
           Alcotest.test_case "id stability" `Quick test_intern_id_stable;
@@ -2223,11 +2376,6 @@ let () =
       ("evaluator_agreement", agreement_cases);
       ( "index",
         [
-          Alcotest.test_case "lookup" `Quick test_store_lookup;
-          Alcotest.test_case "incremental maintenance" `Quick
-            test_index_maintenance;
-          Alcotest.test_case "canonicity preserved" `Quick
-            test_index_canonicity;
           Alcotest.test_case "join planning" `Quick
             test_order_body_most_bound_first;
           Alcotest.test_case "stats" `Quick test_eval_stats_counted;
