@@ -154,14 +154,30 @@ let execute_distributed ?topology ?(max_events = 1_000_000)
     let topo =
       match topology with Some t -> t | None -> topology_of_links program
     in
-    match Dist.Runtime.create topo program with
-    | exception Dist.Runtime.Not_localized m -> Error m
-    | runtime ->
-      Dist.Runtime.load_facts runtime;
-      let report = Dist.Runtime.run ~max_events runtime in
-      Ok
-        (Distributed
-           { runtime; report; global = Dist.Runtime.global_store runtime }))
+    (* A fact located at no node of the topology would have no owner to
+       load it. *)
+    let nodes = Netsim.Topology.nodes topo in
+    let outside (f : Ast.fact) =
+      match f.Ast.fact_loc with
+      | Some i when i < List.length f.Ast.fact_args ->
+        let n = Ndlog.Value.as_addr (List.nth f.Ast.fact_args i) in
+        if List.mem n nodes then None else Some (n, f)
+      | _ -> None
+    in
+    match List.find_map outside program.Ast.facts with
+    | Some (n, f) ->
+      Error
+        (Fmt.str "fact located at %s, a node outside the topology: %a" n
+           Ast.pp_fact f)
+    | None -> (
+      match Dist.Runtime.create topo program with
+      | exception Dist.Runtime.Not_localized m -> Error m
+      | runtime ->
+        Dist.Runtime.load_facts runtime;
+        let report = Dist.Runtime.run ~max_events runtime in
+        Ok
+          (Distributed
+             { runtime; report; global = Dist.Runtime.global_store runtime })))
 
 (* ------------------------------------------------------------------ *)
 (* Model checking (arcs 6/8). *)

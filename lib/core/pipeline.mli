@@ -75,7 +75,8 @@ val execute_distributed :
   Ndlog.Ast.program ->
   (execution, string) result
 (** Arc 7, distributed: localizes the program when required, derives
-    the topology from [link] facts unless one is supplied. *)
+    the topology from [link] facts unless one is supplied.  An [Error]
+    names the first fact located at a node outside the topology. *)
 
 val model_check :
   ?max_states:int ->

@@ -47,7 +47,9 @@
      {!Ndlog.Ideval.refresh_stratum});
    - fallback: from-scratch recomputation for negation, other aggregate
      shapes, and plain strata whose support lost tuples — all
-     non-monotone under seeding.
+     non-monotone under seeding ({!Ndlog.Ideval.seminaive_stratum}).
+   Seeding and the fallback run the same round loop over the same
+   strands, compiled once per stratum at [create].
    Skips, re-folds and fallbacks are counted ([strata_skipped] /
    [strata_refolded] / [refresh_fallbacks] in {!Ndlog.Eval.stats}).
    [~incremental_views:false] restores the from-scratch refresh, kept
@@ -158,7 +160,7 @@ type node_state = {
 (* How a touched refresh stratum is brought up to date, fixed at
    [create]. *)
 type refresh_mode =
-  | Seed of Ideval.istrand list
+  | Seed
       (* plain: seeded delta re-derivation through its strands, unless
          its support lost tuples *)
   | Refold of Ideval.refold list
@@ -197,11 +199,11 @@ type t = {
      serves every batch for the runtime's lifetime. *)
   strands : (string, Ideval.istrand list) Hashtbl.t;
   (* Incremental view refresh: dirty-predicate tracking plus the view
-     program's refresh strata, each with the way it is maintained when
-     touched.  Off: the from-scratch refresh, kept as the differential
-     oracle. *)
+     program's refresh strata, each compiled, with the way it is
+     maintained when touched.  Off: the from-scratch refresh, kept as
+     the differential oracle. *)
   incremental_views : bool;
-  refresh_plan : (Eval.refresh_stratum * refresh_mode) list;
+  refresh_plan : (Eval.refresh_stratum * Ideval.stratum * refresh_mode) list;
   (* Join counters, split by path (per-runtime: concurrent runtimes
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
@@ -492,9 +494,10 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
         | Some l -> l @ [ ist ]
         | None -> [ ist ]))
     (Plan.compile_program pipeline_program);
-  (* Refresh strata of the view program, bottom-up, each with its
-     maintenance mode: seeded strands for plain strata, group-wise
-     re-fold for aggregate strata that admit it
+  (* Refresh strata of the view program, bottom-up, each compiled once
+     (its strands serve both seeding and the from-scratch fallback)
+     with its maintenance mode: seeded strands for plain strata,
+     group-wise re-fold for aggregate strata that admit it
      ({!Ideval.refold_plan}), from scratch for the rest. *)
   let refresh_plan =
     List.map
@@ -507,13 +510,9 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
             | Some refolds -> Refold refolds
             | None -> Scratch
           end
-          else
-            Seed
-              (List.map Ideval.of_strand
-                 (Plan.compile_program
-                    { view_program with Ast.rules = rules }))
+          else Seed
         in
-        (rs, mode))
+        (rs, Ideval.compile_stratum rules, mode))
       (Eval.refresh_strata view_program)
   in
   let t =
@@ -837,7 +836,7 @@ and incremental_fresh t ns (db : Flat.t) :
   in
   let _ =
     List.fold_left
-      (fun changed ((rs : Eval.refresh_stratum), mode) ->
+      (fun changed ((rs : Eval.refresh_stratum), stratum, mode) ->
         let support = rs.Eval.rs_support in
         if not (Sset.exists (fun p -> Sset.mem p changed) support) then begin
           (* Untouched: the seeded relations are still exact. *)
@@ -851,7 +850,7 @@ and incremental_fresh t ns (db : Flat.t) :
             journaled changed (fun () ->
                 Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
                   ~removed)
-          | Seed strands
+          | Seed
             when not
                    (Sset.exists (fun p -> Flat.cardinal removed p > 0) support)
             ->
@@ -859,17 +858,15 @@ and incremental_fresh t ns (db : Flat.t) :
                purely additive, so the journal holds only genuine
                adds. *)
             journaled changed (fun () ->
-                Ideval.refresh_stratum ~stats:t.joins db ~strands ~delta)
-          | Seed _ | Scratch ->
+                Ideval.refresh_stratum ~stats:t.joins db stratum ~delta)
+          | Seed | Scratch ->
             (* Negation is non-monotone in its support, and removals are
                non-monotone under seeding: recompute the stratum from
                scratch, its relations starting empty. *)
             Plan.note_refresh_fallback t.joins;
             journaled changed (fun () ->
                 List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
-                ignore
-                  (Ideval.seminaive_stratum ~stats:t.joins t.view_program
-                     rs.Eval.rs_preds db)))
+                ignore (Ideval.seminaive_stratum ~stats:t.joins stratum db)))
       ns.dirty t.refresh_plan
   in
   !movement

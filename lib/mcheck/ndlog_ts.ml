@@ -15,13 +15,13 @@
    The successor step is the engine's own delta step.  A successor
    differs from its parent by the tuple it inserted, so in a
    negation-free program its enabled set is the parent's minus that
-   insertion, plus the heads derived through the new tuple (each rule
-   entered at each body atom over its predicate, the rest of the body
-   joined over the new store) that are not already stored.  Programs
-   with negation — where an insertion can disable another — enumerate
-   every state's set in full.  Either way the set is forced only when
-   the state is expanded, so partial-order reduction never builds the
-   sets of the siblings it prunes.
+   insertion, plus the heads derived through the new tuple (the
+   executor's strands triggered by its predicate, joined over the new
+   store) that are not already stored.  Programs with negation — where
+   an insertion can disable another — enumerate every state's set in
+   full.  Either way the set is forced only when the state is expanded,
+   so partial-order reduction never builds the sets of the siblings it
+   prunes.
 
    An action is the insertion itself, (predicate, tuple); partial-order
    reduction needs nothing more, because independence follows from
@@ -104,98 +104,52 @@ let state_of_store (p : Ast.program) db =
 (* ------------------------------------------------------------------ *)
 (* The delta step.
 
-   A rule is entered once per positive body atom: the inserted tuple
+   The step runs the executor's own strands ({!Plan.compile_strand}):
+   a rule is entered once per positive body atom, the inserted tuple
    binds that atom, and the rest of the body, planned with the atom's
    variables bound, is joined over the new store.  A new satisfying
    environment must use the new tuple at some positive position (every
-   other environment already held in the parent), so the activations of
-   the tuple's predicate derive exactly the new heads; a self-join is
-   entered at each of its occurrences.
-
-   Complex atom arguments become fresh variables plus an equality
-   condition before planning: a safe rule binds their variables by
-   earlier literals in source order, which the seeded order need not
-   preserve, and the condition waits until they are bound.  The fresh
-   names ([%0], [%1], ...) cannot clash with parsed variables. *)
-
-type activation = {
-  seed : Ast.atom;
-  rest : Ast.lit list;  (* planned with the seed's variables bound *)
-  head : Ast.head;
-}
+   other environment already held in the parent), so the strands
+   triggered by the tuple's predicate derive exactly the new heads; a
+   self-join is entered at each of its occurrences.  Only the heads of
+   non-aggregate rules are ever inserted by a step, so a strand seeded
+   by any other predicate would never fire and is dropped. *)
 
 type delta =
   | Full of Ast.program  (* negation: enumerate every set in full *)
-  | Delta of (string * activation) list  (* keyed by seed predicate *)
+  | Delta of Plan.strand list  (* seeded by derived predicates *)
 
-(* Complex positive-atom arguments as fresh variables plus equality
-   conditions; atoms without one are kept as they are. *)
-let name_complex_args (body : Ast.lit list) : Ast.lit list =
-  let complex = function Ast.Var _ | Ast.Const _ -> false | _ -> true in
-  let fresh = ref 0 in
-  List.concat_map
-    (function
-      | Ast.Pos a when List.exists complex a.Ast.args ->
-        let conds = ref [] in
-        let args =
-          List.map
-            (fun e ->
-              if not (complex e) then e
-              else begin
-                let x = Printf.sprintf "%%%d" !fresh in
-                incr fresh;
-                conds := Ast.Cond (Ast.Eq, Ast.Var x, e) :: !conds;
-                Ast.Var x
-              end)
-            a.Ast.args
-        in
-        Ast.Pos { a with Ast.args } :: List.rev !conds
-      | l -> [ l ])
-    body
-
-(* Only the heads of non-aggregate rules are ever inserted by a step,
-   so a seed over any other predicate would never fire. *)
 let compile (p : Ast.program) : delta =
   if has_negation p then Full p
   else
-    let rules =
-      List.filter (fun (r : Ast.rule) -> not (Ast.has_aggregate r.Ast.head))
+    let derived =
+      List.filter_map
+        (fun (r : Ast.rule) ->
+          if Ast.has_aggregate r.Ast.head then None
+          else Some r.Ast.head.Ast.head_pred)
         p.Ast.rules
     in
-    let derived =
-      List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.head_pred) rules
-    in
-    let activations (r : Ast.rule) =
-      let body = name_complex_args r.Ast.body in
-      List.concat
-        (List.mapi
-           (fun i -> function
-             | Ast.Pos seed when List.mem seed.Ast.pred derived ->
-               let rest =
-                 Plan.order_body ~bound:(Plan.atom_binds seed)
-                   (List.filteri (fun j _ -> j <> i) body)
-               in
-               [ (seed.Ast.pred, { seed; rest; head = r.Ast.head }) ]
-             | _ -> [])
-           body)
-    in
-    Delta (List.concat_map activations rules)
+    Delta
+      (List.filter
+         (fun (s : Plan.strand) -> List.mem s.Plan.delta.Ast.pred derived)
+         (Plan.compile_program p))
 
 (* The heads derived through the inserted [(pred, t)] over [db] that
    [db] does not hold yet, prepended to [acc]. *)
-let derived_through activations db acc ((pred, t) : action) =
+let derived_through strands db acc ((pred, t) : action) =
   List.fold_left
-    (fun acc (q, act) ->
-      if not (String.equal q pred) then acc
+    (fun acc (s : Plan.strand) ->
+      if not (String.equal s.Plan.delta.Ast.pred pred) then acc
       else
-        let hp = act.head.Ast.head_pred in
+        let head = s.Plan.strand_rule.Ast.head in
+        let hp = head.Ast.head_pred in
         List.fold_left
           (fun acc env ->
-            let h = Eval.head_tuple env act.head in
+            let h = Eval.head_tuple env head in
             if Store.mem hp h db then acc else (hp, h) :: acc)
           acc
-          (Eval.seeded_envs db act.seed t act.rest))
-    acc activations
+          (Eval.seeded_envs db s.Plan.delta t s.Plan.rest))
+    acc strands
 
 (* Sorted-list difference and union under [insertion_compare]. *)
 let rec minus xs ys =
@@ -220,11 +174,11 @@ let rec merge xs ys =
 let step_enabled d ~parent ~inserted db =
   match d with
   | Full p -> lazy (enabled_insertions p db)
-  | Delta activations ->
+  | Delta strands ->
     lazy
       (merge
          (minus parent inserted)
-         (List.fold_left (derived_through activations db) [] inserted
+         (List.fold_left (derived_through strands db) [] inserted
          |> List.sort_uniq insertion_compare))
 
 (* Insert a batch of enabled insertions (sorted, none stored yet). *)
@@ -245,7 +199,7 @@ let step d s inserted =
 (* Systems. *)
 
 (* One labeled successor per enabled insertion, in
-   [enabled_insertions] order.  The activations are compiled on the
+   [enabled_insertions] order.  The strands are compiled on the
    first expansion: a system that is only replayed against, or never
    explored, does not pay for them. *)
 let labeled_system ?observed (p : Ast.program) : (state, action) Explore.sys =

@@ -9,7 +9,9 @@
 
     The successor step is the engine's delta step: a successor's enabled
     set is its parent's minus the insertion, merged with the heads
-    derived through the one inserted tuple ({!Ndlog.Eval.seeded_envs}).
+    derived through the one inserted tuple — the executor's own strands
+    ({!Ndlog.Plan.compile_strand}) joined through
+    {!Ndlog.Eval.seeded_envs}.
     Initial states and programs with negation enumerate the set in full
     ({!enabled_insertions}).
 
@@ -50,12 +52,10 @@ val state_equal : state -> state -> bool
 (** {1 The delta step} *)
 
 type delta
-(** A program compiled for successor steps: each non-aggregate rule
-    entered at each positive body atom over a predicate some
+(** A program compiled for successor steps: the executor's strands
+    ({!Ndlog.Plan.compile_program}) seeded by a predicate some
     non-aggregate rule derives (no other tuple is ever inserted by a
-    step), the rest of its body planned with that atom's variables
-    bound ({!Ndlog.Plan.order_body}).  A program with negation compiles
-    to full enumeration. *)
+    step).  A program with negation compiles to full enumeration. *)
 
 val compile : Ndlog.Ast.program -> delta
 

@@ -309,53 +309,65 @@ let merge_env (a : int array) (b : int array) : int array option =
   if go 0 then Some out else None
 
 (* ------------------------------------------------------------------ *)
-(* Delta joins. *)
+(* Strands: the one delta join. *)
 
-(* One compiled (rule, delta position) activation: the round's delta is
-   grouped by [b_cols], the [b_shared] literals run once per group from
-   the key bindings, and each delta tuple pays only its pattern match
-   plus [b_per_tuple] ({!Plan.split_shared}).  A self-contained
-   compilation unit (own slot table, own compiled head). *)
-type activation = {
-  b_cols : int list;  (* delta group columns *)
-  b_col_slots : int list;  (* their slots, positionally *)
-  b_dpat : iexpr array;  (* delta-atom pattern *)
-  b_shared : step array;
-  b_per_tuple : step array;
-  b_nslots : int;
-  b_head : iexpr array;
+(* A compiled strand ({!Plan.strand}): the round's delta is grouped by
+   [s_cols], the [s_shared] literals run once per group from the key
+   bindings, and each delta tuple pays only its pattern match plus
+   [s_per_tuple] ({!Plan.split_shared}).  A self-contained compilation
+   unit (own slot table, own compiled head), planned once without
+   cardinalities, so one compiled strand serves every batch. *)
+type istrand = {
+  s_rule : Ast.rule;
+  s_delta_pred : string;
+  s_cols : int list;  (* delta group columns *)
+  s_col_slots : int list;  (* their slots, positionally *)
+  s_dpat : iexpr array;  (* delta-atom pattern *)
+  s_shared : step array;
+  s_per_tuple : step array;
+  s_nslots : int;
+  s_head : iexpr array;
+  s_optimized : bool;  (* index probes, as its plan's [optimized_joins] *)
 }
 
-(* [ordered]: the rest of the body, already join-planned. *)
-let compile_activation (rule : Ast.rule) (delta_atom : Ast.atom)
-    (ordered : Ast.lit list) : activation =
+let head_pred (s : istrand) = s.s_rule.Ast.head.Ast.head_pred
+let head_loc (s : istrand) = s.s_rule.Ast.head.Ast.head_loc
+let delta_pred (s : istrand) = s.s_delta_pred
+
+let compile_istrand ~optimized_joins (s : Plan.strand) : istrand =
   let ctx = mkctx () in
-  let gvars = Plan.group_vars delta_atom ordered in
-  let cols_vars = Plan.group_cols delta_atom gvars in
-  let shared, per_tuple = Plan.split_shared gvars ordered in
-  let b_dpat = compile_args ctx delta_atom.Ast.args in
-  let b_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
-  let b_shared = compile_body ctx shared in
-  let b_per_tuple = compile_body ctx per_tuple in
-  let b_head = compile_head ctx rule.Ast.head in
+  let gvars = Plan.group_vars s.Plan.delta s.Plan.rest in
+  let cols_vars = Plan.group_cols s.Plan.delta gvars in
+  let shared, per_tuple = Plan.split_shared gvars s.Plan.rest in
+  let s_dpat = compile_args ctx s.Plan.delta.Ast.args in
+  let s_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
+  let s_shared = compile_body ctx shared in
+  let s_per_tuple = compile_body ctx per_tuple in
+  let s_head = compile_head ctx s.Plan.strand_rule.Ast.head in
   {
-    b_cols = List.map fst cols_vars;
-    b_col_slots;
-    b_dpat;
-    b_shared;
-    b_per_tuple;
-    b_nslots = ctx.n;
-    b_head;
+    s_rule = s.Plan.strand_rule;
+    s_delta_pred = s.Plan.delta.Ast.pred;
+    s_cols = List.map fst cols_vars;
+    s_col_slots;
+    s_dpat;
+    s_shared;
+    s_per_tuple;
+    s_nslots = ctx.n;
+    s_head;
+    s_optimized = optimized_joins;
   }
 
-(* All satisfying environments of [b] against [fdb] with the delta read
+let of_strand = compile_istrand ~optimized_joins:true
+
+(* All satisfying environments of [s] against [fdb] with the delta read
    from [dset].  Counters: delta tuples by cardinality, one group per
    distinct key, enumerated/matched per delta tuple, and the
    shared/per-tuple phases accounted through [body_envs_from]. *)
-let delta_envs ~optimized_joins (st : Plan.counters) fdb (b : activation)
-    (dset : Fset.t) : int array list =
+let delta_envs (st : Plan.counters) fdb (s : istrand) (dset : Fset.t) :
+    int array list =
+  let optimized_joins = s.s_optimized in
   st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
-  let nslots = b.b_nslots in
+  let nslots = s.s_nslots in
   let scratch = Array.make nslots (-1) in
   List.fold_left
     (fun acc (key, tuples) ->
@@ -365,7 +377,7 @@ let delta_envs ~optimized_joins (st : Plan.counters) fdb (b : activation)
           (fun acc t ->
             st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
             Array.fill scratch 0 nslots (-1);
-            if match_pat scratch b.b_dpat t then begin
+            if match_pat scratch s.s_dpat t then begin
               st.Plan.c_matched <- st.Plan.c_matched + 1;
               Array.copy scratch :: acc
             end
@@ -376,11 +388,9 @@ let delta_envs ~optimized_joins (st : Plan.counters) fdb (b : activation)
       | [] -> acc
       | _ ->
         let env_g = Array.make nslots (-1) in
-        List.iteri
-          (fun i s -> env_g.(s) <- key.(i))
-          b.b_col_slots;
+        List.iteri (fun i sl -> env_g.(sl) <- key.(i)) s.s_col_slots;
         let shared_envs =
-          body_envs_from ~optimized_joins st fdb ~nslots env_g b.b_shared []
+          body_envs_from ~optimized_joins st fdb ~nslots env_g s.s_shared []
         in
         List.fold_left
           (fun acc env_s ->
@@ -390,46 +400,19 @@ let delta_envs ~optimized_joins (st : Plan.counters) fdb (b : activation)
                 | None -> acc
                 | Some env ->
                   body_envs_from ~optimized_joins st fdb ~nslots env
-                    b.b_per_tuple acc)
+                    s.s_per_tuple acc)
               acc tuple_envs)
           acc shared_envs)
     []
-    (Flat.group_set dset ~cols:b.b_cols)
-
-(* ------------------------------------------------------------------ *)
-(* Strand execution (the wire path). *)
-
-type istrand = {
-  is_rule : Ast.rule;
-  is_delta_pred : string;
-  (* Planned once, without cardinalities, so one compiled strand serves
-     every batch. *)
-  is_act : activation;
-}
-
-let head_pred (s : istrand) = s.is_rule.Ast.head.Ast.head_pred
-let head_loc (s : istrand) = s.is_rule.Ast.head.Ast.head_loc
-let delta_pred (s : istrand) = s.is_delta_pred
-
-let of_strand (s : Plan.strand) : istrand =
-  {
-    is_rule = s.Plan.strand_rule;
-    is_delta_pred = s.Plan.delta.Ast.pred;
-    is_act =
-      compile_activation s.Plan.strand_rule s.Plan.delta s.Plan.rest;
-  }
+    (Flat.group_set dset ~cols:s.s_cols)
 
 (* Head id tuples of one strand run over a whole delta batch, one per
    satisfying environment (a multiset, in no particular order). *)
 let execute_batch ?(stats = Plan.counters ()) fdb
     ~(delta_tuples : int array list) (s : istrand) : int array list =
-  match delta_tuples with
-  | [] -> []
-  | _ ->
-    let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
-    List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
-    let envs = delta_envs ~optimized_joins:true stats fdb s.is_act dset in
-    List.rev_map (fun env -> eval_ids env s.is_act.b_head) envs
+  let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
+  List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
+  List.rev_map (fun env -> eval_ids env s.s_head) (delta_envs stats fdb s dset)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates. *)
@@ -591,58 +574,52 @@ let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
 
    All strata are evaluated bottom-up; aggregate rules of a stratum run
    once at stratum entry (their body predicates are strictly lower,
-   hence complete); the remaining rules run semi-naively to fixpoint. *)
+   hence complete); the plain rules run in full once, then semi-naively
+   through the stratum's strands to fixpoint. *)
 
-(* Derived head tuples of applying [rules], optionally delta-restricted.
-   Bodies are planned per application against live cardinalities: full
-   applications from an empty binding, delta applications with the
-   delta literal first (it is the small relation) and the rest ordered
-   under the variables it binds. *)
-let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb ?deltas
-    ~rec_preds rules ~count : Flat.t =
+(* A stratum compiled once: its aggregate rules, its plain rules (the
+   full first round plans them against live cardinalities) and one
+   strand per plain rule and positive body atom (every later round). *)
+type stratum = {
+  agg_rules : Ast.rule list;
+  plain_rules : Ast.rule list;
+  strands : istrand list;
+  optimized_joins : bool;
+}
+
+let compile_stratum ?(optimized_joins = true) (rules : Ast.rule list) =
+  let agg_rules, plain_rules = Plan.split_agg rules in
+  {
+    agg_rules;
+    plain_rules;
+    strands =
+      List.map
+        (compile_istrand ~optimized_joins)
+        (Plan.compile_program ~optimized_joins
+           { Ast.empty_program with Ast.rules = plain_rules });
+    optimized_joins;
+  }
+
+(* Derived head tuples of applying [rules] in full, each body planned
+   against live cardinalities. *)
+let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb rules ~count :
+    Flat.t =
   let card p = Flat.cardinal fdb p in
   let derived = Flat.create () in
   List.iter
     (fun (r : Ast.rule) ->
-      let produce head envs =
-        List.iter
-          (fun env ->
-            incr count;
-            ignore (Flat.add derived r.Ast.head.Ast.head_pred (eval_ids env head)))
-          envs
+      let ctx = mkctx () in
+      let steps =
+        compile_body ctx (Plan.order_body ~optimized_joins ~card r.Ast.body)
       in
-      match deltas with
-      | None ->
-        let ctx = mkctx () in
-        let steps =
-          compile_body ctx (Plan.order_body ~optimized_joins ~card r.Ast.body)
-        in
-        let head = compile_head ctx r.Ast.head in
-        let nslots = ctx.n in
-        produce head
-          (body_envs_from ~optimized_joins st fdb ~nslots
-             (Array.make nslots (-1)) steps [])
-      | Some delta_fdb ->
-        let positions = Plan.delta_positions rec_preds r.Ast.body in
-        List.iter
-          (fun i ->
-            let delta_atom =
-              match List.nth r.Ast.body i with
-              | Ast.Pos a -> a
-              | _ -> assert false
-            in
-            let d = Flat.relation delta_fdb delta_atom.Ast.pred in
-            if Fset.is_empty d then ()
-            else begin
-              let rest =
-                List.filteri (fun j _ -> j <> i) r.Ast.body
-                |> Plan.order_body ~optimized_joins ~card
-                     ~bound:(Plan.atom_binds delta_atom)
-              in
-              let act = compile_activation r delta_atom rest in
-              produce act.b_head (delta_envs ~optimized_joins st fdb act d)
-            end)
-          positions)
+      let head = compile_head ctx r.Ast.head in
+      let nslots = ctx.n in
+      List.iter
+        (fun env ->
+          incr count;
+          ignore (Flat.add derived r.Ast.head.Ast.head_pred (eval_ids env head)))
+        (body_envs_from ~optimized_joins st fdb ~nslots (Array.make nslots (-1))
+           steps []))
     rules;
   derived
 
@@ -652,6 +629,36 @@ let fresh_of fdb derived : Flat.t =
   Flat.iter derived (fun pred t ->
       if not (Flat.mem fdb pred t) then ignore (Flat.add out pred t));
   out
+
+(* The one semi-naive round loop.  Each round runs every strand whose
+   trigger predicate has [delta] tuples; head tuples not already in
+   [fdb] join it and become the next round's delta, until nothing new
+   appears (converged) or [max_rounds] is reached. *)
+let delta_rounds (st : Plan.counters) fdb (strands : istrand list) ~max_rounds
+    ~rounds ~count (delta : Flat.t) : bool =
+  let rec loop delta =
+    if Flat.is_empty delta then true
+    else if !rounds >= max_rounds then false
+    else begin
+      incr rounds;
+      let derived = Flat.create () in
+      List.iter
+        (fun s ->
+          let d = Flat.relation delta s.s_delta_pred in
+          if not (Fset.is_empty d) then
+            List.iter
+              (fun env ->
+                incr count;
+                let t = eval_ids env s.s_head in
+                ignore (Flat.add derived (head_pred s) t))
+              (delta_envs st fdb s d))
+        strands;
+      let fresh = fresh_of fdb derived in
+      Flat.union_into fdb fresh;
+      loop fresh
+    end
+  in
+  loop delta
 
 let apply_agg_rules ~optimized_joins (st : Plan.counters) fdb agg_rules ~count =
   List.iter
@@ -663,48 +670,21 @@ let apply_agg_rules ~optimized_joins (st : Plan.counters) fdb agg_rules ~count =
         (apply_agg_rule ~optimized_joins st fdb r))
     agg_rules
 
-let eval_stratum ~optimized_joins (st : Plan.counters) fdb stratum
-    (p : Ast.program) ~max_rounds ~rounds ~count : bool =
-  let rules = Plan.rules_of_stratum p stratum in
-  let agg_rules, plain_rules = Plan.split_agg rules in
-  apply_agg_rules ~optimized_joins st fdb agg_rules ~count;
-  let rec_preds =
-    List.fold_left
-      (fun s (r : Ast.rule) -> Ast.Sset.add r.Ast.head.Ast.head_pred s)
-      Ast.Sset.empty plain_rules
-  in
+let eval_stratum (st : Plan.counters) fdb (s : stratum) ~max_rounds ~rounds
+    ~count : bool =
+  let optimized_joins = s.optimized_joins in
+  apply_agg_rules ~optimized_joins st fdb s.agg_rules ~count;
   let derived =
-    apply_plain_rules ~optimized_joins st fdb ~rec_preds plain_rules ~count
+    apply_plain_rules ~optimized_joins st fdb s.plain_rules ~count
   in
   let delta = fresh_of fdb derived in
   Flat.union_into fdb delta;
   incr rounds;
-  let rec loop delta =
-    if Flat.is_empty delta then true
-    else if !rounds >= max_rounds then false
-    else begin
-      incr rounds;
-      let derived =
-        apply_plain_rules ~optimized_joins st fdb ~deltas:delta ~rec_preds
-          plain_rules ~count
-      in
-      let delta' = fresh_of fdb derived in
-      Flat.union_into fdb delta';
-      loop delta'
-    end
-  in
-  loop delta
+  delta_rounds st fdb s.strands ~max_rounds ~rounds ~count delta
 
-let seminaive_stratum ?(max_rounds = 10_000) ?stats (p : Ast.program)
-    (stratum : string list) (fdb : Flat.t) : bool =
-  let st = Plan.counters () in
-  let rounds = ref 0 and count = ref 0 in
-  let converged =
-    eval_stratum ~optimized_joins:true st fdb stratum p ~max_rounds ~rounds
-      ~count
-  in
-  Option.iter (fun c -> Plan.accumulate c (Plan.snapshot st)) stats;
-  converged
+let seminaive_stratum ?(max_rounds = 10_000) ?(stats = Plan.counters ())
+    (s : stratum) (fdb : Flat.t) : bool =
+  eval_stratum stats fdb s ~max_rounds ~rounds:(ref 0) ~count:(ref 0)
 
 type outcome = {
   rounds : int;
@@ -713,57 +693,38 @@ type outcome = {
   stats : Plan.stats;
 }
 
-let seminaive ?(max_rounds = 10_000) ?stats ?(optimized_joins = true)
+let seminaive ?(max_rounds = 10_000) ?stats ?optimized_joins
     (p : Ast.program) (info : Analysis.info) (fdb : Flat.t) : outcome =
   let st = Plan.counters () in
   let rounds = ref 0 and count = ref 0 in
   let converged =
     List.fold_left
       (fun ok stratum ->
-        if not ok then ok
-        else
-          eval_stratum ~optimized_joins st fdb stratum p ~max_rounds ~rounds
-            ~count)
+        let rules = Plan.rules_of_stratum p stratum in
+        ok
+        && eval_stratum st fdb
+             (compile_stratum ?optimized_joins rules)
+             ~max_rounds ~rounds ~count)
       true info.Analysis.strata
   in
   let s = Plan.snapshot st in
   Option.iter (fun c -> Plan.accumulate c s) stats;
   { rounds = !rounds; derivations = !count; converged; stats = s }
 
-(* Seeded delta-driven re-derivation of one view refresh stratum.
+(* Seeded delta-driven re-derivation of one view refresh stratum: the
+   round loop started from a previous fixpoint instead of from scratch.
 
    [fdb] is seeded with the stratum's previous relations (its old
    fixpoint) on top of the current support; [delta] holds the support
-   tuples added since that fixpoint.  Each round runs every strand
-   whose trigger predicate has delta tuples through {!execute_batch};
-   head tuples not already in [fdb] join it and become the next round's
-   delta, until nothing new appears.  This is semi-naive iteration
-   started from a previous fixpoint instead of from scratch — sound
-   exactly when the stratum's rules are plain and monotone and the
-   support change is purely additive (the refresh loop falls back to
-   from-scratch recomputation otherwise). *)
-let refresh_stratum ?(stats = Plan.counters ()) (fdb : Flat.t)
-    ~(strands : istrand list) ~(delta : Flat.t) : unit =
-  let rec loop (delta : Flat.t) =
-    if Flat.is_empty delta then ()
-    else begin
-      let derived = Flat.create () in
-      List.iter
-        (fun s ->
-          match Fset.elements (Flat.relation delta s.is_delta_pred) with
-          | [] -> ()
-          | tuples ->
-            List.iter
-              (fun t ->
-                ignore (Flat.add derived s.is_rule.Ast.head.Ast.head_pred t))
-              (execute_batch ~stats fdb ~delta_tuples:tuples s))
-        strands;
-      let fresh = fresh_of fdb derived in
-      Flat.union_into fdb fresh;
-      loop fresh
-    end
-  in
-  loop delta
+   tuples added since that fixpoint.  Sound exactly when the stratum's
+   rules are plain and monotone and the support change is purely
+   additive (the refresh loop falls back to from-scratch recomputation
+   otherwise). *)
+let refresh_stratum ?(stats = Plan.counters ()) (fdb : Flat.t) (s : stratum)
+    ~(delta : Flat.t) : unit =
+  ignore
+    (delta_rounds stats fdb s.strands ~max_rounds:max_int ~rounds:(ref 0)
+       ~count:(ref 0) delta)
 
 (* Group-wise maintenance of one aggregate view stratum.
 

@@ -4,11 +4,13 @@
     Environments bind dense interned ids instead of boxed values,
     pattern matching and join probes compare machine ints, and boxing
     happens only at true system boundaries (builtin calls, ordering
-    comparisons, observable output).  Planning comes from {!Plan}.
-    Delta activations always join group-at-a-time: the round's delta is
-    grouped by the columns the rest of the body reads, the shared
-    literals run once per group, and each delta tuple pays only its
-    pattern match and the per-tuple remainder.  Index probes and
+    comparisons, observable output).  Planning comes from {!Plan}, and
+    every delta join runs a strand of {!Plan.compile_strand}: the
+    executor's rounds after the first, the runtime's strands and view
+    refresh alike.  Strands always join group-at-a-time: the round's
+    delta is grouped by the columns the rest of the body reads, the
+    shared literals run once per group, and each delta tuple pays only
+    its pattern match and the per-tuple remainder.  Index probes and
     most-bound-first ordering are switched per call by
     [optimized_joins]; either setting reaches the same fixpoint.
     This is the only semi-naive executor: {!Eval.seminaive} runs it
@@ -48,18 +50,6 @@ val execute_batch :
     list order is unspecified, so observable consumers materialize and
     sort. *)
 
-val refresh_stratum :
-  ?stats:Plan.counters -> Flat.t -> strands:istrand list -> delta:Flat.t -> unit
-(** Seeded delta-driven re-derivation of one view refresh stratum
-    ({!Eval.refresh_strata}) to fixpoint, mutating the working
-    database: [fdb] holds the stratum's previous fixpoint on top of the
-    current support, [delta] the support tuples added since.  Strands
-    whose trigger predicate has delta tuples run through
-    {!execute_batch}; new head tuples join the database and become the
-    next round's delta.  Sound exactly for plain monotone strata under
-    purely additive support change — the incremental refresh loop
-    falls back to from-scratch recomputation otherwise. *)
-
 type refold
 (** An aggregate rule of the {!Plan.agg_index_shape} (a single positive
     body atom over distinct bare variables), compiled for group-wise
@@ -90,7 +80,18 @@ val refold_stratum :
     the group emptied.  The result equals the from-scratch aggregate for
     every aggregate kind, given a plan from {!refold_plan}. *)
 
-(** {1 Fixpoint drivers} *)
+(** {1 Fixpoint drivers}
+
+    One semi-naive round loop serves all three drivers: each round runs
+    the strands whose trigger predicate has delta tuples, and the new
+    head tuples become the next round's delta. *)
+
+type stratum
+(** One stratum's rules, compiled once: its aggregate rules, its plain
+    rules, and their strands ({!Plan.compile_strand}). *)
+
+val compile_stratum : ?optimized_joins:bool -> Ast.rule list -> stratum
+(** [optimized_joins] (default [true]) as in {!seminaive}. *)
 
 type outcome = {
   rounds : int;
@@ -110,21 +111,25 @@ val seminaive :
   Flat.t ->
   outcome
 (** Semi-naive evaluation to fixpoint, mutating [fdb]: strata bottom-up,
-    aggregate rules once at stratum entry, plain rules by batched delta
-    iteration.  [optimized_joins] (default [true]) consults secondary
-    indexes for ground argument positions and grouped aggregate probes
-    and plans bodies most-bound-first ({!Plan.order_body}); off, every
-    join is a full scan in source order.  A program that
-    hits [max_rounds] (default 10 000) is reported as not converged. *)
+    each compiled once; aggregate rules once at stratum entry, plain
+    rules in full for the first round and through the round loop after.
+    [optimized_joins] (default [true]) consults secondary indexes for
+    ground argument positions and grouped aggregate probes and plans
+    bodies most-bound-first ({!Plan.order_body}); off, every join is a
+    full scan in source order.  A program that hits [max_rounds]
+    (default 10 000) is reported as not converged. *)
 
 val seminaive_stratum :
-  ?max_rounds:int ->
-  ?stats:Plan.counters ->
-  Ast.program ->
-  string list ->
-  Flat.t ->
-  bool
-(** [seminaive_stratum p preds fdb]: evaluate the single stratum of [p]
-    whose heads are [preds] to fixpoint on [fdb] — aggregate rules once
-    at entry, plain rules semi-naively.  The from-scratch fallback of
-    incremental view refresh. *)
+  ?max_rounds:int -> ?stats:Plan.counters -> stratum -> Flat.t -> bool
+(** One compiled stratum to fixpoint on [fdb], as {!seminaive} runs
+    each: the from-scratch fallback of incremental view refresh, which
+    compiles no strand per call. *)
+
+val refresh_stratum :
+  ?stats:Plan.counters -> Flat.t -> stratum -> delta:Flat.t -> unit
+(** Seeded re-derivation of one view refresh stratum
+    ({!Eval.refresh_strata}): the round loop entered with [delta], the
+    support tuples added since the previous fixpoint [fdb] holds.
+    Sound exactly for plain monotone strata under purely additive
+    support change — the refresh loop falls back to
+    {!seminaive_stratum} otherwise. *)

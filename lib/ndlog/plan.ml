@@ -1,12 +1,13 @@
 (* Join planning, run counters, and rule strands.
 
    Everything here is pure planning: nothing executes a join.  The one
-   semi-naive executor ({!Ideval}) and the model checker's delta
-   activations plan rule bodies with [order_body] (the boxed naive
-   oracle, {!Eval.naive}, joins in source order and plans nothing), and
-   {!Ideval} decomposes delta activations with [group_vars] /
-   [group_cols] / [split_shared]; {!Dist.Runtime} compiles a program's
-   strands here and runs them through {!Ideval.execute_batch}.
+   semi-naive executor ({!Ideval}) plans rule bodies with [order_body]
+   (the boxed naive oracle, {!Eval.naive}, joins in source order and
+   plans nothing).  [compile_strand] is the one compiler of delta
+   joins: the executor's later rounds, {!Dist.Runtime}'s strands and
+   view refresh, and the model checker's successor step all run its
+   strands, and {!Ideval} decomposes each with [group_vars] /
+   [group_cols] / [split_shared].
 
    The paper (Section 2.2): "Declarative networking programs are
    compiled into distributed execution plans that are based on the Click
@@ -295,15 +296,6 @@ let split_shared gvars (ordered : Ast.lit list) : Ast.lit list * Ast.lit list
   in
   go gvars [] [] ordered
 
-(* Positions (body-literal indexes) whose positive atom's predicate is in
-   [rec_preds]; used to pick delta positions. *)
-let delta_positions rec_preds (body : Ast.lit list) : int list =
-  List.mapi (fun i lit -> (i, lit)) body
-  |> List.filter_map (fun (i, lit) ->
-         match lit with
-         | Ast.Pos a when Ast.Sset.mem a.Ast.pred rec_preds -> Some i
-         | _ -> None)
-
 let rules_of_stratum (p : Ast.program) stratum =
   List.filter (fun (r : Ast.rule) -> List.mem r.head.head_pred stratum) p.rules
 
@@ -384,27 +376,49 @@ let op_of_lit (l : Ast.lit) : op =
   | Ast.Assign (x, e) -> Bind (x, e)
   | Ast.Cond (c, a, b) -> Filter (c, a, b)
 
+(* Complex arguments of a delta atom as fresh variables plus equality
+   conditions: matched in place, a complex argument would need its
+   variables bound before anything else ran, while a condition is
+   planned like any filter.  The fresh names ([%0], [%1], ...) cannot
+   clash with parsed variables. *)
+let name_complex_args (a : Ast.atom) : Ast.atom * Ast.lit list =
+  let conds = ref [] in
+  let name (e : Ast.expr) =
+    match e with
+    | Ast.Var _ | Ast.Const _ -> e
+    | e ->
+      let x = Printf.sprintf "%%%d" (List.length !conds) in
+      conds := Ast.Cond (Ast.Eq, Ast.Var x, e) :: !conds;
+      Ast.Var x
+  in
+  let args = List.map name a.Ast.args in
+  ({ a with Ast.args }, List.rev !conds)
+
 (* Compile one strand of [rule], with the body literal at [delta]
    (which must be a positive atom) as the triggering source.  The delta
-   literal moves to the front; remaining literals are join-planned
-   most-bound-first under the variables the delta binds
-   ([order_body] — semantics-preserving for safe rules since unbound
-   variables bind by matching). *)
-let compile_strand (rule : Ast.rule) ~(delta : int) : strand =
+   atom, its complex arguments named, moves to the front and their
+   conditions take its place; the rest is join-planned most-bound-first
+   under the variables the delta binds ([order_body], which preserves
+   a safe rule's satisfying environments), or kept in source order with
+   [optimized_joins] off. *)
+let compile_strand ?optimized_joins (rule : Ast.rule) ~(delta : int) : strand =
   if Ast.has_aggregate rule.Ast.head then
     raise (Plan_error "aggregate rules are not strand-compiled");
-  let delta_lit =
+  let delta_atom, conds =
     match List.nth_opt rule.Ast.body delta with
-    | Some (Ast.Pos a) -> a
+    | Some (Ast.Pos a) -> name_complex_args a
     | Some _ -> raise (Plan_error "delta position is not a positive atom")
     | None -> raise (Plan_error "delta position out of range")
   in
   {
     strand_rule = rule;
-    delta = delta_lit;
+    delta = delta_atom;
     rest =
-      List.filteri (fun i _ -> i <> delta) rule.Ast.body
-      |> order_body ~bound:(atom_binds delta_lit);
+      List.concat
+        (List.mapi
+           (fun i l -> if i = delta then conds else [ l ])
+           rule.Ast.body)
+      |> order_body ?optimized_joins ~bound:(atom_binds delta_atom);
   }
 
 let ops (s : strand) : op list =
@@ -413,7 +427,7 @@ let ops (s : strand) : op list =
   @ [ Project s.strand_rule.Ast.head ]
 
 (* All strands of a program: one per (rule, positive body literal). *)
-let compile_program (p : Ast.program) : strand list =
+let compile_program ?optimized_joins (p : Ast.program) : strand list =
   List.concat_map
     (fun (r : Ast.rule) ->
       if Ast.has_aggregate r.Ast.head then []
@@ -422,7 +436,7 @@ let compile_program (p : Ast.program) : strand list =
           (List.mapi
              (fun i lit ->
                match lit with
-               | Ast.Pos _ -> [ compile_strand r ~delta:i ]
+               | Ast.Pos _ -> [ compile_strand ?optimized_joins r ~delta:i ]
                | _ -> [])
              r.Ast.body))
     p.Ast.rules

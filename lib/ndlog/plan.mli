@@ -1,10 +1,12 @@
 (** Join planning, run counters, and rule strands.
 
-    Pure planning for the one semi-naive executor ({!Ideval}) and the
-    model checker's delta activations: literal ordering, the batched
-    delta decomposition, the grouped-aggregate shape and the per-run
-    join counters.  Nothing here executes a join, and the boxed naive
-    oracle ({!Eval.naive}) plans nothing: it joins in source order.
+    Pure planning for the one semi-naive executor ({!Ideval}): literal
+    ordering, the one compiler of delta joins ({!compile_strand}, whose
+    strands the executor's rounds, view refresh and the model checker's
+    successor step all run), the batched delta decomposition, the
+    grouped-aggregate shape and the per-run join counters.  Nothing
+    here executes a join, and the boxed naive oracle ({!Eval.naive})
+    plans nothing: it joins in source order.
 
     Rule strands are Click-style dataflow plans (the paper, Section
     2.2: programs are "compiled into distributed execution plans that
@@ -122,10 +124,6 @@ val split_shared : Ast.Sset.t -> Ast.lit list -> Ast.lit list * Ast.lit list
 (** Split an ordered rest body into the phase evaluable once per delta
     group and the per-tuple remainder. *)
 
-val delta_positions : Ast.Sset.t -> Ast.lit list -> int list
-(** Body positions whose positive atom's predicate is in the given
-    recursive-predicate set. *)
-
 val rules_of_stratum : Ast.program -> string list -> Ast.rule list
 val split_agg : Ast.rule list -> Ast.rule list * Ast.rule list
 
@@ -156,24 +154,29 @@ type op =
 
 type strand = {
   strand_rule : Ast.rule;
-  delta : Ast.atom;  (** the triggering body atom *)
+  delta : Ast.atom;
+      (** the triggering body atom, each complex argument replaced by a
+          fresh variable ([%0], [%1], ...) *)
   rest : Ast.lit list;
-      (** the other body literals, join-planned most-bound-first under
-          the variables [delta] binds; {!Ideval.of_strand} compiles
-          exactly these *)
+      (** the other body literals and one equality condition per named
+          argument, join-planned under the variables [delta] binds;
+          {!Ideval.of_strand} compiles exactly these *)
 }
 
 exception Plan_error of string
 
-val compile_strand : Ast.rule -> delta:int -> strand
+val compile_strand : ?optimized_joins:bool -> Ast.rule -> delta:int -> strand
 (** One strand of [rule] triggered by the positive body atom at index
-    [delta].
+    [delta].  A complex argument of that atom becomes a fresh variable
+    plus an equality condition, planned like any filter.
+    [optimized_joins] (default [true]) plans [rest] with {!order_body};
+    off, [rest] keeps source order.
     @raise Plan_error on aggregate rules or bad delta positions. *)
 
-val compile_program : Ast.program -> strand list
+val compile_program : ?optimized_joins:bool -> Ast.program -> strand list
 (** All delta strands of a program: one per (rule, positive body
-    literal).  Aggregate rules contribute no strands (they are
-    view-refreshed). *)
+    literal), in rule order then body order.  Aggregate rules
+    contribute no strands (they are view-refreshed). *)
 
 val ops : strand -> op list
 (** The strand as a pipeline: [Delta], the planned [rest], [Project]. *)

@@ -166,8 +166,12 @@ let mesh_links ?(cost = fun _ _ -> 1) k =
   !pairs
 
 (* A random connected graph: a random spanning tree plus [extra] random
-   chords, deterministic in [seed]. *)
+   chords, deterministic in [seed].  One node has no chord to draw, so
+   its graph is the empty tree. *)
 let random_links ?(seed = 42) ?(extra = 0) ?(max_cost = 10) k =
+  if k < 1 then
+    invalid_arg (Printf.sprintf "Programs.random_links: %d nodes (need >= 1)" k);
+  let extra = if k = 1 then 0 else extra in
   let st = Random.State.make [| seed |] in
   let rand_cost () = 1 + Random.State.int st max_cost in
   let tree =

@@ -66,7 +66,9 @@ val mesh_links : ?cost:(int -> int -> int) -> int -> Ast.fact list
 val random_links :
   ?seed:int -> ?extra:int -> ?max_cost:int -> int -> Ast.fact list
 (** A random connected graph: a random spanning tree plus [extra]
-    random chords; deterministic in [seed]. *)
+    random chords; deterministic in [seed].  A single node gets the
+    empty graph, whatever [extra].
+    @raise Invalid_argument when [k < 1]. *)
 
 val with_links : Ast.program -> Ast.fact list -> Ast.program
 (** Append link facts to a program. *)

@@ -147,6 +147,41 @@ let test_dist_rejects_unlocalized () =
   | exception Runtime.Not_localized _ -> ()
   | _ -> Alcotest.fail "expected Not_localized"
 
+(* A complex argument on a derived atom, c(@N, X+Z), is a delta
+   position: whichever arrives last of [a], [b] and [c] triggers the
+   derivation, so every fact order must derive both [h] tuples.  With
+   [c0] loaded last only [c]'s strand can, and that needs its complex
+   argument named. *)
+let test_dist_complex_delta_arg () =
+  let p =
+    Programs.parse_exn
+      "link(@n, m, 1). link(@m, n, 1).\n\
+       c0(@n, 2). c0(@n, 3). c0(@n, 4).\n\
+       c(@N, X) :- c0(@N, X).\n\
+       a(@n, 1). a(@n, 2). b(@n, 1, 5). b(@n, 2, 6).\n\
+       h(@N, X) :- a(@N, X), b(@N, Z, W), c(@N, X+Z).\n"
+  in
+  let expected =
+    Store.add_list "h"
+      [ [| V.Addr "n"; V.Int 1 |]; [| V.Addr "n"; V.Int 2 |] ]
+      Store.empty
+  in
+  List.iter
+    (fun (order, facts) ->
+      let p = { p with Ast.facts } in
+      let links =
+        List.filter (fun (f : Ast.fact) -> f.Ast.fact_pred = "link") facts
+      in
+      let rt = Runtime.create (topo_of_links links) p in
+      Runtime.load_facts rt;
+      let report = Runtime.run rt in
+      checkb (order ^ ": quiesced") true
+        report.Runtime.stats.Netsim.Sim.quiesced;
+      checkb (order ^ ": h(1), h(2)") true
+        (Store.equal expected
+           (Store.restrict [ "h" ] (Runtime.global_store rt))))
+    [ ("source order", p.Ast.facts); ("reversed", List.rev p.Ast.facts) ]
+
 (* ------------------------------------------------------------------ *)
 (* Soft state in the distributed runtime. *)
 
@@ -1595,6 +1630,8 @@ let () =
                test_dist_message_accounting;
              Alcotest.test_case "rejects unlocalized" `Quick
                test_dist_rejects_unlocalized;
+             Alcotest.test_case "complex delta argument" `Quick
+               test_dist_complex_delta_arg;
              Alcotest.test_case "soft state expiry" `Quick
                test_dist_soft_state_expiry;
            ] );

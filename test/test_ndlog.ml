@@ -873,6 +873,56 @@ let test_complex_arg_waits_for_inputs () =
     (Store.equal expected
        (h (Eval.naive p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts))))
 
+(* A complex argument on a derived atom: [c] is derived from [c0], so
+   [c(@N, X+Z)] is a delta position.  Its strand names [X+Z] as a fresh
+   variable the triggering tuple binds, plus a condition that waits for
+   [a] and [b]; seeded with the tuple before anything else is bound, the
+   argument itself would never match and [h] would stay empty. *)
+let complex_delta_src =
+  "c0(@n, 2). c0(@n, 3). c0(@n, 4).\n\
+   c(@N, X) :- c0(@N, X).\n\
+   a(@n, 1). a(@n, 2). b(@n, 1, 5). b(@n, 2, 6).\n\
+   h(@N, X) :- a(@N, X), b(@N, Z, W), c(@N, X+Z).\n"
+
+let test_complex_arg_on_delta_atom () =
+  let p = Programs.parse_exn complex_delta_src in
+  let s = Plan.compile_strand (List.nth p.Ast.rules 1) ~delta:2 in
+  checkb "delta argument named" true
+    (s.Plan.delta.Ast.args = [ Ast.var "N"; Ast.var "%0" ]);
+  checkb "its condition planned last" true
+    (match List.rev s.Plan.rest with
+    | Ast.Cond (Ast.Eq, Ast.Var "%0", _) :: _ -> true
+    | _ -> false);
+  let expected =
+    Store.add_list "h"
+      [ [| V.Addr "n"; V.Int 1 |]; [| V.Addr "n"; V.Int 2 |] ]
+      Store.empty
+  in
+  let h (o : Eval.outcome) = Store.restrict [ "h" ] o.Eval.db in
+  List.iter
+    (fun optimized_joins ->
+      let o =
+        Eval.seminaive ~optimized_joins p (Analysis.analyze_exn p)
+          (Store.of_facts p.Ast.facts)
+      in
+      checkb
+        (Fmt.str "seminaive derives h(1), h(2) (optimized_joins=%b)"
+           optimized_joins)
+        true (Store.equal expected (h o)))
+    [ true; false ];
+  checkb "run derives h(1), h(2)" true (Store.equal expected (h (Eval.run_exn p)));
+  checkb "naive derives h(1), h(2)" true
+    (Store.equal expected
+       (h (Eval.naive p (Analysis.analyze_exn p) (Store.of_facts p.Ast.facts))))
+
+(* One node has no chord to draw: the graph is the empty tree, whatever
+   [extra] asks for. *)
+let test_random_links_one_node () =
+  checkb "no links" true (Programs.random_links ~extra:3 1 = []);
+  Alcotest.check_raises "no nodes"
+    (Invalid_argument "Programs.random_links: 0 nodes (need >= 1)") (fun () ->
+      ignore (Programs.random_links 0))
+
 (* Builtins resolve by name once; an unknown name still compiles and
    raises only when a tuple reaches the call. *)
 let test_unknown_builtin_at_call_time () =
@@ -2093,9 +2143,10 @@ let test_ideval_execute_batch () =
 
 (* Random rules with complex atom arguments, all located on one node:
    atoms over the facts [e/3] and the derived [d/3] bind variables, and
-   after some of them comes an atom over [u/2] or [e/3] whose argument
-   computes on variables bound so far, followed by further binding
-   atoms.  Source order is safe; a planner that moved a complex atom
+   after some of them comes an atom over [u/2], [e/3] or [d/3] whose
+   argument computes on variables bound so far, followed by further
+   binding atoms.  Over [d] that atom is a delta position, so the
+   executor's strands must name its complex argument.  Source order is safe; a planner that moved a complex atom
    ahead of its inputs would lose derivations.  Heads copy bare
    variables, so the fixpoint stays within the facts' values. *)
 let gen_complex_rule : Ast.rule QCheck.Gen.t =
@@ -2121,11 +2172,14 @@ let gen_complex_rule : Ast.rule QCheck.Gen.t =
     let y = var () in
     located (if i = 0 then "e" else pick [ "e"; "e"; "d" ]) [ x; y ]
   in
+  (* A checker over the derived [d] is a delta position: its strand
+     names the complex argument. *)
   let checker () =
-    if Random.State.bool rs then located "u" [ complex () ]
-    else
+    match Random.State.int rs 3 with
+    | 0 -> located "u" [ complex () ]
+    | k ->
       let c = complex () in
-      located "e" [ c; var () ]
+      located (if k = 1 then "e" else "d") [ c; var () ]
   in
   (* binders, each followed by a checker or not; at least one checker *)
   let n = 2 + Random.State.int rs 2 in
@@ -2321,6 +2375,10 @@ let () =
             test_call_args_left_to_right;
           Alcotest.test_case "complex argument waits for its inputs" `Quick
             test_complex_arg_waits_for_inputs;
+          Alcotest.test_case "complex argument on a delta atom" `Quick
+            test_complex_arg_on_delta_atom;
+          Alcotest.test_case "random links on one node" `Quick
+            test_random_links_one_node;
           Alcotest.test_case "unknown builtin raises at call time" `Quick
             test_unknown_builtin_at_call_time;
         ]
