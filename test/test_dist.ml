@@ -316,6 +316,137 @@ b2 u(@D,X) :- s(@D,X).
   checkb "groups strictly below delta count" true
     (w.Eval.groups < w.Eval.delta_tuples)
 
+(* Golden pins of the delivery path: one traced simulator run per
+   program, reduced to a digest of the message trace, a digest of the
+   global store, the run's simulator stats and insert count, and its
+   wire (strand) and view (refresh) join counters.  The expected values
+   were recorded from a known-good build; any change to what the runtime
+   sends, stores or counts shows up as a mismatch on the line that
+   moved.  The trace and store do not depend on the refresh mode; the
+   view counters do, so each mode has its own pins. *)
+let digest s = Digest.to_hex (Digest.string s)
+
+let stats_pin (s : Eval.stats) =
+  Printf.sprintf "%d %d %d %d %d %d %d %d %d" s.Eval.index_hits s.Eval.scans
+    s.Eval.enumerated s.Eval.matched s.Eval.groups s.Eval.delta_tuples
+    s.Eval.strata_skipped s.Eval.strata_refolded s.Eval.refresh_fallbacks
+
+let run_pins topo program =
+  let rt = Runtime.create topo program in
+  Netsim.Sim.set_tracing (Runtime.simulator rt) true;
+  Runtime.load_facts rt;
+  let rep = Runtime.run rt in
+  let s = rep.Runtime.stats in
+  [
+    "trace "
+    ^ digest
+        (String.concat "\n"
+           (List.map
+              (fun (time, line) -> Printf.sprintf "%h %s" time line)
+              (Netsim.Sim.trace (Runtime.simulator rt))));
+    "store " ^ digest (Store.to_string (Runtime.global_store rt));
+    Printf.sprintf "run %h %d %d %d %d %b %d" s.Netsim.Sim.final_time
+      s.Netsim.Sim.events s.Netsim.Sim.messages_sent
+      s.Netsim.Sim.messages_delivered s.Netsim.Sim.messages_dropped
+      s.Netsim.Sim.quiesced rep.Runtime.total_inserts;
+    "wire " ^ stats_pin rep.Runtime.wire_stats;
+    "view " ^ stats_pin rep.Runtime.view_stats;
+  ]
+
+let check_pins ~incremental ~from_scratch actual =
+  let expected = if !views_incremental then incremental else from_scratch in
+  if List.length expected <> List.length actual then
+    Alcotest.failf "pins:@.@[<v>%a@]" Fmt.(list ~sep:cut (quote string)) actual;
+  List.iter2 (fun e a -> Alcotest.(check string) "pin" e a) expected actual
+
+let test_golden_pv_ring8 () =
+  let links = Programs.ring_links 8 in
+  check_pins
+    ~incremental:
+      [
+        "trace a93918330ec46ac312e97a868427ca87";
+        "store 99feed226c8cf6ff83b74ac4e757f9e5";
+        "run 0x1.cp+2 192 112 112 0 true 144";
+        "wire 72 0 272 272 104 160 0 0 0";
+        "view 264 0 448 448 160 168 16 56 0";
+      ]
+    ~from_scratch:
+      [
+        "trace a93918330ec46ac312e97a868427ca87";
+        "store 99feed226c8cf6ff83b74ac4e757f9e5";
+        "run 0x1.cp+2 192 112 112 0 true 144";
+        "wire 72 0 272 272 104 160 0 0 0";
+        "view 400 64 1168 1168 0 0 0 0 0";
+      ]
+    (run_pins (topo_of_links links)
+       (localized (Programs.with_links (Programs.path_vector ()) links)))
+
+let test_golden_reach_grid3 () =
+  let links = Programs.grid_links 3 in
+  let pins =
+    [
+      "trace 55cc6f46bf848404702e12d900e5a444";
+      "store f6392bb4daed4cbeb0a79bf221860e96";
+      "run 0x1.4p+2 304 240 240 0 true 129";
+      "wire 54 0 229 229 102 153 0 0 0";
+      "view 0 0 0 0 0 0 0 0 0";
+    ]
+  in
+  check_pins ~incremental:pins ~from_scratch:pins
+    (run_pins (topo_of_links links)
+       (localized (Programs.with_links (Programs.reachability ()) links)))
+
+(* A local rule that re-triggers its own strand on the same node: every
+   [walk] head lands at the node that derived it and runs rule w1 again
+   while the strand's previous run is still emitting its heads.  Each
+   node walks a cyclic graph of [step] edges with fan-out three, loaded
+   before the node's first walk, so one run of w1 yields up to three
+   new heads and each re-runs w1 at once; w2 ships what it saw
+   to the neighbours, so the inbox path runs too.  Scratch state reused
+   by a strand run that is still in use loses or invents heads, and the
+   store pin catches it. *)
+let retrigger_src =
+  {|
+materialize(link, infinity).
+materialize(step, infinity).
+materialize(walk, infinity).
+materialize(seen, infinity).
+
+w1 walk(@S, N) :- walk(@S, M), step(@S, M, N).
+w2 seen(@D, S, N) :- walk(@S, N), link(@S, D, C).
+|}
+
+let test_golden_self_retrigger () =
+  let links = Programs.line_links 3 and nodes = [ "n0"; "n1"; "n2" ] in
+  let steps node =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun j -> Ast.fact ~loc:0 "step" [ V.Addr node; V.Int i; V.Int j ])
+          [ (2 * i) + 1; (2 * i) + 2; (i + 3) mod 20 ])
+      (List.init 20 Fun.id)
+  in
+  let seed node = Ast.fact ~loc:0 "walk" [ V.Addr node; V.Int 0 ] in
+  let p = Programs.with_links (Programs.parse_exn retrigger_src) links in
+  let p =
+    {
+      p with
+      Ast.facts =
+        p.Ast.facts @ List.concat_map steps nodes @ List.map seed nodes;
+    }
+  in
+  let pins =
+    [
+      "trace 9ab987851715e4090fd9ecffcd0d854c";
+      "store 8073447672989366416910273271fb52";
+      "run 0x1p+0 354 164 164 0 true 465";
+      "wire 424 0 762 762 424 424 0 0 0";
+      "view 0 0 0 0 0 0 0 0 0";
+    ]
+  in
+  check_pins ~incremental:pins ~from_scratch:pins
+    (run_pins (topo_of_links links) (localized p))
+
 (* The full message trace of a run is deterministic: two identically
    configured runtimes produce identical traces. *)
 let test_trace_determinism () =
@@ -1644,6 +1775,15 @@ let () =
                test_trace_determinism;
              Alcotest.test_case "node-order determinism" `Quick
                test_node_order_determinism;
+           ] );
+         ( "golden",
+           [
+             Alcotest.test_case "path-vector ring 8" `Quick
+               test_golden_pv_ring8;
+             Alcotest.test_case "reachability grid 3" `Quick
+               test_golden_reach_grid3;
+             Alcotest.test_case "local rule re-triggers its strand" `Quick
+               test_golden_self_retrigger;
            ] );
          ( "views",
            [
