@@ -141,9 +141,13 @@ let topology_of_links (program : Ast.program) : Netsim.Topology.t =
 let execute_distributed ?topology ?(max_events = 1_000_000)
     (program : Ast.program) : (execution, string) result =
   let localized =
-    match Ndlog.Localize.check_localized program with
-    | Ok () -> Ok program
-    | Error _ -> (
+    match
+      ( Ndlog.Analysis.analyze program,
+        Ndlog.Localize.check_localized program )
+    with
+    | Error e, _ -> Error (Fmt.str "%a" Ndlog.Analysis.pp_error e)
+    | Ok _, Ok () -> Ok program
+    | Ok _, Error _ -> (
       match Ndlog.Localize.rewrite_program program with
       | Ok r -> Ok r.Ndlog.Localize.program
       | Error e -> Error (Fmt.str "%a" Ndlog.Localize.pp_error e))

@@ -10,12 +10,13 @@
 
    There is one data path, and it is id-native: a node's store is a
    flat database of interned-id tuples ({!Ndlog.Flat}), strands run
-   through the id-native executor ({!Ndlog.Ideval}), and joins compare
-   machine ints.  Values are boxed only at true boundaries — the
-   canonical tuple a message carries for traces and for the
-   cross-process wire, the lease table's keys, printing, and the
-   memoized {!Ndlog.Store.t} views [node_store] / [global_store] hand
-   to observers.
+   through the id-native executor ({!Ndlog.Ideval}), joins compare
+   machine ints, and in-process messages carry ids.  Values are boxed
+   only at true boundaries — a cross-process frame ({!Socket}), a soft
+   predicate's lease key, printing, and the memoized {!Ndlog.Store.t}
+   views [node_store] / [global_store] hand to observers; canonical
+   send order compares boxed values without building tuples
+   ({!Ndlog.Intern.compare_ids}).
 
    Every message delivery goes through a per-node inbox: the handler
    buffers the tuple and schedules a zero-delay flush, so every
@@ -82,16 +83,7 @@ module Sset = Ast.Sset
 
 (* The message type lives in {!Wire} (the framing layer needs it);
    re-exported here so existing users keep reading [Runtime.msg]. *)
-type msg = Wire.msg = {
-  pred : string;
-  tuple : Store.Tuple.t;
-  (* The flat payload: the receiver inserts by ids without re-probing
-     the intern table.  [tuple] is always the canonical boxed form —
-     traces and debugging read it.  In-process only: cross-process
-     frames drop it at encode (id spaces are per-process; see
-     {!Wire}). *)
-  ids : int array option;
-}
+type msg = Wire.msg = { pred : string; ids : int array }
 
 type node_state = {
   name : string;
@@ -99,9 +91,11 @@ type node_state = {
   db : Flat.t;
   mutable expiry : Softstate.Expiry.t;
   mutable inserts : int;  (* local tuple insertions *)
-  (* Pending message deliveries, newest first; drained in arrival order
-     by [flush]. *)
-  mutable inbox : (string * Store.Tuple.t * int array option) list;
+  (* Pending message deliveries in arrival order: the first [inbox_len]
+     slots of [inbox], which grows by doubling and is drained by
+     [flush]. *)
+  mutable inbox : msg array;
+  mutable inbox_len : int;
   mutable flush_scheduled : bool;
   (* View tuples shipped in from other nodes: preserved across local
      view refreshes (the local recomputation cannot re-derive them) and
@@ -292,15 +286,6 @@ let () =
       Some (Fmt.str "%a" pp_missing_tuple_location (mtl_pred, mtl_tuple))
     | _ -> None)
 
-(* The ship paths below only ever see tuples the remote split filtered
-   on [tuple_location = Some owner]; a location-less tuple reaching a
-   send is an internal invariant violation, reported as a typed error
-   carrying the predicate and tuple instead of a bare [Option.get]. *)
-let owner_exn loc pred tuple =
-  match tuple_location loc tuple with
-  | Some owner -> owner
-  | None ->
-    raise (Missing_tuple_location { mtl_pred = pred; mtl_tuple = tuple })
 
 (* Split the program: aggregate rules and every rule transitively
    depending on an aggregate head become "view" rules, refreshed from
@@ -429,10 +414,32 @@ let owner_of_ids (loc : int option) (ids : int array) : string option =
   | Some i when i < Array.length ids -> Some (Value.as_addr (Intern.of_id ids.(i)))
   | _ -> None
 
+(* The ship paths below only ever see tuples the remote split filtered
+   on [owner_of_ids = Some owner]; a location-less tuple reaching a
+   send is an internal invariant violation, reported as a typed error
+   carrying the predicate and tuple instead of a bare [Option.get]. *)
+let owner_exn loc pred ids =
+  match owner_of_ids loc ids with
+  | Some owner -> owner
+  | None ->
+    raise
+      (Missing_tuple_location
+         { mtl_pred = pred; mtl_tuple = Intern.tuple_of_ids ids })
+
 (* Canonical send order for tuples leaving a node: sorted by boxed
    value, so message enqueue order (and hence the trace) never depends
    on id allocation or hash-set layout. *)
-let sort_boxed l = List.sort (fun (a, _) (b, _) -> Store.Tuple.compare a b) l
+let sort_canonical l = List.sort Intern.compare_ids l
+
+(* A message slot no delivery holds. *)
+let no_msg = { pred = ""; ids = [||] }
+
+(* A flush's delta list for [pred], among the few predicates of one
+   flush. *)
+let rec delta_of pred = function
+  | [] -> raise Not_found
+  | (p, tuples) :: rest ->
+    if p == pred || String.equal p pred then tuples else delta_of pred rest
 
 let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
     (topo : Netsim.Topology.t) (program : Ast.program) : t =
@@ -465,7 +472,8 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
           db = Flat.create ();
           expiry = Softstate.Expiry.create program.Ast.decls;
           inserts = 0;
-          inbox = [];
+          inbox = Array.make 8 no_msg;
+          inbox_len = 0;
           flush_scheduled = false;
           received = Flat.create ();
           shipped = Hashtbl.create 4;
@@ -542,8 +550,9 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
      inbox. *)
   List.iter
     (fun n ->
-      t.transport.Transport.set_handler n (fun ~self ~src:_ m ->
-          receive t self m))
+      let ns = Hashtbl.find nodes n in
+      t.transport.Transport.set_handler n (fun ~self:_ ~src:_ m ->
+          receive t ns m))
     hosted;
   t
 
@@ -552,39 +561,36 @@ and node t name =
   | Some n -> n
   | None -> invalid_arg ("Dist.Runtime: unknown node " ^ name)
 
-(* Route a derived head tuple: insert locally or ship.  The message
-   carries both forms — the boxed tuple for traces, the ids for the
-   receiver's flat store. *)
-and emit t (self : string) (loc : int option) pred tuple ids =
-  match tuple_location loc tuple with
-  | Some owner when owner <> self ->
-    ignore
-      (t.transport.Transport.send ~src:self ~dst:owner { pred; tuple; ids = Some ids })
-  | _ -> insert_ids t self pred ids tuple
+(* Route a derived head tuple: insert locally or ship its ids. *)
+and emit t ns (loc : int option) pred ids =
+  match loc with
+  | Some i when i < Array.length ids ->
+    let owner = Value.as_addr (Intern.of_id ids.(i)) in
+    if owner <> ns.name then
+      ignore (t.transport.Transport.send ~src:ns.name ~dst:owner { pred; ids })
+    else insert_ids t ns pred ids
+  | _ -> insert_ids t ns pred ids
 
 (* Pipelined semi-naive: react to freshly inserted tuples by running the
    strands triggered by their predicate over the node's flat store (the
    Click execution model).  Local recursion reacts per tuple, so those
    batches are singletons; message bursts go through [flush], which
-   hands each strand the whole per-predicate delta at once.  Heads
-   materialize boxed only at emission, sorted canonically. *)
-and run_strands t (self : string) pred (delta : int array list) =
-  let ns = node t self in
-  match Hashtbl.find_opt t.strands pred with
-  | None -> ()
-  | Some strands ->
+   hands each strand the whole per-predicate delta at once.  A strand's
+   heads are all collected before any is emitted — emitting can run the
+   same strand again — and leave in canonical order. *)
+and run_strands t ns pred (delta : int array list) =
+  match Hashtbl.find t.strands pred with
+  | exception Not_found -> ()
+  | strands ->
     List.iter
       (fun ist ->
+        let heads = ref [] in
+        Ideval.execute_batch ~stats:t.wire ns.db ~delta_tuples:delta ist
+          (fun ids -> heads := ids :: !heads);
         let loc = Ideval.head_loc ist and hp = Ideval.head_pred ist in
-        let heads =
-          List.sort_uniq
-            (fun (a, _) (b, _) -> Store.Tuple.compare a b)
-            (List.map
-               (fun ids -> (Intern.tuple_of_ids ids, ids))
-               (Ideval.execute_batch ~stats:t.wire ns.db ~delta_tuples:delta
-                  ist))
-        in
-        List.iter (fun (tuple, ids) -> emit t self loc hp tuple ids) heads)
+        List.iter
+          (fun ids -> emit t ns loc hp ids)
+          (List.sort_uniq Intern.compare_ids !heads))
       strands
 
 (* Record a base-relation addition for incremental refresh.  View-pred
@@ -597,92 +603,86 @@ and mark_dirty t ns pred ids =
     ignore (Flat.add ns.dirty_delta pred ids)
   end
 
-(* Local insertion of an id tuple whose canonical boxed form is
-   [tuple].  The lease table stays boxed-keyed (it is observable state,
-   compared across refresh modes); everything on the derivation path —
+(* Refresh the lease of a soft tuple, even when the tuple is known.
+   The lease table stays boxed-keyed (it is observable state, compared
+   across refresh modes), so only soft tuples are boxed, here. *)
+and lease ns ~now pred ids =
+  Softstate.Expiry.is_soft ns.expiry pred
+  && begin
+    ns.expiry <-
+      Softstate.Expiry.insert ns.expiry ~now pred (Intern.tuple_of_ids ids);
+    true
+  end
+
+(* Local insertion of an id tuple: everything on the derivation path —
    membership, storage, dirty tracking, strand triggering — runs on
    ids. *)
-and insert_ids t (self : string) pred (ids : int array)
-    (tuple : Store.Tuple.t) =
-  let ns = node t self in
-  let now = t.transport.Transport.now () in
-  (* Refresh the soft-state lease even when the tuple is known. *)
-  ns.expiry <- Softstate.Expiry.insert ns.expiry ~now pred tuple;
-  if Softstate.Expiry.is_soft ns.expiry pred then schedule_expiry t self;
+and insert_ids t ns pred (ids : int array) =
+  if lease ns ~now:(t.transport.Transport.now ()) pred ids then
+    schedule_expiry t ns;
   if Flat.add ns.db pred ids then begin
     ns.inserts <- ns.inserts + 1;
     ns.stale <- true;
     if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
     mark_dirty t ns pred ids;
-    run_strands t self pred [ ids ];
+    run_strands t ns pred [ ids ];
     if t.view_preds <> [] then request_refresh t
   end
 
 (* A message delivery: the inbox buffers it and a zero-delay flush
    drains every delivery landing at this instant together (the event
    queue breaks time ties in insertion order, so the flush runs after
-   all already-enqueued same-time deliveries).  Cross-process frames
-   carry no ids; the receiver translates their canonical tuple once. *)
-and receive t (self : string) (m : msg) =
-  let ns = node t self in
-  ns.inbox <- (m.pred, m.tuple, m.ids) :: ns.inbox;
+   all already-enqueued same-time deliveries). *)
+and receive t ns (m : msg) =
+  if ns.inbox_len = Array.length ns.inbox then begin
+    let bigger = Array.make (2 * ns.inbox_len) no_msg in
+    Array.blit ns.inbox 0 bigger 0 ns.inbox_len;
+    ns.inbox <- bigger
+  end;
+  ns.inbox.(ns.inbox_len) <- m;
+  ns.inbox_len <- ns.inbox_len + 1;
   if not ns.flush_scheduled then begin
     ns.flush_scheduled <- true;
-    t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t self)
+    t.transport.Transport.schedule ~delay:0.0 (fun () -> flush t ns)
   end
 
 (* Drain the inbox: process buffered deliveries in arrival order (lease
    refreshes and insertion bookkeeping see them one by one, as sent),
    then run each triggered strand once with the full per-predicate
-   delta of genuinely-new tuples. *)
-and flush t (self : string) =
-  let ns = node t self in
+   delta of genuinely-new tuples, predicates in first-arrival order.
+   Nothing here delivers to an inbox — transports deliver from their
+   own event loop — so the inbox is drained in place. *)
+and flush t ns =
   ns.flush_scheduled <- false;
-  let arrivals = List.rev ns.inbox in
-  ns.inbox <- [];
   let now = t.transport.Transport.now () in
   let any_soft = ref false in
-  let fresh_rev = ref [] in
+  (* The new tuples by predicate, newest predicate first. *)
+  let deltas = ref [] and n = ns.inbox_len in
+  ns.inbox_len <- 0;
+  for i = 0 to n - 1 do
+    let { pred; ids } = ns.inbox.(i) in
+    ns.inbox.(i) <- no_msg;
+    if lease ns ~now pred ids then any_soft := true;
+    if Flat.add ns.db pred ids then begin
+      ns.inserts <- ns.inserts + 1;
+      ns.stale <- true;
+      if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
+      mark_dirty t ns pred ids;
+      match delta_of pred !deltas with
+      | tuples -> tuples := ids :: !tuples
+      | exception Not_found -> deltas := (pred, ref [ ids ]) :: !deltas
+    end
+  done;
+  if !any_soft then schedule_expiry t ns;
   List.iter
-    (fun (pred, tuple, ids) ->
-      ns.expiry <- Softstate.Expiry.insert ns.expiry ~now pred tuple;
-      if Softstate.Expiry.is_soft ns.expiry pred then any_soft := true;
-      let ids =
-        match ids with Some ids -> ids | None -> Intern.tuple_ids tuple
-      in
-      if Flat.add ns.db pred ids then begin
-        ns.inserts <- ns.inserts + 1;
-        ns.stale <- true;
-        if Sset.mem pred t.view_set then
-          ignore (Flat.add ns.received pred ids);
-        mark_dirty t ns pred ids;
-        fresh_rev := (pred, ids) :: !fresh_rev
-      end)
-    arrivals;
-  if !any_soft then schedule_expiry t self;
-  (* Group the new tuples by predicate, preserving first-arrival order
-     of the predicates and arrival order within each. *)
-  let order_rev = ref [] in
-  let deltas : (string, int array list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (pred, ids) ->
-      match Hashtbl.find_opt deltas pred with
-      | Some l -> l := ids :: !l
-      | None ->
-        Hashtbl.add deltas pred (ref [ ids ]);
-        order_rev := pred :: !order_rev)
-    (List.rev !fresh_rev);
-  List.iter
-    (fun pred ->
-      run_strands t self pred (List.rev !(Hashtbl.find deltas pred)))
-    (List.rev !order_rev);
-  if !fresh_rev <> [] && t.view_preds <> [] then request_refresh t
+    (fun (pred, tuples) -> run_strands t ns pred !tuples)
+    (List.rev !deltas);
+  if !deltas <> [] && t.view_preds <> [] then request_refresh t
 
 (* Schedule a sweep at the node's next soft-state deadline — unless the
    node's live timer already fires at or before it, in which case that
    timer's own re-arm covers this deadline too (see [sweep_armed]). *)
-and schedule_expiry t self =
-  let ns = node t self in
+and schedule_expiry t ns =
   match Softstate.Expiry.next_deadline ns.expiry with
   | None -> ()
   | Some deadline ->
@@ -692,7 +692,7 @@ and schedule_expiry t self =
       t.transport.Transport.schedule ~delay (fun () ->
           if ns.sweep_armed = deadline then begin
             ns.sweep_armed <- infinity;
-            sweep t self
+            sweep t ns
           end)
     end
 
@@ -707,8 +707,7 @@ and schedule_expiry t self =
    always re-arms for the next pending deadline: it only drops leases
    lapsed *now*, and without the re-arm later deadlines would only be
    swept if some insertion happened to re-arm the timer. *)
-and sweep t self =
-  let ns = node t self in
+and sweep t ns =
   let now = t.transport.Transport.now () in
   let dead, expiry' = Softstate.Expiry.expired ns.expiry ~now in
   let removed =
@@ -737,7 +736,7 @@ and sweep t self =
     ns.stale <- true;
     if t.view_preds <> [] then request_refresh t
   end;
-  schedule_expiry t self
+  schedule_expiry t ns
 
 (* View refresh is batched through a zero-delay event so that a burst of
    insertions triggers one recomputation. *)
@@ -974,8 +973,7 @@ and refresh_node t ns =
           (fun ids ->
             match owner_of_ids locopt ids with
             | Some owner when owner <> self ->
-              if Fset.add shipped ids then
-                to_ship := (Intern.tuple_of_ids ids, ids) :: !to_ship
+              if Fset.add shipped ids then to_ship := ids :: !to_ship
             | _ -> ())
           adds;
         List.iter
@@ -985,12 +983,11 @@ and refresh_node t ns =
             | _ -> ())
           rems;
         List.iter
-          (fun (tuple, ids) ->
+          (fun ids ->
             ignore
               (t.transport.Transport.send ~src:self
-                 ~dst:(owner_exn locopt pred tuple)
-                 { pred; tuple; ids = Some ids }))
-          (sort_boxed !to_ship);
+                 ~dst:(owner_exn locopt pred ids) { pred; ids }))
+          (sort_canonical !to_ship);
         (* Remote-owned tuples live at their owners, not here. *)
         Fset.iter (fun ids -> ignore (Flat.remove db pred ids)) shipped;
         Flat.iter_rel ns.received pred (fun ids ->
@@ -1000,7 +997,7 @@ and refresh_node t ns =
            it for as long as the tuple is still derived. *)
         (match Softstate.Expiry.lifetime_of ns.expiry pred with
         | Ast.Lifetime l when not (Fset.is_empty shipped) ->
-          ensure_renewal t self pred l
+          ensure_renewal t ns pred l
         | _ -> ()))
     t.view_preds;
   ns.stale <- false
@@ -1011,17 +1008,15 @@ and refresh_node t ns =
    deriving a tuple the refresh drops it from the shipped set, the
    renewals stop, and the receiver's lease lapses — soft-state expiry,
    at renewal cadence instead of per-refresh redelivery. *)
-and ensure_renewal t self pred lifetime =
-  let ns = node t self in
+and ensure_renewal t ns pred lifetime =
   if not (Hashtbl.mem ns.renewing pred) then begin
     Hashtbl.replace ns.renewing pred ();
     t.transport.Transport.schedule ~delay:(lifetime /. 2.0) (fun () ->
-        renew t self pred lifetime)
+        renew t ns pred lifetime)
   end
 
-(* Renewals materialize boxed and go out in canonical order. *)
-and renew t self pred lifetime =
-  let ns = node t self in
+(* Renewals go out in canonical order. *)
+and renew t ns pred lifetime =
   Hashtbl.remove ns.renewing pred;
   match Hashtbl.find_opt ns.shipped pred with
   | None -> ()
@@ -1029,25 +1024,20 @@ and renew t self pred lifetime =
   | Some set ->
     let locopt = Hashtbl.find_opt t.view_locs pred in
     List.iter
-      (fun (tuple, ids) ->
+      (fun ids ->
         ignore
-          (t.transport.Transport.send ~src:self
-             ~dst:(owner_exn locopt pred tuple)
-             { pred; tuple; ids = Some ids }))
-      (sort_boxed
-         (Fset.fold (fun ids acc -> (Intern.tuple_of_ids ids, ids) :: acc) set []));
-    ensure_renewal t self pred lifetime
+          (t.transport.Transport.send ~src:ns.name
+             ~dst:(owner_exn locopt pred ids) { pred; ids }))
+      (sort_canonical (Fset.elements set));
+    ensure_renewal t ns pred lifetime
 
 (* The public injection entry is the system boundary: tuples arriving
    from outside (the driver, a benchmark's event stream, program facts)
-   pay one hash-cons pass translating them to ids, and the boxed form
-   handed onward is the canonical materialization — lease keys and
-   in-process message payloads carry canonical elements by
-   construction.  The internal callers ([emit], [receive], [flush])
-   bypass this wrapper: their tuples already have ids. *)
+   pay one hash-cons pass translating them to ids.  The internal
+   callers ([emit], [flush]) bypass this wrapper: their tuples already
+   have ids. *)
 let insert t self pred tuple =
-  let ids = Intern.tuple_ids tuple in
-  insert_ids t self pred ids (Intern.tuple_of_ids ids)
+  insert_ids t (node t self) pred (Intern.tuple_ids tuple)
 
 (* ------------------------------------------------------------------ *)
 (* Driving a run. *)

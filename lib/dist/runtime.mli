@@ -34,10 +34,10 @@
     There is one data path, and it is id-native: node stores are flat
     databases of interned-id tuples ({!Ndlog.Flat}), strands run through
     the id-native executor ({!Ndlog.Ideval}), and in-process messages
-    carry flat payloads.  Values are boxed only at true boundaries:
-    printing, the lease table, the canonical tuple every message
-    carries (the cross-process wire sends only that), and the memoized
-    {!Ndlog.Store.t} views {!node_store} and {!global_store} return.
+    carry ids only.  Values are boxed only at true boundaries:
+    printing, a soft predicate's lease key, a cross-process frame, and
+    the memoized {!Ndlog.Store.t} views {!node_store} and
+    {!global_store} return.
 
     View refresh is {e incremental} by default: each node tracks its
     dirty base predicates (those whose relations changed since its last
@@ -64,16 +64,11 @@
     the global store of a quiesced run is checked against the naive
     centralized evaluator ({!Ndlog.Eval.naive}). *)
 
-(** A tuple on the wire (defined in {!Wire}, re-exported here).
-    [tuple] is always the canonical boxed form; [ids] carries the flat
-    (interned-id) payload, so the receiver inserts without re-probing
-    the intern table — in-process only: cross-process frames drop it at
-    encode (id spaces are per-process). *)
-type msg = Wire.msg = {
-  pred : string;
-  tuple : Ndlog.Store.Tuple.t;
-  ids : int array option;
-}
+(** A tuple between nodes (defined in {!Wire}, re-exported here), as
+    the sender's interned ids: the receiver inserts them without
+    re-probing the intern table.  Only a cross-process send boxes it
+    ({!Socket}). *)
+type msg = Wire.msg = { pred : string; ids : int array }
 
 type t
 

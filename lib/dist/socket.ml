@@ -17,11 +17,12 @@
    sockets — the wire is reliable; loss experiments belong to the
    simulator backend.)
 
-   Cross-process frames carry canonical boxed values only; arriving
-   tuples are re-interned here, at the boundary, because interned-id
-   spaces are per-process ({!Wire}).  Dead peers surface as EOF —
-   mid-frame EOF raises a typed truncation — and the supervisor puts a
-   deadline around every control read ({!Wire.read_frame}). *)
+   Cross-process frames carry canonical boxed values only: outgoing
+   messages are boxed and arriving tuples re-interned here, at the
+   boundary, because interned-id spaces are per-process ({!Wire}).
+   Dead peers surface as EOF — mid-frame EOF raises a typed
+   truncation — and the supervisor puts a deadline around every
+   control read ({!Wire.read_frame}). *)
 
 module Intern = Ndlog.Intern
 
@@ -105,23 +106,18 @@ let stop t = t.stop <- true
 (* ------------------------------------------------------------------ *)
 (* Dispatch. *)
 
-(* Boundary canonicalization: tuples decoded off the wire are fresh
-   allocations; re-interning restores physical sharing for the lease
-   table's keys (and the receive path re-derives ids from the canonical
-   tuple). *)
-let canonicalize = Intern.tuple
-
-let deliver t ~src ~dst ~pred ~tuple =
+let deliver t ~src ~dst (m : Wire.msg) =
   match Hashtbl.find_opt t.handlers dst with
   | None -> ()
   | Some h ->
     t.events <- t.events + 1;
-    h ~self:dst ~src { Wire.pred; tuple; ids = None }
+    h ~self:dst ~src m
 
 let dispatch t ~on_control = function
   | Wire.Data { src; dst; pred; tuple } ->
     t.received <- t.received + 1;
-    deliver t ~src ~dst ~pred ~tuple:(canonicalize tuple)
+    (* The boundary translation: interned into this process's ids. *)
+    deliver t ~src ~dst { Wire.pred; ids = Intern.tuple_ids tuple }
   | f -> on_control f
 
 (* Drain one readable connection: read a chunk, feed the decoder, and
@@ -148,15 +144,15 @@ let read_conn t ~on_control c =
 
 let run_due_timers t =
   let rec go () =
-    match Netsim.Event_queue.peek_time t.timers with
-    | Some tm when tm <= now t -> (
-      match Netsim.Event_queue.pop t.timers with
-      | Some (_, f) ->
-        t.events <- t.events + 1;
-        f ();
-        go ()
-      | None -> ())
-    | _ -> ()
+    if
+      (not (Netsim.Event_queue.is_empty t.timers))
+      && Netsim.Event_queue.next_time t.timers <= now t
+    then begin
+      let f = Netsim.Event_queue.take t.timers in
+      t.events <- t.events + 1;
+      f ();
+      go ()
+    end
   in
   go ()
 
@@ -174,9 +170,8 @@ let turn t ~on_control ~on_idle ~max_wait =
         (t.conns @ match t.control with Some c -> [ c ] | None -> [])
     in
     let timeout =
-      match Netsim.Event_queue.peek_time t.timers with
-      | Some tm -> Float.min max_wait (Float.max 0.0 (tm -. now t))
-      | None -> max_wait
+      Float.min max_wait
+        (Float.max 0.0 (Netsim.Event_queue.next_time t.timers -. now t))
     in
     if live = [] then not (Netsim.Event_queue.is_empty t.timers)
     else begin
@@ -219,9 +214,8 @@ let send t ~src ~dst (m : Wire.msg) =
       (* Co-hosted destination: loop back through a zero-delay timer so
          arrival ordering relative to already-scheduled work matches
          the simulator's tie-ordered queue. *)
-      let pred = m.Wire.pred and tuple = m.Wire.tuple in
       Netsim.Event_queue.push t.timers ~time:(now t) (fun () ->
-          deliver t ~src ~dst ~pred ~tuple);
+          deliver t ~src ~dst m);
       true
     end
     else begin
@@ -230,7 +224,13 @@ let send t ~src ~dst (m : Wire.msg) =
         t.bytes_out <-
           t.bytes_out
           + Wire.write_frame fd
-              (Wire.Data { src; dst; pred = m.Wire.pred; tuple = m.Wire.tuple });
+              (Wire.Data
+                 {
+                   src;
+                   dst;
+                   pred = m.Wire.pred;
+                   tuple = Intern.tuple_of_ids m.Wire.ids;
+                 });
         t.sent <- t.sent + 1;
         true
       | None ->

@@ -3,9 +3,9 @@
    Every frame is a 4-byte big-endian length prefix followed by a
    tagged body.  Values travel in canonical boxed form: interned-id
    spaces are per-process, so a flat payload from one runtime is
-   meaningless in another — the receiver re-interns at its own
-   boundary (see {!Socket}).  The in-process simulator transport never
-   serializes and keeps the id-native fast path.
+   meaningless in another — the sender boxes and the receiver
+   re-interns at its own boundary (see {!Socket}).  The in-process
+   simulator transport never serializes: its messages carry ids only.
 
    Decoding is incremental ({!Decoder}): sockets deliver arbitrary
    chunks, so a frame may arrive across many reads and one read may
@@ -15,15 +15,11 @@
 module Store = Ndlog.Store
 module Value = Ndlog.Value
 
-type msg = {
-  pred : string;
-  tuple : Store.Tuple.t;
-  (* The flat payload when the sender runs id-natively: the receiver
-     inserts by ids without re-probing the intern table.  [tuple] is
-     always the canonical boxed form — traces and debugging read it.
-     Never serialized: cross-process frames drop it at encode. *)
-  ids : int array option;
-}
+(* A tuple between nodes, as the sender's interned ids: the receiver
+   inserts them without re-probing the intern table.  Ids are
+   per-process, so a cross-process send boxes them into a [Data] frame
+   and the receiving process interns the frame's tuple. *)
+type msg = { pred : string; ids : int array }
 
 type status = {
   st_idle : bool;

@@ -12,15 +12,10 @@
     length + bytes), [4] List (u32 count + values).  Tuples are a u32
     count followed by values; strings are u32 length + bytes. *)
 
-(** A tuple on the wire between nodes.  [tuple] is always the
-    canonical boxed form; [ids] carries the flat (interned-id) payload
-    when sender and receiver share a process (the simulator
-    transport), and is dropped at the process boundary. *)
-type msg = {
-  pred : string;
-  tuple : Ndlog.Store.Tuple.t;
-  ids : int array option;
-}
+(** A tuple between nodes, as interned ids ({!Ndlog.Intern}) of the
+    process it is in.  A cross-process send boxes it into a [Data]
+    frame, and the receiving process interns the frame's tuple. *)
+type msg = { pred : string; ids : int array }
 
 (** A worker's self-report, the quiescence protocol's raw material
     (see {!Supervisor}). *)

@@ -15,6 +15,8 @@ type error =
   | Unsafe_rule of Ast.rule * string
   | Arity_mismatch of string * int * int  (* pred, seen, expected *)
   | Unstratifiable of string list  (* a negation/aggregation cycle *)
+  | Builtin_arity of Ast.rule * string * int * int
+      (* rule, function, arguments given, arity *)
 
 let pp_error ppf = function
   | Unsafe_rule (r, msg) -> Fmt.pf ppf "unsafe rule %a: %s" Ast.pp_rule r msg
@@ -25,6 +27,9 @@ let pp_error ppf = function
     Fmt.pf ppf "program is not stratifiable: negation/aggregation cycle %a"
       Fmt.(list ~sep:(any " -> ") string)
       cycle
+  | Builtin_arity (r, f, given, arity) ->
+    Fmt.pf ppf "rule %a: builtin %s takes %d arguments, given %d" Ast.pp_rule
+      r f arity given
 
 (* ------------------------------------------------------------------ *)
 (* Schema: predicate -> arity, collected from declarations, facts, and
@@ -59,7 +64,32 @@ let schema (p : Ast.program) : (int Smap.t, error) result =
 (* ------------------------------------------------------------------ *)
 (* Safety. *)
 
+(* A builtin call given the wrong number of arguments, as (function,
+   given, arity). *)
+let rec bad_call (e : Ast.expr) =
+  match e with
+  | Ast.Var _ | Ast.Const _ -> None
+  | Ast.Binop (_, a, b) -> List.find_map bad_call [ a; b ]
+  | Ast.Call (f, args) -> (
+    match Builtins.arity f with
+    | Some k when k <> List.length args -> Some (f, List.length args, k)
+    | _ -> List.find_map bad_call args)
+
+let rule_exprs (r : Ast.rule) =
+  List.concat_map
+    (function
+      | Ast.Pos a | Ast.Neg a -> a.Ast.args
+      | Ast.Assign (_, e) -> [ e ]
+      | Ast.Cond (_, a, b) -> [ a; b ])
+    r.body
+  @ List.filter_map
+      (function Ast.Plain e -> Some e | Ast.Agg _ -> None)
+      r.head.Ast.head_args
+
 let check_rule_safety (r : Ast.rule) : (unit, error) result =
+  match List.find_map bad_call (rule_exprs r) with
+  | Some (f, given, arity) -> Error (Builtin_arity (r, f, given, arity))
+  | None ->
   let module S = Sset in
   let exception Unsafe of string in
   let bound_expr bound e = S.subset (Ast.vars_of_expr S.empty e) bound in

@@ -15,6 +15,9 @@ type error =
   | Unstratifiable of string list
       (** Negation/aggregation cycle; the list names offending
           predicates. *)
+  | Builtin_arity of Ast.rule * string * int * int
+      (** [rule, function, given, arity]: a builtin call in the rule
+          with the wrong number of arguments. *)
 
 val pp_error : error Fmt.t
 
@@ -22,7 +25,8 @@ val schema : Ast.program -> (int Smap.t, error) result
 (** Predicate arities collected from declarations, facts, and rules. *)
 
 val check_rule_safety : Ast.rule -> (unit, error) result
-(** Range restriction, scanning the body left to right: positive atoms
+(** Builtin call arities ({!Builtins.arity}), then range restriction,
+    scanning the body left to right: positive atoms
     bind their bare variable arguments; an assignment binds its variable
     if the right-hand side is bound; negated atoms, comparisons, complex
     arguments, and the head must use only bound variables. *)

@@ -78,33 +78,34 @@ let f_not name = function
   | [ v ] -> Value.Bool (not (Value.as_bool v))
   | args -> err_arity name args
 
-let table : (string * (string -> Value.t list -> Value.t)) list =
+(* Name, arity, implementation. *)
+let table : (string * int * (string -> Value.t list -> Value.t)) list =
   [
-    ("f_init", f_init);
-    ("f_initPath", f_init);
-    ("f_concatPath", f_concat_path);
-    ("f_inPath", f_in_path);
-    ("f_size", f_size);
-    ("f_length", f_size);
-    ("f_first", f_first);
-    ("f_head", f_first);
-    ("f_last", f_last);
-    ("f_append", f_append);
-    ("f_reverse", f_reverse);
-    ("f_empty", f_empty);
-    ("f_cons", f_cons);
-    ("f_min", f_min2);
-    ("f_max", f_max2);
-    ("f_abs", f_abs);
-    ("f_toStr", f_to_str);
-    ("f_not", f_not);
+    ("f_init", 2, f_init);
+    ("f_initPath", 2, f_init);
+    ("f_concatPath", 2, f_concat_path);
+    ("f_inPath", 2, f_in_path);
+    ("f_size", 1, f_size);
+    ("f_length", 1, f_size);
+    ("f_first", 1, f_first);
+    ("f_head", 1, f_first);
+    ("f_last", 1, f_last);
+    ("f_append", 2, f_append);
+    ("f_reverse", 1, f_reverse);
+    ("f_empty", 0, f_empty);
+    ("f_cons", 2, f_cons);
+    ("f_min", 2, f_min2);
+    ("f_max", 2, f_max2);
+    ("f_abs", 1, f_abs);
+    ("f_toStr", 1, f_to_str);
+    ("f_not", 1, f_not);
   ]
 
 (* Resolved by name once, from a hash table: callers that apply the
    same builtin repeatedly look it up once ({!Ideval} at compile time). *)
 let index : (string, string -> Value.t list -> Value.t) Hashtbl.t =
   let h = Hashtbl.create 32 in
-  List.iter (fun (name, f) -> Hashtbl.replace h name f) table;
+  List.iter (fun (name, _, f) -> Hashtbl.replace h name f) table;
   h
 
 let find name = Option.map (fun f -> f name) (Hashtbl.find_opt index name)
@@ -115,4 +116,7 @@ let apply name args =
   | Some f -> f name args
   | None -> raise (Unknown_function name)
 
-let names () = List.map fst table
+let names () = List.map (fun (name, _, _) -> name) table
+
+let arity name =
+  List.find_map (fun (n, k, _) -> if n = name then Some k else None) table

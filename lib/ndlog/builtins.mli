@@ -40,3 +40,7 @@ val apply : string -> Value.t list -> Value.t
 
 val names : unit -> string list
 (** All registered builtin names. *)
+
+val arity : string -> int option
+(** The number of arguments a registered builtin takes; [None] for
+    unregistered names.  {!Analysis} checks every call against it. *)

@@ -18,8 +18,8 @@
 
    Ids are allocation-ordered, not value-ordered, so nothing here
    enumerates in a canonical order; callers that need one (message
-   emission, group probes feeding observable output) materialize boxed
-   tuples and sort with {!Store.Tuple.compare}. *)
+   emission, group probes feeding observable output) compare through
+   the boxed values ({!Intern.compare_ids}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Open-addressing hash sets of id tuples. *)
@@ -32,31 +32,25 @@ module Fset = struct
   let empty_slot : int array = [| min_int |]
   let tombstone : int array = [| min_int + 1 |]
 
-  (* A journal entry: [true] = the tuple was added, [false] = removed.
-     Entries are kept newest-first; a mark is a journal length, so
-     rollback pops and inverts entries until the length matches —
-     O(changes) — and releasing the last mark drops the whole journal
-     in O(1). *)
-  type entry = bool * int array
-
   type t = {
     mutable slots : int array array;
     mutable size : int;  (* live tuples *)
     mutable tombs : int;  (* deleted slots awaiting rehash *)
     mutable frozen : bool;  (* mutation is a programming error *)
-    mutable jnl : entry list;  (* newest-first; live iff jmarks > 0 *)
-    mutable jlen : int;
-    mutable jmarks : int;  (* outstanding marks *)
   }
+
+  (* The hot helpers below are top-level recursive functions rather
+     than local closures: without flambda a local function capturing
+     its context is allocated on every call. *)
+  let rec eq_from (a : int array) (b : int array) i n =
+    i >= n
+    || (Array.unsafe_get a i = Array.unsafe_get b i && eq_from a b (i + 1) n)
 
   let tuple_eq (a : int array) (b : int array) =
     a == b
     ||
     let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+    n = Array.length b && eq_from a b 0 n
 
   (* Multiplicative mix of a fold over the ids; the final shuffle
      spreads consecutive ids (allocation order is dense) across the
@@ -78,9 +72,6 @@ module Fset = struct
       size = 0;
       tombs = 0;
       frozen = false;
-      jnl = [];
-      jlen = 0;
-      jmarks = 0;
     }
 
   let cardinal s = s.size
@@ -91,25 +82,26 @@ module Fset = struct
   (* Probe for [t]: the index holding it, or the first insertable slot
      (a tombstone if one was passed, else the empty slot that ended the
      probe).  The load factor below 1/2 guarantees termination. *)
+  let rec probe_from slots (t : int array) mask i first_tomb =
+    let u = Array.unsafe_get slots i in
+    if u == empty_slot then if first_tomb >= 0 then first_tomb else i
+    else if u == tombstone then
+      probe_from slots t mask ((i + 1) land mask)
+        (if first_tomb < 0 then i else first_tomb)
+    else if tuple_eq u t then i
+    else probe_from slots t mask ((i + 1) land mask) first_tomb
+
   let probe s (t : int array) : int =
     let mask = Array.length s.slots - 1 in
-    let h = tuple_hash t land mask in
-    let first_tomb = ref (-1) in
-    let rec go i =
-      let u = Array.unsafe_get s.slots i in
-      if u == empty_slot then if !first_tomb >= 0 then !first_tomb else i
-      else if u == tombstone then begin
-        if !first_tomb < 0 then first_tomb := i;
-        go ((i + 1) land mask)
-      end
-      else if tuple_eq u t then i
-      else go ((i + 1) land mask)
-    in
-    go h
+    probe_from s.slots t mask (tuple_hash t land mask) (-1)
 
   let mem s t =
     let u = s.slots.(probe s t) in
     u != empty_slot && u != tombstone
+
+  let rec place slots u mask i =
+    if Array.unsafe_get slots i == empty_slot then slots.(i) <- u
+    else place slots u mask ((i + 1) land mask)
 
   let resize s =
     let old = s.slots in
@@ -123,20 +115,9 @@ module Fset = struct
     let mask = cap' - 1 in
     Array.iter
       (fun u ->
-        if u != empty_slot && u != tombstone then begin
-          let rec place i =
-            if Array.unsafe_get s.slots i == empty_slot then s.slots.(i) <- u
-            else place ((i + 1) land mask)
-          in
-          place (tuple_hash u land mask)
-        end)
+        if u != empty_slot && u != tombstone then
+          place s.slots u mask (tuple_hash u land mask))
       old
-
-  let journal s e =
-    if s.jmarks > 0 then begin
-      s.jnl <- e :: s.jnl;
-      s.jlen <- s.jlen + 1
-    end
 
   (* [true] when the tuple was not already present. *)
   let add s t =
@@ -148,7 +129,6 @@ module Fset = struct
       if u == tombstone then s.tombs <- s.tombs - 1;
       s.slots.(i) <- t;
       s.size <- s.size + 1;
-      journal s (true, t);
       if (s.size + s.tombs) * 2 >= Array.length s.slots then resize s;
       true
     end
@@ -163,48 +143,10 @@ module Fset = struct
       s.slots.(i) <- tombstone;
       s.size <- s.size - 1;
       s.tombs <- s.tombs + 1;
-      journal s (false, t);
       (* Compact once tombstones outnumber live entries, so probe
          chains stay short after churn-down even if no add follows. *)
       if s.tombs > s.size then resize s;
       true
-    end
-
-  (* Checkpoints.  Marks are positions in the journal and must be
-     released (rolled back or committed) LIFO, innermost first. *)
-  type mark = int
-
-  let mark s =
-    s.jmarks <- s.jmarks + 1;
-    s.jlen
-
-  (* O(1): drop the mark; once no marks remain the journal is dead
-     weight and is discarded wholesale. *)
-  let commit s (_ : mark) =
-    s.jmarks <- s.jmarks - 1;
-    if s.jmarks = 0 then begin
-      s.jnl <- [];
-      s.jlen <- 0
-    end
-
-  (* O(changes since the mark): pop entries newest-first and invert
-     each.  Set semantics make inverse replay exact: every journaled op
-     actually changed membership, so the inverse op restores it. *)
-  let rollback s (m : mark) =
-    let outer = s.jmarks - 1 in
-    s.jmarks <- 0 (* the undo ops themselves must not be journaled *);
-    while s.jlen > m do
-      match s.jnl with
-      | (was_add, t) :: rest ->
-        s.jnl <- rest;
-        s.jlen <- s.jlen - 1;
-        if was_add then ignore (remove s t) else ignore (add s t)
-      | [] -> assert false
-    done;
-    s.jmarks <- outer;
-    if s.jmarks = 0 then begin
-      s.jnl <- [];
-      s.jlen <- 0
     end
 
   let iter f s =
@@ -218,34 +160,11 @@ module Fset = struct
     !acc
 
   let elements s = fold (fun t acc -> t :: acc) s []
-
-  (* The copy is an independent set: unfrozen, with no journal — the
-     original's outstanding marks do not transfer. *)
-  let copy s =
-    {
-      slots = Array.copy s.slots;
-      size = s.size;
-      tombs = s.tombs;
-      frozen = false;
-      jnl = [];
-      jlen = 0;
-      jmarks = 0;
-    }
-
-  let equal a b =
-    a.size = b.size
-    &&
-    let ok = ref true in
-    (try iter (fun t -> if not (mem b t) then (ok := false; raise Exit)) a
-     with Exit -> ());
-    !ok
 end
 
 (* ------------------------------------------------------------------ *)
 (* Id-keyed secondary indexes, patched in place. *)
 
-(* Index keys are the tuple's ids at the indexed columns, packed into a
-   fresh [int array]. *)
 module Ktbl = Hashtbl.Make (struct
   type t = int array
 
@@ -253,14 +172,35 @@ module Ktbl = Hashtbl.Make (struct
   let hash = Fset.tuple_hash
 end)
 
-(* Buckets are immutable lists replaced wholesale on update, so a
-   shallow [Hashtbl.copy] of an index shares them safely: a patch in
-   one copy installs a fresh list and never mutates the shared one. *)
-type idx = int array list Ktbl.t
+(* The filler of a bucket's unused tail. *)
+let vacant = Fset.empty_slot
+
+(* A bucket is an array of tuples filled from the front, its unused
+   tail [vacant]: adding writes the first vacant slot (doubling the
+   array when there is none) and removing moves the last tuple into the
+   hole, so neither rebuilds the bucket.  A one-tuple bucket is a
+   one-slot array, smaller than a list cell. *)
+let rec bucket_length (b : int array array) lo hi =
+  (* The first vacant slot in [lo, hi), by bisection: the filled prefix
+     is dense. *)
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Array.unsafe_get b mid == vacant then bucket_length b lo mid
+    else bucket_length b (mid + 1) hi
+
+(* An index: the indexed columns, a key buffer for probing without
+   allocating (a key array is allocated only for a new bucket), and the
+   buckets by key. *)
+type idx = {
+  cols : int array;
+  kbuf : int array;
+  buckets : int array array Ktbl.t;
+}
 
 type rel = {
   set : Fset.t;
-  mutable indexes : (int list * idx) list;  (* assoc by column list *)
+  mutable indexes : idx list;
 }
 
 (* A database journal entry: [true] = added, [false] = removed. *)
@@ -268,69 +208,16 @@ type jentry = { jpred : string; jtup : int array; jadded : bool }
 
 type t = {
   rels : (string, rel) Hashtbl.t;
+  (* The relation found last, by its name's physical identity: a join
+     or a round touches one predicate many times in a row, through the
+     same name string, and this skips hashing the name. *)
+  mutable last_pred : string;
+  mutable last_rel : rel;
   mutable version : int;  (* bumped on every mutation: cache stamps *)
   mutable jnl : jentry list;  (* newest-first; live iff jmarks > 0 *)
   mutable jlen : int;
   mutable jmarks : int;  (* outstanding marks *)
 }
-
-let create () =
-  { rels = Hashtbl.create 16; version = 0; jnl = []; jlen = 0; jmarks = 0 }
-
-let mkrel () = { set = Fset.create (); indexes = [] }
-
-let find_rel db pred = Hashtbl.find_opt db.rels pred
-
-let rel_of db pred =
-  match Hashtbl.find_opt db.rels pred with
-  | Some r -> r
-  | None ->
-    let r = mkrel () in
-    Hashtbl.replace db.rels pred r;
-    r
-
-let version db = db.version
-let touch db = db.version <- db.version + 1
-
-(* The key of [t] at [cols], or [None] when the tuple is too short —
-   mirroring {!Store.key_at}: such a tuple can never match a pattern
-   binding those positions. *)
-let key_at (cols : int list) (t : int array) : int array option =
-  let n = Array.length t in
-  let rec len = function [] -> 0 | _ :: r -> 1 + len r in
-  let k = len cols in
-  let out = Array.make (max k 1) 0 in
-  let rec go i = function
-    | [] -> true
-    | c :: rest ->
-      c < n
-      && begin
-        out.(i) <- t.(c);
-        go (i + 1) rest
-      end
-  in
-  if k = 0 then Some [||] else if go 0 cols then Some out else None
-
-let idx_add (cols, (idx : idx)) t =
-  match key_at cols t with
-  | None -> ()
-  | Some key ->
-    let bucket = match Ktbl.find_opt idx key with Some l -> l | None -> [] in
-    Ktbl.replace idx key (t :: bucket)
-
-let idx_remove (cols, (idx : idx)) t =
-  match key_at cols t with
-  | None -> ()
-  | Some key -> (
-    match Ktbl.find_opt idx key with
-    | None -> ()
-    | Some bucket -> (
-      match List.filter (fun u -> not (Fset.tuple_eq u t)) bucket with
-      | [] -> Ktbl.remove idx key
-      | bucket' -> Ktbl.replace idx key bucket'))
-
-(* ------------------------------------------------------------------ *)
-(* The database API. *)
 
 (* The one set every missing-predicate read shares.  Frozen, so a
    caller that mutates what it thought was a live relation fails loudly
@@ -340,11 +227,107 @@ let empty_relation : Fset.t =
   Fset.freeze s;
   s
 
-let relation db pred : Fset.t =
-  match find_rel db pred with Some r -> r.set | None -> empty_relation
+(* What a missing predicate reads as, without allocating an option. *)
+let no_rel = { set = empty_relation; indexes = [] }
 
-let mem db pred t =
-  match find_rel db pred with Some r -> Fset.mem r.set t | None -> false
+(* A name no caller holds, for an empty [last_pred]. *)
+let no_pred = String.make 1 '\000'
+
+let create () =
+  {
+    rels = Hashtbl.create 16;
+    last_pred = no_pred;
+    last_rel = no_rel;
+    version = 0;
+    jnl = [];
+    jlen = 0;
+    jmarks = 0;
+  }
+
+(* Relations are never dropped, so a cached hit stays valid. *)
+let find_rel db pred =
+  if pred == db.last_pred then db.last_rel
+  else
+    match Hashtbl.find db.rels pred with
+    | r ->
+      db.last_pred <- pred;
+      db.last_rel <- r;
+      r
+    | exception Not_found -> no_rel
+
+let rel_of db pred =
+  let r = find_rel db pred in
+  if r != no_rel then r
+  else begin
+    let r = { set = Fset.create (); indexes = [] } in
+    Hashtbl.replace db.rels pred r;
+    r
+  end
+
+let version db = db.version
+let touch db = db.version <- db.version + 1
+
+(* Load [t]'s key at the index's columns into its key buffer; [false]
+   when the tuple is too short: such a tuple can never match a pattern
+   binding those positions. *)
+let rec load_from cols kbuf (t : int array) i =
+  i >= Array.length cols
+  ||
+  let c = Array.unsafe_get cols i in
+  c < Array.length t
+  && begin
+    Array.unsafe_set kbuf i (Array.unsafe_get t c);
+    load_from cols kbuf t (i + 1)
+  end
+
+let load_key ix (t : int array) = load_from ix.cols ix.kbuf t 0
+
+let idx_add ix t =
+  if load_key ix t then
+    match Ktbl.find ix.buckets ix.kbuf with
+    | b ->
+      let n = bucket_length b 0 (Array.length b) in
+      if n < Array.length b then b.(n) <- t
+      else begin
+        (* Re-bind under a fresh key: [Ktbl.replace] would keep the
+           key buffer itself as the stored key. *)
+        let b' = Array.make (2 * n) vacant in
+        Array.blit b 0 b' 0 n;
+        b'.(n) <- t;
+        Ktbl.remove ix.buckets ix.kbuf;
+        Ktbl.add ix.buckets (Array.copy ix.kbuf) b'
+      end
+    | exception Not_found -> Ktbl.add ix.buckets (Array.copy ix.kbuf) [| t |]
+
+let rec position (b : int array array) t i n =
+  if i >= n || Fset.tuple_eq b.(i) t then i else position b t (i + 1) n
+
+let idx_remove ix t =
+  if load_key ix t then
+    match Ktbl.find ix.buckets ix.kbuf with
+    | exception Not_found -> ()
+    | b ->
+      let n = bucket_length b 0 (Array.length b) in
+      let i = position b t 0 n in
+      if i < n then
+        if n = 1 then Ktbl.remove ix.buckets ix.kbuf
+        else begin
+          b.(i) <- b.(n - 1);
+          b.(n - 1) <- vacant;
+          (* Halve a bucket left a quarter full, so one that churned down
+             does not keep its peak size. *)
+          if 4 * (n - 1) <= Array.length b then begin
+            Ktbl.remove ix.buckets ix.kbuf;
+            Ktbl.add ix.buckets (Array.copy ix.kbuf)
+              (Array.sub b 0 (Array.length b / 2))
+          end
+        end
+
+(* ------------------------------------------------------------------ *)
+(* The database API. *)
+
+let relation db pred : Fset.t = (find_rel db pred).set
+let mem db pred t = Fset.mem (find_rel db pred).set t
 
 let journal db e =
   if db.jmarks > 0 then begin
@@ -352,11 +335,23 @@ let journal db e =
     db.jlen <- db.jlen + 1
   end
 
+let rec add_to_indexes t = function
+  | [] -> ()
+  | ix :: rest ->
+    idx_add ix t;
+    add_to_indexes t rest
+
+let rec remove_from_indexes t = function
+  | [] -> ()
+  | ix :: rest ->
+    idx_remove ix t;
+    remove_from_indexes t rest
+
 (* [true] when newly added; every cached index is patched in place. *)
 let add db pred t : bool =
   let r = rel_of db pred in
   if Fset.add r.set t then begin
-    List.iter (fun ix -> idx_add ix t) r.indexes;
+    add_to_indexes t r.indexes;
     touch db;
     journal db { jpred = pred; jtup = t; jadded = true };
     true
@@ -364,145 +359,69 @@ let add db pred t : bool =
   else false
 
 let remove db pred t : bool =
-  match find_rel db pred with
-  | None -> false
-  | Some r ->
-    if Fset.remove r.set t then begin
-      List.iter (fun ix -> idx_remove ix t) r.indexes;
-      touch db;
-      journal db { jpred = pred; jtup = t; jadded = false };
-      true
-    end
-    else false
+  let r = find_rel db pred in
+  if r != no_rel && Fset.remove r.set t then begin
+    remove_from_indexes t r.indexes;
+    touch db;
+    journal db { jpred = pred; jtup = t; jadded = false };
+    true
+  end
+  else false
 
-let cardinal db pred =
-  match find_rel db pred with Some r -> Fset.cardinal r.set | None -> 0
-
-let preds db =
-  List.sort String.compare
-    (Hashtbl.fold
-       (fun p r acc -> if Fset.is_empty r.set then acc else p :: acc)
-       db.rels [])
-
-let total_tuples db =
-  Hashtbl.fold (fun _ r acc -> acc + Fset.cardinal r.set) db.rels 0
+let cardinal db pred = Fset.cardinal (find_rel db pred).set
 
 let is_empty db =
   Hashtbl.fold (fun _ r acc -> acc && Fset.is_empty r.set) db.rels true
 
-let iter_rel db pred f =
-  match find_rel db pred with Some r -> Fset.iter f r.set | None -> ()
+let iter_rel db pred f = Fset.iter f (find_rel db pred).set
 
-let fold_rel db pred f acc =
-  match find_rel db pred with Some r -> Fset.fold f r.set acc | None -> acc
-
-let iter db f =
-  List.iter (fun pred -> iter_rel db pred (fun t -> f pred t)) (preds db)
+let rec find_index cols = function
+  | [] -> raise Not_found
+  | ix :: rest ->
+    if ix.cols == cols || Fset.tuple_eq ix.cols cols then ix
+    else find_index cols rest
 
 (* Find or build the [(pred, cols)] index and answer a point probe.
    Fresh indexes are built by one pass over the relation, sized to it
    (a node holds many small indexes); thereafter [add]/[remove] keep
-   them exact. *)
-let lookup db pred ~(cols : int list) ~(key : int array) : int array list =
-  match find_rel db pred with
-  | None -> []
-  | Some r -> (
-    let idx =
-      match List.assoc_opt cols r.indexes with
-      | Some idx -> idx
-      | None ->
-        let idx = Ktbl.create (Fset.cardinal r.set) in
-        Fset.iter (fun t -> idx_add (cols, idx) t) r.set;
-        r.indexes <- (cols, idx) :: r.indexes;
-        idx
-    in
-    match Ktbl.find_opt idx key with Some bucket -> bucket | None -> [])
+   them exact.  The returned bucket is shared. *)
+let no_tuples : int array array = [| vacant |]
 
-(* Transient grouping of a (typically small) relation by [cols]:
-   like {!groups}, in no particular order —
-   callers needing the canonical order sort boxed keys themselves. *)
-let group_set (set : Fset.t) ~(cols : int list) :
-    (int array * int array list) list =
-  let tbl : int array list Ktbl.t = Ktbl.create 16 in
-  let order = ref [] in
-  Fset.iter
-    (fun t ->
-      match key_at cols t with
-      | None -> ()
-      | Some key -> (
-        match Ktbl.find_opt tbl key with
-        | Some l -> Ktbl.replace tbl key (t :: l)
-        | None ->
-          Ktbl.replace tbl key [ t ];
-          order := key :: !order))
-    set;
-  List.rev_map (fun key -> (key, Ktbl.find tbl key)) !order
-
-let groups db pred ~(cols : int list) : (int array * int array list) list =
-  match find_rel db pred with
-  | None -> []
-  | Some r -> group_set r.set ~cols
-
-(* ------------------------------------------------------------------ *)
-(* Whole-database operations (working copies for view refresh). *)
-
-(* Deep-copies the tuple sets; indexes are shallow-copied hash tables
-   whose immutable buckets are shared (patches replace, never mutate). *)
-let copy db =
-  let rels = Hashtbl.create (Hashtbl.length db.rels) in
-  Hashtbl.iter
-    (fun pred r ->
-      Hashtbl.replace rels pred
-        {
-          set = Fset.copy r.set;
-          indexes = List.map (fun (cols, idx) -> (cols, Ktbl.copy idx)) r.indexes;
-        })
-    db.rels;
-  { rels; version = db.version; jnl = []; jlen = 0; jmarks = 0 }
-
-let restrict db keep =
-  let out = create () in
-  List.iter
-    (fun pred ->
-      match find_rel db pred with
-      | None -> ()
-      | Some r ->
-        Hashtbl.replace out.rels pred
+let lookup db pred ~(cols : int array) ~(key : int array) : int array array =
+  let r = find_rel db pred in
+  if r == no_rel then no_tuples
+  else
+    let ix =
+      match find_index cols r.indexes with
+      | ix -> ix
+      | exception Not_found ->
+        let ix =
           {
-            set = Fset.copy r.set;
-            indexes =
-              List.map (fun (cols, idx) -> (cols, Ktbl.copy idx)) r.indexes;
-          })
-    keep;
-  (* A restriction is as fresh as its source, exactly like [copy] —
-     version stamps must never move backwards through a narrowing. *)
-  out.version <- db.version;
-  out
+            cols = Array.copy cols;
+            kbuf = Array.make (Array.length cols) 0;
+            buckets = Ktbl.create (Fset.cardinal r.set);
+          }
+        in
+        Fset.iter (fun t -> idx_add ix t) r.set;
+        r.indexes <- ix :: r.indexes;
+        ix
+    in
+    match Ktbl.find ix.buckets key with
+    | b -> b
+    | exception Not_found -> no_tuples
 
 let union_into dst src =
   Hashtbl.iter
     (fun pred r -> Fset.iter (fun t -> ignore (add dst pred t)) r.set)
     src.rels
 
-(* Replace one relation wholesale, patching cached indexes by the
-   symmetric difference — the flat counterpart of the boxed
-   [set_relation] rebuild-in-place. *)
-let set_relation db pred (s : Fset.t) =
-  let r = rel_of db pred in
-  let removed = Fset.fold (fun t acc -> if Fset.mem s t then acc else t :: acc) r.set [] in
-  let added = Fset.fold (fun t acc -> if Fset.mem r.set t then acc else t :: acc) s [] in
-  List.iter (fun t -> ignore (remove db pred t)) removed;
-  List.iter (fun t -> ignore (add db pred t)) added
-
 (* ------------------------------------------------------------------ *)
-(* Checkpoints: the undo journal behind in-place view refresh.
+(* The journal behind in-place view refresh.
 
    [mark] opens a checkpoint; every subsequent effective [add]/[remove]
-   is journaled.  [rollback] restores the database to the mark in
-   O(changes) by inverse replay (indexes are patched back through the
-   ordinary mutation path); [commit] drops the mark in O(1), and
-   releasing the last outstanding mark discards the journal wholesale.
-   Marks must be released LIFO, innermost first. *)
+   is journaled until the matching [commit], and releasing the last
+   outstanding mark discards the journal wholesale.  Marks must be
+   released LIFO, innermost first. *)
 
 type mark = int
 
@@ -517,29 +436,11 @@ let commit db (_ : mark) =
     db.jlen <- 0
   end
 
-let rollback db (m : mark) =
-  let outer = db.jmarks - 1 in
-  db.jmarks <- 0 (* undo ops must not re-journal *);
-  while db.jlen > m do
-    match db.jnl with
-    | e :: rest ->
-      db.jnl <- rest;
-      db.jlen <- db.jlen - 1;
-      if e.jadded then ignore (remove db e.jpred e.jtup)
-      else ignore (add db e.jpred e.jtup)
-    | [] -> assert false
-  done;
-  db.jmarks <- outer;
-  if db.jmarks = 0 then begin
-    db.jnl <- [];
-    db.jlen <- 0
-  end
-
 (* The *net* movement since a mark, per touched predicate: a tuple
    whose first journaled op is an add and whose last is an add moved
    in; first-remove/last-remove moved out; anything else (add;remove,
    remove;...;add) cancelled.  O(changes) — this is what replaces
-   [Fset.equal] whole-relation diffing in the refresh walk. *)
+   whole-relation diffing in the refresh walk. *)
 let net_since db (m : mark) : (string * int array list * int array list) list =
   (* Entries since the mark, oldest first. *)
   let entries =
@@ -587,21 +488,9 @@ let net_since db (m : mark) : (string * int array list * int array list) list =
    patched, removals recorded).  The element snapshot is taken up
    front: removal can trigger a compacting rehash mid-iteration. *)
 let clear_rel db pred =
-  match find_rel db pred with
-  | None -> ()
-  | Some r ->
-    List.iter (fun t -> ignore (remove db pred t)) (Fset.elements r.set)
-
-let equal a b =
-  let covered other p r =
-    Fset.is_empty r
-    ||
-    match find_rel other p with
-    | Some r' -> Fset.equal r r'.set
-    | None -> false
-  in
-  Hashtbl.fold (fun p r acc -> acc && covered b p r.set) a.rels true
-  && Hashtbl.fold (fun p r acc -> acc && covered a p r.set) b.rels true
+  List.iter
+    (fun t -> ignore (remove db pred t))
+    (Fset.elements (find_rel db pred).set)
 
 (* ------------------------------------------------------------------ *)
 (* Conversion at system boundaries. *)

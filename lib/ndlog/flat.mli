@@ -11,8 +11,8 @@
     runtime's per-node stores, view-refresh working databases); the
     persistent {!Store} remains the model checker's canonical state.
     Nothing here enumerates in canonical order (ids are
-    allocation-ordered): observable enumerations must materialize boxed
-    tuples ([to_store], {!Intern.tuple_of_ids}) and sort. *)
+    allocation-ordered): observable enumerations sort through the boxed
+    values ({!Intern.compare_ids}) or materialize ([to_store]). *)
 
 (** Open-addressing hash sets of id tuples. *)
 module Fset : sig
@@ -33,29 +33,9 @@ module Fset : sig
   val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
   val elements : t -> int array list
 
-  val copy : t -> t
-  (** The copy is independent: unfrozen, with an empty journal. *)
-
-  val equal : t -> t -> bool
-
   val capacity : t -> int
   (** Current slot-array length (a power of two) — observable so tests
       can pin growth and compaction behavior. *)
-
-  val freeze : t -> unit
-  (** Make every subsequent mutation raise [Invalid_argument].  Backs
-      the shared empty relation returned for missing predicates. *)
-
-  type mark
-  (** A checkpoint.  [mark] starts journaling every effective
-      [add]/[remove]; [rollback] restores the set to the mark by
-      inverse replay in O(changes); [commit] drops the mark in O(1)
-      (releasing the last outstanding mark discards the journal).
-      Marks must be released LIFO, innermost first. *)
-
-  val mark : t -> mark
-  val rollback : t -> mark -> unit
-  val commit : t -> mark -> unit
 
   val tuple_eq : int array -> int array -> bool
   val tuple_hash : int array -> int
@@ -82,47 +62,29 @@ val add : t -> string -> int array -> bool
 val remove : t -> string -> int array -> bool
 
 val cardinal : t -> string -> int
-val preds : t -> string list
-val total_tuples : t -> int
 val is_empty : t -> bool
 val iter_rel : t -> string -> (int array -> unit) -> unit
-val fold_rel : t -> string -> (int array -> 'a -> 'a) -> 'a -> 'a
-val iter : t -> (string -> int array -> unit) -> unit
 
-val lookup : t -> string -> cols:int list -> key:int array -> int array list
+val vacant : int array
+(** The filler of a {!lookup} bucket's unused tail. *)
+
+val lookup : t -> string -> cols:int array -> key:int array -> int array array
 (** Point probe of the [(pred, cols)] secondary index, built on first
-    use and patched exact thereafter.  The returned bucket is shared:
-    callers must not mutate it. *)
-
-val groups : t -> string -> cols:int list -> (int array * int array list) list
-(** Transient grouping by the given columns, in no particular order. *)
-
-val group_set : Fset.t -> cols:int list -> (int array * int array list) list
-(** {!groups} over a free-standing tuple set (a delta batch). *)
-
-val copy : t -> t
-(** The copy is independent, with an empty journal and no marks. *)
-
-val restrict : t -> string list -> t
-(** Deep-copy the named relations into a fresh database.  Preserves
-    the source's {!version}, exactly like {!copy}. *)
+    use and patched exact thereafter: the tuples whose columns [cols]
+    hold [key], in the returned array up to its first {!vacant} slot (or
+    its end).  The bucket is shared and patched in place by later
+    mutations of [pred]: read it before the next {!add} or {!remove},
+    and never write it.  Neither [cols] nor [key] is retained. *)
 
 val union_into : t -> t -> unit
 
-val set_relation : t -> string -> Fset.t -> unit
-(** Replace one relation wholesale, patching cached indexes by the
-    symmetric difference. *)
-
 type mark
-(** A whole-database checkpoint: from [mark] on, every effective
-    {!add}/{!remove} is journaled.  {!rollback} restores the database
-    (relations {e and} cached indexes, via inverse replay through the
-    ordinary mutation path) in O(changes); {!commit} drops the mark in
-    O(1), and releasing the last outstanding mark discards the journal
-    wholesale.  Marks must be released LIFO, innermost first. *)
+(** A journal checkpoint: from [mark] on, every effective {!add} and
+    {!remove} is journaled, until the matching {!commit}; releasing the
+    last outstanding mark discards the journal.  Marks must be released
+    LIFO, innermost first. *)
 
 val mark : t -> mark
-val rollback : t -> mark -> unit
 val commit : t -> mark -> unit
 
 val net_since : t -> mark -> (string * int array list * int array list) list
@@ -133,8 +95,6 @@ val net_since : t -> mark -> (string * int array list * int array list) list
 
 val clear_rel : t -> string -> unit
 (** Empty one relation through the journaled mutation path. *)
-
-val equal : t -> t -> bool
 
 val to_store : t -> Store.t
 (** Materialize the canonical boxed store (cheap direction: an array

@@ -35,11 +35,23 @@ type iexpr =
   | XCall of (Value.t list -> Value.t) * iexpr list  (* a boxed builtin *)
   | XBinop of Ast.binop * iexpr * iexpr
 
+(* A positive atom's candidate source, fixed when its body is compiled
+   ({!plan_body}): a full scan, or a probe of the index on [cols] with
+   the key computed by [key] (constants and bound variables) into the
+   buffer [kbuf]. *)
+type probe =
+  | Scan
+  | Probe of { cols : int array; key : iexpr array; kbuf : int array }
+
+(* [tbuf] holds a negated atom's tuple while it is looked up. *)
 type step =
-  | SPos of { pred : string; pat : iexpr array }
-  | SNeg of { pred : string; args : iexpr array }
+  | SPos of { pred : string; pat : iexpr array; probe : probe }
+  | SNeg of { pred : string; args : iexpr array; tbuf : int array }
   | SAssign of int * iexpr
   | SCond of Ast.cmp * iexpr * iexpr
+
+(* A compiled literal sequence with one scratch environment per step. *)
+type body = { steps : step array; bufs : int array array; nslots : int }
 
 (* Per-compilation-unit slot table. *)
 type ctx = { tbl : (string, int) Hashtbl.t; mutable n : int }
@@ -107,8 +119,11 @@ let compile_args ctx (args : Ast.expr list) : iexpr array =
 
 let compile_lit ctx (l : Ast.lit) : step =
   match l with
-  | Ast.Pos a -> SPos { pred = a.Ast.pred; pat = compile_args ctx a.Ast.args }
-  | Ast.Neg a -> SNeg { pred = a.Ast.pred; args = compile_args ctx a.Ast.args }
+  | Ast.Pos a ->
+    SPos { pred = a.Ast.pred; pat = compile_args ctx a.Ast.args; probe = Scan }
+  | Ast.Neg a ->
+    let args = compile_args ctx a.Ast.args in
+    SNeg { pred = a.Ast.pred; args; tbuf = Array.make (Array.length args) 0 }
   | Ast.Assign (x, e) ->
     let e = compile_expr ctx e in  (* rhs slots before the target's *)
     SAssign (slot ctx x, e)
@@ -186,127 +201,173 @@ let eval_cmp_ids (c : Ast.cmp) a b =
    variable binds, anything else must evaluate to the same id, and an
    unbound variable inside a complex pattern is a mismatch, not an
    error. *)
+let rec match_from (env : int array) (pat : iexpr array) (t : int array) i =
+  i >= Array.length pat
+  ||
+  match Array.unsafe_get pat i with
+  | XVar (s, _) ->
+    let cur = Array.unsafe_get env s in
+    if cur < 0 then begin
+      env.(s) <- t.(i);
+      match_from env pat t (i + 1)
+    end
+    else cur = t.(i) && match_from env pat t (i + 1)
+  | XConst id -> id = t.(i) && match_from env pat t (i + 1)
+  | e -> (
+    match eval_x env e with
+    | id -> id = t.(i) && match_from env pat t (i + 1)
+    | exception Env.Unbound_variable _ -> false)
+
 let match_pat (env : int array) (pat : iexpr array) (t : int array) : bool =
-  let n = Array.length pat in
-  n = Array.length t
-  &&
-  let rec go i =
-    i >= n
-    ||
-    match pat.(i) with
-    | XVar (s, _) ->
-      let cur = Array.unsafe_get env s in
-      if cur < 0 then begin
-        env.(s) <- t.(i);
-        go (i + 1)
-      end
-      else cur = t.(i) && go (i + 1)
-    | XConst id -> id = t.(i) && go (i + 1)
-    | e -> (
-      match eval_x env e with
-      | id -> id = t.(i) && go (i + 1)
-      | exception Env.Unbound_variable _ -> false)
-  in
-  go 0
+  Array.length pat = Array.length t && match_from env pat t 0
 
 (* ------------------------------------------------------------------ *)
-(* Candidate selection. *)
+(* Probe planning. *)
 
-(* The argument positions ground under [env]: constants and bound bare
-   variables, in ascending position order. *)
-let bound_cols (env : int array) (pat : iexpr array) : (int * int) list =
-  let acc = ref [] in
-  for i = Array.length pat - 1 downto 0 do
-    match pat.(i) with
-    | XConst id -> acc := (i, id) :: !acc
-    | XVar (s, _) -> if env.(s) >= 0 then acc := (i, env.(s)) :: !acc
-    | _ -> ()
-  done;
-  !acc
-
-(* An iterator over the candidate tuples for matching [pat] against
-   [pred] under [env]: an index probe on the ground positions, or a
-   full scan when none is ground (or indexes are switched off). *)
-let candidates ~optimized_joins (st : Plan.counters) fdb (env : int array)
-    pred (pat : iexpr array) : (int array -> unit) -> unit =
-  match if optimized_joins then bound_cols env pat else [] with
-  | [] ->
-    st.Plan.c_scans <- st.Plan.c_scans + 1;
-    fun f -> Fset.iter f (Flat.relation fdb pred)
-  | bound ->
-    st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-    let cols = List.map fst bound in
-    let key = Array.of_list (List.map snd bound) in
-    let bucket = Flat.lookup fdb pred ~cols ~key in
-    fun f -> List.iter f bucket
+(* Fix each positive atom's candidate source from the slots bound when
+   it runs: the constants and already-bound bare variables of its
+   pattern, in ascending position order, become the columns and key of
+   an index probe; with none (or with indexes switched off) the atom
+   scans its relation.  Which slots are bound at a literal is decided by
+   the literals before it — a positive atom binds every bare variable of
+   its pattern, an assignment its target — so the plan made here is
+   exactly what inspecting the environment at run time would find.
+   [bound] holds the slots bound on entry and is updated to those bound
+   on exit. *)
+let plan_body ~optimized_joins ~nslots (bound : bool array) (steps : step array)
+    : body =
+  let plan = function
+    | SPos { pred; pat; probe = _ } ->
+      let ground = ref [] in
+      for i = Array.length pat - 1 downto 0 do
+        match pat.(i) with
+        | XConst _ -> ground := i :: !ground
+        | XVar (s, _) when bound.(s) -> ground := i :: !ground
+        | _ -> ()
+      done;
+      let probe =
+        if (not optimized_joins) || !ground = [] then Scan
+        else
+          let cols = Array.of_list !ground in
+          Probe
+            {
+              cols;
+              key = Array.map (fun i -> pat.(i)) cols;
+              kbuf = Array.make (Array.length cols) 0;
+            }
+      in
+      Array.iter (function XVar (s, _) -> bound.(s) <- true | _ -> ()) pat;
+      SPos { pred; pat; probe }
+    | SAssign (s, _) as step ->
+      bound.(s) <- true;
+      step
+    | step -> step
+  in
+  let planned = Array.copy steps in
+  Array.iteri (fun i step -> planned.(i) <- plan step) steps;
+  {
+    steps = planned;
+    bufs = Array.init (Array.length steps) (fun _ -> Array.make nslots (-1));
+    nslots;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Body evaluation. *)
 
-(* Enumerate the satisfying environments of compiled [steps] starting
-   from [env0], prepending frozen copies to [acc].  The environment
-   flows through per-step scratch buffers: a candidate match blits the
-   incoming bindings and binds in place, so only *satisfying*
-   environments pay an allocation. *)
-let body_envs_from ~optimized_joins (st : Plan.counters) fdb ~nslots
-    (env0 : int array) (steps : step array) (acc : int array list) :
-    int array list =
-  let nsteps = Array.length steps in
-  let scratch = Array.init (max nsteps 1) (fun _ -> Array.make nslots (-1)) in
-  let acc = ref acc in
-  let rec go (env : int array) si =
-    if si >= nsteps then acc := Array.copy env :: !acc
-    else
-      match steps.(si) with
-      | SPos { pred; pat } ->
-        let iterate = candidates ~optimized_joins st fdb env pred pat in
-        let buf = scratch.(si) in
-        iterate (fun t ->
-            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-            Array.blit env 0 buf 0 nslots;
-            if match_pat buf pat t then begin
-              st.Plan.c_matched <- st.Plan.c_matched + 1;
-              go buf (si + 1)
-            end)
-      | SNeg { pred; args } ->
-        let t = eval_ids env args in
-        if Flat.mem fdb pred t then () else go env (si + 1)
-      | SAssign (s, rhs) ->
-        let v = eval_x env rhs in
-        let cur = env.(s) in
-        if cur < 0 then begin
-          let buf = scratch.(si) in
-          Array.blit env 0 buf 0 nslots;
-          buf.(s) <- v;
-          go buf (si + 1)
-        end
-        else if cur = v then go env (si + 1)
-      | SCond (c, a, b) ->
-        if eval_cmp_ids c (eval_x env a) (eval_x env b) then go env (si + 1)
-  in
-  go env0 0;
-  !acc
+(* Enumerate the satisfying environments of [b] from step [si] on,
+   starting from [env], and hand each to [k].  The environment flows
+   through the body's per-step buffers: a candidate match blits the
+   incoming bindings and binds in place, so enumeration allocates
+   nothing per candidate, and the environment [k] receives is scratch —
+   [k] reads it before returning and keeps nothing of it.  A body runs
+   one enumeration at a time: [k] must not re-enter it. *)
+let rec exec (st : Plan.counters) fdb (b : body) si (env : int array)
+    (k : int array -> unit) : unit =
+  if si >= Array.length b.steps then k env
+  else
+    match Array.unsafe_get b.steps si with
+    | SPos { pred; pat; probe = Scan } ->
+      st.Plan.c_scans <- st.Plan.c_scans + 1;
+      Fset.iter
+        (fun t -> candidate st fdb b si env pat k t)
+        (Flat.relation fdb pred)
+    | SPos { pred; pat; probe = Probe { cols; key; kbuf } } ->
+      st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
+      for i = 0 to Array.length key - 1 do
+        Array.unsafe_set kbuf i (eval_x env (Array.unsafe_get key i))
+      done;
+      candidates st fdb b si env pat k (Flat.lookup fdb pred ~cols ~key:kbuf) 0
+    | SNeg { pred; args; tbuf } ->
+      for i = 0 to Array.length args - 1 do
+        Array.unsafe_set tbuf i (eval_x env (Array.unsafe_get args i))
+      done;
+      if not (Flat.mem fdb pred tbuf) then exec st fdb b (si + 1) env k
+    | SAssign (s, rhs) ->
+      let v = eval_x env rhs in
+      let cur = env.(s) in
+      if cur < 0 then begin
+        let buf = Array.unsafe_get b.bufs si in
+        Array.blit env 0 buf 0 b.nslots;
+        buf.(s) <- v;
+        exec st fdb b (si + 1) buf k
+      end
+      else if cur = v then exec st fdb b (si + 1) env k
+    | SCond (c, x, y) ->
+      if eval_cmp_ids c (eval_x env x) (eval_x env y) then
+        exec st fdb b (si + 1) env k
 
-(* Consistent union of two frozen environments (recombining a per-tuple
-   delta binding with its group's shared environment). *)
-let merge_env (a : int array) (b : int array) : int array option =
-  let n = Array.length b in
-  let out = Array.copy b in
-  let rec go s =
-    s >= n
-    ||
-    let va = a.(s) in
-    (if va >= 0 then
-       let vb = out.(s) in
-       if vb < 0 then begin
-         out.(s) <- va;
-         true
-       end
-       else vb = va
-     else true)
-    && go (s + 1)
+(* The tuples of an index bucket, up to its first vacant slot. *)
+and candidates st fdb b si env pat k (bucket : int array array) i =
+  if i < Array.length bucket then begin
+    let t = Array.unsafe_get bucket i in
+    if t != Flat.vacant then begin
+      candidate st fdb b si env pat k t;
+      candidates st fdb b si env pat k bucket (i + 1)
+    end
+  end
+
+and candidate st fdb b si env pat k (t : int array) =
+  st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+  let buf = Array.unsafe_get b.bufs si in
+  Array.blit env 0 buf 0 b.nslots;
+  if match_pat buf pat t then begin
+    st.Plan.c_matched <- st.Plan.c_matched + 1;
+    exec st fdb b (si + 1) buf k
+  end
+
+(* A body compiled in its own slot table, with no slot bound on entry:
+   the full first round's rules and the enumerated aggregate rules. *)
+let run_body st fdb ~optimized_joins ctx (steps : step array) k =
+  let nslots = ctx.n in
+  exec st fdb
+    (plan_body ~optimized_joins ~nslots (Array.make nslots false) steps)
+    0 (Array.make nslots (-1)) k
+
+(* The order of two tuples' ids at [cols], from column [j] on. *)
+let rec compare_at (cols : int array) (a : int array) (b : int array) j =
+  if j >= Array.length cols then 0
+  else
+    let c = cols.(j) in
+    if a.(c) = b.(c) then compare_at cols a b (j + 1) else compare a.(c) b.(c)
+
+(* Grouping by sorting: drop the tuples of [d] shorter than [key_len]
+   (they have no key), sort the rest by their ids at [cols], and call
+   [f d lo hi] on each run of equal keys. *)
+let iter_groups cols ~key_len (d : int array array) f =
+  let keyed t = Array.length t >= key_len in
+  let d =
+    if Array.for_all keyed d then d
+    else Array.of_list (List.filter keyed (Array.to_list d))
   in
-  if go 0 then Some out else None
+  if Array.length d > 1 && Array.length cols > 0 then
+    Array.sort (fun a b -> compare_at cols a b 0) d;
+  let lo = ref 0 in
+  for hi = 1 to Array.length d do
+    if hi = Array.length d || compare_at cols d.(!lo) d.(hi) 0 <> 0 then begin
+      f d !lo hi;
+      lo := hi
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Strands: the one delta join. *)
@@ -315,19 +376,23 @@ let merge_env (a : int array) (b : int array) : int array option =
    [s_cols], the [s_shared] literals run once per group from the key
    bindings, and each delta tuple pays only its pattern match plus
    [s_per_tuple] ({!Plan.split_shared}).  A self-contained compilation
-   unit (own slot table, own compiled head), planned once without
-   cardinalities, so one compiled strand serves every batch. *)
+   unit (own slot table, own compiled head, own scratch environments),
+   planned once without cardinalities, so one compiled strand serves
+   every batch — one batch at a time. *)
 type istrand = {
   s_rule : Ast.rule;
   s_delta_pred : string;
-  s_cols : int list;  (* delta group columns *)
-  s_col_slots : int list;  (* their slots, positionally *)
-  s_dpat : iexpr array;  (* delta-atom pattern *)
-  s_shared : step array;
-  s_per_tuple : step array;
-  s_nslots : int;
+  s_cols : int array;  (* delta group columns *)
+  s_col_slots : int array;  (* their slots, positionally *)
+  s_key_len : int;  (* shorter delta tuples have no group key *)
+  s_dpat : iexpr array;  (* delta-atom pattern: variables and constants *)
+  s_shared : body;
+  s_per_tuple : body;
   s_head : iexpr array;
-  s_optimized : bool;  (* index probes, as its plan's [optimized_joins] *)
+  s_tbuf : int array;  (* one delta tuple's own bindings *)
+  s_gbuf : int array;  (* a group's key bindings *)
+  s_mbuf : int array;  (* one delta tuple's bindings under a shared one *)
+  s_hbuf : int array;  (* a head under construction *)
 }
 
 let head_pred (s : istrand) = s.s_rule.Ast.head.Ast.head_pred
@@ -340,79 +405,102 @@ let compile_istrand ~optimized_joins (s : Plan.strand) : istrand =
   let cols_vars = Plan.group_cols s.Plan.delta gvars in
   let shared, per_tuple = Plan.split_shared gvars s.Plan.rest in
   let s_dpat = compile_args ctx s.Plan.delta.Ast.args in
-  let s_col_slots = List.map (fun (_, x) -> slot ctx x) cols_vars in
-  let s_shared = compile_body ctx shared in
-  let s_per_tuple = compile_body ctx per_tuple in
+  let s_col_slots =
+    Array.of_list (List.map (fun (_, x) -> slot ctx x) cols_vars)
+  in
+  let shared = compile_body ctx shared in
+  let per_tuple = compile_body ctx per_tuple in
   let s_head = compile_head ctx s.Plan.strand_rule.Ast.head in
+  let nslots = ctx.n in
+  (* The shared phase starts from the key bindings; the per-tuple phase
+     adds the delta pattern's. *)
+  let bound = Array.make nslots false in
+  Array.iter (fun sl -> bound.(sl) <- true) s_col_slots;
+  let s_shared = plan_body ~optimized_joins ~nslots bound shared in
+  Array.iter (function XVar (sl, _) -> bound.(sl) <- true | _ -> ()) s_dpat;
+  let s_per_tuple = plan_body ~optimized_joins ~nslots bound per_tuple in
+  let s_cols = Array.of_list (List.map fst cols_vars) in
   {
     s_rule = s.Plan.strand_rule;
     s_delta_pred = s.Plan.delta.Ast.pred;
-    s_cols = List.map fst cols_vars;
+    s_cols;
     s_col_slots;
+    s_key_len = Array.fold_left (fun m c -> max m (c + 1)) 0 s_cols;
     s_dpat;
     s_shared;
     s_per_tuple;
-    s_nslots = ctx.n;
     s_head;
-    s_optimized = optimized_joins;
+    s_tbuf = Array.make nslots (-1);
+    s_gbuf = Array.make nslots (-1);
+    s_mbuf = Array.make nslots (-1);
+    s_hbuf = Array.make (Array.length s_head) 0;
   }
 
 let of_strand = compile_istrand ~optimized_joins:true
 
-(* All satisfying environments of [s] against [fdb] with the delta read
-   from [dset].  Counters: delta tuples by cardinality, one group per
-   distinct key, enumerated/matched per delta tuple, and the
-   shared/per-tuple phases accounted through [body_envs_from]. *)
-let delta_envs (st : Plan.counters) fdb (s : istrand) (dset : Fset.t) :
-    int array list =
-  let optimized_joins = s.s_optimized in
-  st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Fset.cardinal dset;
-  let nslots = s.s_nslots in
-  let scratch = Array.make nslots (-1) in
-  List.fold_left
-    (fun acc (key, tuples) ->
-      st.Plan.c_groups <- st.Plan.c_groups + 1;
-      let tuple_envs =
-        List.fold_left
-          (fun acc t ->
-            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-            Array.fill scratch 0 nslots (-1);
-            if match_pat scratch s.s_dpat t then begin
-              st.Plan.c_matched <- st.Plan.c_matched + 1;
-              Array.copy scratch :: acc
-            end
-            else acc)
-          [] tuples
-      in
-      match tuple_envs with
-      | [] -> acc
-      | _ ->
-        let env_g = Array.make nslots (-1) in
-        List.iteri (fun i sl -> env_g.(sl) <- key.(i)) s.s_col_slots;
-        let shared_envs =
-          body_envs_from ~optimized_joins st fdb ~nslots env_g s.s_shared []
-        in
-        List.fold_left
-          (fun acc env_s ->
-            List.fold_left
-              (fun acc env_t ->
-                match merge_env env_t env_s with
-                | None -> acc
-                | Some env ->
-                  body_envs_from ~optimized_joins st fdb ~nslots env
-                    s.s_per_tuple acc)
-              acc tuple_envs)
-          acc shared_envs)
-    []
-    (Flat.group_set dset ~cols:s.s_cols)
+(* One delta group, [d.(lo)] to [d.(hi - 1)]: each tuple is matched
+   alone first (the enumerated/matched counters), and if any matched,
+   the shared phase runs once from the key bindings and, under each of
+   its environments, every tuple of the group is matched again and runs
+   the per-tuple phase.  The delta pattern holds only variables and
+   constants ({!Plan.compile_strand} names complex arguments), so
+   matching under a shared environment is the consistent union of the
+   two: a tuple that failed alone fails again. *)
+let run_group (st : Plan.counters) fdb (s : istrand) k (d : int array array)
+    lo hi =
+  st.Plan.c_groups <- st.Plan.c_groups + 1;
+  let nslots = s.s_shared.nslots in
+  let matched = ref false in
+  for i = lo to hi - 1 do
+    st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+    Array.fill s.s_tbuf 0 nslots (-1);
+    if match_pat s.s_tbuf s.s_dpat d.(i) then begin
+      st.Plan.c_matched <- st.Plan.c_matched + 1;
+      matched := true
+    end
+  done;
+  if !matched then begin
+    let g = s.s_gbuf and t0 = d.(lo) in
+    Array.fill g 0 nslots (-1);
+    for j = 0 to Array.length s.s_cols - 1 do
+      g.(s.s_col_slots.(j)) <- t0.(s.s_cols.(j))
+    done;
+    exec st fdb s.s_shared 0 g (fun env_s ->
+        for i = lo to hi - 1 do
+          let mb = s.s_mbuf in
+          Array.blit env_s 0 mb 0 nslots;
+          if match_pat mb s.s_dpat d.(i) then exec st fdb s.s_per_tuple 0 mb k
+        done)
+  end
 
-(* Head id tuples of one strand run over a whole delta batch, one per
-   satisfying environment (a multiset, in no particular order). *)
+(* Every satisfying environment of [s] against [fdb] with the distinct
+   delta tuples [d] (permuted in place), handed to [k] as scratch.
+   Counters: delta tuples by count, one group per distinct key. *)
+let run_strand (st : Plan.counters) fdb (s : istrand) (d : int array array) k
+    =
+  st.Plan.c_delta_tuples <- st.Plan.c_delta_tuples + Array.length d;
+  if Array.length d = 1 then begin
+    if Array.length d.(0) >= s.s_key_len then run_group st fdb s k d 0 1
+  end
+  else iter_groups s.s_cols ~key_len:s.s_key_len d (run_group st fdb s k)
+
 let execute_batch ?(stats = Plan.counters ()) fdb
-    ~(delta_tuples : int array list) (s : istrand) : int array list =
-  let dset = Fset.create ~capacity:(List.length delta_tuples * 2) () in
-  List.iter (fun t -> ignore (Fset.add dset t)) delta_tuples;
-  List.rev_map (fun env -> eval_ids env s.s_head) (delta_envs stats fdb s dset)
+    ~(delta_tuples : int array list) (s : istrand) (emit : int array -> unit)
+    =
+  run_strand stats fdb s (Array.of_list delta_tuples) (fun env ->
+      emit (eval_ids env s.s_head))
+
+(* A head sink for a round: [head] evaluated into the scratch [h] and
+   added to [fresh], copied, only when neither [fdb] nor [fresh] holds
+   it — one pass that both dedupes the round's heads and drops the
+   known ones. *)
+let keep_new fdb fresh ~count pred (head : iexpr array) (h : int array) env =
+  incr count;
+  for i = 0 to Array.length head - 1 do
+    Array.unsafe_set h i (eval_x env (Array.unsafe_get head i))
+  done;
+  if not (Flat.mem fdb pred h || Flat.mem fresh pred h) then
+    ignore (Flat.add fresh pred (Array.copy h))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates. *)
@@ -442,8 +530,8 @@ module Ktbl = Hashtbl.Make (struct
   let hash = Fset.tuple_hash
 end)
 
-(* Grouped-index aggregate evaluation ({!Plan.agg_index_shape}): one
-   grouped probe over the group-by columns replaces the environment
+(* Grouped aggregate evaluation ({!Plan.agg_index_shape}): the body
+   relation grouped by the group-by columns replaces the environment
    enumeration.  Tuples of the wrong arity are filtered per group (the
    enumeration path's pattern match would reject them); a group left
    empty by the filter is skipped. *)
@@ -451,45 +539,41 @@ let apply_agg_rule_indexed (st : Plan.counters) fdb (a : Ast.atom)
     (slots : Plan.agg_slot list) : int array list =
   let arity = List.length a.Ast.args in
   let cols =
-    List.sort_uniq Stdlib.compare
-      (List.filter_map
-         (function Plan.Group i -> Some i | Plan.Fold _ -> None)
-         slots)
+    Array.of_list
+      (List.sort_uniq Stdlib.compare
+         (List.filter_map
+            (function Plan.Group i -> Some i | Plan.Fold _ -> None)
+            slots))
   in
-  let col_slot = List.mapi (fun k c -> (c, k)) cols in
   st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-  List.fold_left
-    (fun acc (key, tuples) ->
-      let rows =
-        List.fold_left
-          (fun acc (t : int array) ->
-            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-            if Array.length t = arity then begin
-              st.Plan.c_matched <- st.Plan.c_matched + 1;
-              t :: acc
-            end
-            else acc)
-          [] tuples
-      in
-      match rows with
-      | [] -> acc
-      | _ ->
-        let head =
+  let heads = ref [] in
+  iter_groups cols
+    ~key_len:(Array.fold_left (fun m c -> max m (c + 1)) 0 cols)
+    (Array.of_list (Fset.elements (Flat.relation fdb a.Ast.pred)))
+    (fun d lo hi ->
+      let rows = ref [] in
+      for i = lo to hi - 1 do
+        st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+        if Array.length d.(i) = arity then begin
+          st.Plan.c_matched <- st.Plan.c_matched + 1;
+          rows := d.(i) :: !rows
+        end
+      done;
+      if !rows <> [] then
+        heads :=
           Array.of_list
             (List.map
                (function
-                 | Plan.Group i -> key.(List.assoc i col_slot)
+                 | Plan.Group i -> d.(lo).(i)
                  | Plan.Fold (agg, i) ->
-                   agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
+                   agg_fold_ids agg (List.map (fun t -> t.(i)) !rows))
                slots)
-        in
-        head :: acc)
-    []
-    (Flat.groups fdb a.Ast.pred ~cols)
+          :: !heads);
+  !heads
 
 (* Evaluate an aggregate rule: group satisfying environments by the
    plain head arguments, fold the aggregate, emit one tuple per group.
-   Single-atom rules of the grouped shape take one index probe
+   Single-atom rules of the grouped shape take the grouped path
    instead. *)
 let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
     int array list =
@@ -512,15 +596,9 @@ let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
           | Ast.Agg (agg, x) -> `Agg (agg, slot ctx x, x))
         r.Ast.head.Ast.head_args
     in
-    let nslots = ctx.n in
-    let envs =
-      body_envs_from ~optimized_joins st fdb ~nslots (Array.make nslots (-1))
-        steps []
-    in
     let tbl : int list list ref Ktbl.t = Ktbl.create 16 in
     let order = ref [] in
-    List.iter
-      (fun env ->
+    run_body st fdb ~optimized_joins ctx steps (fun env ->
         (* Group key: plain head values by id, -1 marking aggregate
            positions (ids are non-negative, so the sentinel is safe). *)
         let key =
@@ -544,8 +622,7 @@ let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
         | Some rows -> rows := aggvals :: !rows
         | None ->
           Ktbl.replace tbl key (ref [ aggvals ]);
-          order := key :: !order)
-      envs;
+          order := key :: !order);
     List.rev_map
       (fun key ->
         let rows = !(Ktbl.find tbl key) in
@@ -600,12 +677,12 @@ let compile_stratum ?(optimized_joins = true) (rules : Ast.rule list) =
     optimized_joins;
   }
 
-(* Derived head tuples of applying [rules] in full, each body planned
-   against live cardinalities. *)
+(* The head tuples of applying [rules] in full, each body planned
+   against live cardinalities, that [fdb] does not hold. *)
 let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb rules ~count :
     Flat.t =
   let card p = Flat.cardinal fdb p in
-  let derived = Flat.create () in
+  let fresh = Flat.create () in
   List.iter
     (fun (r : Ast.rule) ->
       let ctx = mkctx () in
@@ -613,22 +690,11 @@ let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb rules ~count :
         compile_body ctx (Plan.order_body ~optimized_joins ~card r.Ast.body)
       in
       let head = compile_head ctx r.Ast.head in
-      let nslots = ctx.n in
-      List.iter
-        (fun env ->
-          incr count;
-          ignore (Flat.add derived r.Ast.head.Ast.head_pred (eval_ids env head)))
-        (body_envs_from ~optimized_joins st fdb ~nslots (Array.make nslots (-1))
-           steps []))
+      run_body st fdb ~optimized_joins ctx steps
+        (keep_new fdb fresh ~count r.Ast.head.Ast.head_pred head
+           (Array.make (Array.length head) 0)))
     rules;
-  derived
-
-(* New tuples of [derived] absent from [fdb]. *)
-let fresh_of fdb derived : Flat.t =
-  let out = Flat.create () in
-  Flat.iter derived (fun pred t ->
-      if not (Flat.mem fdb pred t) then ignore (Flat.add out pred t));
-  out
+  fresh
 
 (* The one semi-naive round loop.  Each round runs every strand whose
    trigger predicate has [delta] tuples; head tuples not already in
@@ -641,19 +707,14 @@ let delta_rounds (st : Plan.counters) fdb (strands : istrand list) ~max_rounds
     else if !rounds >= max_rounds then false
     else begin
       incr rounds;
-      let derived = Flat.create () in
+      let fresh = Flat.create () in
       List.iter
         (fun s ->
           let d = Flat.relation delta s.s_delta_pred in
           if not (Fset.is_empty d) then
-            List.iter
-              (fun env ->
-                incr count;
-                let t = eval_ids env s.s_head in
-                ignore (Flat.add derived (head_pred s) t))
-              (delta_envs st fdb s d))
+            run_strand st fdb s (Array.of_list (Fset.elements d))
+              (keep_new fdb fresh ~count (head_pred s) s.s_head s.s_hbuf))
         strands;
-      let fresh = fresh_of fdb derived in
       Flat.union_into fdb fresh;
       loop fresh
     end
@@ -674,10 +735,7 @@ let eval_stratum (st : Plan.counters) fdb (s : stratum) ~max_rounds ~rounds
     ~count : bool =
   let optimized_joins = s.optimized_joins in
   apply_agg_rules ~optimized_joins st fdb s.agg_rules ~count;
-  let derived =
-    apply_plain_rules ~optimized_joins st fdb s.plain_rules ~count
-  in
-  let delta = fresh_of fdb derived in
+  let delta = apply_plain_rules ~optimized_joins st fdb s.plain_rules ~count in
   Flat.union_into fdb delta;
   incr rounds;
   delta_rounds st fdb s.strands ~max_rounds ~rounds ~count delta
@@ -790,8 +848,6 @@ let refold_plan (rules : Ast.rule list) : refold list option =
    columns and on the head relation's key positions: the cost follows
    the touched groups, not the relations' sizes. *)
 let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
-  let cols = Array.to_list rf.rf_cols
-  and key_pos = Array.to_list rf.rf_key_pos in
   let touched : unit Ktbl.t = Ktbl.create 16 in
   let touch t =
     if Array.length t = rf.rf_arity then
@@ -802,17 +858,20 @@ let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
   Ktbl.iter
     (fun key () ->
       st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-      let rows =
-        List.filter
-          (fun t ->
-            st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-            Array.length t = rf.rf_arity
-            && begin
-              st.Plan.c_matched <- st.Plan.c_matched + 1;
-              true
-            end)
-          (Flat.lookup fdb rf.rf_body ~cols ~key)
+      let bucket = Flat.lookup fdb rf.rf_body ~cols:rf.rf_cols ~key in
+      let rec rows i acc =
+        if i >= Array.length bucket || bucket.(i) == Flat.vacant then acc
+        else begin
+          let t = bucket.(i) in
+          st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+          if Array.length t = rf.rf_arity then begin
+            st.Plan.c_matched <- st.Plan.c_matched + 1;
+            rows (i + 1) (t :: acc)
+          end
+          else rows (i + 1) acc
+        end
       in
+      let rows = rows 0 [] in
       let fresh =
         match rows with
         | [] -> None
@@ -828,9 +887,8 @@ let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
       (* The previous head of the group: one at most, since the head
          relation holds exactly this rule's previous output. *)
       let prev =
-        match Flat.lookup fdb rf.rf_head ~cols:key_pos ~key with
-        | h :: _ -> Some h
-        | [] -> None
+        let b = Flat.lookup fdb rf.rf_head ~cols:rf.rf_key_pos ~key in
+        if b.(0) == Flat.vacant then None else Some b.(0)
       in
       match prev, fresh with
       | Some h, Some h' when Fset.tuple_eq h h' -> ()

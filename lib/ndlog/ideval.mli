@@ -26,9 +26,10 @@
 type istrand
 (** A compiled strand: the literals of {!Plan.strand} as planned there
     (so the plan {!Plan.pp} prints is the plan that runs), with the
-    batched delta decomposition pre-planned and the body slot-compiled.
-    The plan is cardinality-independent, so one compiled strand serves
-    every batch. *)
+    batched delta decomposition pre-planned, the body slot-compiled,
+    each atom's index probe fixed, and its scratch environments
+    allocated.  The plan is cardinality-independent, so one compiled
+    strand serves every batch. *)
 
 val of_strand : Plan.strand -> istrand
 
@@ -43,12 +44,16 @@ val execute_batch :
   Flat.t ->
   delta_tuples:int array list ->
   istrand ->
-  int array list
-(** Head id tuples of one strand run over a whole delta batch: the
-    batch becomes a delta relation joined group-at-a-time, yielding the
-    same multiset of heads as running the strand once per tuple.  The
-    list order is unspecified, so observable consumers materialize and
-    sort. *)
+  (int array -> unit) ->
+  unit
+(** One strand run over a whole batch of distinct delta tuples, handing
+    each head id tuple to the callback as its environment completes:
+    the batch is grouped by the strand's group columns and joined
+    group-at-a-time, yielding the same multiset of heads as running the
+    strand once per tuple.  The order is unspecified, so observable
+    consumers sort.  The strand's scratch environments serve one batch
+    at a time: the callback must not run the same strand again before
+    it returns (collect the heads, then act on them). *)
 
 type refold
 (** An aggregate rule of the {!Plan.agg_index_shape} (a single positive

@@ -153,6 +153,23 @@ let tuple (t : Value.t array) : Value.t array =
 let tuple_ids (t : Value.t array) : int array = Array.map id t
 let tuple_of_ids (ids : int array) : Value.t array = Array.map of_id ids
 
+(* {!Store.Tuple.compare} of the materialized tuples, without
+   materializing them: equal ids are equal values, so only differing
+   ids are unboxed. *)
+let rec compare_from (a : int array) (b : int array) i n =
+  if i >= n then 0
+  else
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if x = y then compare_from a b (i + 1) n
+    else
+      let c = Value.compare (of_id x) (of_id y) in
+      if c <> 0 then c else compare_from a b (i + 1) n
+
+let compare_ids (a : int array) (b : int array) =
+  let n = Array.length a in
+  let c = Stdlib.compare n (Array.length b) in
+  if c <> 0 then c else compare_from a b 0 n
+
 (* Small non-negative integers are the bulk of freshly computed values
    (hop counts, path costs): memoize their ids in a direct-indexed
    table so arithmetic on the id-native path skips the hash-cons probe.

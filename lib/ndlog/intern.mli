@@ -63,6 +63,10 @@ val tuple_of_ids : int array -> Value.t array
     read per element.
     @raise Invalid_argument on an id never returned by {!id}. *)
 
+val compare_ids : int array -> int array -> int
+(** The boxed tuple order ({!Store.Tuple.compare}) of two id tuples,
+    read through {!of_id} without materializing either tuple. *)
+
 val int_id : int -> int
 (** [id (Value.Int n)], memoized in a direct-indexed table for small
     non-negative [n] — freshly computed hop counts and path costs skip

@@ -46,9 +46,9 @@ module Expiry = struct
     { lifetimes; deadlines = Kmap.empty }
 
   let lifetime_of t pred =
-    match Smap.find_opt pred t.lifetimes with
-    | Some l -> l
-    | None -> Ast.Lifetime_forever
+    match Smap.find pred t.lifetimes with
+    | l -> l
+    | exception Not_found -> Ast.Lifetime_forever
 
   let is_soft t pred =
     match lifetime_of t pred with

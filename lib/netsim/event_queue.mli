@@ -2,7 +2,8 @@
 
     Events are ordered by (time, insertion sequence): ties in simulated
     time are broken FIFO, which makes whole simulations reproducible
-    run to run. *)
+    run to run.  A push allocates only its payload's option, and taking
+    an event allocates nothing. *)
 
 type 'a t
 
@@ -11,11 +12,14 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> time:float -> 'a -> unit
 
-val pop : 'a t -> (float * 'a) option
-(** The earliest event, removed. *)
+val next_time : 'a t -> float
+(** Time of the earliest event, without removing it: [infinity] when
+    the queue is empty. *)
 
-val peek_time : 'a t -> float option
-(** Time of the earliest event, without removing it. *)
+val take : 'a t -> 'a
+(** The earliest event, removed (read its time with {!next_time}
+    first).
+    @raise Invalid_argument on an empty queue. *)
 
 val clear : 'a t -> unit
 (** Empty the queue.  Also resets the insertion sequence, so FIFO

@@ -100,20 +100,20 @@ type stats = {
 }
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-    t.now <- time;
+  (not (Event_queue.is_empty t.queue))
+  && begin
+    t.now <- Event_queue.next_time t.queue;
     t.processed <- t.processed + 1;
-    (match ev with
+    (match Event_queue.take t.queue with
     | Deliver { src; dst; msg } -> (
       t.delivered <- t.delivered + 1;
       if t.tracing then record t "deliver %s->%s" src dst;
-      match Hashtbl.find_opt t.handlers dst with
-      | Some h -> h t ~self:dst ~src msg
-      | None -> record t "no handler at %s" dst)
+      match Hashtbl.find t.handlers dst with
+      | h -> h t ~self:dst ~src msg
+      | exception Not_found -> record t "no handler at %s" dst)
     | Callback f -> f ());
     true
+  end
 
 let run ?(until = infinity) ?(max_events = 1_000_000) t =
   (* All four counters in the returned stats are per-run: deltas against
@@ -126,13 +126,12 @@ let run ?(until = infinity) ?(max_events = 1_000_000) t =
   let start_dropped = t.dropped in
   let rec loop () =
     if t.processed - start_processed >= max_events then false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> true
-      | Some time when time > until -> false
-      | Some _ ->
-        ignore (step t);
-        loop ()
+    else if Event_queue.is_empty t.queue then true
+    else if Event_queue.next_time t.queue > until then false
+    else begin
+      ignore (step t);
+      loop ()
+    end
   in
   let quiesced = loop () in
   {

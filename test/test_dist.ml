@@ -447,6 +447,55 @@ let test_golden_self_retrigger () =
   check_pins ~incremental:pins ~from_scratch:pins
     (run_pins (topo_of_links links) (localized p))
 
+(* Allocation budget of the join core and the in-process wire, in
+   words allocated (minor-heap words plus words allocated directly in
+   the major heap) per unit of work: per derivation of the centralized
+   semi-naive evaluator on reachability over an 8x8 grid, and per
+   delivered message of a distributed path-vector run on a 48-node
+   ring with incremental view refresh, the default.  Each figure is
+   taken on a warm second run, so that interning the programs' values
+   the first time is not counted.  Allocation is
+   deterministic for a given build, so the bounds are exact
+   measurements with headroom, not timings. *)
+let allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let eval_words_per_derivation () =
+  let p = Programs.with_links (Programs.reachability ()) (Programs.grid_links 8) in
+  let info = Ndlog.Analysis.analyze_exn p in
+  let go () =
+    allocated (fun () -> Eval.seminaive p info (Store.of_facts p.Ast.facts))
+  in
+  ignore (go ());
+  let out, words = go () in
+  words /. float_of_int out.Eval.derivations
+
+let runtime_words_per_delivery () =
+  let links = Programs.ring_links 48 in
+  let p = localized (Programs.with_links (Programs.path_vector ()) links) in
+  let go () =
+    let rt = Runtime.create ~incremental_views:true (topo_of_links links) p in
+    Runtime.load_facts rt;
+    allocated (fun () -> Runtime.run rt)
+  in
+  ignore (go ());
+  let rep, words = go () in
+  words /. float_of_int rep.Runtime.stats.Netsim.Sim.messages_delivered
+
+(* The bounds are 60% of the figures of the executor and delivery path
+   that kept per-call containers: 177.3 words per derivation, and
+   1861.8 words per delivery when this case runs after the rest of its
+   group (1947.1 alone — the intern table's state shifts the figure a
+   little).  The current figures are printed for the log. *)
+let test_allocation_budget () =
+  let e = eval_words_per_derivation () and r = runtime_words_per_delivery () in
+  Printf.printf "eval %.1f words/derivation, runtime %.1f words/delivery\n" e r;
+  checkb "eval words per derivation <= 106" true (e <= 106.0);
+  checkb "runtime words per delivery <= 1117" true (r <= 1117.0)
+
 (* The full message trace of a run is deterministic: two identically
    configured runtimes produce identical traces. *)
 let test_trace_determinism () =
@@ -1476,6 +1525,65 @@ let test_wire_partial_reads () =
     sample_frames;
   checkb "all frames arrived" true (List.rev !popped = sample_frames)
 
+(* Fuzz: arbitrary bytes fed in arbitrary splits.  The streams mix
+   whole encodings of the sample frames with random bytes, then flip a
+   few bytes, so both well-formed frames and every kind of corruption
+   occur.  Only [Frame_error] may escape [next] (anything else fails the
+   property), and [buffered] always equals the bytes fed minus the
+   bytes of the frames popped — each pop consuming exactly the 4-byte
+   prefix plus the body length it declares. *)
+let gen_wire_stream =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map Bytes.to_string (oneofl (List.map Wire.encode sample_frames));
+        string_size (0 -- 12);
+      ]
+  in
+  list_size (0 -- 6) piece >>= fun pieces ->
+  list_size (0 -- 3) (pair nat char) >>= fun flips ->
+  let b = Bytes.of_string (String.concat "" pieces) in
+  List.iter
+    (fun (i, c) -> if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c)
+    flips;
+  return (Bytes.to_string b)
+
+let prop_wire_decoder_fuzz =
+  QCheck.Test.make ~count:500
+    ~name:"Wire.Decoder: arbitrary bytes, arbitrary splits, typed errors"
+    QCheck.(
+      pair (make ~print:String.escaped gen_wire_stream) (list small_nat))
+    (fun (stream, splits) ->
+      let d = Wire.Decoder.create () in
+      let fed = ref 0 and popped = ref 0 and broken = ref false in
+      let declared () =
+        let g i = Char.code stream.[!popped + i] in
+        (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
+      in
+      let consistent () = Wire.Decoder.buffered d = !fed - !popped in
+      let rec drain () =
+        let before = !popped in
+        match Wire.Decoder.next d with
+        | None -> consistent ()
+        | Some _ ->
+          popped := before + 4 + declared ();
+          consistent () && drain ()
+        | exception Wire.Frame_error _ ->
+          broken := true;
+          consistent ()
+      in
+      let rec feed = function
+        | _ when !broken || !fed >= String.length stream -> true
+        | k :: rest ->
+          let n = min (k + 1) (String.length stream - !fed) in
+          Wire.Decoder.feed d (Bytes.of_string stream) !fed n;
+          fed := !fed + n;
+          drain () && feed rest
+        | [] -> feed [ String.length stream ]
+      in
+      feed splits)
+
 let test_wire_oversized_and_bad_tag () =
   (* A corrupt length prefix must raise, not allocate. *)
   let d = Wire.Decoder.create () in
@@ -1784,6 +1892,8 @@ let () =
                test_golden_reach_grid3;
              Alcotest.test_case "local rule re-triggers its strand" `Quick
                test_golden_self_retrigger;
+             Alcotest.test_case "allocation budget" `Quick
+               test_allocation_budget;
            ] );
          ( "views",
            [
@@ -1836,6 +1946,7 @@ let () =
                test_wire_oversized_and_bad_tag;
              Alcotest.test_case "truncated stream" `Quick
                test_wire_truncated_stream;
+             QCheck_alcotest.to_alcotest prop_wire_decoder_fuzz;
              Alcotest.test_case "read timeout" `Quick test_wire_read_timeout;
              Alcotest.test_case "read_frame keeps back-to-back frames" `Quick
                test_wire_read_frame_back_to_back;

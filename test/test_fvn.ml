@@ -267,7 +267,7 @@ let test_explore_flat_independence () =
   let plain = Store.add_list "r" (List.rev rows) Store.empty in
   let fdb = Flat.of_store plain in
   (* Warm the flat side's secondary index, then materialize. *)
-  ignore (Flat.lookup fdb "r" ~cols:[ 0 ] ~key:[| Ndlog.Intern.id (V.Addr "n3") |]);
+  ignore (Flat.lookup fdb "r" ~cols:[| 0 |] ~key:[| Ndlog.Intern.id (V.Addr "n3") |]);
   let warmed = Flat.to_store fdb in
   checkb "flat round-trip is Store.equal" true (Store.equal plain warmed);
   checki "flat round-trip hash" (Store.hash plain) (Store.hash warmed);

@@ -11,12 +11,19 @@ let checkf = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 (* Event queue. *)
 
+(* The earliest event with its time, as the simulator reads it. *)
+let pop q =
+  if Eq.is_empty q then None
+  else
+    let t = Eq.next_time q in
+    Some (t, Eq.take q)
+
 let test_queue_order () =
   let q = Eq.create () in
   Eq.push q ~time:3.0 "c";
   Eq.push q ~time:1.0 "a";
   Eq.push q ~time:2.0 "b";
-  let pop () = Option.get (Eq.pop q) in
+  let pop () = Option.get (pop q) in
   let t1, v1 = pop () in
   let t2, v2 = pop () in
   let t3, v3 = pop () in
@@ -33,18 +40,18 @@ let test_queue_fifo_ties () =
   for i = 0 to 9 do
     Eq.push q ~time:5.0 i
   done;
-  let order = List.init 10 (fun _ -> snd (Option.get (Eq.pop q))) in
+  let order = List.init 10 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list int)) "insertion order on ties" (List.init 10 Fun.id) order
 
 let test_queue_interleaved () =
   let q = Eq.create () in
   Eq.push q ~time:1.0 1;
   Eq.push q ~time:3.0 3;
-  let _ = Eq.pop q in
+  let _ = pop q in
   Eq.push q ~time:2.0 2;
   checki "size" 2 (Eq.length q);
-  let _, a = Option.get (Eq.pop q) in
-  let _, b = Option.get (Eq.pop q) in
+  let _, a = Option.get (pop q) in
+  let _, b = Option.get (pop q) in
   checki "a" 2 a;
   checki "b" 3 b
 
@@ -54,8 +61,9 @@ let test_queue_interleaved () =
    The queue is the determinism keystone for both runtime backends (the
    virtual-clock simulator orders deliveries with it; the socket
    backend orders timers with it), so its contract — (time,
-   insertion-order) priority, [peek_time]/[pop] agreement, [size]
-   through interleaved push/pop/clear, tie-sequence reset on clear —
+   insertion-order) priority, [next_time] as the taken event's time,
+   [take] refusing an empty queue, [size] through interleaved
+   push/pop/clear, tie-sequence reset on clear —
    is checked against an executable model: a list of
    [(time, tie, payload)] kept sorted by [(time, tie)], with the tie
    counter mirroring the queue's insertion sequence. *)
@@ -110,18 +118,15 @@ let prop_queue_matches_model ops =
         Eq.push q ~time:t payload;
         model_insert t payload
       | Pop -> (
-        (* peek/pop agreement: the peeked time is the popped time. *)
-        let peeked = Eq.peek_time q in
-        match (Eq.pop q, !model) with
+        match (pop q, !model) with
         | None, [] ->
-          if peeked <> None then
-            QCheck.Test.fail_report "peek_time on empty queue"
+          if Eq.next_time q <> infinity then
+            QCheck.Test.fail_report "next_time on empty queue";
+          (match Eq.take q with
+          | _ -> QCheck.Test.fail_report "take on empty queue"
+          | exception Invalid_argument _ -> ())
         | Some (t, v), (mt, _, mv) :: rest ->
           model := rest;
-          if peeked <> Some t then
-            QCheck.Test.fail_reportf "peek %s <> pop %g"
-              (match peeked with None -> "None" | Some p -> string_of_float p)
-              t;
           if t <> mt || v <> mv then
             QCheck.Test.fail_reportf "pop (%g, %d) but model says (%g, %d)" t v
               mt mv
@@ -157,7 +162,7 @@ let test_queue_clear_resets_ties () =
   for i = 10 to 14 do
     Eq.push q ~time:1.0 i
   done;
-  let order = List.init 5 (fun _ -> snd (Option.get (Eq.pop q))) in
+  let order = List.init 5 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list int))
     "fifo ties after clear" [ 10; 11; 12; 13; 14 ] order
 
