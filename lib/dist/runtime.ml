@@ -50,7 +50,8 @@
      shapes, and plain strata whose support lost tuples — all
      non-monotone under seeding ({!Ndlog.Ideval.seminaive_stratum}).
    Seeding and the fallback run the same round loop over the same
-   strands, compiled once per stratum at [create].
+   strands, compiled once per stratum at [create]; a re-folded stratum
+   compiles only its re-folds.
    Skips, re-folds and fallbacks are counted ([strata_skipped] /
    [strata_refolded] / [refresh_fallbacks] in {!Ndlog.Eval.stats}).
    [~incremental_views:false] restores the from-scratch refresh, kept
@@ -154,12 +155,13 @@ type node_state = {
 (* How a touched refresh stratum is brought up to date, fixed at
    [create]. *)
 type refresh_mode =
-  | Seed
+  | Seed of Ideval.stratum
       (* plain: seeded delta re-derivation through its strands, unless
          its support lost tuples *)
   | Refold of Ideval.refold list
       (* single-atom aggregates: re-fold only the touched groups *)
-  | Scratch  (* negation, or other aggregates: always from scratch *)
+  | Scratch of Ideval.stratum
+      (* negation, or other aggregates: always from scratch *)
 
 type t = {
   program : Ast.program;
@@ -197,7 +199,7 @@ type t = {
      maintained when touched.  Off: the from-scratch refresh, kept as
      the differential oracle. *)
   incremental_views : bool;
-  refresh_plan : (Eval.refresh_stratum * Ideval.stratum * refresh_mode) list;
+  refresh_plan : (Eval.refresh_stratum * refresh_mode) list;
   (* Join counters, split by path (per-runtime: concurrent runtimes
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
@@ -502,25 +504,26 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
         | Some l -> l @ [ ist ]
         | None -> [ ist ]))
     (Plan.compile_program pipeline_program);
-  (* Refresh strata of the view program, bottom-up, each compiled once
-     (its strands serve both seeding and the from-scratch fallback)
-     with its maintenance mode: seeded strands for plain strata,
-     group-wise re-fold for aggregate strata that admit it
-     ({!Ideval.refold_plan}), from scratch for the rest. *)
+  (* Refresh strata of the view program, bottom-up, each with its
+     maintenance mode, compiled once: group-wise re-fold for aggregate
+     strata that admit it ({!Ideval.refold_plan}), a compiled stratum
+     for the rest — its strands serve both seeding and the from-scratch
+     fallback of plain strata. *)
   let refresh_plan =
     List.map
       (fun (rs : Eval.refresh_stratum) ->
         let rules = rs.Eval.rs_rules in
+        let scratch () = Scratch (Ideval.compile_stratum rules) in
         let mode =
-          if rs.Eval.rs_has_neg then Scratch
+          if rs.Eval.rs_has_neg then scratch ()
           else if rs.Eval.rs_has_agg then begin
             match Ideval.refold_plan rules with
             | Some refolds -> Refold refolds
-            | None -> Scratch
+            | None -> scratch ()
           end
-          else Seed
+          else Seed (Ideval.compile_stratum rules)
         in
-        (rs, Ideval.compile_stratum rules, mode))
+        (rs, mode))
       (Eval.refresh_strata view_program)
   in
   let t =
@@ -835,7 +838,7 @@ and incremental_fresh t ns (db : Flat.t) :
   in
   let _ =
     List.fold_left
-      (fun changed ((rs : Eval.refresh_stratum), stratum, mode) ->
+      (fun changed ((rs : Eval.refresh_stratum), mode) ->
         let support = rs.Eval.rs_support in
         if not (Sset.exists (fun p -> Sset.mem p changed) support) then begin
           (* Untouched: the seeded relations are still exact. *)
@@ -849,7 +852,7 @@ and incremental_fresh t ns (db : Flat.t) :
             journaled changed (fun () ->
                 Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
                   ~removed)
-          | Seed
+          | Seed stratum
             when not
                    (Sset.exists (fun p -> Flat.cardinal removed p > 0) support)
             ->
@@ -858,7 +861,7 @@ and incremental_fresh t ns (db : Flat.t) :
                adds. *)
             journaled changed (fun () ->
                 Ideval.refresh_stratum ~stats:t.joins db stratum ~delta)
-          | Seed | Scratch ->
+          | Seed stratum | Scratch stratum ->
             (* Negation is non-monotone in its support, and removals are
                non-monotone under seeding: recompute the stratum from
                scratch, its relations starting empty. *)

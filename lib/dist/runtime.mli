@@ -52,9 +52,10 @@
     ({!Ndlog.Ideval.refresh_stratum}), and {e falls back} to
     recomputing from scratch strata with negation or other aggregate
     shapes, and plain strata whose support lost tuples
-    ({!Ndlog.Ideval.seminaive_stratum}).  Each stratum's strands are
-    compiled once, at {!create}, and serve both seeding and the
-    fallback.  Skips,
+    ({!Ndlog.Ideval.seminaive_stratum}).  Each stratum is compiled
+    once, at {!create}, into what its mode runs: a re-folded stratum
+    its re-folds, any other its strands, which serve both seeding and
+    the fallback.  Skips,
     re-folds and fallbacks are counted ([strata_skipped] /
     [strata_refolded] / [refresh_fallbacks]).
     [~incremental_views:false] restores the from-scratch refresh, kept

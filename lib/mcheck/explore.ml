@@ -206,50 +206,6 @@ let expansion (sys : ('state, 'action) sys) ~por ~require_invisible visited s :
       | None -> List.init n succ))
   | _ -> List.map keyed (sys.successors s)
 
-(* Breadth-first exploration. *)
-let explore ?(max_states = 100_000) ?(por = false) ?canon
-    (sys : ('state, 'action) sys) : 'state stats =
-  let visited = Table.of_system ?canon sys in
-  let queue = Queue.create () in
-  let transitions = ref 0 in
-  let max_depth = ref 0 in
-  let terminal = ref [] in
-  let truncated = ref false in
-  let id = ref 0 in
-  List.iter
-    (fun s ->
-      let k = Table.key visited s in
-      if not (Table.mem_key visited k) then begin
-        Table.add_key visited k !id;
-        incr id;
-        Queue.push (s, 0) queue
-      end)
-    sys.initial;
-  while not (Queue.is_empty queue) do
-    let s, depth = Queue.pop queue in
-    max_depth := max !max_depth depth;
-    let succs = expansion sys ~por ~require_invisible:false visited s in
-    transitions := !transitions + List.length succs;
-    if succs = [] then terminal := s :: !terminal;
-    List.iter
-      (fun (s', k) ->
-        if not (Table.mem_key visited k) then
-          if Table.size visited >= max_states then truncated := true
-          else begin
-            Table.add_key visited k !id;
-            incr id;
-            Queue.push (s', depth + 1) queue
-          end)
-      succs
-  done;
-  {
-    states = Table.size visited;
-    transitions = !transitions;
-    max_depth = !max_depth;
-    terminal = List.rev !terminal;
-    truncated = !truncated;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Invariant checking with counterexample. *)
 
@@ -338,11 +294,34 @@ let check_invariant ?(max_states = 100_000) ?(por = false) ?canon
     | Some (s, sid) -> Error { trace = rebuild sid s; violating = s }
     | None -> assert false)
 
+(* Breadth-first exploration: the invariant search with nothing to
+   violate. *)
+let explore ?max_states ?por ?canon (sys : ('state, 'action) sys) :
+    'state stats =
+  match
+    check_invariant ?max_states ?por ?canon ~stable:true sys (fun _ -> true)
+  with
+  | Ok stats -> stats
+  | Error _ -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* Counterexample replay: check a claimed trace against the system
    itself.  Reduced searches must produce traces of real transitions —
    a trace of canonical representatives (whose steps need not be
    edges) would pass the verdict but fail here. *)
+
+(* Each state of [ss] after the first is an enabled successor of the one
+   before it; a failure names the step, after [label]. *)
+let check_steps (sys : ('state, 'action) sys) label (ss : 'state list) =
+  let rec steps i = function
+    | s :: (s' :: _ as rest) ->
+      if List.exists (sys.equal s') (sys.successors s) then steps (i + 1) rest
+      else
+        Error
+          (Printf.sprintf "%sstep %d is not an enabled successor" label (i + 1))
+    | _ -> Ok ()
+  in
+  steps 0 ss
 
 let validate_trace (sys : ('state, 'action) sys) (trace : 'state list) :
     (unit, string) result =
@@ -351,17 +330,7 @@ let validate_trace (sys : ('state, 'action) sys) (trace : 'state list) :
   | s0 :: _ ->
     if not (List.exists (sys.equal s0) sys.initial) then
       Error "trace does not start at an initial state"
-    else
-      let rec steps i = function
-        | s :: (s' :: _ as rest) ->
-          if List.exists (sys.equal s') (sys.successors s) then
-            steps (i + 1) rest
-          else
-            Error
-              (Printf.sprintf "step %d is not an enabled successor" (i + 1))
-        | _ -> Ok ()
-      in
-      steps 0 trace
+    else check_steps sys "" trace
 
 (* ------------------------------------------------------------------ *)
 (* Lasso detection. *)
@@ -409,19 +378,6 @@ let validate_lasso (sys : ('state, 'action) sys) (l : 'state lasso) :
   match l.cycle with
   | [] -> Error "empty cycle"
   | first :: _ ->
-    let chain label ss =
-      let rec steps i = function
-        | s :: (s' :: _ as rest) ->
-          if List.exists (sys.equal s') (sys.successors s) then
-            steps (i + 1) rest
-          else
-            Error
-              (Printf.sprintf "%s step %d is not an enabled successor" label
-                 (i + 1))
-        | _ -> Ok ()
-      in
-      steps 0 ss
-    in
     let stem_ok =
       match l.stem with
       | [] -> Ok () (* empty stem: cycle reachability is not re-checked *)
@@ -429,13 +385,13 @@ let validate_lasso (sys : ('state, 'action) sys) (l : 'state lasso) :
         if not (List.exists (sys.equal s0) sys.initial) then
           Error "stem does not start at an initial state"
         else
-          Result.bind (chain "stem" l.stem) (fun () ->
+          Result.bind (check_steps sys "stem " l.stem) (fun () ->
               let last = List.nth l.stem (List.length l.stem - 1) in
               if List.exists (sys.equal first) (sys.successors last) then Ok ()
               else Error "cycle entry is not a successor of the stem")
     in
     Result.bind stem_ok (fun () ->
-        Result.bind (chain "cycle" l.cycle) (fun () ->
+        Result.bind (check_steps sys "cycle " l.cycle) (fun () ->
             let last = List.nth l.cycle (List.length l.cycle - 1) in
             if List.exists (sys.equal first) (sys.successors last) then Ok ()
             else Error "cycle does not close"))

@@ -120,7 +120,9 @@ val explore :
   ?canon:('state -> 'state) ->
   ('state, 'action) sys ->
   'state stats
-(** Breadth-first exploration (default bound 100_000 states).
+(** Breadth-first exploration (default bound 100_000 states):
+    {!check_invariant} under [~stable:true] with an invariant that
+    always holds.
 
     [~por:true] (labeled systems only) expands a singleton ample set
     where an enabled action is independent of every other enabled

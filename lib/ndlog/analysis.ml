@@ -3,10 +3,11 @@
    aggregation.
 
    Safety here is the usual Datalog discipline extended with assignments:
-   scanning the body left to right, a positive atom binds its bare
-   variable arguments; an assignment [X = e] binds [X] provided every
-   variable of [e] is already bound; negated atoms, comparisons, complex
-   arguments, and the head must use only bound variables. *)
+   a body has a positive atom (a rule fires on a body tuple, as in P2);
+   scanning it left to right, a positive atom binds its bare variable
+   arguments; an assignment [X = e] binds [X] provided every variable of
+   [e] is already bound; negated atoms, comparisons, complex arguments,
+   and the head must use only bound variables. *)
 
 module Sset = Set.Make (String)
 module Smap = Map.Make (String)
@@ -89,6 +90,9 @@ let rule_exprs (r : Ast.rule) =
 let check_rule_safety (r : Ast.rule) : (unit, error) result =
   match List.find_map bad_call (rule_exprs r) with
   | Some (f, given, arity) -> Error (Builtin_arity (r, f, given, arity))
+  | None when not (List.exists (function Ast.Pos _ -> true | _ -> false) r.body)
+    ->
+    Error (Unsafe_rule (r, "body has no positive atom"))
   | None ->
   let module S = Sset in
   let exception Unsafe of string in

@@ -25,8 +25,10 @@ val schema : Ast.program -> (int Smap.t, error) result
 (** Predicate arities collected from declarations, facts, and rules. *)
 
 val check_rule_safety : Ast.rule -> (unit, error) result
-(** Builtin call arities ({!Builtins.arity}), then range restriction,
-    scanning the body left to right: positive atoms
+(** Builtin call arities ({!Builtins.arity}), then a positive body
+    atom (a rule fires on a body tuple; with none, nothing triggers
+    it), then range restriction, scanning the body left to right:
+    positive atoms
     bind their bare variable arguments; an assignment binds its variable
     if the right-hand side is bound; negated atoms, comparisons, complex
     arguments, and the head must use only bound variables. *)

@@ -11,7 +11,8 @@
     aggregate rules of a stratum run once at stratum entry (their
     inputs are complete), remaining rules run to fixpoint.
 
-    Delta joins always run group-at-a-time (batched); index probes and
+    Joins always run group-at-a-time (batched strands, a body run whole
+    fed its entry atom's whole relation); index probes and
     most-bound-first planning are switched per call by
     [optimized_joins], and either setting reaches the same fixpoint.
     Each run reports its own join counters in [outcome.stats], and
@@ -29,7 +30,9 @@ type stats = Plan.stats = {
   enumerated : int;  (** candidate tuples visited by joins *)
   matched : int;  (** candidates that unified with the pattern *)
   groups : int;  (** delta groups formed by the batched join *)
-  delta_tuples : int;  (** delta tuples fed through delta joins *)
+  delta_tuples : int;
+      (** delta tuples fed through delta joins; a body run whole counts
+          its whole-relation batch's groups and tuples, and one scan *)
   strata_skipped : int;  (** view strata skipped by dirty tracking *)
   strata_refolded : int;  (** aggregate strata re-folded group by group *)
   refresh_fallbacks : int;  (** touched strata recomputed from scratch *)

@@ -14,11 +14,14 @@
 
    This is the only semi-naive executor: {!Eval.seminaive} runs it
    behind a boxing boundary and every node of {!Dist.Runtime} runs it
-   directly.  Literal orders, delta decompositions and aggregate shapes
-   come from {!Plan}; index probes and join ordering are switched per
-   call by [optimized_joins].  Tests check it against the boxed naive
-   evaluator ({!Eval.naive}), which shares no planning or execution
-   code with it. *)
+   directly.  It evaluates a rule body one way, as a strand of
+   {!Plan.compile_strand}: a body run whole (round 1, an aggregate
+   rule) is its strand at {!Plan.entry_atom} fed that atom's whole
+   relation.  Literal orders, entry atoms, delta decompositions and the
+   re-fold shape come from {!Plan}; index probes and join ordering are
+   switched per call by [optimized_joins].  Tests check it against the
+   boxed naive evaluator ({!Eval.naive}), which shares no planning or
+   execution code with it. *)
 
 module Fset = Flat.Fset
 
@@ -335,14 +338,6 @@ and candidate st fdb b si env pat k (t : int array) =
     exec st fdb b (si + 1) buf k
   end
 
-(* A body compiled in its own slot table, with no slot bound on entry:
-   the full first round's rules and the enumerated aggregate rules. *)
-let run_body st fdb ~optimized_joins ctx (steps : step array) k =
-  let nslots = ctx.n in
-  exec st fdb
-    (plan_body ~optimized_joins ~nslots (Array.make nslots false) steps)
-    0 (Array.make nslots (-1)) k
-
 (* The order of two tuples' ids at [cols], from column [j] on. *)
 let rec compare_at (cols : int array) (a : int array) (b : int array) j =
   if j >= Array.length cols then 0
@@ -502,6 +497,16 @@ let keep_new fdb fresh ~count pred (head : iexpr array) (h : int array) env =
   if not (Flat.mem fdb pred h || Flat.mem fresh pred h) then
     ignore (Flat.add fresh pred (Array.copy h))
 
+(* The distinct tuples of a relation, as a strand's batch. *)
+let batch (rel : Fset.t) = Array.of_list (Fset.elements rel)
+
+(* A rule's whole body: its strand entered at its entry atom
+   ({!Plan.entry_atom}), the atom's whole relation as one batch,
+   counted as one scan. *)
+let run_whole (st : Plan.counters) fdb (s : istrand) k =
+  st.Plan.c_scans <- st.Plan.c_scans + 1;
+  run_strand st fdb s (batch (Flat.relation fdb s.s_delta_pred)) k
+
 (* ------------------------------------------------------------------ *)
 (* Aggregates. *)
 
@@ -530,171 +535,96 @@ module Ktbl = Hashtbl.Make (struct
   let hash = Fset.tuple_hash
 end)
 
-(* Grouped aggregate evaluation ({!Plan.agg_index_shape}): the body
-   relation grouped by the group-by columns replaces the environment
-   enumeration.  Tuples of the wrong arity are filtered per group (the
-   enumeration path's pattern match would reject them); a group left
-   empty by the filter is skipped. *)
-let apply_agg_rule_indexed (st : Plan.counters) fdb (a : Ast.atom)
-    (slots : Plan.agg_slot list) : int array list =
-  let arity = List.length a.Ast.args in
-  let cols =
-    Array.of_list
-      (List.sort_uniq Stdlib.compare
-         (List.filter_map
-            (function Plan.Group i -> Some i | Plan.Fold _ -> None)
-            slots))
-  in
-  st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-  let heads = ref [] in
-  iter_groups cols
-    ~key_len:(Array.fold_left (fun m c -> max m (c + 1)) 0 cols)
-    (Array.of_list (Fset.elements (Flat.relation fdb a.Ast.pred)))
-    (fun d lo hi ->
-      let rows = ref [] in
-      for i = lo to hi - 1 do
-        st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-        if Array.length d.(i) = arity then begin
-          st.Plan.c_matched <- st.Plan.c_matched + 1;
-          rows := d.(i) :: !rows
-        end
-      done;
-      if !rows <> [] then
-        heads :=
-          Array.of_list
-            (List.map
-               (function
-                 | Plan.Group i -> d.(lo).(i)
-                 | Plan.Fold (agg, i) ->
-                   agg_fold_ids agg (List.map (fun t -> t.(i)) !rows))
-               slots)
-          :: !heads);
-  !heads
+(* An aggregate rule compiled as its pre-head rule: the plain rule whose
+   head carries each aggregated variable in its place.  Its strand emits
+   one pre-head per satisfying environment (duplicates kept: count and
+   sum fold multiplicities); grouped on the plain positions, each group
+   folds into one head. *)
+type agg = {
+  a_strand : istrand;  (* the pre-head rule at its entry atom *)
+  a_cols : int array;  (* plain head positions: the group key *)
+  a_folds : (int * Ast.agg) list;  (* aggregate head positions *)
+}
 
-(* Evaluate an aggregate rule: group satisfying environments by the
-   plain head arguments, fold the aggregate, emit one tuple per group.
-   Single-atom rules of the grouped shape take the grouped path
-   instead. *)
-let apply_agg_rule ~optimized_joins (st : Plan.counters) fdb (r : Ast.rule) :
-    int array list =
-  match if optimized_joins then Plan.agg_index_shape r else None with
-  | Some (a, slots) -> apply_agg_rule_indexed st fdb a slots
-  | None ->
-    let ctx = mkctx () in
-    let steps =
-      compile_body ctx
-        (Plan.order_body ~optimized_joins
-           ~card:(fun p -> Flat.cardinal fdb p)
-           r.Ast.body)
-    in
-    (* Head compilation for aggregate rules: plain arguments compile as
-       expressions, aggregate positions record their source slot. *)
-    let hslots =
-      List.map
-        (function
-          | Ast.Plain e -> `Plain (compile_expr ctx e)
-          | Ast.Agg (agg, x) -> `Agg (agg, slot ctx x, x))
-        r.Ast.head.Ast.head_args
-    in
-    let tbl : int list list ref Ktbl.t = Ktbl.create 16 in
-    let order = ref [] in
-    run_body st fdb ~optimized_joins ctx steps (fun env ->
-        (* Group key: plain head values by id, -1 marking aggregate
-           positions (ids are non-negative, so the sentinel is safe). *)
-        let key =
-          Array.of_list
-            (List.map
-               (function
-                 | `Plain e -> eval_x env e
-                 | `Agg _ -> -1)
-               hslots)
-        in
-        let aggvals =
-          List.filter_map
-            (function
-              | `Plain _ -> None
-              | `Agg (_, s, x) ->
-                let v = env.(s) in
-                if v < 0 then raise (Env.Unbound_variable x) else Some v)
-            hslots
-        in
-        match Ktbl.find_opt tbl key with
-        | Some rows -> rows := aggvals :: !rows
-        | None ->
-          Ktbl.replace tbl key (ref [ aggvals ]);
-          order := key :: !order);
-    List.rev_map
-      (fun key ->
-        let rows = !(Ktbl.find tbl key) in
-        let n_aggs = List.length (List.hd rows) in
-        let columns =
-          List.init n_aggs (fun i -> List.map (fun row -> List.nth row i) rows)
-        in
-        let head = Array.copy key in
-        let rec fill i hs cols =
-          match hs with
-          | [] -> ()
-          | `Plain _ :: hs' -> fill (i + 1) hs' cols
-          | `Agg (agg, _, _) :: hs' -> (
-            match cols with
-            | col :: cols' ->
-              head.(i) <- agg_fold_ids agg col;
-              fill (i + 1) hs' cols'
-            | [] -> raise (Plan.Eval_error "aggregate column mismatch"))
-        in
-        fill 0 hslots columns;
-        head)
-      !order
+let pre_head_rule (r : Ast.rule) : Ast.rule =
+  let plain = function
+    | Ast.Agg (_, x) -> Ast.Plain (Ast.Var x)
+    | arg -> arg
+  in
+  let h = r.Ast.head in
+  { r with Ast.head = { h with Ast.head_args = List.map plain h.Ast.head_args } }
+
+let apply_agg (st : Plan.counters) fdb (a : agg) ~count =
+  let s = a.a_strand in
+  let pre = ref [] in
+  run_whole st fdb s (fun env -> pre := eval_ids env s.s_head :: !pre);
+  iter_groups a.a_cols ~key_len:0 (Array.of_list !pre) (fun d lo hi ->
+      let h = Array.copy d.(lo) in
+      List.iter
+        (fun (i, agg) ->
+          h.(i) <-
+            agg_fold_ids agg (List.init (hi - lo) (fun j -> d.(lo + j).(i))))
+        a.a_folds;
+      incr count;
+      ignore (Flat.add fdb (head_pred s) h))
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint drivers, mutating a linearly-owned flat database.
 
    All strata are evaluated bottom-up; aggregate rules of a stratum run
    once at stratum entry (their body predicates are strictly lower,
-   hence complete); the plain rules run in full once, then semi-naively
+   hence complete); the plain rules run whole once, then semi-naively
    through the stratum's strands to fixpoint. *)
 
-(* A stratum compiled once: its aggregate rules, its plain rules (the
-   full first round plans them against live cardinalities) and one
-   strand per plain rule and positive body atom (every later round). *)
+(* A stratum compiled once: its aggregate rules, and one strand per
+   plain rule and positive body atom (every later round), of which
+   [entries] holds each rule's strand at its entry atom (round 1). *)
 type stratum = {
-  agg_rules : Ast.rule list;
-  plain_rules : Ast.rule list;
+  aggs : agg list;
+  entries : istrand list;
   strands : istrand list;
-  optimized_joins : bool;
 }
 
 let compile_stratum ?(optimized_joins = true) (rules : Ast.rule list) =
   let agg_rules, plain_rules = Plan.split_agg rules in
+  let compile (r : Ast.rule) ~delta =
+    compile_istrand ~optimized_joins
+      (Plan.compile_strand ~optimized_joins r ~delta)
+  in
+  let agg (r : Ast.rule) =
+    let args = List.mapi (fun i arg -> (i, arg)) r.Ast.head.Ast.head_args in
+    {
+      a_strand =
+        compile (pre_head_rule r) ~delta:(Plan.entry_atom ~optimized_joins r);
+      a_cols =
+        Array.of_list
+          (List.filter_map
+             (function i, Ast.Plain _ -> Some i | _ -> None)
+             args);
+      a_folds =
+        List.filter_map
+          (function i, Ast.Agg (agg, _) -> Some (i, agg) | _ -> None)
+          args;
+    }
+  in
+  let rule_strands (r : Ast.rule) =
+    let entry = Plan.entry_atom ~optimized_joins r in
+    let strands =
+      List.concat
+        (List.mapi
+           (fun i -> function
+             | Ast.Pos _ -> [ (i, compile r ~delta:i) ]
+             | _ -> [])
+           r.Ast.body)
+    in
+    (List.assoc entry strands, List.map snd strands)
+  in
+  let compiled = List.map rule_strands plain_rules in
   {
-    agg_rules;
-    plain_rules;
-    strands =
-      List.map
-        (compile_istrand ~optimized_joins)
-        (Plan.compile_program ~optimized_joins
-           { Ast.empty_program with Ast.rules = plain_rules });
-    optimized_joins;
+    aggs = List.map agg agg_rules;
+    entries = List.map fst compiled;
+    strands = List.concat_map snd compiled;
   }
-
-(* The head tuples of applying [rules] in full, each body planned
-   against live cardinalities, that [fdb] does not hold. *)
-let apply_plain_rules ~optimized_joins (st : Plan.counters) fdb rules ~count :
-    Flat.t =
-  let card p = Flat.cardinal fdb p in
-  let fresh = Flat.create () in
-  List.iter
-    (fun (r : Ast.rule) ->
-      let ctx = mkctx () in
-      let steps =
-        compile_body ctx (Plan.order_body ~optimized_joins ~card r.Ast.body)
-      in
-      let head = compile_head ctx r.Ast.head in
-      run_body st fdb ~optimized_joins ctx steps
-        (keep_new fdb fresh ~count r.Ast.head.Ast.head_pred head
-           (Array.make (Array.length head) 0)))
-    rules;
-  fresh
 
 (* The one semi-naive round loop.  Each round runs every strand whose
    trigger predicate has [delta] tuples; head tuples not already in
@@ -712,7 +642,7 @@ let delta_rounds (st : Plan.counters) fdb (strands : istrand list) ~max_rounds
         (fun s ->
           let d = Flat.relation delta s.s_delta_pred in
           if not (Fset.is_empty d) then
-            run_strand st fdb s (Array.of_list (Fset.elements d))
+            run_strand st fdb s (batch d)
               (keep_new fdb fresh ~count (head_pred s) s.s_head s.s_hbuf))
         strands;
       Flat.union_into fdb fresh;
@@ -721,21 +651,17 @@ let delta_rounds (st : Plan.counters) fdb (strands : istrand list) ~max_rounds
   in
   loop delta
 
-let apply_agg_rules ~optimized_joins (st : Plan.counters) fdb agg_rules ~count =
-  List.iter
-    (fun (r : Ast.rule) ->
-      List.iter
-        (fun t ->
-          incr count;
-          ignore (Flat.add fdb r.Ast.head.Ast.head_pred t))
-        (apply_agg_rule ~optimized_joins st fdb r))
-    agg_rules
-
+(* Aggregates first, then round 1 — every plain rule whole, its heads
+   the first delta — then the round loop. *)
 let eval_stratum (st : Plan.counters) fdb (s : stratum) ~max_rounds ~rounds
     ~count : bool =
-  let optimized_joins = s.optimized_joins in
-  apply_agg_rules ~optimized_joins st fdb s.agg_rules ~count;
-  let delta = apply_plain_rules ~optimized_joins st fdb s.plain_rules ~count in
+  List.iter (apply_agg st fdb ~count) s.aggs;
+  let delta = Flat.create () in
+  List.iter
+    (fun e ->
+      run_whole st fdb e
+        (keep_new fdb delta ~count (head_pred e) e.s_head e.s_hbuf))
+    s.entries;
   Flat.union_into fdb delta;
   incr rounds;
   delta_rounds st fdb s.strands ~max_rounds ~rounds ~count delta

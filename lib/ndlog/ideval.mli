@@ -5,12 +5,14 @@
     pattern matching and join probes compare machine ints, and boxing
     happens only at true system boundaries (builtin calls, ordering
     comparisons, observable output).  Planning comes from {!Plan}, and
-    every delta join runs a strand of {!Plan.compile_strand}: the
-    executor's rounds after the first, the runtime's strands and view
-    refresh alike.  Strands always join group-at-a-time: the round's
-    delta is grouped by the columns the rest of the body reads, the
-    shared literals run once per group, and each delta tuple pays only
-    its pattern match and the per-tuple remainder.  Index probes and
+    every rule body runs as a strand of {!Plan.compile_strand}: every
+    executor round, the runtime's strands and view refresh alike.  A
+    body run whole — a stratum's first round, an aggregate rule — is
+    its strand at {!Plan.entry_atom} with that atom's whole relation as
+    one batch.  Strands always join group-at-a-time: the batch is
+    grouped by the columns the rest of the body reads, the shared
+    literals run once per group, and each delta tuple pays only its
+    pattern match and the per-tuple remainder.  Index probes and
     most-bound-first ordering are switched per call by
     [optimized_joins]; either setting reaches the same fixpoint.
     This is the only semi-naive executor: {!Eval.seminaive} runs it
@@ -92,11 +94,19 @@ val refold_stratum :
     head tuples become the next round's delta. *)
 
 type stratum
-(** One stratum's rules, compiled once: its aggregate rules, its plain
-    rules, and their strands ({!Plan.compile_strand}). *)
+(** One stratum's rules, compiled once into strands
+    ({!Plan.compile_strand}): one per plain rule and positive body
+    atom, and one per aggregate rule. *)
 
 val compile_stratum : ?optimized_joins:bool -> Ast.rule list -> stratum
-(** [optimized_joins] (default [true]) as in {!seminaive}. *)
+(** A plain rule's strand at {!Plan.entry_atom} also serves round 1.
+    An aggregate rule is compiled at its entry atom as the plain rule
+    whose head carries each aggregated variable in its place; its
+    pre-heads (one per satisfying environment, duplicates kept) are
+    grouped on the plain head positions and each group folded — one
+    evaluator for every aggregate shape and kind.  [optimized_joins]
+    (default [true]) as in {!seminaive}.
+    @raise Plan.Plan_error on a rule with no positive body atom. *)
 
 type outcome = {
   rounds : int;
@@ -116,19 +126,20 @@ val seminaive :
   Flat.t ->
   outcome
 (** Semi-naive evaluation to fixpoint, mutating [fdb]: strata bottom-up,
-    each compiled once; aggregate rules once at stratum entry, plain
-    rules in full for the first round and through the round loop after.
-    [optimized_joins] (default [true]) consults secondary indexes for
-    ground argument positions and grouped aggregate probes and plans
-    bodies most-bound-first ({!Plan.order_body}); off, every join is a
-    full scan in source order.  A program that hits [max_rounds]
-    (default 10 000) is reported as not converged. *)
+    each compiled once per call ({!compile_stratum}); aggregate rules
+    once at stratum entry, then round 1 runs each plain rule whole (its
+    entry strand over the entry atom's whole relation), and the round
+    loop runs the strands after.  [optimized_joins] (default [true])
+    consults secondary indexes for ground argument positions and plans
+    bodies most-bound-first ({!Plan.order_body}, {!Plan.entry_atom});
+    off, every join is a full scan in source order.  A program that
+    hits [max_rounds] (default 10 000) is reported as not converged. *)
 
 val seminaive_stratum :
   ?max_rounds:int -> ?stats:Plan.counters -> stratum -> Flat.t -> bool
 (** One compiled stratum to fixpoint on [fdb], as {!seminaive} runs
     each: the from-scratch fallback of incremental view refresh, which
-    compiles no strand per call. *)
+    plans and compiles nothing per call. *)
 
 val refresh_stratum :
   ?stats:Plan.counters -> Flat.t -> stratum -> delta:Flat.t -> unit

@@ -1,13 +1,13 @@
 (* Join planning, run counters, and rule strands.
 
    Everything here is pure planning: nothing executes a join.  The one
-   semi-naive executor ({!Ideval}) plans rule bodies with [order_body]
-   (the boxed naive oracle, {!Eval.naive}, joins in source order and
-   plans nothing).  [compile_strand] is the one compiler of delta
-   joins: the executor's later rounds, {!Dist.Runtime}'s strands and
-   view refresh, and the model checker's successor step all run its
-   strands, and {!Ideval} decomposes each with [group_vars] /
-   [group_cols] / [split_shared].
+   semi-naive executor ({!Ideval}) runs rule bodies only as strands of
+   [compile_strand], the one compiler of rule bodies: every executor
+   round (the first enters each rule at its [entry_atom]),
+   {!Dist.Runtime}'s strands and view refresh, and the model checker's
+   successor step all run its strands, and {!Ideval} decomposes each
+   with [group_vars] / [group_cols] / [split_shared].  The boxed naive
+   oracle, {!Eval.naive}, joins in source order and plans nothing.
 
    The paper (Section 2.2): "Declarative networking programs are
    compiled into distributed execution plans that are based on the Click
@@ -164,21 +164,20 @@ let boundness bound (a : Ast.atom) : int =
       | _ -> n)
     0 a.Ast.args
 
-(* Reorder [body] for evaluation: cheap filters (assignments,
-   comparisons, negations) run as soon as their inputs are bound;
-   positive atoms are scheduled most-bound-first, breaking ties by
-   smaller relation ([card]) and then source order.  [bound] seeds the
-   variable set (e.g. the variables a delta literal binds).  With
-   [optimized_joins] off the body keeps its source order. *)
-let order_body ?(optimized_joins = true) ?(card = fun _ -> 0)
-    ?(bound = Ast.Sset.empty) (body : Ast.lit list) : Ast.lit list =
+(* The body literals with their source indexes, in evaluation order:
+   cheap filters (assignments, comparisons, negations) run as soon as
+   their inputs are bound; positive atoms are scheduled
+   most-bound-first, ties broken by source order.  [bound] seeds the
+   variable set (e.g. the variables a delta literal binds). *)
+let schedule ~bound (body : Ast.lit list) :
+    (int * Ast.lit) list =
   let rank bound (l : Ast.lit) =
     (* Lower ranks first; eligibility already checked. *)
     match l with
-    | Ast.Assign _ -> (0, 0, 0)
-    | Ast.Cond _ -> (1, 0, 0)
-    | Ast.Neg _ -> (2, 0, 0)
-    | Ast.Pos a -> (3, List.length a.Ast.args - boundness bound a, card a.Ast.pred)
+    | Ast.Assign _ -> (0, 0)
+    | Ast.Cond _ -> (1, 0)
+    | Ast.Neg _ -> (2, 0)
+    | Ast.Pos a -> (3, List.length a.Ast.args - boundness bound a)
   in
   let rec go bound remaining acc =
     match remaining with
@@ -203,10 +202,16 @@ let order_body ?(optimized_joins = true) ?(card = fun _ -> 0)
       in
       let i, l = pick in
       let remaining = List.filter (fun (j, _) -> j <> i) remaining in
-      go (Ast.Sset.union bound (lit_vars l)) remaining (l :: acc)
+      go (Ast.Sset.union bound (lit_vars l)) remaining (pick :: acc)
   in
+  go bound (List.mapi (fun i l -> (i, l)) body) []
+
+(* [body] in evaluation order ([schedule]); with [optimized_joins] off
+   it keeps its source order. *)
+let order_body ?(optimized_joins = true) ?(bound = Ast.Sset.empty)
+    (body : Ast.lit list) : Ast.lit list =
   if not optimized_joins then body
-  else go bound (List.mapi (fun i l -> (i, l)) body) []
+  else List.map snd (schedule ~bound body)
 
 (* The variables a positive atom binds when it is evaluated first (its
    bare variable arguments). *)
@@ -303,16 +308,17 @@ let split_agg rules =
   List.partition (fun (r : Ast.rule) -> Ast.has_aggregate r.head) rules
 
 (* ------------------------------------------------------------------ *)
-(* Grouped aggregate shape. *)
+(* Re-fold aggregate shape. *)
 
 type agg_slot =
   | Group of int  (* plain head argument: value of this body column *)
   | Fold of Ast.agg * int  (* aggregate over this body column *)
 
-(* The grouped shape of an aggregate rule: a single positive body atom
+(* The re-fold shape of an aggregate rule: a single positive body atom
    whose arguments are distinct bare variables, every head argument a
-   bare variable of the atom.  Such a rule groups the relation by the
-   plain-argument columns — one grouped index probe. *)
+   bare variable of the atom.  Such a rule yields one head per group of
+   the relation on the plain-argument columns, so a group's head can be
+   re-folded from that group alone ({!Ideval.refold_stratum}). *)
 let agg_index_shape (r : Ast.rule) : (Ast.atom * agg_slot list) option =
   match r.body with
   | [ Ast.Pos a ] ->
@@ -421,13 +427,27 @@ let compile_strand ?optimized_joins (rule : Ast.rule) ~(delta : int) : strand =
       |> order_body ?optimized_joins ~bound:(atom_binds delta_atom);
   }
 
+(* The index of the positive atom [schedule] runs first when nothing is
+   bound (source order with [optimized_joins] off): the atom a rule is
+   entered at when its whole body runs, the relation as one batch. *)
+let entry_atom ?(optimized_joins = true) (rule : Ast.rule) : int =
+  let body = rule.Ast.body in
+  match
+    List.find_opt
+      (function _, Ast.Pos _ -> true | _ -> false)
+      (if optimized_joins then schedule ~bound:Ast.Sset.empty body
+       else List.mapi (fun i l -> (i, l)) body)
+  with
+  | Some (i, _) -> i
+  | None -> raise (Plan_error "rule body has no positive atom")
+
 let ops (s : strand) : op list =
   (Delta { pred = s.delta.Ast.pred; args = s.delta.Ast.args }
   :: List.map op_of_lit s.rest)
   @ [ Project s.strand_rule.Ast.head ]
 
 (* All strands of a program: one per (rule, positive body literal). *)
-let compile_program ?optimized_joins (p : Ast.program) : strand list =
+let compile_program (p : Ast.program) : strand list =
   List.concat_map
     (fun (r : Ast.rule) ->
       if Ast.has_aggregate r.Ast.head then []
@@ -436,7 +456,7 @@ let compile_program ?optimized_joins (p : Ast.program) : strand list =
           (List.mapi
              (fun i lit ->
                match lit with
-               | Ast.Pos _ -> [ compile_strand ?optimized_joins r ~delta:i ]
+               | Ast.Pos _ -> [ compile_strand r ~delta:i ]
                | _ -> [])
              r.Ast.body))
     p.Ast.rules

@@ -1,12 +1,12 @@
 (** Join planning, run counters, and rule strands.
 
     Pure planning for the one semi-naive executor ({!Ideval}): literal
-    ordering, the one compiler of delta joins ({!compile_strand}, whose
-    strands the executor's rounds, view refresh and the model checker's
-    successor step all run), the batched delta decomposition, the
-    grouped-aggregate shape and the per-run join counters.  Nothing
-    here executes a join, and the boxed naive oracle ({!Eval.naive})
-    plans nothing: it joins in source order.
+    ordering, the one compiler of rule bodies ({!compile_strand}, whose
+    strands every executor round, view refresh and the model checker's
+    successor step run), each rule's entry atom, the batched delta
+    decomposition, the re-fold aggregate shape and the per-run join
+    counters.  Nothing here executes a join, and the boxed naive oracle
+    ({!Eval.naive}) plans nothing: it joins in source order.
 
     Rule strands are Click-style dataflow plans (the paper, Section
     2.2: programs are "compiled into distributed execution plans that
@@ -35,7 +35,10 @@ type stats = {
   groups : int;  (** delta groups formed by the batched join *)
   delta_tuples : int;
       (** delta tuples fed through delta joins; [delta_tuples / groups]
-          is the mean delta-group size a run achieved *)
+          is the mean delta-group size a run achieved.  A rule body run
+          whole (a stratum's first round, an aggregate rule) is a strand
+          fed its entry atom's whole relation as one batch: it counts
+          that batch's groups and delta tuples, and one scan. *)
   strata_skipped : int;
       (** view strata skipped by dirty-predicate tracking (incremental
           refresh in {!Dist.Runtime}): no predicate in the stratum's
@@ -94,19 +97,16 @@ val note_refresh_fallback : counters -> unit
 (** {1 Join planning} *)
 
 val order_body :
-  ?optimized_joins:bool ->
-  ?card:(string -> int) ->
-  ?bound:Ast.Sset.t ->
-  Ast.lit list ->
-  Ast.lit list
-(** Greedy join planning: filters (assignments, comparisons, negations)
-    run as soon as their variables are bound; positive atoms are
-    scheduled most-bound-first, ties broken by smaller relation
-    ([card]) then source order, and an atom with a complex argument
-    waits until that argument's variables are bound.  [bound] seeds the bound-variable set
-    (e.g. with the variables a delta literal binds).  Preserves the
-    satisfying-environment set of any safe rule; identity when
-    [optimized_joins] (default [true]) is off. *)
+  ?optimized_joins:bool -> ?bound:Ast.Sset.t -> Ast.lit list -> Ast.lit list
+(** Greedy join planning, without cardinalities (so one plan serves
+    every run): filters (assignments, comparisons, negations) run as
+    soon as their variables are bound; positive atoms are scheduled
+    most-bound-first, ties broken by source order, and an atom with a
+    complex argument waits until that argument's variables are bound.
+    [bound] seeds the bound-variable set (e.g. with the variables a
+    delta literal binds).  Preserves the satisfying-environment set of
+    any safe rule; identity when [optimized_joins] (default [true]) is
+    off. *)
 
 val atom_binds : Ast.atom -> Ast.Sset.t
 (** The variables a positive atom binds when evaluated first (its bare
@@ -127,8 +127,8 @@ val split_shared : Ast.Sset.t -> Ast.lit list -> Ast.lit list * Ast.lit list
 val rules_of_stratum : Ast.program -> string list -> Ast.rule list
 val split_agg : Ast.rule list -> Ast.rule list * Ast.rule list
 
-(** Head-argument shape of a grouped aggregate rule: each head argument
-    mapped to the body-atom column it reads. *)
+(** Head-argument shape of a re-foldable aggregate rule: each head
+    argument mapped to the body-atom column it reads. *)
 type agg_slot =
   | Group of int  (** plain head argument: value of this body column *)
   | Fold of Ast.agg * int  (** aggregate over this body column *)
@@ -136,7 +136,7 @@ type agg_slot =
 val agg_index_shape : Ast.rule -> (Ast.atom * agg_slot list) option
 (** [Some] when the rule's body is a single positive atom over distinct
     bare variables and every head argument reads one of them — the
-    shape answered by one grouped index probe. *)
+    shape {!Ideval.refold_stratum} maintains group by group. *)
 
 (** {1 Strands} *)
 
@@ -173,7 +173,16 @@ val compile_strand : ?optimized_joins:bool -> Ast.rule -> delta:int -> strand
     off, [rest] keeps source order.
     @raise Plan_error on aggregate rules or bad delta positions. *)
 
-val compile_program : ?optimized_joins:bool -> Ast.program -> strand list
+val entry_atom : ?optimized_joins:bool -> Ast.rule -> int
+(** The index of the positive body atom {!order_body} schedules first
+    from no bound variable (the first in source order with
+    [optimized_joins] (default [true]) off): where {!Ideval} enters a
+    rule whose whole body runs, with that atom's whole relation as one
+    batch of the strand {!compile_strand} makes for it.
+    @raise Plan_error when the body has no positive atom (analysis
+    rejects such rules). *)
+
+val compile_program : Ast.program -> strand list
 (** All delta strands of a program: one per (rule, positive body
     literal), in rule order then body order.  Aggregate rules
     contribute no strands (they are view-refreshed). *)

@@ -376,7 +376,7 @@ let test_golden_pv_ring8 () =
         "store 99feed226c8cf6ff83b74ac4e757f9e5";
         "run 0x1.cp+2 192 112 112 0 true 144";
         "wire 72 0 272 272 104 160 0 0 0";
-        "view 400 64 1168 1168 0 0 0 0 0";
+        "view 336 128 1168 1168 400 800 0 0 0";
       ]
     (run_pins (topo_of_links links)
        (localized (Programs.with_links (Programs.path_vector ()) links)))
@@ -712,8 +712,8 @@ let schedule_steps rt steps =
    the simulator to [until] and compares every node's store and lease
    table; a final run to t = 80 is followed by the full comparison —
    node stores, global fixpoint, message trace, leases and insert
-   counts.  Also returns the incremental run's view-refresh
-   counters. *)
+   counts.  Also returns the incremental run's view-refresh counters
+   and its final global store. *)
 let refresh_modes_diff links p steps =
   let nodes = Topo.nodes (topo_of_links links) in
   let snapshots rt =
@@ -773,7 +773,7 @@ let refresh_modes_diff links p steps =
         (Netsim.Sim.trace (Runtime.simulator rt_i)
         = Netsim.Sim.trace (Runtime.simulator rt_s))
   in
-  (diffs, views_i)
+  (diffs, views_i, Runtime.global_store rt_i)
 
 (* Aggregates over a lower view: [best] (min) feeds a plain filter
    [far], a count over it, a sum and max over [best] itself, and a
@@ -799,18 +799,38 @@ v5 worst(@S, max<C>) :- best(@S, D, C).
 v6 rep(@D, S, C) :- best(@S, D, C).
 |}
 
+(* The from-scratch refresh mode over the [obs]-driven [best]: a
+   multi-atom aggregate [cheap] (outside the re-fold shape) and a
+   negation [lone], every head at [@S].  [obs] is hard state here, so
+   the quiesced global store is a fixpoint [Eval.naive] can check. *)
+let scratch_view_src =
+  {|
+materialize(link, infinity).
+materialize(obs, infinity).
+materialize(flag, infinity).
+materialize(best, infinity).
+materialize(cheap, infinity).
+materialize(lone, infinity).
+
+v1 best(@S, D, min<C>) :- obs(@S, D, C).
+v2 cheap(@S, count<D>) :- best(@S, D, C), link(@S, D, C2), C2 < C.
+v3 lone(@S, D) :- best(@S, D, C), !flag(@S, D).
+|}
+
 (* Differential property: over random localized view programs ×
    topologies × refresh/expiry interleavings, the incremental and
    from-scratch runtimes produce bit-identical per-node stores, global
-   fixpoints, message traces, and lease tables.  The generator is pure
-   ints, so every failure is replayable from the printed seed. *)
+   fixpoints, message traces, and lease tables; the hard-state last
+   program's global store is also [Eval.naive]'s fixpoint of its facts
+   and insertions.  The generator is pure ints, so every failure is
+   replayable from the printed seed. *)
 let prop_incremental_equivalence =
   QCheck.Test.make
     ~name:
       "incremental = from-scratch refresh (stores, traces, leases)"
     ~count:20
     QCheck.(
-      quad (int_range 0 3) (int_range 0 2) (int_range 3 6) (int_range 0 4))
+      quad (int_range 0 4) (int_range 0 2) (int_range 3 6) (int_range 0 4))
     (fun (prog_i, topo_i, n, extra) ->
       let links =
         match topo_i with
@@ -831,8 +851,8 @@ let prop_incremental_equivalence =
       let staged =
         List.filteri (fun i _ -> i mod 3 = extra mod 3) endpoints
       in
-      let soft = prog_i >= 2 in
-      let with_obs src =
+      let over_obs = prog_i >= 2 in
+      let with_obs ?(facts = []) src =
         let p = Programs.with_links (Programs.parse_exn src) links in
         {
           p with
@@ -841,7 +861,8 @@ let prop_incremental_equivalence =
             @ List.map
                 (fun (s, d) ->
                   Ast.fact ~loc:0 "obs" [ V.Addr s; V.Addr d; V.Int 7 ])
-                staged;
+                staged
+            @ facts;
         }
       in
       let p =
@@ -857,25 +878,56 @@ let prop_incremental_equivalence =
           (* Soft support under a shipped soft view: obs expires, best
              is withdrawn, rep's remote lease lapses. *)
           with_obs ship_view_src
-        | _ ->
+        | 3 ->
           (* Count, sum and max re-folded over expiring soft support,
              one of them over a lower view. *)
           with_obs agg_lower_view_src
+        | _ ->
+          (* Negation and a multi-atom aggregate, refreshed from
+             scratch as [best] moves; every other staged pair is
+             flagged. *)
+          with_obs scratch_view_src
+            ~facts:
+              (List.filteri
+                 (fun i _ -> i mod 2 = 0)
+                 (List.map
+                    (fun (s, d) ->
+                      Ast.fact ~loc:0 "flag" [ V.Addr s; V.Addr d ])
+                    staged))
       in
       (* Interleave insertions with partial runs so refreshes land
-         between (and during) lease windows. *)
+         between (and during) lease windows.  Under the hard [obs] of
+         the last program, each new observation undercuts [best]. *)
       let steps =
         List.mapi
           (fun i (s, d) ->
             ( 1.0 +. (0.5 *. float_of_int i),
               [
-                (if soft then
-                   (s, "obs", [| V.Addr s; V.Addr d; V.Int (9 + i) |])
+                (if over_obs then
+                   let c = if prog_i = 4 then 6 - i else 9 + i in
+                   (s, "obs", [| V.Addr s; V.Addr d; V.Int c |])
                  else (s, "link", [| V.Addr s; V.Addr d; V.Int (2 + i) |]));
               ] ))
           staged
       in
-      fst (refresh_modes_diff links p steps) = [])
+      let diffs, _, global = refresh_modes_diff links p steps in
+      diffs = []
+      && (prog_i < 4
+         ||
+         let inserted =
+           List.concat_map
+             (fun (_, ins) ->
+               List.map
+                 (fun (_, pred, t) -> Ast.fact ~loc:0 pred (Array.to_list t))
+                 ins)
+             steps
+         in
+         let p = { p with Ast.facts = p.Ast.facts @ inserted } in
+         let naive =
+           Eval.naive p (Ndlog.Analysis.analyze_exn p)
+             (Store.of_facts p.Ast.facts)
+         in
+         naive.Eval.converged && Store.equal naive.Eval.db global))
 
 (* ------------------------------------------------------------------ *)
 (* Group-wise aggregate re-fold: every aggregate kind, under soft
@@ -969,7 +1021,7 @@ let agg_refold_table =
   List.map
     (fun (name, src, steps) ->
       Alcotest.test_case name `Quick (fun () ->
-          let diffs, views =
+          let diffs, views, _ =
             refresh_modes_diff agg_refold_links (agg_refold_program src) steps
           in
           Alcotest.(check (list string))

@@ -217,6 +217,20 @@ let test_safety_unbound_negation () =
   | Error (Analysis.Unsafe_rule _) -> ()
   | Error e -> Alcotest.failf "wrong error: %a" Analysis.pp_error e
 
+let test_safety_no_positive_atom () =
+  List.iter
+    (fun src ->
+      match Analysis.analyze (parse_ok src) with
+      | Ok _ -> Alcotest.failf "expected safety error: %s" src
+      | Error (Analysis.Unsafe_rule (_, msg)) ->
+        checks "message" "body has no positive atom" msg
+      | Error e -> Alcotest.failf "wrong error: %a" Analysis.pp_error e)
+    [
+      {| k(@n,1) :- 1 < 2. |};
+      {| t(@n,count<X>) :- X = 4. |};
+      {| q(@n,1). p(@X) :- X = n, !q(@X,1). |};
+    ]
+
 let test_arity_mismatch () =
   let p = parse_ok {| p(@X) :- q(@X,Y). p(@X,Y) :- q(@X,Y). |} in
   match Analysis.analyze p with
@@ -725,19 +739,24 @@ let prop_indexed_equals_nested_loop =
 let test_order_body_most_bound_first () =
   let p = parse_ok {| h(@X,Z) :- big(@X,Y), small(@Y,Z), Y > 0. |} in
   let body = (List.hd p.Ast.rules).Ast.body in
-  let card = function "big" -> 100 | _ -> 2 in
-  (match Plan.order_body ~card body with
-  | [ Ast.Pos a; Ast.Cond _; Ast.Pos b ] ->
-    checks "cheapest relation first" "small" a.Ast.pred;
-    checks "expensive one last" "big" b.Ast.pred
-  | _ -> Alcotest.fail "unexpected ordering");
-  (* the filter never runs before its variable is bound *)
+  (* equally bound atoms keep source order; the filter runs as soon as
+     Y is bound *)
   (match Plan.order_body body with
-  | Ast.Cond _ :: _ -> Alcotest.fail "comparison scheduled before Y is bound"
-  | _ -> ());
+  | [ Ast.Pos a; Ast.Cond _; Ast.Pos b ] ->
+    checks "first in source order first" "big" a.Ast.pred;
+    checks "the other one last" "small" b.Ast.pred
+  | _ -> Alcotest.fail "unexpected ordering");
+  (* a constant makes an atom more bound *)
+  (match
+     Plan.order_body
+       (List.hd (parse_ok {| h(@X,Z) :- big(@X,Y), small(@Y,1). |}).Ast.rules)
+         .Ast.body
+   with
+  | [ Ast.Pos a; Ast.Pos _ ] -> checks "most bound first" "small" a.Ast.pred
+  | _ -> Alcotest.fail "unexpected ordering");
   (* seeding the bound set changes the ranking *)
   (match
-     Plan.order_body ~card
+     Plan.order_body
        ~bound:(Ast.Sset.of_list [ "Y"; "Z" ])
        [ List.nth body 0; List.nth body 2 ]
    with
@@ -745,7 +764,7 @@ let test_order_body_most_bound_first () =
   | _ -> Alcotest.fail "filter should run first once Y is bound");
   (* switched off, the body is untouched *)
   checkb "identity when disabled" true
-    (Plan.order_body ~optimized_joins:false ~card body == body)
+    (Plan.order_body ~optimized_joins:false body == body)
 
 let test_eval_stats_counted () =
   let p = Programs.with_links (Programs.path_vector ()) (Programs.ring_links 4) in
@@ -1719,10 +1738,98 @@ let test_agg_fast_path () =
     (Store.Tset.equal total (Store.Tset.singleton [| V.Int 4 |]));
   (* Repeated variables disqualify the fast path but not correctness. *)
   ignore (both (rule_of {| selfmin(@S,min<C>) :- path(@S,S,C). |}));
-  (* Counters: the fast path reports one grouped probe, no scan. *)
+  (* Counters: the body runs as one whole-relation batch — one scan, no
+     probe, every tuple of the relation a delta tuple in one group. *)
   let _, st = agg_outputs db (rule_of {| best(@S,D,min<C>) :- path(@S,D,C). |}) in
-  checki "one index probe" 1 st.Eval.index_hits;
-  checki "no scan" 0 st.Eval.scans
+  checki "no index probe" 0 st.Eval.index_hits;
+  checki "one scan" 1 st.Eval.scans;
+  checki "one group" 1 st.Eval.groups;
+  checki "every tuple a delta tuple" 5 st.Eval.delta_tuples
+
+(* Random aggregate rules over joins: 1-3 positive atoms over the
+   facts [e/3] and [d/3], located on [N], whose other arguments draw
+   from a small variable pool — so variables repeat within an atom and
+   are shared across atoms — now and then a constant or a complex
+   argument over variables bound to its left, and sometimes a trailing
+   condition.  The head groups by [N] and 0-2 more variables, or by
+   nothing at all, and folds one or two of min, max, count and sum.
+   Rule [i] has its own head [g<i>]. *)
+let gen_agg_rule i : Ast.rule QCheck.Gen.t =
+ fun rs ->
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let bound = ref [] in
+  let arg ~bare =
+    match if bare then 2 else Random.State.int rs 6 with
+    | 0 -> Ast.(var (pick !bound) +: cint 1)
+    | 1 -> Ast.cint (Random.State.int rs 3)
+    | _ ->
+      let x = pick [ "X"; "Y"; "Z"; "W" ] in
+      if not (List.mem x !bound) then bound := x :: !bound;
+      Ast.var x
+  in
+  let atom j =
+    let a = arg ~bare:(j = 0) in
+    let b = arg ~bare:false in
+    Ast.Pos (Ast.atom ~loc:0 (pick [ "e"; "d" ]) [ Ast.var "N"; a; b ])
+  in
+  let atoms = List.init (1 + Random.State.int rs 3) atom in
+  let var () = Ast.var (pick !bound) in
+  let cond =
+    if Random.State.bool rs then
+      [ Ast.Cond (pick [ Ast.Lt; Ast.Le; Ast.Ne ], var (), var ()) ]
+    else []
+  in
+  let group =
+    List.init (Random.State.int rs 3) (fun _ -> Ast.Plain (var ()))
+  in
+  let aggs =
+    List.init
+      (1 + Random.State.int rs 2)
+      (fun _ ->
+        Ast.Agg (pick [ Ast.Min; Ast.Max; Ast.Count; Ast.Sum ], pick !bound))
+  in
+  let pred = Printf.sprintf "g%d" i in
+  let head =
+    if Random.State.int rs 4 = 0 then Ast.head pred (group @ aggs)
+    else Ast.head ~loc:0 pred ((Ast.Plain (Ast.var "N") :: group) @ aggs)
+  in
+  Ast.rule head (atoms @ cond)
+
+let arb_agg_rules =
+  let gen =
+    QCheck.Gen.(
+      let fact p (n, (x, y)) =
+        let node = V.Addr (if n then "n1" else "n0") in
+        Ast.fact ~loc:0 p [ node; V.Int x; V.Int y ]
+      in
+      let facts =
+        list_size (int_range 3 10)
+          (pair bool (pair (int_bound 2) (int_bound 2)))
+      in
+      triple (int_range 1 3) facts facts >>= fun (k, es, ds) ->
+      flatten_l (List.init k gen_agg_rule) >|= fun rules ->
+      (rules, List.map (fact "e") es @ List.map (fact "d") ds))
+  in
+  QCheck.make gen ~print:(fun (rules, facts) ->
+      Fmt.str "%a" Ast.pp_program { Ast.empty_program with Ast.rules; facts })
+
+(* Every aggregate shape runs one evaluator — the pre-head rule's strand,
+   grouped and folded — so over joins, repeated variables, conditions
+   and complex arguments it must reach the naive oracle's heads and
+   derivation count, with the join optimizations on and off. *)
+let prop_agg_over_joins =
+  QCheck.Test.make ~name:"aggregates over joins = naive oracle, any config"
+    ~count:200 arb_agg_rules (fun (rules, facts) ->
+      let p = { Ast.empty_program with Ast.rules; facts } in
+      let info = Analysis.analyze_exn p in
+      let db = Store.of_facts facts in
+      let naive = Eval.naive p info db in
+      List.for_all
+        (fun optimized_joins ->
+          let semi = Eval.seminaive ~optimized_joins p info db in
+          Store.equal naive.Eval.db semi.Eval.db
+          && naive.Eval.derivations = semi.Eval.derivations)
+        [ true; false ])
 
 (* ------------------------------------------------------------------ *)
 (* Value interning: the interned representation must be invisible —
@@ -2296,6 +2403,8 @@ let () =
           Alcotest.test_case "unbound head" `Quick test_safety_unbound_head;
           Alcotest.test_case "unbound negation" `Quick
             test_safety_unbound_negation;
+          Alcotest.test_case "no positive body atom" `Quick
+            test_safety_no_positive_atom;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
           Alcotest.test_case "stratification" `Quick test_stratification;
           Alcotest.test_case "unstratifiable" `Quick test_unstratifiable;
@@ -2388,7 +2497,7 @@ let () =
           Alcotest.test_case "executor config" `Quick test_executor_config;
           Alcotest.test_case "config is per call" `Quick test_config_is_per_call;
         ]
-        @ qsuite [ prop_indexed_equals_nested_loop ] );
+        @ qsuite [ prop_indexed_equals_nested_loop; prop_agg_over_joins ] );
       ( "batched",
         [
           Alcotest.test_case "group formation" `Quick test_group_formation;
