@@ -86,6 +86,15 @@ module Sset = Ast.Sset
    re-exported here so existing users keep reading [Runtime.msg]. *)
 type msg = Wire.msg = { pred : string; ids : int array }
 
+(* A view predicate, resolved at [create]: per-node view state is kept
+   in arrays indexed by [v_idx], so the refresh walk reaches it without
+   hashing the name. *)
+type view = {
+  v_pred : string;
+  v_idx : int;  (* position in [t.views] *)
+  v_loc : int option;  (* location column, for the ship paths *)
+}
+
 type node_state = {
   name : string;
   (* The node's database: the authoritative store. *)
@@ -102,22 +111,25 @@ type node_state = {
      view refreshes (the local recomputation cannot re-derive them) and
      pruned by soft-state expiry. *)
   received : Flat.t;
-  (* Remote-owned view tuples already shipped, per predicate: view
-     refreshes send only the diff. *)
-  shipped : (string, Fset.t) Hashtbl.t;
-  (* Soft view predicates with a pending lease-renewal timer (see
+  (* Remote-owned view tuples already shipped, per view: view refreshes
+     send only the diff. *)
+  shipped : Fset.t option array;
+  (* Soft views with a pending lease-renewal timer (see
      [ensure_renewal]). *)
-  renewing : (string, unit) Hashtbl.t;
+  renewing : bool array;
   (* Dirty-predicate tracking for incremental view refresh (only
-     maintained when [incremental_views] is on).  Invariant at every
+     maintained when [incremental_views] is on and the program has
+     views: [tracks_dirty]).  Invariant at every
      refresh: a base predicate is in [dirty] iff its relation changed
-     since this node's last refresh; [dirty_delta] holds the tuples
-     added (and still present), [dirty_removed] the tuples expiry
-     removed.  Removals select the groups a re-folded aggregate stratum
-     revisits, and force the from-scratch fallback for every plain
-     stratum they support. *)
+     since this node's last refresh; [dirty_added] lists the tuples
+     added (newest first; one expiry removed since is no longer in the
+     store), [dirty_removed] the tuples expiry removed.  Removals select
+     the groups a re-folded aggregate stratum revisits, and force the
+     from-scratch fallback for every plain stratum they support.  Both
+     are plain lists: the walk builds its delta in the runtime's
+     scratch, so an idle node holds no delta database. *)
   mutable dirty : Sset.t;
-  mutable dirty_delta : Flat.t;
+  mutable dirty_added : (string * int array) list;
   mutable dirty_removed : (string * int array) list;
   (* The previous refresh's view fixpoint (local- and remote-owned
      derived tuples, before the ship/received split): the baseline the
@@ -163,6 +175,13 @@ type refresh_mode =
   | Scratch of Ideval.stratum
       (* negation, or other aggregates: always from scratch *)
 
+(* A refresh stratum as the walk uses it, resolved at [create]. *)
+type rstratum = {
+  heads : view array;  (* the views it defines *)
+  support : string list;  (* its transitive support *)
+  mode : refresh_mode;
+}
+
 type t = {
   program : Ast.program;
   info : Analysis.info;
@@ -180,15 +199,13 @@ type t = {
      each runtime its own subset ([?hosted]). *)
   hosted : node_state array;
   (* Predicates computed as refreshed views (aggregate strata and their
-     local downstream).  The list keeps program order for deterministic
-     iteration; [view_set] is the same collection as a set — membership
-     tests sit on per-tuple wire/insert/expiry paths, where a list walk
-     of string compares is measurable. *)
-  view_preds : string list;
+     local downstream), sorted by name for deterministic iteration;
+     [view_set] is the same collection as a set — membership tests sit
+     on per-tuple wire/insert/expiry paths, where a walk of string
+     compares is measurable. *)
+  views : view array;
   view_set : Sset.t;
   view_program : Ast.program;  (* the rules that define the views *)
-  (* Location column of each view predicate, for the ship paths. *)
-  view_locs : (string, int) Hashtbl.t;
   (* Compiled dataflow strands of the pipelined rules, indexed by their
      trigger (delta) predicate: the Click execution model.  The
      compilation is cardinality-independent, so one compiled strand
@@ -199,7 +216,15 @@ type t = {
      maintained when touched.  Off: the from-scratch refresh, kept as
      the differential oracle. *)
   incremental_views : bool;
-  refresh_plan : (Eval.refresh_stratum * refresh_mode) list;
+  refresh_plan : rstratum list;
+  (* The refresh walk's scratch, emptied as a node refresh starts: the
+     support tuples added and removed (the node's dirty tuples, then
+     each touched stratum's own movement), and each view's movement
+     against the previous fixpoint. *)
+  walk_added : Flat.t;
+  walk_removed : Flat.t;
+  moved_adds : int array list array;
+  moved_rems : int array list array;
   (* Join counters, split by path (per-runtime: concurrent runtimes
      never interfere): [wire] counts pipelined strand executions —
      inbox flushes and local recursion — [joins] counts view
@@ -207,10 +232,14 @@ type t = {
   joins : Plan.counters;
   wire : Plan.counters;
   mutable refresh_pending : bool;
-  (* Wall-clock spent inside [refresh_views] and the number of walks:
-     the refresh-cost breakdown the churn benchmark reports. *)
+  (* Wall-clock spent inside [refresh_views], the number of walks, the
+     node refreshes they ran and the minor-heap words those allocated:
+     the refresh-cost breakdown the benchmarks and the allocation
+     budget read. *)
   mutable refresh_wall : float;
   mutable refresh_walks : int;
+  mutable refresh_nodes : int;
+  mutable refresh_words : float;
 }
 
 exception Not_localized of string
@@ -465,6 +494,17 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
       if not (List.mem n (Netsim.Topology.nodes topo)) then
         invalid_arg ("Dist.Runtime: hosted node not in topology: " ^ n))
     hosted;
+  let view_preds, view_program, pipeline_program = split_views program in
+  check_remote_views program view_program;
+  let locs = loc_index_map view_program in
+  let views =
+    Array.of_list
+      (List.mapi
+         (fun v_idx v_pred ->
+           { v_pred; v_idx; v_loc = Hashtbl.find_opt locs v_pred })
+         view_preds)
+  in
+  let nviews = Array.length views in
   let nodes = Hashtbl.create 16 in
   List.iter
     (fun n ->
@@ -478,10 +518,10 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
           inbox_len = 0;
           flush_scheduled = false;
           received = Flat.create ();
-          shipped = Hashtbl.create 4;
-          renewing = Hashtbl.create 4;
+          shipped = Array.make nviews None;
+          renewing = Array.make nviews false;
           dirty = Sset.empty;
-          dirty_delta = Flat.create ();
+          dirty_added = [];
           dirty_removed = [];
           last_fresh = Flat.create ();
           stale = false;
@@ -490,8 +530,6 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
           view_holes = [];
         })
     hosted;
-  let view_preds, view_program, pipeline_program = split_views program in
-  check_remote_views program view_program;
   (* Strands by trigger predicate, in program order within each
      trigger's list. *)
   let strands = Hashtbl.create 32 in
@@ -509,23 +547,26 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
      strata that admit it ({!Ideval.refold_plan}), a compiled stratum
      for the rest — its strands serve both seeding and the from-scratch
      fallback of plain strata. *)
-  let refresh_plan =
-    List.map
-      (fun (rs : Eval.refresh_stratum) ->
-        let rules = rs.Eval.rs_rules in
-        let scratch () = Scratch (Ideval.compile_stratum rules) in
-        let mode =
-          if rs.Eval.rs_has_neg then scratch ()
-          else if rs.Eval.rs_has_agg then begin
-            match Ideval.refold_plan rules with
-            | Some refolds -> Refold refolds
-            | None -> scratch ()
-          end
-          else Seed (Ideval.compile_stratum rules)
-        in
-        (rs, mode))
-      (Eval.refresh_strata view_program)
+  let view_of pred = List.find (fun v -> v.v_pred = pred) (Array.to_list views) in
+  let resolve (rs : Eval.refresh_stratum) =
+    let rules = rs.Eval.rs_rules in
+    let scratch () = Scratch (Ideval.compile_stratum rules) in
+    let mode =
+      if rs.Eval.rs_has_neg then scratch ()
+      else if rs.Eval.rs_has_agg then begin
+        match Ideval.refold_plan rules with
+        | Some refolds -> Refold refolds
+        | None -> scratch ()
+      end
+      else Seed (Ideval.compile_stratum rules)
+    in
+    {
+      heads = Array.of_list (List.map view_of rs.Eval.rs_preds);
+      support = Sset.elements rs.Eval.rs_support;
+      mode;
+    }
   in
+  let refresh_plan = List.map resolve (Eval.refresh_strata view_program) in
   let t =
     {
       program = pipeline_program;
@@ -535,18 +576,23 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
       hosted =
         Array.of_list
           (List.map (Hashtbl.find nodes) (List.sort_uniq String.compare hosted));
-      view_preds;
+      views;
       view_set = List.fold_left (fun s p -> Sset.add p s) Sset.empty view_preds;
       view_program;
-      view_locs = loc_index_map view_program;
       strands;
       incremental_views;
       refresh_plan;
+      walk_added = Flat.create ();
+      walk_removed = Flat.create ();
+      moved_adds = Array.make nviews [];
+      moved_rems = Array.make nviews [];
       joins = Plan.counters ();
       wire = Plan.counters ();
       refresh_pending = false;
       refresh_wall = 0.0;
       refresh_walks = 0;
+      refresh_nodes = 0;
+      refresh_words = 0.0;
     }
   in
   (* Wire the message handler: a received tuple goes through the
@@ -596,14 +642,19 @@ and run_strands t ns pred (delta : int array list) =
           (List.sort_uniq Intern.compare_ids !heads))
       strands
 
+(* Whether base-relation changes are recorded: only for an incremental
+   refresh, and only when there are views to refresh — a program
+   without views never refreshes, and its marks would only pile up. *)
+and tracks_dirty t = t.incremental_views && Array.length t.views > 0
+
 (* Record a base-relation addition for incremental refresh.  View-pred
    arrivals (shipped-in tuples) are not marked: the refresh derives
    views from the base relations only and re-adds [received]
    afterwards, so they cannot change any stratum's recomputation. *)
 and mark_dirty t ns pred ids =
-  if t.incremental_views && not (Sset.mem pred t.view_set) then begin
+  if tracks_dirty t && not (Sset.mem pred t.view_set) then begin
     ns.dirty <- Sset.add pred ns.dirty;
-    ignore (Flat.add ns.dirty_delta pred ids)
+    ns.dirty_added <- (pred, ids) :: ns.dirty_added
   end
 
 (* Refresh the lease of a soft tuple, even when the tuple is known.
@@ -629,7 +680,7 @@ and insert_ids t ns pred (ids : int array) =
     if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
     mark_dirty t ns pred ids;
     run_strands t ns pred [ ids ];
-    if t.view_preds <> [] then request_refresh t
+    if Array.length t.views > 0 then request_refresh t
   end
 
 (* A message delivery: the inbox buffers it and a zero-delay flush
@@ -680,7 +731,7 @@ and flush t ns =
   List.iter
     (fun (pred, tuples) -> run_strands t ns pred !tuples)
     (List.rev !deltas);
-  if !deltas <> [] && t.view_preds <> [] then request_refresh t
+  if !deltas <> [] && Array.length t.views > 0 then request_refresh t
 
 (* Schedule a sweep at the node's next soft-state deadline — unless the
    node's live timer already fires at or before it, in which case that
@@ -730,14 +781,13 @@ and sweep t ns =
              remember it so the next refresh's in-place seed can restore
              it (see [view_holes]). *)
           ns.view_holes <- (pred, ids) :: ns.view_holes
-        else if t.incremental_views then begin
+        else if tracks_dirty t then begin
           ns.dirty <- Sset.add pred ns.dirty;
-          ns.dirty_removed <- (pred, ids) :: ns.dirty_removed;
-          ignore (Flat.remove ns.dirty_delta pred ids)
+          ns.dirty_removed <- (pred, ids) :: ns.dirty_removed
         end)
       removed;
     ns.stale <- true;
-    if t.view_preds <> [] then request_refresh t
+    if Array.length t.views > 0 then request_refresh t
   end;
   schedule_expiry t ns
 
@@ -760,25 +810,28 @@ and request_refresh t =
    definition of correct, and it has no staleness bookkeeping to
    trust). *)
 and refresh_views t =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
   let idle = ref 0 in
   Array.iter
     (fun ns ->
-      if ns.stale || not t.incremental_views then refresh_node t ns
+      if ns.stale || not t.incremental_views then begin
+        refresh_node t ns;
+        t.refresh_nodes <- t.refresh_nodes + 1
+      end
       else incr idle)
     t.hosted;
   Plan.note_strata_skipped t.joins (!idle * List.length t.refresh_plan);
+  t.refresh_words <- t.refresh_words +. (Gc.minor_words () -. w0);
   t.refresh_wall <- t.refresh_wall +. (Unix.gettimeofday () -. t0);
   t.refresh_walks <- t.refresh_walks + 1
 
 (* One node's incremental view fixpoint, journaled and in place: the
    working database IS the node's flat store, pre-seeded by
    [refresh_node] so that every view relation holds the previous
-   fixpoint; added support accumulates into the node's own dirty-delta
-   database (replaced wholesale after the refresh), removed support
-   into a set of the walk's own seeded with the node's expired tuples;
-   and per-stratum movement is read off the undo journal
-   ({!Flat.net_since}).
+   fixpoint; added and removed support accumulate into the walk's two
+   scratch databases, seeded with the node's dirty tuples (and emptied
+   in place as the next node refresh starts); and per-stratum movement
+   is read off the undo journal.
 
    The walk visits the refresh strata bottom-up.  [changed] starts
    from the node's dirty set, and [delta] / [removed] from its dirty
@@ -799,79 +852,99 @@ and refresh_views t =
    strata whose support lost tuples — falls back to recomputation from
    scratch.
 
-   Returns the per-predicate net movement against the previous
-   fixpoint, which is exact because each touched stratum's relations
-   equal the previous fixpoint at its mark: the seed establishes that
-   for the whole database, strata never write outside their own
-   [rs_preds], and stratification keeps upper (still-seeded) relations
-   invisible to lower strata's evaluation. *)
-and incremental_fresh t ns (db : Flat.t) :
-    (string * int array list * int array list) list =
-  let delta = ns.dirty_delta in
-  (* The walk's removals: the node's expired tuples, then each touched
-     stratum's own. *)
-  let removed = Flat.create () in
+   Each touched stratum's movement against the previous fixpoint is
+   recorded per view ([moved_adds] / [moved_rems]).  It is exact
+   because each touched stratum's relations equal the previous
+   fixpoint at its mark: the seed establishes that for the whole
+   database, strata never write outside their own [heads], and
+   stratification keeps upper (still-seeded) relations invisible to
+   lower strata's evaluation.  A re-fold replaces at most one head per
+   group and a seed only adds, so their journals are already net; only
+   a from-scratch stratum, which clears and re-derives, is netted
+   ({!Flat.net_since}). *)
+and incremental_fresh t ns (db : Flat.t) =
+  let delta = t.walk_added and removed = t.walk_removed in
+  (* An addition expiry removed since is no longer stored. *)
+  List.iter
+    (fun (pred, ids) ->
+      if Flat.mem db pred ids then ignore (Flat.add delta pred ids))
+    ns.dirty_added;
   List.iter
     (fun (pred, ids) -> ignore (Flat.add removed pred ids))
     ns.dirty_removed;
-  let movement = ref [] in
-  let record changed net =
-    List.fold_left
-      (fun changed (pred, adds, rems) ->
-        if adds = [] && rems = [] then changed
-        else begin
-          List.iter (fun ids -> ignore (Flat.add delta pred ids)) adds;
-          List.iter (fun ids -> ignore (Flat.add removed pred ids)) rems;
-          movement := (pred, adds, rems) :: !movement;
-          Sset.add pred changed
-        end)
-      changed net
+  let rec touched changed = function
+    | [] -> false
+    | p :: rest -> Sset.mem p changed || touched changed rest
   in
-  (* Run one stratum's update under a journal mark and record its net
-     movement. *)
-  let journaled changed update =
-    let m = Flat.mark db in
-    update ();
-    let net = Flat.net_since db m in
-    Flat.commit db m;
-    record changed net
+  let rec lost = function
+    | [] -> false
+    | p :: rest -> Flat.cardinal removed p > 0 || lost rest
   in
-  let _ =
-    List.fold_left
-      (fun changed ((rs : Eval.refresh_stratum), mode) ->
-        let support = rs.Eval.rs_support in
-        if not (Sset.exists (fun p -> Sset.mem p changed) support) then begin
-          (* Untouched: the seeded relations are still exact. *)
-          Plan.note_strata_skipped t.joins 1;
-          changed
-        end
-        else
-          match mode with
-          | Refold refolds ->
-            Plan.note_stratum_refolded t.joins;
-            journaled changed (fun () ->
-                Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
-                  ~removed)
-          | Seed stratum
-            when not
-                   (Sset.exists (fun p -> Flat.cardinal removed p > 0) support)
-            ->
-            (* Plain monotone stratum over additive support change:
-               purely additive, so the journal holds only genuine
-               adds. *)
-            journaled changed (fun () ->
-                Ideval.refresh_stratum ~stats:t.joins db stratum ~delta)
-          | Seed stratum | Scratch stratum ->
-            (* Negation is non-monotone in its support, and removals are
-               non-monotone under seeding: recompute the stratum from
-               scratch, its relations starting empty. *)
-            Plan.note_refresh_fallback t.joins;
-            journaled changed (fun () ->
-                List.iter (Flat.clear_rel db) rs.Eval.rs_preds;
-                ignore (Ideval.seminaive_stratum ~stats:t.joins stratum db)))
-      ns.dirty t.refresh_plan
+  List.fold_left
+    (fun changed rs ->
+      if not (touched changed rs.support) then begin
+        (* Untouched: the seeded relations are still exact. *)
+        Plan.note_strata_skipped t.joins 1;
+        changed
+      end
+      else begin
+        let m = Flat.mark db in
+        (match rs.mode with
+        | Refold refolds ->
+          Plan.note_stratum_refolded t.joins;
+          Ideval.refold_stratum ~stats:t.joins db ~refolds ~added:delta
+            ~removed;
+          Flat.iter_since db m (move t rs.heads)
+        | Seed stratum when Flat.is_empty removed || not (lost rs.support) ->
+          (* Plain monotone stratum over additive support change:
+             purely additive. *)
+          Ideval.refresh_stratum ~stats:t.joins db stratum ~delta;
+          Flat.iter_since db m (move t rs.heads)
+        | Seed stratum | Scratch stratum ->
+          (* Negation is non-monotone in its support, and removals are
+             non-monotone under seeding: recompute the stratum from
+             scratch, its relations starting empty. *)
+          Plan.note_refresh_fallback t.joins;
+          Array.iter (fun v -> Flat.clear_rel db v.v_pred) rs.heads;
+          ignore (Ideval.seminaive_stratum ~stats:t.joins stratum db);
+          moved_net t rs.heads (Flat.net_since db m));
+        Flat.commit db m;
+        Array.fold_left
+          (fun changed v ->
+            let adds = t.moved_adds.(v.v_idx)
+            and rems = t.moved_rems.(v.v_idx) in
+            if adds = [] && rems = [] then changed
+            else begin
+              List.iter (fun ids -> ignore (Flat.add delta v.v_pred ids)) adds;
+              List.iter (fun ids -> ignore (Flat.add removed v.v_pred ids)) rems;
+              Sset.add v.v_pred changed
+            end)
+          changed rs.heads
+      end)
+    ns.dirty t.refresh_plan
+  |> ignore
+
+(* The view among [views] named [pred]. *)
+and view_named views pred =
+  let rec go i =
+    let v = views.(i) in
+    if v.v_pred == pred || String.equal v.v_pred pred then v else go (i + 1)
   in
-  !movement
+  go 0
+
+(* Record one journaled operation of a stratum defining [views]. *)
+and move t views pred ids added =
+  let i = (view_named views pred).v_idx in
+  if added then t.moved_adds.(i) <- ids :: t.moved_adds.(i)
+  else t.moved_rems.(i) <- ids :: t.moved_rems.(i)
+
+and moved_net t views net =
+  List.iter
+    (fun (pred, adds, rems) ->
+      let i = (view_named views pred).v_idx in
+      t.moved_adds.(i) <- List.rev_append adds t.moved_adds.(i);
+      t.moved_rems.(i) <- List.rev_append rems t.moved_rems.(i))
+    net
 
 (* One node's view refresh, run in place on its flat store.  The walk
    nudges the stored view relations to the previous fixpoint (seed),
@@ -884,12 +957,18 @@ and incremental_fresh t ns (db : Flat.t) :
 
    Store shape invariants, before and after: a view relation of [db]
    holds the locally-owned part of the last fixpoint plus every live
-   shipped-in arrival ([received]); [shipped.(pred)] is exactly the
+   shipped-in arrival ([received]); [shipped.(view)] is exactly the
    remote-owned part of the last fixpoint; [last_fresh] is the whole
    last fixpoint. *)
 and refresh_node t ns =
-  let self = ns.name and db = ns.db in
+  let db = ns.db in
   let prev = ns.last_fresh in
+  (* The previous walk's scratch, or what one cut short by an exception
+     left behind. *)
+  Flat.clear t.walk_added;
+  Flat.clear t.walk_removed;
+  Array.fill t.moved_adds 0 (Array.length t.views) [];
+  Array.fill t.moved_rems 0 (Array.length t.views) [];
   (* Seed: stored form -> previous fixpoint.  Arrivals the fixpoint
      never derived leave, previously-shipped remote tuples re-enter,
      and lease-flickered derived tuples are restored (see
@@ -899,111 +978,95 @@ and refresh_node t ns =
       if Flat.mem prev pred ids then ignore (Flat.add db pred ids))
     ns.view_holes;
   ns.view_holes <- [];
-  List.iter
-    (fun pred ->
-      let prev_rel = Flat.relation prev pred in
-      Flat.iter_rel ns.received pred (fun ids ->
-          if not (Fset.mem prev_rel ids) then ignore (Flat.remove db pred ids));
-      match Hashtbl.find_opt ns.shipped pred with
+  Array.iter
+    (fun v ->
+      let pred = v.v_pred in
+      if Flat.cardinal ns.received pred > 0 then begin
+        let prev_rel = Flat.relation prev pred in
+        Flat.iter_rel ns.received pred (fun ids ->
+            if not (Fset.mem prev_rel ids) then ignore (Flat.remove db pred ids))
+      end;
+      match ns.shipped.(v.v_idx) with
       | Some s -> Fset.iter (fun ids -> ignore (Flat.add db pred ids)) s
       | None -> ())
-    t.view_preds;
-  (* Fixpoint, in place, yielding the net movement against [prev]. *)
-  let movement =
-    if t.incremental_views then begin
-      let movement = incremental_fresh t ns db in
-      ns.dirty <- Sset.empty;
-      ns.dirty_delta <- Flat.create ();
-      ns.dirty_removed <- [];
-      movement
-    end
-    else begin
-      let m = Flat.mark db in
-      List.iter (Flat.clear_rel db) t.view_preds;
-      ignore (Ideval.seminaive ~stats:t.joins t.view_program t.info db);
-      let net = Flat.net_since db m in
-      Flat.commit db m;
-      net
-    end
-  in
-  let net_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (pred, adds, rems) -> Hashtbl.replace net_tbl pred (adds, rems))
-    movement;
+    t.views;
+  (* Fixpoint, in place, with the net movement against [prev] recorded
+     per view. *)
+  if t.incremental_views then begin
+    incremental_fresh t ns db;
+    ns.dirty <- Sset.empty;
+    ns.dirty_added <- [];
+    ns.dirty_removed <- []
+  end
+  else begin
+    let m = Flat.mark db in
+    Array.iter (fun v -> Flat.clear_rel db v.v_pred) t.views;
+    ignore (Ideval.seminaive ~stats:t.joins t.view_program t.info db);
+    moved_net t t.views (Flat.net_since db m);
+    Flat.commit db m
+  end;
   (* Commit: replay the net movement onto the previous-fixpoint stash
      and the shipped sets, ship fresh remote-owned tuples (diff-only),
      and return the stored relations to their between-refresh shape. *)
-  List.iter
-    (fun pred ->
-      let locopt = Hashtbl.find_opt t.view_locs pred in
-      let adds, rems =
-        match Hashtbl.find_opt net_tbl pred with
-        | Some m -> m
-        | None -> ([], [])
-      in
-      List.iter (fun ids -> ignore (Flat.add ns.last_fresh pred ids)) adds;
-      List.iter (fun ids -> ignore (Flat.remove ns.last_fresh pred ids)) rems;
-      let shipped =
-        match Hashtbl.find_opt ns.shipped pred with
-        | Some s -> Some s
-        | None ->
-          (* Allocate the per-predicate shipped set only when a
-             remote-owned tuple actually appears. *)
-          if
-            List.exists
-              (fun ids ->
-                match owner_of_ids locopt ids with
-                | Some owner -> owner <> self
-                | None -> false)
-              adds
-          then begin
-            let s = Fset.create () in
-            Hashtbl.replace ns.shipped pred s;
-            Some s
-          end
-          else None
-      in
-      match shipped with
-      | None ->
-        (* Nothing shipped, nothing remote-owned: the stored relation
-           is already local ∪ received.  Re-adding received arrivals is
-           still needed — a fallback stratum may have cleared them. *)
-        Flat.iter_rel ns.received pred (fun ids ->
-            ignore (Flat.add db pred ids))
-      | Some shipped ->
-        let to_ship = ref [] in
-        List.iter
-          (fun ids ->
-            match owner_of_ids locopt ids with
-            | Some owner when owner <> self ->
-              if Fset.add shipped ids then to_ship := ids :: !to_ship
-            | _ -> ())
-          adds;
-        List.iter
-          (fun ids ->
-            match owner_of_ids locopt ids with
-            | Some owner when owner <> self -> ignore (Fset.remove shipped ids)
-            | _ -> ())
-          rems;
-        List.iter
-          (fun ids ->
-            ignore
-              (t.transport.Transport.send ~src:self
-                 ~dst:(owner_exn locopt pred ids) { pred; ids }))
-          (sort_canonical !to_ship);
-        (* Remote-owned tuples live at their owners, not here. *)
-        Fset.iter (fun ids -> ignore (Flat.remove db pred ids)) shipped;
-        Flat.iter_rel ns.received pred (fun ids ->
-            ignore (Flat.add db pred ids));
-        (* A shipped *soft* view tuple lives at the receiver on a
-           lease; with redeliveries suppressed, the source must renew
-           it for as long as the tuple is still derived. *)
-        (match Softstate.Expiry.lifetime_of ns.expiry pred with
-        | Ast.Lifetime l when not (Fset.is_empty shipped) ->
-          ensure_renewal t ns pred l
-        | _ -> ()))
-    t.view_preds;
+  Array.iter (commit_view t ns) t.views;
   ns.stale <- false
+
+and commit_view t ns v =
+  let self = ns.name and db = ns.db in
+  let pred = v.v_pred and locopt = v.v_loc in
+  let adds = t.moved_adds.(v.v_idx) and rems = t.moved_rems.(v.v_idx) in
+  t.moved_adds.(v.v_idx) <- [];
+  t.moved_rems.(v.v_idx) <- [];
+  List.iter (fun ids -> ignore (Flat.add ns.last_fresh pred ids)) adds;
+  List.iter (fun ids -> ignore (Flat.remove ns.last_fresh pred ids)) rems;
+  let remote ids =
+    match owner_of_ids locopt ids with
+    | Some owner -> owner <> self
+    | None -> false
+  in
+  let shipped =
+    match ns.shipped.(v.v_idx) with
+    | Some s -> Some s
+    | None ->
+      (* Allocate the view's shipped set only when a remote-owned tuple
+         actually appears. *)
+      if List.exists remote adds then begin
+        let s = Fset.create () in
+        ns.shipped.(v.v_idx) <- Some s;
+        Some s
+      end
+      else None
+  in
+  match shipped with
+  | None ->
+    (* Nothing shipped, nothing remote-owned: the stored relation is
+       already local ∪ received.  Re-adding received arrivals is still
+       needed — a fallback stratum may have cleared them. *)
+    if Flat.cardinal ns.received pred > 0 then
+      Flat.iter_rel ns.received pred (fun ids -> ignore (Flat.add db pred ids))
+  | Some shipped ->
+    let to_ship =
+      List.filter (fun ids -> remote ids && Fset.add shipped ids) adds
+    in
+    List.iter
+      (fun ids -> if remote ids then ignore (Fset.remove shipped ids))
+      rems;
+    List.iter
+      (fun ids ->
+        ignore
+          (t.transport.Transport.send ~src:self
+             ~dst:(owner_exn locopt pred ids) { pred; ids }))
+      (sort_canonical to_ship);
+    (* Remote-owned tuples live at their owners, not here. *)
+    Fset.iter (fun ids -> ignore (Flat.remove db pred ids)) shipped;
+    Flat.iter_rel ns.received pred (fun ids -> ignore (Flat.add db pred ids));
+    (* A shipped *soft* view tuple lives at the receiver on a lease; with
+       redeliveries suppressed, the source must renew it for as long as
+       the tuple is still derived. *)
+    (match Softstate.Expiry.lifetime_of ns.expiry pred with
+    | Ast.Lifetime l when not (Fset.is_empty shipped) ->
+      ensure_renewal t ns v l
+    | _ -> ())
 
 (* Lease renewal for soft view tuples shipped to other nodes: at every
    half-lifetime, re-send whatever is still in the shipped set (the
@@ -1011,28 +1074,27 @@ and refresh_node t ns =
    deriving a tuple the refresh drops it from the shipped set, the
    renewals stop, and the receiver's lease lapses — soft-state expiry,
    at renewal cadence instead of per-refresh redelivery. *)
-and ensure_renewal t ns pred lifetime =
-  if not (Hashtbl.mem ns.renewing pred) then begin
-    Hashtbl.replace ns.renewing pred ();
+and ensure_renewal t ns v lifetime =
+  if not ns.renewing.(v.v_idx) then begin
+    ns.renewing.(v.v_idx) <- true;
     t.transport.Transport.schedule ~delay:(lifetime /. 2.0) (fun () ->
-        renew t ns pred lifetime)
+        renew t ns v lifetime)
   end
 
 (* Renewals go out in canonical order. *)
-and renew t ns pred lifetime =
-  Hashtbl.remove ns.renewing pred;
-  match Hashtbl.find_opt ns.shipped pred with
+and renew t ns v lifetime =
+  ns.renewing.(v.v_idx) <- false;
+  match ns.shipped.(v.v_idx) with
   | None -> ()
   | Some set when Fset.is_empty set -> ()
   | Some set ->
-    let locopt = Hashtbl.find_opt t.view_locs pred in
     List.iter
       (fun ids ->
         ignore
           (t.transport.Transport.send ~src:ns.name
-             ~dst:(owner_exn locopt pred ids) { pred; ids }))
+             ~dst:(owner_exn v.v_loc v.v_pred ids) { pred = v.v_pred; ids }))
       (sort_canonical (Fset.elements set));
-    ensure_renewal t ns pred lifetime
+    ensure_renewal t ns v lifetime
 
 (* The public injection entry is the system boundary: tuples arriving
    from outside (the driver, a benchmark's event stream, program facts)
@@ -1133,10 +1195,22 @@ let node_store t name = materialized (node t name)
 
 (* Introspection for the incremental-refresh test harness. *)
 let dirty_preds t name = Sset.elements (node t name).dirty
+
+let refresh_strata t =
+  List.map
+    (fun rs ->
+      ( Array.to_list (Array.map (fun v -> v.v_pred) rs.heads),
+        match rs.mode with
+        | Seed _ -> `Seed
+        | Refold _ -> `Refold
+        | Scratch _ -> `Scratch ))
+    t.refresh_plan
 let node_leases t name = Softstate.Expiry.bindings (node t name).expiry
 let incremental t = t.incremental_views
 let refresh_seconds t = t.refresh_wall
 let refresh_walks t = t.refresh_walks
+let refresh_nodes t = t.refresh_nodes
+let refresh_words t = t.refresh_words
 
 let simulator t =
   match t.transport.Transport.sim with

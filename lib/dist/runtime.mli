@@ -187,8 +187,15 @@ val total_inserts : t -> int
 
 val dirty_preds : t -> string -> string list
 (** The node's currently dirty base predicates (sorted) — empty right
-    after a refresh, and always empty when incremental refresh is off.
-    Introspection for the dirty-set lifecycle tests. *)
+    after a refresh, and always empty when incremental refresh is off or
+    the program has no views to refresh.  Introspection for the
+    dirty-set lifecycle tests. *)
+
+val refresh_strata : t -> (string list * [ `Seed | `Refold | `Scratch ]) list
+(** The refresh strata of the view program, bottom-up
+    ({!Ndlog.Eval.refresh_strata}), each with the way a touched one is
+    brought up to date: seeded re-derivation, group-wise re-fold, or
+    recomputation from scratch. *)
 
 val node_leases : t -> string -> ((string * Ndlog.Store.Tuple.t) * float) list
 (** The node's soft-state lease table (key-sorted, with deadlines) —
@@ -203,6 +210,14 @@ val refresh_seconds : t -> float
 
 val refresh_walks : t -> int
 (** Number of view-refresh walks performed since {!create}. *)
+
+val refresh_nodes : t -> int
+(** Number of node refreshes those walks ran (a walk skips a node whose
+    store has not changed since its last refresh). *)
+
+val refresh_words : t -> float
+(** Minor-heap words allocated inside view-refresh walks since
+    {!create} (deterministic for a build and a run). *)
 
 val simulator : t -> msg Netsim.Sim.t
 (** The backing simulator — failure injection and tracing hooks for

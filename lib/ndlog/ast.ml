@@ -180,9 +180,17 @@ let string_of_agg = function
   | Count -> "count"
   | Sum -> "sum"
 
+(* A constant in rule syntax: an address is its bare name (a location
+   specifier's [@] is the argument's, printed by the atom), and a list
+   separates its elements with commas — the forms the parser reads. *)
+let rec pp_const ppf = function
+  | Value.Addr a -> Fmt.string ppf a
+  | Value.List vs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ",") pp_const) vs
+  | v -> Value.pp ppf v
+
 let rec pp_expr ppf = function
   | Var x -> Fmt.string ppf x
-  | Const v -> Value.pp ppf v
+  | Const v -> pp_const ppf v
   | Call (f, args) ->
     Fmt.pf ppf "%s(%a)" f Fmt.(list ~sep:(any ",") pp_expr) args
   | Binop (op, a, b) ->

@@ -275,7 +275,14 @@ let seminaive ?max_rounds ?stats ?optimized_joins (p : Ast.program)
    can be maintained by seeded delta re-derivation.  The refinement
    respects {!Analysis.strata} (every strict edge there is strict
    here), so bottom-up evaluation per refresh stratum reaches the same
-   fixpoint. *)
+   fixpoint.
+
+   Heads of one rank that no chain of non-strict edges connects do not
+   read each other, so each connected component of a rank is a stratum
+   of its own: a plain head and an aggregate head of one rank are then
+   seeded and re-folded apart instead of recomputed together from
+   scratch.  Components of one rank are independent, and are ordered by
+   their least predicate name. *)
 
 type refresh_stratum = {
   rs_preds : string list;  (* head predicates of this stratum, sorted *)
@@ -382,9 +389,38 @@ let refresh_strata (p : Ast.program) : refresh_stratum list =
             m)
         Imap.empty heads
     in
+    (* Union-find over the heads, joined along non-strict edges: a body
+       predicate that is a head of the same rank. *)
+    let parent = Hashtbl.create 16 in
+    let rec root h =
+      match Hashtbl.find_opt parent h with
+      | Some p when p <> h -> root p
+      | _ -> h
+    in
+    List.iter
+      (fun (r : Ast.rule) ->
+        let h = r.head.head_pred in
+        List.iter
+          (fun q ->
+            if List.mem q heads && rank_of q = rank_of h then begin
+              let a = root h and b = root q in
+              if a <> b then Hashtbl.replace parent (max a b) (min a b)
+            end)
+          (Ast.body_preds r.body))
+      p.rules;
+    let components preds =
+      let roots = List.sort_uniq String.compare (List.map root preds) in
+      List.map
+        (fun rt -> List.filter (fun h -> root h = rt) preds)
+        roots
+      |> List.sort compare
+    in
     group
       (Imap.fold
-         (fun r preds acc -> (r, List.sort String.compare preds) :: acc)
+         (fun r preds acc ->
+           List.rev_map (fun c -> (r, c))
+             (components (List.sort String.compare preds))
+           @ acc)
          by_rank []
       |> List.rev)
 

@@ -149,10 +149,23 @@ module Fset = struct
       true
     end
 
-  let iter f s =
-    Array.iter
-      (fun u -> if u != empty_slot && u != tombstone then f u)
-      s.slots
+  (* The first slot at or after [i] that holds a tuple, or the slot
+     count: the one slot walk behind every iteration, so that none
+     allocates a closure of its own. *)
+  let rec next_live slots i =
+    if i >= Array.length slots then i
+    else
+      let u = Array.unsafe_get slots i in
+      if u != empty_slot && u != tombstone then i else next_live slots (i + 1)
+
+  let rec iter_from f slots i =
+    let i = next_live slots i in
+    if i < Array.length slots then begin
+      f (Array.unsafe_get slots i);
+      iter_from f slots (i + 1)
+    end
+
+  let iter f s = iter_from f s.slots 0
 
   let fold f s acc =
     let acc = ref acc in
@@ -160,6 +173,32 @@ module Fset = struct
     !acc
 
   let elements s = fold (fun t acc -> t :: acc) s []
+
+  (* The tuples in one array, in slot order, without an intermediate
+     list. *)
+  let rec fill_from a n slots i =
+    let i = next_live slots i in
+    if i < Array.length slots then begin
+      Array.unsafe_set a n (Array.unsafe_get slots i);
+      fill_from a (n + 1) slots (i + 1)
+    end
+
+  let to_array s =
+    let a = Array.make s.size empty_slot in
+    fill_from a 0 s.slots 0;
+    a
+
+  (* Empty the set in place.  A small slot array is wiped; a large one,
+     left by a burst, is replaced by a minimal one, so a set cleared
+     after every use does not keep its peak size. *)
+  let clear s =
+    if s.frozen then invalid_arg "Fset.clear: frozen set";
+    if s.size + s.tombs > 0 then begin
+      if Array.length s.slots > 32 then s.slots <- Array.make 8 empty_slot
+      else Array.fill s.slots 0 (Array.length s.slots) empty_slot;
+      s.size <- 0;
+      s.tombs <- 0
+    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -180,14 +219,16 @@ let vacant = Fset.empty_slot
    array when there is none) and removing moves the last tuple into the
    hole, so neither rebuilds the bucket.  A one-tuple bucket is a
    one-slot array, smaller than a list cell. *)
-let rec bucket_length (b : int array array) lo hi =
+let rec filled (b : int array array) lo hi =
   (* The first vacant slot in [lo, hi), by bisection: the filled prefix
      is dense. *)
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if Array.unsafe_get b mid == vacant then bucket_length b lo mid
-    else bucket_length b (mid + 1) hi
+    if Array.unsafe_get b mid == vacant then filled b lo mid
+    else filled b (mid + 1) hi
+
+let bucket_length b = filled b 0 (Array.length b)
 
 (* An index: the indexed columns, a key buffer for probing without
    allocating (a key array is allocated only for a new bucket), and the
@@ -214,6 +255,7 @@ type t = {
   mutable last_pred : string;
   mutable last_rel : rel;
   mutable version : int;  (* bumped on every mutation: cache stamps *)
+  mutable card : int;  (* tuples over all relations *)
   mutable jnl : jentry list;  (* newest-first; live iff jmarks > 0 *)
   mutable jlen : int;
   mutable jmarks : int;  (* outstanding marks *)
@@ -239,6 +281,7 @@ let create () =
     last_pred = no_pred;
     last_rel = no_rel;
     version = 0;
+    card = 0;
     jnl = [];
     jlen = 0;
     jmarks = 0;
@@ -286,7 +329,7 @@ let idx_add ix t =
   if load_key ix t then
     match Ktbl.find ix.buckets ix.kbuf with
     | b ->
-      let n = bucket_length b 0 (Array.length b) in
+      let n = filled b 0 (Array.length b) in
       if n < Array.length b then b.(n) <- t
       else begin
         (* Re-bind under a fresh key: [Ktbl.replace] would keep the
@@ -307,7 +350,7 @@ let idx_remove ix t =
     match Ktbl.find ix.buckets ix.kbuf with
     | exception Not_found -> ()
     | b ->
-      let n = bucket_length b 0 (Array.length b) in
+      let n = filled b 0 (Array.length b) in
       let i = position b t 0 n in
       if i < n then
         if n = 1 then Ktbl.remove ix.buckets ix.kbuf
@@ -353,6 +396,7 @@ let add db pred t : bool =
   if Fset.add r.set t then begin
     add_to_indexes t r.indexes;
     touch db;
+    db.card <- db.card + 1;
     journal db { jpred = pred; jtup = t; jadded = true };
     true
   end
@@ -363,6 +407,7 @@ let remove db pred t : bool =
   if r != no_rel && Fset.remove r.set t then begin
     remove_from_indexes t r.indexes;
     touch db;
+    db.card <- db.card - 1;
     journal db { jpred = pred; jtup = t; jadded = false };
     true
   end
@@ -370,8 +415,7 @@ let remove db pred t : bool =
 
 let cardinal db pred = Fset.cardinal (find_rel db pred).set
 
-let is_empty db =
-  Hashtbl.fold (fun _ r acc -> acc && Fset.is_empty r.set) db.rels true
+let is_empty db = db.card = 0
 
 let iter_rel db pred f = Fset.iter f (find_rel db pred).set
 
@@ -410,10 +454,16 @@ let lookup db pred ~(cols : int array) ~(key : int array) : int array array =
     | b -> b
     | exception Not_found -> no_tuples
 
+let rec add_from dst pred slots i =
+  let i = Fset.next_live slots i in
+  if i < Array.length slots then begin
+    ignore (add dst pred (Array.unsafe_get slots i));
+    add_from dst pred slots (i + 1)
+  end
+
 let union_into dst src =
-  Hashtbl.iter
-    (fun pred r -> Fset.iter (fun t -> ignore (add dst pred t)) r.set)
-    src.rels
+  if src.card > 0 then
+    Hashtbl.iter (fun pred r -> add_from dst pred r.set.Fset.slots 0) src.rels
 
 (* ------------------------------------------------------------------ *)
 (* The journal behind in-place view refresh.
@@ -483,6 +533,35 @@ let net_since db (m : mark) : (string * int array list * int array list) list =
         kt;
       (pred, !adds, !rems))
     !preds
+
+(* Every journaled operation since [m], newest first, as
+   [f pred tuple added] — the raw journal, with no netting: an add
+   cancelled by a later remove is reported twice.  O(changes). *)
+let iter_since db (m : mark) f =
+  let rec go n = function
+    | e :: rest when n > 0 ->
+      f e.jpred e.jtup e.jadded;
+      go (n - 1) rest
+    | _ -> ()
+  in
+  go (db.jlen - m) db.jnl
+
+(* Empty the whole database in place, outside any mark: relations keep
+   their (cleared) slot arrays and indexes, so a scratch database
+   reused call after call stops allocating once warm. *)
+let clear db =
+  if db.jmarks > 0 then invalid_arg "Flat.clear: under a journal mark";
+  if db.card > 0 then begin
+    Hashtbl.iter
+      (fun _ r ->
+        if not (Fset.is_empty r.set) then begin
+          Fset.clear r.set;
+          List.iter (fun ix -> Ktbl.reset ix.buckets) r.indexes
+        end)
+      db.rels;
+    db.card <- 0;
+    touch db
+  end
 
 (* Empty one relation through the journaled mutation path (indexes
    patched, removals recorded).  The element snapshot is taken up

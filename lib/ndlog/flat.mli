@@ -33,6 +33,13 @@ module Fset : sig
   val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
   val elements : t -> int array list
 
+  val to_array : t -> int array array
+  (** The tuples in one fresh array (unspecified order). *)
+
+  val clear : t -> unit
+  (** Empty the set in place; a large slot array is replaced by a
+      minimal one. *)
+
   val capacity : t -> int
   (** Current slot-array length (a power of two) — observable so tests
       can pin growth and compaction behavior. *)
@@ -62,11 +69,24 @@ val add : t -> string -> int array -> bool
 val remove : t -> string -> int array -> bool
 
 val cardinal : t -> string -> int
+
 val is_empty : t -> bool
+(** No tuple in any relation: O(1). *)
+
+val clear : t -> unit
+(** Empty every relation (and its indexes) in place, keeping the
+    relations, so a scratch database reused across calls stops
+    allocating once warm.  Not journaled.
+    @raise Invalid_argument under an outstanding {!mark}. *)
+
 val iter_rel : t -> string -> (int array -> unit) -> unit
 
 val vacant : int array
 (** The filler of a {!lookup} bucket's unused tail. *)
+
+val bucket_length : int array array -> int
+(** The tuples of a {!lookup} bucket: the slots before its first
+    {!vacant} one. *)
 
 val lookup : t -> string -> cols:int array -> key:int array -> int array array
 (** Point probe of the [(pred, cols)] secondary index, built on first
@@ -92,6 +112,13 @@ val net_since : t -> mark -> (string * int array list * int array list) list
     the *net* movement (an add cancelled by a later remove reports
     nothing), computed from the journal in O(changes since mark).
     Order of predicates and of tuples within a group is unspecified. *)
+
+val iter_since : t -> mark -> (string -> int array -> bool -> unit) -> unit
+(** Every effective {!add} ([true]) and {!remove} ([false]) since the
+    mark, newest first, without netting: O(changes since mark).  Where
+    no tuple is both added and removed after the mark — an update that
+    only adds, or that removes and adds distinct tuples — this is the
+    net movement that {!net_since} computes, without its tables. *)
 
 val clear_rel : t -> string -> unit
 (** Empty one relation through the journaled mutation path. *)

@@ -498,7 +498,7 @@ let keep_new fdb fresh ~count pred (head : iexpr array) (h : int array) env =
     ignore (Flat.add fresh pred (Array.copy h))
 
 (* The distinct tuples of a relation, as a strand's batch. *)
-let batch (rel : Fset.t) = Array.of_list (Fset.elements rel)
+let batch = Fset.to_array
 
 (* A rule's whole body: its strand entered at its entry atom
    ({!Plan.entry_atom}), the atom's whole relation as one batch,
@@ -527,13 +527,6 @@ let agg_fold_ids (a : Ast.agg) (ids : int list) : int =
   | Ast.Sum, vs ->
     Intern.int_id
       (List.fold_left (fun acc v -> acc + Value.as_int (Intern.of_id v)) 0 vs)
-
-module Ktbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal = Fset.tuple_eq
-  let hash = Fset.tuple_hash
-end)
 
 (* An aggregate rule compiled as its pre-head rule: the plain rule whose
    head carries each aggregated variable in its place.  Its strand emits
@@ -578,11 +571,17 @@ let apply_agg (st : Plan.counters) fdb (a : agg) ~count =
 
 (* A stratum compiled once: its aggregate rules, and one strand per
    plain rule and positive body atom (every later round), of which
-   [entries] holds each rule's strand at its entry atom (round 1). *)
+   [entries] holds each rule's strand at its entry atom (round 1).
+   Rounds collect
+   their new heads in two scratch databases, one round's delta and the
+   next round's, emptied as they are consumed and reused by every run
+   of the stratum. *)
 type stratum = {
   aggs : agg list;
   entries : istrand list;
   strands : istrand list;
+  fresh : Flat.t;
+  spare : Flat.t;
 }
 
 let compile_stratum ?(optimized_joins = true) (rules : Ast.rule list) =
@@ -624,47 +623,62 @@ let compile_stratum ?(optimized_joins = true) (rules : Ast.rule list) =
     aggs = List.map agg agg_rules;
     entries = List.map fst compiled;
     strands = List.concat_map snd compiled;
+    fresh = Flat.create ();
+    spare = Flat.create ();
   }
 
-(* The one semi-naive round loop.  Each round runs every strand whose
-   trigger predicate has [delta] tuples; head tuples not already in
-   [fdb] join it and become the next round's delta, until nothing new
-   appears (converged) or [max_rounds] is reached. *)
-let delta_rounds (st : Plan.counters) fdb (strands : istrand list) ~max_rounds
-    ~rounds ~count (delta : Flat.t) : bool =
-  let rec loop delta =
-    if Flat.is_empty delta then true
-    else if !rounds >= max_rounds then false
-    else begin
-      incr rounds;
-      let fresh = Flat.create () in
-      List.iter
-        (fun s ->
-          let d = Flat.relation delta s.s_delta_pred in
-          if not (Fset.is_empty d) then
-            run_strand st fdb s (batch d)
-              (keep_new fdb fresh ~count (head_pred s) s.s_head s.s_hbuf))
-        strands;
-      Flat.union_into fdb fresh;
-      loop fresh
-    end
-  in
-  loop delta
+(* One semi-naive round: every strand whose trigger predicate has
+   [delta] tuples runs, and the head tuples not already in [fdb] are
+   collected in [fresh], then join [fdb]. *)
+let rec run_strands st fdb ~count delta fresh = function
+  | [] -> ()
+  | x :: rest ->
+    let d = Flat.relation delta x.s_delta_pred in
+    if not (Fset.is_empty d) then
+      run_strand st fdb x (batch d)
+        (keep_new fdb fresh ~count (head_pred x) x.s_head x.s_hbuf);
+    run_strands st fdb ~count delta fresh rest
+
+let round (st : Plan.counters) fdb strands ~rounds ~count delta fresh =
+  incr rounds;
+  run_strands st fdb ~count delta fresh strands;
+  Flat.union_into fdb fresh
+
+(* The one semi-naive round loop, over the stratum's scratch databases:
+   [delta] holds the last round's new heads and [fresh] is empty.
+   Rounds run until nothing new appears (converged) or [max_rounds] is
+   reached, and leave both databases empty. *)
+let rec rounds_from st fdb s ~max_rounds ~rounds ~count delta fresh =
+  if Flat.is_empty delta then true
+  else if !rounds >= max_rounds then begin
+    Flat.clear delta;
+    false
+  end
+  else begin
+    round st fdb s.strands ~rounds ~count delta fresh;
+    Flat.clear delta;
+    rounds_from st fdb s ~max_rounds ~rounds ~count fresh delta
+  end
+
+(* A run interrupted by an exception can leave heads behind. *)
+let empty_scratch s =
+  Flat.clear s.fresh;
+  Flat.clear s.spare
 
 (* Aggregates first, then round 1 — every plain rule whole, its heads
    the first delta — then the round loop. *)
 let eval_stratum (st : Plan.counters) fdb (s : stratum) ~max_rounds ~rounds
     ~count : bool =
   List.iter (apply_agg st fdb ~count) s.aggs;
-  let delta = Flat.create () in
+  empty_scratch s;
   List.iter
     (fun e ->
       run_whole st fdb e
-        (keep_new fdb delta ~count (head_pred e) e.s_head e.s_hbuf))
+        (keep_new fdb s.fresh ~count (head_pred e) e.s_head e.s_hbuf))
     s.entries;
-  Flat.union_into fdb delta;
+  Flat.union_into fdb s.fresh;
   incr rounds;
-  delta_rounds st fdb s.strands ~max_rounds ~rounds ~count delta
+  rounds_from st fdb s ~max_rounds ~rounds ~count s.fresh s.spare
 
 let seminaive_stratum ?(max_rounds = 10_000) ?(stats = Plan.counters ())
     (s : stratum) (fdb : Flat.t) : bool =
@@ -703,12 +717,19 @@ let seminaive ?(max_rounds = 10_000) ?stats ?optimized_joins
    tuples added since that fixpoint.  Sound exactly when the stratum's
    rules are plain and monotone and the support change is purely
    additive (the refresh loop falls back to from-scratch recomputation
-   otherwise). *)
+   otherwise).  [delta] is the caller's and is left as it was: the
+   first round reads it, and the round loop, which empties what it
+   consumes, starts from that round's heads. *)
 let refresh_stratum ?(stats = Plan.counters ()) (fdb : Flat.t) (s : stratum)
     ~(delta : Flat.t) : unit =
-  ignore
-    (delta_rounds stats fdb s.strands ~max_rounds:max_int ~rounds:(ref 0)
-       ~count:(ref 0) delta)
+  if not (Flat.is_empty delta) then begin
+    let rounds = ref 0 and count = ref 0 in
+    empty_scratch s;
+    round stats fdb s.strands ~rounds ~count delta s.fresh;
+    ignore
+      (rounds_from stats fdb s ~max_rounds:max_int ~rounds ~count s.fresh
+         s.spare)
+  end
 
 (* Group-wise maintenance of one aggregate view stratum.
 
@@ -727,6 +748,8 @@ type refold = {
   rf_cols : int array;  (* the body's group-by columns, ascending *)
   rf_key_pos : int array;  (* per group column, a head position reading it *)
   rf_slots : Plan.agg_slot array;  (* one per head argument *)
+  rf_key : int array;  (* scratch: a group key *)
+  rf_hbuf : int array;  (* scratch: a group's head *)
 }
 
 let refold_of_rule (r : Ast.rule) : refold option =
@@ -754,6 +777,8 @@ let refold_of_rule (r : Ast.rule) : refold option =
           rf_cols = Array.of_list cols;
           rf_key_pos = Array.of_list (List.map head_pos cols);
           rf_slots = slots;
+          rf_key = Array.make (List.length cols) 0;
+          rf_hbuf = Array.make (Array.length slots) 0;
         }
 
 (* The whole stratum re-folds only when each head relation is exactly
@@ -770,58 +795,69 @@ let refold_plan (rules : Ast.rule list) : refold list option =
   then Some refolds
   else None
 
+(* The touched body tuples of [rf] — added or removed, of the body's
+   arity — sorted by group key. *)
+let touched_rows rf ~added ~removed =
+  let a = Flat.relation added rf.rf_body
+  and r = Flat.relation removed rf.rf_body in
+  let rows = Array.append (Fset.to_array a) (Fset.to_array r) in
+  let rows =
+    if Array.for_all (fun t -> Array.length t = rf.rf_arity) rows then rows
+    else
+      Array.of_list
+        (List.filter (fun t -> Array.length t = rf.rf_arity) (Array.to_list rows))
+  in
+  if Array.length rows > 1 then
+    Array.sort (fun a b -> compare_at rf.rf_cols a b 0) rows;
+  rows
+
 (* One index probe per touched group, on the body relation's group
    columns and on the head relation's key positions: the cost follows
-   the touched groups, not the relations' sizes. *)
+   the touched groups, not the relations' sizes.  The group's head is
+   built in scratch and copied only when it replaces the old one. *)
+let refold_group (st : Plan.counters) fdb rf =
+  let key = rf.rf_key in
+  st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
+  let bucket = Flat.lookup fdb rf.rf_body ~cols:rf.rf_cols ~key in
+  (* The group's rows, last-filled first. *)
+  let rows = ref [] in
+  for j = 0 to Flat.bucket_length bucket - 1 do
+    st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
+    if Array.length bucket.(j) = rf.rf_arity then begin
+      st.Plan.c_matched <- st.Plan.c_matched + 1;
+      rows := bucket.(j) :: !rows
+    end
+  done;
+  (* The previous head of the group: one at most, since the head
+     relation holds exactly this rule's previous output. *)
+  let prev = (Flat.lookup fdb rf.rf_head ~cols:rf.rf_key_pos ~key).(0) in
+  match !rows with
+  | [] -> if prev != Flat.vacant then ignore (Flat.remove fdb rf.rf_head prev)
+  | t :: _ ->
+    let h = rf.rf_hbuf in
+    for j = 0 to Array.length rf.rf_slots - 1 do
+      h.(j) <-
+        (match rf.rf_slots.(j) with
+        | Plan.Group i -> t.(i)
+        | Plan.Fold (agg, i) ->
+          agg_fold_ids agg (List.map (fun t -> t.(i)) !rows))
+    done;
+    if not (prev != Flat.vacant && Fset.tuple_eq prev h) then begin
+      if prev != Flat.vacant then ignore (Flat.remove fdb rf.rf_head prev);
+      ignore (Flat.add fdb rf.rf_head (Array.copy h))
+    end
+
 let refold_one (st : Plan.counters) fdb ~added ~removed (rf : refold) =
-  let touched : unit Ktbl.t = Ktbl.create 16 in
-  let touch t =
-    if Array.length t = rf.rf_arity then
-      Ktbl.replace touched (Array.map (fun c -> t.(c)) rf.rf_cols) ()
-  in
-  Flat.iter_rel added rf.rf_body touch;
-  Flat.iter_rel removed rf.rf_body touch;
-  Ktbl.iter
-    (fun key () ->
-      st.Plan.c_index_hits <- st.Plan.c_index_hits + 1;
-      let bucket = Flat.lookup fdb rf.rf_body ~cols:rf.rf_cols ~key in
-      let rec rows i acc =
-        if i >= Array.length bucket || bucket.(i) == Flat.vacant then acc
-        else begin
-          let t = bucket.(i) in
-          st.Plan.c_enumerated <- st.Plan.c_enumerated + 1;
-          if Array.length t = rf.rf_arity then begin
-            st.Plan.c_matched <- st.Plan.c_matched + 1;
-            rows (i + 1) (t :: acc)
-          end
-          else rows (i + 1) acc
-        end
-      in
-      let rows = rows 0 [] in
-      let fresh =
-        match rows with
-        | [] -> None
-        | first :: _ ->
-          Some
-            (Array.map
-               (function
-                 | Plan.Group i -> first.(i)
-                 | Plan.Fold (agg, i) ->
-                   agg_fold_ids agg (List.map (fun t -> t.(i)) rows))
-               rf.rf_slots)
-      in
-      (* The previous head of the group: one at most, since the head
-         relation holds exactly this rule's previous output. *)
-      let prev =
-        let b = Flat.lookup fdb rf.rf_head ~cols:rf.rf_key_pos ~key in
-        if b.(0) == Flat.vacant then None else Some b.(0)
-      in
-      match prev, fresh with
-      | Some h, Some h' when Fset.tuple_eq h h' -> ()
-      | prev, fresh ->
-        Option.iter (fun h -> ignore (Flat.remove fdb rf.rf_head h)) prev;
-        Option.iter (fun h -> ignore (Flat.add fdb rf.rf_head h)) fresh)
-    touched
+  let rows = touched_rows rf ~added ~removed in
+  for k = 0 to Array.length rows - 1 do
+    let t = rows.(k) in
+    if k = 0 || compare_at rf.rf_cols rows.(k - 1) t 0 <> 0 then begin
+      for j = 0 to Array.length rf.rf_cols - 1 do
+        rf.rf_key.(j) <- t.(rf.rf_cols.(j))
+      done;
+      refold_group st fdb rf
+    end
+  done
 
 let refold_stratum ?(stats = Plan.counters ()) (fdb : Flat.t)
     ~(refolds : refold list) ~(added : Flat.t) ~(removed : Flat.t) : unit =

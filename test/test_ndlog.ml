@@ -105,6 +105,103 @@ let test_parse_roundtrip () =
     (List.length p2.Ast.rules);
   checks "second print is stable" printed (Ast.program_to_string p2)
 
+(* Printing a rule and parsing it back gives the same AST: every rule
+   of the canonical programs, and generated rules whose atoms and heads
+   are located at address constants as well as variables. *)
+let rule_reparses (r : Ast.rule) =
+  let text = Fmt.str "%a" Ast.pp_rule r in
+  match Parser.parse_program text with
+  | Ok { Ast.rules = [ r' ]; _ } -> r' = r
+  | Ok _ -> QCheck.Test.fail_reportf "%s: not one rule" text
+  | Error e -> QCheck.Test.fail_reportf "%s: %s" text e
+
+let test_canonical_rules_reparse () =
+  List.iter
+    (fun (p : Ast.program) ->
+      List.iter
+        (fun r ->
+          checkb (Fmt.str "%a" Ast.pp_rule r) true (rule_reparses r))
+        p.Ast.rules)
+    [
+      Programs.path_vector ();
+      Programs.distance_vector ();
+      Programs.bounded_distance_vector ~max_hops:3;
+      Programs.reachability ();
+      Programs.link_state ~max_hops:3;
+      Programs.heartbeat ~lifetime:10;
+    ]
+
+let rule_gen : Ast.rule QCheck.Gen.t =
+  let open QCheck.Gen in
+  let var = oneofl [ "S"; "D"; "X"; "C1" ] in
+  let addr = map (fun a -> Ast.Const (V.Addr a)) (oneofl [ "n"; "n0"; "ab" ]) in
+  let const =
+    oneof
+      [
+        addr;
+        map (fun n -> Ast.Const (V.Int n)) (int_range (-5) 5);
+        map (fun b -> Ast.Const (V.Bool b)) bool;
+        return (Ast.Const (V.Str "s"));
+        return (Ast.Const (V.List [ V.Addr "n"; V.Int 1 ]));
+      ]
+  in
+  let expr =
+    frequency
+      [
+        (3, map Ast.var var);
+        (3, const);
+        ( 1,
+          map2 (fun x n -> Ast.Binop (Ast.Add, Ast.Var x, Ast.cint n)) var
+            (int_range (-2) 2) );
+      ]
+  in
+  (* Arguments with the location, if any, at a variable or an address
+     constant. *)
+  let located =
+    int_range 1 3 >>= fun n ->
+    list_repeat n expr >>= fun args ->
+    oneof
+      [
+        return (args, None);
+        ( int_bound (n - 1) >>= fun i ->
+          oneof [ addr; map Ast.var var ] >|= fun at ->
+          (List.mapi (fun j e -> if j = i then at else e) args, Some i) );
+      ]
+  in
+  let atom =
+    pair (oneofl [ "p"; "link"; "obs" ]) located >|= fun (pred, (args, loc)) ->
+    { Ast.pred; loc; args }
+  in
+  let head =
+    pair (oneofl [ "h"; "best" ]) located >>= fun (head_pred, (args, head_loc)) ->
+    let plain = List.map (fun e -> Ast.Plain e) args in
+    (* An aggregate goes last, away from the location. *)
+    oneof
+      [
+        return plain;
+        map (fun x -> plain @ [ Ast.Agg (Ast.Min, x) ]) var;
+      ]
+    >|= fun head_args -> { Ast.head_pred; head_loc; head_args }
+  in
+  let lit =
+    frequency
+      [
+        (4, map (fun a -> Ast.Pos a) atom);
+        (1, map (fun a -> Ast.Neg a) atom);
+        (1, map2 (fun x n -> Ast.Cond (Ast.Lt, Ast.Var x, Ast.cint n)) var small_nat);
+      ]
+  in
+  map3
+    (fun rule_name head body -> { Ast.rule_name; head; body })
+    (opt (oneofl [ "r1"; "v2" ]))
+    head
+    (list_size (int_range 1 4) lit)
+
+let prop_generated_rules_reparse =
+  QCheck.Test.make ~count:300 ~name:"pp_rule then parse is the rule"
+    (QCheck.make ~print:(Fmt.str "%a" Ast.pp_rule) rule_gen)
+    rule_reparses
+
 let test_parse_errors () =
   let bad src =
     match Parser.parse_program src with
@@ -2396,6 +2493,9 @@ let () =
           Alcotest.test_case "lifetimes" `Quick test_parse_soft_lifetime;
           Alcotest.test_case "env errors" `Quick test_env_errors;
           Alcotest.test_case "value printing" `Quick test_value_pp_forms;
+          Alcotest.test_case "canonical rules print and parse back" `Quick
+            test_canonical_rules_reparse;
+          QCheck_alcotest.to_alcotest prop_generated_rules_reparse;
         ] );
       ( "analysis",
         [

@@ -68,20 +68,51 @@ let test_queue_interleaved () =
    [(time, tie, payload)] kept sorted by [(time, tie)], with the tie
    counter mirroring the queue's insertion sequence. *)
 
-type model_op = Push of float | Pop | Clear
+type model_op =
+  | Push of float
+  | Push_after of float  (* at the last taken event's time plus a delay *)
+  | Revisit of float * float  (* t1, t2, then t1 again *)
+  | Burst of float list  (* many pushes back to back *)
+  | Pop
+  | Clear
+
+(* Coarse times force plenty of exact ties; time 0 comes as [0.0] or
+   [-0.0], which the queue treats as one instant. *)
+let time_gen =
+  QCheck.Gen.(
+    map2
+      (fun t neg -> if t = 0 && neg then -0.0 else float_of_int t)
+      (int_bound 8) bool)
 
 let model_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (* Coarse times force plenty of exact ties. *)
-        (6, map (fun t -> Push (float_of_int t)) (int_bound 8));
-        (3, return Pop);
+        (6, map (fun t -> Push t) time_gen);
+        (* A delay of 0 pushes into the instant still draining, as a
+           simulator's zero-delay flush does. *)
+        (4, map (fun d -> Push_after d) (oneofl [ 0.0; 0.0; 0.5; 1.0; 2.0 ]));
+        (1, map2 (fun a b -> Revisit (a, b)) time_gen time_gen);
+        (* Deeper than 2,000 events: a few stretches of one time each,
+           up to 1,500 events long, as a simulator's instants are. *)
+        ( 1,
+          frequency
+            [
+              (9, return []);
+              (1, list_size (int_range 2 4) (pair (int_range 500 1500) time_gen));
+            ]
+          >|= fun segs ->
+          Burst (List.concat_map (fun (n, t) -> List.init n (fun _ -> t)) segs)
+        );
+        (5, return Pop);
         (1, return Clear);
       ])
 
 let pp_model_op = function
   | Push t -> Printf.sprintf "Push %g" t
+  | Push_after d -> Printf.sprintf "Push_after %g" d
+  | Revisit (a, b) -> Printf.sprintf "Revisit (%g, %g)" a b
+  | Burst ts -> Printf.sprintf "Burst <%d>" (List.length ts)
   | Pop -> "Pop"
   | Clear -> "Clear"
 
@@ -92,31 +123,47 @@ let model_ops_arb =
 
 let prop_queue_matches_model ops =
   let q = Eq.create () in
-  (* Model: sorted insertion keeps (time, tie) order; [tie] mirrors the
-     queue's insertion sequence, resetting on clear exactly as the
-     queue's does. *)
+  (* Model: a list of [(time, tie, payload)] sorted by (time, tie);
+     [tie] mirrors the queue's insertion sequence, resetting on clear
+     exactly as the queue's does.  A push sorts in after every entry of
+     an equal or earlier time (every queued tie is smaller), and a burst
+     merges in whole. *)
   let model = ref [] in
   let tie = ref 0 in
-  let model_insert t payload =
-    let entry = (t, !tie, payload) in
-    incr tie;
-    let rec ins = function
-      | [] -> [ entry ]
-      | ((t', tie', _) as e) :: rest ->
-        if t' < t || (t' = t && tie' < !tie) then e :: ins rest
-        else entry :: e :: rest
-    in
-    model := ins !model
-  in
   let next_payload = ref 0 in
-  List.iteri
-    (fun _ op ->
-      (match op with
-      | Push t ->
-        let payload = !next_payload in
+  let now = ref 0.0 in
+  let entries times =
+    List.map
+      (fun t ->
+        let e = (t, !tie, !next_payload) in
+        Eq.push q ~time:t !next_payload;
+        incr tie;
         incr next_payload;
-        Eq.push q ~time:t payload;
-        model_insert t payload
+        e)
+      times
+  in
+  let rec merge a b =
+    match a, b with
+    | [], l | l, [] -> l
+    | ((ta, _, _) as x) :: a', ((tb, _, _) as y) :: b' ->
+      if tb < ta then y :: merge a b' else x :: merge a' b
+  in
+  let push_all times =
+    let es = entries times in
+    model :=
+      merge !model
+        (List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) es)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Push t -> push_all [ t ]
+      | Push_after d -> push_all [ !now +. d ]
+      | Revisit (a, b) ->
+        push_all [ a ];
+        push_all [ b ];
+        push_all [ a ]
+      | Burst ts -> push_all ts
       | Pop -> (
         match (pop q, !model) with
         | None, [] ->
@@ -127,6 +174,7 @@ let prop_queue_matches_model ops =
           | exception Invalid_argument _ -> ())
         | Some (t, v), (mt, _, mv) :: rest ->
           model := rest;
+          now := t;
           if t <> mt || v <> mv then
             QCheck.Test.fail_reportf "pop (%g, %d) but model says (%g, %d)" t v
               mt mv
