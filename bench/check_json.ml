@@ -1,5 +1,5 @@
 (* Validate a benchmark ledger against the format [Ledger] states:
-   schema 13, every section's rows with each column's key, kind and
+   schema 14, every section's rows with each column's key, kind and
    requirement, each section's figures and own checks, and a non-empty
    history.  Run by the @bench-smoke alias on a fresh quick ledger, so
    a broken emitter, a sweep that stops completing, a run diverging

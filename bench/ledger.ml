@@ -1,4 +1,4 @@
-(* The benchmark ledger's format (BENCH_ndlog.json, schema 13), stated
+(* The benchmark ledger's format (BENCH_ndlog.json, schema 14), stated
    once.  Each experiment it records (E7, E13–E17) is a [section]: a
    row record, one column list over it (JSON key, kind, value,
    requirement and optional table cell), the figures computed over the
@@ -6,10 +6,12 @@
    ([cells]), the document ([document]) and its validation ([check])
    all come from those lists; the harness only fills the rows.
 
-   Every regeneration appends a history entry: the run's meta fields,
-   each section's row count as [<section>_rows] and its figures flagged
-   [history] as [<section>_<key>].  Older entries keep the fields of
-   their schema (12 dropped E8, 13 dropped E11/E12), so only the meta
+   Every regeneration appends a history entry: the run's meta fields
+   and, for each section it ran, the row count as [<section>_rows] and
+   the figures flagged [history] as [<section>_<key>]; a section it did
+   not run is carried forward from the previous ledger.  Older entries
+   keep the fields of their schema (12 dropped E8, 13 dropped E11/E12,
+   14 added E13's walk counts and on-demand run), so only the meta
    fields are required of them. *)
 
 type kind = Int | Float | Str | Bool
@@ -236,9 +238,12 @@ type incr_row = {
   iv_n : int;
   iv_nodes : int;
   iv_tuples : int;  (* global fixpoint database size *)
-  iv_msgs : int;  (* messages sent (identical in both modes) *)
-  iv_incr_ms : float;
-  iv_scratch_ms : float;
+  iv_msgs : int;  (* messages sent, all stages (identical in all runs) *)
+  iv_incr_ms : float;  (* incremental, one instant per run *)
+  iv_scratch_ms : float;  (* from-scratch, one instant per run *)
+  iv_walks : int;  (* refresh walks of the stepped incremental run *)
+  iv_on_demand_ms : float;  (* incremental, one run per stage *)
+  iv_on_demand_walks : int;  (* its refresh walks: one per stage *)
   iv_skipped : int;  (* incremental run: untouched strata skipped *)
   iv_refolded : int;  (* incremental run: aggregate strata re-folded *)
   iv_fallbacks : int;  (* incremental run: from-scratch fallbacks *)
@@ -281,6 +286,11 @@ let e13 =
       float ~head:"scratch" ~fmt:"%.1f ms" "scratch_ms" (fun r ->
           r.iv_scratch_ms);
       speedup (fun r -> r.iv_scratch_ms /. Float.max 1e-6 r.iv_incr_ms);
+      int ~req:Positive ~head:"walks" ~fmt:"%d" "walks" (fun r -> r.iv_walks);
+      float ~head:"on demand" ~fmt:"%.1f ms" "on_demand_ms" (fun r ->
+          r.iv_on_demand_ms);
+      int ~req:Positive ~head:"od walks" ~fmt:"%d" "on_demand_walks"
+        (fun r -> r.iv_on_demand_walks);
       skipped;
       int ~head:"refolded" ~fmt:"%d" "strata_refolded" (fun r ->
           r.iv_refolded);
@@ -767,7 +777,7 @@ let unix_time = int "unix_time" (fun m -> m.unix_time)
 let flags =
   [ bool "quick" (fun m -> m.quick); int "host_cores" (fun m -> m.host_cores) ]
 
-let schema = ("schema", 13)
+let schema = ("schema", 14)
 let history = "history"
 let field m c = (c.key, c.get m)
 
@@ -796,23 +806,40 @@ let history_fields (Any s) =
          if c.history then Some (s.name ^ "_" ^ c.key, c.get rows) else None)
        (s.figures @ Option.to_list s.verdict)
 
-(* The history carried by a previous ledger, empty when it has none. *)
-let prior_history v = items history v
+let ran (Any s) = !(s.rows) <> []
 
-(* The ledger of the sections' current rows, with [prior] history and
-   this run's entry appended. *)
+(* The ledger of this run over the previous one, [prior].  A section
+   that ran writes its rows; one that did not is carried forward from
+   [prior] as it stands, so a partial sweep replaces only what it ran.
+   [prior]'s history is carried too, and this run's entry appended,
+   holding the figures of the sections that ran.  [Error names] when a
+   section that did not run has nothing to carry forward. *)
 let document meta ~prior =
-  let entry =
-    Json.Obj
-      (field meta unix_time
-       :: List.map (field meta) flags
-      @ List.concat_map history_fields sections)
-  in
-  Json.Obj
-    (((fst schema, Json.Int (snd schema))
-     :: List.map (field meta) (flags @ [ unix_time ]))
-    @ List.map section_json sections
-    @ [ (history, Json.Arr (prior @ [ entry ])) ])
+  let carried (Any s) = Option.bind prior (Json.member s.name) in
+  match
+    List.filter_map
+      (fun (Any s as a) ->
+        if ran a || carried a <> None then None else Some s.name)
+      sections
+  with
+  | _ :: _ as missing -> Error missing
+  | [] ->
+    let section (Any s as a) =
+      if ran a then section_json a else (s.name, Option.get (carried a))
+    in
+    let entry =
+      Json.Obj
+        (field meta unix_time
+         :: List.map (field meta) flags
+        @ List.concat_map history_fields (List.filter ran sections))
+    in
+    let prior_history = Option.fold ~none:[] ~some:(items history) prior in
+    Ok
+      (Json.Obj
+         (((fst schema, Json.Int (snd schema))
+          :: List.map (field meta) (flags @ [ unix_time ]))
+         @ List.map section sections
+         @ [ (history, Json.Arr (prior_history @ [ entry ])) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Validation. *)

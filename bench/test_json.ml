@@ -140,13 +140,16 @@ let rejections =
   let cons_32 = "cons onto interned path (length 32)" in
   let plain = is "mode" (Json.Str "plain") in
   [
-    ("schema", "schema=13", set [ K "schema" ] (Json.Int 12));
+    ("schema", "schema=14", set [ K "schema" ] (Json.Int 13));
     ("top-level key", "host_cores", drop [ K "host_cores" ]);
     ("e7 row key", "speedup", drop (sweep "e7" 0 "speedup"));
     ( "e7 fixpoint", "fixpoint",
       set (sweep "e7" 0 "same_fixpoint") (Json.Bool false) );
     ("e7 sweeps", "e7 sweeps", set [ K "e7"; K "sweeps" ] (Json.Arr []));
     ("e13 row key", "enum_reduced", drop (sweep "e13" 2 "enum_reduced"));
+    ("e13 on-demand key", "on_demand_ms", drop (sweep "e13" 1 "on_demand_ms"));
+    ( "e13 walks positive", "non-positive",
+      set (sweep "e13" 0 "on_demand_walks") (Json.Int 0) );
     ( "e13 fixpoint", "fixpoint",
       set (sweep "e13" 0 "same_fixpoint") (Json.Bool false) );
     ( "e13 strict skipped", "skipped no strata",
@@ -233,4 +236,32 @@ let check_ledger path =
     rejections;
   Fmt.pr "ledger check: ok (%d rejections)@." (List.length rejections)
 
-let () = check_ledger Sys.argv.(1)
+(* [Ledger.document] with no section run: every section carried
+   forward from the ledger, which then checks and gains one history
+   entry; with no ledger to carry from, every section is named
+   missing. *)
+let check_carry path =
+  let ledger = Result.get_ok (Json.of_file path) in
+  let meta = { Ledger.quick = true; host_cores = 1; unix_time = 0 } in
+  let entries v = List.length (Ledger.items Ledger.history v) in
+  (match Ledger.document meta ~prior:(Some ledger) with
+  | Error missing -> fail "nothing carried for %s" (String.concat ", " missing)
+  | Ok doc -> (
+    match Ledger.check doc with
+    | Error e -> fail "carried ledger rejected: %s" e
+    | Ok () ->
+      if entries doc <> entries ledger + 1 then
+        fail "carried ledger has %d history entries, not %d" (entries doc)
+          (entries ledger + 1)));
+  (match Ledger.document meta ~prior:None with
+  | Ok _ -> fail "a ledger with no rows and nothing to carry was built"
+  | Error missing ->
+    let all = List.map (fun (Ledger.Any s) -> s.Ledger.name) Ledger.sections in
+    if missing <> all then
+      fail "missing sections %s, expected %s" (String.concat ", " missing)
+        (String.concat ", " all));
+  Fmt.pr "ledger carry: ok@."
+
+let () =
+  check_ledger Sys.argv.(1);
+  check_carry Sys.argv.(1)

@@ -30,6 +30,17 @@
    best-path displacing a worse one) are handled by view refresh rather
    than by distributed deletion.
 
+   When a refresh runs is fixed at [create], from the program.  A
+   hard-state program whose view heads all stay at the deriving node
+   refreshes on demand: nothing between two observations reads a view
+   (every rule that reads one is itself a view rule, views are neither
+   shipped nor leased), so a store change only marks the views stale,
+   and one walk brings them up to date when they are read — at the end
+   of [run] and in [node_store] / [global_store].  Hard state bounds
+   the dirty tuples a node accumulates meanwhile by its store.  Every
+   other program — soft state, or views shipped to other nodes — walks
+   once per instant that changed a store, through a zero-delay event.
+
    View refresh is incremental by default ([~incremental_views:true]):
    each node tracks its *dirty* base predicates — those whose relations
    changed since its last refresh, marked by local insertions, the
@@ -231,6 +242,12 @@ type t = {
      refreshes. *)
   joins : Plan.counters;
   wire : Plan.counters;
+  (* Whether views refresh on demand (see the header), fixed at
+     [create]: the program has no soft-state predicate and no view rule
+     can place its head at another node. *)
+  on_demand : bool;
+  (* A refresh is owed: a walk is scheduled, or, on demand, the views
+     are stale until the next observation. *)
   mutable refresh_pending : bool;
   (* Wall-clock spent inside [refresh_views], the number of walks, the
      node refreshes they ran and the minor-heap words those allocated:
@@ -351,6 +368,39 @@ let split_views (p : Ast.program) : string list * Ast.program * Ast.program =
     { p with Ast.rules = view_rules; facts = [] },
     { p with Ast.rules = pipeline_rules } )
 
+(* Whether rule [r] can place its head at another node than the one
+   deriving it: its head has a location that is not the body's location
+   variable. *)
+let remote_capable (r : Ast.rule) =
+  let head = r.Ast.head in
+  match head.Ast.head_loc with
+  | None -> false
+  | Some i -> (
+    let head_var =
+      match List.nth_opt head.Ast.head_args i with
+      | Some (Ast.Plain (Ast.Var x)) -> Some x
+      | _ -> None
+    in
+    let body_var =
+      List.find_map
+        (function
+          | Ast.Pos a | Ast.Neg a -> Ndlog.Localize.loc_var_of_atom a
+          | _ -> None)
+        r.Ast.body
+    in
+    match head_var, body_var with
+    | Some h, Some b -> h <> b
+    | _ -> true)
+
+(* The soft-state predicates [p] declares. *)
+let soft_preds (p : Ast.program) =
+  List.filter_map
+    (fun (d : Ast.decl) ->
+      match d.Ast.decl_lifetime with
+      | Ast.Lifetime _ -> Some d.Ast.decl_pred
+      | Ast.Lifetime_forever -> None)
+    p.Ast.decls
+
 (* The header's promised [check]: view relations are replaced wholesale
    on refresh, so a view tuple stored at another node can only be
    retracted by some mechanism at the receiver.  Soft view predicates
@@ -364,14 +414,7 @@ let split_views (p : Ast.program) : string list * Ast.program * Ast.program =
    a superseded aggregate is the documented stale-view caveat, not a
    deletion.) *)
 let check_remote_views (p : Ast.program) (view_program : Ast.program) =
-  let soft =
-    List.filter_map
-      (fun (d : Ast.decl) ->
-        match d.Ast.decl_lifetime with
-        | Ast.Lifetime _ -> Some d.Ast.decl_pred
-        | Ast.Lifetime_forever -> None)
-      p.decls
-  in
+  let soft = soft_preds p in
   let is_soft pred = List.mem pred soft in
   let rules_of pred =
     List.filter (fun (r : Ast.rule) -> r.head.Ast.head_pred = pred) p.rules
@@ -399,27 +442,7 @@ let check_remote_views (p : Ast.program) (view_program : Ast.program) =
   List.iter
     (fun (r : Ast.rule) ->
       let head = r.head in
-      let remote_capable =
-        match head.Ast.head_loc with
-        | None -> false
-        | Some i -> (
-          let head_var =
-            match List.nth_opt head.Ast.head_args i with
-            | Some (Ast.Plain (Ast.Var x)) -> Some x
-            | _ -> None
-          in
-          let body_var =
-            List.find_map
-              (function
-                | Ast.Pos a | Ast.Neg a -> Ndlog.Localize.loc_var_of_atom a
-                | _ -> None)
-              r.body
-          in
-          match head_var, body_var with
-          | Some h, Some b -> h <> b
-          | _ -> true)
-      in
-      if remote_capable && not (is_soft head.Ast.head_pred) then begin
+      if remote_capable r && not (is_soft head.Ast.head_pred) then begin
         let cause =
           if has_neg r then Some (Negation_dependency head.Ast.head_pred)
           else support [] (Ast.body_preds r.body)
@@ -567,6 +590,10 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
     }
   in
   let refresh_plan = List.map resolve (Eval.refresh_strata view_program) in
+  let on_demand =
+    soft_preds program = []
+    && not (List.exists remote_capable view_program.Ast.rules)
+  in
   let t =
     {
       program = pipeline_program;
@@ -588,6 +615,7 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
       moved_rems = Array.make nviews [];
       joins = Plan.counters ();
       wire = Plan.counters ();
+      on_demand;
       refresh_pending = false;
       refresh_wall = 0.0;
       refresh_walks = 0;
@@ -791,14 +819,26 @@ and sweep t ns =
   end;
   schedule_expiry t ns
 
-(* View refresh is batched through a zero-delay event so that a burst of
-   insertions triggers one recomputation. *)
+(* Owe a view refresh.  On demand it only marks the views stale: the
+   walk runs when they are next read ([settle]), once for however many
+   instants changed the stores since.  Otherwise it is batched through
+   a zero-delay event, so that a burst of insertions at one instant
+   triggers one recomputation. *)
 and request_refresh t =
   if not t.refresh_pending then begin
     t.refresh_pending <- true;
-    t.transport.Transport.schedule ~delay:0.0 (fun () ->
-        t.refresh_pending <- false;
-        refresh_views t)
+    if not t.on_demand then
+      t.transport.Transport.schedule ~delay:0.0 (fun () ->
+          t.refresh_pending <- false;
+          refresh_views t)
+  end
+
+(* Run the walk an on-demand runtime owes, before its views are read.
+   (A scheduled walk is the event loop's to run.) *)
+and settle t =
+  if t.on_demand && t.refresh_pending then begin
+    t.refresh_pending <- false;
+    refresh_views t
   end
 
 (* Incremental mode refreshes only stale nodes: a non-stale node's
@@ -1164,6 +1204,7 @@ let run ?(until = infinity) ?(max_events = 1_000_000) t =
   let before_joins = Plan.snapshot t.joins in
   let before_wire = Plan.snapshot t.wire in
   let stats = t.transport.Transport.run ~until ~max_events in
+  settle t;
   let wire_stats = diff_stats (Plan.snapshot t.wire) before_wire in
   let view_stats = diff_stats (Plan.snapshot t.joins) before_joins in
   {
@@ -1188,10 +1229,14 @@ let materialized ns =
 (* The union of all node stores: the global database the distributed
    execution computed; comparable against the centralized evaluator. *)
 let global_store t =
+  settle t;
   Hashtbl.fold (fun _ ns acc -> Store.union (materialized ns) acc) t.nodes
     Store.empty
 
-let node_store t name = materialized (node t name)
+let node_store t name =
+  let ns = node t name in
+  settle t;
+  materialized ns
 
 (* Introspection for the incremental-refresh test harness. *)
 let dirty_preds t name = Sset.elements (node t name).dirty
@@ -1207,6 +1252,7 @@ let refresh_strata t =
     t.refresh_plan
 let node_leases t name = Softstate.Expiry.bindings (node t name).expiry
 let incremental t = t.incremental_views
+let refreshes_on_demand t = t.on_demand
 let refresh_seconds t = t.refresh_wall
 let refresh_walks t = t.refresh_walks
 let refresh_nodes t = t.refresh_nodes

@@ -58,6 +58,17 @@
     the fallback.  Skips,
     re-folds and fallbacks are counted ([strata_skipped] /
     [strata_refolded] / [refresh_fallbacks]).
+
+    When refresh runs is decided at {!create}, from the program.  A
+    program with no soft-state predicate whose view rules all keep
+    their heads at the deriving node refreshes {e on demand}: no strand,
+    message or lease can read its views, so a store change only marks
+    them stale, and one walk brings every stale node up to date when
+    the views are next read — at the end of {!run} (before its report
+    is taken) and in {!node_store} / {!global_store}.  Any other
+    program walks once per simulated instant that changed a store,
+    through a zero-delay event.  Stores, traces, messages and leases
+    are the same either way at every observation point.
     [~incremental_views:false] restores the from-scratch refresh, kept
     as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
@@ -170,6 +181,9 @@ type run_report = {
 }
 
 val run : ?until:float -> ?max_events:int -> t -> run_report
+(** Run the transport until quiescence, [until] or [max_events], then
+    run the refresh walk an on-demand runtime owes, so the report and
+    the stores read after it are up to date. *)
 
 val global_store : t -> Ndlog.Store.t
 (** Union of all node stores: the global database the distributed
@@ -188,8 +202,8 @@ val total_inserts : t -> int
 val dirty_preds : t -> string -> string list
 (** The node's currently dirty base predicates (sorted) — empty right
     after a refresh, and always empty when incremental refresh is off or
-    the program has no views to refresh.  Introspection for the
-    dirty-set lifecycle tests. *)
+    the program has no views to refresh.  Reading them runs no refresh.
+    Introspection for the dirty-set lifecycle tests. *)
 
 val refresh_strata : t -> (string list * [ `Seed | `Refold | `Scratch ]) list
 (** The refresh strata of the view program, bottom-up
@@ -204,6 +218,10 @@ val node_leases : t -> string -> ((string * Ndlog.Store.Tuple.t) * float) list
 val incremental : t -> bool
 (** Whether this runtime refreshes views incrementally. *)
 
+val refreshes_on_demand : t -> bool
+(** Whether this runtime's views refresh when read rather than once per
+    instant (fixed by the program at {!create}). *)
+
 val refresh_seconds : t -> float
 (** Cumulative wall-clock seconds spent in view-refresh walks since
     {!create} — the refresh-cost share the churn benchmark reports. *)
@@ -213,7 +231,8 @@ val refresh_walks : t -> int
 
 val refresh_nodes : t -> int
 (** Number of node refreshes those walks ran (a walk skips a node whose
-    store has not changed since its last refresh). *)
+    store has not changed since its last refresh; on demand, one node
+    refresh covers every change since the node's last one). *)
 
 val refresh_words : t -> float
 (** Minor-heap words allocated inside view-refresh walks since

@@ -41,7 +41,9 @@
    read ({!Wire.read_frame}): a worker that hangs fails the run with a
    typed error, and one that dies closes its channel (a typed
    truncation).  After convergence the supervisor collects each
-   worker's final store ([Dump] / [Store_dump]), dismisses the workers
+   worker's final store ([Dump] / [Store_dump]) — every [Dump] goes out
+   before any reply is read, so the workers build their dumps (and run
+   the view refresh a dump reads) in parallel — dismisses the workers
    ([Bye]), and reaps them; on failure it kills and reaps them.  The
    control channels close on every exit path. *)
 
@@ -289,12 +291,15 @@ let run ?(timeout = 10.0) (topo : Netsim.Topology.t) (program : Ndlog.Ast.progra
     raise e
   | snap, polls ->
     let wall_seconds = Unix.gettimeofday () -. t0 in
-    (* Collect final stores, dismiss, reap. *)
+    (* Collect final stores — all requested before any is read, so the
+       workers dump in parallel — then dismiss and reap. *)
     let stores =
       try
+        List.iter
+          (fun w -> ignore (Wire.write_frame w.w_ctl Wire.Dump))
+          workers;
         List.concat_map
           (fun w ->
-            ignore (Wire.write_frame w.w_ctl Wire.Dump);
             reply w (function Wire.Store_dump d -> Some d | _ -> None)
             |> List.map (fun (nm, rels) ->
                    ( nm,

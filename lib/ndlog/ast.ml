@@ -242,8 +242,8 @@ let pp_fact ppf f =
     (fun i v ->
       if i > 0 then Fmt.string ppf ",";
       (match f.fact_loc with
-      | Some j when i = j -> Fmt.pf ppf "@@%s" (Value.as_addr v)
-      | _ -> Value.pp ppf v))
+      | Some j when i = j -> Fmt.pf ppf "@@%a" pp_const v
+      | _ -> pp_const ppf v))
     f.fact_args;
   Fmt.string ppf ")."
 

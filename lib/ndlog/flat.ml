@@ -188,14 +188,19 @@ module Fset = struct
     fill_from a 0 s.slots 0;
     a
 
-  (* Empty the set in place.  A small slot array is wiped; a large one,
-     left by a burst, is replaced by a minimal one, so a set cleared
-     after every use does not keep its peak size. *)
+  (* Empty the set in place.  A slot array its contents fill to an
+     eighth or more — any array grown by [add] — is wiped and kept, so
+     a scratch set refilled to a like size on every use grows once; a
+     larger one (a burst's, cleared after a small use) is replaced by a
+     minimal one, so a set cleared after every use keeps its peak size
+     only until its next small use. *)
   let clear s =
     if s.frozen then invalid_arg "Fset.clear: frozen set";
     if s.size + s.tombs > 0 then begin
-      if Array.length s.slots > 32 then s.slots <- Array.make 8 empty_slot
-      else Array.fill s.slots 0 (Array.length s.slots) empty_slot;
+      let n = Array.length s.slots in
+      if n > 32 && n > 8 * (s.size + s.tombs) then
+        s.slots <- Array.make 8 empty_slot
+      else Array.fill s.slots 0 n empty_slot;
       s.size <- 0;
       s.tombs <- 0
     end

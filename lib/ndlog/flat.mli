@@ -37,8 +37,9 @@ module Fset : sig
   (** The tuples in one fresh array (unspecified order). *)
 
   val clear : t -> unit
-  (** Empty the set in place; a large slot array is replaced by a
-      minimal one. *)
+  (** Empty the set in place, keeping its slot array unless the
+      contents filled it to less than an eighth (then it is replaced
+      by a minimal one). *)
 
   val capacity : t -> int
   (** Current slot-array length (a power of two) — observable so tests

@@ -355,7 +355,7 @@ let iter_groups cols ~key_len (d : int array array) f =
     else Array.of_list (List.filter keyed (Array.to_list d))
   in
   if Array.length d > 1 && Array.length cols > 0 then
-    Array.sort (fun a b -> compare_at cols a b 0) d;
+    Array.stable_sort (fun a b -> compare_at cols a b 0) d;
   let lo = ref 0 in
   for hi = 1 to Array.length d do
     if hi = Array.length d || compare_at cols d.(!lo) d.(hi) 0 <> 0 then begin
@@ -808,7 +808,7 @@ let touched_rows rf ~added ~removed =
         (List.filter (fun t -> Array.length t = rf.rf_arity) (Array.to_list rows))
   in
   if Array.length rows > 1 then
-    Array.sort (fun a b -> compare_at rf.rf_cols a b 0) rows;
+    Array.stable_sort (fun a b -> compare_at rf.rf_cols a b 0) rows;
   rows
 
 (* One index probe per touched group, on the body relation's group

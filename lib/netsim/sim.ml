@@ -43,6 +43,7 @@ let create ?(seed = 42) topo =
   }
 
 let now t = t.now
+let next_time t = Event_queue.next_time t.queue
 let topology t = t.topo
 let rng t = t.rng
 

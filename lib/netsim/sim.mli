@@ -12,6 +12,12 @@ type 'msg t
 
 val create : ?seed:int -> Topology.t -> 'msg t
 val now : 'msg t -> float
+
+val next_time : 'msg t -> float
+(** Time of the next pending event, [infinity] when none is pending:
+    [run ~until:(next_time sim)] advances the simulation by exactly one
+    instant. *)
+
 val topology : 'msg t -> Topology.t
 
 val rng : 'msg t -> Random.State.t

@@ -115,13 +115,30 @@ let rule_reparses (r : Ast.rule) =
   | Ok _ -> QCheck.Test.fail_reportf "%s: not one rule" text
   | Error e -> QCheck.Test.fail_reportf "%s: %s" text e
 
+(* Whole programs too: every canonical program, plain and localized,
+   with link facts, prints with [program_to_string] to text that parses
+   back to the same program — declarations, facts and rules. *)
 let test_canonical_rules_reparse () =
+  let links = Programs.ring_links 3 in
   List.iter
     (fun (p : Ast.program) ->
       List.iter
         (fun r ->
           checkb (Fmt.str "%a" Ast.pp_rule r) true (rule_reparses r))
-        p.Ast.rules)
+        p.Ast.rules;
+      let plain = Programs.with_links p links in
+      let localized =
+        match Localize.rewrite_program plain with
+        | Ok r -> r.Localize.program
+        | Error e -> Alcotest.failf "%a" Localize.pp_error e
+      in
+      List.iter
+        (fun q ->
+          let text = Ast.program_to_string q in
+          match Parser.parse_program text with
+          | Ok q' -> checkb ("program reparses:\n" ^ text) true (q' = q)
+          | Error e -> Alcotest.failf "%s\n%s" e text)
+        [ plain; localized ])
     [
       Programs.path_vector ();
       Programs.distance_vector ();
@@ -2159,6 +2176,32 @@ let test_fset_compaction () =
   done;
   checkb "re-add after compaction" true (Fset.add s (t 1))
 
+(* [clear] keeps a slot array its contents filled, so a scratch set
+   refilled to a like size on every use grows once, and drops one that
+   a small use left oversized. *)
+let test_fset_clear_capacity () =
+  let s = Fset.create () in
+  let t i = Intern.tuple_ids [| V.Int i; V.Int (i * 3) |] in
+  let fill k =
+    for i = 1 to k do
+      ignore (Fset.add s (t i))
+    done
+  in
+  fill 200;
+  let grown = Fset.capacity s in
+  checkb "grew past the default" true (grown >= 512);
+  Fset.clear s;
+  checki "cleared" 0 (Fset.cardinal s);
+  checki "filled array kept" grown (Fset.capacity s);
+  checkb "cleared tuple absent" false (Fset.mem s (t 1));
+  fill 200;
+  checki "refill to a like size does not regrow" grown (Fset.capacity s);
+  Fset.clear s;
+  fill 2;
+  Fset.clear s;
+  checki "oversized after a small use: minimal again" 8 (Fset.capacity s);
+  checkb "exact after clears" true (Fset.add s (t 1) && Fset.mem s (t 1))
+
 (* Missing predicates read as one shared frozen empty set: no per-call
    allocation, and a mutation of it — the lost-update footgun — raises
    instead of silently updating an orphan. *)
@@ -2578,6 +2621,8 @@ let () =
           Alcotest.test_case "tuple id boundary" `Quick test_intern_tuple_ids;
           Alcotest.test_case "fset ops" `Quick test_fset_ops;
           Alcotest.test_case "fset compaction" `Quick test_fset_compaction;
+          Alcotest.test_case "fset clear keeps a filled array" `Quick
+            test_fset_clear_capacity;
           Alcotest.test_case "shared frozen empty relation" `Quick
             test_flat_shared_empty;
           Alcotest.test_case "journal net movement" `Quick test_flat_journal;
