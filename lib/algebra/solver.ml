@@ -114,7 +114,3 @@ let ring_graph ?(label = fun _ -> 1) k =
              let j = (i + 1) mod k in
              [ (node i, node j, label i); (node j, node i, label i) ]));
   }
-
-(* A two-node gadget with label maps chosen to exercise non-monotone
-   algebras (mirrors Disagree when driven by lpA-style labels). *)
-let gadget_graph edges nodes = { g_nodes = nodes; g_edges = edges }

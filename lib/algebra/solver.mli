@@ -49,4 +49,3 @@ val optimal_signature :
 
 val line_graph : ?label:(int -> int) -> int -> int graph
 val ring_graph : ?label:(int -> int) -> int -> int graph
-val gadget_graph : (string * string * 'l) list -> string list -> 'l graph

@@ -110,16 +110,6 @@ let execute ?(max_rounds = 10_000) (program : Ast.program) : (execution, string)
   | Ok outcome -> Ok (Central outcome)
   | Error e -> Error (Fmt.str "%a" Ndlog.Analysis.pp_error e)
 
-(* As [execute], also reporting the run's join profile (each outcome
-   carries its own per-run counters). *)
-let execute_instrumented ?max_rounds (program : Ast.program) :
-    (execution * Ndlog.Eval.stats, string) result =
-  match execute ?max_rounds program with
-  | Error e -> Error e
-  | Ok (Central outcome as exec) -> Ok (exec, outcome.Ndlog.Eval.stats)
-  | Ok (Distributed { report; _ } as exec) ->
-    Ok (exec, report.Dist.Runtime.eval_stats)
-
 (* Distributed execution: localize if needed, derive the topology from
    the program's link facts unless one is supplied. *)
 let topology_of_links (program : Ast.program) : Netsim.Topology.t =

@@ -59,13 +59,6 @@ type execution =
 val execute : ?max_rounds:int -> Ndlog.Ast.program -> (execution, string) result
 (** Arc 7, centralized. *)
 
-val execute_instrumented :
-  ?max_rounds:int ->
-  Ndlog.Ast.program ->
-  (execution * Ndlog.Eval.stats, string) result
-(** As {!execute}, also reporting the run's join profile (index hits
-    vs. scans, tuples enumerated vs. matched). *)
-
 val topology_of_links : Ndlog.Ast.program -> Netsim.Topology.t
 (** A simulator topology derived from the program's [link] facts. *)
 

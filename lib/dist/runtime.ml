@@ -70,12 +70,15 @@
    stores, fixpoints, message traces, and lease tables (qcheck property
    in the dist test suite), and the distributed fixpoint itself is
    checked against the naive centralized evaluator.
-   View tuples located at other nodes are shipped as inserts — each
-   tuple once, against a per-(node, predicate) shipped set — and kept
-   at the receiver until their own lease lapses; remote view deletion
-   is not supported (none of the paper's programs need it), and
-   [check_remote_views] rejects hard-state programs that would require
-   it.
+   A node's view relations hold exactly its own last fixpoint, the
+   tuples located at other nodes included; tuples shipped in from
+   other nodes are kept apart, in [received], and the node shows the
+   locally-located part of its fixpoint plus those arrivals.  A
+   refresh ships the remotely-located part of its net movement, so
+   each tuple travels once, and the receiver keeps it until its own
+   lease lapses; remote view deletion is not supported (none of the
+   paper's programs need it), and [check_remote_views] rejects
+   hard-state programs that would require it.
 
    Prerequisite: the program must be localized ({!Ndlog.Localize}) —
    every rule body reads a single location. *)
@@ -88,7 +91,6 @@ module Value = Ndlog.Value
 module Softstate = Ndlog.Softstate
 module Intern = Ndlog.Intern
 module Flat = Ndlog.Flat
-module Fset = Flat.Fset
 module Ideval = Ndlog.Ideval
 module Plan = Ndlog.Plan
 module Sset = Ast.Sset
@@ -103,12 +105,16 @@ type msg = Wire.msg = { pred : string; ids : int array }
 type view = {
   v_pred : string;
   v_idx : int;  (* position in [t.views] *)
-  v_loc : int option;  (* location column, for the ship paths *)
+  (* Location column when some rule can place the view at another
+     node; [None] when every tuple stays where it is derived. *)
+  v_loc : int option;
 }
 
 type node_state = {
   name : string;
-  (* The node's database: the authoritative store. *)
+  (* The node's database: its base relations and, for each view, its
+     own last fixpoint — remotely-located tuples included, arrivals
+     excluded. *)
   db : Flat.t;
   mutable expiry : Softstate.Expiry.t;
   mutable inserts : int;  (* local tuple insertions *)
@@ -118,13 +124,10 @@ type node_state = {
   mutable inbox : msg array;
   mutable inbox_len : int;
   mutable flush_scheduled : bool;
-  (* View tuples shipped in from other nodes: preserved across local
-     view refreshes (the local recomputation cannot re-derive them) and
-     pruned by soft-state expiry. *)
+  (* View tuples shipped in from other nodes (or inserted from
+     outside), kept until their leases lapse.  No rule reads them: they
+     are shown, not derived from. *)
   received : Flat.t;
-  (* Remote-owned view tuples already shipped, per view: view refreshes
-     send only the diff. *)
-  shipped : Fset.t option array;
   (* Soft views with a pending lease-renewal timer (see
      [ensure_renewal]). *)
   renewing : bool array;
@@ -142,12 +145,9 @@ type node_state = {
   mutable dirty : Sset.t;
   mutable dirty_added : (string * int array) list;
   mutable dirty_removed : (string * int array) list;
-  (* The previous refresh's view fixpoint (local- and remote-owned
-     derived tuples, before the ship/received split): the baseline the
-     in-place refresh seeds from and diffs against. *)
-  last_fresh : Flat.t;
   (* Whether this node's store has changed since its last refresh (new
-     tuples, including shipped-in view arrivals, or expiry removals).
+     tuples, including view arrivals it did not show, or expiry
+     removals).
      A refresh walks only stale nodes when incremental refresh is on:
      refreshing a non-stale node is a no-op — every stratum would be
      skipped and every relation left as-is — so the walk is skipped
@@ -163,16 +163,10 @@ type node_state = {
      than the live timer, and a firing timer whose deadline no longer
      matches is stale: it dies without sweeping or re-arming. *)
   mutable sweep_armed : float;
-  (* Boxed materializations memoized by flat version, so observation
-     points ([node_store], [global_store]) pay the id-to-value
-     translation once per quiescent state. *)
-  mutable store_cache : (int * Store.t) option;
-  (* Derived view tuples the expiry sweep removed from [db] since the
-     last refresh (a locally-derived tuple acquires a lease when a peer
-     re-sends it; its lapse sweeps a tuple the fixpoint still derives).
-     The in-place seed re-adds them to re-establish stored = previous
-     fixpoint before the walk. *)
-  mutable view_holes : (string * int array) list;
+  (* Boxed materializations memoized by the versions of [db] and
+     [received], so observation points ([node_store], [global_store])
+     pay the id-to-value translation once per quiescent state. *)
+  mutable store_cache : (int * int * Store.t) option;
 }
 
 (* How a touched refresh stratum is brought up to date, fixed at
@@ -485,6 +479,43 @@ let owner_exn loc pred ids =
    on id allocation or hash-set layout. *)
 let sort_canonical l = List.sort Intern.compare_ids l
 
+(* Whether view tuple [ids] is located at another node than [ns]. *)
+let remote ns v ids =
+  match owner_of_ids v.v_loc ids with
+  | Some owner -> owner <> ns.name
+  | None -> false
+
+(* Send view tuples of [v] from [ns] to their owners, in canonical
+   order. *)
+let ship t ns v tuples =
+  List.iter
+    (fun ids ->
+      ignore
+        (t.transport.Transport.send ~src:ns.name
+           ~dst:(owner_exn v.v_loc v.v_pred ids) { pred = v.v_pred; ids }))
+    (sort_canonical tuples)
+
+(* The view among [views] named [pred]. *)
+let view_named views pred =
+  let rec go i =
+    let v = views.(i) in
+    if v.v_pred == pred || String.equal v.v_pred pred then v else go (i + 1)
+  in
+  go 0
+
+(* Store a tuple that reached [ns]: a base tuple in [db], a view
+   arrival in [received] — never in [db], whose view relations are the
+   node's own fixpoint.  [true] when the node did not already hold it;
+   for a view tuple, when it did not already show it, as a live
+   arrival or a locally-located tuple of its own fixpoint. *)
+let store_new t ns pred ids =
+  if Sset.mem pred t.view_set then
+    Flat.add ns.received pred ids
+    && not
+         (Flat.mem ns.db pred ids
+         && not (remote ns (view_named t.views pred) ids))
+  else Flat.add ns.db pred ids
+
 (* A message slot no delivery holds. *)
 let no_msg = { pred = ""; ids = [||] }
 
@@ -520,11 +551,19 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
   let view_preds, view_program, pipeline_program = split_views program in
   check_remote_views program view_program;
   let locs = loc_index_map view_program in
+  let ships v_pred =
+    List.exists
+      (fun (r : Ast.rule) -> r.head.Ast.head_pred = v_pred && remote_capable r)
+      view_program.Ast.rules
+  in
   let views =
     Array.of_list
       (List.mapi
          (fun v_idx v_pred ->
-           { v_pred; v_idx; v_loc = Hashtbl.find_opt locs v_pred })
+           let v_loc =
+             if ships v_pred then Hashtbl.find_opt locs v_pred else None
+           in
+           { v_pred; v_idx; v_loc })
          view_preds)
   in
   let nviews = Array.length views in
@@ -541,16 +580,13 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
           inbox_len = 0;
           flush_scheduled = false;
           received = Flat.create ();
-          shipped = Array.make nviews None;
           renewing = Array.make nviews false;
           dirty = Sset.empty;
           dirty_added = [];
           dirty_removed = [];
-          last_fresh = Flat.create ();
           stale = false;
           sweep_armed = infinity;
           store_cache = None;
-          view_holes = [];
         })
     hosted;
   (* Strands by trigger predicate, in program order within each
@@ -675,10 +711,9 @@ and run_strands t ns pred (delta : int array list) =
    without views never refreshes, and its marks would only pile up. *)
 and tracks_dirty t = t.incremental_views && Array.length t.views > 0
 
-(* Record a base-relation addition for incremental refresh.  View-pred
-   arrivals (shipped-in tuples) are not marked: the refresh derives
-   views from the base relations only and re-adds [received]
-   afterwards, so they cannot change any stratum's recomputation. *)
+(* Record a base-relation addition for incremental refresh.  View
+   arrivals are not marked: no rule reads [received], so they cannot
+   change any stratum's recomputation. *)
 and mark_dirty t ns pred ids =
   if tracks_dirty t && not (Sset.mem pred t.view_set) then begin
     ns.dirty <- Sset.add pred ns.dirty;
@@ -702,10 +737,9 @@ and lease ns ~now pred ids =
 and insert_ids t ns pred (ids : int array) =
   if lease ns ~now:(t.transport.Transport.now ()) pred ids then
     schedule_expiry t ns;
-  if Flat.add ns.db pred ids then begin
+  if store_new t ns pred ids then begin
     ns.inserts <- ns.inserts + 1;
     ns.stale <- true;
-    if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
     mark_dirty t ns pred ids;
     run_strands t ns pred [ ids ];
     if Array.length t.views > 0 then request_refresh t
@@ -745,10 +779,9 @@ and flush t ns =
     let { pred; ids } = ns.inbox.(i) in
     ns.inbox.(i) <- no_msg;
     if lease ns ~now pred ids then any_soft := true;
-    if Flat.add ns.db pred ids then begin
+    if store_new t ns pred ids then begin
       ns.inserts <- ns.inserts + 1;
       ns.stale <- true;
-      if Sset.mem pred t.view_set then ignore (Flat.add ns.received pred ids);
       mark_dirty t ns pred ids;
       match delta_of pred !deltas with
       | tuples -> tuples := ids :: !tuples
@@ -785,35 +818,32 @@ and schedule_expiry t ns =
    tuple dirties its predicate and joins the node's removed list: the
    next refresh re-folds its group in every aggregate stratum reading
    it, and recomputes from scratch every plain stratum it supports
-   (deletions are non-monotone under seeded re-derivation).  The sweep
-   always re-arms for the next pending deadline: it only drops leases
-   lapsed *now*, and without the re-arm later deadlines would only be
-   swept if some insertion happened to re-arm the timer. *)
+   (deletions are non-monotone under seeded re-derivation).  A lapsed
+   view arrival leaves [received] only: the node's own fixpoint keeps
+   whatever it derives.  The sweep always re-arms for the next pending
+   deadline: it only drops leases lapsed *now*, and without the re-arm
+   later deadlines would only be swept if some insertion happened to
+   re-arm the timer. *)
 and sweep t ns =
   let now = t.transport.Transport.now () in
   let dead, expiry' = Softstate.Expiry.expired ns.expiry ~now in
-  let removed =
-    List.filter_map
-      (fun (pred, tuple) ->
-        let ids = Intern.tuple_ids tuple in
-        ignore (Flat.remove ns.received pred ids);
-        if Flat.remove ns.db pred ids then Some (pred, ids) else None)
-      dead
-  in
   ns.expiry <- expiry';
-  if removed <> [] then begin
-    List.iter
-      (fun (pred, ids) ->
-        if Sset.mem pred t.view_set then
-          (* A swept view tuple the previous fixpoint may still derive:
-             remember it so the next refresh's in-place seed can restore
-             it (see [view_holes]). *)
-          ns.view_holes <- (pred, ids) :: ns.view_holes
-        else if tracks_dirty t then begin
+  let removed = ref false in
+  List.iter
+    (fun (pred, tuple) ->
+      let ids = Intern.tuple_ids tuple in
+      if Sset.mem pred t.view_set then begin
+        if Flat.remove ns.received pred ids then removed := true
+      end
+      else if Flat.remove ns.db pred ids then begin
+        removed := true;
+        if tracks_dirty t then begin
           ns.dirty <- Sset.add pred ns.dirty;
           ns.dirty_removed <- (pred, ids) :: ns.dirty_removed
-        end)
-      removed;
+        end
+      end)
+    dead;
+  if !removed then begin
     ns.stale <- true;
     if Array.length t.views > 0 then request_refresh t
   end;
@@ -866,12 +896,11 @@ and refresh_views t =
   t.refresh_walks <- t.refresh_walks + 1
 
 (* One node's incremental view fixpoint, journaled and in place: the
-   working database IS the node's flat store, pre-seeded by
-   [refresh_node] so that every view relation holds the previous
-   fixpoint; added and removed support accumulate into the walk's two
-   scratch databases, seeded with the node's dirty tuples (and emptied
-   in place as the next node refresh starts); and per-stratum movement
-   is read off the undo journal.
+   working database IS the node's flat store, whose view relations
+   hold the previous fixpoint; added and removed support accumulate
+   into the walk's two scratch databases, seeded with the node's dirty
+   tuples (and emptied in place as the next node refresh starts); and
+   per-stratum movement is read off the undo journal.
 
    The walk visits the refresh strata bottom-up.  [changed] starts
    from the node's dirty set, and [delta] / [removed] from its dirty
@@ -895,10 +924,10 @@ and refresh_views t =
    Each touched stratum's movement against the previous fixpoint is
    recorded per view ([moved_adds] / [moved_rems]).  It is exact
    because each touched stratum's relations equal the previous
-   fixpoint at its mark: the seed establishes that for the whole
-   database, strata never write outside their own [heads], and
-   stratification keeps upper (still-seeded) relations invisible to
-   lower strata's evaluation.  A re-fold replaces at most one head per
+   fixpoint at its mark: nothing but a refresh writes a view relation,
+   strata never write outside their own [heads], and stratification
+   keeps upper (not yet refreshed) relations invisible to lower
+   strata's evaluation.  A re-fold replaces at most one head per
    group and a seed only adds, so their journals are already net; only
    a from-scratch stratum, which clears and re-derives, is netted
    ({!Flat.net_since}). *)
@@ -923,7 +952,7 @@ and incremental_fresh t ns (db : Flat.t) =
   List.fold_left
     (fun changed rs ->
       if not (touched changed rs.support) then begin
-        (* Untouched: the seeded relations are still exact. *)
+        (* Untouched: the previous relations are still exact. *)
         Plan.note_strata_skipped t.joins 1;
         changed
       end
@@ -964,14 +993,6 @@ and incremental_fresh t ns (db : Flat.t) =
     ns.dirty t.refresh_plan
   |> ignore
 
-(* The view among [views] named [pred]. *)
-and view_named views pred =
-  let rec go i =
-    let v = views.(i) in
-    if v.v_pred == pred || String.equal v.v_pred pred then v else go (i + 1)
-  in
-  go 0
-
 (* Record one journaled operation of a stratum defining [views]. *)
 and move t views pred ids added =
   let i = (view_named views pred).v_idx in
@@ -986,52 +1007,20 @@ and moved_net t views net =
       t.moved_rems.(i) <- List.rev_append rems t.moved_rems.(i))
     net
 
-(* One node's view refresh, run in place on its flat store.  The walk
-   nudges the stored view relations to the previous fixpoint (seed),
-   lets the fixpoint mutate them under journal marks — the incremental
-   stratum walk, or the from-scratch oracle — and replays only the
-   *net movement* against the previous-fixpoint stash and the
-   shipped-set bookkeeping: O(changes + shipped + received).  Tuples
-   materialize boxed only when a message leaves the node, sorted
-   canonically.
-
-   Store shape invariants, before and after: a view relation of [db]
-   holds the locally-owned part of the last fixpoint plus every live
-   shipped-in arrival ([received]); [shipped.(view)] is exactly the
-   remote-owned part of the last fixpoint; [last_fresh] is the whole
-   last fixpoint. *)
+(* One node's view refresh, run in place on its flat store: the
+   fixpoint mutates the view relations under journal marks — the
+   incremental stratum walk, or the from-scratch oracle — recording
+   the net movement per view, and the commit ships the
+   remotely-located part of it: O(changes).  Tuples materialize boxed
+   only when a message leaves the node, sorted canonically. *)
 and refresh_node t ns =
   let db = ns.db in
-  let prev = ns.last_fresh in
   (* The previous walk's scratch, or what one cut short by an exception
      left behind. *)
   Flat.clear t.walk_added;
   Flat.clear t.walk_removed;
   Array.fill t.moved_adds 0 (Array.length t.views) [];
   Array.fill t.moved_rems 0 (Array.length t.views) [];
-  (* Seed: stored form -> previous fixpoint.  Arrivals the fixpoint
-     never derived leave, previously-shipped remote tuples re-enter,
-     and lease-flickered derived tuples are restored (see
-     [view_holes]).  All three classes are small. *)
-  List.iter
-    (fun (pred, ids) ->
-      if Flat.mem prev pred ids then ignore (Flat.add db pred ids))
-    ns.view_holes;
-  ns.view_holes <- [];
-  Array.iter
-    (fun v ->
-      let pred = v.v_pred in
-      if Flat.cardinal ns.received pred > 0 then begin
-        let prev_rel = Flat.relation prev pred in
-        Flat.iter_rel ns.received pred (fun ids ->
-            if not (Fset.mem prev_rel ids) then ignore (Flat.remove db pred ids))
-      end;
-      match ns.shipped.(v.v_idx) with
-      | Some s -> Fset.iter (fun ids -> ignore (Flat.add db pred ids)) s
-      | None -> ())
-    t.views;
-  (* Fixpoint, in place, with the net movement against [prev] recorded
-     per view. *)
   if t.incremental_views then begin
     incremental_fresh t ns db;
     ns.dirty <- Sset.empty;
@@ -1045,75 +1034,28 @@ and refresh_node t ns =
     moved_net t t.views (Flat.net_since db m);
     Flat.commit db m
   end;
-  (* Commit: replay the net movement onto the previous-fixpoint stash
-     and the shipped sets, ship fresh remote-owned tuples (diff-only),
-     and return the stored relations to their between-refresh shape. *)
   Array.iter (commit_view t ns) t.views;
   ns.stale <- false
 
+(* Ship the remotely-located tuples a refresh added to view [v].  A
+   shipped *soft* view tuple lives at the receiver on a lease; with
+   redeliveries suppressed, the source must renew it for as long as it
+   still derives the tuple. *)
 and commit_view t ns v =
-  let self = ns.name and db = ns.db in
-  let pred = v.v_pred and locopt = v.v_loc in
-  let adds = t.moved_adds.(v.v_idx) and rems = t.moved_rems.(v.v_idx) in
-  t.moved_adds.(v.v_idx) <- [];
-  t.moved_rems.(v.v_idx) <- [];
-  List.iter (fun ids -> ignore (Flat.add ns.last_fresh pred ids)) adds;
-  List.iter (fun ids -> ignore (Flat.remove ns.last_fresh pred ids)) rems;
-  let remote ids =
-    match owner_of_ids locopt ids with
-    | Some owner -> owner <> self
-    | None -> false
-  in
-  let shipped =
-    match ns.shipped.(v.v_idx) with
-    | Some s -> Some s
-    | None ->
-      (* Allocate the view's shipped set only when a remote-owned tuple
-         actually appears. *)
-      if List.exists remote adds then begin
-        let s = Fset.create () in
-        ns.shipped.(v.v_idx) <- Some s;
-        Some s
-      end
-      else None
-  in
-  match shipped with
-  | None ->
-    (* Nothing shipped, nothing remote-owned: the stored relation is
-       already local ∪ received.  Re-adding received arrivals is still
-       needed — a fallback stratum may have cleared them. *)
-    if Flat.cardinal ns.received pred > 0 then
-      Flat.iter_rel ns.received pred (fun ids -> ignore (Flat.add db pred ids))
-  | Some shipped ->
-    let to_ship =
-      List.filter (fun ids -> remote ids && Fset.add shipped ids) adds
-    in
-    List.iter
-      (fun ids -> if remote ids then ignore (Fset.remove shipped ids))
-      rems;
-    List.iter
-      (fun ids ->
-        ignore
-          (t.transport.Transport.send ~src:self
-             ~dst:(owner_exn locopt pred ids) { pred; ids }))
-      (sort_canonical to_ship);
-    (* Remote-owned tuples live at their owners, not here. *)
-    Fset.iter (fun ids -> ignore (Flat.remove db pred ids)) shipped;
-    Flat.iter_rel ns.received pred (fun ids -> ignore (Flat.add db pred ids));
-    (* A shipped *soft* view tuple lives at the receiver on a lease; with
-       redeliveries suppressed, the source must renew it for as long as
-       the tuple is still derived. *)
-    (match Softstate.Expiry.lifetime_of ns.expiry pred with
-    | Ast.Lifetime l when not (Fset.is_empty shipped) ->
-      ensure_renewal t ns v l
-    | _ -> ())
+  match List.filter (remote ns v) t.moved_adds.(v.v_idx) with
+  | [] -> ()
+  | fresh -> (
+    ship t ns v fresh;
+    match Softstate.Expiry.lifetime_of ns.expiry v.v_pred with
+    | Ast.Lifetime l -> ensure_renewal t ns v l
+    | Ast.Lifetime_forever -> ())
 
 (* Lease renewal for soft view tuples shipped to other nodes: at every
-   half-lifetime, re-send whatever is still in the shipped set (the
-   last refresh's remote view) and re-arm.  Once the source stops
-   deriving a tuple the refresh drops it from the shipped set, the
-   renewals stop, and the receiver's lease lapses — soft-state expiry,
-   at renewal cadence instead of per-refresh redelivery. *)
+   half-lifetime, re-send the remotely-located part of the view's
+   relation (the last refresh's remote view) and re-arm.  Once the
+   source stops deriving a tuple it leaves the relation, the renewals
+   stop, and the receiver's lease lapses — soft-state expiry, at
+   renewal cadence instead of per-refresh redelivery. *)
 and ensure_renewal t ns v lifetime =
   if not ns.renewing.(v.v_idx) then begin
     ns.renewing.(v.v_idx) <- true;
@@ -1121,20 +1063,15 @@ and ensure_renewal t ns v lifetime =
         renew t ns v lifetime)
   end
 
-(* Renewals go out in canonical order. *)
 and renew t ns v lifetime =
   ns.renewing.(v.v_idx) <- false;
-  match ns.shipped.(v.v_idx) with
-  | None -> ()
-  | Some set when Fset.is_empty set -> ()
-  | Some set ->
-    List.iter
-      (fun ids ->
-        ignore
-          (t.transport.Transport.send ~src:ns.name
-             ~dst:(owner_exn v.v_loc v.v_pred ids) { pred = v.v_pred; ids }))
-      (sort_canonical (Fset.elements set));
+  let owed = ref [] in
+  Flat.iter_rel ns.db v.v_pred (fun ids ->
+      if remote ns v ids then owed := ids :: !owed);
+  if !owed <> [] then begin
+    ship t ns v !owed;
     ensure_renewal t ns v lifetime
+  end
 
 (* The public injection entry is the system boundary: tuples arriving
    from outside (the driver, a benchmark's event stream, program facts)
@@ -1215,28 +1152,45 @@ let run ?(until = infinity) ?(max_events = 1_000_000) t =
     view_stats;
   }
 
-(* Boxed view of a node store, memoized by flat version: repeated
+(* Boxed view of what a node shows — its store, minus the
+   remotely-located view tuples of its fixpoint, plus its live
+   arrivals — memoized by the versions of both flat stores: repeated
    observations of a quiescent node pay one materialization. *)
-let materialized ns =
-  let v = Flat.version ns.db in
+let materialized t ns =
+  let vd = Flat.version ns.db and vr = Flat.version ns.received in
   match ns.store_cache with
-  | Some (v', s) when v' = v -> s
+  | Some (vd', vr', s) when vd' = vd && vr' = vr -> s
   | _ ->
-    let s = Flat.to_store ns.db in
-    ns.store_cache <- Some (v, s);
+    let own =
+      Array.fold_left
+        (fun s v ->
+          if v.v_loc = None then s
+          else
+            Store.set_relation v.v_pred
+              (Store.Tset.filter
+                 (fun tuple -> tuple_location v.v_loc tuple = Some ns.name)
+                 (Store.relation v.v_pred s))
+              s)
+        (Flat.to_store ns.db) t.views
+    in
+    let s =
+      if Flat.is_empty ns.received then own
+      else Store.union own (Flat.to_store ns.received)
+    in
+    ns.store_cache <- Some (vd, vr, s);
     s
 
 (* The union of all node stores: the global database the distributed
    execution computed; comparable against the centralized evaluator. *)
 let global_store t =
   settle t;
-  Hashtbl.fold (fun _ ns acc -> Store.union (materialized ns) acc) t.nodes
+  Hashtbl.fold (fun _ ns acc -> Store.union (materialized t ns) acc) t.nodes
     Store.empty
 
 let node_store t name =
   let ns = node t name in
   settle t;
-  materialized ns
+  materialized t ns
 
 (* Introspection for the incremental-refresh test harness. *)
 let dirty_preds t name = Sset.elements (node t name).dirty

@@ -18,12 +18,13 @@
 
     Aggregate strata are maintained as locally refreshed views, so
     non-monotonic updates (a better best-path displacing a worse one)
-    are handled by replacement rather than distributed deletion; view
-    tuples located at other nodes ship as inserts, each tuple once (a
-    per-(node, predicate) shipped set suppresses redelivery), and
-    persist at the receiver until their own lease lapses; soft view
-    tuples are re-shipped at half-lifetime cadence for as long as the
-    source still derives them, so their remote copies stay leased
+    are handled by replacement rather than distributed deletion.  A
+    node's view relations hold its own last fixpoint, tuples located
+    at other nodes included; a refresh ships the remotely-located part
+    of what it added, so each tuple travels once, and the receiver
+    keeps it apart from its own fixpoint until its lease lapses.  Soft
+    view tuples are re-shipped at half-lifetime cadence for as long as
+    the source still derives them, so their remote copies stay leased
     while supported and expire once support is gone.  Programs
     whose remote-shipped view tuples are hard state but could be
     non-monotonically withdrawn (soft-state or negation-dependent
@@ -191,8 +192,11 @@ val global_store : t -> Ndlog.Store.t
     evaluator). *)
 
 val node_store : t -> string -> Ndlog.Store.t
-(** One node's store, boxed — memoized until the node's flat store
-    next changes. *)
+(** What one node shows, boxed: its base relations, the
+    locally-located part of its view fixpoint, and every view tuple
+    shipped to it whose lease is still live, whether or not it also
+    derives the tuple itself.  Memoized until the node's stores next
+    change. *)
 
 val total_inserts : t -> int
 (** Local tuple insertions across hosted nodes since {!create} (the

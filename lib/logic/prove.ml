@@ -566,8 +566,6 @@ type outcome = {
   elapsed : float;  (* seconds *)
 }
 
-exception Proof_failed of string
-
 (* Iterative deepening on fuel. *)
 let prove ?(max_fuel = 5) (thy : Theory.t) ?(hyps = []) (goal : Formula.t) :
     (outcome, string) result =
@@ -659,8 +657,3 @@ let assert_lemma ?max_fuel ?(by_induction_on : string option)
   match result with
   | Error e -> Error e
   | Ok outcome -> Ok (Theory.add ~kind:Theory.Lemma name goal thy, outcome)
-
-let prove_exn ?max_fuel thy ?hyps goal =
-  match prove ?max_fuel thy ?hyps goal with
-  | Ok o -> o
-  | Error e -> raise (Proof_failed e)

@@ -51,8 +51,6 @@ type outcome = {
   elapsed : float;  (** seconds (processor time) *)
 }
 
-exception Proof_failed of string
-
 val prove :
   ?max_fuel:int ->
   Theory.t ->
@@ -82,7 +80,3 @@ val assert_lemma :
   (Theory.t * outcome, string) result
 (** Prove a conjecture and, on success, add it to the theory as a
     [Lemma] (available to forward chaining and [use] in later proofs). *)
-
-val prove_exn :
-  ?max_fuel:int -> Theory.t -> ?hyps:Formula.t list -> Formula.t -> outcome
-(** @raise Proof_failed when no proof is found. *)

@@ -39,7 +39,6 @@ let vars t = free_vars Sset.empty t
 type subst = t Smap.t
 
 let subst_empty : subst = Smap.empty
-let subst_bind x t (s : subst) : subst = Smap.add x t s
 let subst_find x (s : subst) = Smap.find_opt x s
 let subst_of_list l : subst = List.fold_left (fun s (x, t) -> Smap.add x t s) Smap.empty l
 
@@ -128,7 +127,6 @@ let rec pp ppf = function
 let to_string t = Fmt.str "%a" pp t
 
 let var x = Var x
-let cst v = Cst v
 let int n = Cst (Value.Int n)
 let fn f args = Fn (f, args)
 let ( +: ) a b = Fn ("+", [ a; b ])

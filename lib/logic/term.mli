@@ -27,7 +27,6 @@ val vars : t -> Sset.t
 type subst = t Smap.t
 
 val subst_empty : subst
-val subst_bind : string -> t -> subst -> subst
 val subst_find : string -> subst -> t option
 val subst_of_list : (string * t) list -> subst
 val apply_subst : subst -> t -> t
@@ -57,7 +56,6 @@ val to_string : t -> string
 (** {1 Constructors} *)
 
 val var : string -> t
-val cst : Value.t -> t
 val int : int -> t
 val fn : string -> t list -> t
 val ( +: ) : t -> t -> t

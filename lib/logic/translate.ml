@@ -28,9 +28,6 @@ let formula_of_lit (l : Ast.lit) : Formula.t =
     | Ast.Gt -> Formula.Lt (tb, ta)
     | Ast.Ge -> Formula.Le (tb, ta))
 
-let body_formulas (body : Ast.lit list) : Formula.t list =
-  List.map formula_of_lit body
-
 (* Head argument terms of a non-aggregate rule. *)
 let head_terms (h : Ast.head) : Term.t list =
   List.map

@@ -11,7 +11,5 @@ val formula_of_lit : Ndlog.Ast.lit -> Formula.t
 (** Positive atoms to atoms, negation to [Not], assignments to
     equations, comparisons to (normalized) comparison formulas. *)
 
-val body_formulas : Ndlog.Ast.lit list -> Formula.t list
-
 val head_terms : Ndlog.Ast.head -> Term.t list
 (** @raise Invalid_argument on aggregate heads. *)

@@ -223,7 +223,6 @@ let rec map_value (g : gen) (v : Value.t) : Value.t =
 let map_tuple g (t : Store.Tuple.t) : Store.Tuple.t = Array.map (map_value g) t
 let map_store g (db : Store.t) : Store.t = Store.map_tuples (map_tuple g) db
 
-let apply_value p = map_value (compile p)
 let apply_tuple p = map_tuple (compile p)
 let apply_store p = map_store (compile p)
 

@@ -72,7 +72,6 @@ val map_store : gen -> Ndlog.Store.t -> Ndlog.Store.t
     the group elements it applies. *)
 
 val apply_name : perm -> string -> string
-val apply_value : perm -> Ndlog.Value.t -> Ndlog.Value.t
 val apply_tuple : perm -> Ndlog.Store.Tuple.t -> Ndlog.Store.Tuple.t
 val apply_store : perm -> Ndlog.Store.t -> Ndlog.Store.t
 

@@ -100,9 +100,7 @@ let empty_program = { decls = []; facts = []; rules = [] }
 let var x = Var x
 let const v = Const v
 let cint n = Const (Value.Int n)
-let cstr s = Const (Value.Str s)
 let cbool b = Const (Value.Bool b)
-let caddr a = Const (Value.Addr a)
 let call f args = Call (f, args)
 let ( +: ) a b = Binop (Add, a, b)
 

@@ -117,9 +117,7 @@ val empty_program : program
 val var : string -> expr
 val const : Value.t -> expr
 val cint : int -> expr
-val cstr : string -> expr
 val cbool : bool -> expr
-val caddr : string -> expr
 val call : string -> expr list -> expr
 
 val ( +: ) : expr -> expr -> expr

@@ -440,12 +440,3 @@ let run_exn ?max_rounds ?extra_facts p =
   match run ?max_rounds ?extra_facts p with
   | Ok o -> o
   | Error e -> invalid_arg (Fmt.str "NDlog evaluation failed: %a" Analysis.pp_error e)
-
-(* Convenience: parse source text and run it. *)
-let run_source ?max_rounds src : (outcome, string) result =
-  match Parser.parse_program src with
-  | Error e -> Error e
-  | Ok p -> (
-    match run ?max_rounds p with
-    | Ok o -> Ok o
-    | Error e -> Error (Fmt.str "%a" Analysis.pp_error e))

@@ -141,6 +141,3 @@ val run_exn :
   Ast.program ->
   outcome
 (** @raise Invalid_argument on analysis failure. *)
-
-val run_source : ?max_rounds:int -> string -> (outcome, string) result
-(** Parse source text and run it. *)

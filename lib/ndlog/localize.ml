@@ -39,14 +39,6 @@ let loc_var_of_atom (a : Ast.atom) : string option =
     | Some (Ast.Var x) -> Some x
     | _ -> None)
 
-let loc_var_of_head (h : Ast.head) : string option =
-  match h.head_loc with
-  | None -> None
-  | Some i -> (
-    match List.nth_opt h.head_args i with
-    | Some (Ast.Plain (Ast.Var x)) -> Some x
-    | _ -> None)
-
 (* Name of the relocated copy of [pred] stored at argument index [i]. *)
 let relocated_name pred i = Printf.sprintf "%s_l%d" pred i
 

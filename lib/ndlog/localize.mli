@@ -25,8 +25,6 @@ val pp_error : error Fmt.t
 val loc_var_of_atom : Ast.atom -> string option
 (** The bare variable at the atom's location index, if any. *)
 
-val loc_var_of_head : Ast.head -> string option
-
 val relocated_name : string -> int -> string
 (** Name of the copy of [pred] stored at argument index [i]
     ([pred_l<i>]). *)

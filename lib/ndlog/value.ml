@@ -66,7 +66,6 @@ let list vs = List vs
 exception Type_error of string * t
 
 let as_int = function Int n -> n | v -> raise (Type_error ("int", v))
-let as_str = function Str s -> s | v -> raise (Type_error ("string", v))
 let as_bool = function Bool b -> b | v -> raise (Type_error ("bool", v))
 
 let as_addr = function

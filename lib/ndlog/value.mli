@@ -33,7 +33,6 @@ exception Type_error of string * t
 (** [Type_error (expected_sort, got)] raised by the coercions below. *)
 
 val as_int : t -> int
-val as_str : t -> string
 val as_bool : t -> bool
 
 val as_addr : t -> string

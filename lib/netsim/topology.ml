@@ -56,8 +56,6 @@ let links t =
   Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
   |> List.sort (fun a b -> Stdlib.compare (a.src, a.dst) (b.src, b.dst))
 
-let up_links t = List.filter (fun l -> l.up) (links t)
-
 let neighbors t n =
   List.filter_map
     (fun l -> if l.src = n && l.up then Some l.dst else None)

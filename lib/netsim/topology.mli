@@ -37,8 +37,6 @@ val nodes : t -> string list
 val links : t -> link list
 (** Sorted by (src, dst). *)
 
-val up_links : t -> link list
-
 val neighbors : t -> string -> string list
 (** Destinations of live out-links. *)
 

@@ -849,6 +849,100 @@ v5 worst(@S, max<C>) :- best(@S, D, C).
 v6 rep(@D, S, C) :- best(@S, D, C).
 |}
 
+(* [best] comes from soft [obs] at n1 and from hard [keep] at n0, and
+   [rep] is derived at both ends of every [best] tuple: n1 derives
+   rep(@n1,n0,7) itself until its [obs] lapses at t = 3, and n0 ships
+   it the same tuple, leased to t = 11 and renewed every 5. *)
+let rederived_view_src =
+  {|
+materialize(link, infinity).
+materialize(obs, 3).
+materialize(keep, infinity).
+materialize(best, infinity).
+materialize(rep, 10).
+
+b1 best(@S, D, min<C>) :- obs(@S, D, C).
+b2 best(@S, D, min<C>) :- keep(@S, D, C).
+r1 rep(@D, S, C) :- best(@S, D, C).
+r2 rep(@S, D, C) :- best(@S, D, C).
+|}
+
+(* A node shows its own part of the view fixpoint plus its live
+   leases: stepped one instant at a time, every view tuple in a node's
+   store is located there (or unlocated), and every leased view tuple
+   is in it — also one the node stopped deriving while the sender
+   still renews it. *)
+let test_node_shows_own_part_and_leases () =
+  let links = Programs.both "n0" "n1" 1 in
+  let fact pred args = Ast.fact ~loc:0 pred args in
+  let edge s d = [ V.Addr s; V.Addr d; V.Int 7 ] in
+  let program src facts =
+    let p = Programs.with_links (Programs.parse_exn src) links in
+    { p with Ast.facts = p.Ast.facts @ facts }
+  in
+  let violations (name, p) =
+    let rt = Runtime.create (topo_of_links links) p in
+    Runtime.load_facts rt;
+    let views = List.concat_map fst (Runtime.refresh_strata rt) in
+    let loc_of pred =
+      List.find_map
+        (fun (r : Ast.rule) ->
+          if r.Ast.head.Ast.head_pred = pred then r.Ast.head.Ast.head_loc
+          else None)
+        p.Ast.rules
+    in
+    let show pred tuple = Fmt.str "%s%a" pred Store.Tuple.pp tuple in
+    let sim = Runtime.simulator rt in
+    let rec go acc =
+      let t = Netsim.Sim.next_time sim in
+      if t > 30.0 then acc
+      else begin
+        ignore (Runtime.run rt ~until:t);
+        let at nm =
+          let store = Runtime.node_store rt nm in
+          let foreign =
+            List.concat_map
+              (fun pred ->
+                List.filter_map
+                  (fun tuple ->
+                    match loc_of pred with
+                    | Some i when V.as_addr tuple.(i) <> nm ->
+                      Some
+                        (Printf.sprintf "%s t=%g: %s shows %s" name t nm
+                           (show pred tuple))
+                    | _ -> None)
+                  (Store.tuples pred store))
+              views
+          and hidden =
+            List.filter_map
+              (fun ((pred, tuple), _) ->
+                if List.mem pred views && not (Store.mem pred tuple store)
+                then
+                  Some
+                    (Printf.sprintf "%s t=%g: %s leases but hides %s" name t
+                       nm (show pred tuple))
+                else None)
+              (Runtime.node_leases rt nm)
+          in
+          foreign @ hidden
+        in
+        go (acc @ at "n0" @ at "n1")
+      end
+    in
+    go []
+  in
+  Alcotest.(check (list string))
+    "own part plus live leases" []
+    (List.concat_map violations
+       [
+         ("ship_view", program ship_view_src [ fact "obs" (edge "n0" "n1") ]);
+         ( "agg_lower_view",
+           program agg_lower_view_src [ fact "obs" (edge "n0" "n1") ] );
+         ( "rederived_view",
+           program rederived_view_src
+             [ fact "obs" (edge "n1" "n0"); fact "keep" (edge "n0" "n1") ] );
+       ])
+
 (* The from-scratch refresh mode over the [obs]-driven [best]: a
    multi-atom aggregate [cheap] (outside the re-fold shape) and a
    negation [lone], every head at [@S].  [obs] is hard state here, so
@@ -2173,6 +2267,8 @@ let () =
            [
              Alcotest.test_case "shipping diff + soft expiry" `Quick
                test_view_shipping_diff_and_expiry;
+             Alcotest.test_case "own part plus live leases" `Quick
+               test_node_shows_own_part_and_leases;
              Alcotest.test_case "remote deletion rejected" `Quick
                test_remote_view_check_rejects;
              Alcotest.test_case "canonical programs accepted" `Quick
