@@ -36,10 +36,6 @@ type t = {
 
 let node t n = Smap.find n t.nodes
 
-let table t n =
-  Smap.bindings (node t n).table
-  |> List.map (fun (d, r) -> (d, r.cost, r.next_hop))
-
 let route_cost t n d =
   Option.map (fun r -> r.cost) (Smap.find_opt d (node t n).table)
 
@@ -118,8 +114,6 @@ let create ?(seed = 42) ?(infinity_threshold = 64) ?(period = 0.0) topo =
             Netsim.Sim.schedule sim ~delay:period (fun () -> periodic t n)))
     nodes;
   t
-
-let sim t = t.sim
 
 type report = {
   stats : Netsim.Sim.stats;

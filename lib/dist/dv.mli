@@ -12,23 +12,13 @@
 
 type t
 
-type msg = Vector of (string * int) list  (** destination, cost *)
-
 val create :
   ?seed:int -> ?infinity_threshold:int -> ?period:float -> Netsim.Topology.t -> t
 (** [period > 0] installs periodic re-advertisement (needed for
     stale-route propagation after failures); default 0 (triggered
     updates only).  Default threshold 64. *)
 
-val sim : t -> msg Netsim.Sim.t
-
-val table : t -> string -> (string * int * string) list
-(** [(destination, cost, next hop)] rows of a node's table. *)
-
 val route_cost : t -> string -> string -> int option
-
-val advertise : t -> string -> unit
-(** Force a node to advertise its vector now. *)
 
 type report = {
   stats : Netsim.Sim.stats;

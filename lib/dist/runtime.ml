@@ -30,23 +30,27 @@
    best-path displacing a worse one) are handled by view refresh rather
    than by distributed deletion.
 
-   When a refresh runs is fixed at [create], from the program.  A
-   hard-state program whose view heads all stay at the deriving node
-   refreshes on demand: nothing between two observations reads a view
-   (every rule that reads one is itself a view rule, views are neither
-   shipped nor leased), so a store change only marks the views stale,
-   and one walk brings them up to date when they are read — at the end
-   of [run] and in [node_store] / [global_store].  Hard state bounds
-   the dirty tuples a node accumulates meanwhile by its store.  Every
-   other program — soft state, or views shipped to other nodes — walks
-   once per instant that changed a store, through a zero-delay event.
+   A walk is owed only when a base relation changed: a view arrival
+   or a lapsed arrival changes no fixpoint, since no rule reads
+   [received].  When the owed walk runs is fixed at [create], from the
+   program.  A program whose view heads all stay at the deriving node,
+   soft state included, refreshes on demand: nothing between two
+   observations reads a view (every rule that reads one is itself a
+   view rule, and a local view is neither shipped, leased nor
+   renewed), so a base change only records its tuples, and one walk
+   brings the views up to date when they are read — at the end of
+   [run] and in [node_store] / [global_store].  What a node records
+   meanwhile grows with the base changes since the last read, and
+   every [run] reads at its end.  A program that ships views walks
+   once per instant that changed a base relation, through a zero-delay
+   event, so a shipped tuple leaves at its own instant.
 
    View refresh is incremental by default ([~incremental_views:true]):
-   each node tracks its *dirty* base predicates — those whose relations
-   changed since its last refresh, marked by local insertions, the
-   inbox flush path, and expiry sweeps, together with the tuples added
-   and removed — and a refresh walks the view program's refresh strata
-   ({!Ndlog.Eval.refresh_strata}) bottom-up.  Each stratum is brought
+   each node records the base tuples added and removed since its last
+   refresh — by local insertions, the inbox flush path, and expiry
+   sweeps; their predicates are its *dirty* ones — and a refresh walks
+   the view program's refresh strata ({!Ndlog.Eval.refresh_strata})
+   bottom-up.  Each stratum is brought
    up to date in one of four ways, the last three by the mode fixed for
    it at [create]:
    - skip: no predicate in its transitive support is dirty, so its
@@ -131,30 +135,22 @@ type node_state = {
   (* Soft views with a pending lease-renewal timer (see
      [ensure_renewal]). *)
   renewing : bool array;
-  (* Dirty-predicate tracking for incremental view refresh (only
-     maintained when [incremental_views] is on and the program has
-     views: [tracks_dirty]).  Invariant at every
-     refresh: a base predicate is in [dirty] iff its relation changed
-     since this node's last refresh; [dirty_added] lists the tuples
-     added (newest first; one expiry removed since is no longer in the
-     store), [dirty_removed] the tuples expiry removed.  Removals select
-     the groups a re-folded aggregate stratum revisits, and force the
-     from-scratch fallback for every plain stratum they support.  Both
-     are plain lists: the walk builds its delta in the runtime's
-     scratch, so an idle node holds no delta database. *)
-  mutable dirty : Sset.t;
+  (* The node's pending refresh, for incremental view refresh (only
+     kept when [incremental_views] is on and the program has views:
+     [tracks_dirty]).  Invariant at every refresh: [dirty_added] lists
+     the base tuples added since this node's last refresh (newest
+     first; one expiry removed since is no longer in the store),
+     [dirty_removed] the base tuples expiry removed; their predicates
+     are the dirty ones.  Removals select the groups a re-folded
+     aggregate stratum revisits, and force the from-scratch fallback
+     for every plain stratum they support.  A node with both lists
+     empty is exactly what its last refresh left, so a walk skips it
+     wholesale (accounted as the per-stratum skips it replaces): under
+     churn on a large network each walk is O(touched nodes), not
+     O(nodes).  Both are plain lists: the walk builds its delta in the
+     runtime's scratch, so an idle node holds no delta database. *)
   mutable dirty_added : (string * int array) list;
   mutable dirty_removed : (string * int array) list;
-  (* Whether this node's store has changed since its last refresh (new
-     tuples, including view arrivals it did not show, or expiry
-     removals).
-     A refresh walks only stale nodes when incremental refresh is on:
-     refreshing a non-stale node is a no-op — every stratum would be
-     skipped and every relation left as-is — so the walk is skipped
-     wholesale (and accounted as the per-stratum skips it replaces).
-     Under churn on a large network this turns each refresh from
-     O(nodes) into O(touched nodes). *)
-  mutable stale : bool;
   (* Deadline of the one live sweep timer, or [infinity] when none is
      pending.  Every soft insert used to arm a fresh timer chain whose
      sweep re-armed itself forever, so the timer population — and with
@@ -237,11 +233,10 @@ type t = {
   joins : Plan.counters;
   wire : Plan.counters;
   (* Whether views refresh on demand (see the header), fixed at
-     [create]: the program has no soft-state predicate and no view rule
-     can place its head at another node. *)
+     [create]: no view rule can place its head at another node. *)
   on_demand : bool;
-  (* A refresh is owed: a walk is scheduled, or, on demand, the views
-     are stale until the next observation. *)
+  (* A walk is owed: it is scheduled, or, on demand, it runs at the
+     next observation. *)
   mutable refresh_pending : bool;
   (* Wall-clock spent inside [refresh_views], the number of walks, the
      node refreshes they ran and the minor-heap words those allocated:
@@ -386,15 +381,6 @@ let remote_capable (r : Ast.rule) =
     | Some h, Some b -> h <> b
     | _ -> true)
 
-(* The soft-state predicates [p] declares. *)
-let soft_preds (p : Ast.program) =
-  List.filter_map
-    (fun (d : Ast.decl) ->
-      match d.Ast.decl_lifetime with
-      | Ast.Lifetime _ -> Some d.Ast.decl_pred
-      | Ast.Lifetime_forever -> None)
-    p.Ast.decls
-
 (* The header's promised [check]: view relations are replaced wholesale
    on refresh, so a view tuple stored at another node can only be
    retracted by some mechanism at the receiver.  Soft view predicates
@@ -408,8 +394,8 @@ let soft_preds (p : Ast.program) =
    a superseded aggregate is the documented stale-view caveat, not a
    deletion.) *)
 let check_remote_views (p : Ast.program) (view_program : Ast.program) =
-  let soft = soft_preds p in
-  let is_soft pred = List.mem pred soft in
+  let soft = Softstate.soft_preds_of p in
+  let is_soft pred = List.mem_assoc pred soft in
   let rules_of pred =
     List.filter (fun (r : Ast.rule) -> r.head.Ast.head_pred = pred) p.rules
   in
@@ -581,10 +567,8 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
           flush_scheduled = false;
           received = Flat.create ();
           renewing = Array.make nviews false;
-          dirty = Sset.empty;
           dirty_added = [];
           dirty_removed = [];
-          stale = false;
           sweep_armed = infinity;
           store_cache = None;
         })
@@ -626,10 +610,7 @@ let rec create ?(seed = 42) ?(incremental_views = true) ?transport ?hosted
     }
   in
   let refresh_plan = List.map resolve (Eval.refresh_strata view_program) in
-  let on_demand =
-    soft_preds program = []
-    && not (List.exists remote_capable view_program.Ast.rules)
-  in
+  let on_demand = not (List.exists remote_capable view_program.Ast.rules) in
   let t =
     {
       program = pipeline_program;
@@ -711,13 +692,15 @@ and run_strands t ns pred (delta : int array list) =
    without views never refreshes, and its marks would only pile up. *)
 and tracks_dirty t = t.incremental_views && Array.length t.views > 0
 
-(* Record a base-relation addition for incremental refresh.  View
-   arrivals are not marked: no rule reads [received], so they cannot
+(* Record a new tuple's addition for incremental refresh; [true] when
+   it is a base tuple and so owes a walk.  A view arrival is not
+   recorded and owes none: no rule reads [received], so it cannot
    change any stratum's recomputation. *)
-and mark_dirty t ns pred ids =
-  if tracks_dirty t && not (Sset.mem pred t.view_set) then begin
-    ns.dirty <- Sset.add pred ns.dirty;
-    ns.dirty_added <- (pred, ids) :: ns.dirty_added
+and base_added t ns pred ids =
+  (not (Sset.mem pred t.view_set))
+  && begin
+    if tracks_dirty t then ns.dirty_added <- (pred, ids) :: ns.dirty_added;
+    true
   end
 
 (* Refresh the lease of a soft tuple, even when the tuple is known.
@@ -739,10 +722,9 @@ and insert_ids t ns pred (ids : int array) =
     schedule_expiry t ns;
   if store_new t ns pred ids then begin
     ns.inserts <- ns.inserts + 1;
-    ns.stale <- true;
-    mark_dirty t ns pred ids;
+    let owed = base_added t ns pred ids in
     run_strands t ns pred [ ids ];
-    if Array.length t.views > 0 then request_refresh t
+    if owed then request_refresh t
   end
 
 (* A message delivery: the inbox buffers it and a zero-delay flush
@@ -771,7 +753,7 @@ and receive t ns (m : msg) =
 and flush t ns =
   ns.flush_scheduled <- false;
   let now = t.transport.Transport.now () in
-  let any_soft = ref false in
+  let any_soft = ref false and owed = ref false in
   (* The new tuples by predicate, newest predicate first. *)
   let deltas = ref [] and n = ns.inbox_len in
   ns.inbox_len <- 0;
@@ -781,8 +763,7 @@ and flush t ns =
     if lease ns ~now pred ids then any_soft := true;
     if store_new t ns pred ids then begin
       ns.inserts <- ns.inserts + 1;
-      ns.stale <- true;
-      mark_dirty t ns pred ids;
+      if base_added t ns pred ids then owed := true;
       match delta_of pred !deltas with
       | tuples -> tuples := ids :: !tuples
       | exception Not_found -> deltas := (pred, ref [ ids ]) :: !deltas
@@ -792,7 +773,7 @@ and flush t ns =
   List.iter
     (fun (pred, tuples) -> run_strands t ns pred !tuples)
     (List.rev !deltas);
-  if !deltas <> [] && Array.length t.views > 0 then request_refresh t
+  if !owed then request_refresh t
 
 (* Schedule a sweep at the node's next soft-state deadline — unless the
    node's live timer already fires at or before it, in which case that
@@ -819,43 +800,36 @@ and schedule_expiry t ns =
    next refresh re-folds its group in every aggregate stratum reading
    it, and recomputes from scratch every plain stratum it supports
    (deletions are non-monotone under seeded re-derivation).  A lapsed
-   view arrival leaves [received] only: the node's own fixpoint keeps
-   whatever it derives.  The sweep always re-arms for the next pending
-   deadline: it only drops leases lapsed *now*, and without the re-arm
-   later deadlines would only be swept if some insertion happened to
-   re-arm the timer. *)
+   view arrival leaves [received] only and owes no walk: the node's
+   own fixpoint keeps whatever it derives.  The sweep always re-arms
+   for the next pending deadline: it only drops leases lapsed *now*,
+   and without the re-arm later deadlines would only be swept if some
+   insertion happened to re-arm the timer. *)
 and sweep t ns =
   let now = t.transport.Transport.now () in
   let dead, expiry' = Softstate.Expiry.expired ns.expiry ~now in
   ns.expiry <- expiry';
-  let removed = ref false in
+  let owed = ref false in
   List.iter
     (fun (pred, tuple) ->
       let ids = Intern.tuple_ids tuple in
-      if Sset.mem pred t.view_set then begin
-        if Flat.remove ns.received pred ids then removed := true
-      end
+      if Sset.mem pred t.view_set then ignore (Flat.remove ns.received pred ids)
       else if Flat.remove ns.db pred ids then begin
-        removed := true;
-        if tracks_dirty t then begin
-          ns.dirty <- Sset.add pred ns.dirty;
+        owed := true;
+        if tracks_dirty t then
           ns.dirty_removed <- (pred, ids) :: ns.dirty_removed
-        end
       end)
     dead;
-  if !removed then begin
-    ns.stale <- true;
-    if Array.length t.views > 0 then request_refresh t
-  end;
+  if !owed then request_refresh t;
   schedule_expiry t ns
 
-(* Owe a view refresh.  On demand it only marks the views stale: the
-   walk runs when they are next read ([settle]), once for however many
-   instants changed the stores since.  Otherwise it is batched through
-   a zero-delay event, so that a burst of insertions at one instant
-   triggers one recomputation. *)
+(* Owe a view refresh, for a base change.  On demand the walk runs when
+   the views are next read ([settle]), once for however many instants
+   changed the stores since.  Otherwise it is batched through a
+   zero-delay event, so that a burst of insertions at one instant
+   triggers one recomputation.  A program without views owes none. *)
 and request_refresh t =
-  if not t.refresh_pending then begin
+  if Array.length t.views > 0 && not t.refresh_pending then begin
     t.refresh_pending <- true;
     if not t.on_demand then
       t.transport.Transport.schedule ~delay:0.0 (fun () ->
@@ -871,20 +845,23 @@ and settle t =
     refresh_views t
   end
 
-(* Incremental mode refreshes only stale nodes: a non-stale node's
-   store is exactly what its last refresh left, so walking it would
-   skip every stratum and change nothing — the avoided strata are still
-   credited to [strata_skipped] (one addition per walk), keeping the
-   accounting identical to the full walk.  The from-scratch oracle
+(* Incremental mode refreshes only nodes with a pending refresh (a
+   non-empty dirty list): any other node's store is exactly what its
+   last refresh left, so walking it would skip every stratum and
+   change nothing — the avoided strata are still credited to
+   [strata_skipped] (one addition per walk), keeping the accounting
+   identical to the full walk.  The from-scratch oracle
    keeps walking every node (recomputation on an unchanged base is its
-   definition of correct, and it has no staleness bookkeeping to
-   trust). *)
+   definition of correct, and it has no dirty lists to trust). *)
 and refresh_views t =
   let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
   let idle = ref 0 in
   Array.iter
     (fun ns ->
-      if ns.stale || not t.incremental_views then begin
+      if
+        ns.dirty_added <> [] || ns.dirty_removed <> []
+        || not t.incremental_views
+      then begin
         refresh_node t ns;
         t.refresh_nodes <- t.refresh_nodes + 1
       end
@@ -902,11 +879,13 @@ and refresh_views t =
    tuples (and emptied in place as the next node refresh starts); and
    per-stratum movement is read off the undo journal.
 
-   The walk visits the refresh strata bottom-up.  [changed] starts
-   from the node's dirty set, and [delta] / [removed] from its dirty
-   tuples; all three grow with each touched stratum's own movement, so
-   downstream strata see exactly the support change that concerns
-   them.  Each stratum is brought up to date in one of four ways:
+   The walk visits the refresh strata bottom-up.  [delta] and
+   [removed] start from the node's dirty tuples and grow with each
+   touched stratum's own movement, so downstream strata see exactly
+   the support change that concerns them; a predicate changed since
+   the last refresh exactly when one of them holds a tuple of it (a
+   dirty addition no longer stored was removed since, so [removed]
+   holds it).  Each stratum is brought up to date in one of four ways:
    - skip: its support is unchanged since the last refresh, so its
      previous relations are still its fixpoint;
    - re-fold: a single-atom aggregate stratum re-folds only the groups
@@ -941,21 +920,16 @@ and incremental_fresh t ns (db : Flat.t) =
   List.iter
     (fun (pred, ids) -> ignore (Flat.add removed pred ids))
     ns.dirty_removed;
-  let rec touched changed = function
-    | [] -> false
-    | p :: rest -> Sset.mem p changed || touched changed rest
-  in
+  let changed p = Flat.cardinal delta p > 0 || Flat.cardinal removed p > 0 in
   let rec lost = function
     | [] -> false
     | p :: rest -> Flat.cardinal removed p > 0 || lost rest
   in
-  List.fold_left
-    (fun changed rs ->
-      if not (touched changed rs.support) then begin
+  List.iter
+    (fun rs ->
+      if not (List.exists changed rs.support) then
         (* Untouched: the previous relations are still exact. *)
-        Plan.note_strata_skipped t.joins 1;
-        changed
-      end
+        Plan.note_strata_skipped t.joins 1
       else begin
         let m = Flat.mark db in
         (match rs.mode with
@@ -978,20 +952,17 @@ and incremental_fresh t ns (db : Flat.t) =
           ignore (Ideval.seminaive_stratum ~stats:t.joins stratum db);
           moved_net t rs.heads (Flat.net_since db m));
         Flat.commit db m;
-        Array.fold_left
-          (fun changed v ->
-            let adds = t.moved_adds.(v.v_idx)
-            and rems = t.moved_rems.(v.v_idx) in
-            if adds = [] && rems = [] then changed
-            else begin
-              List.iter (fun ids -> ignore (Flat.add delta v.v_pred ids)) adds;
-              List.iter (fun ids -> ignore (Flat.add removed v.v_pred ids)) rems;
-              Sset.add v.v_pred changed
-            end)
-          changed rs.heads
+        Array.iter
+          (fun v ->
+            List.iter
+              (fun ids -> ignore (Flat.add delta v.v_pred ids))
+              t.moved_adds.(v.v_idx);
+            List.iter
+              (fun ids -> ignore (Flat.add removed v.v_pred ids))
+              t.moved_rems.(v.v_idx))
+          rs.heads
       end)
-    ns.dirty t.refresh_plan
-  |> ignore
+    t.refresh_plan
 
 (* Record one journaled operation of a stratum defining [views]. *)
 and move t views pred ids added =
@@ -1023,7 +994,6 @@ and refresh_node t ns =
   Array.fill t.moved_rems 0 (Array.length t.views) [];
   if t.incremental_views then begin
     incremental_fresh t ns db;
-    ns.dirty <- Sset.empty;
     ns.dirty_added <- [];
     ns.dirty_removed <- []
   end
@@ -1034,8 +1004,7 @@ and refresh_node t ns =
     moved_net t t.views (Flat.net_since db m);
     Flat.commit db m
   end;
-  Array.iter (commit_view t ns) t.views;
-  ns.stale <- false
+  Array.iter (commit_view t ns) t.views
 
 (* Ship the remotely-located tuples a refresh added to view [v].  A
    shipped *soft* view tuple lives at the receiver on a lease; with
@@ -1193,7 +1162,10 @@ let node_store t name =
   materialized t ns
 
 (* Introspection for the incremental-refresh test harness. *)
-let dirty_preds t name = Sset.elements (node t name).dirty
+let dirty_preds t name =
+  let ns = node t name in
+  List.sort_uniq String.compare
+    (List.rev_map fst (List.rev_append ns.dirty_added ns.dirty_removed))
 
 let refresh_strata t =
   List.map
@@ -1205,7 +1177,6 @@ let refresh_strata t =
         | Scratch _ -> `Scratch ))
     t.refresh_plan
 let node_leases t name = Softstate.Expiry.bindings (node t name).expiry
-let incremental t = t.incremental_views
 let refreshes_on_demand t = t.on_demand
 let refresh_seconds t = t.refresh_wall
 let refresh_walks t = t.refresh_walks

@@ -60,16 +60,19 @@
     re-folds and fallbacks are counted ([strata_skipped] /
     [strata_refolded] / [refresh_fallbacks]).
 
-    When refresh runs is decided at {!create}, from the program.  A
-    program with no soft-state predicate whose view rules all keep
-    their heads at the deriving node refreshes {e on demand}: no strand,
-    message or lease can read its views, so a store change only marks
-    them stale, and one walk brings every stale node up to date when
-    the views are next read — at the end of {!run} (before its report
-    is taken) and in {!node_store} / {!global_store}.  Any other
-    program walks once per simulated instant that changed a store,
-    through a zero-delay event.  Stores, traces, messages and leases
-    are the same either way at every observation point.
+    A walk is owed only when a base relation changed: a view tuple
+    shipped in, or its lease lapsing, changes no fixpoint.  When the
+    owed walk runs is decided at {!create}, from the program.  A
+    program whose view rules all keep their heads at the deriving node
+    refreshes {e on demand}, soft state included: no strand, message
+    or lease can read its views, so a base change only records its
+    tuples, and one walk brings every node with recorded changes up to
+    date when the views are next read — at the end of {!run} (before
+    its report is taken) and in {!node_store} / {!global_store}.  A
+    program that ships views walks once per simulated instant that
+    changed a base relation, through a zero-delay event, so a shipped
+    tuple leaves at its own instant.  Stores, traces, messages and
+    leases are the same either way at every observation point.
     [~incremental_views:false] restores the from-scratch refresh, kept
     as the differential oracle: both modes produce
     bit-identical node stores, fixpoints, message traces, and lease
@@ -204,7 +207,8 @@ val total_inserts : t -> int
     reports in its quiescence {!Wire.status}). *)
 
 val dirty_preds : t -> string -> string list
-(** The node's currently dirty base predicates (sorted) — empty right
+(** The base predicates of the node's pending refresh (sorted): those
+    with a tuple added or expired since its last refresh — empty right
     after a refresh, and always empty when incremental refresh is off or
     the program has no views to refresh.  Reading them runs no refresh.
     Introspection for the dirty-set lifecycle tests. *)
@@ -219,12 +223,10 @@ val node_leases : t -> string -> ((string * Ndlog.Store.Tuple.t) * float) list
 (** The node's soft-state lease table (key-sorted, with deadlines) —
     compared across refresh modes by the differential harness. *)
 
-val incremental : t -> bool
-(** Whether this runtime refreshes views incrementally. *)
-
 val refreshes_on_demand : t -> bool
 (** Whether this runtime's views refresh when read rather than once per
-    instant (fixed by the program at {!create}). *)
+    instant: fixed at {!create}, [true] unless some view rule can place
+    its head at another node. *)
 
 val refresh_seconds : t -> float
 (** Cumulative wall-clock seconds spent in view-refresh walks since
@@ -235,8 +237,8 @@ val refresh_walks : t -> int
 
 val refresh_nodes : t -> int
 (** Number of node refreshes those walks ran (a walk skips a node whose
-    store has not changed since its last refresh; on demand, one node
-    refresh covers every change since the node's last one). *)
+    base relations have not changed since its last refresh; on demand,
+    one node refresh covers every change since the node's last one). *)
 
 val refresh_words : t -> float
 (** Minor-heap words allocated inside view-refresh walks since

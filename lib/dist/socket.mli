@@ -58,9 +58,6 @@ val idle : t -> bool
     will do nothing more unless a peer writes.  One conjunct of the
     quiescence protocol ({!Supervisor}). *)
 
-val now : t -> float
-(** Epoch-relative wall-clock seconds. *)
-
 val sent : t -> int
 (** Data frames written to peers so far. *)
 

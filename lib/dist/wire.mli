@@ -47,18 +47,14 @@ type frame =
   | Bye  (** supervisor -> worker: drain and exit *)
 
 type error =
-  | Oversized_frame of int  (** declared length beyond {!max_frame} *)
+  | Oversized_frame of int
+      (** declared body length beyond 16 MiB: treated as corruption,
+          not allocated *)
   | Truncated_stream  (** EOF inside a frame, or short body *)
   | Bad_tag of int  (** unknown frame or value tag *)
   | Read_timeout  (** no frame within the deadline: dead peer *)
 
 exception Frame_error of error
-
-val pp_error : error Fmt.t
-
-val max_frame : int
-(** Upper bound on a declared body length; larger prefixes are treated
-    as corruption ({!Oversized_frame}), not allocated. *)
 
 val encode : frame -> bytes
 (** The frame's full wire form, length prefix included. *)

@@ -81,13 +81,9 @@ type config = {
 let make_config ?(horizon = 10) ?(inject = fun _ -> []) (program : Ast.program)
     : config =
   let lifetimes =
-    List.filter_map
-      (fun (d : Ast.decl) ->
-        match d.Ast.decl_lifetime with
-        | Ast.Lifetime l ->
-          Some (d.Ast.decl_pred, Ndlog.Softstate.guard_lifetime l)
-        | Ast.Lifetime_forever -> None)
-      program.Ast.decls
+    List.map
+      (fun (pred, l) -> (pred, Ndlog.Softstate.guard_lifetime l))
+      (Ndlog.Softstate.soft_preds_of program)
   in
   { program; horizon; inject; lifetimes }
 

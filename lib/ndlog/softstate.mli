@@ -29,10 +29,6 @@ module Expiry : sig
       harness compares whole lease tables). *)
 end
 
-val clock_pred : string
-(** The distinguished clock relation ([clock(T)]) the hard-state rewrite
-    reads the current time from. *)
-
 (** What {!to_hard_state} did. *)
 type rewrite_report = {
   rewritten : Ast.program;
